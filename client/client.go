@@ -26,7 +26,9 @@ import (
 // tried once in the round. Every endpoint this applies to is idempotent
 // by construction — submissions are content-addressed (a resubmission
 // dedupes onto the live job or the stored table) and reads are reads —
-// so failing over can duplicate at most work, never results.
+// so failing over can duplicate at most work, never results. A request
+// that exhausts its retries returns the last *APIError any replica
+// answered with; a transport error surfaces only when none answered.
 type Client struct {
 	bases      []string
 	cur        atomic.Int64 // rotation cursor; index = cur % len(bases)
@@ -153,10 +155,14 @@ func (c *Client) doTrace(ctx context.Context, method, path string, in, out inter
 		}
 	}
 	hops := 0
+	var answered *APIError // the last replica answer, for the final error
 	for attempt := 0; ; attempt++ {
 		trace, apiErr, err := c.once(ctx, method, path, body, out)
 		if err == nil && apiErr == nil {
 			return trace, nil
+		}
+		if apiErr != nil {
+			answered = apiErr
 		}
 		// A replica that cannot be reached or answers 5xx triggers
 		// failover: once rotated away from it, the retry goes to the next
@@ -173,10 +179,15 @@ func (c *Client) doTrace(ctx context.Context, method, path string, in, out inter
 			return trace, apiErr
 		}
 		if attempt >= c.maxRetries {
-			if err != nil {
-				return trace, err
+			// Over several replicas the last attempt may have hit a dead
+			// one; any replica's answer says more than its transport
+			// error (a survivor's 502 is how SweepAndWait learns its job
+			// was lost). The transport error surfaces only when no
+			// replica answered, or when the caller's context ended.
+			if err == nil || (answered != nil && ctx.Err() == nil) {
+				return answered.TraceID, answered
 			}
-			return trace, apiErr
+			return trace, err
 		}
 		wait := c.backoff(attempt)
 		if apiErr != nil && apiErr.RetryAfter > 0 {

@@ -3,9 +3,10 @@ package client_test
 // Stub-server tests of the SDK's cluster failover: base-URL rotation on
 // connection failures and 5xx answers, NDJSON event-stream resume
 // against a different replica, and the terminal APIError when every
-// replica is down. Real-daemon cluster behavior (routing, claims, node
-// kills) is covered in internal/cluster/clustertest; these tests pin the
-// client-side contract alone.
+// replica is down. Real-daemon cluster behavior (ranked routing and
+// failover, node kills and partitions) is covered in
+// internal/cluster/clustertest; these tests pin the client-side
+// contract alone.
 
 import (
 	"context"
@@ -107,6 +108,27 @@ func TestAllReplicasDownSurfacesAPIError(t *testing.T) {
 	dead := client.NewMulti([]string{deadBase(t), deadBase(t)}, client.WithRetries(2, 10*time.Millisecond))
 	if _, err := dead.Health(context.Background()); err == nil || errors.As(err, &apiErr) {
 		t.Fatalf("want transport error from unreachable replicas, got %v", err)
+	}
+
+	// One dead replica among answering ones: whichever replica the
+	// retries end on, the survivors' answer surfaces, not the dead
+	// node's transport error (SweepAndWait resubmits only on the 502).
+	mk502 := func() *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, `{"error":"proxy target unreachable"}`, http.StatusBadGateway)
+		}))
+	}
+	c1, c2 := mk502(), mk502()
+	defer c1.Close()
+	defer c2.Close()
+	ring := []string{deadBase(t), c1.URL, c2.URL}
+	for start := range ring {
+		bases := append(append([]string{}, ring[start:]...), ring[:start]...)
+		mixed := client.NewMulti(bases, client.WithRetries(2, 10*time.Millisecond))
+		_, err := mixed.Health(context.Background())
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
+			t.Fatalf("start %d: want the 502 APIError, got %v", start, err)
+		}
 	}
 }
 

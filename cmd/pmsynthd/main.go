@@ -15,20 +15,19 @@
 //	         [-max-sweep-workers 0] [-job-ttl 1h] [-event-tail 256]
 //	         [-retry-after 1s] [-store-dir DIR] [-store-max-bytes N]
 //	         [-max-batch-sweeps 64] [-sweep-point-cache-entries 512]
-//	         [-self-url URL] [-peers URL,URL,...] [-claim-ttl 2m]
-//	         [-log-level info] [-log-format json] [-trace-capacity 256]
-//	         [-debug-addr ADDR]
+//	         [-self-url URL] [-peers URL,URL,...] [-log-level info]
+//	         [-log-format json] [-trace-capacity 256] [-debug-addr ADDR]
 //
 // With -store-dir set, synthesize results and completed sweep tables
 // persist across restarts in a content-addressed disk store: a restarted
 // daemon answers repeated requests from disk without recompiling.
 //
 // With -self-url and -peers set, the daemon joins a static cluster:
-// sweep submissions are routed to their fingerprint's owner node by
-// consistent hashing, job ids become cluster-routable ("<node>~<id>",
-// resolvable at any node), and nodes sharing one -store-dir dedupe
-// executions through claim files leased for -claim-ttl. See DESIGN.md
-// ("Cluster").
+// each sweep fingerprint ranks the nodes by consistent (rendezvous)
+// hashing, a submission runs on the first reachable node of that
+// ranking — so every node that sees the same dead owner picks the same
+// executor — and job ids become cluster-routable ("<node>~<id>",
+// resolvable at any node). See DESIGN.md ("Cluster").
 //
 // Logging is structured (log/slog) on stderr: one access-log line per
 // request and one lifecycle line per job transition, each carrying the
@@ -88,7 +87,6 @@ func main() {
 	maxWarmJobs := flag.Int("max-warm-jobs", 256, "max live store-restored sweep jobs; warm submissions beyond it get 429")
 	selfURL := flag.String("self-url", "", "this node's advertised base URL (e.g. http://10.0.0.3:8357); enables cluster mode")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (self may be listed); requires -self-url")
-	claimTTL := flag.Duration("claim-ttl", 0, "cross-node execution lease TTL over the shared store (0 = default 2m)")
 	sweepPointCacheEntries := flag.Int("sweep-point-cache-entries", flow.DefaultPointCacheEntries,
 		"sweep-point (pipeline context) cache capacity in entries (0 disables)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -135,7 +133,6 @@ func main() {
 		MaxWarmJobs:        *maxWarmJobs,
 		SelfURL:            *selfURL,
 		Peers:              splitPeers(*peers),
-		ClaimTTL:           *claimTTL,
 		Logger:             logger,
 		TraceCapacity:      *traceCapacity,
 	})

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -55,12 +56,13 @@ func SplitID(id string) (nodeID, local string, ok bool) {
 
 // Stats counts routing outcomes. Counters only ever increase.
 type Stats struct {
-	// ProxiedSubmits counts sweep submissions forwarded to their owner.
+	// ProxiedSubmits counts sweep submissions forwarded to a node ranked
+	// ahead of this one.
 	ProxiedSubmits int64
 	// ProxiedJobs counts job/event requests proxied to another node.
 	ProxiedJobs int64
-	// Fallbacks counts submissions executed locally because the owner
-	// was unreachable.
+	// Fallbacks counts ranked nodes a submission skipped because they
+	// were unreachable or failing.
 	Fallbacks int64
 	// Forwarded counts submissions received with the forward header.
 	Forwarded int64
@@ -74,7 +76,7 @@ type Cluster struct {
 
 	// hc performs proxied requests. No overall timeout: event streams
 	// are long-lived and admission of a forwarded sweep legitimately
-	// compiles before answering. The dial is bounded so a dead owner
+	// compiles before answering. The dial is bounded so a dead node
 	// fails over quickly.
 	hc *http.Client
 
@@ -87,7 +89,7 @@ type Cluster struct {
 // New builds the cluster view for the node advertised at self. peers
 // lists every member's base URL; self is added if absent. A nil or
 // single-member peer set yields a degenerate cluster that owns
-// everything locally (Single reports true).
+// everything locally.
 func New(self string, peers []string) (*Cluster, error) {
 	self = strings.TrimRight(self, "/")
 	if self == "" {
@@ -133,9 +135,6 @@ func New(self string, peers []string) (*Cluster, error) {
 // Self is this node.
 func (c *Cluster) Self() Node { return c.self }
 
-// Single reports whether the peer set is just this node.
-func (c *Cluster) Single() bool { return len(c.nodes) <= 1 }
-
 // Nodes returns the full membership, sorted by ID.
 func (c *Cluster) Nodes() []Node {
 	out := make([]Node, len(c.nodes))
@@ -149,32 +148,31 @@ func (c *Cluster) Lookup(nodeID string) (Node, bool) {
 	return n, ok
 }
 
-// Owner maps a sweep fingerprint to the node responsible for executing
-// it, by rendezvous (highest-random-weight) hashing: every node scores
-// sha256(fingerprint "|" nodeID) and the highest score wins. Rendezvous
-// needs no virtual-node ring, is trivially deterministic across nodes,
-// and reassigns only the failed node's share when membership shrinks.
-func (c *Cluster) Owner(fp string) Node {
-	best := c.self
-	var bestScore [sha256.Size]byte
+// Ranked orders the membership by rendezvous (highest-random-weight)
+// score for fingerprint fp: every node scores sha256(fp "|" nodeID) and
+// the highest score ranks first. Rendezvous needs no virtual-node ring,
+// is trivially deterministic across nodes, and dropping a node leaves
+// the relative order of the others untouched — so Ranked(fp)[1] is
+// exactly the owner fp would have without Ranked(fp)[0]. That property
+// is the failover rule: every node that finds the same ranked nodes
+// unreachable sends the sweep to the same next one.
+func (c *Cluster) Ranked(fp string) []Node {
+	scores := make(map[string][sha256.Size]byte, len(c.nodes))
+	out := make([]Node, len(c.nodes))
 	for i, n := range c.nodes {
-		score := sha256.Sum256([]byte(fp + "|" + n.ID))
-		if i == 0 || greater(score, bestScore) {
-			best, bestScore = n, score
-		}
+		scores[n.ID] = sha256.Sum256([]byte(fp + "|" + n.ID))
+		out[i] = n
 	}
-	return best
+	sort.Slice(out, func(i, j int) bool {
+		a, b := scores[out[i].ID], scores[out[j].ID]
+		return bytes.Compare(a[:], b[:]) > 0
+	})
+	return out
 }
 
-// greater compares two scores as big-endian unsigned integers.
-func greater(a, b [sha256.Size]byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] > b[i]
-		}
-	}
-	return false
-}
+// Owner maps a sweep fingerprint to the node responsible for executing
+// it: the first node of its ranking.
+func (c *Cluster) Owner(fp string) Node { return c.Ranked(fp)[0] }
 
 // Stats snapshots the routing counters.
 func (c *Cluster) Stats() Stats {
@@ -186,19 +184,19 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// CountFallback records a submission executed locally because its owner
-// was unreachable.
+// CountFallback records a ranked node a submission skipped because it was
+// unreachable or failing.
 func (c *Cluster) CountFallback() { c.fallbacks.Add(1) }
 
 // CountForwarded records a submission that arrived with ForwardHeader.
 func (c *Cluster) CountForwarded() { c.forwarded.Add(1) }
 
-// ProxySubmit forwards a sweep submission body to the owner node and
+// ProxySubmit forwards a sweep submission body to a ranked node and
 // relays the response. It returns an error — without having written
-// anything to w — when the owner cannot be reached or answers with a
-// 5xx, so the caller can fall back to local execution.
-func (c *Cluster) ProxySubmit(w http.ResponseWriter, r *http.Request, owner Node, body []byte) error {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner.URL+r.URL.Path, strings.NewReader(string(body)))
+// anything to w — when the node cannot be reached or answers with a
+// 5xx, so the caller can try the next node of the ranking.
+func (c *Cluster) ProxySubmit(w http.ResponseWriter, r *http.Request, node Node, body []byte) error {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, node.URL+r.URL.Path, strings.NewReader(string(body)))
 	if err != nil {
 		return err
 	}
@@ -211,9 +209,9 @@ func (c *Cluster) ProxySubmit(w http.ResponseWriter, r *http.Request, owner Node
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
 		// Read-and-discard so the connection is reusable, then let the
-		// caller execute locally instead of relaying the owner's failure.
+		// caller move down the ranking instead of relaying the failure.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return fmt.Errorf("cluster: owner %s answered %s", owner.ID, resp.Status)
+		return fmt.Errorf("cluster: node %s answered %s", node.ID, resp.Status)
 	}
 	c.proxiedSubmits.Add(1)
 	relay(w, resp)

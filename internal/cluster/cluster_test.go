@@ -79,11 +79,19 @@ func TestOwnerMinimalReassignmentOnNodeLoss(t *testing.T) {
 	reduced := newCluster(t, "http://h1:1", "http://h2:2")
 	for i := 0; i < 500; i++ {
 		fp := fmt.Sprintf("fp-%d", i)
+		ranked := full.Ranked(fp)
+		if owner := full.Owner(fp); owner != ranked[0] {
+			t.Fatalf("fp %q: Owner %s is not Ranked[0] %s", fp, owner.ID, ranked[0].ID)
+		}
 		before := full.Owner(fp).ID
 		after := reduced.Owner(fp).ID
 		// Rendezvous property: only the lost node's keys move.
 		if before != lostID && after != before {
 			t.Fatalf("fp %q moved %s -> %s though %s is still alive", fp, before, after, before)
+		}
+		// Failover lands where a membership without the dead node routes.
+		if before == lostID && ranked[1].ID != after {
+			t.Fatalf("fp %q: failover goes to %s, the reduced membership owner is %s", fp, ranked[1].ID, after)
 		}
 	}
 }
@@ -100,11 +108,8 @@ func TestNewValidation(t *testing.T) {
 	if got := len(c.Nodes()); got != 2 {
 		t.Fatalf("nodes = %d, want 2 (self deduped)", got)
 	}
-	if c.Single() {
-		t.Fatal("two-node cluster reported Single")
-	}
-	if newCluster(t, "http://h1:1").Single() != true {
-		t.Fatal("one-node cluster must report Single")
+	if got := newCluster(t, "http://h1:1").Ranked("fp"); len(got) != 1 || got[0].URL != "http://h1:1" {
+		t.Fatalf("one-node cluster ranks %v, want only itself", got)
 	}
 	if _, ok := c.Lookup(NodeID("http://h2:2")); !ok {
 		t.Fatal("Lookup of a member failed")

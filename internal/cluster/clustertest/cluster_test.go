@@ -3,14 +3,12 @@ package clustertest_test
 // End-to-end cluster tests: real daemons over real sockets, driven
 // through the client SDK. The invariants pinned here are the cluster's
 // reasons to exist — submissions land on their fingerprint's owner, a
-// killed owner never loses a sweep, two nodes racing one fingerprint
-// execute it once, and a crashed node's stale lease is stolen instead
-// of wedging the fingerprint until an operator intervenes.
+// killed owner never loses a sweep, and two nodes racing one
+// fingerprint past a dead or partitioned owner both reach the next
+// ranked node and execute it once.
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +16,6 @@ import (
 
 	pmsynth "repro"
 	"repro/client"
-	"repro/internal/cache"
 	"repro/internal/cluster/clustertest"
 	"repro/internal/server"
 )
@@ -185,9 +182,11 @@ func TestKillOwnerMidSweepFailsOver(t *testing.T) {
 
 // TestCrossNodeDedupSingleExecution submits one fingerprint to two
 // nodes concurrently — with the routing owner already dead, so neither
-// can just defer to it — and asserts the claim protocol collapses the
-// race to exactly one execution: one compile cluster-wide, one job id
-// in both responses, identical tables from both nodes.
+// can just defer to it — and asserts the ranked failover collapses the
+// race to exactly one execution: both submissions walk past the dead
+// owner to the same next-ranked node, whose dedup index joins them —
+// one compile cluster-wide, one job id in both responses, identical
+// tables from both nodes.
 func TestCrossNodeDedupSingleExecution(t *testing.T) {
 	ctx := testCtx(t)
 	var compiles atomic.Int64
@@ -261,63 +260,81 @@ func TestCrossNodeDedupSingleExecution(t *testing.T) {
 	}
 }
 
-// TestStaleClaimTTLRecovery simulates the crash the lease TTL exists
-// for: a node claimed a fingerprint, wrote no result, and died. Once
-// the claim ages past the TTL, a submission elsewhere must steal the
-// lease and execute — no operator, no wedged fingerprint.
-func TestStaleClaimTTLRecovery(t *testing.T) {
+// TestPartitionedOwnerFailsOverToNextRanked cuts the fingerprint's
+// owner off from inbound traffic — alive, every connection dropped —
+// and races the sweep at the other two nodes. Both must skip the
+// unreachable owner and converge on the second-ranked node: one job
+// there, one compile cluster-wide, exactly one deduped response, and
+// tables byte-identical to a direct run. Healed, the owner answers the
+// same fingerprint from the shared store without compiling.
+func TestPartitionedOwnerFailsOverToNextRanked(t *testing.T) {
 	ctx := testCtx(t)
-	const ttl = time.Second
-	c := clustertest.New(t, 2, clustertest.Options{
-		Configure: func(i int, cfg *server.Config) { cfg.ClaimTTL = ttl },
-	})
-	fp := pmsynth.SweepFingerprint(absDiffSrc, sweepSpec())
-
-	claimDir := filepath.Join(c.StoreDir, "claims")
-	cs, err := cache.OpenClaimStore(claimDir, ttl)
-	if err != nil {
-		t.Fatalf("open claim store: %v", err)
-	}
-	if acquired, holder := cs.Acquire(fp, c.Nodes[1].ID); !acquired {
-		t.Fatalf("planting crash claim: lost to %q", holder.Node)
-	}
-	c.KillNode(1)
-	// Age the claim past its lease instead of sleeping through it.
-	old := time.Now().Add(-2 * ttl)
-	ents, err := os.ReadDir(claimDir)
-	if err != nil {
-		t.Fatalf("read claim dir: %v", err)
-	}
-	aged := 0
-	for _, e := range ents {
-		if e.Type().IsRegular() {
-			if err := os.Chtimes(filepath.Join(claimDir, e.Name()), old, old); err != nil {
-				t.Fatalf("age claim %s: %v", e.Name(), err)
+	var compiles atomic.Int64
+	c := clustertest.New(t, 3, clustertest.Options{
+		Configure: func(i int, cfg *server.Config) {
+			cfg.CompileHook = func(source string) {
+				if source == absDiffSrc {
+					compiles.Add(1)
+				}
 			}
-			aged++
+		},
+	})
+	ranked := c.Ranked(pmsynth.SweepFingerprint(absDiffSrc, sweepSpec()))
+	c.PartitionNode(ranked[0])
+
+	req := client.SweepRequest{Source: absDiffSrc, Spec: wireSpec()}
+	var jobs [2]*client.SweepJob
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k, idx := range ranked[1:] {
+		wg.Add(1)
+		go func(k, idx int) {
+			defer wg.Done()
+			cl := client.New(c.Nodes[idx].URL, client.WithRetries(4, 100*time.Millisecond))
+			jobs[k], errs[k] = cl.Sweep(ctx, req)
+		}(k, idx)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("submit %d: %v", k, err)
 		}
 	}
-	if aged == 0 {
-		t.Fatal("no claim file planted")
+	if jobs[0].ID != jobs[1].ID {
+		t.Fatalf("racing submissions made two jobs: %q vs %q", jobs[0].ID, jobs[1].ID)
+	}
+	if jobs[0].Deduped == jobs[1].Deduped {
+		t.Fatalf("want exactly one deduped response, got %v and %v", jobs[0].Deduped, jobs[1].Deduped)
 	}
 
-	cl := client.New(c.Nodes[0].URL, client.WithRetries(6, 100*time.Millisecond))
-	job, info, err := cl.SweepAndWait(ctx, client.SweepRequest{Source: absDiffSrc, Spec: wireSpec()}, nil)
+	cl := client.New(c.Nodes[ranked[2]].URL, client.WithRetries(4, 100*time.Millisecond))
+	info, err := cl.WaitJob(ctx, jobs[0].ID, nil)
 	if err != nil {
-		t.Fatalf("SweepAndWait over stale claim: %v", err)
+		t.Fatalf("WaitJob: %v", err)
 	}
 	if info.State != client.StateSucceeded {
 		t.Fatalf("state = %s (%s), want succeeded", info.State, info.Err)
 	}
-	if want := referenceTable(t); fetchTable(ctx, t, c.Nodes[0].URL, job.ID) != want {
-		t.Fatalf("table after claim steal differs from direct run")
+	if got := c.IndexByID(info.Node); got != ranked[1] {
+		t.Fatalf("job ran on node %d (%s), want second-ranked node %d", got, info.Node, ranked[1])
 	}
-	m, err := cl.Metrics(ctx)
+	if got := compiles.Load(); got != 1 {
+		t.Fatalf("cluster compiled the source %d times, want exactly 1", got)
+	}
+	want := referenceTable(t)
+	for _, idx := range ranked[1:] {
+		if got := fetchTable(ctx, t, c.Nodes[idx].URL, jobs[0].ID); got != want {
+			t.Fatalf("node %d table differs from direct run:\n got: %q\nwant: %q", idx, got, want)
+		}
+	}
+
+	c.HealNode(ranked[0])
+	warm, err := client.New(c.Nodes[ranked[0]].URL).Sweep(ctx, req)
 	if err != nil {
-		t.Fatalf("metrics: %v", err)
+		t.Fatalf("submit to healed owner: %v", err)
 	}
-	if m["pmsynthd_cluster_claims_stolen"] < 1 {
-		t.Fatalf("claims_stolen = %d, want >= 1 (the stale lease was not stolen)",
-			m["pmsynthd_cluster_claims_stolen"])
+	if !warm.Cached || compiles.Load() != 1 {
+		t.Fatalf("healed owner: cached = %v after %d compiles, want a store hit and 1 compile",
+			warm.Cached, compiles.Load())
 	}
 }

@@ -133,11 +133,21 @@ func (c *Cluster) URLs() []string {
 	return out
 }
 
-// OwnerIndex returns the index of the node owning fingerprint fp under
-// the cluster's routing, dead or alive.
-func (c *Cluster) OwnerIndex(fp string) int {
-	return c.IndexByID(c.routing.Owner(fp).ID)
+// Ranked returns the node indexes in fingerprint fp's routing order,
+// dead or alive: the first owns fp, and each later node is where a
+// submission lands once every node ranked ahead of it is unreachable.
+func (c *Cluster) Ranked(fp string) []int {
+	nodes := c.routing.Ranked(fp)
+	out := make([]int, len(nodes))
+	for i, n := range nodes {
+		out[i] = c.IndexByID(n.ID)
+	}
+	return out
 }
+
+// OwnerIndex returns the index of the node owning fingerprint fp: the
+// first entry of Ranked.
+func (c *Cluster) OwnerIndex(fp string) int { return c.Ranked(fp)[0] }
 
 // IndexByID maps a node id — e.g. a routable job id's prefix — to its
 // node index, or -1 when no node has that id.

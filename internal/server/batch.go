@@ -108,11 +108,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sem <- struct{}{}
 		go func(source string) {
 			defer func() { <-sem; wg.Done() }()
-			// Batch entries never forward to a lease holder (there is no
-			// per-entry response stream to proxy onto): a foreign lease
-			// sheds the entry with Retry-After, and by the retry the
-			// holder's table is warm in the shared store.
-			out := s.admitSweep(r.Context(), source, spec, id, admitMode{noForward: true})
+			// Batch entries are never routed (there is no per-entry
+			// response stream to proxy onto): they execute on the node
+			// that received the batch. An entry racing a live execution
+			// of the same fingerprint on another node runs a duplicate,
+			// whose store Put is idempotent.
+			out := s.admitSweep(r.Context(), source, spec, id)
 			item.Status = out.status
 			if out.status < 300 {
 				sweep := out.resp

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -79,18 +78,14 @@ type Config struct {
 	MaxWarmJobs int
 	// SelfURL is this node's advertised base URL (scheme://host:port).
 	// Non-empty enables cluster mode: job ids carry this node's id
-	// prefix, sweep submissions are routed to their fingerprint's owner
-	// node, and the /v1/jobs endpoints transparently proxy ids that name
-	// other nodes. Empty keeps the server single-node.
+	// prefix, sweep submissions are routed to the first reachable node
+	// of their fingerprint's ranking, and the /v1/jobs endpoints
+	// transparently proxy ids that name other nodes. Empty keeps the
+	// server single-node.
 	SelfURL string
 	// Peers lists every cluster member's advertised base URL (listing
 	// self is fine; it is deduped). Ignored without SelfURL.
 	Peers []string
-	// ClaimTTL is the lease duration of the claim files that dedupe
-	// executions across nodes sharing one store directory; <= 0 means
-	// cache.DefaultClaimTTL. Claims are only used with SelfURL and
-	// StoreDir both set.
-	ClaimTTL time.Duration
 	// SweepHook, when non-nil, runs at the start of every computed sweep
 	// job's Func — on the worker goroutine, with the sweep fingerprint,
 	// after admission and before any point evaluates. It is the
@@ -130,9 +125,8 @@ type Server struct {
 	cfg     Config
 	cache   *cache.Cache[*synthResult]
 	designs *cache.Cache[*pmsynth.Design]
-	store   *cache.Store      // nil when persistence is disabled
-	cluster *cluster.Cluster  // nil when single-node
-	claims  *cache.ClaimStore // nil unless clustered with a store
+	store   *cache.Store     // nil when persistence is disabled
+	cluster *cluster.Cluster // nil when single-node
 	jobs    *jobs.Manager
 	mux     *http.ServeMux
 	start   time.Time
@@ -208,16 +202,10 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	var clu *cluster.Cluster
-	var claims *cache.ClaimStore
 	var nodeID string
 	if cfg.SelfURL != "" {
 		var err error
 		clu, err = cluster.New(cfg.SelfURL, cfg.Peers)
-		if err == nil && store != nil {
-			// Claims live in a subdirectory of the shared store so every
-			// node mounting the store sees the same lease namespace.
-			claims, err = cache.OpenClaimStore(filepath.Join(cfg.StoreDir, "claims"), cfg.ClaimTTL)
-		}
 		if err != nil {
 			if store != nil {
 				store.Close()
@@ -236,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 		designs: cache.New[*pmsynth.Design](cfg.DesignCacheEntries),
 		store:   store,
 		cluster: clu,
-		claims:  claims,
 		jobs: jobs.NewManager(jobs.Config{
 			Workers:    cfg.JobWorkers,
 			MaxPending: cfg.MaxPendingJobs,
@@ -481,19 +468,22 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSweep validates a sweep submission, routes it to the
-// fingerprint's owner node when clustered, and hands it to the admission
-// pipeline. The client-supplied Workers value is clamped to the server
-// cap — Workers never affects results (it is excluded from the
-// fingerprint), so the clamp is invisible except in how much concurrency
-// one request may demand from the flow pool.
+// handleSweep validates a sweep submission, routes it along the
+// fingerprint's node ranking when clustered, and hands it to the
+// admission pipeline. The client-supplied Workers value is clamped to
+// the server cap — Workers never affects results (it is excluded from
+// the fingerprint), so the clamp is invisible except in how much
+// concurrency one request may demand from the flow pool.
 //
-// Routing is availability-first: a proxy failure (owner unreachable or
-// answering 5xx) falls back to local execution rather than failing the
-// submission — determinism and the content-addressed store make a
-// misrouted execution produce identical bytes. Submissions that arrive
-// with the forward header are served locally, never re-forwarded, so a
-// routing disagreement costs one extra hop, not a loop.
+// Routing walks cluster.Ranked: the submission is proxied to each node
+// ranked ahead of this one, stopping at the first that answers, and
+// executes locally only when the walk reaches this node's own entry.
+// Every node that finds the same ranked nodes unreachable (or failing
+// with 5xx) therefore sends the sweep to the same executor, whose dedup
+// index and singleflight compile collapse racing submissions onto one
+// job. Submissions that arrive with the forward header are served
+// locally, never re-forwarded, so a routing disagreement costs one
+// extra hop, not a loop.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepRequests.Add(1)
 	var req SweepRequest
@@ -514,43 +504,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil && forwarded {
 		s.cluster.CountForwarded()
 	}
-	if s.cluster != nil && !s.cluster.Single() && !forwarded {
-		fp := pmsynth.SweepFingerprint(req.Source, spec)
-		if owner := s.cluster.Owner(fp); owner.ID != s.cluster.Self().ID {
-			if s.proxySweep(w, r, req, owner) {
+	if s.cluster != nil && !forwarded {
+		for _, node := range s.cluster.Ranked(pmsynth.SweepFingerprint(req.Source, spec)) {
+			if node.ID == s.cluster.Self().ID {
+				break
+			}
+			if s.proxySweep(w, r, req, node) {
 				return
 			}
 			s.cluster.CountFallback()
 		}
 	}
-	out := s.admitSweep(r.Context(), req.Source, spec, "", admitMode{noForward: forwarded})
-	if out.forward != nil {
-		// A live claim on another node: that node is already executing
-		// this fingerprint, so hand it the submission — its dedup index
-		// answers with the one running job.
-		if s.proxySweep(w, r, req, *out.forward) {
-			return
-		}
-		// Holder unreachable: execute locally, ignoring the claim. The
-		// worst case is a duplicate execution whose store Put is
-		// idempotent; the alternative — shedding until the lease
-		// expires — trades availability for nothing.
-		s.cluster.CountFallback()
-		out = s.admitSweep(r.Context(), req.Source, spec, "", admitMode{noForward: true, skipClaim: true})
-	}
-	s.writeSweepOutcome(w, out)
+	s.writeSweepOutcome(w, s.admitSweep(r.Context(), req.Source, spec, ""))
 }
 
 // proxySweep forwards a sweep submission to node, relaying the response.
 // false (with nothing written to w) when the node was unreachable or
-// failing, so the caller can fall back to local execution.
+// failing, so the caller can try the next node of the ranking.
 func (s *Server) proxySweep(w http.ResponseWriter, r *http.Request, req SweepRequest, node cluster.Node) bool {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return false
 	}
 	if err := s.cluster.ProxySubmit(w, r, node, body); err != nil {
-		s.log.Warn("sweep proxy failed; executing locally",
+		s.log.Warn("sweep proxy failed; trying the next ranked node",
 			"node", node.ID, "url", node.URL, "err", err)
 		return false
 	}
@@ -581,23 +558,6 @@ type sweepOutcome struct {
 	status int                  // 200 deduped/warm, 202 created, 422/429/503 refused
 	resp   SweepCreatedResponse // valid when status < 300
 	errMsg string               // valid when status >= 300
-	// forward, when non-nil, asks the caller to hand the submission to
-	// the node holding the fingerprint's execution lease instead of
-	// executing a duplicate. Only produced without noForward.
-	forward *cluster.Node
-}
-
-// admitMode tunes admitSweep's cluster behavior for its three callers.
-type admitMode struct {
-	// noForward turns a foreign execution lease into a shed (429 with
-	// Retry-After — by then the holder's table is usually in the store)
-	// instead of a forward outcome. Set for submissions that arrived
-	// forwarded (never re-forward) and for batch entries (no per-entry
-	// proxying).
-	noForward bool
-	// skipClaim bypasses the claim protocol entirely: the local-fallback
-	// path after a lease holder proved unreachable.
-	skipClaim bool
 }
 
 // writeSweepOutcome renders one admission outcome as an HTTP response,
@@ -653,7 +613,7 @@ func (s *Server) retryAfterSeconds() int {
 // span, the per-point and per-pass spans underneath, all parent back to
 // the submitting request's root span, and the job snapshot carries the
 // trace id for GET /v1/jobs/{id}/trace.
-func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.SweepSpec, group string, mode admitMode) sweepOutcome {
+func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.SweepSpec, group string) sweepOutcome {
 	fp := pmsynth.SweepFingerprint(source, spec)
 
 	s.mu.Lock()
@@ -692,56 +652,13 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 		return s.shedOutcome(jobs.ErrQueueFull)
 	}
 
-	// Cross-node dedup: claim the fingerprint's execution lease before
-	// spending compile work, so nodes racing the same sweep over one
-	// store run it once. Claims are an optimization, never a correctness
-	// gate — every path that proceeds unclaimed is safe because the flow
-	// is deterministic and the store Put content-addressed.
-	claimed := false
-	release := func() {}
-	if s.claims != nil && !mode.skipClaim {
-		self := s.cluster.Self().ID
-		switch acquired, holder := s.claims.Acquire(fp, self); {
-		case acquired:
-			// Re-check the store: the lease may have just been released by
-			// an execution elsewhere whose table landed after the warm
-			// lookup above.
-			if out, ok := s.warmSweep(ctx, fp, group); ok {
-				s.claims.Release(fp, self)
-				return out
-			}
-			claimed = true
-			release = func() { s.claims.Release(fp, self) }
-		case holder.Node != "" && holder.Node != self:
-			if node, ok := s.cluster.Lookup(holder.Node); ok {
-				if !mode.noForward {
-					return sweepOutcome{forward: &node}
-				}
-				s.sweepSheds.Add(1)
-				return sweepOutcome{
-					status: http.StatusTooManyRequests,
-					errMsg: fmt.Sprintf("sweep is executing on node %s; retry after %ds",
-						holder.Node, s.retryAfterSeconds()),
-				}
-			}
-			// Holder outside the peer set (a reconfiguration artifact):
-			// proceed unclaimed.
-		default:
-			// The lease is this node's own but no live job covers it — a
-			// job canceled while queued leaks its lease until the TTL.
-			// Proceed unclaimed rather than shedding on our own residue.
-		}
-	}
-
 	design, err := s.compileCached(ctx, source)
 	if err != nil {
-		release()
 		return sweepOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("compile: %v", err)}
 	}
 	// Validate the spec against the design before committing a job.
 	opts, err := spec.Enumerate(design)
 	if err != nil {
-		release()
 		return sweepOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("enumerate: %v", err)}
 	}
 	total := len(opts)
@@ -756,9 +673,6 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	// courtesy of the design cache's singleflight.
 	if resp, ok := s.dedupLocked(fp); ok {
 		s.mu.Unlock()
-		// The racing submission's job carries its own lease (or none);
-		// ours has no execution to guard.
-		release()
 		return sweepOutcome{status: http.StatusOK, resp: resp}
 	}
 	// The queue-wait span opens now and is ended by the job Func's first
@@ -768,23 +682,8 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	job, err := s.jobs.SubmitGroup("sweep "+design.Graph.Name, group, tr.ID(), total,
 		func(jobCtx context.Context, progress func(done, total int)) (interface{}, error) {
 			qsp.End()
-			// The execution lease is released after the store Put below,
-			// so a node that lost the claim race and sheds with
-			// Retry-After finds the table warm on retry. A job canceled
-			// while still queued never runs this Func; its lease expires
-			// by TTL instead.
-			defer release()
 			if hook := s.cfg.SweepHook; hook != nil {
 				hook(fp)
-			}
-			prog := progress
-			if claimed {
-				// Progress doubles as the lease heartbeat: long sweeps
-				// refresh their claim so it never goes stale mid-run.
-				prog = func(done, total int) {
-					s.claims.Refresh(fp)
-					progress(done, total)
-				}
 			}
 			// The job continues the submitting request's trace: jobCtx
 			// carries the job's cancellation, re-dressed with the trace
@@ -792,7 +691,7 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 			jctx := telemetry.WithSpan(telemetry.WithTrace(jobCtx, tr), rootSp)
 			jctx, runSp := telemetry.StartSpan(jctx, "run")
 			defer runSp.End()
-			sr, err := pmsynth.SweepContextProgress(jctx, design, spec, pmsynth.SweepProgress(prog))
+			sr, err := pmsynth.SweepContextProgress(jctx, design, spec, pmsynth.SweepProgress(progress))
 			if sr != nil {
 				// The result views serve Options/Row/Err/Elapsed only;
 				// dropping the full per-point synthesis artifacts keeps
@@ -815,18 +714,10 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 		s.mu.Unlock()
 		qsp.SetAttr("shed", "true")
 		qsp.End()
-		release()
 		return s.shedOutcome(err)
 	}
 	s.sweepByFP[fp] = job.ID()
 	s.mu.Unlock()
-
-	if claimed {
-		// Publish the job id on the lease (outside s.mu — it is file
-		// I/O), so peers that lose the race can point their clients at
-		// the one execution.
-		s.claims.SetJob(fp, s.cluster.Self().ID, job.ID())
-	}
 	return sweepOutcome{status: http.StatusAccepted, resp: SweepCreatedResponse{
 		ID: job.ID(), State: job.Snapshot().State, Total: total,
 		Fingerprint: fp, Workers: spec.Workers, Trace: tr.ID(),

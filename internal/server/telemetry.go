@@ -92,21 +92,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 	gauge("pmsynthd_store_bytes", "disk store resident bytes", func() int64 { return storeStats().Bytes })
 	gauge("pmsynthd_store_entries", "disk store resident entries", func() int64 { return storeStats().Entries })
 
-	// Cluster routing and the cross-node claim (execution lease)
-	// protocol. Like the store series, these are emitted unconditionally
-	// — zeros when single-node — so dashboards and the metrics linter
-	// always see the same series set.
+	// Cluster routing. Like the store series, these are emitted
+	// unconditionally — zeros when single-node — so dashboards and the
+	// metrics linter always see the same series set.
 	clusterStats := func() cluster.Stats {
 		if s.cluster == nil {
 			return cluster.Stats{}
 		}
 		return s.cluster.Stats()
-	}
-	claimStats := func() cache.ClaimStats {
-		if s.claims == nil {
-			return cache.ClaimStats{}
-		}
-		return s.claims.Stats()
 	}
 	gauge("pmsynthd_cluster_enabled", "1 when cluster mode is configured", func() int64 {
 		if s.cluster != nil {
@@ -120,14 +113,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		}
 		return int64(len(s.cluster.Nodes()))
 	})
-	ctr("pmsynthd_cluster_proxied_submits", "sweep submissions proxied to their owner node", func() int64 { return clusterStats().ProxiedSubmits })
+	ctr("pmsynthd_cluster_proxied_submits", "sweep submissions proxied to a node ranked ahead of this one", func() int64 { return clusterStats().ProxiedSubmits })
 	ctr("pmsynthd_cluster_proxied_jobs", "job requests proxied to the node the id names", func() int64 { return clusterStats().ProxiedJobs })
-	ctr("pmsynthd_cluster_fallbacks", "submissions executed locally after an unreachable peer", func() int64 { return clusterStats().Fallbacks })
+	ctr("pmsynthd_cluster_fallbacks", "ranked nodes a sweep submission skipped as unreachable or failing", func() int64 { return clusterStats().Fallbacks })
 	ctr("pmsynthd_cluster_forwarded", "submissions received forwarded from peer nodes", func() int64 { return clusterStats().Forwarded })
-	ctr("pmsynthd_cluster_claims_acquired", "cross-node execution leases acquired", func() int64 { return claimStats().Acquired })
-	ctr("pmsynthd_cluster_claims_lost", "lease acquisitions that found a live claim", func() int64 { return claimStats().Lost })
-	ctr("pmsynthd_cluster_claims_stolen", "stale (crash-expired) leases taken over", func() int64 { return claimStats().Stolen })
-	ctr("pmsynthd_cluster_claims_released", "execution leases released", func() int64 { return claimStats().Released })
 
 	// Request and admission counters.
 	ctr("pmsynthd_synthesize_requests", "POST /v1/synthesize requests", s.synthRequests.Load)

@@ -136,8 +136,7 @@ done
 # a family appear out of nowhere when -peers is first configured.
 for series in pmsynthd_cluster_enabled pmsynthd_cluster_nodes \
     pmsynthd_cluster_proxied_submits pmsynthd_cluster_fallbacks \
-    pmsynthd_cluster_forwarded pmsynthd_cluster_claims_acquired \
-    pmsynthd_cluster_claims_stolen; do
+    pmsynthd_cluster_forwarded; do
     grep -q "^$series " "$OUT" || {
         echo "metrics-lint: cluster series $series missing" >&2
         exit 1
