@@ -191,33 +191,6 @@ func BenchmarkAblationDerivedWeights(b *testing.B) {
 	b.ReportMetric(red, "%power-reduction-derived")
 }
 
-// BenchmarkAblationSchedulerBackend compares the list scheduler with the
-// force-directed backend on the elliptic wave filter (the classic FDS
-// stress test), reporting the execution-unit totals each needs.
-func BenchmarkAblationSchedulerBackend(b *testing.B) {
-	c := bench.EWF()
-	budget := c.PaperStats.CriticalPath + 2
-	for _, backend := range []struct {
-		name string
-		fds  bool
-	}{{"list", false}, {"force-directed", true}} {
-		backend := backend
-		b.Run(backend.name, func(b *testing.B) {
-			var units int
-			for i := 0; i < b.N; i++ {
-				r, err := core.Schedule(c.Graph(), core.Config{
-					Budget: budget, Weights: power.Weights, ForceDirected: backend.fds,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				units = r.Resources.Total()
-			}
-			b.ReportMetric(float64(units), "units")
-		})
-	}
-}
-
 // BenchmarkSchedulerThroughput measures the raw scheduling speed on the
 // largest benchmark (cordic: ~300 nodes, 47 muxes).
 func BenchmarkSchedulerThroughput(b *testing.B) {

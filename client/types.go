@@ -16,8 +16,6 @@ type Options struct {
 	// Order is the mux processing order by name: "outputs-first"
 	// (default), "inputs-first", "greedy-weight" or "exhaustive".
 	Order string `json:"order,omitempty"`
-	// ForceDirected selects the force-directed scheduler backend.
-	ForceDirected bool `json:"forceDirected,omitempty"`
 	// Resources fixes per-class unit budgets by class name ("mux",
 	// "comp", "add", "sub", "mul"); empty lets the scheduler minimize.
 	Resources map[string]int `json:"resources,omitempty"`
@@ -75,8 +73,6 @@ type SweepSpec struct {
 	IIs []int `json:"iis,omitempty"`
 	// Orders lists mux processing orders by canonical name.
 	Orders []string `json:"orders,omitempty"`
-	// ForceDirected lists scheduler backends to try.
-	ForceDirected []bool `json:"forceDirected,omitempty"`
 	// Resources lists per-class unit budget maps.
 	Resources []map[string]int `json:"resources,omitempty"`
 	// Workers asks for an evaluation pool size; the server clamps it and

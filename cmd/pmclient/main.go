@@ -11,9 +11,9 @@
 //
 //	health                      server liveness
 //	metrics                     dump the server counters
-//	synth   -file F -budget N [-ii N] [-order O] [-fds] [-emit vhdl,verilog]
-//	sweep   -file F [-budgets lo:hi] [-orders a,b] [-iis 1,2] [-fds both]
-//	        [-workers N] [-watch] [-view best|pareto|table] [-objective o]
+//	synth   -file F -budget N [-ii N] [-order O] [-emit vhdl,verilog]
+//	sweep   -file F [-budgets lo:hi] [-orders a,b] [-iis 1,2] [-workers N]
+//	        [-watch] [-view best|pareto|table] [-objective o]
 //	batch   -files a.sil,b.sil [-budgets lo:hi] [-wait]
 //	jobs                        list jobs
 //	job     -id ID              one job's snapshot
@@ -151,7 +151,6 @@ func runSynth(ctx context.Context, c *client.Client, args []string) error {
 	budget := fs.Int("budget", 0, "control-step budget")
 	ii := fs.Int("ii", 0, "pipeline initiation interval")
 	order := fs.String("order", "", "mux order (outputs-first, inputs-first, greedy-weight, exhaustive)")
-	fds := fs.Bool("fds", false, "force-directed scheduler")
 	emit := fs.String("emit", "", "comma-separated artifacts: vhdl,verilog")
 	fs.Parse(args)
 	src, err := readSource(*file)
@@ -160,7 +159,7 @@ func runSynth(ctx context.Context, c *client.Client, args []string) error {
 	}
 	req := client.SynthesizeRequest{
 		Source:  src,
-		Options: client.Options{Budget: *budget, II: *ii, Order: *order, ForceDirected: *fds},
+		Options: client.Options{Budget: *budget, II: *ii, Order: *order},
 	}
 	if *emit != "" {
 		req.Emit = strings.Split(*emit, ",")
@@ -174,7 +173,7 @@ func runSynth(ctx context.Context, c *client.Client, args []string) error {
 }
 
 // parseSweepSpec builds a SweepSpec from the shared sweep/batch flags.
-func parseSweepSpec(budgets, orders, iis, fds string, workers int) (client.SweepSpec, error) {
+func parseSweepSpec(budgets, orders, iis string, workers int) (client.SweepSpec, error) {
 	spec := client.SweepSpec{Workers: workers}
 	if budgets != "" {
 		lo, hi, ok := strings.Cut(budgets, ":")
@@ -201,17 +200,6 @@ func parseSweepSpec(budgets, orders, iis, fds string, workers int) (client.Sweep
 			spec.IIs = append(spec.IIs, n)
 		}
 	}
-	switch fds {
-	case "":
-	case "on":
-		spec.ForceDirected = []bool{true}
-	case "off":
-		spec.ForceDirected = []bool{false}
-	case "both":
-		spec.ForceDirected = []bool{false, true}
-	default:
-		return spec, fmt.Errorf("bad -fds %q: want on, off or both", fds)
-	}
 	return spec, nil
 }
 
@@ -221,7 +209,6 @@ func runSweep(ctx context.Context, c *client.Client, args []string) error {
 	budgets := fs.String("budgets", "", "budget range lo:hi")
 	orders := fs.String("orders", "", "comma-separated mux orders")
 	iis := fs.String("iis", "", "comma-separated initiation intervals")
-	fds := fs.String("fds", "", "force-directed axis: on, off or both")
 	workers := fs.Int("workers", 0, "requested evaluation workers (server clamps)")
 	watch := fs.Bool("watch", true, "follow the event stream until the job finishes")
 	view := fs.String("view", "best", "result view once finished: best, pareto, table")
@@ -231,7 +218,7 @@ func runSweep(ctx context.Context, c *client.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := parseSweepSpec(*budgets, *orders, *iis, *fds, *workers)
+	spec, err := parseSweepSpec(*budgets, *orders, *iis, *workers)
 	if err != nil {
 		return err
 	}
@@ -281,7 +268,7 @@ func runBatch(ctx context.Context, c *client.Client, args []string) error {
 	if *files == "" {
 		return fmt.Errorf("missing -files")
 	}
-	spec, err := parseSweepSpec(*budgets, *orders, "", "", 0)
+	spec, err := parseSweepSpec(*budgets, *orders, "", 0)
 	if err != nil {
 		return err
 	}

@@ -85,9 +85,6 @@ func TestRunSweepWatchAndViews(t *testing.T) {
 	if err := runSweep(ctx, c, []string{"-file", file, "-iis", "x"}); err == nil {
 		t.Fatal("bad -iis accepted")
 	}
-	if err := runSweep(ctx, c, []string{"-file", file, "-fds", "sideways"}); err == nil {
-		t.Fatal("bad -fds accepted")
-	}
 }
 
 func TestRunSweepFullAxes(t *testing.T) {
@@ -96,7 +93,7 @@ func TestRunSweepFullAxes(t *testing.T) {
 	err := runSweep(ctx, c, []string{
 		"-file", file, "-budgets", "2:3",
 		"-orders", "outputs-first,inputs-first",
-		"-iis", "0", "-fds", "off", "-workers", "2",
+		"-iis", "0", "-workers", "2",
 		"-view", "pareto",
 	})
 	if err != nil {

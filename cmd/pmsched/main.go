@@ -59,7 +59,6 @@ func main() {
 	steps := flag.Int("steps", 0, "control steps per sample (default: critical path)")
 	ii := flag.Int("ii", 0, "pipeline initiation interval (0 = no pipelining)")
 	orderName := flag.String("order", "outputs", "mux order: outputs, inputs, greedy, exhaustive")
-	fds := flag.Bool("fds", false, "use the force-directed scheduling backend")
 	vhdlPath := flag.String("vhdl", "", "write power managed VHDL to this file")
 	verilogPath := flag.String("verilog", "", "write power managed Verilog to this file")
 	dotPath := flag.String("dot", "", "write the scheduled CDFG in Graphviz format")
@@ -161,10 +160,9 @@ func main() {
 		}
 		spec := pmsynth.SweepSpec{
 			BudgetMin: lo, BudgetMax: hi,
-			IIs:           []int{*ii},
-			Orders:        []pmsynth.Order{order},
-			ForceDirected: []bool{*fds},
-			Workers:       *workers,
+			IIs:     []int{*ii},
+			Orders:  []pmsynth.Order{order},
+			Workers: *workers,
 		}
 		res, err := pmsynth.Sweep(design, spec)
 		if err != nil {
@@ -186,9 +184,7 @@ func main() {
 		return
 	}
 
-	syn, err := pmsynth.Synthesize(design, pmsynth.Options{
-		Budget: *steps, II: *ii, Order: order, ForceDirected: *fds,
-	})
+	syn, err := pmsynth.Synthesize(design, pmsynth.Options{Budget: *steps, II: *ii, Order: order})
 	if err != nil {
 		fail("%v", err)
 	}

@@ -25,7 +25,10 @@ package pmsynth
 //
 // The encoding is versioned; any future change to Options, SweepSpec or
 // the rules above must bump fingerprintVersion so stale cache entries can
-// never be served for a semantically different request.
+// never be served for a semantically different request. v3 dropped the
+// scheduler-backend selector (Options.ForceDirected and the
+// SweepSpec.ForceDirected axis) together with the force-directed backend,
+// so every key changed and no v2 entry can be read again.
 
 import (
 	"crypto/sha256"
@@ -42,7 +45,8 @@ import (
 // v2: SweepSpec.Budgets encodes slice presence, splitting nil (range
 // selector) from non-nil empty (rejected by Enumerate) — under v1 the two
 // hashed identically and a cached result for one could answer the other.
-const fingerprintVersion = "pmsynth-fp/v2"
+// v3: no scheduler-backend field (see the header).
+const fingerprintVersion = "pmsynth-fp/v3"
 
 // Fingerprint returns the content-addressed identity of one synthesis
 // request: a stable hex SHA-256 of the source text and options. Equal
@@ -76,10 +80,6 @@ func SweepFingerprint(source string, spec SweepSpec) string {
 		orders[i] = int(o)
 	}
 	fpInts(h, 'O', orders)
-	fpInt(h, 'F', len(spec.ForceDirected))
-	for _, fd := range spec.ForceDirected {
-		fpBool(h, fd)
-	}
 	fpInt(h, 'R', len(spec.Resources))
 	for _, res := range spec.Resources {
 		fpResources(h, res)
@@ -92,7 +92,6 @@ func fpOptions(h hash.Hash, opt Options) {
 	fpInt(h, 'b', opt.Budget)
 	fpInt(h, 'i', opt.II)
 	fpInt(h, 'o', int(opt.Order))
-	fpBool(h, opt.ForceDirected)
 	fpResources(h, opt.Resources)
 }
 

@@ -1,8 +1,10 @@
 package pmsynth
 
 import (
-	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/cdfg"
 )
 
 // TestSweepFingerprintNilVsEmptyBudgets is the regression test for the
@@ -31,15 +33,54 @@ func TestSweepFingerprintNilVsEmptyBudgets(t *testing.T) {
 	}
 }
 
-// TestFingerprintVersionIsV2 pins the version bump that accompanied the
-// presence-encoding change: any future layout change must bump again,
-// never reuse v2, and certainly never drift back to v1.
-func TestFingerprintVersionIsV2(t *testing.T) {
-	if fingerprintVersion != "pmsynth-fp/v2" {
-		t.Fatalf("fingerprintVersion = %q, want pmsynth-fp/v2 (bump, don't reuse, on layout changes)", fingerprintVersion)
+// TestFingerprintVersionIsV3 pins the version bump that accompanied the
+// removal of the scheduler-backend field: any future layout change must
+// bump again, never reuse v3, and never drift back to v1 or v2.
+func TestFingerprintVersionIsV3(t *testing.T) {
+	if fingerprintVersion != "pmsynth-fp/v3" {
+		t.Fatalf("fingerprintVersion = %q, want pmsynth-fp/v3 (bump, don't reuse, on layout changes)", fingerprintVersion)
 	}
-	if strings.Contains(fingerprintVersion, "v1") {
-		t.Fatal("fingerprint version regressed to v1")
+}
+
+// TestEmptyResourcesMatchesNil holds the fingerprint contract (equal
+// fingerprints imply identical results) for the one map-valued option:
+// fpResources hashes a nil and an empty Resources map alike, so the flow
+// must treat an empty map as "minimize hardware" too, not as a
+// fixed-hardware run with no units.
+func TestEmptyResourcesMatchesNil(t *testing.T) {
+	c := bench.GCD()
+	nilOpt := Options{Budget: 7}
+	emptyOpt := Options{Budget: 7, Resources: map[cdfg.Class]int{}}
+	if Fingerprint(c.Source, nilOpt) != Fingerprint(c.Source, emptyOpt) {
+		t.Fatal("nil and empty Resources fingerprint differently")
+	}
+	a, err := Synthesize(c.Design, nilOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Synthesize(c.Design, emptyOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Row() != b.Row() {
+		t.Fatalf("equal fingerprints, different rows:\nnil:   %+v\nempty: %+v", a.Row(), b.Row())
+	}
+
+	nilSpec := SweepSpec{Budgets: []int{7}, Resources: []map[cdfg.Class]int{nil}}
+	emptySpec := SweepSpec{Budgets: []int{7}, Resources: []map[cdfg.Class]int{{}}}
+	if SweepFingerprint(c.Source, nilSpec) != SweepFingerprint(c.Source, emptySpec) {
+		t.Fatal("nil and empty Resources entries sweep-fingerprint differently")
+	}
+	sa, err := Sweep(c.Design, nilSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := Sweep(c.Design, emptySpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa.Table() != sb.Table() {
+		t.Fatalf("equal sweep fingerprints, different tables:\n%s\n%s", sa.Table(), sb.Table())
 	}
 }
 

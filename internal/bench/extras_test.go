@@ -102,14 +102,6 @@ func TestEWFSchedulingStress(t *testing.T) {
 		}
 		prevTotal = res.Total()
 	}
-	// Force-directed schedules it too.
-	fds, err := sched.ForceDirected(c.Graph(), cp+3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fds.Validate(nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestDecodePMRich(t *testing.T) {

@@ -68,11 +68,6 @@ type Config struct {
 	// strategies (nil weights make every operation count 1). The
 	// canonical table lives in internal/power.
 	Weights map[cdfg.Class]float64
-	// ForceDirected selects the force-directed scheduling backend
-	// (Paulin-Knight) instead of list scheduling with minimum-resource
-	// search. Only valid for non-pipelined schedules without fixed
-	// Resources.
-	ForceDirected bool
 }
 
 func (c Config) ii() int {

@@ -272,22 +272,13 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 
 	var s *sched.Schedule
 	var res sched.Resources
-	switch {
-	case cfg.Resources != nil:
+	if cfg.Resources != nil {
 		// Fixed hardware: degrade gating gracefully when the resource
 		// constraint makes the fully gated schedule infeasible
 		// (paper §II.B's one-subtractor scenario).
 		res = cfg.Resources.Clone()
 		s, err = scheduleWithRelaxation(&best, cfg.Budget, ii, res, userEdges, cfg.Weights)
-	case cfg.ForceDirected:
-		if ii != cfg.Budget {
-			return nil, fmt.Errorf("core: force-directed backend does not support pipelining")
-		}
-		s, err = sched.ForceDirected(best.graph, cfg.Budget)
-		if err == nil {
-			res = s.Usage()
-		}
-	default:
+	} else {
 		s, res, err = sched.Minimize(best.graph, cfg.Budget, ii)
 	}
 	if err != nil {

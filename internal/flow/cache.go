@@ -102,11 +102,6 @@ func pointKey(sig string, g *cdfg.Graph, width int, cfg core.Config) string {
 	num(int64(cfg.Budget))
 	num(int64(cfg.II))
 	num(int64(cfg.Order))
-	if cfg.ForceDirected {
-		num(1)
-	} else {
-		num(0)
-	}
 	sep()
 	if cfg.Resources != nil {
 		classes := make([]cdfg.Class, 0, len(cfg.Resources))

@@ -88,10 +88,6 @@ func TestPointCacheKeyDiscriminates(t *testing.T) {
 	order.Order = core.Order(1)
 	add("order", pointKey("std", g, d.Width, order))
 
-	fd := base
-	fd.ForceDirected = true
-	add("forcedirected", pointKey("std", g, d.Width, fd))
-
 	res := base
 	res.Resources = sched.Resources{cdfg.ClassAdd: 1}
 	add("resources", pointKey("std", g, d.Width, res))

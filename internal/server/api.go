@@ -25,8 +25,6 @@ type OptionsRequest struct {
 	// Order is the mux processing order by name: "outputs-first"
 	// (default), "inputs-first", "greedy-weight" or "exhaustive".
 	Order string `json:"order,omitempty"`
-	// ForceDirected selects the force-directed scheduler backend.
-	ForceDirected bool `json:"forceDirected,omitempty"`
 	// Resources fixes per-class unit budgets by class name ("mux",
 	// "comp", "add", "sub", "mul"); empty lets the scheduler minimize.
 	Resources map[string]int `json:"resources,omitempty"`
@@ -62,14 +60,13 @@ type SynthesizeResponse struct {
 // SweepSpecRequest mirrors pmsynth.SweepSpec (Workers bounds the per-job
 // evaluation pool; it never changes results).
 type SweepSpecRequest struct {
-	Budgets       []int            `json:"budgets,omitempty"`
-	BudgetMin     int              `json:"budgetMin,omitempty"`
-	BudgetMax     int              `json:"budgetMax,omitempty"`
-	IIs           []int            `json:"iis,omitempty"`
-	Orders        []string         `json:"orders,omitempty"`
-	ForceDirected []bool           `json:"forceDirected,omitempty"`
-	Resources     []map[string]int `json:"resources,omitempty"`
-	Workers       int              `json:"workers,omitempty"`
+	Budgets   []int            `json:"budgets,omitempty"`
+	BudgetMin int              `json:"budgetMin,omitempty"`
+	BudgetMax int              `json:"budgetMax,omitempty"`
+	IIs       []int            `json:"iis,omitempty"`
+	Orders    []string         `json:"orders,omitempty"`
+	Resources []map[string]int `json:"resources,omitempty"`
+	Workers   int              `json:"workers,omitempty"`
 }
 
 // SweepRequest is the body of POST /v1/sweep.
@@ -263,21 +260,19 @@ func (o OptionsRequest) toOptions() (pmsynth.Options, error) {
 		return pmsynth.Options{}, err
 	}
 	return pmsynth.Options{
-		Budget:        o.Budget,
-		II:            o.II,
-		Order:         order,
-		ForceDirected: o.ForceDirected,
-		Resources:     res,
+		Budget:    o.Budget,
+		II:        o.II,
+		Order:     order,
+		Resources: res,
 	}, nil
 }
 
 // fromOptions translates back for result views.
 func fromOptions(opt pmsynth.Options) OptionsRequest {
 	out := OptionsRequest{
-		Budget:        opt.Budget,
-		II:            opt.II,
-		Order:         opt.Order.String(),
-		ForceDirected: opt.ForceDirected,
+		Budget: opt.Budget,
+		II:     opt.II,
+		Order:  opt.Order.String(),
 	}
 	if len(opt.Resources) > 0 {
 		out.Resources = make(map[string]int, len(opt.Resources))
@@ -304,7 +299,6 @@ func (s SweepSpecRequest) toSpec() (pmsynth.SweepSpec, error) {
 		}
 		spec.Orders = append(spec.Orders, o)
 	}
-	spec.ForceDirected = s.ForceDirected
 	for _, res := range s.Resources {
 		r, err := parseResources(res)
 		if err != nil {

@@ -62,6 +62,10 @@ func TestMalformedBodies(t *testing.T) {
 		{"sweep-missing-source", "/v1/sweep", `{"spec":{"budget_min":1,"budget_max":2}}`},
 		{"sweep-bad-order", "/v1/sweep", `{"source":"x","spec":{"orders":["inside-out"]}}`},
 		{"sweep-not-silage", "/v1/sweep", `{"source":"nope","spec":{}}`},
+		// The removed scheduler-backend selector is refused, never
+		// silently answered by the one remaining scheduler.
+		{"removed-backend", "/v1/synthesize", `{"source":"func f(a: num) o: num = begin o = a + 1; end","options":{"budget":1,"forceDirected":true}}`},
+		{"sweep-removed-backend", "/v1/sweep", `{"source":"func f(a: num) o: num = begin o = a + 1; end","spec":{"budgetMin":1,"budgetMax":2,"forceDirected":[true]}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

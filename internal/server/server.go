@@ -871,7 +871,7 @@ func (s *Server) checkSweepSize(spec pmsynth.SweepSpec) error {
 	}
 	count := budgets
 	limit := int64(s.cfg.MaxSweepConfigs)
-	for _, n := range []int{len(spec.IIs), len(spec.Orders), len(spec.ForceDirected), len(spec.Resources)} {
+	for _, n := range []int{len(spec.IIs), len(spec.Orders), len(spec.Resources)} {
 		count *= axis(n)
 		if count > limit {
 			break // already over; avoid pointless overflow risk

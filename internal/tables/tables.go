@@ -319,25 +319,6 @@ func Ablations() (string, error) {
 		b.WriteString("\n")
 	}
 
-	b.WriteString("\nABLATION — scheduler backend (list+min-resource vs force-directed)\n")
-	b.WriteString("Circuit  Steps   list units   FDS units\n")
-	for _, c := range append(bench.All(), bench.Extras()...) {
-		if c.Name == "cordic" {
-			continue // FDS is O(n^2 steps); cordic is exercised elsewhere
-		}
-		budget := c.PaperStats.CriticalPath + 2
-		lr, err := core.Schedule(c.Graph(), core.Config{Budget: budget, Weights: power.Weights})
-		if err != nil {
-			return "", err
-		}
-		fr, err := core.Schedule(c.Graph(), core.Config{Budget: budget, Weights: power.Weights, ForceDirected: true})
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-8s %3d    %10d  %10d\n", c.Name, budget,
-			lr.Resources.Total(), fr.Resources.Total())
-	}
-
 	b.WriteString("\nABLATION §IV.B — two-stage pipelining creates slack\n")
 	b.WriteString("Circuit  budget(II)        PM muxes  PowerRed%\n")
 	for _, c := range bench.All() {

@@ -59,30 +59,25 @@ type Options struct {
 	// Order is the mux processing order (default outputs-first).
 	Order Order
 	// Resources optionally fixes the execution-unit budget per class;
-	// nil lets the scheduler minimize hardware.
+	// nil or empty lets the scheduler minimize hardware.
 	Resources map[cdfg.Class]int
-	// ForceDirected selects the force-directed scheduling backend
-	// (Paulin-Knight) instead of list scheduling with minimum-resource
-	// search. Non-pipelined schedules only.
-	ForceDirected bool
 }
 
 // coreConfig translates the public Options into the scheduler's Config.
 func (opt Options) coreConfig() core.Config {
 	var res sched.Resources
-	if opt.Resources != nil {
+	if len(opt.Resources) > 0 {
 		res = make(sched.Resources, len(opt.Resources))
 		for c, n := range opt.Resources {
 			res[c] = n
 		}
 	}
 	return core.Config{
-		Budget:        opt.Budget,
-		II:            opt.II,
-		Order:         opt.Order,
-		Resources:     res,
-		Weights:       power.Weights,
-		ForceDirected: opt.ForceDirected,
+		Budget:    opt.Budget,
+		II:        opt.II,
+		Order:     opt.Order,
+		Resources: res,
+		Weights:   power.Weights,
 	}
 }
 

@@ -38,11 +38,8 @@ type SweepSpec struct {
 	// Orders lists mux processing orders. Nil defaults to
 	// {OrderOutputsFirst}.
 	Orders []Order
-	// ForceDirected lists scheduler backend selections. Nil defaults to
-	// {false} (list scheduling with minimum-resource search).
-	ForceDirected []bool
-	// Resources lists execution-unit budgets; a nil entry lets the
-	// scheduler minimize hardware. Nil defaults to {nil}.
+	// Resources lists execution-unit budgets; a nil or empty entry lets
+	// the scheduler minimize hardware. Nil defaults to {nil}.
 	Resources []map[cdfg.Class]int
 	// Workers bounds the evaluation pool; <= 0 uses GOMAXPROCS. The
 	// worker count never affects the results, only the wall-clock time.
@@ -50,8 +47,7 @@ type SweepSpec struct {
 }
 
 // Enumerate expands the spec into the concrete option sets, in
-// deterministic order (budgets outermost, then IIs, orders, backends,
-// resources).
+// deterministic order (budgets outermost, then IIs, orders, resources).
 func (s SweepSpec) Enumerate(d *Design) ([]Options, error) {
 	budgets := s.Budgets
 	if budgets == nil {
@@ -81,10 +77,6 @@ func (s SweepSpec) Enumerate(d *Design) ([]Options, error) {
 	if len(orders) == 0 {
 		orders = []Order{OrderOutputsFirst}
 	}
-	backends := s.ForceDirected
-	if len(backends) == 0 {
-		backends = []bool{false}
-	}
 	resources := s.Resources
 	if len(resources) == 0 {
 		resources = []map[cdfg.Class]int{nil}
@@ -93,13 +85,8 @@ func (s SweepSpec) Enumerate(d *Design) ([]Options, error) {
 	for _, b := range budgets {
 		for _, ii := range iis {
 			for _, o := range orders {
-				for _, fds := range backends {
-					for _, res := range resources {
-						out = append(out, Options{
-							Budget: b, II: ii, Order: o,
-							ForceDirected: fds, Resources: res,
-						})
-					}
+				for _, res := range resources {
+					out = append(out, Options{Budget: b, II: ii, Order: o, Resources: res})
 				}
 			}
 		}
@@ -116,7 +103,7 @@ type SweepPoint struct {
 	// Row is the Table II style summary (zero when Err is set).
 	Row Row
 	// Err records a per-configuration failure (e.g. a budget below the
-	// critical path, or pipelining with the force-directed backend).
+	// critical path, or an initiation interval above the budget).
 	Err error
 	// Elapsed is the time the pipeline spent on this configuration.
 	Elapsed time.Duration
@@ -217,7 +204,7 @@ var (
 // Best returns the successful point maximizing the objective. The ordering
 // is explicitly deterministic: when two points score equally, the one with
 // the lower enumeration index wins — i.e. the earliest configuration in
-// SweepSpec.Enumerate order (budgets outermost, then IIs, orders, backends,
+// SweepSpec.Enumerate order (budgets outermost, then IIs, orders,
 // resources), which never depends on worker count or completion timing.
 // Points whose objective evaluates to NaN are skipped, so one undefined
 // score can never poison the comparison chain. Best returns nil when every
@@ -291,15 +278,11 @@ func (sr *SweepResult) Table() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "SWEEP %s — %d configurations\n", name, len(sr.Points))
-	b.WriteString("Budget  II  Order          FDS  Steps PM  Area    MUX   COMP      +      -      *    PowerRed\n")
+	b.WriteString("Budget  II  Order           Steps PM  Area    MUX   COMP      +      -      *    PowerRed\n")
 	for i := range sr.Points {
 		p := &sr.Points[i]
 		o := p.Options
-		fds := " "
-		if o.ForceDirected {
-			fds = "y"
-		}
-		fmt.Fprintf(&b, "%6d %3d  %-14s %3s  ", o.Budget, o.II, o.Order, fds)
+		fmt.Fprintf(&b, "%6d %3d  %-14s  ", o.Budget, o.II, o.Order)
 		if p.Err != nil {
 			fmt.Fprintf(&b, "error: %v\n", p.Err)
 			continue

@@ -100,6 +100,24 @@ func TestAllFailedSweepResult(t *testing.T) {
 	}
 }
 
+// TestSweepTableLayout pins the exact text of Table, which pmsynthd
+// serves verbatim as view=table: a column change must show up here as a
+// reviewed diff rather than pass unnoticed.
+func TestSweepTableLayout(t *testing.T) {
+	sr, err := Sweep(bench.GCD().Design, SweepSpec{Budgets: []int{1, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `SWEEP gcd — 2 configurations
+Budget  II  Order           Steps PM  Area    MUX   COMP      +      -      *    PowerRed
+     1   0  outputs-first   error: flow: pass "schedule": core: budget 1 below the critical path
+     5   0  outputs-first       5  3  1.36    4.25   2.00   0.00   0.25   0.00   23.53%
+`
+	if got := sr.Table(); got != want {
+		t.Fatalf("Table() =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestSinglePointPareto(t *testing.T) {
 	c := bench.GCD()
 	sr, err := Sweep(c.Design, SweepSpec{Budgets: []int{5}})
@@ -176,12 +194,11 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("semantically equal options fingerprint differently")
 	}
 	distinct := map[string]string{
-		"base":           Fingerprint(src, opt),
-		"other budget":   Fingerprint(src, Options{Budget: 7, Resources: opt.Resources}),
-		"other source":   Fingerprint(src+"# comment\n", opt),
-		"other order":    Fingerprint(src, Options{Budget: 6, Order: OrderGreedyWeight, Resources: opt.Resources}),
-		"force-directed": Fingerprint(src, Options{Budget: 6, ForceDirected: true, Resources: opt.Resources}),
-		"no resources":   Fingerprint(src, Options{Budget: 6}),
+		"base":         Fingerprint(src, opt),
+		"other budget": Fingerprint(src, Options{Budget: 7, Resources: opt.Resources}),
+		"other source": Fingerprint(src+"# comment\n", opt),
+		"other order":  Fingerprint(src, Options{Budget: 6, Order: OrderGreedyWeight, Resources: opt.Resources}),
+		"no resources": Fingerprint(src, Options{Budget: 6}),
 	}
 	seen := make(map[string]string)
 	for name, fp := range distinct {
