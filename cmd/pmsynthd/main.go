@@ -14,9 +14,9 @@
 //	         [-max-pending-jobs 64] [-sweep-workers 0]
 //	         [-max-sweep-workers 0] [-job-ttl 1h] [-event-tail 256]
 //	         [-retry-after 1s] [-store-dir DIR] [-store-max-bytes N]
-//	         [-max-batch-sweeps 64] [-sweep-point-cache-entries 512]
-//	         [-self-url URL] [-peers URL,URL,...] [-log-level info]
-//	         [-log-format json] [-trace-capacity 256] [-debug-addr ADDR]
+//	         [-max-batch-sweeps 64] [-self-url URL]
+//	         [-peers URL,URL,...] [-log-level info] [-log-format json]
+//	         [-trace-capacity 256] [-debug-addr ADDR]
 //
 // With -store-dir set, synthesize results and completed sweep tables
 // persist across restarts in a content-addressed disk store: a restarted
@@ -53,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/flow"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -87,8 +86,6 @@ func main() {
 	maxWarmJobs := flag.Int("max-warm-jobs", 256, "max live store-restored sweep jobs; warm submissions beyond it get 429")
 	selfURL := flag.String("self-url", "", "this node's advertised base URL (e.g. http://10.0.0.3:8357); enables cluster mode")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (self may be listed); requires -self-url")
-	sweepPointCacheEntries := flag.Int("sweep-point-cache-entries", flow.DefaultPointCacheEntries,
-		"sweep-point (pipeline context) cache capacity in entries (0 disables)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "json", "log format: json or text")
 	traceCapacity := flag.Int("trace-capacity", 256, "retained request/job traces for /debug/traces and /v1/jobs/{id}/trace")
@@ -111,11 +108,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pmsynthd: %v\n", err)
 		os.Exit(2)
 	}
-
-	// The sweep-point cache is process-wide inside internal/flow, so it is
-	// configured directly rather than through the server Config (where a
-	// zero value could not be told apart from "use the default").
-	flow.SetPointCacheCapacity(*sweepPointCacheEntries)
 
 	srv, err := server.New(server.Config{
 		CacheEntries:       *cacheEntries,

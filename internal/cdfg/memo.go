@@ -1,11 +1,6 @@
 package cdfg
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"sync"
-)
+import "sync"
 
 // analysisMemo caches the pure-dataflow analyses of a graph: transitive
 // fanin cones, ASAP depth, height to output, and the critical path derived
@@ -13,9 +8,9 @@ import (
 // (Args), both of which are append-only, so they are invalidated only
 // when a node is added. Control edges never affect them.
 //
-// It additionally caches two schedule-dependent results — the topological
-// order over data + control edges and the graph content hash — which are
-// invalidated when either the node list or the control edges change.
+// It additionally caches one schedule-dependent result — the topological
+// order over data + control edges — which is invalidated when either the
+// node list or the control edges change.
 //
 // The cache is safe for concurrent use: the design-space sweep engine
 // evaluates many configurations of one design in parallel, and every
@@ -30,8 +25,6 @@ type analysisMemo struct {
 	// topo is the memoized TopoOrder result (successful orders only; a
 	// cyclic graph is an error path and recomputes).
 	topo []NodeID
-	// hash is the memoized ContentHash result ("" = not computed).
-	hash string
 }
 
 // invalidateAnalyses drops every cached analysis. Called when the node list
@@ -44,17 +37,15 @@ func (g *Graph) invalidateAnalyses() {
 	g.memo.height = nil
 	g.memo.critOK = false
 	g.memo.topo = nil
-	g.memo.hash = ""
 	g.memo.mu.Unlock()
 }
 
-// invalidateSchedDeps drops only the schedule-dependent cache entries
-// (topological order, content hash). Called when control edges change:
-// the pure-dataflow analyses are unaffected and stay warm.
+// invalidateSchedDeps drops only the schedule-dependent cache entry (the
+// topological order). Called when control edges change: the
+// pure-dataflow analyses are unaffected and stay warm.
 func (g *Graph) invalidateSchedDeps() {
 	g.memo.mu.Lock()
 	g.memo.topo = nil
-	g.memo.hash = ""
 	g.memo.mu.Unlock()
 }
 
@@ -76,9 +67,8 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 	ng.memo.critOK = g.memo.critOK
 	ng.memo.critical = g.memo.critical
 	// A clone starts with an identical node list and identical control
-	// edges, so the schedule-dependent entries are valid for it too.
+	// edges, so the schedule-dependent entry is valid for it too.
 	ng.memo.topo = g.memo.topo
-	ng.memo.hash = g.memo.hash
 }
 
 // PrewarmAnalyses computes and caches the analyses the synthesis flow
@@ -182,48 +172,6 @@ func (g *Graph) topoMemo() ([]NodeID, error) {
 	}
 	g.memo.topo = order
 	return order, nil
-}
-
-// ContentHash returns a hex SHA-256 over everything that determines the
-// graph's synthesis semantics: the design name, every node's kind, name,
-// arguments, constant value and shift amount, and the control edges. Two
-// graphs with equal hashes run every pass to identical artifacts. The hash
-// is memoized alongside the other analyses and shared across clones, so
-// sweep workers pay for it once per design.
-func (g *Graph) ContentHash() string {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	if g.memo.hash != "" {
-		return g.memo.hash
-	}
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	num := func(v int64) {
-		h.Write(buf[:binary.PutVarint(buf[:], v)])
-	}
-	str := func(s string) {
-		num(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	str(g.Name)
-	num(int64(len(g.nodes)))
-	for _, n := range g.nodes {
-		num(int64(n.Kind))
-		str(n.Name)
-		num(int64(len(n.Args)))
-		for _, a := range n.Args {
-			num(int64(a))
-		}
-		num(n.Value)
-		num(int64(n.Shift))
-	}
-	num(int64(len(g.controlEdges)))
-	for _, e := range g.controlEdges {
-		num(int64(e.From))
-		num(int64(e.To))
-	}
-	g.memo.hash = hex.EncodeToString(h.Sum(nil))
-	return g.memo.hash
 }
 
 // criticalMemo returns the cached critical path, deriving it from the depth

@@ -23,7 +23,7 @@ import (
 // input as read-only and work on private clones).
 type Context struct {
 	// Ctx carries cancellation for long runs; nil means never canceled.
-	//pmlint:allow spanpair the pipeline Context is the per-run carrier passes thread cancellation through; it lives exactly one Run and is cleared before caching
+	//pmlint:allow spanpair the pipeline Context is the per-run carrier passes thread cancellation through; it lives exactly one Run and the sweep engine clears it before returning the Context
 	Ctx context.Context
 
 	// Graph is the input CDFG. Passes must not mutate it.

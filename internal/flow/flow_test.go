@@ -202,52 +202,3 @@ func TestWithOptimalProducesCertifiedBaseline(t *testing.T) {
 		t.Fatalf("invalid optimal schedule: %v", err)
 	}
 }
-
-func TestRunAllPipelineKeepsPipelinesApartInCache(t *testing.T) {
-	ResetPointCache()
-	defer ResetPointCache()
-	d := compile(t)
-	cfgs := []core.Config{{Budget: 3, Weights: power.Weights}}
-
-	std, err := RunAllPipeline(context.Background(), nil, d.Graph, d.Width, cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := RunAllPipeline(context.Background(), WithOptimal(), d.Graph, d.Width, cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if std[0].Err != nil || opt[0].Err != nil {
-		t.Fatalf("errs: %v / %v", std[0].Err, opt[0].Err)
-	}
-	if std[0] == opt[0] {
-		t.Fatal("standard and optimal pipelines shared one cached Context")
-	}
-	if std[0].Optimal != nil {
-		t.Fatal("standard pipeline produced an optimal artifact")
-	}
-	if opt[0].Optimal == nil {
-		t.Fatal("optimal pipeline missing its artifact")
-	}
-
-	// A repeated optimal sweep must hit the cache and return the same
-	// Context.
-	again, err := RunAllPipeline(context.Background(), WithOptimal(), d.Graph, d.Width, cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[0] != opt[0] {
-		t.Fatal("warm optimal sweep returned a different Context")
-	}
-}
-
-func TestOptimalPassNameEncodesExpansionBudget(t *testing.T) {
-	if got := (OptimalPass{}).Name(); got != "optimal-schedule" {
-		t.Fatalf("default name = %q", got)
-	}
-	a := New(SchedulePass{}, OptimalPass{MaxExpansions: 7}).Names()
-	b := New(SchedulePass{}, OptimalPass{}).Names()
-	if strings.Join(a, ",") == strings.Join(b, ",") {
-		t.Fatal("expansion budget not reflected in pipeline signature")
-	}
-}

@@ -13,7 +13,6 @@ import (
 // with its input index, and observation changes nothing about the
 // artifacts.
 func TestRunAllObserved(t *testing.T) {
-	ResetPointCache()
 	d := compile(t)
 	var cfgs []core.Config
 	for b := 2; b <= 5; b++ {

@@ -104,15 +104,8 @@ type OptimalPass struct {
 	MaxExpansions int
 }
 
-// Name implements Pass. A non-default expansion budget is part of the
-// name: it changes the produced artifact, so cached sweep points must not
-// alias across budgets.
-func (p OptimalPass) Name() string {
-	if p.MaxExpansions > 0 {
-		return fmt.Sprintf("optimal-schedule(maxexp=%d)", p.MaxExpansions)
-	}
-	return "optimal-schedule"
-}
+// Name implements Pass.
+func (OptimalPass) Name() string { return "optimal-schedule" }
 
 // Run implements Pass.
 func (p OptimalPass) Run(c *Context) error {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cdfg"
@@ -19,10 +18,9 @@ import (
 //
 // The shared read-only analyses of g (fanin cones, depth, height, critical
 // path) are prewarmed once and flow into every worker's private clones, so
-// the per-configuration runs do not recompute them. Completed points are
-// additionally memoized in the process-wide sweep-point cache (see
-// cache.go): re-running a sweep point for an identical (graph, width,
-// config) triple returns the cached Context without executing any pass.
+// the per-configuration runs do not recompute them. Nothing else is
+// memoized: every call runs the pipeline for every configuration and
+// returns Contexts it alone owns, with their Ctx field cleared.
 //
 // A configuration whose pipeline fails has its error recorded in the
 // Context's Err field; RunAll itself returns an error only when ctx is
@@ -34,8 +32,6 @@ func RunAll(ctx context.Context, g *cdfg.Graph, width int, cfgs []core.Config, w
 
 // RunAllPipeline is RunAll with an explicit pipeline: every configuration
 // runs p instead of the standard pass sequence (nil p means Standard()).
-// Cached sweep points are keyed by the pipeline's pass names as well, so
-// sweeps over different pipelines never alias.
 func RunAllPipeline(ctx context.Context, p *Pipeline, g *cdfg.Graph, width int, cfgs []core.Config, workers int) ([]*Context, error) {
 	return RunAllPipelineObserved(ctx, p, g, width, cfgs, workers, nil)
 }
@@ -63,7 +59,6 @@ func RunAllPipelineObserved(ctx context.Context, p *Pipeline, g *cdfg.Graph, wid
 	if p == nil {
 		p = Standard()
 	}
-	sig := strings.Join(p.Names(), ",")
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -84,7 +79,7 @@ func RunAllPipelineObserved(ctx context.Context, p *Pipeline, g *cdfg.Graph, wid
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				fc := runPoint(ctx, p, sig, g, width, cfgs[i])
+				fc := runPoint(ctx, p, g, width, cfgs[i])
 				out[i] = fc
 				if observe != nil {
 					observe(i, fc)
@@ -105,22 +100,13 @@ feed:
 	return out, ctx.Err()
 }
 
-// runPoint evaluates one sweep point through the sweep-point cache: a
-// point already computed for an identical (graph, width, config) triple
-// returns its memoized Context, concurrent requests for the same point
-// coalesce onto one pipeline run, and everything else runs the standard
-// pipeline directly. Failed runs — including canceled ones — are never
-// cached.
+// runPoint evaluates one sweep point by running the pipeline on a fresh
+// Context. The returned Context has its Ctx field cleared, so no result
+// pins the caller's cancellation context or trace beyond the run.
 //
 // With a telemetry.Trace on ctx, each evaluation records a "point" span
-// (budget/II config attrs) whose children are the per-pass spans; a
-// point answered from the cache records the span with cached=true and no
-// pass children (the passes ran under whichever trace computed it).
-func runPoint(ctx context.Context, p *Pipeline, sig string, g *cdfg.Graph, width int, cfg core.Config) *Context {
-	pointCache.mu.RLock()
-	c := pointCache.c
-	pointCache.mu.RUnlock()
-
+// (budget/II config attrs) whose children are the per-pass spans.
+func runPoint(ctx context.Context, p *Pipeline, g *cdfg.Graph, width int, cfg core.Config) *Context {
 	ctx, psp := telemetry.StartSpan(ctx, "point")
 	if psp != nil {
 		psp.SetAttr("budget", strconv.Itoa(cfg.Budget))
@@ -129,44 +115,8 @@ func runPoint(ctx context.Context, p *Pipeline, sig string, g *cdfg.Graph, width
 		}
 		defer psp.End()
 	}
-
-	ran := false
-	run := func() *Context {
-		ran = true
-		fc := &Context{Ctx: ctx, Graph: g, Width: width, Config: cfg}
-		fc.Err = p.Run(fc)
-		return fc
-	}
-	defer func() {
-		if !ran {
-			psp.SetAttr("cached", "true")
-		}
-	}()
-	if c == nil {
-		return run()
-	}
-	var failed *Context
-	fc, err := c.GetOrCompute(pointKey(sig, g, width, cfg), func() (*Context, error) {
-		fc := run()
-		if fc.Err != nil {
-			// Keep the Context (the caller reports its Err) but make the
-			// cache skip it so a later request retries.
-			failed = fc
-			return nil, fc.Err
-		}
-		// A cached Context must not pin the requester's cancellation
-		// context beyond the run that computed it.
-		fc.Ctx = nil
-		return fc, nil
-	})
-	if err != nil {
-		if failed != nil {
-			return failed
-		}
-		// Joined another caller's failed computation: that failure may
-		// have been a cancellation of *their* ctx, so run locally rather
-		// than report a foreign error.
-		return run()
-	}
+	fc := &Context{Ctx: ctx, Graph: g, Width: width, Config: cfg}
+	fc.Err = p.Run(fc)
+	fc.Ctx = nil
 	return fc
 }

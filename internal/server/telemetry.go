@@ -5,8 +5,8 @@ package server
 // histograms, the HTTP middleware that opens a trace per request, and
 // the trace-serving endpoints.
 //
-// Every series the pre-registry /metrics handler emitted keeps its exact
-// name and line format (existing scrapers grep lines like
+// Every legacy series keeps the exact name and line format of the
+// pre-registry /metrics handler (existing scrapers grep lines like
 // "pmsynthd_cache_misses 1"); the registry adds # HELP/# TYPE headers,
 // labeled cache-tier counters, and duration histograms on top.
 
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/flow"
 	"repro/internal/telemetry"
 )
 
@@ -33,7 +32,7 @@ type serverMetrics struct {
 	jobRun       telemetry.Histogram    // job Func wall clock
 	passDuration telemetry.HistogramVec // per-pass pipeline time
 	compile      telemetry.Histogram    // actual (non-cached) compiles
-	point        telemetry.HistogramVec // sweep-point time, by cached
+	point        telemetry.Histogram    // sweep-point time
 }
 
 // newServerMetrics builds the registry: every legacy pmsynthd_* series as
@@ -63,11 +62,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	gauge("pmsynthd_design_cache_inflight", "design compiles in flight", func() int64 { return s.designs.Stats().Inflight })
 	ctr("pmsynthd_design_cache_evictions", "compiled-design cache evictions", func() int64 { return s.designs.Stats().Evictions })
 	gauge("pmsynthd_design_cache_entries", "compiled-design cache resident entries", func() int64 { return s.designs.Stats().Entries })
-
-	// Process-wide sweep-point cache (internal/flow).
-	ctr("pmsynthd_sweeppoint_cache_hits", "sweep-point cache hits", func() int64 { return flow.PointCacheStats().Hits })
-	ctr("pmsynthd_sweeppoint_cache_misses", "sweep-point cache misses", func() int64 { return flow.PointCacheStats().Misses })
-	gauge("pmsynthd_sweeppoint_cache_entries", "sweep-point cache resident entries", func() int64 { return flow.PointCacheStats().Entries })
 
 	// Disk store. Series are emitted unconditionally (zeros when
 	// persistence is disabled) so dashboards never miss them.
@@ -166,8 +160,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	tiers.With(func() float64 { return float64(s.cache.Stats().Misses) }, "result", "miss")
 	tiers.With(func() float64 { return float64(s.designs.Stats().Hits) }, "design", "hit")
 	tiers.With(func() float64 { return float64(s.designs.Stats().Misses) }, "design", "miss")
-	tiers.With(func() float64 { return float64(flow.PointCacheStats().Hits) }, "sweeppoint", "hit")
-	tiers.With(func() float64 { return float64(flow.PointCacheStats().Misses) }, "sweeppoint", "miss")
 	tiers.With(func() float64 { return float64(storeStats().Hits) }, "store", "hit")
 	tiers.With(func() float64 { return float64(storeStats().Misses) }, "store", "miss")
 
@@ -182,8 +174,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"pipeline pass duration by pass name", nil, "pass")
 	m.compile = r.Histogram("pmsynthd_compile_seconds",
 		"behavioral-source compile time (actual compiles only)", nil)
-	m.point = r.HistogramVec("pmsynthd_sweep_point_seconds",
-		"sweep-point evaluation time, split by point-cache outcome", nil, "cached")
+	m.point = r.Histogram("pmsynthd_sweep_point_seconds",
+		"sweep-point evaluation time", nil)
 	return m
 }
 
@@ -205,11 +197,7 @@ func (m *serverMetrics) observeSpan(sp *telemetry.Span) {
 			m.compile.Observe(sp.Duration().Seconds())
 		}
 	case name == "point":
-		cached := "false"
-		if sp.Attr("cached") == "true" {
-			cached = "true"
-		}
-		m.point.With(cached).Observe(sp.Duration().Seconds())
+		m.point.Observe(sp.Duration().Seconds())
 	case strings.HasPrefix(name, "pass:"):
 		m.passDuration.With(name[len("pass:"):]).Observe(sp.Duration().Seconds())
 	}

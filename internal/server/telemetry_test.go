@@ -19,20 +19,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// traceSweepSrc is the absdiff example under a unique name, so this
-// test's sweep points can never be served from the process-wide
-// sweep-point cache warmed by other tests — a cached point records no
-// pass spans, and this test asserts they exist.
-const traceSweepSrc = `
-func absdiff_traced(a: num<8>, b: num<8>) out: num<8> =
-begin
-    g   = a > b;
-    d1  = a - b;
-    d2  = b - a;
-    out = if g -> d1 || d2 fi;
-end
-`
-
 // postJSONResp is postJSON plus the raw *http.Response, for tests that
 // need response headers.
 func postJSONResp(t *testing.T, url string, body interface{}, out interface{}) *http.Response {
@@ -83,7 +69,7 @@ func TestSweepTraceSpanTree(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 
 	req := server.SweepRequest{
-		Source: traceSweepSrc,
+		Source: absDiffSrc,
 		Spec:   server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 3},
 	}
 	var created server.SweepCreatedResponse
@@ -186,7 +172,7 @@ func TestSweepTraceSpanTree(t *testing.T) {
 func TestSynthesizeTraceHeader(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	req := server.SynthesizeRequest{
-		Source:  traceSweepSrc,
+		Source:  absDiffSrc,
 		Options: server.OptionsRequest{Budget: 2},
 	}
 	var res server.SynthesizeResponse

@@ -12,7 +12,9 @@
 //     (chip.CompareContext verifies every sample);
 //   - determinism: re-running Synthesize yields byte-identical schedules,
 //     VHDL and Verilog, and Sweep yields a byte-identical result table at
-//     every worker count — results may never depend on goroutine timing;
+//     every worker count, each count's table computed afresh (no Sweep
+//     call reuses another's points) — results may never depend on
+//     goroutine timing;
 //   - fingerprint integrity: equal requests hash equally and distinct
 //     configurations hash distinctly, so the pmsynthd cache can neither
 //     miss a dedup nor serve a stale result for a different request.

@@ -645,7 +645,10 @@ func checkOptimality(rep *Report, design *pmsynth.Design, syn *pmsynth.Synthesis
 
 // checkSweep verifies that the sweep engine is worker-count invariant: the
 // rendered result table (and the spec fingerprint) must be byte-identical
-// at every worker count.
+// at every worker count. The comparison is meaningful only because each
+// pmsynth.Sweep call evaluates all its points and nothing is memoized
+// across calls, so each worker count's table is an independent
+// computation; TestSweepRecomputesEveryPoint enforces that condition.
 func checkSweep(rep *Report, design *pmsynth.Design, src string, m Matrix, cp int) {
 	if len(m.Workers) == 0 {
 		return

@@ -1,8 +1,9 @@
 package pmsynth
 
 // Edge-of-the-envelope sweep behavior: deterministic Best tie-breaking,
-// zero-point and single-point results, progress reporting, and the
-// content-addressed fingerprints the serving layer keys on.
+// zero-point and single-point results, progress reporting, per-call
+// recomputation, and the content-addressed fingerprints the serving layer
+// keys on.
 
 import (
 	"context"
@@ -182,6 +183,41 @@ func TestSweepProgressReporting(t *testing.T) {
 	}
 	if sr.Table() != silent.Table() {
 		t.Fatal("progress observation changed the sweep results")
+	}
+}
+
+// TestSweepRecomputesEveryPoint pins that every Sweep call evaluates all
+// of its points and returns Contexts no other call holds. The oracle's
+// worker-count determinism stage compares a workers=1 sweep with a
+// workers=4 sweep of one design, which proves nothing if the second is
+// served from the first. The repeated sweep must still reproduce the
+// same table, and no returned Context may keep a cancellation context.
+func TestSweepRecomputesEveryPoint(t *testing.T) {
+	d := bench.GCD().Design
+	spec := SweepSpec{BudgetMin: 5, BudgetMax: 8, Workers: 1}
+	first, err := Sweep(d, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workers = 4
+	second, err := Sweep(d, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := first.Table(), second.Table(); a != b {
+		t.Fatalf("workers=1 table:\n%s\nworkers=4 table:\n%s", a, b)
+	}
+	for i := range first.Points {
+		a, b := first.Points[i].Synthesis, second.Points[i].Synthesis
+		if a == nil || b == nil {
+			t.Fatalf("point %d failed: %v / %v", i, first.Points[i].Err, second.Points[i].Err)
+		}
+		if a.Flow == b.Flow {
+			t.Errorf("point %d: the second sweep returned the first sweep's pipeline context", i)
+		}
+		if a.Flow.Ctx != nil || b.Flow.Ctx != nil {
+			t.Errorf("point %d: a returned Context keeps a cancellation context", i)
+		}
 	}
 }
 

