@@ -360,9 +360,11 @@ func (c *Client) Synthesize(ctx context.Context, req SynthesizeRequest) (*Synthe
 }
 
 // Sweep submits a design-space sweep through POST /v1/sweep. The
-// returned job may already be terminal when the server answered from its
-// persistent store (Cached) — callers that wait should check
-// State.Terminal() first, or use SweepAndWait.
+// returned job may already be terminal — restored from the server's
+// persistent store (Cached), or finished before the response was
+// written. WaitJob works on any job, terminal or not: a terminal job's
+// retained event log replays and the wait returns at once. SweepAndWait
+// does both.
 func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepJob, error) {
 	var job SweepJob
 	trace, err := c.doTrace(ctx, http.MethodPost, "/v1/sweep", req, &job)

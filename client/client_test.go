@@ -10,6 +10,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -424,12 +425,20 @@ func TestWarmStartThroughSDK(t *testing.T) {
 		s2.Close()
 	})
 	c2 := client.New(ts2.URL)
-	job, info2, err := c2.SweepAndWait(context.Background(), req, nil)
+	var events []string
+	job, info2, err := c2.SweepAndWait(context.Background(), req, func(ev client.Event) {
+		events = append(events, ev.Type)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !job.Cached || info2.State != client.StateSucceeded {
 		t.Fatalf("warm job = %+v, info = %+v", job, info2)
+	}
+	// A restored job is terminal at submission, yet its event log still
+	// reaches onEvent: it replays, like any finished job's.
+	if want := []string{"created", "succeeded"}; !reflect.DeepEqual(events, want) {
+		t.Fatalf("restored job events = %v, want %v", events, want)
 	}
 	table2, err := c2.JobResult(context.Background(), info2.ID, client.ResultQuery{View: "table"})
 	if err != nil {

@@ -132,10 +132,13 @@ func (c *Client) WaitJob(ctx context.Context, id string, onEvent func(Event)) (*
 }
 
 // SweepAndWait submits a sweep and waits for its terminal snapshot,
-// streaming events through onEvent along the way. Deduped submissions
-// join the live job's stream; cached (store-restored) submissions return
-// immediately. The error is non-nil only for submission or transport
-// failures — a failed sweep returns its terminal snapshot.
+// streaming every job's event log through onEvent along the way. Deduped
+// submissions join the live job's stream; a job already terminal at
+// submission — store-restored (Cached), or finished before the response
+// was written — replays its retained log (a restored job's is created,
+// succeeded) and returns at once. The error is non-nil only for
+// submission or transport failures — a failed sweep returns its terminal
+// snapshot.
 //
 // Against a cluster, SweepAndWait is the end-to-end failover primitive:
 // when the job is lost mid-wait — its node died, so every surviving
@@ -150,12 +153,7 @@ func (c *Client) SweepAndWait(ctx context.Context, req SweepRequest, onEvent fun
 		if err != nil {
 			return nil, nil, err
 		}
-		var info *JobInfo
-		if job.State.Terminal() {
-			info, err = c.Job(ctx, job.ID)
-		} else {
-			info, err = c.WaitJob(ctx, job.ID, onEvent)
-		}
+		info, err := c.WaitJob(ctx, job.ID, onEvent)
 		if err != nil {
 			if jobLost(err) && attempt < c.maxRetries {
 				if serr := sleepCtx(ctx, c.backoff(0)); serr != nil {

@@ -172,8 +172,6 @@ type Point struct {
 	Row *Row `json:"row,omitempty"`
 	// Err records a per-configuration failure.
 	Err string `json:"err,omitempty"`
-	// ElapsedNs is pipeline wall-clock time for this configuration.
-	ElapsedNs int64 `json:"elapsedNs"`
 }
 
 // ResultQuery selects a result view.

@@ -83,7 +83,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "directory of the persistent result store (empty disables persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 1<<30, "disk budget of the persistent store; LRU entries are GCed beyond it")
 	maxBatchSweeps := flag.Int("max-batch-sweeps", 64, "max sweep specs per POST /v1/batch request")
-	maxWarmJobs := flag.Int("max-warm-jobs", 256, "max live store-restored sweep jobs; warm submissions beyond it get 429")
 	selfURL := flag.String("self-url", "", "this node's advertised base URL (e.g. http://10.0.0.3:8357); enables cluster mode")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (self may be listed); requires -self-url")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -122,7 +121,6 @@ func main() {
 		StoreDir:           *storeDir,
 		StoreMaxBytes:      *storeMaxBytes,
 		MaxBatchSweeps:     *maxBatchSweeps,
-		MaxWarmJobs:        *maxWarmJobs,
 		SelfURL:            *selfURL,
 		Peers:              splitPeers(*peers),
 		Logger:             logger,

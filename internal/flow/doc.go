@@ -7,8 +7,9 @@
 // cmd/pmsched -sweep, cmd/tables, the benchmark harness).
 //
 // A Pass is one stage of the flow; a Pipeline runs passes in order over a
-// Context, recording per-pass wall-clock timings and diagnostics. The
-// Standard pipeline reproduces the paper's fixed sequence:
+// Context, which collects every artifact and diagnostic. Pass timing is
+// the "pass:<name>" telemetry span and nothing else. The Standard
+// pipeline reproduces the paper's fixed sequence:
 //
 //	schedule -> bind -> controller -> baseline -> activity
 //

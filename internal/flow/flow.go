@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/cdfg"
@@ -17,10 +16,10 @@ import (
 )
 
 // Context carries one configuration's inputs and every artifact the passes
-// produce, plus per-pass timings and human-readable diagnostics. A Context
-// is used by one goroutine at a time; distinct Contexts may run
-// concurrently even when they share the input Graph (passes treat the
-// input as read-only and work on private clones).
+// produce, plus human-readable diagnostics. A Context is used by one
+// goroutine at a time; distinct Contexts may run concurrently even when
+// they share the input Graph (passes treat the input as read-only and
+// work on private clones).
 type Context struct {
 	// Ctx carries cancellation for long runs; nil means never canceled.
 	//pmlint:allow spanpair the pipeline Context is the per-run carrier passes thread cancellation through; it lives exactly one Run and the sweep engine clears it before returning the Context
@@ -60,30 +59,13 @@ type Context struct {
 	// error instead.
 	Err error
 
-	// Timings lists per-pass wall-clock durations in execution order.
-	Timings []PassTiming
 	// Diags collects human-readable per-pass diagnostics.
 	Diags []string
-}
-
-// PassTiming records how long one pass took.
-type PassTiming struct {
-	Pass    string
-	Elapsed time.Duration
 }
 
 // Diag appends a formatted diagnostic line.
 func (c *Context) Diag(format string, args ...interface{}) {
 	c.Diags = append(c.Diags, fmt.Sprintf(format, args...))
-}
-
-// Elapsed returns the total time spent in passes so far.
-func (c *Context) Elapsed() time.Duration {
-	var total time.Duration
-	for _, t := range c.Timings {
-		total += t.Elapsed
-	}
-	return total
 }
 
 // canceled reports the cancellation state of the run.
@@ -97,7 +79,7 @@ func (c *Context) canceled() error {
 // Pass is one stage of the synthesis flow. Run reads earlier artifacts
 // from the context and stores its own.
 type Pass interface {
-	// Name identifies the pass in timings and error messages.
+	// Name identifies the pass in spans and error messages.
 	Name() string
 	// Run executes the pass over the context.
 	Run(c *Context) error
@@ -122,14 +104,13 @@ func (p *Pipeline) Names() []string {
 	return out
 }
 
-// Run executes the passes in order, recording a timing per pass. The first
-// pass error aborts the pipeline; cancellation of c.Ctx is checked between
-// passes.
+// Run executes the passes in order. The first pass error aborts the
+// pipeline; cancellation of c.Ctx is checked between passes.
 //
-// When c.Ctx carries a telemetry.Trace, every pass additionally records a
-// "pass:<name>" span. Spans only observe — an instrumented run produces
-// byte-identical artifacts to an untraced one — and the disabled path
-// (no trace in the context) allocates nothing.
+// When c.Ctx carries a telemetry.Trace, every pass records a
+// "pass:<name>" span — the only pass clock. Spans only observe — an
+// instrumented run produces byte-identical artifacts to an untraced one —
+// and the disabled path (no trace in the context) allocates nothing.
 func (p *Pipeline) Run(c *Context) error {
 	if c == nil || c.Graph == nil {
 		return errors.New("flow: nil context or graph")
@@ -139,11 +120,7 @@ func (p *Pipeline) Run(c *Context) error {
 			return fmt.Errorf("flow: canceled before pass %q: %w", pass.Name(), err)
 		}
 		_, sp := telemetry.StartSpan(c.Ctx, "pass:"+pass.Name())
-		//pmlint:allow determinism pass wall-clock timing is telemetry only; Timings never feed schedules, tables or fingerprints
-		start := time.Now()
-		err := pass.Run(c)
-		c.Timings = append(c.Timings, PassTiming{Pass: pass.Name(), Elapsed: time.Since(start)})
-		if err != nil {
+		if err := pass.Run(c); err != nil {
 			sp.SetAttr("err", err.Error())
 			sp.End()
 			return fmt.Errorf("flow: pass %q: %w", pass.Name(), err)

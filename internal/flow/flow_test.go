@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/silage"
+	"repro/internal/telemetry"
 )
 
 const absDiffSrc = `
@@ -27,6 +28,21 @@ func compile(t *testing.T) *silage.Design {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// runTraced runs p over fc under a fresh trace and returns the names of
+// the pass spans it recorded, in start order.
+func runTraced(p *Pipeline, fc *Context) ([]string, error) {
+	tr := telemetry.NewTrace("flow-test")
+	fc.Ctx = telemetry.WithTrace(context.Background(), tr)
+	err := p.Run(fc)
+	var passes []string
+	for _, n := range tr.Snapshot().Roots {
+		if strings.HasPrefix(n.Name, "pass:") {
+			passes = append(passes, n.Name)
+		}
+	}
+	return passes, err
 }
 
 func TestStandardPassOrder(t *testing.T) {
@@ -49,7 +65,8 @@ func TestStandardProducesAllArtifacts(t *testing.T) {
 		Width:  d.Width,
 		Config: core.Config{Budget: 3, Weights: power.Weights},
 	}
-	if err := Standard().Run(fc); err != nil {
+	passes, err := runTraced(Standard(), fc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if fc.PM == nil || fc.Binding == nil || fc.Controller == nil {
@@ -61,11 +78,8 @@ func TestStandardProducesAllArtifacts(t *testing.T) {
 	if !fc.ActivityExact {
 		t.Error("absdiff activity should be exact")
 	}
-	if len(fc.Timings) != 5 {
-		t.Errorf("timings = %d entries, want 5", len(fc.Timings))
-	}
-	if fc.Elapsed() <= 0 {
-		t.Error("elapsed not recorded")
+	if len(passes) != 5 {
+		t.Errorf("pass spans = %v, want 5", passes)
 	}
 	if len(fc.Diags) == 0 {
 		t.Error("no diagnostics recorded")
@@ -78,15 +92,15 @@ func TestStandardProducesAllArtifacts(t *testing.T) {
 func TestPipelineErrorAbortsAndIsAttributed(t *testing.T) {
 	d := compile(t)
 	fc := &Context{Graph: d.Graph, Width: d.Width, Config: core.Config{Budget: 1}}
-	err := Standard().Run(fc)
+	passes, err := runTraced(Standard(), fc)
 	if err == nil {
 		t.Fatal("budget below critical path should fail")
 	}
 	if !strings.Contains(err.Error(), `pass "schedule"`) {
 		t.Errorf("error %q does not name the failing pass", err)
 	}
-	if len(fc.Timings) != 1 {
-		t.Errorf("timings = %d entries, want 1 (abort after first failure)", len(fc.Timings))
+	if len(passes) != 1 || passes[0] != "pass:schedule" {
+		t.Errorf("pass spans = %v, want [pass:schedule] (abort after first failure)", passes)
 	}
 	if fc.Binding != nil {
 		t.Error("later passes ran after a failure")

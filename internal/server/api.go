@@ -167,8 +167,6 @@ type PointResponse struct {
 	Row *pmsynth.Row `json:"row,omitempty"`
 	// Err records a per-configuration failure.
 	Err string `json:"err,omitempty"`
-	// ElapsedNs is pipeline wall-clock time for this configuration.
-	ElapsedNs int64 `json:"elapsedNs"`
 }
 
 // ResultResponse is the body of GET /v1/jobs/{id}/result.
@@ -311,11 +309,7 @@ func (s SweepSpecRequest) toSpec() (pmsynth.SweepSpec, error) {
 
 // toPoint projects a sweep point into its wire form.
 func toPoint(index int, p *pmsynth.SweepPoint) PointResponse {
-	out := PointResponse{
-		Index:     index,
-		Options:   fromOptions(p.Options),
-		ElapsedNs: p.Elapsed.Nanoseconds(),
-	}
+	out := PointResponse{Index: index, Options: fromOptions(p.Options)}
 	if p.Err != nil {
 		out.Err = p.Err.Error()
 	} else {

@@ -3,17 +3,16 @@ package server
 // Serialization between in-memory results and the disk store's opaque
 // byte values. The store itself guards integrity (checksums, atomic
 // writes); this layer guards meaning: everything a result view can render
-// — rows, RTL artifacts, per-point options, errors and timings — round
-// trips losslessly, so a warm hit is byte-identical to the run that
-// produced it. The encodings are versioned independently of the store's
-// file format; a version mismatch decodes as an error, which the serving
+// — rows, RTL artifacts, per-point options and errors — round trips
+// losslessly, so a warm hit is byte-identical to the run that produced
+// it. The encodings are versioned independently of the store's file
+// format; a version mismatch decodes as an error, which the serving
 // layer treats as a miss and recomputes.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro"
 	"repro/internal/cdfg"
@@ -22,7 +21,7 @@ import (
 // persistVersion tags both stored encodings; bump on any change to the
 // stored shapes or their interpretation so entries written by an older
 // daemon are recomputed, never misread.
-const persistVersion = 1
+const persistVersion = 2
 
 // storedSynth is the stored form of one synthesize result (the cached
 // value of one fingerprint + emit set).
@@ -56,47 +55,29 @@ func decodeSynthResult(blob []byte) (*synthResult, error) {
 }
 
 // storedSweep is the stored form of a completed sweep table: the design
-// name (the result views print it) and every point in enumeration order.
-// Options travel in their wire form so enum values are stored by
-// canonical name, never by Go constant numbering.
+// name (the result views print it) and every point in enumeration order,
+// each in the wire form the result views serve, so a point has exactly
+// one serialized shape and enum values are stored by canonical name,
+// never by Go constant numbering.
 type storedSweep struct {
-	Version int           `json:"v"`
-	Design  string        `json:"design"`
-	Points  []storedPoint `json:"points"`
+	Version int             `json:"v"`
+	Design  string          `json:"design"`
+	Points  []PointResponse `json:"points"`
 }
 
-// storedPoint is one stored sweep point.
-type storedPoint struct {
-	Options   OptionsRequest `json:"options"`
-	Row       *pmsynth.Row   `json:"row,omitempty"`
-	Err       string         `json:"err,omitempty"`
-	ElapsedNs int64          `json:"elapsedNs"`
-}
-
-// encodeSweepResult serializes a completed sweep table for the disk
-// store. Full per-point synthesis artifacts are never stored — exactly
-// like served jobs, only what the result views render survives.
+// encodeSweepResult serializes a completed sweep table. Full per-point
+// synthesis artifacts are never encoded: only what the result views
+// render survives, and the sweep job itself holds the decoded bytes.
 func encodeSweepResult(sr *pmsynth.SweepResult) ([]byte, error) {
 	st := storedSweep{
 		Version: persistVersion,
-		Points:  make([]storedPoint, len(sr.Points)),
+		Points:  make([]PointResponse, len(sr.Points)),
 	}
 	if sr.Design != nil && sr.Design.Graph != nil {
 		st.Design = sr.Design.Graph.Name
 	}
 	for i := range sr.Points {
-		p := &sr.Points[i]
-		sp := storedPoint{
-			Options:   fromOptions(p.Options),
-			ElapsedNs: p.Elapsed.Nanoseconds(),
-		}
-		if p.Err != nil {
-			sp.Err = p.Err.Error()
-		} else {
-			row := p.Row
-			sp.Row = &row
-		}
-		st.Points[i] = sp
+		st.Points[i] = toPoint(i, &sr.Points[i])
 	}
 	return json.Marshal(st)
 }
@@ -124,7 +105,6 @@ func decodeSweepResult(blob []byte) (*pmsynth.SweepResult, error) {
 		}
 		p := &sr.Points[i]
 		p.Options = opt
-		p.Elapsed = time.Duration(sp.ElapsedNs)
 		switch {
 		case sp.Err != "":
 			p.Err = errors.New(sp.Err)

@@ -5,8 +5,8 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"testing"
-	"time"
 
 	"repro"
 )
@@ -63,7 +63,6 @@ end
 	// Inject a failed point shape too.
 	sr.Points[0].Err = errors.New("budget 0 below critical path")
 	sr.Points[0].Row = pmsynth.Row{}
-	sr.Points[0].Elapsed = 123 * time.Microsecond
 
 	blob, err := encodeSweepResult(sr)
 	if err != nil {
@@ -82,7 +81,7 @@ end
 	}
 	for i := range sr.Points {
 		a, b := &sr.Points[i], &got.Points[i]
-		if a.Options.Budget != b.Options.Budget || a.Row != b.Row || a.Elapsed != b.Elapsed {
+		if a.Options.Budget != b.Options.Budget || a.Row != b.Row {
 			t.Fatalf("point %d diverged: %+v vs %+v", i, a, b)
 		}
 		if (a.Err == nil) != (b.Err == nil) {
@@ -98,8 +97,8 @@ func TestDecodeSweepResultRejects(t *testing.T) {
 	for _, bad := range []string{
 		"not json",
 		`{"v":999,"design":"x","points":[]}`,
-		`{"v":1,"design":"x","points":[{"options":{"budget":1,"order":"bogus"}}]}`, // unknown order
-		`{"v":1,"design":"x","points":[{"options":{"budget":1}}]}`,                 // neither row nor err
+		fmt.Sprintf(`{"v":%d,"design":"x","points":[{"options":{"budget":1,"order":"bogus"}}]}`, persistVersion), // unknown order
+		fmt.Sprintf(`{"v":%d,"design":"x","points":[{"options":{"budget":1}}]}`, persistVersion),                 // neither row nor err
 	} {
 		if _, err := decodeSweepResult([]byte(bad)); err == nil {
 			t.Fatalf("decoded %q", bad)

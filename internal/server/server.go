@@ -69,13 +69,6 @@ type Config struct {
 	// MaxBatchSweeps bounds the number of sweep specs one POST /v1/batch
 	// request may carry; <= 0 means 64.
 	MaxBatchSweeps int
-	// MaxWarmJobs bounds how many store-restored (warm) sweep jobs may be
-	// live at once; <= 0 means 256. Warm restores skip the admission
-	// queue — this is their own backpressure bound, so a client replaying
-	// its whole store corpus cannot pin every decoded table in memory for
-	// the job TTL. Beyond the bound, warm submissions are shed with 429
-	// exactly like queue-full cold ones.
-	MaxWarmJobs int
 	// SelfURL is this node's advertised base URL (scheme://host:port).
 	// Non-empty enables cluster mode: job ids carry this node's id
 	// prefix, sweep submissions are routed to the first reachable node
@@ -139,8 +132,7 @@ type Server struct {
 	// synthesis — ever runs while mu is held; critical sections are map
 	// lookups and inserts only.
 	mu        sync.Mutex
-	sweepByFP map[string]string   // fingerprint -> job id
-	warmJobs  map[string]struct{} // live store-restored job ids (bounded)
+	sweepByFP map[string]string // fingerprint -> job id
 
 	// batchMu guards the batch index: batch id -> member job ids, in
 	// request order, including jobs the batch's entries deduped onto
@@ -190,9 +182,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatchSweeps <= 0 {
 		cfg.MaxBatchSweeps = 64
 	}
-	if cfg.MaxWarmJobs <= 0 {
-		cfg.MaxWarmJobs = 256
-	}
 	var store *cache.Store
 	if cfg.StoreDir != "" {
 		var err error
@@ -237,7 +226,6 @@ func New(cfg Config) (*Server, error) {
 		log:       logger,
 		traces:    telemetry.NewRing(cfg.TraceCapacity),
 		sweepByFP: make(map[string]string),
-		warmJobs:  make(map[string]struct{}),
 		batches:   make(map[string][]string),
 	}
 	s.metrics = newServerMetrics(s)
@@ -692,23 +680,21 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 			jctx, runSp := telemetry.StartSpan(jctx, "run")
 			defer runSp.End()
 			sr, err := pmsynth.SweepContextProgress(jctx, design, spec, pmsynth.SweepProgress(progress))
-			if sr != nil {
-				// The result views serve Options/Row/Err/Elapsed only;
-				// dropping the full per-point synthesis artifacts keeps
-				// a finished wide sweep from pinning thousands of
-				// contexts in memory for the whole job TTL.
-				for i := range sr.Points {
-					sr.Points[i].Synthesis = nil
-				}
+			if err != nil {
+				return nil, err
 			}
-			if err == nil && s.store != nil {
-				// Persist the completed table. Advisory: a failed encode
-				// or write only costs a future recompute.
-				if blob, eerr := encodeSweepResult(sr); eerr == nil {
-					s.store.PutCtx(jctx, sweepStoreKey(fp), blob)
-				}
+			// The job holds exactly what a restore of it would: the
+			// table decoded from its stored bytes, with no per-point
+			// synthesis artifacts and no compiled design to pin for the
+			// job TTL.
+			blob, err := encodeSweepResult(sr)
+			if err != nil {
+				return nil, fmt.Errorf("encode sweep table: %w", err)
 			}
-			return sr, err
+			if s.store != nil {
+				s.store.PutCtx(jctx, sweepStoreKey(fp), blob) // advisory: a failed Put costs a recompute
+			}
+			return decodeSweepResult(blob)
 		})
 	if err != nil {
 		s.mu.Unlock()
@@ -757,18 +743,6 @@ func (s *Server) warmSweep(ctx context.Context, fp, group string) (sweepOutcome,
 		s.mu.Unlock()
 		return sweepOutcome{status: http.StatusOK, resp: resp}, true
 	}
-	// Warm restores skip the admission queue, so they carry their own
-	// bound: at most MaxWarmJobs restored tables live at once.
-	s.pruneWarmJobsLocked()
-	if len(s.warmJobs) >= s.cfg.MaxWarmJobs {
-		s.mu.Unlock()
-		s.sweepSheds.Add(1)
-		return sweepOutcome{
-			status: http.StatusTooManyRequests,
-			errMsg: fmt.Sprintf("warm-restore capacity is full (%d live restored jobs); retry after %ds",
-				s.cfg.MaxWarmJobs, s.retryAfterSeconds()),
-		}, true
-	}
 	trace := telemetry.TraceFrom(ctx).ID()
 	job, err := s.jobs.SubmitDone("sweep "+name, group, trace, len(sr.Points), sr)
 	if err != nil {
@@ -776,25 +750,12 @@ func (s *Server) warmSweep(ctx context.Context, fp, group string) (sweepOutcome,
 		return s.shedOutcome(err), true
 	}
 	s.sweepByFP[fp] = job.ID()
-	s.warmJobs[job.ID()] = struct{}{}
 	s.mu.Unlock()
 	s.sweepWarmHits.Add(1)
 	return sweepOutcome{status: http.StatusOK, resp: SweepCreatedResponse{
 		ID: job.ID(), State: jobs.StateSucceeded, Total: len(sr.Points),
 		Fingerprint: fp, Cached: true, Trace: trace,
 	}}, true
-}
-
-// pruneWarmJobsLocked drops warm-job records whose jobs have been
-// TTL-collected. O(MaxWarmJobs) map lookups — no client-controlled work.
-// Called with s.mu held, from warm admission and from /metrics, so the
-// warm gauge never overreports past one scrape.
-func (s *Server) pruneWarmJobsLocked() {
-	for id := range s.warmJobs {
-		if _, live := s.jobs.Get(id); !live {
-			delete(s.warmJobs, id)
-		}
-	}
 }
 
 // shedOutcome converts a job-manager refusal into its backpressure

@@ -300,53 +300,79 @@ func corruptStoreFiles(t *testing.T, dir string) {
 	}
 }
 
-// TestWarmJobCapSheds: warm restores skip the admission queue, so they
-// carry their own bound — beyond MaxWarmJobs live restored jobs, warm
-// submissions shed with 429 instead of pinning every decoded table.
-func TestWarmJobCapSheds(t *testing.T) {
+// TestWarmRestoresAreOrdinaryJobs: a store-restored sweep job is an
+// ordinary fingerprint-index entry with no bound of its own, so a
+// restarted daemon answers every one of the 257 sweeps its store holds
+// from disk, without compiling.
+func TestWarmRestoresAreOrdinaryJobs(t *testing.T) {
+	const sweeps = 257
 	dir := t.TempDir()
-	reqA := server.SweepRequest{Source: absDiffSrc, Spec: server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 3}}
-	reqB := server.SweepRequest{Source: absDiffSrc, Spec: server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 4}}
+	reqs := make([]server.SweepRequest, sweeps)
+	for i := range reqs {
+		reqs[i] = server.SweepRequest{Source: absDiffSrc, Spec: server.SweepSpecRequest{Budgets: []int{2 + i}}}
+	}
 
-	// Populate the store with two distinct completed sweeps.
-	var compiles1 atomic.Int64
-	_, ts1, shutdown1 := newStoreServer(t, dir, &compiles1)
-	for _, req := range []server.SweepRequest{reqA, reqB} {
+	s1, err := server.New(server.Config{JobWorkers: 2, MaxPendingJobs: sweeps, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	ids := make([]string, sweeps)
+	for i, req := range reqs {
 		var created server.SweepCreatedResponse
 		if code := postJSON(t, ts1.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
-			t.Fatalf("sweep = %d", code)
+			t.Fatalf("cold sweep %d = %d, want 202", i, code)
 		}
-		waitJobState(t, ts1.URL, created.ID, jobs.StateSucceeded)
+		ids[i] = created.ID
 	}
-	shutdown1()
+	for _, id := range ids {
+		waitJobState(t, ts1.URL, id, jobs.StateSucceeded)
+	}
+	ts1.Close()
+	s1.Close()
 
-	s2, err := server.New(server.Config{JobWorkers: 1, StoreDir: dir, MaxWarmJobs: 1})
-	if err != nil {
-		t.Fatal(err)
+	var compiles atomic.Int64
+	_, ts2, shutdown2 := newStoreServer(t, dir, &compiles)
+	defer shutdown2()
+	for i, req := range reqs {
+		var warm server.SweepCreatedResponse
+		if code := postJSON(t, ts2.URL+"/v1/sweep", req, &warm); code != http.StatusOK || !warm.Cached {
+			t.Fatalf("warm sweep %d = %d (%+v), want 200 cached", i, code, warm)
+		}
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() { ts2.Close(); s2.Close() })
+	if n := compiles.Load(); n != 0 {
+		t.Fatalf("warm replay compiled %d times, want 0", n)
+	}
+}
 
-	var warmA server.SweepCreatedResponse
-	if code := postJSON(t, ts2.URL+"/v1/sweep", reqA, &warmA); code != http.StatusOK || !warmA.Cached {
-		t.Fatalf("first warm = %d (%+v)", code, warmA)
+// TestSweepViewsAreAFunctionOfTheRequest: a sweep's result views depend
+// on the request alone. Two daemons that share nothing answer the same
+// bytes, job id aside, so no measurement (a clock reading) ever leaks
+// into a result.
+func TestSweepViewsAreAFunctionOfTheRequest(t *testing.T) {
+	req := server.SweepRequest{
+		Source: gcdSrc,
+		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 8, Orders: []string{"outputs-first", "inputs-first"}},
 	}
-	// The second distinct warm restore exceeds the cap: shed with 429.
-	resp, err := http.Post(ts2.URL+"/v1/sweep", "application/json", postBody(t, reqB))
-	if err != nil {
-		t.Fatal(err)
+	views := []string{"best", "pareto", "table"}
+	run := func() []string {
+		_, ts := newTestServer(t, server.Config{JobWorkers: 1})
+		var created server.SweepCreatedResponse
+		if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
+			t.Fatalf("sweep = %d, want 202", code)
+		}
+		waitJobState(t, ts.URL, created.ID, jobs.StateSucceeded)
+		bodies := make([]string, len(views))
+		for i, view := range views {
+			body := fetchRaw(t, ts.URL+"/v1/jobs/"+created.ID+"/result?view="+view)
+			bodies[i] = strings.ReplaceAll(body, created.ID, "JOB")
+		}
+		return bodies
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-cap warm = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed warm restore lacks Retry-After")
-	}
-	// Identical resubmission still dedupes onto the live restored job —
-	// the cap bounds new restores, not existing ones.
-	var dedup server.SweepCreatedResponse
-	if code := postJSON(t, ts2.URL+"/v1/sweep", reqA, &dedup); code != http.StatusOK || !dedup.Deduped {
-		t.Fatalf("dedup under warm cap = %d (%+v)", code, dedup)
+	a, b := run(), run()
+	for i, view := range views {
+		if a[i] != b[i] {
+			t.Errorf("view %s differs between daemons:\n%s\n%s", view, a[i], b[i])
+		}
 	}
 }

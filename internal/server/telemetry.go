@@ -117,13 +117,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	ctr("pmsynthd_sweep_requests", "POST /v1/sweep requests", s.sweepRequests.Load)
 	ctr("pmsynthd_sweep_shed", "sweep submissions shed with 429", s.sweepSheds.Load)
 	ctr("pmsynthd_sweep_warm_hits", "sweep submissions answered from the disk store", s.sweepWarmHits.Load)
-	gauge("pmsynthd_warm_jobs_live", "live store-restored sweep jobs", func() int64 {
-		s.mu.Lock()
-		s.pruneWarmJobsLocked()
-		n := len(s.warmJobs)
-		s.mu.Unlock()
-		return int64(n)
-	})
 	ctr("pmsynthd_batch_requests", "POST /v1/batch requests", s.batchRequests.Load)
 
 	// Job manager. The running gauge reads the manager's O(1) transition
@@ -255,14 +248,15 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		ctx, root := telemetry.StartSpan(ctx, route)
 		w.Header().Set("X-Pmsynthd-Trace", tr.ID())
 		rec := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
 		next.ServeHTTP(rec, r.WithContext(ctx))
-		elapsed := time.Since(start)
 		if rec.status == 0 {
 			rec.status = http.StatusOK // handler never wrote: implicit 200
 		}
 		root.SetAttr("code", strconv.Itoa(rec.status))
 		root.End()
+		// The root span is the request's one clock: the trace, the route
+		// histogram and the access log all read its duration.
+		elapsed := root.Duration()
 		s.metrics.httpLatency.With(route).Observe(elapsed.Seconds())
 		logger := s.log.Info
 		if route == "GET /metrics" || route == "GET /healthz" {

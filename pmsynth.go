@@ -86,8 +86,8 @@ type Synthesis struct {
 	// Design is the compiled input.
 	Design *Design
 	// Flow is the pass-pipeline context that produced the synthesis: all
-	// artifacts below alias it, and it additionally carries per-pass
-	// timings and diagnostics.
+	// artifacts below alias it, and it additionally carries the per-pass
+	// diagnostics.
 	Flow *flow.Context
 	// PM is the power management scheduling result.
 	PM *core.Result

@@ -13,7 +13,6 @@ import (
 	"math"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cdfg"
 	"repro/internal/core"
@@ -105,8 +104,6 @@ type SweepPoint struct {
 	// Err records a per-configuration failure (e.g. a budget below the
 	// critical path, or an initiation interval above the budget).
 	Err error
-	// Elapsed is the time the pipeline spent on this configuration.
-	Elapsed time.Duration
 }
 
 // SweepResult is the full result table of a sweep.
@@ -177,7 +174,6 @@ func SweepContextProgress(ctx context.Context, d *Design, spec SweepSpec, progre
 			p.Err = fmt.Errorf("pmsynth: configuration not evaluated")
 			continue
 		}
-		p.Elapsed = fc.Elapsed()
 		if fc.Err != nil {
 			p.Err = fc.Err
 			continue
