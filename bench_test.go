@@ -23,6 +23,7 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/power"
 	"repro/internal/tables"
 )
@@ -280,6 +281,44 @@ func BenchmarkCordicPerBudget(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSweepDatapath runs the flow work of the benchmark's
+// sweep-datapath workload in process: conditional-free 150-op generated
+// designs (fixed seeds), each swept serially over budgets cp..cp+3. One
+// op is one sweep of every design; compiling them is set-up. Profile it
+// with -cpuprofile to attribute the flow layers without a daemon.
+func BenchmarkSweepDatapath(b *testing.B) {
+	cfg := gen.Default()
+	cfg.Ops = 150
+	cfg.MuxFanIn = 1
+	var designs []*Design
+	var specs []SweepSpec
+	for seed := int64(1); seed <= 4; seed++ {
+		d, err := Compile(gen.Source(seed, cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp, err := CriticalPath(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		designs = append(designs, d)
+		specs = append(specs, SweepSpec{BudgetMin: cp, BudgetMax: cp + 3, Workers: 1})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, d := range designs {
+			res, err := Sweep(d, specs[j])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Points) != 4 {
+				b.Fatalf("%d points, want 4", len(res.Points))
+			}
+		}
 	}
 }
 

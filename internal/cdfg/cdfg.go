@@ -403,29 +403,63 @@ func (g *Graph) ClearControlEdges() {
 	g.controlEdges = nil
 }
 
-// SchedSuccs returns the scheduling successors of id: dataflow successors
-// plus control-edge targets. A fresh slice is returned.
-func (g *Graph) SchedSuccs(id NodeID) []NodeID {
-	out := append([]NodeID(nil), g.succs[id]...)
-	for _, e := range g.controlEdges {
-		if e.From == id {
-			out = append(out, e.To)
-		}
-	}
-	return out
+// Adjacency answers scheduling-adjacency queries (data + control edges)
+// for one state of a graph. It stays valid until the graph's node list or
+// control edges change. Fetch it once per walk with SchedAdjacency: every
+// query is then a slice index, with no lock and no allocation.
+type Adjacency struct {
+	g *Graph
+	// lists is the memoized adjacency of a graph with control edges; nil
+	// when the dataflow is the whole story.
+	lists *schedLists
 }
 
-// SchedPreds returns the scheduling predecessors of id: dataflow arguments
-// plus control-edge sources. A fresh slice is returned.
-func (g *Graph) SchedPreds(id NodeID) []NodeID {
-	out := append([]NodeID(nil), g.nodes[id].Args...)
-	for _, e := range g.controlEdges {
-		if e.To == id {
-			out = append(out, e.From)
-		}
+// Preds returns the scheduling predecessors of id: dataflow arguments, then
+// control-edge sources in insertion order. The slice is shared; treat it
+// as read-only (its capacity equals its length, so an append copies).
+func (a Adjacency) Preds(id NodeID) []NodeID {
+	if l := a.lists; l != nil {
+		lo, hi := l.predOff[id], l.predOff[id+1]
+		return l.preds[lo:hi:hi]
 	}
-	return out
+	args := a.g.nodes[id].Args
+	return args[:len(args):len(args)]
 }
+
+// Succs returns the scheduling successors of id: dataflow successors, then
+// control-edge targets in insertion order. The slice is shared; treat it
+// as read-only (its capacity equals its length, so an append copies).
+func (a Adjacency) Succs(id NodeID) []NodeID {
+	if l := a.lists; l != nil {
+		lo, hi := l.succOff[id], l.succOff[id+1]
+		return l.succs[lo:hi:hi]
+	}
+	s := a.g.succs[id]
+	return s[:len(s):len(s)]
+}
+
+// SchedAdjacency returns the scheduling adjacency of the graph. A graph
+// without control edges answers from its dataflow lists; a graph with
+// control edges builds its per-node lists once and memoizes them until
+// the node list or the control edges change (clones share them).
+func (g *Graph) SchedAdjacency() Adjacency {
+	if len(g.controlEdges) == 0 {
+		return Adjacency{g: g}
+	}
+	g.memo.mu.Lock()
+	defer g.memo.mu.Unlock()
+	return g.schedAdjacencyLocked()
+}
+
+// SchedSuccs returns the scheduling successors of id: dataflow successors
+// plus control-edge targets. The slice is shared; treat it as read-only.
+// A walk over many nodes should fetch SchedAdjacency once instead.
+func (g *Graph) SchedSuccs(id NodeID) []NodeID { return g.SchedAdjacency().Succs(id) }
+
+// SchedPreds returns the scheduling predecessors of id: dataflow arguments
+// plus control-edge sources. The slice is shared; treat it as read-only.
+// A walk over many nodes should fetch SchedAdjacency once instead.
+func (g *Graph) SchedPreds(id NodeID) []NodeID { return g.SchedAdjacency().Preds(id) }
 
 // Validate checks structural sanity: correct arities (enforced at build
 // time, re-checked here), every non-IO node reachable from an input or
@@ -501,19 +535,11 @@ func (h *nodeMinHeap) pop() NodeID {
 }
 
 // computeTopoOrder does the work behind TopoOrder on a memo miss.
-func (g *Graph) computeTopoOrder() ([]NodeID, error) {
+func (g *Graph) computeTopoOrder(adj Adjacency) ([]NodeID, error) {
 	n := len(g.nodes)
 	indeg := make([]int, n)
-	var extraSuccs map[NodeID][]NodeID
-	if len(g.controlEdges) > 0 {
-		extraSuccs = make(map[NodeID][]NodeID, len(g.controlEdges))
-		for _, e := range g.controlEdges {
-			indeg[e.To]++
-			extraSuccs[e.From] = append(extraSuccs[e.From], e.To)
-		}
-	}
-	for _, nd := range g.nodes {
-		indeg[nd.ID] += len(nd.Args)
+	for i := range indeg {
+		indeg[i] = len(adj.Preds(NodeID(i)))
 	}
 	// Deterministic order: process ready nodes in ID order.
 	heap := make(nodeMinHeap, 0, n)
@@ -526,13 +552,7 @@ func (g *Graph) computeTopoOrder() ([]NodeID, error) {
 	for len(heap) > 0 {
 		id := heap.pop()
 		order = append(order, id)
-		for _, s := range g.succs[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				heap.push(s)
-			}
-		}
-		for _, s := range extraSuccs[id] {
+		for _, s := range adj.Succs(id) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				heap.push(s)

@@ -1,8 +1,11 @@
 package cdfg
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -189,30 +192,136 @@ func TestControlEdgeValidation(t *testing.T) {
 	}
 }
 
+// wantSched recomputes the scheduling adjacency of id from scratch:
+// dataflow first, then control edges in insertion order.
+func wantSched(g *Graph, id NodeID) (preds, succs []NodeID) {
+	preds = append(preds, g.Node(id).Args...)
+	succs = append(succs, g.Succs(id)...)
+	for _, e := range g.ControlEdges() {
+		if e.To == id {
+			preds = append(preds, e.From)
+		}
+		if e.From == id {
+			succs = append(succs, e.To)
+		}
+	}
+	return preds, succs
+}
+
+// checkSched compares SchedPreds, SchedSuccs and one SchedAdjacency
+// against wantSched on every node.
+func checkSched(t *testing.T, g *Graph, when string) {
+	t.Helper()
+	adj := g.SchedAdjacency()
+	for _, n := range g.Nodes() {
+		wp, ws := wantSched(g, n.ID)
+		for _, c := range []struct {
+			what      string
+			got, want []NodeID
+		}{
+			{"SchedPreds", g.SchedPreds(n.ID), wp},
+			{"SchedSuccs", g.SchedSuccs(n.ID), ws},
+			{"Adjacency.Preds", adj.Preds(n.ID), wp},
+			{"Adjacency.Succs", adj.Succs(n.ID), ws},
+		} {
+			if !slices.Equal(c.got, c.want) {
+				t.Errorf("%s: %s(%s) = %v, want %v", when, c.what, n.Name, c.got, c.want)
+			}
+		}
+	}
+}
+
 func TestSchedPredsSuccs(t *testing.T) {
 	g := buildAbsDiff(t)
-	gt, d1 := g.Lookup("g"), g.Lookup("d1")
-	if err := g.AddControlEdge(gt, d1); err != nil {
+	a, b, gt := g.Lookup("a"), g.Lookup("b"), g.Lookup("g")
+	d1, d2, m := g.Lookup("d1"), g.Lookup("d2"), g.Lookup("m")
+	checkSched(t, g, "no control edge")
+
+	// Control edges follow the dataflow, in insertion order.
+	for _, e := range []ControlEdge{{gt, d1}, {gt, d2}, {d2, d1}} {
+		if err := g.AddControlEdge(e.From, e.To); err != nil {
+			t.Fatal(err)
+		}
+		checkSched(t, g, fmt.Sprintf("after edge %d->%d", e.From, e.To))
+	}
+	if got, want := g.SchedPreds(d1), []NodeID{a, b, gt, d2}; !slices.Equal(got, want) {
+		t.Errorf("SchedPreds(d1) = %v, want %v", got, want)
+	}
+	if got, want := g.SchedSuccs(gt), []NodeID{m, d1, d2}; !slices.Equal(got, want) {
+		t.Errorf("SchedSuccs(g) = %v, want %v", got, want)
+	}
+
+	// The revert the power management pass performs: clear, re-add a
+	// prefix.
+	edges := append([]ControlEdge(nil), g.ControlEdges()[:1]...)
+	g.ClearControlEdges()
+	checkSched(t, g, "after clear")
+	for _, e := range edges {
+		if err := g.AddControlEdge(e.From, e.To); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSched(t, g, "after revert")
+
+	// A clone shares the warm adjacency, but an edge added on either
+	// side never shows on the other.
+	cl := g.Clone()
+	if err := cl.AddControlEdge(d2, d1); err != nil {
 		t.Fatal(err)
 	}
-	foundSucc := false
-	for _, s := range g.SchedSuccs(gt) {
-		if s == d1 {
-			foundSucc = true
+	checkSched(t, g, "original after clone edge")
+	checkSched(t, cl, "clone after its edge")
+	if slices.Contains(g.SchedPreds(d1), d2) {
+		t.Error("clone's control edge d2->d1 leaked into the original")
+	}
+	cl2 := g.Clone()
+	if err := g.AddControlEdge(gt, d2); err != nil {
+		t.Fatal(err)
+	}
+	checkSched(t, cl2, "clone after original edge")
+	if slices.Contains(cl2.SchedPreds(d2), gt) {
+		t.Error("original's control edge g->d2 leaked into an earlier clone")
+	}
+
+	// Appending to an answer never writes into Args, the dataflow
+	// successors or a later answer.
+	for _, h := range []*Graph{buildAbsDiff(t), g} {
+		p := h.SchedPreds(h.Lookup("d1"))
+		_ = append(p, InvalidNode)
+		s := h.SchedSuccs(h.Lookup("a"))
+		_ = append(s, InvalidNode)
+		checkSched(t, h, fmt.Sprintf("after appends (%d control edges)", len(h.ControlEdges())))
+		if args := h.Node(h.Lookup("d1")).Args; !slices.Equal(args, []NodeID{a, b}) {
+			t.Errorf("Args(d1) = %v after an append to SchedPreds", args)
 		}
 	}
-	if !foundSucc {
-		t.Error("SchedSuccs missing control edge target")
+
+	// Concurrent readers of one shared graph race to build the memo
+	// entry and to read it (and clone it); under -race this checks the
+	// sharing contract.
+	shared := buildAbsDiff(t)
+	if err := shared.AddControlEdge(gt, d1); err != nil {
+		t.Fatal(err)
 	}
-	foundPred := false
-	for _, p := range g.SchedPreds(d1) {
-		if p == gt {
-			foundPred = true
-		}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := shared.Clone()
+			for _, n := range shared.Nodes() {
+				wp, ws := wantSched(shared, n.ID)
+				if !slices.Equal(shared.SchedPreds(n.ID), wp) || !slices.Equal(shared.SchedSuccs(n.ID), ws) ||
+					!slices.Equal(cl.SchedPreds(n.ID), wp) {
+					t.Errorf("concurrent reader saw a wrong adjacency at %s", n.Name)
+				}
+			}
+			if _, err := shared.TopoOrder(); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if !foundPred {
-		t.Error("SchedPreds missing control edge source")
-	}
+	wg.Wait()
 }
 
 func TestTransitiveFanin(t *testing.T) {

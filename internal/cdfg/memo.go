@@ -8,9 +8,11 @@ import "sync"
 // (Args), both of which are append-only, so they are invalidated only
 // when a node is added. Control edges never affect them.
 //
-// It additionally caches one schedule-dependent result — the topological
-// order over data + control edges — which is invalidated when either the
-// node list or the control edges change.
+// It additionally caches two schedule-dependent results — the topological
+// order over data + control edges, and the per-node scheduling adjacency
+// of a graph with control edges — which are invalidated when either the
+// node list or the control edges change. A graph without control edges
+// needs no adjacency entry: its scheduling adjacency is its dataflow.
 //
 // The cache is safe for concurrent use: the design-space sweep engine
 // evaluates many configurations of one design in parallel, and every
@@ -25,6 +27,17 @@ type analysisMemo struct {
 	// topo is the memoized TopoOrder result (successful orders only; a
 	// cyclic graph is an error path and recomputes).
 	topo []NodeID
+	// sched is the scheduling adjacency of a graph with control edges
+	// (see SchedAdjacency); nil until first asked.
+	sched *schedLists
+}
+
+// schedLists holds a graph's scheduling adjacency in compressed sparse row
+// form, one table per direction: node i's predecessors are
+// preds[predOff[i]:predOff[i+1]], and likewise for successors.
+type schedLists struct {
+	predOff, succOff []int
+	preds, succs     []NodeID
 }
 
 // invalidateAnalyses drops every cached analysis. Called when the node list
@@ -37,15 +50,17 @@ func (g *Graph) invalidateAnalyses() {
 	g.memo.height = nil
 	g.memo.critOK = false
 	g.memo.topo = nil
+	g.memo.sched = nil
 	g.memo.mu.Unlock()
 }
 
-// invalidateSchedDeps drops only the schedule-dependent cache entry (the
-// topological order). Called when control edges change: the
-// pure-dataflow analyses are unaffected and stay warm.
+// invalidateSchedDeps drops only the schedule-dependent cache entries (the
+// topological order and the scheduling adjacency). Called when control
+// edges change: the pure-dataflow analyses are unaffected and stay warm.
 func (g *Graph) invalidateSchedDeps() {
 	g.memo.mu.Lock()
 	g.memo.topo = nil
+	g.memo.sched = nil
 	g.memo.mu.Unlock()
 }
 
@@ -67,8 +82,9 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 	ng.memo.critOK = g.memo.critOK
 	ng.memo.critical = g.memo.critical
 	// A clone starts with an identical node list and identical control
-	// edges, so the schedule-dependent entry is valid for it too.
+	// edges, so the schedule-dependent entries are valid for it too.
 	ng.memo.topo = g.memo.topo
+	ng.memo.sched = g.memo.sched
 }
 
 // PrewarmAnalyses computes and caches the analyses the synthesis flow
@@ -166,12 +182,61 @@ func (g *Graph) topoMemo() ([]NodeID, error) {
 	if g.memo.topo != nil {
 		return g.memo.topo, nil
 	}
-	order, err := g.computeTopoOrder()
+	order, err := g.computeTopoOrder(g.schedAdjacencyLocked())
 	if err != nil {
 		return nil, err
 	}
 	g.memo.topo = order
 	return order, nil
+}
+
+// schedAdjacencyLocked returns the scheduling adjacency, building the
+// memo entry of a graph with control edges on a miss. The caller holds
+// g.memo.mu.
+func (g *Graph) schedAdjacencyLocked() Adjacency {
+	if len(g.controlEdges) == 0 {
+		return Adjacency{g: g}
+	}
+	if g.memo.sched == nil {
+		g.memo.sched = g.computeSchedLists()
+	}
+	return Adjacency{g: g, lists: g.memo.sched}
+}
+
+// computeSchedLists builds the scheduling adjacency of a graph with
+// control edges: dataflow first, then control edges in insertion order.
+func (g *Graph) computeSchedLists() *schedLists {
+	n := len(g.nodes)
+	l := &schedLists{predOff: make([]int, n+1), succOff: make([]int, n+1)}
+	for i, nd := range g.nodes {
+		l.predOff[i+1] = len(nd.Args)
+		l.succOff[i+1] = len(g.succs[i])
+	}
+	for _, e := range g.controlEdges {
+		l.predOff[e.To+1]++
+		l.succOff[e.From+1]++
+	}
+	for i := 0; i < n; i++ {
+		l.predOff[i+1] += l.predOff[i]
+		l.succOff[i+1] += l.succOff[i]
+	}
+	l.preds, l.succs = make([]NodeID, l.predOff[n]), make([]NodeID, l.succOff[n])
+	// Fill with off[i] as node i's cursor; afterwards off[i] holds node
+	// i's end, which is node i+1's start, so shift the offsets back.
+	for i, nd := range g.nodes {
+		l.predOff[i] += copy(l.preds[l.predOff[i]:], nd.Args)
+		l.succOff[i] += copy(l.succs[l.succOff[i]:], g.succs[i])
+	}
+	for _, e := range g.controlEdges {
+		l.preds[l.predOff[e.To]] = e.From
+		l.predOff[e.To]++
+		l.succs[l.succOff[e.From]] = e.To
+		l.succOff[e.From]++
+	}
+	copy(l.predOff[1:], l.predOff[:n])
+	copy(l.succOff[1:], l.succOff[:n])
+	l.predOff[0], l.succOff[0] = 0, 0
+	return l
 }
 
 // criticalMemo returns the cached critical path, deriving it from the depth

@@ -240,9 +240,9 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	// Budget feasibility before any PM constraint.
-	base := g.Clone()
-	w, err := sched.AnalyzeWindow(base, cfg.Budget)
+	// Budget feasibility before any PM constraint. The window and the
+	// candidate orders only read g; its analysis memo is safe to share.
+	w, err := sched.AnalyzeWindow(g, cfg.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +250,7 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
 	}
 
-	orders, err := candidateOrders(base, cfg)
+	orders, err := candidateOrders(g, cfg)
 	if err != nil {
 		return nil, err
 	}

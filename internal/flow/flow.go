@@ -40,7 +40,10 @@ type Context struct {
 	Controller *ctrl.Controller
 	// BaselineSchedule/BaselineResources/BaselineBinding/
 	// BaselineController are the traditional flow at the same throughput
-	// (baseline pass).
+	// (baseline pass). When the baseline pass finds the PM pass solved
+	// the same problem, the first three alias PM.Schedule, PM.Resources
+	// and Binding, and the controller shares the PM controller's
+	// contents: treat all four as read-only.
 	BaselineSchedule   *sched.Schedule
 	BaselineResources  sched.Resources
 	BaselineBinding    *alloc.Binding

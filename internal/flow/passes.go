@@ -68,6 +68,16 @@ func (ControllerPass) Run(c *Context) error {
 // BaselinePass schedules, binds and builds the controller of the
 // traditional (non power managed) flow at the same throughput — the "Orig"
 // design every comparison measures against.
+//
+// When the schedule pass minimized hardware (no fixed Resources) and its
+// graph carries no control edge, the baseline is the same scheduling
+// problem: the same nodes, no edges, the same budget and II, and
+// sched.Minimize is deterministic. No edge also means no managed mux and
+// so no guards, and without guards the bound and controlled PM design
+// differs from the baseline only in the controller's PM flag. The pass
+// then takes the PM schedule, resources and binding as they are and
+// copies the controller with PM cleared, building only what the bind and
+// controller passes did not.
 type BaselinePass struct{}
 
 // Name implements Pass.
@@ -75,19 +85,35 @@ func (BaselinePass) Name() string { return "baseline" }
 
 // Run implements Pass.
 func (BaselinePass) Run(c *Context) error {
-	s, res, err := core.Baseline(c.Graph, c.Config.Budget, c.Config.II)
-	if err != nil {
-		return err
+	var b *alloc.Binding
+	var ctl *ctrl.Controller
+	if c.PM != nil && c.Config.Resources == nil && len(c.PM.Graph.ControlEdges()) == 0 {
+		c.BaselineSchedule, c.BaselineResources = c.PM.Schedule, c.PM.Resources
+		b = c.Binding
+		if b != nil && c.Controller != nil {
+			cp := *c.Controller
+			cp.PM = false
+			ctl = &cp
+		}
+	} else {
+		s, res, err := core.Baseline(c.Graph, c.Config.Budget, c.Config.II)
+		if err != nil {
+			return err
+		}
+		c.BaselineSchedule, c.BaselineResources = s, res
 	}
-	c.BaselineSchedule = s
-	c.BaselineResources = res
-	c.BaselineBinding = alloc.Bind(s, nil)
-	ctl, err := ctrl.Build(s, c.BaselineBinding, nil, false)
-	if err != nil {
-		return err
+	if b == nil {
+		b = alloc.Bind(c.BaselineSchedule, nil)
 	}
+	if ctl == nil {
+		var err error
+		if ctl, err = ctrl.Build(c.BaselineSchedule, b, nil, false); err != nil {
+			return err
+		}
+	}
+	c.BaselineBinding = b
 	c.BaselineController = ctl
-	c.Diag("baseline: units %v", res)
+	c.Diag("baseline: units %v", c.BaselineResources)
 	return nil
 }
 

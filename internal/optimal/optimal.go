@@ -201,13 +201,14 @@ func newSolver(g *cdfg.Graph, cfg Config, ii int) *solver {
 	s.isOp = make([]bool, n)
 	s.staticPreds = make([][]cdfg.NodeID, n)
 	s.staticSuccs = make([][]cdfg.NodeID, n)
+	adj := g.SchedAdjacency()
 	for _, nd := range g.Nodes() {
 		id := nd.ID
 		s.lat[id] = nd.Latency()
 		s.class[id] = nd.Class()
 		s.isOp[id] = nd.IsOp()
-		s.staticPreds[id] = g.SchedPreds(id)
-		s.staticSuccs[id] = g.SchedSuccs(id)
+		s.staticPreds[id] = adj.Preds(id)
+		s.staticSuccs[id] = adj.Succs(id)
 	}
 	// Validated graphs always have a topological order.
 	topo, _ := g.TopoOrder()

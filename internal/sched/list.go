@@ -38,26 +38,43 @@ func (e *InfeasibleError) Error() string {
 // each class executing in the same modulo-ii slot; classes absent from res
 // are unlimited.
 func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
-	if budget < 1 {
-		return nil, &InfeasibleError{Budget: budget, Reason: "budget must be at least 1"}
-	}
-	if ii < 1 || ii > budget {
-		return nil, fmt.Errorf("sched: initiation interval %d outside [1,%d]", ii, budget)
-	}
-	w, err := AnalyzeWindow(g, budget)
+	w, err := window(g, budget, ii)
 	if err != nil {
 		return nil, err
 	}
-	if !w.Feasible() {
-		return nil, &InfeasibleError{Budget: budget, Reason: "critical path exceeds budget"}
-	}
+	return list(g, budget, ii, res, w)
+}
 
+// window checks the schedule shape and returns the ASAP/ALAP window of g
+// for budget, or an error when no schedule of that shape exists. It does
+// not depend on the resources, so Minimize computes it once for all of
+// its attempts.
+func window(g *cdfg.Graph, budget, ii int) (Window, error) {
+	if budget < 1 {
+		return Window{}, &InfeasibleError{Budget: budget, Reason: "budget must be at least 1"}
+	}
+	if ii < 1 || ii > budget {
+		return Window{}, fmt.Errorf("sched: initiation interval %d outside [1,%d]", ii, budget)
+	}
+	w, err := AnalyzeWindow(g, budget)
+	if err != nil {
+		return Window{}, err
+	}
+	if !w.Feasible() {
+		return Window{}, &InfeasibleError{Budget: budget, Reason: "critical path exceeds budget"}
+	}
+	return w, nil
+}
+
+// list is List over a window already checked by window.
+func list(g *cdfg.Graph, budget, ii int, res Resources, w Window) (*Schedule, error) {
+	adj := g.SchedAdjacency()
 	n := g.NumNodes()
 	time := make(Times, n)
 	done := make([]bool, n)
 	pending := make([]int, n) // unscheduled sched-preds
 	for _, nd := range g.Nodes() {
-		pending[nd.ID] = len(g.SchedPreds(nd.ID))
+		pending[nd.ID] = len(adj.Preds(nd.ID))
 	}
 
 	type readyOp struct {
@@ -72,13 +89,13 @@ func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
 	settle = func(id cdfg.NodeID, t int) {
 		time[id] = t
 		done[id] = true
-		for _, s := range g.SchedSuccs(id) {
+		for _, s := range adj.Succs(id) {
 			pending[s]--
 			if pending[s] != 0 {
 				continue
 			}
 			readyAt := 0
-			for _, p := range g.SchedPreds(s) {
+			for _, p := range adj.Preds(s) {
 				if time[p] > readyAt {
 					readyAt = time[p]
 				}
@@ -213,8 +230,13 @@ func lowerBound(g *cdfg.Graph, ii int) Resources {
 // interval ii) using as few execution units as the list scheduler can
 // manage, mimicking HYPER's minimum-hardware goal for a fixed throughput.
 // It starts from the per-class lower bound and adds one unit of the
-// blocking class until scheduling succeeds.
+// blocking class until scheduling succeeds. A budget or ii that List
+// rejects returns List's error.
 func Minimize(g *cdfg.Graph, budget, ii int) (*Schedule, Resources, error) {
+	w, err := window(g, budget, ii)
+	if err != nil {
+		return nil, nil, err
+	}
 	res := lowerBound(g, ii)
 	maxUnits := 0
 	for _, nd := range g.Nodes() {
@@ -223,7 +245,7 @@ func Minimize(g *cdfg.Graph, budget, ii int) (*Schedule, Resources, error) {
 		}
 	}
 	for iter := 0; iter <= maxUnits+1; iter++ {
-		s, err := List(g, budget, ii, res)
+		s, err := list(g, budget, ii, res, w)
 		if err == nil {
 			return s, res, nil
 		}

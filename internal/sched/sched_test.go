@@ -213,6 +213,33 @@ func TestMinimizeAbsDiff(t *testing.T) {
 	}
 }
 
+// TestMinimizeRejectsBadShape pins that Minimize rejects a budget or II
+// outside List's domain with List's own error, before computing the
+// per-class lower bound (which divides by the II).
+func TestMinimizeRejectsBadShape(t *testing.T) {
+	g := absDiff(t)
+	for _, c := range []struct{ budget, ii int }{{1, 0}, {1, -1}, {2, 3}, {0, 0}} {
+		_, listErr := List(g, c.budget, c.ii, nil)
+		if listErr == nil {
+			t.Fatalf("List(%d, %d) accepted a bad shape", c.budget, c.ii)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Minimize(%d, %d) panicked: %v", c.budget, c.ii, r)
+				}
+			}()
+			s, res, err := Minimize(g, c.budget, c.ii)
+			if err == nil || err.Error() != listErr.Error() {
+				t.Errorf("Minimize(%d, %d) error = %v, want List's %v", c.budget, c.ii, err, listErr)
+			}
+			if s != nil || res != nil {
+				t.Errorf("Minimize(%d, %d) returned a schedule or resources with its error", c.budget, c.ii)
+			}
+		}()
+	}
+}
+
 func TestModuloSchedulingSharesSlots(t *testing.T) {
 	// Four independent adds, budget 4, II 2: modulo slots force 2 adders.
 	g := cdfg.New("pipe")

@@ -79,6 +79,7 @@ func (s *Schedule) Validate(res Resources) error {
 	if s.II <= 0 || s.Steps <= 0 || s.II > s.Steps {
 		return fmt.Errorf("sched: bad shape steps=%d ii=%d", s.Steps, s.II)
 	}
+	adj := g.SchedAdjacency()
 	for _, n := range g.Nodes() {
 		tn := s.Time[n.ID]
 		switch {
@@ -92,7 +93,7 @@ func (s *Schedule) Validate(res Resources) error {
 			}
 		}
 		ready := 0
-		for _, p := range g.SchedPreds(n.ID) {
+		for _, p := range adj.Preds(n.ID) {
 			if s.Time[p] > ready {
 				ready = s.Time[p]
 			}

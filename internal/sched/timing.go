@@ -25,11 +25,12 @@ func ASAP(g *cdfg.Graph) (Times, error) {
 	if err != nil {
 		return nil, err
 	}
+	adj := g.SchedAdjacency()
 	t := make(Times, g.NumNodes())
 	for _, id := range order {
 		n := g.Node(id)
 		ready := 0
-		for _, p := range g.SchedPreds(id) {
+		for _, p := range adj.Preds(id) {
 			if t[p] > ready {
 				ready = t[p]
 			}
@@ -48,6 +49,7 @@ func ALAP(g *cdfg.Graph, budget int) (Times, error) {
 	if err != nil {
 		return nil, err
 	}
+	adj := g.SchedAdjacency()
 	t := make(Times, g.NumNodes())
 	for i := range t {
 		t[i] = budget
@@ -55,7 +57,7 @@ func ALAP(g *cdfg.Graph, budget int) (Times, error) {
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		limit := budget
-		for _, s := range g.SchedSuccs(id) {
+		for _, s := range adj.Succs(id) {
 			cand := t[s] - g.Node(s).Latency()
 			if cand < limit {
 				limit = cand

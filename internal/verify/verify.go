@@ -2,13 +2,16 @@ package verify
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	pmsynth "repro"
 	"repro/internal/chip"
+	"repro/internal/core"
 	"repro/internal/optimal"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -329,7 +332,11 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 	}
 
 	// Schedule validity: PM schedule under its own resource bag, and the
-	// baseline schedule under the baseline bag.
+	// baseline schedule under the baseline bag. The baseline pass may
+	// hand the baseline the PM pass's own artifacts, and then the stages
+	// comparing PM against baseline compare one object with itself; a
+	// from-scratch core.Baseline must therefore agree on the times and
+	// the bag at every point.
 	if m.runStage(StageSchedule) {
 		start := time.Now()
 		rep.Checks++
@@ -340,6 +347,15 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 		if syn.Flow != nil && syn.BaselineSchedule != nil {
 			if err := syn.BaselineSchedule.Validate(syn.Flow.BaselineResources); err != nil {
 				rep.addf(StageSchedule, pt, "baseline schedule invalid: %v", err)
+			}
+			rep.Checks++
+			s, res, err := core.Baseline(design.Graph, syn.Flow.Config.Budget, syn.Flow.Config.II)
+			switch {
+			case err != nil:
+				rep.addf(StageSchedule, pt, "baseline recomputation failed: %v", err)
+			case !slices.Equal(s.Time, syn.BaselineSchedule.Time) || !maps.Equal(res, syn.Flow.BaselineResources):
+				rep.addf(StageSchedule, pt, "baseline (units %v) differs from a from-scratch core.Baseline (units %v)",
+					syn.Flow.BaselineResources, res)
 			}
 		}
 		rep.observe(StageSchedule, start)
