@@ -16,6 +16,7 @@ package pmsynth
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -297,6 +298,48 @@ func BenchmarkSweepDatapath(b *testing.B) {
 	var specs []SweepSpec
 	for seed := int64(1); seed <= 4; seed++ {
 		d, err := Compile(gen.Source(seed, cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp, err := CriticalPath(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		designs = append(designs, d)
+		specs = append(specs, SweepSpec{BudgetMin: cp, BudgetMax: cp + 3, Workers: 1})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, d := range designs {
+			res, err := Sweep(d, specs[j])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Points) != 4 {
+				b.Fatalf("%d points, want 4", len(res.Points))
+			}
+		}
+	}
+}
+
+// BenchmarkSweepControl runs the flow work of the benchmark's
+// sweep-control workload in process: conditional-rich 20-op generated
+// designs (fixed seeds, at most 26 conditionals each, counted as the
+// workload counts them), each swept serially over budgets cp..cp+3. One op
+// is one sweep of every design; compiling them is set-up. Profile it with
+// -cpuprofile to attribute the PM pass without a daemon.
+func BenchmarkSweepControl(b *testing.B) {
+	cfg := gen.Default()
+	cfg.Ops = 20
+	var designs []*Design
+	var specs []SweepSpec
+	for seed := int64(1); len(designs) < 16; seed++ {
+		src := gen.Source(seed, cfg)
+		if strings.Count(src, "(if ") > 26 {
+			continue
+		}
+		d, err := Compile(src)
 		if err != nil {
 			b.Fatal(err)
 		}

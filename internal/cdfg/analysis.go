@@ -47,12 +47,20 @@ func (s NodeSet) Intersect(t NodeSet) NodeSet {
 
 // TransitiveFanin returns the set of nodes from which root is reachable via
 // dataflow edges. The root itself is included. Input and constant nodes are
-// included; callers filter as needed. The result is memoized and shared
-// across calls (and across Clones made after it was computed): treat it as
-// strictly read-only — mutating it would corrupt the cache and race with
-// concurrent sweep workers reading the same set.
+// included; callers filter as needed.
 func (g *Graph) TransitiveFanin(root NodeID) NodeSet {
-	return g.faninMemo(root)
+	seen := make(NodeSet)
+	stack := []NodeID{root}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		stack = append(stack, g.nodes[id].Args...)
+	}
+	return seen
 }
 
 // TransitiveFanout returns the set of nodes reachable from root via

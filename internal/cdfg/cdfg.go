@@ -12,6 +12,10 @@ type NodeID int
 // InvalidNode is returned by lookups that find nothing.
 const InvalidNode NodeID = -1
 
+// ErrCycle reports a scheduling graph (data plus control edges) with a
+// cycle.
+var ErrCycle = errors.New("cdfg: graph contains a cycle")
+
 // Kind enumerates the primitive operation types.
 type Kind int
 
@@ -560,7 +564,7 @@ func (g *Graph) computeTopoOrder(adj Adjacency) ([]NodeID, error) {
 		}
 	}
 	if len(order) != n {
-		return nil, errors.New("cdfg: graph contains a cycle")
+		return nil, ErrCycle
 	}
 	return order, nil
 }

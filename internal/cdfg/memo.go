@@ -2,11 +2,11 @@ package cdfg
 
 import "sync"
 
-// analysisMemo caches the pure-dataflow analyses of a graph: transitive
-// fanin cones, ASAP depth, height to output, and the critical path derived
-// from depth. These depend only on the node list and the dataflow edges
-// (Args), both of which are append-only, so they are invalidated only
-// when a node is added. Control edges never affect them.
+// analysisMemo caches the pure-dataflow analyses of a graph: ASAP depth,
+// height to output, and the critical path derived from depth. These
+// depend only on the node list and the dataflow edges (Args), both of
+// which are append-only, so they are invalidated only when a node is
+// added. Control edges never affect them.
 //
 // It additionally caches two schedule-dependent results — the topological
 // order over data + control edges, and the per-node scheduling adjacency
@@ -19,7 +19,6 @@ import "sync"
 // worker's clones share the entries that were warm at clone time.
 type analysisMemo struct {
 	mu       sync.Mutex
-	fanin    map[NodeID]NodeSet
 	depth    []int
 	height   []int
 	critOK   bool
@@ -45,7 +44,6 @@ type schedLists struct {
 // invalidates the schedule-dependent entries).
 func (g *Graph) invalidateAnalyses() {
 	g.memo.mu.Lock()
-	g.memo.fanin = nil
 	g.memo.depth = nil
 	g.memo.height = nil
 	g.memo.critOK = false
@@ -65,18 +63,11 @@ func (g *Graph) invalidateSchedDeps() {
 }
 
 // shareAnalyses copies the warm cache entries of g into ng (a fresh clone
-// with an identical node list). The maps are fresh so later fills do not
-// race across graphs; the cached sets and slices themselves are immutable
-// once computed and safely shared.
+// with an identical node list). The cached slices are immutable once
+// computed and safely shared.
 func (g *Graph) shareAnalyses(ng *Graph) {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
-	if g.memo.fanin != nil {
-		ng.memo.fanin = make(map[NodeID]NodeSet, len(g.memo.fanin))
-		for id, s := range g.memo.fanin {
-			ng.memo.fanin[id] = s
-		}
-	}
 	ng.memo.depth = g.memo.depth
 	ng.memo.height = g.memo.height
 	ng.memo.critOK = g.memo.critOK
@@ -88,43 +79,13 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 }
 
 // PrewarmAnalyses computes and caches the analyses the synthesis flow
-// queries repeatedly: depth, height to output, the critical path, and the
-// fanin cone of every multiplexor argument. A sweep calls this once on the
-// shared design so every per-configuration clone starts warm.
+// queries repeatedly: depth, height to output, the critical path and the
+// topological order. A sweep calls this once on the shared design so every
+// per-configuration clone starts warm.
 func (g *Graph) PrewarmAnalyses() {
 	_, _ = g.Depth()
 	_, _ = g.HeightToOutput()
 	_, _ = g.TopoOrder()
-	for _, m := range g.Muxes() {
-		for _, a := range g.Node(m).Args {
-			g.TransitiveFanin(a)
-		}
-	}
-}
-
-// fanin returns the cached fanin cone for root, computing it on a miss.
-func (g *Graph) faninMemo(root NodeID) NodeSet {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	if s, ok := g.memo.fanin[root]; ok {
-		return s
-	}
-	seen := make(NodeSet)
-	stack := []NodeID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		stack = append(stack, g.nodes[id].Args...)
-	}
-	if g.memo.fanin == nil {
-		g.memo.fanin = make(map[NodeID]NodeSet)
-	}
-	g.memo.fanin[root] = seen
-	return seen
 }
 
 // depthMemo returns the cached ASAP depth slice, computing it on a miss.

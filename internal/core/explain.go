@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cdfg"
-	"repro/internal/sched"
 )
 
 // MuxVerdict classifies the outcome of the power management attempt on one
@@ -49,75 +48,36 @@ type MuxReport struct {
 	Detail string
 }
 
-// Explain runs the selection loop of the power management pass in
-// reporting mode: for every multiplexor (in the configured order) it
-// states whether it was managed and, if not, why — the diagnostic a
-// designer needs to decide between relaxing the throughput constraint and
-// restructuring the behavior (paper §IV).
+// Explain reports the selection loop of the power management pass that
+// Schedule keeps: for every multiplexor (in that pass's order) it states
+// whether it was managed and, if not, why — the diagnostic a designer
+// needs to decide between relaxing the throughput constraint and
+// restructuring the behavior (paper §IV). Fixed Resources are not
+// applied: the report stops before the final scheduling.
 func Explain(g *cdfg.Graph, cfg Config) ([]MuxReport, error) {
 	if cfg.Budget < 1 {
 		return nil, fmt.Errorf("core: budget %d must be positive", cfg.Budget)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	work := g.Clone()
-	w, err := sched.AnalyzeWindow(work, cfg.Budget)
+	pr, err := selectPass(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !w.Feasible() {
-		return nil, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
-	}
-	orders, err := candidateOrders(work, cfg)
-	if err != nil {
-		return nil, err
-	}
-	order := orders[0]
-
-	var reports []MuxReport
-	for _, m := range order {
-		gs := computeGatedSets(work, m)
-		rep := MuxReport{
-			Mux:        m,
-			GatedTrue:  gs.trueSet.Sorted(),
-			GatedFalse: gs.falseSet.Sorted(),
-		}
-		if gs.empty() {
-			rep.Verdict = VerdictNothingToGate
-			rep.Detail = describeEmptyCones(work, m)
-			reports = append(reports, rep)
-			continue
-		}
-		sel := work.Node(m).Args[cdfg.MuxSel]
-		before := len(work.ControlEdges())
-		for _, branch := range []cdfg.NodeSet{gs.trueSet, gs.falseSet} {
-			for _, top := range topsOf(work, branch) {
-				if hasControlEdge(work, sel, top) {
-					continue
-				}
-				if err := work.AddControlEdge(sel, top); err != nil {
-					return nil, err
-				}
-			}
-		}
-		w, err := sched.AnalyzeWindow(work, cfg.Budget)
-		if err != nil {
-			return nil, err
-		}
-		if !w.Feasible() {
-			truncateControlEdges(work, before)
-			rep.Verdict = VerdictNoSlack
+	work := pr.graph
+	reports := pr.reports
+	for i := range reports {
+		rep := &reports[i]
+		sel := work.Node(work.Node(rep.Mux).Args[cdfg.MuxSel]).Name
+		switch rep.Verdict {
+		case VerdictNothingToGate:
+			rep.Detail = describeEmptyCones(work, rep.Mux)
+		case VerdictNoSlack:
 			rep.Detail = fmt.Sprintf(
 				"scheduling %d gated ops after select %q needs more than %d steps",
-				rep.gatedCount(), work.Node(sel).Name, cfg.Budget)
-			reports = append(reports, rep)
-			continue
+				rep.gatedCount(), sel, cfg.Budget)
+		case VerdictManaged:
+			rep.Detail = fmt.Sprintf("select %q computed first; %d ops shut down when unused",
+				sel, rep.gatedCount())
 		}
-		rep.Verdict = VerdictManaged
-		rep.Detail = fmt.Sprintf("select %q computed first; %d ops shut down when unused",
-			work.Node(sel).Name, rep.gatedCount())
-		reports = append(reports, rep)
 	}
 	return reports, nil
 }

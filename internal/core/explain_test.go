@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/power"
 )
 
 func TestExplainAbsDiff(t *testing.T) {
@@ -110,32 +113,68 @@ func TestExplainErrors(t *testing.T) {
 	}
 }
 
+// exhaustiveCheckLimit caps the muxes of a design whose OrderExhaustive
+// points TestExplainMatchesSchedule checks: 6! passes per call keeps the
+// test fast, and designs up to that size already hold points where the
+// best-scoring permutation is not the first.
+const exhaustiveCheckLimit = 6
+
+// TestExplainMatchesSchedule: Explain reports the pass Schedule keeps, so
+// its managed muxes and their gated sets are exactly Schedule's, in order,
+// under every order strategy (OrderExhaustive keeps the best of many
+// passes).
 func TestExplainMatchesSchedule(t *testing.T) {
-	// The verdicts must agree with what Schedule actually commits.
-	for _, src := range []string{absDiffSrc, nestedSrc} {
-		g := compile(t, src)
-		cp, _ := g.CriticalPath()
+	n := 100
+	if testing.Short() {
+		n = 20
+	}
+	for _, ng := range oracleGraphs(t, n) {
+		g := ng.g
+		cp, err := g.CriticalPath()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for budget := cp; budget <= cp+3; budget++ {
-			reports, err := Explain(g, Config{Budget: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Schedule(g, Config{Budget: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
-			managed := 0
-			for _, r := range reports {
-				if r.Verdict == VerdictManaged {
-					managed++
+			for _, o := range []Order{OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight, OrderExhaustive} {
+				if o == OrderExhaustive && len(g.Muxes()) > exhaustiveCheckLimit {
+					continue
 				}
-			}
-			if managed != res.NumManaged() {
-				t.Errorf("budget %d: explain says %d managed, schedule says %d",
-					budget, managed, res.NumManaged())
+				cfg := Config{Budget: budget, Order: o, Weights: power.Weights}
+				reports, err := Explain(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Schedule(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var explained []ManagedMux
+				for _, r := range reports {
+					if r.Verdict == VerdictManaged {
+						explained = append(explained, ManagedMux{Mux: r.Mux, GatedTrue: r.GatedTrue, GatedFalse: r.GatedFalse})
+					}
+				}
+				if !sameManaged(explained, res.Managed) {
+					t.Errorf("%s budget %d %v: explain manages %v, schedule %v",
+						ng.name, budget, o, explained, res.Managed)
+				}
 			}
 		}
 	}
+}
+
+// sameManaged compares two managed-mux lists by mux and gated sets.
+func sameManaged(a, b []ManagedMux) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Mux != b[i].Mux || !slices.Equal(a[i].GatedTrue, b[i].GatedTrue) ||
+			!slices.Equal(a[i].GatedFalse, b[i].GatedFalse) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestVerdictString(t *testing.T) {

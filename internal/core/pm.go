@@ -10,165 +10,110 @@ import (
 	"repro/internal/sim"
 )
 
-// gatedSets holds the per-branch gateable operation sets for one mux.
-type gatedSets struct {
-	trueSet, falseSet cdfg.NodeSet
-}
-
-func (gs gatedSets) empty() bool { return len(gs.trueSet) == 0 && len(gs.falseSet) == 0 }
-
-// computeGatedSets derives the maximal gateable sets for mux m (paper
-// Fig. 3 step 3 plus the fanout exclusions of §III).
-//
-// A node is gateable on branch b when:
-//   - it lies in the transitive fanin of input b,
-//   - it is not in the fanin of the select (it helps compute the
-//     condition) nor in the fanin of the other data input (it is needed
-//     either way),
-//   - every dataflow path from it reaches only gated nodes, ending at
-//     input b of m ("no fanout to other nodes besides the current
-//     multiplexor"),
-//   - it is a datapath operation (IO and wiring have no input latches).
-//
-// Wire nodes (constant shifts) are transparent: they may sit between gated
-// operations, but are never members of the gated set themselves.
-func computeGatedSets(g *cdfg.Graph, m cdfg.NodeID) gatedSets {
-	mux := g.Node(m)
-	coneSel := g.TransitiveFanin(mux.Args[cdfg.MuxSel])
-	coneT := g.TransitiveFanin(mux.Args[cdfg.MuxTrue])
-	coneF := g.TransitiveFanin(mux.Args[cdfg.MuxFalse])
-	return gatedSets{
-		trueSet:  gateable(g, m, coneT, coneSel, coneF),
-		falseSet: gateable(g, m, coneF, coneSel, coneT),
-	}
-}
-
-// gateable computes the closed gated set for one branch cone. The closure
-// runs over ops and wires (wires are transparent carriers) and the final
-// result keeps ops only.
-func gateable(g *cdfg.Graph, m cdfg.NodeID, cone, coneSel, coneOther cdfg.NodeSet) cdfg.NodeSet {
-	// Initial candidates: ops and wires exclusive to this branch cone.
-	cand := make(cdfg.NodeSet)
-	for id := range cone {
-		if id == m || coneSel.Contains(id) || coneOther.Contains(id) {
-			continue
-		}
-		n := g.Node(id)
-		if n.IsOp() || n.Class() == cdfg.ClassWire {
-			cand[id] = true
-		}
-	}
-	// Fixed point: drop any candidate with a dataflow successor outside
-	// cand ∪ {m}. (A successor equal to m is necessarily via this
-	// branch's data input: select and other-input cones were excluded.)
-	for changed := true; changed; {
-		changed = false
-		for id := range cand {
-			for _, s := range g.Succs(id) {
-				if s == m || cand.Contains(s) {
-					continue
-				}
-				delete(cand, id)
-				changed = true
-				break
-			}
-		}
-	}
-	// Keep operations only.
-	out := make(cdfg.NodeSet)
-	for id := range cand {
-		if g.Node(id).IsOp() {
-			out[id] = true
-		}
-	}
-	return out
-}
-
-// topsOf returns the gated operations with no gated (or wire-transparent
-// gated) predecessor: the "top nodes" that receive the control edges.
-func topsOf(g *cdfg.Graph, set cdfg.NodeSet) []cdfg.NodeID {
-	var tops []cdfg.NodeID
-	var reachesSet func(id cdfg.NodeID) bool
-	reachesSet = func(id cdfg.NodeID) bool {
-		if set.Contains(id) {
-			return true
-		}
-		if g.Node(id).Class() == cdfg.ClassWire {
-			return reachesSet(g.Node(id).Args[0])
-		}
-		return false
-	}
-	for _, id := range set.Sorted() {
-		isTop := true
-		for _, p := range g.Preds(id) {
-			if reachesSet(p) {
-				isTop = false
-				break
-			}
-		}
-		if isTop {
-			tops = append(tops, id)
-		}
-	}
-	return tops
-}
-
 // passResult is the outcome of one annotate-and-commit sweep over the
 // muxes in a fixed order.
 type passResult struct {
 	graph   *cdfg.Graph
 	managed []ManagedMux
 	guards  sim.Guards
+	// reports holds every mux's verdict and gated sets in processing
+	// order, with Detail left empty. A managed mux's report shares its
+	// gated sets with its ManagedMux, which the relaxation path may shrink
+	// in place, so Explain (which never relaxes) is their only reader.
+	reports []MuxReport
+}
+
+// pass runs Fig. 3 steps 2-10 over the muxes of one private work graph.
+// Its deriver and feasibility window are built at the first mux that needs
+// them, so a graph without anything to gate pays for neither.
+type pass struct {
+	res    passResult
+	window sched.Window
+	gates  *gateDeriver
+	win    *passWindow
+	// ids backs the recorded gated sets, which are capped sub-slices.
+	ids []cdfg.NodeID
+}
+
+// newPass prepares a pass over work, whose ASAP/ALAP window under the
+// budget is w. The pass takes ownership of w and of work's control edges.
+func newPass(work *cdfg.Graph, w sched.Window) *pass {
+	return &pass{res: passResult{graph: work, guards: make(sim.Guards)}, window: w}
 }
 
 // runPass executes Fig. 3 steps 2-10 over the muxes of work (a private
-// clone) in the given order, committing each mux whose serialization keeps
-// the budget feasible. The input graph is mutated (control edges added).
-func runPass(work *cdfg.Graph, budget int, order []cdfg.NodeID) (passResult, error) {
-	res := passResult{graph: work, guards: make(sim.Guards)}
+// clone whose window under the budget is w) in the given order, committing
+// each mux whose serialization keeps the budget feasible. work gains the
+// committed control edges, and w is updated in place.
+func runPass(work *cdfg.Graph, order []cdfg.NodeID, w sched.Window) (passResult, error) {
+	p := newPass(work, w)
 	for _, m := range order {
-		gs := computeGatedSets(work, m)
-		if gs.empty() {
-			continue // nothing to shut down; not counted as managed
-		}
-		sel := work.Node(m).Args[cdfg.MuxSel]
-		// Tentatively serialize: select driver before every gated top.
-		before := len(work.ControlEdges())
-		for _, branch := range []cdfg.NodeSet{gs.trueSet, gs.falseSet} {
-			for _, top := range topsOf(work, branch) {
-				if hasControlEdge(work, sel, top) {
-					continue
-				}
-				if err := work.AddControlEdge(sel, top); err != nil {
-					return passResult{}, err
-				}
-			}
-		}
-		w, err := sched.AnalyzeWindow(work, budget)
-		if err != nil {
+		if err := p.step(m); err != nil {
 			return passResult{}, err
 		}
-		if !w.Feasible() {
-			// Paper step 7: revert; no PM for this mux at this
-			// throughput.
-			truncateControlEdges(work, before)
-			continue
-		}
-		mm := ManagedMux{
-			Mux:        m,
-			Sel:        sel,
-			GatedTrue:  gs.trueSet.Sorted(),
-			GatedFalse: gs.falseSet.Sorted(),
-		}
-		res.managed = append(res.managed, mm)
-		for _, id := range mm.GatedTrue {
-			addGuard(res.guards, id, sim.Guard{Sel: sel, WhenTrue: true})
-		}
-		for _, id := range mm.GatedFalse {
-			addGuard(res.guards, id, sim.Guard{Sel: sel, WhenTrue: false})
-		}
 	}
-	return res, nil
+	return p.res, nil
+}
+
+// step derives m's gated sets, tentatively serializes its select before
+// their tops, and keeps the mux if every node still fits the budget.
+func (p *pass) step(m cdfg.NodeID) error {
+	g := p.res.graph
+	if p.gates == nil {
+		p.gates = newGateDeriver(g)
+	}
+	d := p.gates
+	d.derive(m)
+	rep := MuxReport{Mux: m, Verdict: VerdictNothingToGate}
+	if d.empty() {
+		p.res.reports = append(p.res.reports, rep)
+		return nil
+	}
+	rep.GatedTrue, rep.GatedFalse = p.keep(d.sets[0]), p.keep(d.sets[1])
+	if p.win == nil {
+		p.win = newPassWindow(g, p.window)
+	}
+	sel := g.Node(m).Args[cdfg.MuxSel]
+	ok, err := p.win.test(sel, d.tops)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		// Paper step 7: revert; no PM for this mux at this throughput.
+		p.win.rollback()
+		rep.Verdict = VerdictNoSlack
+		p.res.reports = append(p.res.reports, rep)
+		return nil
+	}
+	if err := p.win.commit(); err != nil {
+		return err
+	}
+	rep.Verdict = VerdictManaged
+	p.res.reports = append(p.res.reports, rep)
+	p.res.managed = append(p.res.managed, ManagedMux{
+		Mux:        m,
+		Sel:        sel,
+		GatedTrue:  rep.GatedTrue,
+		GatedFalse: rep.GatedFalse,
+	})
+	for _, id := range rep.GatedTrue {
+		addGuard(p.res.guards, id, sim.Guard{Sel: sel, WhenTrue: true})
+	}
+	for _, id := range rep.GatedFalse {
+		addGuard(p.res.guards, id, sim.Guard{Sel: sel, WhenTrue: false})
+	}
+	return nil
+}
+
+// keep copies ids into the pass's backing store and returns the copy, nil
+// when ids is empty.
+func (p *pass) keep(ids []cdfg.NodeID) []cdfg.NodeID {
+	if len(ids) == 0 {
+		return nil
+	}
+	start := len(p.ids)
+	p.ids = append(p.ids, ids...)
+	return p.ids[start:len(p.ids):len(p.ids)]
 }
 
 // addGuard appends a guard unless an identical one is already present: two
@@ -181,29 +126,6 @@ func addGuard(gs sim.Guards, id cdfg.NodeID, gd sim.Guard) {
 		}
 	}
 	gs[id] = append(gs[id], gd)
-}
-
-func hasControlEdge(g *cdfg.Graph, from, to cdfg.NodeID) bool {
-	for _, e := range g.ControlEdges() {
-		if e.From == from && e.To == to {
-			return true
-		}
-	}
-	return false
-}
-
-// truncateControlEdges removes control edges added after position n by
-// rebuilding the edge list. cdfg exposes no removal primitive, so the
-// revert clears and re-adds the prefix.
-func truncateControlEdges(g *cdfg.Graph, n int) {
-	edges := append([]cdfg.ControlEdge(nil), g.ControlEdges()[:n]...)
-	g.ClearControlEdges()
-	for _, e := range edges {
-		// Re-adding known-good edges cannot fail.
-		if err := g.AddControlEdge(e.From, e.To); err != nil {
-			panic(fmt.Sprintf("core: revert failed: %v", err))
-		}
-	}
 }
 
 // savingsMetric scores a pass outcome: the expected weighted activity saved
@@ -237,37 +159,9 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if ii < 1 || ii > cfg.Budget {
 		return nil, fmt.Errorf("core: initiation interval %d outside [1,%d]", ii, cfg.Budget)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	// Budget feasibility before any PM constraint. The window and the
-	// candidate orders only read g; its analysis memo is safe to share.
-	w, err := sched.AnalyzeWindow(g, cfg.Budget)
+	best, err := selectPass(g, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if !w.Feasible() {
-		return nil, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
-	}
-
-	orders, err := candidateOrders(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	userEdges := append([]cdfg.ControlEdge(nil), g.ControlEdges()...)
-	var best passResult
-	bestScore := -1.0
-	for _, order := range orders {
-		work := g.Clone()
-		pr, err := runPass(work, cfg.Budget, order)
-		if err != nil {
-			return nil, err
-		}
-		score := savingsMetric(work, pr.guards, cfg.Weights)
-		if score > bestScore {
-			best = pr
-			bestScore = score
-		}
 	}
 
 	var s *sched.Schedule
@@ -277,6 +171,7 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 		// constraint makes the fully gated schedule infeasible
 		// (paper §II.B's one-subtractor scenario).
 		res = cfg.Resources.Clone()
+		userEdges := append([]cdfg.ControlEdge(nil), g.ControlEdges()...)
 		s, err = scheduleWithRelaxation(&best, cfg.Budget, ii, res, userEdges, cfg.Weights)
 	} else {
 		s, res, err = sched.Minimize(best.graph, cfg.Budget, ii)
@@ -292,6 +187,48 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 		Guards:    best.guards,
 		Order:     cfg.Order,
 	}, nil
+}
+
+// selectPass runs the mux selection loop under every candidate order of
+// the configured strategy and keeps the pass with the highest expected
+// savings (the first on ties). Schedule finishes that pass; Explain
+// reports its verdicts.
+func selectPass(g *cdfg.Graph, cfg Config) (passResult, error) {
+	if err := g.Validate(); err != nil {
+		return passResult{}, err
+	}
+	// Budget feasibility before any PM constraint. The window and the
+	// candidate orders only read g; its analysis memo is safe to share.
+	w, err := sched.AnalyzeWindow(g, cfg.Budget)
+	if err != nil {
+		return passResult{}, err
+	}
+	if !w.Feasible() {
+		return passResult{}, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
+	}
+	orders, err := candidateOrders(g, cfg)
+	if err != nil {
+		return passResult{}, err
+	}
+	var best passResult
+	bestScore := -1.0
+	for i, order := range orders {
+		// Each pass updates its window in place; only the last one may
+		// take w itself.
+		ow := w
+		if i < len(orders)-1 {
+			ow = sched.Window{ASAP: w.ASAP.Clone(), ALAP: w.ALAP.Clone()}
+		}
+		pr, err := runPass(g.Clone(), order, ow)
+		if err != nil {
+			return passResult{}, err
+		}
+		if score := savingsMetric(pr.graph, pr.guards, cfg.Weights); score > bestScore {
+			best = pr
+			bestScore = score
+		}
+	}
+	return best, nil
 }
 
 // candidateOrders produces the mux processing order(s) for the configured
@@ -344,9 +281,9 @@ func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Clas
 		// Callers validated the graph; unreachable in practice.
 		height = make([]int, g.NumNodes())
 	}
-	weightOf := func(set cdfg.NodeSet) float64 {
+	weightOf := func(set []cdfg.NodeID) float64 {
 		total := 0.0
-		for id := range set {
+		for _, id := range set {
 			w := 1.0
 			if weights != nil {
 				if cw, ok := weights[g.Node(id).Class()]; ok {
@@ -358,9 +295,10 @@ func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Clas
 		return total
 	}
 	score := make(map[cdfg.NodeID]float64, len(muxes))
+	d := newGateDeriver(g)
 	for _, m := range muxes {
-		gs := computeGatedSets(g, m)
-		score[m] = weightOf(gs.trueSet) + weightOf(gs.falseSet)
+		d.derive(m)
+		score[m] = weightOf(d.sets[0]) + weightOf(d.sets[1])
 	}
 	out := append([]cdfg.NodeID(nil), muxes...)
 	slices.SortStableFunc(out, func(a, b cdfg.NodeID) int {

@@ -95,6 +95,15 @@ func rebuildControlEdges(pr *passResult, userEdges []cdfg.ControlEdge) error {
 	return nil
 }
 
+func hasControlEdge(g *cdfg.Graph, from, to cdfg.NodeID) bool {
+	for _, e := range g.ControlEdges() {
+		if e.From == from && e.To == to {
+			return true
+		}
+	}
+	return false
+}
+
 // gatedAncestor finds the cheapest gated operation on which the blocked
 // node (transitively) depends, including the blocked node itself. The
 // second result reports whether one exists.

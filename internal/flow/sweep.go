@@ -16,11 +16,12 @@ import (
 // order. Results are deterministic: the worker count affects wall-clock
 // time only, never the artifacts.
 //
-// The shared read-only analyses of g (fanin cones, depth, height, critical
-// path) are prewarmed once and flow into every worker's private clones, so
-// the per-configuration runs do not recompute them. Nothing else is
-// memoized: every call runs the pipeline for every configuration and
-// returns Contexts it alone owns, with their Ctx field cleared.
+// The shared read-only analyses of g (depth, height, critical path,
+// topological order) are prewarmed once and flow into every worker's
+// private clones, so the per-configuration runs do not recompute them.
+// Nothing else is memoized: every call runs the pipeline for every
+// configuration and returns Contexts it alone owns, with their Ctx field
+// cleared.
 //
 // A configuration whose pipeline fails has its error recorded in the
 // Context's Err field; RunAll itself returns an error only when ctx is
