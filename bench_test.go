@@ -119,29 +119,6 @@ func BenchmarkTableIIISynopsysEstimate(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationMuxOrdering(b *testing.B) {
-	orders := []core.Order{
-		core.OrderOutputsFirst, core.OrderInputsFirst,
-		core.OrderGreedyWeight, core.OrderExhaustive,
-	}
-	c := bench.Vender()
-	for _, o := range orders {
-		o := o
-		b.Run(o.String(), func(b *testing.B) {
-			var red float64
-			for i := 0; i < b.N; i++ {
-				r, err := core.Schedule(c.Graph(), core.Config{Budget: 6, Order: o, Weights: power.Weights})
-				if err != nil {
-					b.Fatal(err)
-				}
-				act, _ := power.AnalyzeExact(r.Graph, r.Guards)
-				red = 100 * power.Reduction(r.Graph, act, power.Weights)
-			}
-			b.ReportMetric(red, "%power-reduction")
-		})
-	}
-}
-
 func BenchmarkAblationPipelining(b *testing.B) {
 	c := bench.Cordic()
 	cp := c.PaperStats.CriticalPath

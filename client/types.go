@@ -14,7 +14,7 @@ type Options struct {
 	// II is the pipeline initiation interval; 0 means no pipelining.
 	II int `json:"ii,omitempty"`
 	// Order is the mux processing order by name: "outputs-first"
-	// (default), "inputs-first", "greedy-weight" or "exhaustive".
+	// (default), "inputs-first" or "greedy-weight".
 	Order string `json:"order,omitempty"`
 	// Resources fixes per-class unit budgets by class name ("mux",
 	// "comp", "add", "sub", "mul"); empty lets the scheduler minimize.

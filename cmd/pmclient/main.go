@@ -150,7 +150,7 @@ func runSynth(ctx context.Context, c *client.Client, args []string) error {
 	file := fs.String("file", "", "Silage source file")
 	budget := fs.Int("budget", 0, "control-step budget")
 	ii := fs.Int("ii", 0, "pipeline initiation interval")
-	order := fs.String("order", "", "mux order (outputs-first, inputs-first, greedy-weight, exhaustive)")
+	order := fs.String("order", "", "mux order (outputs-first, inputs-first, greedy-weight)")
 	emit := fs.String("emit", "", "comma-separated artifacts: vhdl,verilog")
 	fs.Parse(args)
 	src, err := readSource(*file)

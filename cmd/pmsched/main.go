@@ -58,7 +58,7 @@ func main() {
 	builtin := flag.String("builtin", "", "built-in benchmark: dealer, gcd, vender, cordic, absdiff")
 	steps := flag.Int("steps", 0, "control steps per sample (default: critical path)")
 	ii := flag.Int("ii", 0, "pipeline initiation interval (0 = no pipelining)")
-	orderName := flag.String("order", "outputs", "mux order: outputs, inputs, greedy, exhaustive")
+	orderName := flag.String("order", "outputs", "mux order: outputs, inputs, greedy")
 	vhdlPath := flag.String("vhdl", "", "write power managed VHDL to this file")
 	verilogPath := flag.String("verilog", "", "write power managed Verilog to this file")
 	dotPath := flag.String("dot", "", "write the scheduled CDFG in Graphviz format")
@@ -129,8 +129,6 @@ func main() {
 		order = pmsynth.OrderInputsFirst
 	case "greedy":
 		order = pmsynth.OrderGreedyWeight
-	case "exhaustive":
-		order = pmsynth.OrderExhaustive
 	default:
 		fail("unknown order %q", *orderName)
 	}

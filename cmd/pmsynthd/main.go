@@ -1,32 +1,31 @@
 // Command pmsynthd serves the power-management synthesis engine over
-// HTTP/JSON: one-shot synthesis with content-addressed caching and
-// singleflight deduplication, plus asynchronous design-space sweep jobs
-// with streamed progress. Admission is backpressured: sweep jobs queue on
-// a bounded pending queue drained by a fixed worker pool, and submissions
-// beyond the queue capacity are shed with 429 + Retry-After. See
-// internal/server for the API surface and DESIGN.md ("Serving layer")
-// for the architecture.
+// HTTP/JSON: asynchronous design-space sweep jobs with streamed progress,
+// and one-shot synthesis answered synchronously as a one-point sweep.
+// Identical requests join one job. Admission is backpressured: jobs queue
+// on a bounded pending queue drained by a fixed worker pool, and
+// submissions beyond the queue capacity are shed with 429 + Retry-After.
+// See internal/server for the API surface and DESIGN.md ("Serving
+// layer") for the architecture.
 //
 // Usage:
 //
-//	pmsynthd [-addr 127.0.0.1:8357] [-cache-entries 1024]
-//	         [-design-cache-entries 256] [-job-workers 2]
-//	         [-max-pending-jobs 64] [-sweep-workers 0]
+//	pmsynthd [-addr 127.0.0.1:8357] [-design-cache-entries 256]
+//	         [-job-workers 2] [-max-pending-jobs 64] [-sweep-workers 0]
 //	         [-max-sweep-workers 0] [-job-ttl 1h] [-event-tail 256]
 //	         [-retry-after 1s] [-store-dir DIR] [-store-max-bytes N]
 //	         [-max-batch-sweeps 64] [-self-url URL]
 //	         [-peers URL,URL,...] [-log-level info] [-log-format json]
 //	         [-trace-capacity 256] [-debug-addr ADDR]
 //
-// With -store-dir set, synthesize results and completed sweep tables
-// persist across restarts in a content-addressed disk store: a restarted
+// With -store-dir set, finished sweeps and synthesize results persist
+// across restarts in a content-addressed disk store: a restarted
 // daemon answers repeated requests from disk without recompiling.
 //
 // With -self-url and -peers set, the daemon joins a static cluster:
-// each sweep fingerprint ranks the nodes by consistent (rendezvous)
-// hashing, a submission runs on the first reachable node of that
-// ranking — so every node that sees the same dead owner picks the same
-// executor — and job ids become cluster-routable ("<node>~<id>",
+// each sweep or synthesize fingerprint ranks the nodes by consistent
+// (rendezvous) hashing, a submission runs on the first reachable node of
+// that ranking — so every node that sees the same dead owner picks the
+// same executor — and job ids become cluster-routable ("<node>~<id>",
 // resolvable at any node). See DESIGN.md ("Cluster").
 //
 // Logging is structured (log/slog) on stderr: one access-log line per
@@ -71,15 +70,14 @@ func splitPeers(list string) []string {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8357", "listen address")
-	cacheEntries := flag.Int("cache-entries", 1024, "synthesize result cache capacity (entries)")
 	designCacheEntries := flag.Int("design-cache-entries", 256, "compiled-design cache capacity (entries), shared by synthesize and sweep")
-	jobWorkers := flag.Int("job-workers", 2, "fixed worker pool size for sweep jobs")
-	maxPendingJobs := flag.Int("max-pending-jobs", 64, "sweep admission queue depth; submissions beyond it get 429")
+	jobWorkers := flag.Int("job-workers", 2, "fixed worker pool size for sweep and synthesize jobs")
+	maxPendingJobs := flag.Int("max-pending-jobs", 64, "admission queue depth; submissions beyond it get 429")
 	sweepWorkers := flag.Int("sweep-workers", 0, "default flow workers per sweep job (0 = GOMAXPROCS)")
 	maxSweepWorkers := flag.Int("max-sweep-workers", 0, "cap on client-requested flow workers per job (0 = GOMAXPROCS)")
 	jobTTL := flag.Duration("job-ttl", time.Hour, "how long finished jobs stay queryable")
 	eventTail := flag.Int("event-tail", 256, "retained progress events per job (older ticks coalesce)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) sweep submissions")
+	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) submissions")
 	storeDir := flag.String("store-dir", "", "directory of the persistent result store (empty disables persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 1<<30, "disk budget of the persistent store; LRU entries are GCed beyond it")
 	maxBatchSweeps := flag.Int("max-batch-sweeps", 64, "max sweep specs per POST /v1/batch request")
@@ -109,7 +107,6 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		CacheEntries:       *cacheEntries,
 		DesignCacheEntries: *designCacheEntries,
 		JobWorkers:         *jobWorkers,
 		MaxPendingJobs:     *maxPendingJobs,

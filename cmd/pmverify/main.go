@@ -316,8 +316,7 @@ func parseStages(s string) ([]string, error) {
 func parseOrders(s string) ([]pmsynth.Order, error) {
 	byName := map[string]pmsynth.Order{}
 	for _, o := range []pmsynth.Order{
-		pmsynth.OrderOutputsFirst, pmsynth.OrderInputsFirst,
-		pmsynth.OrderGreedyWeight, pmsynth.OrderExhaustive,
+		pmsynth.OrderOutputsFirst, pmsynth.OrderInputsFirst, pmsynth.OrderGreedyWeight,
 	} {
 		byName[o.String()] = o
 	}

@@ -1,11 +1,9 @@
 package cache
 
-// The disk tier of the result cache: a content-addressed store that
+// The disk tier of the serving layer: a content-addressed store that
 // persists values as atomically written, checksummed files so a restarted
-// pmsynthd can serve warm hits without recomputing. The Store sits behind
-// the in-memory LRU — the serving layer consults it only on a memory
-// miss, inside the singleflight compute, so disk reads are deduplicated
-// exactly like computations.
+// pmsynthd can serve warm hits without recomputing. The serving layer
+// consults it only when no live job answers a submission.
 //
 // Durability contract:
 //

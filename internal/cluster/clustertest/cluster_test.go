@@ -16,6 +16,7 @@ import (
 
 	pmsynth "repro"
 	"repro/client"
+	"repro/internal/cdfg"
 	"repro/internal/cluster/clustertest"
 	"repro/internal/server"
 )
@@ -336,5 +337,74 @@ func TestPartitionedOwnerFailsOverToNextRanked(t *testing.T) {
 	if !warm.Cached || compiles.Load() != 1 {
 		t.Fatalf("healed owner: cached = %v after %d compiles, want a store hit and 1 compile",
 			warm.Cached, compiles.Load())
+	}
+}
+
+// TestSynthesizeRoutesToOwner: a synthesize is routed like the one-point
+// sweep it is. Posted to a node that does not own its fingerprint, it
+// compiles only on the owner and answers the library's row; with the
+// owner killed, the next-ranked node answers it.
+func TestSynthesizeRoutesToOwner(t *testing.T) {
+	ctx := testCtx(t)
+	var compiles [3]atomic.Int64
+	c := clustertest.New(t, 3, clustertest.Options{
+		Configure: func(i int, cfg *server.Config) {
+			cfg.CompileHook = func(string) { compiles[i].Add(1) }
+		},
+	})
+	opt := pmsynth.Options{Budget: 3}
+	fp := pmsynth.SweepFingerprint(absDiffSrc, pmsynth.SweepSpec{
+		Budgets: []int{opt.Budget}, IIs: []int{opt.II}, Orders: []pmsynth.Order{opt.Order},
+		Resources: []map[cdfg.Class]int{opt.Resources},
+	})
+	ranked := c.Ranked(fp)
+	owner, next, submit := ranked[0], ranked[1], ranked[2]
+	syn, err := pmsynth.Synthesize(pmsynth.MustCompile(absDiffSrc), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := client.Row(syn.Row())
+
+	cl := client.New(c.Nodes[submit].URL, client.WithRetries(4, 100*time.Millisecond))
+	req := client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: opt.Budget}}
+	res, err := cl.Synthesize(ctx, req)
+	if err != nil {
+		t.Fatalf("synthesize via node %d: %v", submit, err)
+	}
+	if res.Row != want {
+		t.Fatalf("row = %+v, want the library's %+v", res.Row, want)
+	}
+	for i := range compiles {
+		want := int64(0)
+		if i == owner {
+			want = 1
+		}
+		if n := compiles[i].Load(); n != want {
+			t.Fatalf("node %d compiled %d times, want %d (owner: node %d)", i, n, want, owner)
+		}
+	}
+
+	c.KillNode(owner)
+	res, err = cl.Synthesize(ctx, req)
+	if err != nil {
+		t.Fatalf("synthesize via node %d after killing the owner: %v", submit, err)
+	}
+	if res.Row != want {
+		t.Fatalf("row after the kill = %+v, want the library's %+v", res.Row, want)
+	}
+	metrics := func(i int) map[string]int64 {
+		m, err := client.New(c.Nodes[i].URL).Metrics(ctx)
+		if err != nil {
+			t.Fatalf("metrics node %d: %v", i, err)
+		}
+		return m
+	}
+	mn, ms := metrics(next), metrics(submit)
+	if mn["pmsynthd_cache_misses"] != 1 || ms["pmsynthd_cache_misses"] != 0 {
+		t.Fatalf("admissions: next-ranked node %d = %d, submitting node %d = %d; want 1 and 0",
+			next, mn["pmsynthd_cache_misses"], submit, ms["pmsynthd_cache_misses"])
+	}
+	if ms["pmsynthd_cluster_fallbacks"] < 1 {
+		t.Fatalf("submitting node fallbacks = %d, want >= 1", ms["pmsynthd_cluster_fallbacks"])
 	}
 }

@@ -23,10 +23,6 @@ const (
 	// power weight of their gateable cones (the §IV.A reordering
 	// pre-process).
 	OrderGreedyWeight
-	// OrderExhaustive tries every permutation of the candidate muxes
-	// (up to a small limit, falling back to greedy) and keeps the order
-	// with the highest expected weighted savings.
-	OrderExhaustive
 )
 
 // String names the order strategy.
@@ -38,16 +34,10 @@ func (o Order) String() string {
 		return "inputs-first"
 	case OrderGreedyWeight:
 		return "greedy-weight"
-	case OrderExhaustive:
-		return "exhaustive"
 	default:
 		return fmt.Sprintf("order(%d)", int(o))
 	}
 }
-
-// exhaustiveLimit caps the number of muxes for which OrderExhaustive tries
-// all permutations (8! = 40320 passes).
-const exhaustiveLimit = 8
 
 // Config parameterizes the power management scheduling run.
 type Config struct {

@@ -128,27 +128,6 @@ func addGuard(gs sim.Guards, id cdfg.NodeID, gd sim.Guard) {
 	gs[id] = append(gs[id], gd)
 }
 
-// savingsMetric scores a pass outcome: the expected weighted activity saved
-// assuming independent, equiprobable selects — an op with k nested guards
-// executes with probability 2^-k, saving weight*(1-2^-k).
-func savingsMetric(g *cdfg.Graph, guards sim.Guards, weights map[cdfg.Class]float64) float64 {
-	total := 0.0
-	for id, gl := range guards {
-		w := 1.0
-		if weights != nil {
-			if cw, ok := weights[g.Node(id).Class()]; ok {
-				w = cw
-			}
-		}
-		p := 1.0
-		for range gl {
-			p /= 2
-		}
-		total += w * (1 - p)
-	}
-	return total
-}
-
 // Schedule runs the full power management scheduling flow on g (paper
 // Fig. 3). The input graph is not modified.
 func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
@@ -159,7 +138,7 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if ii < 1 || ii > cfg.Budget {
 		return nil, fmt.Errorf("core: initiation interval %d outside [1,%d]", ii, cfg.Budget)
 	}
-	best, err := selectPass(g, cfg)
+	pr, err := selectPass(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,33 +151,31 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 		// (paper §II.B's one-subtractor scenario).
 		res = cfg.Resources.Clone()
 		userEdges := append([]cdfg.ControlEdge(nil), g.ControlEdges()...)
-		s, err = scheduleWithRelaxation(&best, cfg.Budget, ii, res, userEdges, cfg.Weights)
+		s, err = scheduleWithRelaxation(&pr, cfg.Budget, ii, res, userEdges, cfg.Weights)
 	} else {
-		s, res, err = sched.Minimize(best.graph, cfg.Budget, ii)
+		s, res, err = sched.Minimize(pr.graph, cfg.Budget, ii)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: final scheduling failed: %w", err)
 	}
 	return &Result{
-		Graph:     best.graph,
+		Graph:     pr.graph,
 		Schedule:  s,
 		Resources: res,
-		Managed:   best.managed,
-		Guards:    best.guards,
+		Managed:   pr.managed,
+		Guards:    pr.guards,
 		Order:     cfg.Order,
 	}, nil
 }
 
-// selectPass runs the mux selection loop under every candidate order of
-// the configured strategy and keeps the pass with the highest expected
-// savings (the first on ties). Schedule finishes that pass; Explain
-// reports its verdicts.
+// selectPass runs the mux selection loop in the configured order.
+// Schedule finishes that pass; Explain reports its verdicts.
 func selectPass(g *cdfg.Graph, cfg Config) (passResult, error) {
 	if err := g.Validate(); err != nil {
 		return passResult{}, err
 	}
 	// Budget feasibility before any PM constraint. The window and the
-	// candidate orders only read g; its analysis memo is safe to share.
+	// order only read g; its analysis memo is safe to share.
 	w, err := sched.AnalyzeWindow(g, cfg.Budget)
 	if err != nil {
 		return passResult{}, err
@@ -206,38 +183,19 @@ func selectPass(g *cdfg.Graph, cfg Config) (passResult, error) {
 	if !w.Feasible() {
 		return passResult{}, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
 	}
-	orders, err := candidateOrders(g, cfg)
+	order, err := candidateOrder(g, cfg)
 	if err != nil {
 		return passResult{}, err
 	}
-	var best passResult
-	bestScore := -1.0
-	for i, order := range orders {
-		// Each pass updates its window in place; only the last one may
-		// take w itself.
-		ow := w
-		if i < len(orders)-1 {
-			ow = sched.Window{ASAP: w.ASAP.Clone(), ALAP: w.ALAP.Clone()}
-		}
-		pr, err := runPass(g.Clone(), order, ow)
-		if err != nil {
-			return passResult{}, err
-		}
-		if score := savingsMetric(pr.graph, pr.guards, cfg.Weights); score > bestScore {
-			best = pr
-			bestScore = score
-		}
-	}
-	return best, nil
+	return runPass(g.Clone(), order, w)
 }
 
-// candidateOrders produces the mux processing order(s) for the configured
-// strategy. OrderExhaustive returns every permutation when the mux count
-// permits, otherwise the greedy order only.
-func candidateOrders(g *cdfg.Graph, cfg Config) ([][]cdfg.NodeID, error) {
+// candidateOrder produces the mux processing order of the configured
+// strategy.
+func candidateOrder(g *cdfg.Graph, cfg Config) ([]cdfg.NodeID, error) {
 	muxes := g.Muxes()
 	if len(muxes) == 0 {
-		return [][]cdfg.NodeID{nil}, nil
+		return nil, nil
 	}
 	height, err := g.HeightToOutput()
 	if err != nil {
@@ -258,16 +216,11 @@ func candidateOrders(g *cdfg.Graph, cfg Config) ([][]cdfg.NodeID, error) {
 	}
 	switch cfg.Order {
 	case OrderOutputsFirst:
-		return [][]cdfg.NodeID{byHeight(true)}, nil
+		return byHeight(true), nil
 	case OrderInputsFirst:
-		return [][]cdfg.NodeID{byHeight(false)}, nil
+		return byHeight(false), nil
 	case OrderGreedyWeight:
-		return [][]cdfg.NodeID{greedyWeightOrder(g, muxes, cfg.Weights)}, nil
-	case OrderExhaustive:
-		if len(muxes) > exhaustiveLimit {
-			return [][]cdfg.NodeID{greedyWeightOrder(g, muxes, cfg.Weights)}, nil
-		}
-		return permutations(muxes), nil
+		return greedyWeightOrder(g, muxes, cfg.Weights), nil
 	default:
 		return nil, fmt.Errorf("core: unknown order strategy %v", cfg.Order)
 	}
@@ -310,29 +263,5 @@ func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Clas
 		}
 		return cmp.Compare(a, b)
 	})
-	return out
-}
-
-// permutations returns all orderings of ids.
-func permutations(ids []cdfg.NodeID) [][]cdfg.NodeID {
-	if len(ids) == 0 {
-		return [][]cdfg.NodeID{nil}
-	}
-	var out [][]cdfg.NodeID
-	var rec func(cur []cdfg.NodeID, rest []cdfg.NodeID)
-	rec = func(cur []cdfg.NodeID, rest []cdfg.NodeID) {
-		if len(rest) == 0 {
-			out = append(out, append([]cdfg.NodeID(nil), cur...))
-			return
-		}
-		for i := range rest {
-			next := append(cur, rest[i])
-			var rem []cdfg.NodeID
-			rem = append(rem, rest[:i]...)
-			rem = append(rem, rest[i+1:]...)
-			rec(next, rem)
-		}
-	}
-	rec(nil, ids)
 	return out
 }

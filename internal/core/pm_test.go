@@ -414,7 +414,7 @@ func TestBaselineMatchesTraditional(t *testing.T) {
 func TestOrderStrategiesRun(t *testing.T) {
 	g := compile(t, nestedSrc)
 	cp, _ := g.CriticalPath()
-	for _, o := range []Order{OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight, OrderExhaustive} {
+	for _, o := range []Order{OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight} {
 		r, err := Schedule(g, Config{Budget: cp + 2, Order: o})
 		if err != nil {
 			t.Errorf("%v: %v", o, err)
@@ -429,44 +429,6 @@ func TestOrderStrategiesRun(t *testing.T) {
 	}
 	if Order(99).String() == "" {
 		t.Error("unknown order should still print")
-	}
-}
-
-// TestExhaustiveAtLeastAsGoodAsGreedy: on a circuit where mux selection
-// conflicts, the exhaustive order must reach at least the outputs-first
-// savings (paper §IV.A motivation).
-func TestExhaustiveAtLeastAsGoodAsGreedy(t *testing.T) {
-	// Two muxes compete for slack: m1 (closer to the output) gates a
-	// cheap op, m2 gates an expensive multiply. Budget is tight enough
-	// that only one can be managed.
-	src := `
-func conflict(a: num<8>, b: num<8>, x: num<8>) o1: num<8>, o2: num<8> =
-begin
-    c1 = a > b;
-    c2 = a > x;
-    t1 = a + 1;
-    t2 = a * b;
-    o1 = if c1 -> t1 || b fi;
-    o2 = if c2 -> t2 || x fi;
-end
-`
-	g := compile(t, src)
-	weights := map[cdfg.Class]float64{
-		cdfg.ClassMux: 1, cdfg.ClassComp: 4, cdfg.ClassAdd: 3,
-		cdfg.ClassSub: 3, cdfg.ClassMul: 20,
-	}
-	base, err := Schedule(g, Config{Budget: 3, Order: OrderOutputsFirst, Weights: weights})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := Schedule(g, Config{Budget: 3, Order: OrderExhaustive, Weights: weights})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sBase := savingsMetric(base.Graph, base.Guards, weights)
-	sEx := savingsMetric(ex.Graph, ex.Guards, weights)
-	if sEx < sBase {
-		t.Errorf("exhaustive savings %.2f < outputs-first %.2f", sEx, sBase)
 	}
 }
 
@@ -606,33 +568,6 @@ func TestPropertyPMSemanticsOnRandomConditionals(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestSavingsMetric sanity.
-func TestSavingsMetric(t *testing.T) {
-	g := compile(t, absDiffSrc)
-	r, err := Schedule(g, Config{Budget: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two gated subs, one guard each: savings = 2 * (1 - 0.5) = 1.
-	if s := savingsMetric(r.Graph, r.Guards, nil); s != 1.0 {
-		t.Errorf("unweighted savings = %.2f, want 1.0", s)
-	}
-	w := map[cdfg.Class]float64{cdfg.ClassSub: 3}
-	if s := savingsMetric(r.Graph, r.Guards, w); s != 3.0 {
-		t.Errorf("weighted savings = %.2f, want 3.0", s)
-	}
-}
-
-func TestPermutations(t *testing.T) {
-	ps := permutations([]cdfg.NodeID{1, 2, 3})
-	if len(ps) != 6 {
-		t.Errorf("permutations = %d, want 6", len(ps))
-	}
-	if len(permutations(nil)) != 1 {
-		t.Error("empty permutation set")
 	}
 }
 

@@ -184,11 +184,11 @@ func checkAllOrders(t testing.TB, g *cdfg.Graph) {
 	}
 	for budget := cp; budget <= cp+3; budget++ {
 		for _, o := range []Order{OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight} {
-			orders, err := candidateOrders(g, Config{Budget: budget, Order: o, Weights: power.Weights})
+			order, err := candidateOrder(g, Config{Budget: budget, Order: o, Weights: power.Weights})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := checkPassWindow(t, g, budget, orders[0]); err != nil {
+			if err := checkPassWindow(t, g, budget, order); err != nil {
 				t.Fatalf("budget %d order %v: %v", budget, o, err)
 			}
 		}
@@ -251,13 +251,13 @@ func TestFeasibilityBatchAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orders, err := candidateOrders(g, Config{Budget: budget})
+		order, err := candidateOrder(g, Config{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := newPass(g.Clone(), w)
 		batches := 0
-		for _, m := range orders[0] {
+		for _, m := range order {
 			sel := g.Node(m).Args[cdfg.MuxSel]
 			if p.gates != nil && p.win != nil {
 				allocs := testing.AllocsPerRun(20, func() {
@@ -287,12 +287,12 @@ func TestFeasibilityBatchAllocatesNothing(t *testing.T) {
 var (
 	resultSink *Result
 	windowSink sched.Window
-	ordersSink [][]cdfg.NodeID
+	orderSink  []cdfg.NodeID
 )
 
 // TestScheduleConditionalFreeAllocs: on a design without conditionals the
 // pass builds neither its deriver nor its window, so Schedule allocates no
-// more than the flow it cannot avoid: validate, the window, the one empty
+// more than the flow it cannot avoid: validate, the window, the empty
 // order, a work clone, its guards map, minimize and the result.
 func TestScheduleConditionalFreeAllocs(t *testing.T) {
 	cfg := gen.Default()
@@ -322,7 +322,7 @@ func TestScheduleConditionalFreeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orders, err := candidateOrders(g, sc)
+		order, err := candidateOrder(g, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestScheduleConditionalFreeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		windowSink, ordersSink = w, orders
+		windowSink, orderSink = w, order
 		resultSink = &Result{Graph: work, Schedule: s, Resources: res, Guards: guards}
 	})
 	t.Logf("Schedule: %v allocations per call; floor %v", got, floor)

@@ -9,6 +9,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/client"
 	"repro/internal/jobs"
 	"repro/internal/server"
 )
@@ -502,4 +504,181 @@ func readAll(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestSynthesizeRunsThroughAdmission: a synthesize request is a job of
+// the admission pipeline, so distinct concurrent requests never run more
+// pipelines at once than the worker pool allows, and each still answers
+// the library's row.
+func TestSynthesizeRunsThroughAdmission(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	stop := make(chan struct{})
+	var running, overlaps atomic.Int64
+	_, ts := newTestServer(t, server.Config{
+		JobWorkers: 1,
+		SweepHook: func(string) {
+			if running.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			defer running.Add(-1)
+			select {
+			case entered <- struct{}{}:
+			case <-stop:
+				return
+			}
+			select {
+			case <-release:
+			case <-stop:
+			}
+		},
+	})
+	// Unpark any held hook before the server tears down.
+	t.Cleanup(func() { close(stop) })
+
+	budgets := []int{3, 4, 5, 6}
+	responses := make([]server.SynthesizeResponse, len(budgets))
+	var wg sync.WaitGroup
+	for i, b := range budgets {
+		wg.Add(1)
+		go func(i, b int) {
+			defer wg.Done()
+			code, err := postJSONErr(ts.URL+"/v1/synthesize", server.SynthesizeRequest{
+				Source: absDiffSrc, Options: server.OptionsRequest{Budget: b},
+			}, &responses[i])
+			if err != nil || code != http.StatusOK {
+				t.Errorf("budget %d: status %d, %v", b, code, err)
+			}
+		}(i, b)
+	}
+	answered := make(chan struct{})
+	go func() { wg.Wait(); close(answered) }()
+	for i := range budgets {
+		select {
+		case <-entered:
+		case <-answered:
+			t.Fatalf("every request was answered after %d pipeline runs through admission, want %d", i, len(budgets))
+		}
+		release <- struct{}{}
+	}
+	<-answered
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d pipelines started while another ran on the one worker", n)
+	}
+	design := pmsynth.MustCompile(absDiffSrc)
+	for i, b := range budgets {
+		syn, err := pmsynth.Synthesize(design, pmsynth.Options{Budget: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if responses[i].Row != syn.Row() {
+			t.Errorf("budget %d: served row %+v, library row %+v", b, responses[i].Row, syn.Row())
+		}
+	}
+}
+
+// shedGate is a client transport that reports when the first attempt is
+// shed with 429 and holds every later attempt until drained closes, so
+// the SDK's retry lands on a queue the test has seen drain.
+type shedGate struct {
+	attempts atomic.Int64
+	shed     chan struct{}
+	drained  chan struct{}
+}
+
+func (g *shedGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	n := g.attempts.Add(1)
+	if n > 1 {
+		<-g.drained
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if n == 1 && err == nil && resp.StatusCode == http.StatusTooManyRequests {
+		close(g.shed)
+	}
+	return resp, err
+}
+
+// TestSynthesizeShedWhenQueueFull: with the one worker held and the
+// admission queue full, a synthesize is shed with 429 + Retry-After like
+// any submission, and the SDK's retry path carries it through once the
+// queue drains.
+func TestSynthesizeShedWhenQueueFull(t *testing.T) {
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseHook := func() { releaseOnce.Do(func() { close(release) }) }
+	_, ts := newTestServer(t, server.Config{
+		JobWorkers:     1,
+		MaxPendingJobs: 1,
+		RetryAfter:     7 * time.Second,
+		SweepHook: func(string) {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			<-release
+		},
+	})
+	t.Cleanup(releaseHook)
+
+	var hog, queued server.SweepCreatedResponse
+	if code := postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{
+		Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 6},
+	}, &hog); code != http.StatusAccepted {
+		t.Fatalf("hog sweep = %d, want 202", code)
+	}
+	<-held // the worker is parked in the hog's hook
+	if code := postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{
+		Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 7},
+	}, &queued); code != http.StatusAccepted {
+		t.Fatalf("queued sweep = %d, want 202", code)
+	}
+
+	req := server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}
+	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", postBody(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("synthesize with the queue full = %d (%s), want 429", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "7" {
+		t.Fatalf("Retry-After = %q, want \"7\"", ra)
+	}
+
+	gate := &shedGate{shed: make(chan struct{}), drained: make(chan struct{})}
+	cl := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: gate}),
+		client.WithRetries(3, time.Millisecond))
+	type result struct {
+		res *client.SynthesizeResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := cl.Synthesize(context.Background(), client.SynthesizeRequest{
+			Source: absDiffSrc, Options: client.Options{Budget: 3},
+		})
+		done <- result{res, err}
+	}()
+	select {
+	case <-gate.shed:
+	case r := <-done:
+		t.Fatalf("SDK synthesize was never shed: %+v, %v", r.res, r.err)
+	}
+	releaseHook()
+	// The queued sweep's stream ends when it does; the queue is empty.
+	streamEvents(t, ts.URL+"/v1/jobs/"+queued.ID+"/events", nil)
+	close(gate.drained)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("SDK synthesize after the queue drained: %v", r.err)
+	}
+	syn, err := pmsynth.Synthesize(pmsynth.MustCompile(absDiffSrc), pmsynth.Options{Budget: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.res.Row != client.Row(syn.Row()) || r.res.Cached {
+		t.Fatalf("retried synthesize = %+v, want the library row %+v, computed", r.res, syn.Row())
+	}
 }

@@ -23,7 +23,7 @@ type OptionsRequest struct {
 	// II is the pipeline initiation interval; 0 means no pipelining.
 	II int `json:"ii,omitempty"`
 	// Order is the mux processing order by name: "outputs-first"
-	// (default), "inputs-first", "greedy-weight" or "exhaustive".
+	// (default), "inputs-first" or "greedy-weight".
 	Order string `json:"order,omitempty"`
 	// Resources fixes per-class unit budgets by class name ("mux",
 	// "comp", "add", "sub", "mul"); empty lets the scheduler minimize.
@@ -44,8 +44,8 @@ type SynthesizeRequest struct {
 type SynthesizeResponse struct {
 	// Fingerprint is the content-addressed request identity.
 	Fingerprint string `json:"fingerprint"`
-	// Cached reports whether the response was served without running
-	// the flow (resident entry or coalesced onto an in-flight run).
+	// Cached reports whether the response was served without starting
+	// a job: an identical live job or the persistent store answered.
 	Cached bool `json:"cached"`
 	// Trace is the telemetry trace id of this request (also in the
 	// X-Pmsynthd-Trace response header); empty when tracing is off.
@@ -200,7 +200,6 @@ var orderNames = map[string]pmsynth.Order{
 	pmsynth.OrderOutputsFirst.String(): pmsynth.OrderOutputsFirst,
 	pmsynth.OrderInputsFirst.String():  pmsynth.OrderInputsFirst,
 	pmsynth.OrderGreedyWeight.String(): pmsynth.OrderGreedyWeight,
-	pmsynth.OrderExhaustive.String():   pmsynth.OrderExhaustive,
 }
 
 // parseOrder resolves a wire order name ("" means the default).

@@ -113,7 +113,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// that received the batch. An entry racing a live execution
 			// of the same fingerprint on another node runs a duplicate,
 			// whose store Put is idempotent.
-			out := s.admitSweep(r.Context(), source, spec, id)
+			out := s.admitSweep(r.Context(), source, spec, rtl{}, id)
 			item.Status = out.status
 			if out.status < 300 {
 				sweep := out.resp

@@ -1,9 +1,9 @@
 // Package server is the HTTP front door of the synthesis engine: the
-// pmsynthd API. It composes the content-addressed result cache
+// pmsynthd API. It composes the content-addressed caches
 // (internal/cache) and the async job manager (internal/jobs) over the
 // public pmsynth API:
 //
-//	POST /v1/synthesize        one-shot synthesis, cached and deduplicated
+//	POST /v1/synthesize        one-shot synthesis: a one-point sweep job, awaited
 //	POST /v1/sweep             create an async design-space sweep job
 //	POST /v1/batch             submit N sweeps in one request (one group)
 //	GET  /v1/batch/{id}        aggregate status of a batch's jobs
@@ -19,22 +19,22 @@
 // compiled-design cache (content-addressed on the source text, singleflight)
 // used by both POST endpoints, so the same source compiles once no matter
 // how many synthesize and sweep requests race. Whole requests collapse on
-// their fingerprints: synthesize responses are cached under the request
-// fingerprint (concurrent identical misses run one synthesis), and sweep
-// submissions whose fingerprint matches a live job join that job instead of
+// their fingerprints: a synthesize is a one-point sweep, and every
+// submission whose key — the sweep fingerprint, extended by the RTL a
+// synthesize asks for — matches a live job joins that job instead of
 // starting a second one.
 //
 // Admission is lock-free in the sense that matters for availability: no
 // client-controlled work (Compile, Enumerate) ever runs under the server
 // mutex, so one slow or hostile submission cannot head-of-line block the
-// others. Sweep jobs queue on a bounded admission queue; beyond its
-// capacity submissions are shed with 429 + Retry-After instead of piling
-// up unboundedly.
+// others. Jobs, synthesize requests included, queue on a bounded
+// admission queue; beyond its capacity submissions are shed with 429 +
+// Retry-After instead of piling up unboundedly.
 //
 // With a store directory configured, results also survive the process: a
 // disk-backed content-addressed tier (internal/cache.Store) persists
-// synthesize results and completed sweep tables under their fingerprints,
-// so a restarted daemon serves warm hits — byte-identical, with zero
-// recompiles — and a sweep stays answerable after its job is
-// TTL-collected. See DESIGN.md ("Persistence").
+// finished sweeps under their keys, so a restarted daemon serves warm
+// hits — byte-identical, with zero recompiles — and a key stays
+// answerable after its job is TTL-collected. See DESIGN.md
+// ("Persistence").
 package server

@@ -66,6 +66,9 @@ func TestMalformedBodies(t *testing.T) {
 		// silently answered by the one remaining scheduler.
 		{"removed-backend", "/v1/synthesize", `{"source":"func f(a: num) o: num = begin o = a + 1; end","options":{"budget":1,"forceDirected":true}}`},
 		{"sweep-removed-backend", "/v1/sweep", `{"source":"func f(a: num) o: num = begin o = a + 1; end","spec":{"budgetMin":1,"budgetMax":2,"forceDirected":[true]}}`},
+		// So is the removed exhaustive mux order.
+		{"removed-order", "/v1/synthesize", `{"source":"func f(a: num) o: num = begin o = a + 1; end","options":{"budget":1,"order":"exhaustive"}}`},
+		{"sweep-removed-order", "/v1/sweep", `{"source":"func f(a: num) o: num = begin o = a + 1; end","spec":{"budgetMin":1,"budgetMax":2,"orders":["exhaustive"]}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,35 +11,62 @@ import (
 	"repro"
 )
 
+// TestSynthResultRoundTrip: a synthesize is a one-point sweep whose
+// stored table also carries the RTL it asked for; row and artifacts
+// round trip losslessly.
 func TestSynthResultRoundTrip(t *testing.T) {
-	in := &synthResult{
-		row: pmsynth.Row{
-			Circuit: "absdiff", Steps: 3, PMMuxes: 1, AreaIncrease: 1.25,
-			Mux: 1, Comp: 1, Sub: 1.5, PowerReductionPct: 27.27,
-		},
-		vhdl:    "entity absdiff is ...",
-		verilog: "module absdiff(...)",
-	}
-	blob, err := encodeSynthResult(in)
+	design, err := pmsynth.Compile(`
+func inc(a: num<8>) out: num<8> =
+begin
+    out = a + 1;
+end
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeSynthResult(blob)
+	sr, err := pmsynth.Sweep(design, pmsynth.SweepSpec{Budgets: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *out != *in {
-		t.Fatalf("round trip changed the value:\nin:  %+v\nout: %+v", in, out)
+	syn := sr.Points[0].Synthesis
+	vhdl, err := syn.VHDL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verilog, err := syn.Verilog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := encodeSweepResult(sr, rtl{vhdl: true, verilog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeSweepResult(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.sr.Points[0].Row != sr.Points[0].Row || got.vhdl != vhdl || got.verilog != verilog {
+		t.Fatalf("round trip changed the value:\nin:  %+v\nout: %+v", sr.Points[0].Row, got.sr.Points[0].Row)
+	}
+	// An emit-free encoding carries no RTL.
+	if blob, err = encodeSweepResult(sr, rtl{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = decodeSweepResult(blob); err != nil || got.vhdl != "" || got.verilog != "" {
+		t.Fatalf("emit-free table decoded to %+v, %v", got, err)
 	}
 }
 
+// TestDecodeSynthResultRejects: the synthesize result shape of earlier
+// daemons is never misread as a table.
 func TestDecodeSynthResultRejects(t *testing.T) {
-	if _, err := decodeSynthResult([]byte("not json")); err == nil {
-		t.Fatal("garbage decoded")
-	}
-	// A future version must be recomputed, never misread.
-	if _, err := decodeSynthResult([]byte(`{"v":999,"row":{}}`)); err == nil {
-		t.Fatal("future version decoded")
+	for _, old := range []string{
+		`{"v":2,"row":{"Circuit":"inc","Steps":1}}`,
+		`{"v":2,"row":{},"vhdl":"entity inc is ...","verilog":"module inc(...)"}`,
+	} {
+		if _, err := decodeSweepResult([]byte(old)); err == nil {
+			t.Fatalf("decoded %q", old)
+		}
 	}
 }
 
@@ -64,14 +91,15 @@ end
 	sr.Points[0].Err = errors.New("budget 0 below critical path")
 	sr.Points[0].Row = pmsynth.Row{}
 
-	blob, err := encodeSweepResult(sr)
+	blob, err := encodeSweepResult(sr, rtl{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSweepResult(blob)
+	fs, err := decodeSweepResult(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := fs.sr
 	// Every view the server serves must match byte for byte.
 	if got.Table() != sr.Table() {
 		t.Fatalf("tables diverged:\n%s\n%s", sr.Table(), got.Table())

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -18,6 +19,7 @@ import (
 
 	"repro"
 	"repro/internal/cache"
+	"repro/internal/cdfg"
 	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/telemetry"
@@ -25,16 +27,14 @@ import (
 
 // Config parameterizes the server.
 type Config struct {
-	// CacheEntries bounds the synthesize result cache; <= 0 means 1024.
-	CacheEntries int
 	// DesignCacheEntries bounds the shared compiled-design cache used by
 	// both the synthesize and sweep paths; <= 0 means 256.
 	DesignCacheEntries int
-	// JobWorkers is the fixed pool of workers running sweep jobs;
-	// <= 0 means 2.
+	// JobWorkers is the fixed pool of workers running jobs — sweeps and
+	// synthesize requests alike; <= 0 means 2.
 	JobWorkers int
-	// MaxPendingJobs bounds the sweep admission queue — jobs accepted but
-	// not yet running; <= 0 means 64. Submissions beyond it are shed with
+	// MaxPendingJobs bounds the admission queue — jobs accepted but not
+	// yet running; <= 0 means 64. Submissions beyond it are shed with
 	// 429 + Retry-After.
 	MaxPendingJobs int
 	// SweepWorkers bounds the flow worker pool inside one sweep job;
@@ -59,9 +59,9 @@ type Config struct {
 	// (the Retry-After header on 429 responses); <= 0 means 1s.
 	RetryAfter time.Duration
 	// StoreDir, when non-empty, enables the disk-backed result store
-	// rooted at that directory: synthesize results and completed sweep
-	// tables persist across restarts and are served as warm hits without
-	// recompiling. Empty disables persistence.
+	// rooted at that directory: finished sweeps (a synthesize is a
+	// one-point sweep) persist across restarts and are served as warm
+	// hits without recompiling. Empty disables persistence.
 	StoreDir string
 	// StoreMaxBytes bounds the disk store; beyond it the least recently
 	// used entries are garbage-collected. <= 0 means 1 GiB.
@@ -71,19 +71,19 @@ type Config struct {
 	MaxBatchSweeps int
 	// SelfURL is this node's advertised base URL (scheme://host:port).
 	// Non-empty enables cluster mode: job ids carry this node's id
-	// prefix, sweep submissions are routed to the first reachable node
-	// of their fingerprint's ranking, and the /v1/jobs endpoints
-	// transparently proxy ids that name other nodes. Empty keeps the
-	// server single-node.
+	// prefix, sweep and synthesize submissions are routed to the first
+	// reachable node of their fingerprint's ranking, and the /v1/jobs
+	// endpoints transparently proxy ids that name other nodes. Empty
+	// keeps the server single-node.
 	SelfURL string
 	// Peers lists every cluster member's advertised base URL (listing
 	// self is fine; it is deduped). Ignored without SelfURL.
 	Peers []string
-	// SweepHook, when non-nil, runs at the start of every computed sweep
-	// job's Func — on the worker goroutine, with the sweep fingerprint,
-	// after admission and before any point evaluates. It is the
-	// fault-injection seam: cluster tests stall a job here to kill its
-	// node mid-execution.
+	// SweepHook, when non-nil, runs at the start of every computed job's
+	// Func, sweeps and synthesize requests alike — on the worker
+	// goroutine, with the sweep fingerprint, after admission and before
+	// any point evaluates. It is the fault-injection seam: cluster tests
+	// stall a job here to kill its node mid-execution.
 	SweepHook func(fp string)
 	// CompileHook, when non-nil, runs inside the design cache's
 	// singleflight compute immediately before the compiler — exactly one
@@ -106,17 +106,9 @@ type Config struct {
 // plausible design; a million steps is far beyond any real circuit.
 const maxBudget = 1 << 20
 
-// synthResult is the cached value of one synthesize fingerprint+emit set.
-type synthResult struct {
-	row     pmsynth.Row
-	vhdl    string
-	verilog string
-}
-
 // Server is the pmsynthd HTTP API.
 type Server struct {
 	cfg     Config
-	cache   *cache.Cache[*synthResult]
 	designs *cache.Cache[*pmsynth.Design]
 	store   *cache.Store     // nil when persistence is disabled
 	cluster *cluster.Cluster // nil when single-node
@@ -127,12 +119,13 @@ type Server struct {
 	traces  *telemetry.Ring
 	metrics *serverMetrics
 
-	// mu guards only the sweep dedup index. The invariant the admission
+	// mu guards only the dedup index. The invariant the admission
 	// pipeline preserves: no client-controlled work — Compile, Enumerate,
 	// synthesis — ever runs while mu is held; critical sections are map
 	// lookups and inserts only.
 	mu        sync.Mutex
-	sweepByFP map[string]string // fingerprint -> job id
+	sweepByFP map[string]string // index key -> job id
+	walked    int               // index size after its last prune walk
 
 	// batchMu guards the batch index: batch id -> member job ids, in
 	// request order, including jobs the batch's entries deduped onto
@@ -146,15 +139,14 @@ type Server struct {
 	sweepSheds    atomic.Int64
 	sweepWarmHits atomic.Int64
 	batchRequests atomic.Int64
+	// Admission decisions: joins of a live job, and every other one.
+	joins, admits atomic.Int64
 }
 
 // New builds a server. It fails only when the configured store directory
 // cannot be opened; with persistence disabled (empty StoreDir) it cannot
 // fail. Call Close to stop the job manager.
 func New(cfg Config) (*Server, error) {
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 1024
-	}
 	if cfg.DesignCacheEntries <= 0 {
 		cfg.DesignCacheEntries = 256
 	}
@@ -209,7 +201,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   cache.New[*synthResult](cfg.CacheEntries),
 		designs: cache.New[*pmsynth.Design](cfg.DesignCacheEntries),
 		store:   store,
 		cluster: clu,
@@ -258,8 +249,12 @@ func (s *Server) Close() {
 	}
 }
 
-// CacheStats exposes the result-cache counters (also served by /metrics).
-func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
+// CacheStats exposes the in-memory result tier's counters (also served
+// by /metrics): an admission that joined a live job is a hit, every other
+// admission a miss.
+func (s *Server) CacheStats() cache.Stats {
+	return cache.Stats{Hits: s.joins.Load(), Misses: s.admits.Load()}
+}
 
 // DesignCacheStats exposes the compiled-design cache counters.
 func (s *Server) DesignCacheStats() cache.Stats { return s.designs.Stats() }
@@ -351,11 +346,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.reg.Render(w)
 }
 
-// handleSynthesize runs one configuration through the flow, answering from
-// the content-addressed cache when possible. N concurrent identical
-// requests run exactly one synthesis, and the compile inside a cache miss
-// goes through the shared design cache, so it is skipped entirely when a
-// sweep (or another synthesize) already compiled the same source.
+// handleSynthesize answers one configuration synchronously as a one-point
+// sweep: the same routing, admission pipeline, job, stored shape and
+// spans as POST /v1/sweep, after which the handler waits for the job and
+// renders its point. N concurrent identical requests join one job.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.synthRequests.Add(1)
 	var req SynthesizeRequest
@@ -371,89 +365,72 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad options: %v", err)
 		return
 	}
-	if opt.Budget > maxBudget {
-		writeError(w, http.StatusUnprocessableEntity, "budget %d exceeds the server limit %d", opt.Budget, maxBudget)
-		return
-	}
-	emitVHDL, emitVerilog := false, false
+	var emit rtl
 	for _, e := range req.Emit {
 		switch e {
 		case "vhdl":
-			emitVHDL = true
+			emit.vhdl = true
 		case "verilog":
-			emitVerilog = true
+			emit.verilog = true
 		default:
 			writeError(w, http.StatusBadRequest, "unknown emit %q (valid: vhdl, verilog)", e)
 			return
 		}
 	}
-
-	fp := pmsynth.Fingerprint(req.Source, opt)
-	// The cache key extends the fingerprint with the emit set: artifacts
-	// are part of the cached value, so requests for different artifact
-	// sets must not alias.
-	key := fmt.Sprintf("%s|vhdl=%t|verilog=%t", fp, emitVHDL, emitVerilog)
-
-	ctx, ssp := telemetry.StartSpan(r.Context(), "synthesize")
-	computed := false
-	res, err := s.cache.GetOrCompute(key, func() (*synthResult, error) {
-		// The disk tier sits behind the in-memory LRU, inside the
-		// singleflight compute: a warm entry written by an earlier process
-		// answers without recompiling, and concurrent identical misses
-		// still trigger exactly one disk read.
-		if s.store != nil {
-			if blob, ok := s.store.GetCtx(ctx, key); ok {
-				if restored, derr := decodeSynthResult(blob); derr == nil {
-					return restored, nil
-				}
-				// Undecodable (format drift): recompute and overwrite.
-			}
-		}
-		computed = true
-		design, err := s.compileCached(ctx, req.Source)
-		if err != nil {
-			return nil, fmt.Errorf("compile: %w", err)
-		}
-		syn, err := pmsynth.Synthesize(design, opt)
-		if err != nil {
-			return nil, fmt.Errorf("synthesize: %w", err)
-		}
-		out := &synthResult{row: syn.Row()}
-		if emitVHDL {
-			if out.vhdl, err = syn.VHDL(); err != nil {
-				return nil, fmt.Errorf("vhdl: %w", err)
-			}
-		}
-		if emitVerilog {
-			if out.verilog, err = syn.Verilog(); err != nil {
-				return nil, fmt.Errorf("verilog: %w", err)
-			}
-		}
-		if s.store != nil {
-			if blob, eerr := encodeSynthResult(out); eerr == nil {
-				s.store.PutCtx(ctx, key, blob) // advisory: a failed Put costs a recompute
-			}
-		}
-		return out, nil
-	})
-	if ssp != nil {
-		if !computed {
-			ssp.SetAttr("cached", "true")
-		}
-		ssp.End()
+	spec := pmsynth.SweepSpec{
+		Budgets:   []int{opt.Budget},
+		IIs:       []int{opt.II},
+		Orders:    []pmsynth.Order{opt.Order},
+		Resources: []map[cdfg.Class]int{opt.Resources},
+		Workers:   1,
 	}
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+	if s.routed(w, r, req.Source, spec, req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, SynthesizeResponse{
-		Fingerprint: fp,
-		Cached:      !computed,
-		Trace:       telemetry.TraceFrom(ctx).ID(),
-		Row:         res.row,
-		VHDL:        res.vhdl,
-		Verilog:     res.verilog,
-	})
+	out := s.admitSweep(r.Context(), req.Source, spec, emit, "")
+	if out.status >= 300 {
+		s.writeSweepOutcome(w, out)
+		return
+	}
+	if err := waitJob(r.Context(), out.job); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "synthesize: %v", err)
+		return
+	}
+	val, jobErr, _ := out.job.Result()
+	fs, _ := val.(*finishedSweep)
+	switch {
+	case fs == nil && errors.Is(jobErr, context.Canceled):
+		writeError(w, http.StatusServiceUnavailable, "synthesize: job %s was canceled", out.job.ID())
+	case fs == nil:
+		writeError(w, http.StatusUnprocessableEntity, "%v", jobErr)
+	case fs.sr.Points[0].Err != nil:
+		writeError(w, http.StatusUnprocessableEntity, "synthesize: %v", fs.sr.Points[0].Err)
+	default:
+		writeJSON(w, http.StatusOK, SynthesizeResponse{
+			Fingerprint: pmsynth.Fingerprint(req.Source, opt),
+			Cached:      out.status == http.StatusOK,
+			Trace:       telemetry.TraceFrom(r.Context()).ID(),
+			Row:         fs.sr.Points[0].Row,
+			VHDL:        fs.vhdl,
+			Verilog:     fs.verilog,
+		})
+	}
+}
+
+// waitJob blocks until j is terminal, woken by its event notifications,
+// or until ctx ends. It asks for no events, only the notification.
+func waitJob(ctx context.Context, j *jobs.Job) error {
+	for {
+		_, more, done := j.EventsSince(math.MaxInt64)
+		if done {
+			return nil
+		}
+		select {
+		case <-more:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // handleSweep validates a sweep submission, routes it along the
@@ -462,16 +439,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // the server cap — Workers never affects results (it is excluded from
 // the fingerprint), so the clamp is invisible except in how much
 // concurrency one request may demand from the flow pool.
-//
-// Routing walks cluster.Ranked: the submission is proxied to each node
-// ranked ahead of this one, stopping at the first that answers, and
-// executes locally only when the walk reaches this node's own entry.
-// Every node that finds the same ranked nodes unreachable (or failing
-// with 5xx) therefore sends the sweep to the same executor, whose dedup
-// index and singleflight compile collapse racing submissions onto one
-// job. Submissions that arrive with the forward header are served
-// locally, never re-forwarded, so a routing disagreement costs one
-// extra hop, not a loop.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepRequests.Add(1)
 	var req SweepRequest
@@ -488,38 +455,46 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.clampWorkers(&spec)
-	forwarded := r.Header.Get(cluster.ForwardHeader) != ""
-	if s.cluster != nil && forwarded {
-		s.cluster.CountForwarded()
+	if s.routed(w, r, req.Source, spec, req) {
+		return
 	}
-	if s.cluster != nil && !forwarded {
-		for _, node := range s.cluster.Ranked(pmsynth.SweepFingerprint(req.Source, spec)) {
-			if node.ID == s.cluster.Self().ID {
-				break
-			}
-			if s.proxySweep(w, r, req, node) {
-				return
-			}
-			s.cluster.CountFallback()
-		}
-	}
-	s.writeSweepOutcome(w, s.admitSweep(r.Context(), req.Source, spec, ""))
+	s.writeSweepOutcome(w, s.admitSweep(r.Context(), req.Source, spec, rtl{}, ""))
 }
 
-// proxySweep forwards a sweep submission to node, relaying the response.
-// false (with nothing written to w) when the node was unreachable or
-// failing, so the caller can try the next node of the ranking.
-func (s *Server) proxySweep(w http.ResponseWriter, r *http.Request, req SweepRequest, node cluster.Node) bool {
-	body, err := json.Marshal(req)
-	if err != nil {
+// routed walks cluster.Ranked for a submission: body is proxied to each
+// node ranked ahead of this one, stopping at the first that answers, and
+// routed reports true once one did. It reports false — execute locally —
+// when the walk reaches this node's own entry, when single-node, and for
+// submissions that arrive with the forward header, which are never
+// re-forwarded, so a routing disagreement costs one extra hop, not a
+// loop. Every node that finds the same ranked nodes unreachable (or
+// failing with 5xx) therefore sends the submission to the same executor,
+// whose dedup index and singleflight compile collapse racing submissions
+// onto one job.
+func (s *Server) routed(w http.ResponseWriter, r *http.Request, source string, spec pmsynth.SweepSpec, body interface{}) bool {
+	if s.cluster == nil {
 		return false
 	}
-	if err := s.cluster.ProxySubmit(w, r, node, body); err != nil {
-		s.log.Warn("sweep proxy failed; trying the next ranked node",
+	if r.Header.Get(cluster.ForwardHeader) != "" {
+		s.cluster.CountForwarded()
+		return false
+	}
+	for _, node := range s.cluster.Ranked(pmsynth.SweepFingerprint(source, spec)) {
+		if node.ID == s.cluster.Self().ID {
+			break
+		}
+		blob, err := json.Marshal(body)
+		if err == nil {
+			err = s.cluster.ProxySubmit(w, r, node, blob)
+		}
+		if err == nil {
+			return true
+		}
+		s.log.Warn("submission proxy failed; trying the next ranked node",
 			"node", node.ID, "url", node.URL, "err", err)
-		return false
+		s.cluster.CountFallback()
 	}
-	return true
+	return false
 }
 
 // clampWorkers resolves the worker default before clamping, so the cap
@@ -539,12 +514,13 @@ func (s *Server) clampWorkers(spec *pmsynth.SweepSpec) {
 }
 
 // sweepOutcome is the admission pipeline's decision for one submission:
-// an HTTP status plus either the created/joined job response or an error
-// message. Factoring the decision out of the HTTP handler is what lets
-// POST /v1/batch fan N specs through the identical pipeline.
+// an HTTP status plus either the created/joined job or an error message.
+// Factoring the decision out of the HTTP handler is what lets POST
+// /v1/batch and POST /v1/synthesize share the identical pipeline.
 type sweepOutcome struct {
 	status int                  // 200 deduped/warm, 202 created, 422/429/503 refused
 	resp   SweepCreatedResponse // valid when status < 300
+	job    *jobs.Job            // valid when status < 300
 	errMsg string               // valid when status >= 300
 }
 
@@ -571,12 +547,28 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// admitSweep is the sweep admission pipeline. Its structure is the
-// tentpole invariant of the serving layer: client-controlled work never
-// runs under s.mu.
+// rtl is the set of RTL artifacts a submission's job emits; sweeps emit
+// none.
+type rtl struct{ vhdl, verilog bool }
+
+// key extends a sweep fingerprint into the dedup index and store key:
+// the artifacts are part of the finished value, so requests for
+// different artifact sets must not alias. It adds nothing when nothing is
+// emitted, so a plain synthesize and the identical one-point sweep share
+// one job.
+func (e rtl) key(fp string) string {
+	if e == (rtl{}) {
+		return fp
+	}
+	return fmt.Sprintf("%s|vhdl=%t|verilog=%t", fp, e.vhdl, e.verilog)
+}
+
+// admitSweep is the admission pipeline of every sweep, batch entry and
+// synthesize request. Its structure is the tentpole invariant of the
+// serving layer: client-controlled work never runs under s.mu.
 //
-//  1. Short critical section: dedup lookup — a live job with this
-//     fingerprint answers the submission immediately.
+//  1. Short critical section: dedup lookup — a live job with this key
+//     answers the submission immediately.
 //  2. No lock: the disk store lookup — a completed table persisted by an
 //     earlier run (possibly an earlier process over the same store
 //     directory) is restored as an already-succeeded job, skipping
@@ -587,13 +579,14 @@ func (s *Server) retryAfterSeconds() int {
 //     potentially slow.
 //  4. Short critical section: re-check for a racing identical submission
 //     that committed while this one was compiling (join it if so), then
-//     submit the job and commit the fingerprint index entry.
+//     submit the job and commit the index entry.
 //
 // Job submission itself is non-blocking: when the bounded admission queue
 // is full the submission is shed with 429 and a Retry-After hint rather
 // than queueing unboundedly. A succeeded job's table is persisted to the
-// disk store, so the fingerprint stays answerable after the job is
-// TTL-collected — and after the process restarts.
+// disk store, so the key stays answerable after the job is TTL-collected
+// — and after the process restarts. Each call counts once in CacheStats:
+// a join is a hit, any other outcome a miss.
 //
 // When ctx carries a telemetry trace (the middleware always attaches
 // one), the admission records a "queue-wait" span from submission to
@@ -601,24 +594,32 @@ func (s *Server) retryAfterSeconds() int {
 // span, the per-point and per-pass spans underneath, all parent back to
 // the submitting request's root span, and the job snapshot carries the
 // trace id for GET /v1/jobs/{id}/trace.
-func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.SweepSpec, group string) sweepOutcome {
+func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.SweepSpec, emit rtl, group string) (out sweepOutcome) {
+	defer func() {
+		if out.resp.Deduped {
+			s.joins.Add(1)
+		} else {
+			s.admits.Add(1)
+		}
+	}()
 	fp := pmsynth.SweepFingerprint(source, spec)
+	key := emit.key(fp)
 
 	s.mu.Lock()
 	s.pruneSweepIndexLocked()
-	if resp, ok := s.dedupLocked(fp); ok {
+	if joined, ok := s.dedupLocked(key, fp); ok {
 		s.mu.Unlock()
-		return sweepOutcome{status: http.StatusOK, resp: resp}
+		return joined
 	}
 	s.mu.Unlock()
 
 	// Disk tier: a sweep computed before — by this process or a previous
 	// one over the same store directory — answers without compiling. The
 	// restored table becomes an already-succeeded job so every /v1/jobs
-	// endpoint works on it, and the fingerprint index then dedupes
-	// identical submissions onto it for as long as it lives.
-	if out, ok := s.warmSweep(ctx, fp, group); ok {
-		return out
+	// endpoint works on it, and the index then dedupes identical
+	// submissions onto it for as long as it lives.
+	if warm, ok := s.warmSweep(ctx, key, fp, group); ok {
+		return warm
 	}
 
 	// Size the sweep cheaply — before Enumerate materializes anything —
@@ -657,11 +658,11 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	s.mu.Lock()
 	// Re-check: an identical submission may have committed a job while
 	// this one was compiling. Joining it preserves the invariant that one
-	// fingerprint has at most one live job — and exactly one compile ran,
+	// key has at most one live job — and exactly one compile ran,
 	// courtesy of the design cache's singleflight.
-	if resp, ok := s.dedupLocked(fp); ok {
+	if joined, ok := s.dedupLocked(key, fp); ok {
 		s.mu.Unlock()
-		return sweepOutcome{status: http.StatusOK, resp: resp}
+		return joined
 	}
 	// The queue-wait span opens now and is ended by the job Func's first
 	// action (worker pickup); a shed submission ends it immediately,
@@ -687,12 +688,12 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 			// table decoded from its stored bytes, with no per-point
 			// synthesis artifacts and no compiled design to pin for the
 			// job TTL.
-			blob, err := encodeSweepResult(sr)
+			blob, err := encodeSweepResult(sr, emit)
 			if err != nil {
-				return nil, fmt.Errorf("encode sweep table: %w", err)
+				return nil, err
 			}
 			if s.store != nil {
-				s.store.PutCtx(jctx, sweepStoreKey(fp), blob) // advisory: a failed Put costs a recompute
+				s.store.PutCtx(jctx, sweepStoreKey(key), blob) // advisory: a failed Put costs a recompute
 			}
 			return decodeSweepResult(blob)
 		})
@@ -702,58 +703,55 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 		qsp.End()
 		return s.shedOutcome(err)
 	}
-	s.sweepByFP[fp] = job.ID()
+	s.sweepByFP[key] = job.ID()
 	s.mu.Unlock()
-	return sweepOutcome{status: http.StatusAccepted, resp: SweepCreatedResponse{
+	return sweepOutcome{status: http.StatusAccepted, job: job, resp: SweepCreatedResponse{
 		ID: job.ID(), State: job.Snapshot().State, Total: total,
 		Fingerprint: fp, Workers: spec.Workers, Trace: tr.ID(),
 	}}
 }
 
 // sweepStoreKey namespaces sweep tables in the shared disk store.
-func sweepStoreKey(fp string) string { return "sweep|" + fp }
+func sweepStoreKey(key string) string { return "sweep|" + key }
 
-// warmSweep tries to answer a sweep submission from the disk store. On a
-// hit the restored table is registered as an already-succeeded job (no
-// queue slot, no worker) and committed to the fingerprint index, so
-// concurrent identical submissions join it; the commit re-checks the
-// index under s.mu, so two racing warm hits converge on one job.
-func (s *Server) warmSweep(ctx context.Context, fp, group string) (sweepOutcome, bool) {
+// warmSweep tries to answer a submission from the disk store. On a hit
+// the restored table is registered as an already-succeeded job (no queue
+// slot, no worker) and committed to the index, so concurrent identical
+// submissions join it; the commit re-checks the index under s.mu, so two
+// racing warm hits converge on one job.
+func (s *Server) warmSweep(ctx context.Context, key, fp, group string) (sweepOutcome, bool) {
 	if s.store == nil {
 		return sweepOutcome{}, false
 	}
-	blob, ok := s.store.GetCtx(ctx, sweepStoreKey(fp))
+	blob, ok := s.store.GetCtx(ctx, sweepStoreKey(key))
 	if !ok {
 		return sweepOutcome{}, false
 	}
-	sr, err := decodeSweepResult(blob)
+	fs, err := decodeSweepResult(blob)
 	if err != nil {
 		// Format drift reads as a miss; the entry is overwritten when the
 		// recomputed sweep succeeds.
 		return sweepOutcome{}, false
 	}
-	name := "(restored)"
-	if sr.Design != nil && sr.Design.Graph != nil {
-		name = sr.Design.Graph.Name
-	}
 	s.mu.Lock()
-	if resp, ok := s.dedupLocked(fp); ok {
+	if out, ok := s.dedupLocked(key, fp); ok {
 		// A racing identical submission (warm or computed) committed
 		// first; join its job.
 		s.mu.Unlock()
-		return sweepOutcome{status: http.StatusOK, resp: resp}, true
+		return out, true
 	}
 	trace := telemetry.TraceFrom(ctx).ID()
-	job, err := s.jobs.SubmitDone("sweep "+name, group, trace, len(sr.Points), sr)
+	total := len(fs.sr.Points)
+	job, err := s.jobs.SubmitDone("sweep "+fs.sr.Design.Graph.Name, group, trace, total, fs)
 	if err != nil {
 		s.mu.Unlock()
 		return s.shedOutcome(err), true
 	}
-	s.sweepByFP[fp] = job.ID()
+	s.sweepByFP[key] = job.ID()
 	s.mu.Unlock()
 	s.sweepWarmHits.Add(1)
-	return sweepOutcome{status: http.StatusOK, resp: SweepCreatedResponse{
-		ID: job.ID(), State: jobs.StateSucceeded, Total: len(sr.Points),
+	return sweepOutcome{status: http.StatusOK, job: job, resp: SweepCreatedResponse{
+		ID: job.ID(), State: jobs.StateSucceeded, Total: total,
 		Fingerprint: fp, Cached: true, Trace: trace,
 	}}, true
 }
@@ -777,27 +775,27 @@ func (s *Server) shedOutcome(err error) sweepOutcome {
 	}
 }
 
-// dedupLocked answers a submission from the fingerprint index when a live
-// (pending, running or succeeded) job already covers it. Entries whose
-// jobs are gone, failed or canceled are dropped so the next submission
+// dedupLocked answers a submission from the index when a live (pending,
+// running or succeeded) job already covers its key. Entries whose jobs
+// are gone, failed or canceled are dropped so the next submission
 // retries. Called with s.mu held.
-func (s *Server) dedupLocked(fp string) (SweepCreatedResponse, bool) {
-	id, ok := s.sweepByFP[fp]
+func (s *Server) dedupLocked(key, fp string) (sweepOutcome, bool) {
+	id, ok := s.sweepByFP[key]
 	if !ok {
-		return SweepCreatedResponse{}, false
+		return sweepOutcome{}, false
 	}
 	if j, live := s.jobs.Get(id); live {
 		info := j.Snapshot()
 		if info.State == jobs.StatePending || info.State == jobs.StateRunning ||
 			info.State == jobs.StateSucceeded {
-			return SweepCreatedResponse{
+			return sweepOutcome{status: http.StatusOK, job: j, resp: SweepCreatedResponse{
 				ID: info.ID, State: info.State, Total: info.Total,
 				Fingerprint: fp, Deduped: true, Trace: info.Trace,
-			}, true
+			}}, true
 		}
 	}
-	delete(s.sweepByFP, fp) // stale: job gone, failed or canceled
-	return SweepCreatedResponse{}, false
+	delete(s.sweepByFP, key) // stale: job gone, failed or canceled
+	return sweepOutcome{}, false
 }
 
 // checkSweepSize bounds a sweep submission without enumerating it: the
@@ -844,24 +842,31 @@ func (s *Server) checkSweepSize(spec pmsynth.SweepSpec) error {
 	return nil
 }
 
-// pruneSweepIndexLocked drops dedup index entries whose jobs are gone
-// (TTL-collected), failed or canceled. Called with s.mu held on every
-// sweep submission, it bounds the index by the live job count instead of
-// the all-time distinct-fingerprint count. It is map-and-snapshot work
-// only — O(live jobs) with no client-controlled cost, so it is safe
-// inside the short critical section.
+// pruneSweepIndexLocked drops index entries whose jobs are gone
+// (TTL-collected), failed or canceled, so the index tracks the live jobs
+// rather than every key ever admitted. Each entry costs a jobs-manager
+// lookup and a snapshot under s.mu, and the index holds every job alive
+// within the TTL, so walking it on every submission would make each one
+// O(live jobs). Walking only once the index has doubled since the last
+// walk (and holds at least 32 entries) makes the walk O(1) amortized and
+// keeps the index within twice its live entries plus 32; dedupLocked
+// drops the stale entries it meets in between.
 func (s *Server) pruneSweepIndexLocked() {
-	for fp, id := range s.sweepByFP {
+	if n := len(s.sweepByFP); n < 32 || n < 2*s.walked {
+		return
+	}
+	for key, id := range s.sweepByFP {
 		j, ok := s.jobs.Get(id)
 		if !ok {
-			delete(s.sweepByFP, fp)
+			delete(s.sweepByFP, key)
 			continue
 		}
 		switch j.Snapshot().State {
 		case jobs.StateFailed, jobs.StateCanceled:
-			delete(s.sweepByFP, fp)
+			delete(s.sweepByFP, key)
 		}
 	}
+	s.walked = len(s.sweepByFP)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -975,8 +980,9 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobResult serves the sweep result views: ?view=best (default,
-// with ?objective=power|area|steps), ?view=pareto, ?view=table.
+// handleJobResult serves the result views of any job, synthesize jobs
+// included: ?view=best (default, with ?objective=power|area|steps),
+// ?view=pareto, ?view=table.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -988,15 +994,16 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %q is %s; result not ready", info.ID, info.State)
 		return
 	}
-	sr, ok := val.(*pmsynth.SweepResult)
-	if jobErr != nil && sr == nil {
+	fs, ok := val.(*finishedSweep)
+	if jobErr != nil && fs == nil {
 		writeError(w, http.StatusConflict, "job %q %s: %v", info.ID, info.State, jobErr)
 		return
 	}
-	if !ok || sr == nil {
+	if !ok || fs == nil {
 		writeError(w, http.StatusInternalServerError, "job %q holds no sweep result", info.ID)
 		return
 	}
+	sr := fs.sr
 
 	view := r.URL.Query().Get("view")
 	if view == "" {

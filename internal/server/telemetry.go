@@ -49,12 +49,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		r.GaugeFunc(name, help, func() float64 { return float64(fn()) })
 	}
 
-	// Synthesize result cache (the in-memory LRU).
-	ctr("pmsynthd_cache_hits", "synthesize result cache hits", func() int64 { return s.cache.Stats().Hits })
-	ctr("pmsynthd_cache_misses", "synthesize result cache misses", func() int64 { return s.cache.Stats().Misses })
-	gauge("pmsynthd_cache_inflight", "synthesize computations in flight", func() int64 { return s.cache.Stats().Inflight })
-	ctr("pmsynthd_cache_evictions", "synthesize result cache evictions", func() int64 { return s.cache.Stats().Evictions })
-	gauge("pmsynthd_cache_entries", "synthesize result cache resident entries", func() int64 { return s.cache.Stats().Entries })
+	// The in-memory result tier: the dedup index of live jobs, counted
+	// once per admission decision.
+	ctr("pmsynthd_cache_hits", "admissions that joined a live job (sweep, synthesize or batch entry)", s.joins.Load)
+	ctr("pmsynthd_cache_misses", "admissions that joined no live job: store restores, new jobs and refusals", s.admits.Load)
 
 	// Shared compiled-design cache.
 	ctr("pmsynthd_design_cache_hits", "compiled-design cache hits", func() int64 { return s.designs.Stats().Hits })
@@ -107,16 +105,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 		}
 		return int64(len(s.cluster.Nodes()))
 	})
-	ctr("pmsynthd_cluster_proxied_submits", "sweep submissions proxied to a node ranked ahead of this one", func() int64 { return clusterStats().ProxiedSubmits })
+	ctr("pmsynthd_cluster_proxied_submits", "submissions proxied to a node ranked ahead of this one", func() int64 { return clusterStats().ProxiedSubmits })
 	ctr("pmsynthd_cluster_proxied_jobs", "job requests proxied to the node the id names", func() int64 { return clusterStats().ProxiedJobs })
-	ctr("pmsynthd_cluster_fallbacks", "ranked nodes a sweep submission skipped as unreachable or failing", func() int64 { return clusterStats().Fallbacks })
+	ctr("pmsynthd_cluster_fallbacks", "ranked nodes a submission skipped as unreachable or failing", func() int64 { return clusterStats().Fallbacks })
 	ctr("pmsynthd_cluster_forwarded", "submissions received forwarded from peer nodes", func() int64 { return clusterStats().Forwarded })
 
 	// Request and admission counters.
 	ctr("pmsynthd_synthesize_requests", "POST /v1/synthesize requests", s.synthRequests.Load)
 	ctr("pmsynthd_sweep_requests", "POST /v1/sweep requests", s.sweepRequests.Load)
-	ctr("pmsynthd_sweep_shed", "sweep submissions shed with 429", s.sweepSheds.Load)
-	ctr("pmsynthd_sweep_warm_hits", "sweep submissions answered from the disk store", s.sweepWarmHits.Load)
+	ctr("pmsynthd_sweep_shed", "sweep and synthesize submissions shed with 429", s.sweepSheds.Load)
+	ctr("pmsynthd_sweep_warm_hits", "sweep and synthesize submissions answered from the disk store", s.sweepWarmHits.Load)
 	ctr("pmsynthd_batch_requests", "POST /v1/batch requests", s.batchRequests.Load)
 
 	// Job manager. The running gauge reads the manager's O(1) transition
@@ -149,8 +147,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// Cache tiers under one labeled family, for cross-tier dashboards.
 	tiers := r.CounterFuncVec("pmsynthd_cache_tier_requests",
 		"cache lookups by tier and result", "tier", "result")
-	tiers.With(func() float64 { return float64(s.cache.Stats().Hits) }, "result", "hit")
-	tiers.With(func() float64 { return float64(s.cache.Stats().Misses) }, "result", "miss")
+	tiers.With(func() float64 { return float64(s.joins.Load()) }, "result", "hit")
+	tiers.With(func() float64 { return float64(s.admits.Load()) }, "result", "miss")
 	tiers.With(func() float64 { return float64(s.designs.Stats().Hits) }, "design", "hit")
 	tiers.With(func() float64 { return float64(s.designs.Stats().Misses) }, "design", "miss")
 	tiers.With(func() float64 { return float64(storeStats().Hits) }, "store", "hit")

@@ -188,6 +188,37 @@ func TestSynthesizeTraceHeader(t *testing.T) {
 	}
 }
 
+// TestSynthesizeTraceSpans: a synthesize runs as a one-point sweep job,
+// so its trace holds the same admission, run, point and pass spans a
+// sweep's does.
+func TestSynthesizeTraceSpans(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	req := server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}
+	var res server.SynthesizeResponse
+	if code := postJSON(t, ts.URL+"/v1/synthesize", req, &res); code != http.StatusOK {
+		t.Fatalf("synthesize status = %d", code)
+	}
+	var recent []telemetry.Snapshot
+	if code := getJSON(t, ts.URL+"/debug/traces?n=100", &recent); code != http.StatusOK {
+		t.Fatalf("debug traces status = %d", code)
+	}
+	var snap *telemetry.Snapshot
+	for i := range recent {
+		if recent[i].ID == res.Trace {
+			snap = &recent[i]
+		}
+	}
+	if snap == nil {
+		t.Fatalf("trace %q missing from /debug/traces", res.Trace)
+	}
+	for _, name := range []string{"queue-wait", "run", "point",
+		"pass:schedule", "pass:bind", "pass:controller", "pass:baseline", "pass:activity"} {
+		if got := findSpans(snap.Roots, name); len(got) != 1 {
+			t.Errorf("synthesize trace has %d %q spans, want 1", len(got), name)
+		}
+	}
+}
+
 // TestJobTraceNotFound pins the 404 contract of the trace endpoint.
 func TestJobTraceNotFound(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})

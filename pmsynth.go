@@ -34,8 +34,6 @@ const (
 	OrderInputsFirst = core.OrderInputsFirst
 	// OrderGreedyWeight is the §IV.A reordering heuristic.
 	OrderGreedyWeight = core.OrderGreedyWeight
-	// OrderExhaustive tries all orders for small designs.
-	OrderExhaustive = core.OrderExhaustive
 )
 
 // Weights is the paper's relative power cost table (MUX 1, COMP 4, +/- 3,

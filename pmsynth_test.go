@@ -184,7 +184,7 @@ end
 
 func TestOrderOption(t *testing.T) {
 	d := MustCompile(absDiffSrc)
-	for _, o := range []Order{OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight, OrderExhaustive} {
+	for _, o := range []Order{OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight} {
 		syn, err := Synthesize(d, Options{Budget: 3, Order: o})
 		if err != nil {
 			t.Errorf("%v: %v", o, err)

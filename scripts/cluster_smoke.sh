@@ -6,7 +6,8 @@
 # over a shared store directory, drives mixed sweep/synthesize traffic
 # at all three, crash-kills one node mid-run, and requires the
 # survivors to absorb the load: health stays green, a sweep submitted
-# after the kill runs to completion through a survivor, and the
+# after the kill runs to completion through a survivor, synthesize
+# requests sent after the kill answer 200, and the
 # pmsynthd_cluster_* series show the routing actually happened — with
 # # HELP and # TYPE on every cluster family.
 #
@@ -108,6 +109,18 @@ if [ "$state" != succeeded ]; then
     echo "cluster-smoke: post-kill sweep $job ended in '$state', want succeeded" >&2
     exit 1
 fi
+
+# Synthesize is routed like the one-point sweep it is: after the kill,
+# requests at node A for three budgets must each answer, whichever node
+# their fingerprints rank first.
+for b in 3 4 5; do
+    curl -fsS -o /dev/null -X POST "http://$A/v1/synthesize" \
+        -H 'Content-Type: application/json' \
+        -d "{\"source\":\"$gcd\",\"options\":{\"budget\":$b}}" || {
+        echo "cluster-smoke: post-kill synthesize at budget $b failed" >&2
+        exit 1
+    }
+done
 
 curl -fsS "http://$A/healthz" >/dev/null
 curl -fsS "http://$B/healthz" >/dev/null
