@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/alloc"
 	"repro/internal/bench"
 	"repro/internal/cdfg"
 	"repro/internal/optimal"
@@ -206,7 +207,8 @@ func main() {
 		fmt.Printf("  mux %s (select %s): shuts down true={%s} false={%s}\n",
 			g.Node(mm.Mux).Name, g.Node(mm.Sel).Name, names(mm.GatedTrue), names(mm.GatedFalse))
 	}
-	fmt.Printf("units: %v, registers: %d\n", syn.Binding.Units, syn.Binding.Registers)
+	regs, _ := alloc.Registers(syn.PM.Schedule)
+	fmt.Printf("units: %v, registers: %d\n", syn.Binding.Units, regs)
 	row := syn.Row()
 	fmt.Println("Steps PM  Area    MUX   COMP      +      -      *    PowerRed")
 	fmt.Printf("%5d %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%\n",

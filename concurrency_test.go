@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/chip"
 )
 
 func TestConcurrentSynthesisDeterministic(t *testing.T) {
@@ -188,5 +189,74 @@ func TestSynthesizeDoesNotMutateDesign(t *testing.T) {
 	}
 	if n := len(c.Graph().ControlEdges()); n != 0 {
 		t.Errorf("input design gained %d control edges", n)
+	}
+}
+
+// artifacts is everything a point builds on demand from its controllers.
+type artifacts struct {
+	vhdl, verilog, baselineVHDL string
+	gates                       chip.Report
+}
+
+// onDemandArtifacts emits the RTL of both designs and measures the
+// gate-level report of syn.
+func onDemandArtifacts(syn *Synthesis) (artifacts, error) {
+	var a artifacts
+	var err error
+	if a.vhdl, err = syn.VHDL(); err != nil {
+		return a, err
+	}
+	if a.verilog, err = syn.Verilog(); err != nil {
+		return a, err
+	}
+	if a.baselineVHDL, err = syn.BaselineVHDL(); err != nil {
+		return a, err
+	}
+	a.gates, err = syn.GateLevelReport(12, 3)
+	return a, err
+}
+
+// TestSharedSynthesisOnDemandArtifacts: a sweep point's controllers are
+// built on first use, so concurrent readers of one Synthesis share that
+// build. Every reader must see what a serial reader of a fresh point sees.
+// CI repeats this test under the race detector.
+func TestSharedSynthesisOnDemandArtifacts(t *testing.T) {
+	c := bench.GCD()
+	spec := SweepSpec{Budgets: []int{7}, Workers: 1}
+	sweep := func() *Synthesis {
+		res, err := Sweep(c.Design, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Points[0].Err != nil {
+			t.Fatal(res.Points[0].Err)
+		}
+		return res.Points[0].Synthesis
+	}
+	want, err := onDemandArtifacts(sweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shared := sweep()
+	const readers = 8
+	got := make([]artifacts, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			a, err := onDemandArtifacts(shared)
+			if err != nil {
+				t.Errorf("reader %d: %v", i, err)
+			}
+			got[i] = a
+		}(i)
+	}
+	wg.Wait()
+	for i, a := range got {
+		if a != want {
+			t.Errorf("reader %d: on-demand artifacts differ from the serial reference", i)
+		}
 	}
 }

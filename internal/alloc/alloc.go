@@ -19,19 +19,13 @@ type Unit struct {
 // String renders e.g. "add#0".
 func (u Unit) String() string { return fmt.Sprintf("%s#%d", u.Class, u.Index) }
 
-// Binding is the allocation result.
+// Binding is the execution-unit allocation result. The register file is
+// a separate analysis of the schedule alone (Registers).
 type Binding struct {
 	// UnitOf maps every operation node to its execution unit.
 	UnitOf map[cdfg.NodeID]Unit
 	// Units counts the allocated units per class.
 	Units map[cdfg.Class]int
-	// Registers is the minimum register count from lifetime analysis
-	// (left-edge for non-pipelined schedules; modulo-slot demand for
-	// pipelined ones).
-	Registers int
-	// RegOf maps value-producing nodes to a register index for
-	// non-pipelined schedules (empty when II < Steps).
-	RegOf map[cdfg.NodeID]int
 }
 
 // MutuallyExclusive reports whether the guards prove a and b never execute
@@ -126,8 +120,6 @@ func BindWithOracle(s *sched.Schedule, exclusive func(a, b cdfg.NodeID) bool) *B
 			b.Units[cls]++
 		}
 	}
-
-	b.Registers, b.RegOf = allocateRegisters(s)
 	return b
 }
 
@@ -190,9 +182,12 @@ func lifetime(s *sched.Schedule) (def, lastUse []int, needs []bool) {
 	return def, lastUse, needs
 }
 
-// allocateRegisters runs left-edge allocation for non-pipelined schedules
-// and a modulo-slot demand bound for pipelined ones.
-func allocateRegisters(s *sched.Schedule) (int, map[cdfg.NodeID]int) {
+// Registers allocates the schedule's register file from lifetime
+// analysis: left-edge for non-pipelined schedules, which also returns
+// each value-producing node's register index, and a modulo-slot demand
+// bound for pipelined ones, whose index map is empty. count is the
+// minimum register count.
+func Registers(s *sched.Schedule) (count int, regOf map[cdfg.NodeID]int) {
 	def, lastUse, needs := lifetime(s)
 	g := s.Graph
 

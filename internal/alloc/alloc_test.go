@@ -106,17 +106,17 @@ func TestOpsOnUnitOrdered(t *testing.T) {
 
 func TestRegisterAllocationAbsDiff(t *testing.T) {
 	r := pmResult(t, absDiffSrc, 3)
-	b := Bind(r.Schedule, r.Guards)
-	if b.Registers < 3 {
+	regs, regOf := Registers(r.Schedule)
+	if regs < 3 {
 		// a and b live into step 2; comparator lives to step 3 (mux
 		// select); one sub result lives to step 3; output to end.
-		t.Errorf("registers = %d, want >= 3", b.Registers)
+		t.Errorf("registers = %d, want >= 3", regs)
 	}
-	if len(b.RegOf) == 0 {
-		t.Error("RegOf empty for non-pipelined schedule")
+	if len(regOf) == 0 {
+		t.Error("register map empty for non-pipelined schedule")
 	}
-	if b.Registers != MaxOverlap(r.Schedule) {
-		t.Errorf("left-edge %d != max overlap %d", b.Registers, MaxOverlap(r.Schedule))
+	if regs != MaxOverlap(r.Schedule) {
+		t.Errorf("left-edge %d != max overlap %d", regs, MaxOverlap(r.Schedule))
 	}
 }
 
@@ -147,8 +147,8 @@ func TestPropertyLeftEdgeEqualsMaxOverlap(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bind := Bind(s, nil)
-		return bind.Registers == MaxOverlap(s)
+		regs, _ := Registers(s)
+		return regs == MaxOverlap(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -255,7 +255,7 @@ func TestAreaIncreaseSmall(t *testing.T) {
 		t.Errorf("area increase = %.3f, want 1.0 (units: pm=%v base=%v)",
 			ratio, pmBind.Units, baseBind.Units)
 	}
-	if pmBind.UnitsArea(8) <= 0 || pmBind.TotalArea(8) <= pmBind.UnitsArea(8) {
+	if regs, _ := Registers(r.Schedule); pmBind.UnitsArea(8) <= 0 || float64(regs)*RegisterArea(8) <= 0 {
 		t.Error("area accounting inconsistent")
 	}
 }
@@ -287,11 +287,12 @@ end
 		t.Fatal(err)
 	}
 	b := Bind(s, nil)
-	if b.Registers < 2 {
-		t.Errorf("pipelined registers = %d, want >= 2", b.Registers)
+	regs, regOf := Registers(s)
+	if regs < 2 {
+		t.Errorf("pipelined registers = %d, want >= 2", regs)
 	}
-	if len(b.RegOf) != 0 {
-		t.Error("RegOf should be empty for pipelined schedules")
+	if len(regOf) != 0 {
+		t.Error("register map should be empty for pipelined schedules")
 	}
 	// Functional-unit demand doubles where modulo slots collide.
 	sNon, _, err := sched.MinimizeSimple(d.Graph, 4)

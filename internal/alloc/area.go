@@ -49,12 +49,6 @@ func (b *Binding) UnitsArea(width int) float64 {
 	return total
 }
 
-// TotalArea adds register area to the unit area, a fuller estimate used by
-// the gate-level comparison.
-func (b *Binding) TotalArea(width int) float64 {
-	return b.UnitsArea(width) + float64(b.Registers)*RegisterArea(width)
-}
-
 // AreaIncrease computes the Table II column: the unit area of the power
 // managed design relative to the baseline design at the same budget.
 func AreaIncrease(pm, baseline *Binding, width int) float64 {

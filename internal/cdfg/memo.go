@@ -15,8 +15,9 @@ import "sync"
 // needs no adjacency entry: its scheduling adjacency is its dataflow.
 //
 // The cache is safe for concurrent use: the design-space sweep engine
-// evaluates many configurations of one design in parallel, and every
-// worker's clones share the entries that were warm at clone time.
+// evaluates many configurations of one design in parallel, reading the
+// design's graph itself and the clones its points make, which share the
+// entries that were warm at clone time.
 type analysisMemo struct {
 	mu       sync.Mutex
 	depth    []int

@@ -99,7 +99,7 @@ func CompareWithVectors(g *cdfg.Graph, budget, width int, vectors []map[string]i
 	// The standard pipeline minus the activity pass: the gate-level
 	// comparison measures switching directly and never reads the
 	// probabilistic activity model.
-	pipe := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.ControllerPass{}, flow.BaselinePass{})
+	pipe := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.BaselinePass{})
 	if err := pipe.Run(fc); err != nil {
 		return Report{Name: g.Name, Steps: budget, Samples: len(vectors)}, err
 	}
@@ -108,11 +108,11 @@ func CompareWithVectors(g *cdfg.Graph, budget, width int, vectors []map[string]i
 
 // CompareContext measures the gate-level chips of an already-run pipeline
 // context on the given input stream. Both controllers (power managed and
-// baseline) come straight from the context, so callers that already
+// baseline) come from the context's Controllers, so callers that already
 // synthesized a design — the sweep engine, the root Synthesis — do not
 // re-run any scheduling or binding.
 func CompareContext(fc *flow.Context, vectors []map[string]int64) (Report, error) {
-	if fc == nil || fc.PM == nil || fc.Controller == nil || fc.BaselineController == nil {
+	if fc == nil || fc.PM == nil {
 		return Report{Samples: len(vectors)}, fmt.Errorf("chip: context is missing pipeline artifacts")
 	}
 	g := fc.Graph
@@ -121,12 +121,16 @@ func CompareContext(fc *flow.Context, vectors []map[string]int64) (Report, error
 	if len(vectors) < 1 {
 		return rep, fmt.Errorf("chip: need at least one sample")
 	}
-
-	pmChip, err := Build(fc.Controller, fc.Width)
+	pmCtl, baseCtl, err := fc.Controllers()
 	if err != nil {
 		return rep, err
 	}
-	baseChip, err := Build(fc.BaselineController, fc.Width)
+
+	pmChip, err := Build(pmCtl, fc.Width)
+	if err != nil {
+		return rep, err
+	}
+	baseChip, err := Build(baseCtl, fc.Width)
 	if err != nil {
 		return rep, err
 	}

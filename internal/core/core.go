@@ -84,8 +84,9 @@ func (m ManagedMux) GatedCount() int { return len(m.GatedTrue) + len(m.GatedFals
 
 // Result is the outcome of power management scheduling.
 type Result struct {
-	// Graph is a private clone of the input with the pass's control
-	// edges inserted.
+	// Graph is the scheduled graph: a clone of the input with the pass's
+	// control edges inserted, or the input itself when no mux was
+	// managed and Resources was nil. Treat it as read-only.
 	Graph *cdfg.Graph
 	// Schedule is the final schedule on Graph.
 	Schedule *sched.Schedule
@@ -116,10 +117,15 @@ func (r *Result) GatedOps() cdfg.NodeSet {
 
 // Baseline schedules g without any power management, the "traditional
 // method" the paper compares against: minimum hardware for the given
-// throughput, no control edges.
+// throughput, no control edges. An input without control edges is
+// scheduled as it is, so the schedule's graph is g; otherwise it is a
+// clone with the edges cleared. g is not modified.
 func Baseline(g *cdfg.Graph, budget, ii int) (*sched.Schedule, sched.Resources, error) {
-	work := g.Clone()
-	work.ClearControlEdges()
+	work := g
+	if len(g.ControlEdges()) > 0 {
+		work = g.Clone()
+		work.ClearControlEdges()
+	}
 	if ii == 0 {
 		ii = budget
 	}

@@ -23,10 +23,16 @@ type passResult struct {
 	reports []MuxReport
 }
 
-// pass runs Fig. 3 steps 2-10 over the muxes of one private work graph.
-// Its deriver and feasibility window are built at the first mux that needs
-// them, so a graph without anything to gate pays for neither.
+// pass runs Fig. 3 steps 2-10 over the muxes of one graph. Its deriver and
+// feasibility window are built at the first mux that needs them, so a
+// graph without anything to gate pays for neither.
+//
+// The pass reads its input graph and never writes it: the first committed
+// batch is the first write, so only then does the pass clone the input,
+// and the clone takes that batch's edges and every later one. Until then
+// res.graph is the input itself.
 type pass struct {
+	input  *cdfg.Graph
 	res    passResult
 	window sched.Window
 	gates  *gateDeriver
@@ -35,18 +41,19 @@ type pass struct {
 	ids []cdfg.NodeID
 }
 
-// newPass prepares a pass over work, whose ASAP/ALAP window under the
-// budget is w. The pass takes ownership of w and of work's control edges.
-func newPass(work *cdfg.Graph, w sched.Window) *pass {
-	return &pass{res: passResult{graph: work, guards: make(sim.Guards)}, window: w}
+// newPass prepares a pass over g, whose ASAP/ALAP window under the budget
+// is w. The pass takes ownership of w; g stays read-only.
+func newPass(g *cdfg.Graph, w sched.Window) *pass {
+	return &pass{input: g, res: passResult{graph: g, guards: make(sim.Guards)}, window: w}
 }
 
-// runPass executes Fig. 3 steps 2-10 over the muxes of work (a private
-// clone whose window under the budget is w) in the given order, committing
-// each mux whose serialization keeps the budget feasible. work gains the
-// committed control edges, and w is updated in place.
-func runPass(work *cdfg.Graph, order []cdfg.NodeID, w sched.Window) (passResult, error) {
-	p := newPass(work, w)
+// runPass executes Fig. 3 steps 2-10 over the muxes of g (whose window
+// under the budget is w) in the given order, committing each mux whose
+// serialization keeps the budget feasible. The result's graph carries the
+// committed control edges: a clone of g, or g itself when nothing was
+// committed. w is updated in place.
+func runPass(g *cdfg.Graph, order []cdfg.NodeID, w sched.Window) (passResult, error) {
+	p := newPass(g, w)
 	for _, m := range order {
 		if err := p.step(m); err != nil {
 			return passResult{}, err
@@ -85,7 +92,10 @@ func (p *pass) step(m cdfg.NodeID) error {
 		p.res.reports = append(p.res.reports, rep)
 		return nil
 	}
-	if err := p.win.commit(); err != nil {
+	if p.res.graph == p.input {
+		p.res.graph = p.input.Clone()
+	}
+	if err := p.win.commit(p.res.graph); err != nil {
 		return err
 	}
 	rep.Verdict = VerdictManaged
@@ -129,7 +139,8 @@ func addGuard(gs sim.Guards, id cdfg.NodeID, gd sim.Guard) {
 }
 
 // Schedule runs the full power management scheduling flow on g (paper
-// Fig. 3). The input graph is not modified.
+// Fig. 3). The input graph is not modified. Result.Graph is g itself when
+// no mux was managed and Resources is nil; otherwise it is a clone.
 func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if cfg.Budget < 1 {
 		return nil, fmt.Errorf("core: budget %d must be positive", cfg.Budget)
@@ -148,9 +159,14 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if cfg.Resources != nil {
 		// Fixed hardware: degrade gating gracefully when the resource
 		// constraint makes the fully gated schedule infeasible
-		// (paper §II.B's one-subtractor scenario).
+		// (paper §II.B's one-subtractor scenario). Relaxation rewrites
+		// the graph's control edges, so it works on a clone even when
+		// the pass committed nothing.
 		res = cfg.Resources.Clone()
 		userEdges := append([]cdfg.ControlEdge(nil), g.ControlEdges()...)
+		if pr.graph == g {
+			pr.graph = g.Clone()
+		}
 		s, err = scheduleWithRelaxation(&pr, cfg.Budget, ii, res, userEdges, cfg.Weights)
 	} else {
 		s, res, err = sched.Minimize(pr.graph, cfg.Budget, ii)
@@ -187,7 +203,7 @@ func selectPass(g *cdfg.Graph, cfg Config) (passResult, error) {
 	if err != nil {
 		return passResult{}, err
 	}
-	return runPass(g.Clone(), order, w)
+	return runPass(g, order, w)
 }
 
 // candidateOrder produces the mux processing order of the configured

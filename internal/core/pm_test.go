@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cdfg"
+	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/silage"
 	"repro/internal/sim"
@@ -432,14 +435,83 @@ func TestOrderStrategiesRun(t *testing.T) {
 	}
 }
 
+// TestInputGraphNotMutated pins clone on first write: Schedule, Baseline
+// and Explain read their input and never write it, at every budget from
+// the critical path up, pipelined, under fixed resources, and on an input
+// that carries a control edge of its own. Schedule's result aliases the
+// input exactly when it managed nothing under minimized hardware, and
+// Baseline's schedule exactly when the input has no control edge.
 func TestInputGraphNotMutated(t *testing.T) {
-	g := compile(t, absDiffSrc)
-	before := g.NumNodes()
-	if _, err := Schedule(g, Config{Budget: 3}); err != nil {
+	for _, ng := range oracleGraphs(t, 20) {
+		// The user edge runs from an input to the last operation, so it
+		// leaves the critical path as it is.
+		withEdge := ng.g.Clone()
+		last := cdfg.InvalidNode
+		for _, n := range withEdge.Nodes() {
+			if n.IsOp() {
+				last = n.ID
+			}
+		}
+		if err := withEdge.AddControlEdge(withEdge.Inputs()[0], last); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*cdfg.Graph{ng.g, withEdge} {
+			checkInputNotMutated(t, ng.name, g)
+		}
+	}
+}
+
+func checkInputNotMutated(t *testing.T, name string, g *cdfg.Graph) {
+	t.Helper()
+	cp, err := g.CriticalPath()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != before || len(g.ControlEdges()) != 0 {
-		t.Error("Schedule mutated the input graph")
+	var cfgs []Config
+	for b := cp; b <= cp+3; b++ {
+		cfgs = append(cfgs, Config{Budget: b})
+	}
+	cfgs = append(cfgs, Config{Budget: 2 * cp, II: cp})
+	pm, err := Schedule(g, Config{Budget: cp + 2})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	fixed := pm.Resources.Clone()
+	for c := range fixed {
+		fixed[c]++
+	}
+	cfgs = append(cfgs, Config{Budget: cp + 2, Resources: fixed})
+
+	dot, edges := g.DOT(), slices.Clone(g.ControlEdges())
+	unchanged := func(pt, call string) {
+		if g.DOT() != dot || !slices.Equal(g.ControlEdges(), edges) {
+			t.Fatalf("%s: %s mutated the input graph", pt, call)
+		}
+	}
+	for _, cfg := range cfgs {
+		cfg.Weights = power.Weights
+		pt := fmt.Sprintf("%s (%d control edges) budget=%d ii=%d fixed=%v",
+			name, len(edges), cfg.Budget, cfg.II, cfg.Resources != nil)
+		r, err := Schedule(g, cfg)
+		unchanged(pt, "Schedule")
+		if err != nil {
+			t.Fatalf("%s: %v", pt, err)
+		}
+		if alias := r.NumManaged() == 0 && cfg.Resources == nil; (r.Graph == g) != alias {
+			t.Errorf("%s: Result.Graph is the input = %v, want %v", pt, r.Graph == g, alias)
+		}
+		s, _, err := Baseline(g, cfg.Budget, cfg.II)
+		unchanged(pt, "Baseline")
+		if err != nil {
+			t.Fatalf("%s: baseline: %v", pt, err)
+		}
+		if (s.Graph == g) != (len(edges) == 0) {
+			t.Errorf("%s: the baseline schedule's graph is the input = %v", pt, s.Graph == g)
+		}
+		if _, err := Explain(g, cfg); err != nil {
+			t.Fatalf("%s: explain: %v", pt, err)
+		}
+		unchanged(pt, "Explain")
 	}
 }
 

@@ -135,9 +135,10 @@ func (pw *passWindow) lower(id cdfg.NodeID, t int) {
 }
 
 // commit makes the pending batch part of the committed window: it lowers
-// ALAP from sel, keeps the new times, and adds the batch's edges to the
-// graph in batch order.
-func (pw *passWindow) commit() error {
+// ALAP from sel, keeps the new times, and adds the batch's edges to work
+// in batch order. work is the pass's clone of pw.g, so the two agree on
+// every node and dataflow edge; pw.g itself is never written.
+func (pw *passWindow) commit(work *cdfg.Graph) error {
 	g, alap := pw.g, pw.alap
 	for _, top := range pw.pending {
 		pw.lower(pw.sel, alap[top]-g.Node(top).Latency())
@@ -161,7 +162,7 @@ func (pw *passWindow) commit() error {
 		pw.base.ALAP[id] = alap[id]
 	}
 	for _, top := range pw.pending {
-		if err := g.AddControlEdge(pw.sel, top); err != nil {
+		if err := work.AddControlEdge(pw.sel, top); err != nil {
 			return err
 		}
 	}

@@ -54,21 +54,30 @@ func oracleGraphs(t *testing.T, n int) []namedGraph {
 // on a clone carrying the same control edges. Each mux's gated sets must
 // equal the reference derivation's. A managed mux must have added exactly
 // the reference batch's edges and left the graph feasible; a rejected mux
-// must have added none, and the reference batch must be infeasible. It
-// returns the pass's error, if any.
+// must have added none, and the reference batch must be infeasible. The
+// pass must never write g: its graph is g itself until the first managed
+// mux and a clone from there on. It returns the pass's error, if any.
 func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeID) error {
 	t.Helper()
 	w, err := sched.AnalyzeWindow(g, budget)
 	if err != nil || !w.Feasible() {
 		t.Fatalf("budget %d: infeasible input (%v)", budget, err)
 	}
-	work := g.Clone()
-	p := newPass(work, w)
+	inputEdges := slices.Clone(g.ControlEdges())
+	defer func() {
+		if !slices.Equal(g.ControlEdges(), inputEdges) {
+			t.Errorf("budget %d: the pass wrote its input graph's control edges", budget)
+		}
+	}()
+	p := newPass(g, w)
+	managed := false
 	for _, m := range order {
+		work := p.res.graph
 		refTrue, refFalse := referenceGatedSets(work, m)
 		before := slices.Clone(work.ControlEdges())
 		tent := tentative(work, m, refTrue, refFalse)
 		stepErr := p.step(m)
+		work = p.res.graph
 
 		want, err := sched.AnalyzeWindow(work.Clone(), budget)
 		if err != nil {
@@ -94,6 +103,7 @@ func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeI
 		}
 		switch rep.Verdict {
 		case VerdictManaged:
+			managed = true
 			if !slices.Equal(work.ControlEdges(), tent.ControlEdges()) {
 				t.Fatalf("mux %d: committed edges %v, reference %v", m, work.ControlEdges(), tent.ControlEdges())
 			}
@@ -111,6 +121,9 @@ func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeI
 			if len(refTrue)+len(refFalse) != 0 || !slices.Equal(work.ControlEdges(), before) {
 				t.Fatalf("mux %d: nothing to gate, but reference sets %v/%v", m, refTrue.Sorted(), refFalse.Sorted())
 			}
+		}
+		if (work == g) == managed {
+			t.Fatalf("mux %d: pass graph is the input: %v, a mux managed so far: %v", m, work == g, managed)
 		}
 	}
 	return nil

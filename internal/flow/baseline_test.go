@@ -57,7 +57,9 @@ func reuseDesigns(t *testing.T) []reuseDesign {
 // field by field and in emitted RTL, what the traditional flow computes
 // from scratch. The oracle's PM-versus-baseline stages cannot see a wrong
 // rule once both sides are one object, so this test compares against an
-// independent recomputation instead.
+// independent recomputation instead. It also pins on-demand controllers:
+// the standard pipeline leaves both unbuilt, and the ones Controllers
+// builds later equal ctrl.Build run from scratch.
 func TestBaselineReuseMatchesRecompute(t *testing.T) {
 	reused := 0
 	for _, d := range reuseDesigns(t) {
@@ -98,6 +100,9 @@ func TestBaselineReuseMatchesRecompute(t *testing.T) {
 						pt, len(fc.PM.Graph.ControlEdges()), cfg.Resources)
 				}
 			}
+			if fc.Controller != nil || fc.BaselineController != nil {
+				t.Errorf("%s: the standard pipeline built a controller", pt)
+			}
 			compareBaseline(t, pt, fc)
 		}
 	}
@@ -108,7 +113,8 @@ func TestBaselineReuseMatchesRecompute(t *testing.T) {
 }
 
 // compareBaseline checks fc's baseline against core.Baseline, alloc.Bind
-// and ctrl.Build run from scratch.
+// and ctrl.Build run from scratch, and fc's on-demand PM controller
+// against ctrl.Build over the PM schedule and a fresh binding.
 func compareBaseline(t *testing.T, pt string, fc *Context) {
 	t.Helper()
 	s, res, err := core.Baseline(fc.Graph, fc.Config.Budget, fc.Config.II)
@@ -120,8 +126,16 @@ func compareBaseline(t *testing.T, pt string, fc *Context) {
 	if err != nil {
 		t.Fatalf("%s: recompute: %v", pt, err)
 	}
+	pmCtl, err := ctrl.Build(fc.PM.Schedule, alloc.Bind(fc.PM.Schedule, fc.PM.Guards), fc.PM.Guards, true)
+	if err != nil {
+		t.Fatalf("%s: recompute: %v", pt, err)
+	}
+	gotPM, gc, err := fc.Controllers()
+	if err != nil {
+		t.Fatalf("%s: controllers: %v", pt, err)
+	}
 
-	gs, gb, gc := fc.BaselineSchedule, fc.BaselineBinding, fc.BaselineController
+	gs, gb := fc.BaselineSchedule, fc.BaselineBinding
 	for _, c := range []struct {
 		field string
 		same  bool
@@ -132,32 +146,49 @@ func compareBaseline(t *testing.T, pt string, fc *Context) {
 		{"resources", maps.Equal(fc.BaselineResources, res)},
 		{"binding UnitOf", maps.Equal(gb.UnitOf, b.UnitOf)},
 		{"binding Units", maps.Equal(gb.Units, b.Units)},
-		{"binding Registers", gb.Registers == b.Registers},
-		{"binding RegOf", maps.Equal(gb.RegOf, b.RegOf)},
-		{"controller CondNodes", slices.Equal(gc.CondNodes, ctl.CondNodes)},
-		{"controller Loads", reflect.DeepEqual(gc.Loads, ctl.Loads)},
-		{"controller UnitLoads", reflect.DeepEqual(gc.UnitLoads, ctl.UnitLoads)},
-		{"controller PM", gc.PM == ctl.PM},
 	} {
 		if !c.same {
 			t.Errorf("%s: baseline %s differ from the recomputation", pt, c.field)
 		}
 	}
+	compareController(t, pt+" baseline", fc.Width, gc, ctl)
+	compareController(t, pt+" PM", fc.Width, gotPM, pmCtl)
+}
 
+// compareController checks an on-demand controller against one built from
+// scratch, field by field and in emitted VHDL and Verilog.
+func compareController(t *testing.T, pt string, width int, got, want *ctrl.Controller) {
+	t.Helper()
+	for _, c := range []struct {
+		field string
+		same  bool
+	}{
+		{"CondNodes", slices.Equal(got.CondNodes, want.CondNodes)},
+		{"Loads", reflect.DeepEqual(got.Loads, want.Loads)},
+		{"UnitLoads", reflect.DeepEqual(got.UnitLoads, want.UnitLoads)},
+		{"PM", got.PM == want.PM},
+		{"Steps", got.Steps == want.Steps},
+		{"schedule", slices.Equal(got.Schedule.Time, want.Schedule.Time)},
+		{"binding", maps.Equal(got.Binding.UnitOf, want.Binding.UnitOf)},
+	} {
+		if !c.same {
+			t.Errorf("%s: controller %s differ from the recomputation", pt, c.field)
+		}
+	}
 	for _, emit := range []struct {
 		lang string
 		gen  func(*ctrl.Controller, int) (string, error)
 	}{{"VHDL", vhdl.Generate}, {"Verilog", verilog.Generate}} {
-		got, err := emit.gen(gc, fc.Width)
+		g, err := emit.gen(got, width)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", pt, emit.lang, err)
 		}
-		want, err := emit.gen(ctl, fc.Width)
+		w, err := emit.gen(want, width)
 		if err != nil {
 			t.Fatalf("%s: recomputed %s: %v", pt, emit.lang, err)
 		}
-		if got != want {
-			t.Errorf("%s: baseline %s differs from the recomputation's", pt, emit.lang)
+		if g != w {
+			t.Errorf("%s: %s differs from the recomputation's", pt, emit.lang)
 		}
 	}
 }

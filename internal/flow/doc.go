@@ -7,11 +7,15 @@
 // cmd/pmsched -sweep, cmd/tables, the benchmark harness).
 //
 // A Pass is one stage of the flow; a Pipeline runs passes in order over a
-// Context, which collects every artifact and diagnostic. Pass timing is
-// the "pass:<name>" telemetry span and nothing else. The Standard
-// pipeline reproduces the paper's fixed sequence:
+// Context, which collects every artifact. Pass timing is the
+// "pass:<name>" telemetry span and nothing else. The Standard pipeline
+// computes exactly what a Table II row reads:
 //
-//	schedule -> bind -> controller -> baseline -> activity
+//	schedule -> bind -> baseline -> activity
+//
+// The FSM controllers of both designs, which only RTL emission and the
+// gate-level chips read, are built on first use by Context.Controllers.
+// Register allocation is alloc.Registers, run by whoever reports it.
 //
 // See DESIGN.md at the repository root for the architecture.
 package flow

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/cdfg"
@@ -16,10 +17,13 @@ import (
 )
 
 // Context carries one configuration's inputs and every artifact the passes
-// produce, plus human-readable diagnostics. A Context is used by one
-// goroutine at a time; distinct Contexts may run concurrently even when
-// they share the input Graph (passes treat the input as read-only and
-// work on private clones).
+// produce. A Context is used by one goroutine at a time while its pipeline
+// runs; distinct Contexts may run concurrently even when they share the
+// input Graph. Passes treat the input as read-only: the PM pass reads it
+// until its first committed control edge and clones it there, so PM.Graph
+// is the input itself at a point that manages nothing under minimized
+// hardware. Once the pipeline has finished, Controllers is safe for
+// concurrent use.
 type Context struct {
 	// Ctx carries cancellation for long runs; nil means never canceled.
 	//pmlint:allow spanpair the pipeline Context is the per-run carrier passes thread cancellation through; it lives exactly one Run and the sweep engine clears it before returning the Context
@@ -34,19 +38,21 @@ type Context struct {
 
 	// PM is the power management scheduling result (schedule pass).
 	PM *core.Result
-	// Binding maps the PM schedule onto units and registers (bind pass).
+	// Binding maps the PM schedule onto execution units (bind pass).
 	Binding *alloc.Binding
-	// Controller is the condition-qualified FSM (controller pass).
+	// Controller is the condition-qualified FSM. The standard pipeline
+	// leaves it nil, and Controllers builds it on first use with
+	// ControllerPass; a pipeline that lists that pass builds it there.
 	Controller *ctrl.Controller
-	// BaselineSchedule/BaselineResources/BaselineBinding/
-	// BaselineController are the traditional flow at the same throughput
-	// (baseline pass). When the baseline pass finds the PM pass solved
-	// the same problem, the first three alias PM.Schedule, PM.Resources
-	// and Binding, and the controller shares the PM controller's
-	// contents: treat all four as read-only.
-	BaselineSchedule   *sched.Schedule
-	BaselineResources  sched.Resources
-	BaselineBinding    *alloc.Binding
+	// BaselineSchedule/BaselineResources/BaselineBinding are the
+	// traditional flow at the same throughput (baseline pass). When the
+	// baseline pass finds the PM pass solved the same problem, they alias
+	// PM.Schedule, PM.Resources and Binding: treat all three as read-only.
+	BaselineSchedule  *sched.Schedule
+	BaselineResources sched.Resources
+	BaselineBinding   *alloc.Binding
+	// BaselineController is the baseline design's FSM, built on first use
+	// by Controllers.
 	BaselineController *ctrl.Controller
 	// Activity holds the exact per-node execution probabilities under the
 	// equiprobable-select model (activity pass); ActivityExact reports
@@ -62,13 +68,39 @@ type Context struct {
 	// error instead.
 	Err error
 
-	// Diags collects human-readable per-pass diagnostics.
-	Diags []string
+	// controllers guards the one build of Controller and
+	// BaselineController; controllersErr is its outcome.
+	controllers    sync.Once
+	controllersErr error
 }
 
-// Diag appends a formatted diagnostic line.
-func (c *Context) Diag(format string, args ...interface{}) {
-	c.Diags = append(c.Diags, fmt.Sprintf(format, args...))
+// Controllers returns the FSM controllers of the power managed and the
+// baseline design, building them on the first call: RTL emission and the
+// gate-level chips read them, but no Table II row does, so the standard
+// pipeline leaves them unbuilt. The PM side runs ControllerPass unless a
+// pipeline already did; the baseline side is ctrl.Build over the baseline
+// schedule and binding. Every call returns the same controllers (or the
+// same error), and concurrent calls build once.
+func (c *Context) Controllers() (pm, baseline *ctrl.Controller, err error) {
+	c.controllers.Do(func() { c.controllersErr = c.buildControllers() })
+	return c.Controller, c.BaselineController, c.controllersErr
+}
+
+func (c *Context) buildControllers() error {
+	if c.BaselineSchedule == nil || c.BaselineBinding == nil {
+		return errors.New("flow: controllers require the schedule, bind and baseline passes")
+	}
+	if c.Controller == nil {
+		if err := (ControllerPass{}).Run(c); err != nil {
+			return err
+		}
+	}
+	ctl, err := ctrl.Build(c.BaselineSchedule, c.BaselineBinding, nil, false)
+	if err != nil {
+		return err
+	}
+	c.BaselineController = ctl
+	return nil
 }
 
 // canceled reports the cancellation state of the run.
@@ -134,10 +166,11 @@ func (p *Pipeline) Run(c *Context) error {
 }
 
 // Standard returns the canonical pipeline of the paper's flow: schedule for
-// shut-down, bind, build the controller, schedule the traditional baseline,
-// and analyze switching activity.
+// shut-down, bind, schedule and bind the traditional baseline, and analyze
+// switching activity — exactly what a Table II row reads. The controllers
+// come on demand from Context.Controllers.
 func Standard() *Pipeline {
-	return New(SchedulePass{}, BindPass{}, ControllerPass{}, BaselinePass{}, ActivityPass{})
+	return New(SchedulePass{}, BindPass{}, BaselinePass{}, ActivityPass{})
 }
 
 // WithOptimal returns the standard pipeline extended with the exact
@@ -145,5 +178,5 @@ func Standard() *Pipeline {
 // heuristic's schedule. Use it when the sweep should report the optimality
 // gap alongside every point.
 func WithOptimal() *Pipeline {
-	return New(SchedulePass{}, BindPass{}, ControllerPass{}, BaselinePass{}, ActivityPass{}, OptimalPass{})
+	return New(SchedulePass{}, BindPass{}, BaselinePass{}, ActivityPass{}, OptimalPass{})
 }

@@ -2,9 +2,12 @@ package flow
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/silage"
@@ -46,7 +49,7 @@ func runTraced(p *Pipeline, fc *Context) ([]string, error) {
 }
 
 func TestStandardPassOrder(t *testing.T) {
-	want := []string{"schedule", "bind", "controller", "baseline", "activity"}
+	want := []string{"schedule", "bind", "baseline", "activity"}
 	got := Standard().Names()
 	if len(got) != len(want) {
 		t.Fatalf("names = %v, want %v", got, want)
@@ -69,23 +72,84 @@ func TestStandardProducesAllArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.PM == nil || fc.Binding == nil || fc.Controller == nil {
+	if fc.PM == nil || fc.Binding == nil {
 		t.Fatal("missing PM artifacts")
 	}
-	if fc.BaselineSchedule == nil || fc.BaselineBinding == nil || fc.BaselineController == nil {
+	if fc.BaselineSchedule == nil || fc.BaselineBinding == nil {
 		t.Fatal("missing baseline artifacts")
 	}
 	if !fc.ActivityExact {
 		t.Error("absdiff activity should be exact")
 	}
-	if len(passes) != 5 {
-		t.Errorf("pass spans = %v, want 5", passes)
-	}
-	if len(fc.Diags) == 0 {
-		t.Error("no diagnostics recorded")
+	if want := []string{"pass:schedule", "pass:bind", "pass:baseline", "pass:activity"}; !slices.Equal(passes, want) {
+		t.Errorf("pass spans = %v, want %v", passes, want)
 	}
 	if fc.PM.NumManaged() != 1 {
 		t.Errorf("absdiff@3 managed = %d, want 1", fc.PM.NumManaged())
+	}
+
+	// Controllers are built on demand, once.
+	if fc.Controller != nil || fc.BaselineController != nil {
+		t.Fatal("the standard pipeline built a controller")
+	}
+	pm, base, err := fc.Controllers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm == nil || base == nil || fc.Controller != pm || fc.BaselineController != base {
+		t.Fatalf("controllers = %p/%p, fields %p/%p", pm, base, fc.Controller, fc.BaselineController)
+	}
+	if !pm.PM || base.PM {
+		t.Errorf("PM flags = %v/%v, want true/false", pm.PM, base.PM)
+	}
+	if pm2, base2, _ := fc.Controllers(); pm2 != pm || base2 != base {
+		t.Error("a second Controllers call built new controllers")
+	}
+}
+
+// TestControllersNeedTheBaseline: a context whose pipeline stopped before
+// the baseline pass has no controllers to build.
+func TestControllersNeedTheBaseline(t *testing.T) {
+	d := compile(t)
+	fc := &Context{Graph: d.Graph, Width: d.Width, Config: core.Config{Budget: 3}}
+	if err := New(SchedulePass{}, BindPass{}).Run(fc); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fc.Controllers(); err == nil {
+		t.Fatal("Controllers succeeded without the baseline pass")
+	}
+}
+
+// TestCheckBound feeds the bind and baseline passes' per-op check the two
+// faults ctrl.Build rejects: an op scheduled outside [1, Steps] and an op
+// without a unit.
+func TestCheckBound(t *testing.T) {
+	d := compile(t)
+	r, err := core.Schedule(d.Graph, core.Config{Budget: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := alloc.Bind(r.Schedule, r.Guards)
+	if err := checkBound(r.Schedule, b); err != nil {
+		t.Fatalf("valid binding rejected: %v", err)
+	}
+	d1 := r.Graph.Lookup("d1")
+
+	late := *r.Schedule
+	late.Time = r.Schedule.Time.Clone()
+	late.Time[d1] = late.Steps + 1
+	if err := checkBound(&late, b); err == nil || !strings.Contains(err.Error(), `op "d1" scheduled at 4 outside [1,3]`) {
+		t.Errorf("out-of-range op: err = %v", err)
+	}
+	late.Time[d1] = 0
+	if err := checkBound(&late, b); err == nil || !strings.Contains(err.Error(), "outside [1,3]") {
+		t.Errorf("op at step 0: err = %v", err)
+	}
+
+	missing := &alloc.Binding{UnitOf: maps.Clone(b.UnitOf), Units: b.Units}
+	delete(missing.UnitOf, d1)
+	if err := checkBound(r.Schedule, missing); err == nil || !strings.Contains(err.Error(), `op "d1" has no unit`) {
+		t.Errorf("unbound op: err = %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/optimal"
 	"repro/internal/power"
+	"repro/internal/sched"
 )
 
 // SchedulePass runs the power management scheduling algorithm (paper
@@ -25,12 +26,10 @@ func (SchedulePass) Run(c *Context) error {
 		return err
 	}
 	c.PM = pm
-	c.Diag("schedule: %d steps, %d power managed muxes, units %v",
-		pm.Schedule.Steps, pm.NumManaged(), pm.Resources)
 	return nil
 }
 
-// BindPass maps the PM schedule onto execution units and registers.
+// BindPass maps the PM schedule onto execution units.
 type BindPass struct{}
 
 // Name implements Pass.
@@ -41,12 +40,36 @@ func (BindPass) Run(c *Context) error {
 	if c.PM == nil {
 		return errors.New("bind requires the schedule pass")
 	}
-	c.Binding = alloc.Bind(c.PM.Schedule, c.PM.Guards)
-	c.Diag("bind: units %v, %d registers", c.Binding.Units, c.Binding.Registers)
+	b := alloc.Bind(c.PM.Schedule, c.PM.Guards)
+	if err := checkBound(c.PM.Schedule, b); err != nil {
+		return err
+	}
+	c.Binding = b
 	return nil
 }
 
-// ControllerPass builds the condition-qualified FSM controller.
+// checkBound enforces the two per-operation invariants the controller
+// generator relies on, at every point whether or not a controller is ever
+// built: each operation executes in a step of [1, Steps] and is bound to
+// a unit.
+func checkBound(s *sched.Schedule, b *alloc.Binding) error {
+	for _, n := range s.Graph.Nodes() {
+		if !n.IsOp() {
+			continue
+		}
+		if t := s.Time[n.ID]; t < 1 || t > s.Steps {
+			return fmt.Errorf("op %q scheduled at %d outside [1,%d]", n.Name, t, s.Steps)
+		}
+		if _, ok := b.UnitOf[n.ID]; !ok {
+			return fmt.Errorf("op %q has no unit", n.Name)
+		}
+	}
+	return nil
+}
+
+// ControllerPass builds the condition-qualified FSM controller. The
+// standard pipeline does not list it: Context.Controllers runs it on
+// demand.
 type ControllerPass struct{}
 
 // Name implements Pass.
@@ -65,19 +88,16 @@ func (ControllerPass) Run(c *Context) error {
 	return nil
 }
 
-// BaselinePass schedules, binds and builds the controller of the
-// traditional (non power managed) flow at the same throughput — the "Orig"
-// design every comparison measures against.
+// BaselinePass schedules and binds the traditional (non power managed)
+// flow at the same throughput — the "Orig" design every comparison
+// measures against.
 //
 // When the schedule pass minimized hardware (no fixed Resources) and its
 // graph carries no control edge, the baseline is the same scheduling
 // problem: the same nodes, no edges, the same budget and II, and
 // sched.Minimize is deterministic. No edge also means no managed mux and
-// so no guards, and without guards the bound and controlled PM design
-// differs from the baseline only in the controller's PM flag. The pass
-// then takes the PM schedule, resources and binding as they are and
-// copies the controller with PM cleared, building only what the bind and
-// controller passes did not.
+// so no guards, and without guards the PM binding is the baseline's. The
+// pass then takes the PM schedule, resources and binding as they are.
 type BaselinePass struct{}
 
 // Name implements Pass.
@@ -85,35 +105,19 @@ func (BaselinePass) Name() string { return "baseline" }
 
 // Run implements Pass.
 func (BaselinePass) Run(c *Context) error {
-	var b *alloc.Binding
-	var ctl *ctrl.Controller
-	if c.PM != nil && c.Config.Resources == nil && len(c.PM.Graph.ControlEdges()) == 0 {
-		c.BaselineSchedule, c.BaselineResources = c.PM.Schedule, c.PM.Resources
-		b = c.Binding
-		if b != nil && c.Controller != nil {
-			cp := *c.Controller
-			cp.PM = false
-			ctl = &cp
-		}
-	} else {
-		s, res, err := core.Baseline(c.Graph, c.Config.Budget, c.Config.II)
-		if err != nil {
-			return err
-		}
-		c.BaselineSchedule, c.BaselineResources = s, res
+	if c.PM != nil && c.Binding != nil && c.Config.Resources == nil && len(c.PM.Graph.ControlEdges()) == 0 {
+		c.BaselineSchedule, c.BaselineResources, c.BaselineBinding = c.PM.Schedule, c.PM.Resources, c.Binding
+		return nil
 	}
-	if b == nil {
-		b = alloc.Bind(c.BaselineSchedule, nil)
+	s, res, err := core.Baseline(c.Graph, c.Config.Budget, c.Config.II)
+	if err != nil {
+		return err
 	}
-	if ctl == nil {
-		var err error
-		if ctl, err = ctrl.Build(c.BaselineSchedule, b, nil, false); err != nil {
-			return err
-		}
+	b := alloc.Bind(s, nil)
+	if err := checkBound(s, b); err != nil {
+		return err
 	}
-	c.BaselineBinding = b
-	c.BaselineController = ctl
-	c.Diag("baseline: units %v", c.BaselineResources)
+	c.BaselineSchedule, c.BaselineResources, c.BaselineBinding = s, res, b
 	return nil
 }
 
@@ -154,11 +158,6 @@ func (p OptimalPass) Run(c *Context) error {
 		return err
 	}
 	c.Optimal = r
-	status := "certified optimal"
-	if !r.Cert.Optimal {
-		status = fmt.Sprintf("lower bound %.4g after %d expansions", r.Cert.LowerBound, r.Cert.Expansions)
-	}
-	c.Diag("optimal-schedule: power %.4g (%s), %d guarded ops", r.Power, status, r.Gated)
 	return nil
 }
 
@@ -175,8 +174,5 @@ func (ActivityPass) Run(c *Context) error {
 		return errors.New("activity requires the schedule pass")
 	}
 	c.Activity, c.ActivityExact = power.AnalyzeExact(c.PM.Graph, c.PM.Guards)
-	if !c.ActivityExact {
-		c.Diag("activity: falling back to sampled analysis (too many selects for the exact enumeration)")
-	}
 	return nil
 }

@@ -17,11 +17,13 @@ import (
 // time only, never the artifacts.
 //
 // The shared read-only analyses of g (depth, height, critical path,
-// topological order) are prewarmed once and flow into every worker's
-// private clones, so the per-configuration runs do not recompute them.
-// Nothing else is memoized: every call runs the pipeline for every
-// configuration and returns Contexts it alone owns, with their Ctx field
-// cleared.
+// topological order) are prewarmed once. Every configuration reads them
+// from g itself, or from the clone its PM pass makes at its first
+// committed control edge, which shares them, so the per-configuration
+// runs do not recompute them. Nothing else is memoized: every call runs
+// the pipeline for every configuration and returns Contexts it alone
+// owns, with their Ctx field cleared. A Context's PM graph and baseline
+// schedule may alias g; they, like g, are read-only.
 //
 // A configuration whose pipeline fails has its error recorded in the
 // Context's Err field; RunAll itself returns an error only when ctx is

@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/jobs"
@@ -57,6 +59,22 @@ func findSpans(roots []*telemetry.SpanNode, name string) []*telemetry.SpanNode {
 		}
 	}
 	walk(roots)
+	return out
+}
+
+// standardPasses names the span of every pass a point runs, in order: the
+// controllers are built on demand, never as a per-point pass.
+var standardPasses = []string{"pass:schedule", "pass:bind", "pass:baseline", "pass:activity"}
+
+// passNames lists the pass spans in the forest, depth first.
+func passNames(ns []*telemetry.SpanNode) []string {
+	var out []string
+	for _, n := range ns {
+		if strings.HasPrefix(n.Name, "pass:") {
+			out = append(out, n.Name)
+		}
+		out = append(out, passNames(n.Children)...)
+	}
 	return out
 }
 
@@ -127,12 +145,9 @@ func TestSweepTraceSpanTree(t *testing.T) {
 	if len(points) != created.Total {
 		t.Fatalf("%d point spans, want %d", len(points), created.Total)
 	}
-	passes := []string{"pass:schedule", "pass:bind", "pass:controller", "pass:baseline", "pass:activity"}
 	for _, pt := range points {
-		for _, pass := range passes {
-			if got := findSpans(pt.Children, pass); len(got) != 1 {
-				t.Fatalf("point span %d has %d %q spans, want 1", pt.ID, len(got), pass)
-			}
+		if got := passNames(pt.Children); !slices.Equal(got, standardPasses) {
+			t.Fatalf("point span %d has pass spans %v, want %v", pt.ID, got, standardPasses)
 		}
 	}
 
@@ -211,11 +226,13 @@ func TestSynthesizeTraceSpans(t *testing.T) {
 	if snap == nil {
 		t.Fatalf("trace %q missing from /debug/traces", res.Trace)
 	}
-	for _, name := range []string{"queue-wait", "run", "point",
-		"pass:schedule", "pass:bind", "pass:controller", "pass:baseline", "pass:activity"} {
+	for _, name := range []string{"queue-wait", "run", "point"} {
 		if got := findSpans(snap.Roots, name); len(got) != 1 {
 			t.Errorf("synthesize trace has %d %q spans, want 1", len(got), name)
 		}
+	}
+	if got := passNames(snap.Roots); !slices.Equal(got, standardPasses) {
+		t.Errorf("synthesize trace has pass spans %v, want %v", got, standardPasses)
 	}
 }
 

@@ -135,8 +135,8 @@ func TableOptimal(maxExpansions int) (string, error) {
 	b.WriteString("OPTIMALITY GAP — heuristic vs exact minimum switched capacitance\n")
 	b.WriteString("(power = expected weighted ops per sample under the paper's weights)\n")
 	b.WriteString("Circuit  Steps  Heuristic   Optimal   Gap%  Certificate\n")
-	p := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.ControllerPass{},
-		flow.BaselinePass{}, flow.ActivityPass{}, flow.OptimalPass{MaxExpansions: maxExpansions})
+	p := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.BaselinePass{},
+		flow.ActivityPass{}, flow.OptimalPass{MaxExpansions: maxExpansions})
 	for _, c := range bench.All() {
 		cfgs := make([]core.Config, len(c.Budgets))
 		for i, budget := range c.Budgets {

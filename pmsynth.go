@@ -84,15 +84,12 @@ type Synthesis struct {
 	// Design is the compiled input.
 	Design *Design
 	// Flow is the pass-pipeline context that produced the synthesis: all
-	// artifacts below alias it, and it additionally carries the per-pass
-	// diagnostics.
+	// artifacts below alias it, and it builds the controllers on demand.
 	Flow *flow.Context
 	// PM is the power management scheduling result.
 	PM *core.Result
-	// Binding maps the PM schedule onto units and registers.
+	// Binding maps the PM schedule onto execution units.
 	Binding *alloc.Binding
-	// Controller is the condition-qualified FSM.
-	Controller *ctrl.Controller
 	// Baseline artifacts: the traditional flow at the same throughput.
 	BaselineSchedule *sched.Schedule
 	BaselineBinding  *alloc.Binding
@@ -111,7 +108,6 @@ func newSynthesis(d *Design, fc *flow.Context) *Synthesis {
 		Flow:             fc,
 		PM:               fc.PM,
 		Binding:          fc.Binding,
-		Controller:       fc.Controller,
 		BaselineSchedule: fc.BaselineSchedule,
 		BaselineBinding:  fc.BaselineBinding,
 		Activity:         fc.Activity,
@@ -168,32 +164,40 @@ func (s *Synthesis) Row() Row {
 	}
 }
 
-// VHDL emits the power managed design (datapath, controller, top).
-func (s *Synthesis) VHDL() (string, error) {
-	return vhdl.Generate(s.Controller, s.Design.Width)
+// Controller returns the condition-qualified FSM of the power managed
+// design. It is built on the first call to Controller or to any method
+// that emits RTL or builds chips, and shared by every later one; a Row
+// never reads it. Concurrent calls are safe.
+func (s *Synthesis) Controller() (*ctrl.Controller, error) {
+	c, _, err := s.Flow.Controllers()
+	return c, err
 }
 
-// BaselineVHDL emits the traditional design at the same throughput, reusing
-// the controller the baseline pass already built.
-func (s *Synthesis) BaselineVHDL() (string, error) {
-	var c *ctrl.Controller
-	if s.Flow != nil {
-		c = s.Flow.BaselineController
+// VHDL emits the power managed design (datapath, controller, top).
+func (s *Synthesis) VHDL() (string, error) {
+	c, err := s.Controller()
+	if err != nil {
+		return "", err
 	}
-	if c == nil {
-		// Synthesis built outside the standard pipeline: fall back.
-		var err error
-		c, err = ctrl.Build(s.BaselineSchedule, s.BaselineBinding, nil, false)
-		if err != nil {
-			return "", err
-		}
+	return vhdl.Generate(c, s.Design.Width)
+}
+
+// BaselineVHDL emits the traditional design at the same throughput.
+func (s *Synthesis) BaselineVHDL() (string, error) {
+	_, c, err := s.Flow.Controllers()
+	if err != nil {
+		return "", err
 	}
 	return vhdl.Generate(c, s.Design.Width)
 }
 
 // Verilog emits the power managed design in Verilog-2001.
 func (s *Synthesis) Verilog() (string, error) {
-	return verilog.Generate(s.Controller, s.Design.Width)
+	c, err := s.Controller()
+	if err != nil {
+		return "", err
+	}
+	return verilog.Generate(c, s.Design.Width)
 }
 
 // DOT renders the scheduled CDFG (control edges dashed) in Graphviz
@@ -209,13 +213,9 @@ func (s *Synthesis) GateLevelReport(samples int, seed int64) (chip.Report, error
 // GateLevelReportRand is GateLevelReport with an injectable random vector
 // source, so measurements stay reproducible no matter which sweep worker
 // runs them. The chips are built from this synthesis's own pipeline
-// context — no part of the flow is re-run.
+// context and its controllers — no part of the flow is re-run.
 func (s *Synthesis) GateLevelReportRand(samples int, rnd *rand.Rand) (chip.Report, error) {
 	vectors := chip.RandomVectors(s.Design.Graph, s.Design.Width, samples, rnd)
-	if s.Flow == nil {
-		// Synthesis built outside the standard pipeline: run the flow.
-		return chip.CompareWithVectors(s.Design.Graph, s.PM.Schedule.Steps, s.Design.Width, vectors)
-	}
 	return chip.CompareContext(s.Flow, vectors)
 }
 
@@ -228,7 +228,11 @@ func (s *Synthesis) DumpVCD(samples int, seed int64, w io.Writer) error {
 
 // DumpVCDRand is DumpVCD with an injectable random vector source.
 func (s *Synthesis) DumpVCDRand(samples int, rnd *rand.Rand, w io.Writer) error {
-	ch, err := chip.Build(s.Controller, s.Design.Width)
+	c, err := s.Controller()
+	if err != nil {
+		return err
+	}
+	ch, err := chip.Build(c, s.Design.Width)
 	if err != nil {
 		return err
 	}
