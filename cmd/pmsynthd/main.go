@@ -9,8 +9,8 @@
 //
 // Usage:
 //
-//	pmsynthd [-addr 127.0.0.1:8357] [-design-cache-entries 256]
-//	         [-job-workers 2] [-max-pending-jobs 64] [-sweep-workers 0]
+//	pmsynthd [-addr 127.0.0.1:8357] [-job-workers 2]
+//	         [-max-pending-jobs 64] [-sweep-workers 0]
 //	         [-max-sweep-workers 0] [-job-ttl 1h] [-event-tail 256]
 //	         [-retry-after 1s] [-store-dir DIR] [-store-max-bytes N]
 //	         [-max-batch-sweeps 64] [-self-url URL]
@@ -70,7 +70,6 @@ func splitPeers(list string) []string {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8357", "listen address")
-	designCacheEntries := flag.Int("design-cache-entries", 256, "compiled-design cache capacity (entries), shared by synthesize and sweep")
 	jobWorkers := flag.Int("job-workers", 2, "fixed worker pool size for sweep and synthesize jobs")
 	maxPendingJobs := flag.Int("max-pending-jobs", 64, "admission queue depth; submissions beyond it get 429")
 	sweepWorkers := flag.Int("sweep-workers", 0, "default flow workers per sweep job (0 = GOMAXPROCS)")
@@ -107,21 +106,20 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		DesignCacheEntries: *designCacheEntries,
-		JobWorkers:         *jobWorkers,
-		MaxPendingJobs:     *maxPendingJobs,
-		SweepWorkers:       *sweepWorkers,
-		MaxSweepWorkers:    *maxSweepWorkers,
-		JobTTL:             *jobTTL,
-		EventTail:          *eventTail,
-		RetryAfter:         *retryAfter,
-		StoreDir:           *storeDir,
-		StoreMaxBytes:      *storeMaxBytes,
-		MaxBatchSweeps:     *maxBatchSweeps,
-		SelfURL:            *selfURL,
-		Peers:              splitPeers(*peers),
-		Logger:             logger,
-		TraceCapacity:      *traceCapacity,
+		JobWorkers:      *jobWorkers,
+		MaxPendingJobs:  *maxPendingJobs,
+		SweepWorkers:    *sweepWorkers,
+		MaxSweepWorkers: *maxSweepWorkers,
+		JobTTL:          *jobTTL,
+		EventTail:       *eventTail,
+		RetryAfter:      *retryAfter,
+		StoreDir:        *storeDir,
+		StoreMaxBytes:   *storeMaxBytes,
+		MaxBatchSweeps:  *maxBatchSweeps,
+		SelfURL:         *selfURL,
+		Peers:           splitPeers(*peers),
+		Logger:          logger,
+		TraceCapacity:   *traceCapacity,
 	})
 	if err != nil {
 		logger.Error("startup failed", "err", err)

@@ -157,5 +157,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("store: %d entries, %d bytes on disk; %d compile since restart — the sweep came back without recomputing\n",
-		m["pmsynthd_store_entries"], m["pmsynthd_store_bytes"], m["pmsynthd_design_cache_misses"])
+		m["pmsynthd_store_entries"], m["pmsynthd_store_bytes"], m["pmsynthd_compile_seconds_count"])
 }

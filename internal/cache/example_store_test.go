@@ -44,19 +44,3 @@ func ExampleStore() {
 	// miss ok=false
 	// hits=1 misses=1 entries=1
 }
-
-// ExampleCache_GetOrCompute shows the memory tier: the compute function
-// runs once per key; later lookups are hits.
-func ExampleCache_GetOrCompute() {
-	c := cache.New[string](16)
-	computes := 0
-	compute := func() (string, error) {
-		computes++
-		return "result", nil
-	}
-	v1, _ := c.GetOrCompute("key", compute)
-	v2, _ := c.GetOrCompute("key", compute)
-	fmt.Printf("%s %s computes=%d\n", v1, v2, computes)
-	// Output:
-	// result result computes=1
-}

@@ -186,32 +186,30 @@ func TestKillOwnerMidSweepFailsOver(t *testing.T) {
 // can just defer to it — and asserts the ranked failover collapses the
 // race to exactly one execution: both submissions walk past the dead
 // owner to the same next-ranked node, whose dedup index joins them —
-// one compile cluster-wide, one job id in both responses, identical
+// one execution cluster-wide, one job id in both responses, identical
 // tables from both nodes.
 func TestCrossNodeDedupSingleExecution(t *testing.T) {
 	ctx := testCtx(t)
-	var compiles atomic.Int64
+	fp := pmsynth.SweepFingerprint(absDiffSrc, sweepSpec())
+	var executions atomic.Int64
 	release := make(chan struct{})
 	var stalled atomic.Bool
 	c := clustertest.New(t, 3, clustertest.Options{
 		Configure: func(i int, cfg *server.Config) {
 			cfg.JobWorkers = 1
-			cfg.CompileHook = func(source string) {
-				if source == absDiffSrc {
-					compiles.Add(1)
-				}
-			}
 			// Hold the winning execution until both submissions are in,
 			// so the second deterministically joins a live job rather
 			// than racing its completion.
-			cfg.SweepHook = func(string) {
+			cfg.SweepHook = func(got string) {
+				if got == fp {
+					executions.Add(1)
+				}
 				if stalled.CompareAndSwap(false, true) {
 					<-release
 				}
 			}
 		},
 	})
-	fp := pmsynth.SweepFingerprint(absDiffSrc, sweepSpec())
 	owner := c.OwnerIndex(fp)
 	c.KillNode(owner)
 	a, b := (owner+1)%3, (owner+2)%3
@@ -250,8 +248,8 @@ func TestCrossNodeDedupSingleExecution(t *testing.T) {
 	if info.State != client.StateSucceeded {
 		t.Fatalf("state = %s (%s), want succeeded", info.State, info.Err)
 	}
-	if got := compiles.Load(); got != 1 {
-		t.Fatalf("cluster compiled the source %d times, want exactly 1", got)
+	if got := executions.Load(); got != 1 {
+		t.Fatalf("cluster executed the sweep %d times, want exactly 1", got)
 	}
 	want := referenceTable(t)
 	for _, idx := range []int{a, b} {
@@ -265,12 +263,13 @@ func TestCrossNodeDedupSingleExecution(t *testing.T) {
 // owner off from inbound traffic — alive, every connection dropped —
 // and races the sweep at the other two nodes. Both must skip the
 // unreachable owner and converge on the second-ranked node: one job
-// there, one compile cluster-wide, exactly one deduped response, and
+// there, one execution cluster-wide, exactly one deduped response, and
 // tables byte-identical to a direct run. Healed, the owner answers the
 // same fingerprint from the shared store without compiling.
 func TestPartitionedOwnerFailsOverToNextRanked(t *testing.T) {
 	ctx := testCtx(t)
-	var compiles atomic.Int64
+	fp := pmsynth.SweepFingerprint(absDiffSrc, sweepSpec())
+	var compiles, executions atomic.Int64
 	c := clustertest.New(t, 3, clustertest.Options{
 		Configure: func(i int, cfg *server.Config) {
 			cfg.CompileHook = func(source string) {
@@ -278,9 +277,14 @@ func TestPartitionedOwnerFailsOverToNextRanked(t *testing.T) {
 					compiles.Add(1)
 				}
 			}
+			cfg.SweepHook = func(got string) {
+				if got == fp {
+					executions.Add(1)
+				}
+			}
 		},
 	})
-	ranked := c.Ranked(pmsynth.SweepFingerprint(absDiffSrc, sweepSpec()))
+	ranked := c.Ranked(fp)
 	c.PartitionNode(ranked[0])
 
 	req := client.SweepRequest{Source: absDiffSrc, Spec: wireSpec()}
@@ -319,8 +323,8 @@ func TestPartitionedOwnerFailsOverToNextRanked(t *testing.T) {
 	if got := c.IndexByID(info.Node); got != ranked[1] {
 		t.Fatalf("job ran on node %d (%s), want second-ranked node %d", got, info.Node, ranked[1])
 	}
-	if got := compiles.Load(); got != 1 {
-		t.Fatalf("cluster compiled the source %d times, want exactly 1", got)
+	if got := executions.Load(); got != 1 {
+		t.Fatalf("cluster executed the sweep %d times, want exactly 1", got)
 	}
 	want := referenceTable(t)
 	for _, idx := range ranked[1:] {
@@ -330,13 +334,14 @@ func TestPartitionedOwnerFailsOverToNextRanked(t *testing.T) {
 	}
 
 	c.HealNode(ranked[0])
+	before := compiles.Load()
 	warm, err := client.New(c.Nodes[ranked[0]].URL).Sweep(ctx, req)
 	if err != nil {
 		t.Fatalf("submit to healed owner: %v", err)
 	}
-	if !warm.Cached || compiles.Load() != 1 {
-		t.Fatalf("healed owner: cached = %v after %d compiles, want a store hit and 1 compile",
-			warm.Cached, compiles.Load())
+	if after := compiles.Load(); !warm.Cached || after != before || executions.Load() != 1 {
+		t.Fatalf("healed owner: cached = %v, compiles %d -> %d, %d executions; want a store hit, no compile and 1 execution",
+			warm.Cached, before, after, executions.Load())
 	}
 }
 

@@ -91,13 +91,12 @@ func DefaultConfig(modPath string) Config {
 			modPath + "/internal/jobs",
 		},
 		ForbiddenUnderLock: []string{
-			modPath + ".*",                                 // Compile, Synthesize, Sweep*, Enumerate, ...
-			modPath + "/internal/flow.*",                   // pipeline entry points
-			modPath + "/internal/cache.Store.Get",          // disk I/O
-			modPath + "/internal/cache.Store.GetCtx",       //
-			modPath + "/internal/cache.Store.Put",          //
-			modPath + "/internal/cache.Store.PutCtx",       //
-			modPath + "/internal/cache.Cache.GetOrCompute", // runs the compute closure
+			modPath + ".*",                           // Compile, Synthesize, Sweep*, Enumerate, ...
+			modPath + "/internal/flow.*",             // pipeline entry points
+			modPath + "/internal/cache.Store.Get",    // disk I/O
+			modPath + "/internal/cache.Store.GetCtx", //
+			modPath + "/internal/cache.Store.Put",    //
+			modPath + "/internal/cache.Store.PutCtx", //
 		},
 		TelemetryPackage: modPath + "/internal/telemetry",
 	}

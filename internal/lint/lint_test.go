@@ -55,7 +55,7 @@ func TestDefaultConfig(t *testing.T) {
 	mustContain(cfg.LockScopePackages, "m/internal/server")
 	mustContain(cfg.LockScopePackages, "m/internal/jobs")
 	mustContain(cfg.ForbiddenUnderLock, "m.*")
-	mustContain(cfg.ForbiddenUnderLock, "m/internal/cache.Cache.GetOrCompute")
+	mustContain(cfg.ForbiddenUnderLock, "m/internal/cache.Store.Put")
 	if cfg.TelemetryPackage != "m/internal/telemetry" {
 		t.Errorf("TelemetryPackage = %q", cfg.TelemetryPackage)
 	}

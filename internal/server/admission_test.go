@@ -2,10 +2,10 @@ package server_test
 
 // Tests of the lock-free admission pipeline: no client-controlled work
 // (Compile, Enumerate) may run under the server mutex, identical
-// submissions must collapse onto one compile and one job even under
-// races, and the bounded admission queue must shed with 429 +
-// Retry-After instead of buffering unboundedly. All of these run under
-// -race in CI.
+// submissions must collapse onto one job and one execution even when
+// they race through compile, and the bounded admission queue must shed
+// with 429 + Retry-After instead of buffering unboundedly. All of these
+// run under -race in CI.
 
 import (
 	"bytes"
@@ -23,6 +23,7 @@ import (
 
 	"repro"
 	"repro/client"
+	"repro/internal/gen"
 	"repro/internal/jobs"
 	"repro/internal/server"
 )
@@ -136,7 +137,7 @@ func TestHostileCompileDoesNotBlockSubmissions(t *testing.T) {
 		t.Fatalf("unrelated submission took %v behind a blocked compile — head-of-line blocking is back", elapsed)
 	}
 	// The same must hold for the synthesize path, which shares the
-	// design cache but must not share the hostile key's fate.
+	// admission pipeline but must not share the hostile key's fate.
 	if code := postJSON(t, ts.URL+"/v1/synthesize",
 		server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}, nil); code != http.StatusOK {
 		t.Fatalf("synthesize behind blocked compile = %d, want 200", code)
@@ -153,19 +154,25 @@ func TestHostileCompileDoesNotBlockSubmissions(t *testing.T) {
 	}
 }
 
-// TestSweepSubmitRaceOneCompileOneJob: N concurrent identical sweep
-// submissions must collapse to exactly one compile (the design cache's
-// singleflight) and exactly one job (the commit-time re-check), with
-// every client handed the same job id.
-func TestSweepSubmitRaceOneCompileOneJob(t *testing.T) {
-	var compiles atomic.Int64
-	_, ts := newTestServer(t, server.Config{
-		CompileHook: func(string) { compiles.Add(1) },
-	})
+// TestSweepSubmitRaceOneJob: N concurrent identical sweep submissions
+// may each compile, and /metrics counts every compile, but they must
+// collapse to exactly one job (the commit-time re-check) and one
+// execution, with every client handed the same job id.
+func TestSweepSubmitRaceOneJob(t *testing.T) {
 	req := server.SweepRequest{
 		Source: gcdSrc,
 		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 9},
 	}
+	fp := pmsynth.SweepFingerprint(gcdSrc, pmsynth.SweepSpec{BudgetMin: 5, BudgetMax: 9})
+	var compiles, executions atomic.Int64
+	_, ts := newTestServer(t, server.Config{
+		CompileHook: func(string) { compiles.Add(1) },
+		SweepHook: func(got string) {
+			if got == fp {
+				executions.Add(1)
+			}
+		},
+	})
 	const clients = 8
 	responses := make([]server.SweepCreatedResponse, clients)
 	codes := make([]int, clients)
@@ -211,54 +218,70 @@ func TestSweepSubmitRaceOneCompileOneJob(t *testing.T) {
 	if committed != 1 {
 		t.Fatalf("%d submissions committed a job, want exactly 1", committed)
 	}
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("%d compiles for %d identical submissions, want 1", n, clients)
+	waitJobState(t, ts.URL, responses[0].ID, jobs.StateSucceeded)
+	if n := executions.Load(); n != 1 {
+		t.Fatalf("%d executions for %d identical submissions, want 1", n, clients)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("pmsynthd_compile_seconds_count %d\n", compiles.Load())
+	if metrics := readAll(t, resp); !strings.Contains(metrics, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, metrics)
 	}
 }
 
-// TestCompiledDesignSharedAcrossEndpoints: the design cache is one cache,
-// not one per endpoint — a source compiled for a synthesize request must
-// not compile again for a sweep of the same source (and vice versa), and
-// distinct options never force a recompile.
-func TestCompiledDesignSharedAcrossEndpoints(t *testing.T) {
-	var compiles atomic.Int64
-	s, ts := newTestServer(t, server.Config{
-		CompileHook: func(string) { compiles.Add(1) },
-	})
+// TestFinishedSweepsPinNoDesign: a finished sweep keeps its decoded
+// table and nothing it was computed from — no compiled design, no
+// per-point synthesis — so the live heap a daemon holds per finished job
+// stays small however large the design was. 64 distinct 150-op
+// datapaths, each swept over cp..cp+3 until its job succeeds, may add
+// less than 32 KB of live heap per job; the compiled design of one such
+// source is over 100 KB.
+func TestFinishedSweepsPinNoDesign(t *testing.T) {
+	const designs = 64
+	cfg := gen.Default()
+	cfg.Ops = 150
+	cfg.MuxFanIn = 1
+	reqs := make([]server.SweepRequest, designs+1)
+	for i := range reqs {
+		src := gen.Source(int64(i+1), cfg)
+		cp, err := pmsynth.CriticalPath(pmsynth.MustCompile(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = server.SweepRequest{Source: src, Spec: server.SweepSpecRequest{BudgetMin: cp, BudgetMax: cp + 3}}
+	}
+	_, ts := newTestServer(t, server.Config{})
+	sweep := func(req server.SweepRequest) {
+		t.Helper()
+		var created server.SweepCreatedResponse
+		if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
+			t.Fatalf("sweep = %d (%+v), want 202", code, created)
+		}
+		streamEvents(t, ts.URL+"/v1/jobs/"+created.ID+"/events", nil)
+		waitJobState(t, ts.URL, created.ID, jobs.StateSucceeded)
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
 
-	if code := postJSON(t, ts.URL+"/v1/synthesize",
-		server.SynthesizeRequest{Source: gcdSrc, Options: server.OptionsRequest{Budget: 6}}, nil); code != http.StatusOK {
-		t.Fatalf("synthesize = %d", code)
+	// The first sweep builds what every later one reuses (connections,
+	// histogram series), so it runs before the baseline.
+	sweep(reqs[designs])
+	before := liveHeap()
+	for _, req := range reqs[:designs] {
+		sweep(req)
 	}
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("compiles after first synthesize = %d, want 1", n)
-	}
-	// Different options, same source: synth-cache miss, design-cache hit.
-	if code := postJSON(t, ts.URL+"/v1/synthesize",
-		server.SynthesizeRequest{Source: gcdSrc, Options: server.OptionsRequest{Budget: 7}}, nil); code != http.StatusOK {
-		t.Fatalf("second synthesize = %d", code)
-	}
-	// A sweep of the same source: no recompile either.
-	var created server.SweepCreatedResponse
-	if code := postJSON(t, ts.URL+"/v1/sweep",
-		server.SweepRequest{Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 6}},
-		&created); code != http.StatusAccepted {
-		t.Fatalf("sweep = %d", code)
-	}
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("compiles after synthesize+synthesize+sweep of one source = %d, want 1", n)
-	}
-	st := s.DesignCacheStats()
-	if st.Misses != 1 || st.Hits != 2 {
-		t.Fatalf("design cache stats = %+v, want 1 miss / 2 hits", st)
-	}
-	// A different source does compile.
-	if code := postJSON(t, ts.URL+"/v1/synthesize",
-		server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}, nil); code != http.StatusOK {
-		t.Fatalf("absdiff synthesize = %d", code)
-	}
-	if n := compiles.Load(); n != 2 {
-		t.Fatalf("compiles after distinct source = %d, want 2", n)
+	perJob := (liveHeap() - before) / designs
+	t.Logf("live heap per finished job: %d B", perJob)
+	if perJob >= 32<<10 {
+		t.Fatalf("each finished sweep keeps %d B of live heap, want < %d: something pins the compiled design", perJob, 32<<10)
 	}
 }
 

@@ -2,13 +2,12 @@ package server
 
 // The batch endpoint: POST /v1/batch accepts N sweep specs in one request
 // and fans them out through the exact admission pipeline POST /v1/sweep
-// uses — per-entry dedup, disk-store warm hits, singleflight compilation,
-// bounded-queue backpressure — so a batch enjoys every collapse a stream
-// of individual submissions would, in one round trip. Entries are
-// admitted concurrently (the pipeline is built for racing admissions:
-// identical entries converge on one job via the commit-time re-check, and
-// identical sources compile once via the design cache), so a batch of
-// distinct sources costs the slowest compile, not the sum.
+// uses — per-entry dedup, disk-store warm hits, bounded-queue
+// backpressure — so a batch enjoys every collapse a stream of individual
+// submissions would, in one round trip. Entries are admitted concurrently
+// (the pipeline is built for racing admissions: identical entries may
+// each compile, then converge on one job via the commit-time re-check),
+// so a batch of distinct sources costs the slowest compile, not the sum.
 //
 // GET /v1/batch/{id} aggregates over the server's batch index — the job
 // ids the submission actually returned, including jobs an entry deduped

@@ -1,5 +1,5 @@
 // Package server is the HTTP front door of the synthesis engine: the
-// pmsynthd API. It composes the content-addressed caches
+// pmsynthd API. It composes the content-addressed disk store
 // (internal/cache) and the async job manager (internal/jobs) over the
 // public pmsynth API:
 //
@@ -15,14 +15,14 @@
 //	GET  /healthz              liveness
 //	GET  /metrics              Prometheus-style counters
 //
-// Identical requests collapse at two levels. Sources collapse in a shared
-// compiled-design cache (content-addressed on the source text, singleflight)
-// used by both POST endpoints, so the same source compiles once no matter
-// how many synthesize and sweep requests race. Whole requests collapse on
-// their fingerprints: a synthesize is a one-point sweep, and every
-// submission whose key — the sweep fingerprint, extended by the RTL a
-// synthesize asks for — matches a live job joins that job instead of
-// starting a second one.
+// Identical requests collapse at one point, the dedup index of live jobs:
+// a synthesize is a one-point sweep, and every submission whose key — the
+// sweep fingerprint, extended by the RTL a synthesize asks for — matches
+// a live job joins that job instead of starting a second one. The index
+// is the server's only in-memory tier. No compiled design is kept:
+// identical submissions racing through compile may each compile, then
+// meet at the index's commit-time re-check, and a finished job holds
+// only its decoded table.
 //
 // Admission is lock-free in the sense that matters for availability: no
 // client-controlled work (Compile, Enumerate) ever runs under the server

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,9 +25,6 @@ import (
 
 // Config parameterizes the server.
 type Config struct {
-	// DesignCacheEntries bounds the shared compiled-design cache used by
-	// both the synthesize and sweep paths; <= 0 means 256.
-	DesignCacheEntries int
 	// JobWorkers is the fixed pool of workers running jobs — sweeps and
 	// synthesize requests alike; <= 0 means 2.
 	JobWorkers int
@@ -85,12 +80,12 @@ type Config struct {
 	// any point evaluates. It is the fault-injection seam: cluster tests
 	// stall a job here to kill its node mid-execution.
 	SweepHook func(fp string)
-	// CompileHook, when non-nil, runs inside the design cache's
-	// singleflight compute immediately before the compiler — exactly one
-	// call per actual compile, on the computing goroutine, never under
-	// the server mutex. It is the test and instrumentation seam: the
-	// head-of-line regression test injects a blocking compile here and
-	// the dedup tests count compiles through it.
+	// CompileHook, when non-nil, runs immediately before each compile —
+	// exactly one call per compile, on the admitting goroutine, never
+	// under the server mutex. It is the test and instrumentation seam:
+	// the head-of-line regression test injects a blocking compile here
+	// and the shed, warm-start and routing tests count compiles through
+	// it.
 	CompileHook func(source string)
 	// Logger receives the structured access log and job lifecycle
 	// events; nil discards them.
@@ -109,7 +104,6 @@ const maxBudget = 1 << 20
 // Server is the pmsynthd HTTP API.
 type Server struct {
 	cfg     Config
-	designs *cache.Cache[*pmsynth.Design]
 	store   *cache.Store     // nil when persistence is disabled
 	cluster *cluster.Cluster // nil when single-node
 	jobs    *jobs.Manager
@@ -147,9 +141,6 @@ type Server struct {
 // cannot be opened; with persistence disabled (empty StoreDir) it cannot
 // fail. Call Close to stop the job manager.
 func New(cfg Config) (*Server, error) {
-	if cfg.DesignCacheEntries <= 0 {
-		cfg.DesignCacheEntries = 256
-	}
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 2
 	}
@@ -201,7 +192,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		designs: cache.New[*pmsynth.Design](cfg.DesignCacheEntries),
 		store:   store,
 		cluster: clu,
 		jobs: jobs.NewManager(jobs.Config{
@@ -249,16 +239,6 @@ func (s *Server) Close() {
 	}
 }
 
-// CacheStats exposes the in-memory result tier's counters (also served
-// by /metrics): an admission that joined a live job is a hit, every other
-// admission a miss.
-func (s *Server) CacheStats() cache.Stats {
-	return cache.Stats{Hits: s.joins.Load(), Misses: s.admits.Load()}
-}
-
-// DesignCacheStats exposes the compiled-design cache counters.
-func (s *Server) DesignCacheStats() cache.Stats { return s.designs.Stats() }
-
 // StoreStats exposes the disk-store counters; ok is false when
 // persistence is disabled.
 func (s *Server) StoreStats() (st cache.StoreStats, ok bool) {
@@ -266,42 +246,6 @@ func (s *Server) StoreStats() (st cache.StoreStats, ok bool) {
 		return cache.StoreStats{}, false
 	}
 	return s.store.Stats(), true
-}
-
-// compileCached resolves a source text through the shared compiled-design
-// cache: content-addressed on the source bytes and singleflight, so
-// identical sources compile exactly once across the synthesize and sweep
-// endpoints no matter how many requests race, and a hostile source that
-// is slow to compile blocks only the requests that need it. Compile
-// errors are returned to every coalesced waiter and never cached, so a
-// transient failure does not poison the source.
-//
-// With a trace on ctx the resolution records a "compile" span; a lookup
-// answered without compiling (resident entry or coalesced onto another
-// caller's compile) is marked cached=true, and the compile-duration
-// histogram counts only actual compiles.
-func (s *Server) compileCached(ctx context.Context, source string) (*pmsynth.Design, error) {
-	sum := sha256.Sum256([]byte(source))
-	key := "src|" + hex.EncodeToString(sum[:])
-	_, sp := telemetry.StartSpan(ctx, "compile")
-	compiled := false
-	d, err := s.designs.GetOrCompute(key, func() (*pmsynth.Design, error) {
-		compiled = true
-		if hook := s.cfg.CompileHook; hook != nil {
-			hook(source)
-		}
-		return pmsynth.Compile(source)
-	})
-	if sp != nil {
-		if !compiled {
-			sp.SetAttr("cached", "true")
-		}
-		if err != nil {
-			sp.SetAttr("err", err.Error())
-		}
-		sp.End()
-	}
-	return d, err
 }
 
 // writeJSON writes a JSON response body.
@@ -469,8 +413,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // re-forwarded, so a routing disagreement costs one extra hop, not a
 // loop. Every node that finds the same ranked nodes unreachable (or
 // failing with 5xx) therefore sends the submission to the same executor,
-// whose dedup index and singleflight compile collapse racing submissions
-// onto one job.
+// whose dedup index collapses racing submissions onto one job.
 func (s *Server) routed(w http.ResponseWriter, r *http.Request, source string, spec pmsynth.SweepSpec, body interface{}) bool {
 	if s.cluster == nil {
 		return false
@@ -573,20 +516,22 @@ func (e rtl) key(fp string) string {
 //     earlier run (possibly an earlier process over the same store
 //     directory) is restored as an already-succeeded job, skipping
 //     compile and evaluation entirely.
-//  3. No lock: the cheap size guard, then Compile (through the shared
-//     singleflight design cache — concurrent identical submissions
-//     compile once) and Enumerate, both on untrusted input and
-//     potentially slow.
+//  3. No lock: the cheap size guard, then Compile and Enumerate, both on
+//     untrusted input and potentially slow. Nothing caches the design:
+//     identical submissions that race through this stage each compile,
+//     and the job Func is the design's only holder, so a finished job
+//     pins its decoded table alone.
 //  4. Short critical section: re-check for a racing identical submission
 //     that committed while this one was compiling (join it if so), then
-//     submit the job and commit the index entry.
+//     submit the job and commit the index entry. The index is thus the
+//     serving layer's one in-memory tier and its one dedup point.
 //
 // Job submission itself is non-blocking: when the bounded admission queue
 // is full the submission is shed with 429 and a Retry-After hint rather
 // than queueing unboundedly. A succeeded job's table is persisted to the
 // disk store, so the key stays answerable after the job is TTL-collected
-// — and after the process restarts. Each call counts once in CacheStats:
-// a join is a hit, any other outcome a miss.
+// — and after the process restarts. Each call counts once in
+// pmsynthd_cache_hits/_misses: a join is a hit, any other outcome a miss.
 //
 // When ctx carries a telemetry trace (the middleware always attaches
 // one), the admission records a "queue-wait" span from submission to
@@ -641,7 +586,15 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 		return s.shedOutcome(jobs.ErrQueueFull)
 	}
 
-	design, err := s.compileCached(ctx, source)
+	_, csp := telemetry.StartSpan(ctx, "compile")
+	if hook := s.cfg.CompileHook; hook != nil {
+		hook(source)
+	}
+	design, err := pmsynth.Compile(source)
+	if err != nil {
+		csp.SetAttr("err", err.Error())
+	}
+	csp.End()
 	if err != nil {
 		return sweepOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("compile: %v", err)}
 	}
@@ -658,8 +611,7 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	s.mu.Lock()
 	// Re-check: an identical submission may have committed a job while
 	// this one was compiling. Joining it preserves the invariant that one
-	// key has at most one live job — and exactly one compile ran,
-	// courtesy of the design cache's singleflight.
+	// key has at most one live job; this submission's design is dropped.
 	if joined, ok := s.dedupLocked(key, fp); ok {
 		s.mu.Unlock()
 		return joined

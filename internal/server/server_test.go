@@ -130,10 +130,10 @@ func TestHealthz(t *testing.T) {
 
 // TestSynthesizeConcurrentDedup is the acceptance-critical test: eight
 // concurrent identical synthesize requests must run exactly one synthesis,
-// proved by the cache counters (one miss, seven hits) and by exactly one
-// response carrying cached=false.
+// proved by the admission counters /metrics serves (one miss, seven hits)
+// and by exactly one response carrying cached=false.
 func TestSynthesizeConcurrentDedup(t *testing.T) {
-	s, ts := newTestServer(t, server.Config{})
+	_, ts := newTestServer(t, server.Config{})
 	req := server.SynthesizeRequest{
 		Source:  absDiffSrc,
 		Options: server.OptionsRequest{Budget: 3},
@@ -174,15 +174,7 @@ func TestSynthesizeConcurrentDedup(t *testing.T) {
 	if uncached != 1 {
 		t.Fatalf("%d responses computed, want exactly 1", uncached)
 	}
-	st := s.CacheStats()
-	if st.Misses != 1 {
-		t.Fatalf("cache misses = %d after %d identical requests, want 1 (no dedup?)", st.Misses, clients)
-	}
-	if st.Hits != clients-1 {
-		t.Fatalf("cache hits = %d, want %d", st.Hits, clients-1)
-	}
-
-	// The counters are also served by /metrics.
+	// The admission counters, served by /metrics: one miss, the rest hits.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

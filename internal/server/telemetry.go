@@ -7,8 +7,8 @@ package server
 //
 // Every legacy series keeps the exact name and line format of the
 // pre-registry /metrics handler (existing scrapers grep lines like
-// "pmsynthd_cache_misses 1"); the registry adds # HELP/# TYPE headers,
-// labeled cache-tier counters, and duration histograms on top.
+// "pmsynthd_cache_misses 1"); the registry adds # HELP/# TYPE headers
+// and duration histograms on top.
 
 import (
 	"net/http"
@@ -31,13 +31,12 @@ type serverMetrics struct {
 	queueWait    telemetry.Histogram    // sweep admission -> worker pickup
 	jobRun       telemetry.Histogram    // job Func wall clock
 	passDuration telemetry.HistogramVec // per-pass pipeline time
-	compile      telemetry.Histogram    // actual (non-cached) compiles
+	compile      telemetry.Histogram    // every compile
 	point        telemetry.Histogram    // sweep-point time
 }
 
 // newServerMetrics builds the registry: every legacy pmsynthd_* series as
-// a callback over the existing counters, plus the new histogram and
-// labeled families.
+// a callback over the existing counters, plus the duration histograms.
 func newServerMetrics(s *Server) *serverMetrics {
 	r := telemetry.NewRegistry()
 	m := &serverMetrics{reg: r}
@@ -53,13 +52,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	// once per admission decision.
 	ctr("pmsynthd_cache_hits", "admissions that joined a live job (sweep, synthesize or batch entry)", s.joins.Load)
 	ctr("pmsynthd_cache_misses", "admissions that joined no live job: store restores, new jobs and refusals", s.admits.Load)
-
-	// Shared compiled-design cache.
-	ctr("pmsynthd_design_cache_hits", "compiled-design cache hits", func() int64 { return s.designs.Stats().Hits })
-	ctr("pmsynthd_design_cache_misses", "compiled-design cache misses", func() int64 { return s.designs.Stats().Misses })
-	gauge("pmsynthd_design_cache_inflight", "design compiles in flight", func() int64 { return s.designs.Stats().Inflight })
-	ctr("pmsynthd_design_cache_evictions", "compiled-design cache evictions", func() int64 { return s.designs.Stats().Evictions })
-	gauge("pmsynthd_design_cache_entries", "compiled-design cache resident entries", func() int64 { return s.designs.Stats().Entries })
 
 	// Disk store. Series are emitted unconditionally (zeros when
 	// persistence is disabled) so dashboards never miss them.
@@ -144,16 +136,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		return int64(s.traces.Len())
 	})
 
-	// Cache tiers under one labeled family, for cross-tier dashboards.
-	tiers := r.CounterFuncVec("pmsynthd_cache_tier_requests",
-		"cache lookups by tier and result", "tier", "result")
-	tiers.With(func() float64 { return float64(s.joins.Load()) }, "result", "hit")
-	tiers.With(func() float64 { return float64(s.admits.Load()) }, "result", "miss")
-	tiers.With(func() float64 { return float64(s.designs.Stats().Hits) }, "design", "hit")
-	tiers.With(func() float64 { return float64(s.designs.Stats().Misses) }, "design", "miss")
-	tiers.With(func() float64 { return float64(storeStats().Hits) }, "store", "hit")
-	tiers.With(func() float64 { return float64(storeStats().Misses) }, "store", "miss")
-
 	// Duration histograms, fed by the middleware and the span observer.
 	m.httpLatency = r.HistogramVec("pmsynthd_http_request_duration_seconds",
 		"HTTP request latency by route", nil, "route")
@@ -164,7 +146,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.passDuration = r.HistogramVec("pmsynthd_pass_duration_seconds",
 		"pipeline pass duration by pass name", nil, "pass")
 	m.compile = r.Histogram("pmsynthd_compile_seconds",
-		"behavioral-source compile time (actual compiles only)", nil)
+		"behavioral-source compile time", nil)
 	m.point = r.Histogram("pmsynthd_sweep_point_seconds",
 		"sweep-point evaluation time", nil)
 	return m
@@ -184,9 +166,7 @@ func (m *serverMetrics) observeSpan(sp *telemetry.Span) {
 	case name == "run":
 		m.jobRun.Observe(sp.Duration().Seconds())
 	case name == "compile":
-		if sp.Attr("cached") != "true" {
-			m.compile.Observe(sp.Duration().Seconds())
-		}
+		m.compile.Observe(sp.Duration().Seconds())
 	case name == "point":
 		m.point.Observe(sp.Duration().Seconds())
 	case strings.HasPrefix(name, "pass:"):

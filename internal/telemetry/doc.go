@@ -1,8 +1,9 @@
 // Package telemetry is the dependency-free observability kernel of the
 // serving stack: spans and traces carried through context.Context, a
-// bounded ring of recent traces, a small metrics registry (counters,
-// gauges, fixed-bucket histograms) rendering valid Prometheus text
-// exposition, and log/slog construction helpers.
+// bounded ring of recent traces, a small metrics registry
+// (callback-backed counters and gauges, fixed-bucket histograms)
+// rendering valid Prometheus text exposition, and log/slog construction
+// helpers.
 //
 // The tracing API is built around a zero-cost disabled path: when no
 // *Trace rides the context, StartSpan returns a nil *Span without

@@ -1,11 +1,11 @@
 package telemetry
 
-// A small Prometheus-text metrics registry: counters, gauges and
-// fixed-bucket histograms, each optionally labeled, plus callback-backed
-// variants so existing atomic counters can be exported without rewiring.
-// Render emits valid text exposition format: one # HELP and # TYPE line
-// per family, series sorted within a family, label values escaped, and
-// cumulative histogram buckets ending in le="+Inf".
+// A small Prometheus-text metrics registry: callback-backed counters and
+// gauges, so existing atomic counters are exported without rewiring, and
+// fixed-bucket histograms, optionally labeled. Render emits valid text
+// exposition format: one # HELP and # TYPE line per family, series sorted
+// within a family, label values escaped, and cumulative histogram buckets
+// ending in le="+Inf".
 
 import (
 	"fmt"
@@ -43,11 +43,10 @@ type family struct {
 	keys     []string
 }
 
-// child is one concrete series: either an accumulator or a callback.
+// child is one concrete series: a callback or a histogram.
 type child struct {
 	labelValues []string
-	val         atomic.Int64   // counter/gauge accumulator
-	fn          func() float64 // callback override (CounterFunc/GaugeFunc)
+	fn          func() float64 // counter/gauge: the value at render time
 	counts      []atomic.Int64 // histogram: one per bucket, plus +Inf
 	sumBits     atomic.Uint64  // histogram: math.Float64bits of the sum
 	count       atomic.Int64   // histogram: total observations
@@ -94,37 +93,6 @@ func (f *family) childFor(labelValues ...string) *child {
 	return c
 }
 
-// Counter is a monotonically increasing series.
-type Counter struct{ c *child }
-
-// Inc adds one.
-func (c Counter) Inc() { c.c.val.Add(1) }
-
-// Add adds n (must be >= 0 for counter semantics; unchecked).
-func (c Counter) Add(n int64) { c.c.val.Add(n) }
-
-// Value returns the current count.
-func (c Counter) Value() int64 { return c.c.val.Load() }
-
-// Counter registers an unlabeled counter.
-func (r *Registry) Counter(name, help string) Counter {
-	f := r.register(&family{name: name, help: help, typ: "counter"})
-	return Counter{f.childFor()}
-}
-
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) CounterVec {
-	return CounterVec{r.register(&family{name: name, help: help, typ: "counter", labels: labels})}
-}
-
-// With returns the counter for a label-value tuple.
-func (v CounterVec) With(labelValues ...string) Counter {
-	return Counter{v.f.childFor(labelValues...)}
-}
-
 // CounterFunc registers an unlabeled counter whose value is pulled from
 // fn at render time — the bridge for pre-existing atomic counters.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
@@ -132,57 +100,11 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f.childFor().fn = fn
 }
 
-// Gauge is a series that can go up and down.
-type Gauge struct{ c *child }
-
-// Set stores v.
-func (g Gauge) Set(v int64) { g.c.val.Store(v) }
-
-// Add adjusts by n.
-func (g Gauge) Add(n int64) { g.c.val.Add(n) }
-
-// Value returns the current value.
-func (g Gauge) Value() int64 { return g.c.val.Load() }
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) Gauge {
-	f := r.register(&family{name: name, help: help, typ: "gauge"})
-	return Gauge{f.childFor()}
-}
-
 // GaugeFunc registers a gauge whose value is pulled from fn at render
 // time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.register(&family{name: name, help: help, typ: "gauge"})
 	f.childFor().fn = fn
-}
-
-// GaugeFuncVec registers a labeled gauge family fed entirely by
-// callbacks: each With call binds one label tuple to one callback.
-type GaugeFuncVec struct{ f *family }
-
-// GaugeFuncVec registers a callback-fed labeled gauge family.
-func (r *Registry) GaugeFuncVec(name, help string, labels ...string) GaugeFuncVec {
-	return GaugeFuncVec{r.register(&family{name: name, help: help, typ: "gauge", labels: labels})}
-}
-
-// With binds fn as the series for a label tuple.
-func (v GaugeFuncVec) With(fn func() float64, labelValues ...string) {
-	v.f.childFor(labelValues...).fn = fn
-}
-
-// CounterFuncVec is GaugeFuncVec with counter semantics (the callbacks
-// must be monotone).
-type CounterFuncVec struct{ f *family }
-
-// CounterFuncVec registers a callback-fed labeled counter family.
-func (r *Registry) CounterFuncVec(name, help string, labels ...string) CounterFuncVec {
-	return CounterFuncVec{r.register(&family{name: name, help: help, typ: "counter", labels: labels})}
-}
-
-// With binds fn as the series for a label tuple.
-func (v CounterFuncVec) With(fn func() float64, labelValues ...string) {
-	v.f.childFor(labelValues...).fn = fn
 }
 
 // DefBuckets are the default latency buckets, in seconds: 100µs to 30s,
@@ -276,13 +198,7 @@ func (f *family) render(w io.Writer) {
 			f.renderHistogram(w, c)
 			continue
 		}
-		var v float64
-		if c.fn != nil {
-			v = c.fn()
-		} else {
-			v = float64(c.val.Load())
-		}
-		fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, c.labelValues, "", ""), formatValue(v))
+		fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, c.labelValues, "", ""), formatValue(c.fn()))
 	}
 }
 

