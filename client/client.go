@@ -377,26 +377,6 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepJob, error)
 	return &job, nil
 }
 
-// Batch submits N sweeps in one POST /v1/batch request. Partial
-// acceptance is normal: inspect Items for per-entry statuses, and
-// resubmit 429 entries after RetryAfterSeconds.
-func (c *Client) Batch(ctx context.Context, req BatchRequest) (*Batch, error) {
-	var b Batch
-	if err := c.do(ctx, http.MethodPost, "/v1/batch", req, &b); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
-// BatchStatus aggregates a batch's jobs via GET /v1/batch/{id}.
-func (c *Client) BatchStatus(ctx context.Context, id string) (*BatchStatus, error) {
-	var st BatchStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/batch/"+url.PathEscape(id), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Jobs lists all live jobs via GET /v1/jobs.
 func (c *Client) Jobs(ctx context.Context) ([]JobInfo, error) {
 	var out []JobInfo

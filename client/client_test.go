@@ -3,7 +3,7 @@ package client_test
 // SDK round-trip tests against a real in-process pmsynthd (the same
 // handler the daemon serves), pinning the wire compatibility of the
 // client-owned types: synthesize, sweep-to-completion over the event
-// stream, batch fan-out, and the 429/Retry-After retry path.
+// stream, and the 429/Retry-After retry path.
 
 import (
 	"context"
@@ -195,39 +195,6 @@ func TestSweepToCompletionViaEventStream(t *testing.T) {
 	}
 	if !dup.Deduped || dup.ID != info.ID {
 		t.Fatalf("dup = %+v", dup)
-	}
-}
-
-func TestBatchRoundTrip(t *testing.T) {
-	c := newClient(t, server.Config{JobWorkers: 2})
-	ctx := context.Background()
-	b, err := c.Batch(ctx, client.BatchRequest{Sweeps: []client.SweepRequest{
-		{Source: absDiffSrc, Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 3}},
-		{Source: absDiffSrc, Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 4}},
-		{Source: "", Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 3}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Accepted != 2 || b.Rejected != 1 {
-		t.Fatalf("batch = %+v", b)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := c.BatchStatus(ctx, b.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Done {
-			if st.Counts[client.StateSucceeded] != 2 {
-				t.Fatalf("counts = %+v", st.Counts)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batch never finished")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

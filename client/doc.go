@@ -1,6 +1,6 @@
 // Package client is the Go SDK for the pmsynthd HTTP API: a typed client
-// for one-shot synthesis, asynchronous design-space sweeps, batch
-// submission, job polling, and live NDJSON event streaming.
+// for one-shot synthesis, asynchronous design-space sweeps, job polling,
+// and live NDJSON event streaming.
 //
 // The client owns its wire types — importing it never pulls in the
 // synthesis engine — and mirrors the server's JSON shapes exactly, so it
@@ -23,6 +23,12 @@
 //		Spec:   client.SweepSpec{BudgetMin: 2, BudgetMax: 8},
 //	}, nil)
 //	best, err := c.JobResult(ctx, info.ID, client.ResultQuery{View: "best"})
+//
+// N sweeps are N Sweep calls. Submit them all first so the server
+// evaluates them concurrently, then wait on each with SweepAndWait: the
+// identical resubmission joins the live job, and a job lost with its
+// node is resubmitted. Each call gets the cluster routing, retry and
+// failover described below on its own.
 //
 // # Backpressure and retries
 //

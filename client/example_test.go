@@ -63,47 +63,3 @@ end
 	// absdiff: 3 steps, 27.27% power reduction
 	// sweep succeeded: best budget 3 -> 27.27% power reduction
 }
-
-// ExampleClient_Batch submits several sweeps in one request and
-// aggregates their completion.
-func ExampleClient_Batch() {
-	srv, err := server.New(server.Config{JobWorkers: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	ctx := context.Background()
-	c := client.New(ts.URL)
-	src := `
-func inc(a: num<8>) out: num<8> =
-begin
-    out = a + 1;
-end
-`
-	b, err := c.Batch(ctx, client.BatchRequest{Sweeps: []client.SweepRequest{
-		{Source: src, Spec: client.SweepSpec{BudgetMin: 1, BudgetMax: 2}},
-		{Source: src, Spec: client.SweepSpec{BudgetMin: 1, BudgetMax: 3}},
-	}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("accepted %d of %d\n", b.Accepted, len(b.Items))
-	for _, item := range b.Items {
-		if item.Sweep != nil {
-			if _, err := c.WaitJob(ctx, item.Sweep.ID, nil); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	st, err := c.BatchStatus(ctx, b.ID)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("done=%v succeeded=%d\n", st.Done, st.Counts[client.StateSucceeded])
-	// Output:
-	// accepted 2 of 2
-	// done=true succeeded=2
-}

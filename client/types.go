@@ -132,8 +132,6 @@ func (s JobState) Terminal() bool {
 type JobInfo struct {
 	ID   string `json:"id"`
 	Name string `json:"name"`
-	// Group is the batch label the job was submitted under, if any.
-	Group string `json:"group,omitempty"`
 	// Node is the cluster node the job lives on (the same id that
 	// prefixes ID); empty against a single-node server.
 	Node     string    `json:"node,omitempty"`
@@ -194,49 +192,6 @@ type Result struct {
 	Pareto []Point `json:"pareto,omitempty"`
 	// Table is set for view=table.
 	Table string `json:"table,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/batch.
-type BatchRequest struct {
-	Sweeps []SweepRequest `json:"sweeps"`
-}
-
-// BatchItem is the admission outcome of one batch entry.
-type BatchItem struct {
-	// Index is the entry's position in the request.
-	Index int `json:"index"`
-	// Status is the HTTP status the entry would have received as a
-	// standalone submission: 202 created, 200 deduped or restored from
-	// the store, 400 malformed, 422 invalid, 429 shed (resubmit after
-	// RetryAfterSeconds), 503 shutting down.
-	Status int `json:"status"`
-	// Sweep carries the created/joined job on success.
-	Sweep *SweepJob `json:"sweep,omitempty"`
-	// Error carries the refusal reason otherwise.
-	Error string `json:"error,omitempty"`
-}
-
-// Batch is the response of POST /v1/batch.
-type Batch struct {
-	ID       string `json:"id"`
-	Accepted int    `json:"accepted"`
-	Rejected int    `json:"rejected"`
-	// RetryAfterSeconds is set when at least one entry was shed with
-	// 429; resubmit those entries after this many seconds.
-	RetryAfterSeconds int `json:"retryAfterSeconds,omitempty"`
-	// Items lists the per-entry outcomes in request order.
-	Items []BatchItem `json:"items"`
-}
-
-// BatchStatus is the response of GET /v1/batch/{id}.
-type BatchStatus struct {
-	ID string `json:"id"`
-	// Done reports that every job in the batch is terminal.
-	Done bool `json:"done"`
-	// Counts maps job state to how many of the batch's jobs are in it.
-	Counts map[JobState]int `json:"counts"`
-	// Jobs snapshots the batch's jobs, oldest first.
-	Jobs []JobInfo `json:"jobs"`
 }
 
 // Health is the response of GET /healthz.

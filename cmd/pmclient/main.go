@@ -1,7 +1,7 @@
 // Command pmclient drives a running pmsynthd through the public Go SDK
 // (repro/client): one-shot synthesis, asynchronous sweeps with live
-// progress, batch fan-out, and job inspection — the supported client
-// surface, replacing hand-written curl.
+// progress, one sweep per file over many files, and job inspection — the
+// supported client surface, replacing hand-written curl.
 //
 // Usage:
 //
@@ -14,14 +14,14 @@
 //	synth   -file F -budget N [-ii N] [-order O] [-emit vhdl,verilog]
 //	sweep   -file F [-budgets lo:hi] [-orders a,b] [-iis 1,2] [-workers N]
 //	        [-watch] [-view best|pareto|table] [-objective o]
-//	batch   -files a.sil,b.sil [-budgets lo:hi] [-wait]
+//	batch   -files a.sil,b.sil [-budgets lo:hi] [-orders a,b] [-wait]
+//	                            one sweep per file, all submitted first
 //	jobs                        list jobs
 //	job     -id ID              one job's snapshot
 //	cancel  -id ID              cancel a job
 //	events  -id ID [-from N]    stream a job's NDJSON event log
 //	result  -id ID [-view v] [-objective o]
 //	trace   -id ID [-json]      a job's telemetry span tree
-//	batchstatus -id ID          aggregate batch status
 //
 // The SDK retries shed (429) submissions with the server's Retry-After
 // hint automatically; pmclient surfaces only definitive failures. With
@@ -41,7 +41,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/client"
 )
@@ -78,7 +77,7 @@ func main() {
 		err = runBatch(ctx, c, args)
 	case "jobs":
 		err = runJobs(ctx, c)
-	case "job", "cancel", "events", "result", "trace", "batchstatus":
+	case "job", "cancel", "events", "result", "trace":
 		err = runJobCmd(ctx, c, cmd, args)
 	default:
 		fmt.Fprintf(os.Stderr, "pmclient: unknown command %q\n", cmd)
@@ -99,7 +98,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: pmclient [-addr URL] [-v] <command> [flags]
-commands: health metrics synth sweep batch jobs job cancel events result trace batchstatus
+commands: health metrics synth sweep batch jobs job cancel events result trace
 run "pmclient <command> -h" for command flags`)
 }
 
@@ -172,7 +171,8 @@ func runSynth(ctx context.Context, c *client.Client, args []string) error {
 	return printJSON(res)
 }
 
-// parseSweepSpec builds a SweepSpec from the shared sweep/batch flags.
+// parseSweepSpec builds a SweepSpec from the axis flags sweep and batch
+// share.
 func parseSweepSpec(budgets, orders, iis string, workers int) (client.SweepSpec, error) {
 	spec := client.SweepSpec{Workers: workers}
 	if budgets != "" {
@@ -258,12 +258,18 @@ func runSweep(ctx context.Context, c *client.Client, args []string) error {
 	return printJSON(res)
 }
 
+// runBatch submits one sweep per file, every file before waiting on any,
+// so the server evaluates them concurrently. Each submission is an
+// ordinary Sweep call: routed, deduped and retried after a shed on its
+// own. It prints each job as it is submitted; under -wait it then waits
+// on each through SweepAndWait, which joins the live job (or resubmits
+// one lost with its node), and prints each terminal snapshot.
 func runBatch(ctx context.Context, c *client.Client, args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	files := fs.String("files", "", "comma-separated Silage source files, one sweep each")
 	budgets := fs.String("budgets", "", "budget range lo:hi (applied to every file)")
 	orders := fs.String("orders", "", "comma-separated mux orders (applied to every file)")
-	wait := fs.Bool("wait", false, "poll the batch until every job finishes")
+	wait := fs.Bool("wait", false, "wait until every job finishes")
 	fs.Parse(args)
 	if *files == "" {
 		return fmt.Errorf("missing -files")
@@ -272,48 +278,37 @@ func runBatch(ctx context.Context, c *client.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	var req client.BatchRequest
+	var reqs []client.SweepRequest
 	for _, path := range strings.Split(*files, ",") {
 		src, err := readSource(path)
 		if err != nil {
 			return err
 		}
-		req.Sweeps = append(req.Sweeps, client.SweepRequest{Source: src, Spec: spec})
+		reqs = append(reqs, client.SweepRequest{Source: src, Spec: spec})
 	}
-	b, err := c.Batch(ctx, req)
-	if err != nil {
-		return err
-	}
-	if err := printJSON(b); err != nil {
-		return err
-	}
-	if !*wait || b.Accepted == 0 {
-		return nil
-	}
-	for {
-		st, err := c.BatchStatus(ctx, b.ID)
+	for _, req := range reqs {
+		job, err := c.Sweep(ctx, req)
 		if err != nil {
 			return err
 		}
-		if st.Done {
-			return printJSON(st)
-		}
-		if err := waitTick(ctx); err != nil {
+		traceNote(job.Trace)
+		if err := printJSON(job); err != nil {
 			return err
 		}
 	}
-}
-
-// waitTick sleeps a polling interval or returns ctx's error.
-func waitTick(ctx context.Context) error {
-	t := time.NewTimer(200 * time.Millisecond)
-	defer t.Stop()
-	select {
-	case <-t.C:
+	if !*wait {
 		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
+	for _, req := range reqs {
+		_, info, err := c.SweepAndWait(ctx, req, nil)
+		if err != nil {
+			return err
+		}
+		if err := printJSON(info); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func runJobs(ctx context.Context, c *client.Client) error {
@@ -326,7 +321,7 @@ func runJobs(ctx context.Context, c *client.Client) error {
 
 func runJobCmd(ctx context.Context, c *client.Client, cmd string, args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	id := fs.String("id", "", "job or batch id")
+	id := fs.String("id", "", "job id")
 	from := fs.Int64("from", 0, "resume the event stream after this sequence number")
 	view := fs.String("view", "best", "result view: best, pareto, table")
 	objective := fs.String("objective", "", "best-view objective: power, area, steps")
@@ -379,12 +374,6 @@ func runJobCmd(ctx context.Context, c *client.Client, cmd string, args []string)
 			printSpan(root, 0)
 		}
 		return nil
-	case "batchstatus":
-		st, err := c.BatchStatus(ctx, *id)
-		if err != nil {
-			return err
-		}
-		return printJSON(st)
 	}
 	return fmt.Errorf("unreachable command %q", cmd)
 }

@@ -25,6 +25,14 @@ begin
 end
 `
 
+// incSrc is a second design, so a two-file batch makes two jobs.
+const incSrc = `
+func inc(a: num<8>) out: num<8> =
+begin
+    out = a + 1;
+end
+`
+
 // newEnv boots an in-process daemon, a client against it, and a source
 // file on disk for the -file flags.
 func newEnv(t *testing.T) (*client.Client, string) {
@@ -101,11 +109,39 @@ func TestRunSweepFullAxes(t *testing.T) {
 	}
 }
 
+// TestRunBatchAndStatus: batch over two files submits one sweep per
+// file and, under -wait, returns only once both jobs are terminal.
 func TestRunBatchAndStatus(t *testing.T) {
 	c, file := newEnv(t)
 	ctx := context.Background()
-	if err := runBatch(ctx, c, []string{"-files", file, "-budgets", "2:4", "-wait"}); err != nil {
+	inc := filepath.Join(t.TempDir(), "inc.sil")
+	if err := os.WriteFile(inc, []byte(incSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runBatch(ctx, c, []string{"-files", file + "," + inc, "-budgets", "2:4", "-wait"}); err != nil {
 		t.Fatalf("batch: %v", err)
+	}
+	jobs, err := c.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 {
+		t.Fatalf("%d jobs after a two-file batch, want 2: %+v", len(jobs), jobs)
+	}
+	for _, j := range jobs {
+		if !j.State.Terminal() {
+			t.Fatalf("job %s (%s) is %s after batch -wait returned", j.ID, j.Name, j.State)
+		}
+	}
+	// Each file is submitted once, then once more by SweepAndWait, which
+	// joins the live job instead of starting a second one.
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["pmsynthd_sweep_requests"] != 4 || m["pmsynthd_cache_hits"] != 2 {
+		t.Fatalf("sweep requests = %d, joins = %d; want 4 and 2",
+			m["pmsynthd_sweep_requests"], m["pmsynthd_cache_hits"])
 	}
 	if err := runBatch(ctx, c, []string{"-budgets", "2:4"}); err == nil {
 		t.Fatal("batch without -files succeeded")
@@ -147,9 +183,6 @@ func TestRunJobCommands(t *testing.T) {
 	}
 	if err := runJobCmd(ctx, c, "job", []string{}); err == nil {
 		t.Fatal("job without -id succeeded")
-	}
-	if err := runJobCmd(ctx, c, "batchstatus", []string{"-id", "missing"}); err == nil {
-		t.Fatal("batchstatus of unknown batch succeeded")
 	}
 }
 

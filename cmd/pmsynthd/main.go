@@ -1,9 +1,10 @@
 // Command pmsynthd serves the power-management synthesis engine over
 // HTTP/JSON: asynchronous design-space sweep jobs with streamed progress,
 // and one-shot synthesis answered synchronously as a one-point sweep.
-// Identical requests join one job. Admission is backpressured: jobs queue
-// on a bounded pending queue drained by a fixed worker pool, and
-// submissions beyond the queue capacity are shed with 429 + Retry-After.
+// Each request carries one source; identical requests join one job.
+// Admission is backpressured: jobs queue on a bounded pending queue
+// drained by a fixed worker pool, and submissions beyond the queue
+// capacity are shed with 429 + Retry-After.
 // See internal/server for the API surface and DESIGN.md ("Serving
 // layer") for the architecture.
 //
@@ -13,9 +14,9 @@
 //	         [-max-pending-jobs 64] [-sweep-workers 0]
 //	         [-max-sweep-workers 0] [-job-ttl 1h] [-event-tail 256]
 //	         [-retry-after 1s] [-store-dir DIR] [-store-max-bytes N]
-//	         [-max-batch-sweeps 64] [-self-url URL]
-//	         [-peers URL,URL,...] [-log-level info] [-log-format json]
-//	         [-trace-capacity 256] [-debug-addr ADDR]
+//	         [-self-url URL] [-peers URL,URL,...] [-log-level info]
+//	         [-log-format json] [-trace-capacity 256] [-debug-addr ADDR]
+//	         [-drain 10s]
 //
 // With -store-dir set, finished sweeps and synthesize results persist
 // across restarts in a content-addressed disk store: a restarted
@@ -79,7 +80,6 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) submissions")
 	storeDir := flag.String("store-dir", "", "directory of the persistent result store (empty disables persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 1<<30, "disk budget of the persistent store; LRU entries are GCed beyond it")
-	maxBatchSweeps := flag.Int("max-batch-sweeps", 64, "max sweep specs per POST /v1/batch request")
 	selfURL := flag.String("self-url", "", "this node's advertised base URL (e.g. http://10.0.0.3:8357); enables cluster mode")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (self may be listed); requires -self-url")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -115,7 +115,6 @@ func main() {
 		RetryAfter:      *retryAfter,
 		StoreDir:        *storeDir,
 		StoreMaxBytes:   *storeMaxBytes,
-		MaxBatchSweeps:  *maxBatchSweeps,
 		SelfURL:         *selfURL,
 		Peers:           splitPeers(*peers),
 		Logger:          logger,

@@ -1,9 +1,9 @@
 // Sweepservice: the full serving loop in one process — boot a pmsynthd
 // with a persistent store, then drive it with the public SDK
 // (repro/client) instead of raw HTTP: synthesize, sweep with live
-// progress, fan a batch out, and finally prove the warm path by asking
-// for the same sweep again and watching it come back from cache with
-// zero recompilation.
+// progress, submit several sweeps before waiting on any, and finally
+// prove the warm path by asking for the same sweep again and watching it
+// come back from cache with zero recompilation.
 //
 // Run with: go run ./examples/sweepservice
 package main
@@ -100,27 +100,29 @@ func main() {
 	fmt.Printf("best point: budget %d -> %.2f%% power reduction\n\n",
 		best.Best.Options.Budget, best.Best.Row.PowerReductionPct)
 
-	// --- A batch: several specs in one request, one aggregate handle.
-	batch, err := c.Batch(ctx, client.BatchRequest{Sweeps: []client.SweepRequest{
+	// --- Several sweeps: submit every one before waiting on any, so the
+	// daemon runs them concurrently. Each is an ordinary Sweep call, so
+	// each is retried after a shed on its own; SweepAndWait then joins
+	// each live job.
+	many := []client.SweepRequest{
 		{Source: absDiff, Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 6}},
 		{Source: gcd, Spec: client.SweepSpec{BudgetMin: 5, BudgetMax: 8, Orders: []string{"outputs-first", "inputs-first"}}},
-	}})
-	if err != nil {
-		log.Fatal(err)
 	}
-	fmt.Printf("batch %s: %d accepted, %d rejected\n", batch.ID, batch.Accepted, batch.Rejected)
-	for _, item := range batch.Items {
-		if item.Sweep != nil {
-			if _, err := c.WaitJob(ctx, item.Sweep.ID, nil); err != nil {
-				log.Fatal(err)
-			}
+	for _, req := range many {
+		job, err := c.Sweep(ctx, req)
+		if err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("submitted %d configurations as job %s\n", job.Total, job.ID)
 	}
-	status, err := c.BatchStatus(ctx, batch.ID)
-	if err != nil {
-		log.Fatal(err)
+	for _, req := range many {
+		_, info, err := c.SweepAndWait(ctx, req, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s: %s, %d/%d\n", info.Name, info.State, info.Done, info.Total)
 	}
-	fmt.Printf("batch done: %v, states: %v\n\n", status.Done, status.Counts)
+	fmt.Println()
 
 	// --- The warm path, for real: kill the daemon, boot a fresh one over
 	// the same store directory, and resubmit the identical sweep. With

@@ -128,35 +128,51 @@ func TestStoreTruncated(t *testing.T) {
 }
 
 func TestStoreBadChecksum(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
+	corruptions := []struct {
+		name    string
+		corrupt func(blob []byte)
+	}{
+		{"flipped-payload-bit", func(b []byte) { b[len(b)-1] ^= 0xff }},
+		// A write lost to a crash can leave an entry of the right length
+		// holding only zeros.
+		{"zero-filled", func(b []byte) { clear(b) }},
 	}
-	key := "sum"
-	if err := s.Put(key, []byte("checksummed payload")); err != nil {
-		t.Fatal(err)
-	}
-	path := entryPath(s, key)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)-1] ^= 0xff // flip a payload bit
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Get(key); ok {
-		t.Fatalf("corrupt entry served %q", got)
-	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
-	}
-	// The bad file is gone; a re-Put works and serves again.
-	if err := s.Put(key, []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Get(key); !ok || string(got) != "fresh" {
-		t.Fatalf("after re-put: %q, %v", got, ok)
+	for _, tc := range corruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := OpenStore(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := "sum"
+			if err := s.Put(key, []byte("checksummed payload")); err != nil {
+				t.Fatal(err)
+			}
+			path := entryPath(s, key)
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(blob)
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get(key); ok {
+				t.Fatalf("corrupt entry served %q", got)
+			}
+			if st := s.Stats(); st.Corrupt != 1 {
+				t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("corrupt file not removed")
+			}
+			// A re-Put works and serves again.
+			if err := s.Put(key, []byte("fresh")); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get(key); !ok || string(got) != "fresh" {
+				t.Fatalf("after re-put: %q, %v", got, ok)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,10 @@
 // queued job — it either enqueues (the job waits in the pending state
 // costing one queue slot, not a stack) or sheds the submission with
 // ErrQueueFull, which is the manager's backpressure signal to the
-// serving layer. The manager is function-agnostic — it runs any Func —
+// serving layer. SubmitDone registers a job that is already succeeded
+// (the serving layer's store restores). A job carries a name and the
+// submitter's telemetry trace id; nothing else labels or groups it.
+// The manager is function-agnostic — it runs any Func —
 // so the synthesis layers stay out of its dependency cone and it can be
 // tested with microsecond workloads.
 package jobs

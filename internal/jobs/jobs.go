@@ -60,9 +60,6 @@ type Func func(ctx context.Context, progress func(done, total int)) (interface{}
 type Info struct {
 	ID   string `json:"id"`
 	Name string `json:"name"`
-	// Group is the batch label the job was submitted under, if any; all
-	// jobs of one POST /v1/batch share a group.
-	Group string `json:"group,omitempty"`
 	// Node is the cluster node the job lives on, when the manager is
 	// node-scoped; empty single-node. The same id prefixes ID.
 	Node string `json:"node,omitempty"`
@@ -83,7 +80,6 @@ type Info struct {
 type Job struct {
 	id    string
 	name  string
-	group string
 	trace string
 	node  string
 
@@ -123,7 +119,7 @@ func (j *Job) Snapshot() Info {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	info := Info{
-		ID: j.id, Name: j.name, Group: j.group, Node: j.node, Trace: j.trace, State: j.state,
+		ID: j.id, Name: j.name, Node: j.node, Trace: j.trace, State: j.state,
 		Created: j.created, Started: j.started, Finished: j.finished,
 		Done: j.done, Total: j.total,
 	}
@@ -284,8 +280,8 @@ type Config struct {
 	// (clamped to at least a second).
 	GCInterval time.Duration
 	// Logger, when non-nil, receives structured job lifecycle events
-	// (started, succeeded, failed, canceled) carrying job, name, group
-	// and trace ids. Nil disables lifecycle logging entirely.
+	// (started, succeeded, failed, canceled) carrying job, name and
+	// trace ids. Nil disables lifecycle logging entirely.
 	Logger *slog.Logger
 	// Node, when non-empty, namespaces every job id as "<node>~<id>" —
 	// the cluster-routable form: any node can resolve the prefix to the
@@ -343,22 +339,15 @@ func NewManager(cfg Config) *Manager {
 
 // Submit registers a job on the pending queue, to be picked up by the
 // next free worker. It never blocks: when the queue is full the job is
-// shed with ErrQueueFull and nothing is retained. total may be 0 when
+// shed with ErrQueueFull and nothing is retained. trace names the
+// submitter's telemetry trace ("" for none), so job snapshots carry the
+// correlation handle; it never affects scheduling. total may be 0 when
 // the amount of work is unknown up front; progress ticks refine it.
-func (m *Manager) Submit(name string, total int, fn Func) (*Job, error) {
-	return m.SubmitGroup(name, "", "", total, fn)
-}
-
-// SubmitGroup is Submit with a group label and a telemetry trace id.
-// Jobs submitted under the same non-empty group (a batch id) are
-// retrievable together with Group; trace names the submitter's telemetry
-// trace so job snapshots carry the correlation handle. Both are purely
-// indexes — they never affect scheduling.
-func (m *Manager) SubmitGroup(name, group, trace string, total int, fn Func) (*Job, error) {
+func (m *Manager) Submit(name, trace string, total int, fn Func) (*Job, error) {
 	ctx, cancel := context.WithCancel(m.base)
 	now := time.Now()
 	j := &Job{
-		id: m.newJobID(), name: name, group: group, trace: trace, node: m.node, state: StatePending,
+		id: m.newJobID(), name: name, trace: trace, node: m.node, state: StatePending,
 		created: now, total: total, ringCap: m.eventTail,
 		notify: make(chan struct{}),
 		cancel: cancel, ctx: ctx, fn: fn,
@@ -398,7 +387,7 @@ func (m *Manager) SubmitGroup(name, group, trace string, total int, fn Func) (*J
 // views as a freshly computed one — without consuming a queue slot or a
 // worker. The job's event log holds a created event and a terminal
 // succeeded event with Done == Total.
-func (m *Manager) SubmitDone(name, group, trace string, total int, val interface{}) (*Job, error) {
+func (m *Manager) SubmitDone(name, trace string, total int, val interface{}) (*Job, error) {
 	m.qmu.Lock()
 	if m.closed {
 		m.qmu.Unlock()
@@ -407,7 +396,7 @@ func (m *Manager) SubmitDone(name, group, trace string, total int, val interface
 	m.qmu.Unlock()
 	now := time.Now()
 	j := &Job{
-		id: m.newJobID(), name: name, group: group, trace: trace, node: m.node, state: StateSucceeded,
+		id: m.newJobID(), name: name, trace: trace, node: m.node, state: StateSucceeded,
 		created: now, started: now, finished: now,
 		done: total, total: total, ringCap: m.eventTail,
 		result: val,
@@ -507,7 +496,7 @@ func (m *Manager) run(j *Job) {
 	j.mu.Unlock()
 	if m.log != nil {
 		m.log.Info("job started",
-			"job", j.id, "name", j.name, "group", j.group, "trace", j.trace,
+			"job", j.id, "name", j.name, "trace", j.trace,
 			"queue_wait", wait)
 	}
 
@@ -576,7 +565,7 @@ func (m *Manager) finalize(j *Job, val interface{}, err error, onlyPending bool)
 		}
 		logEvent = func() {
 			m.log.Info("job finished",
-				"job", j.id, "name", j.name, "group", j.group, "trace", j.trace,
+				"job", j.id, "name", j.name, "trace", j.trace,
 				"state", string(state), "elapsed", elapsed, "err", errStr)
 		}
 	}

@@ -31,7 +31,7 @@ func newTestManagerCfg(t *testing.T, cfg Config) *Manager {
 // submit is Submit with the queue-full path treated as a test failure.
 func submit(t *testing.T, m *Manager, name string, total int, fn Func) *Job {
 	t.Helper()
-	j, err := m.Submit(name, total, fn)
+	j, err := m.Submit(name, "", total, fn)
 	if err != nil {
 		t.Fatalf("Submit(%s): %v", name, err)
 	}
@@ -197,7 +197,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	noop := func(ctx context.Context, progress func(int, int)) (interface{}, error) { return nil, nil }
 	submit(t, m, "queued-0", 0, noop)
 	queued2 := submit(t, m, "queued-last", 0, noop)
-	shed, err := m.Submit("over", 0, noop)
+	shed, err := m.Submit("over", "", 0, noop)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Submit over capacity = %v, %v; want ErrQueueFull", shed, err)
 	}
@@ -221,7 +221,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	if pending, _, _, _ := m.QueueStats(); pending != 1 {
 		t.Fatalf("pending = %d after canceling a queued job, want 1", pending)
 	}
-	readmitted, err := m.Submit("readmitted", 0, noop)
+	readmitted, err := m.Submit("readmitted", "", 0, noop)
 	if err != nil {
 		t.Fatalf("Submit after cancel freed a slot: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestNoGoroutinePerPendingJob(t *testing.T) {
 func TestCloseCancelsQueuedJobs(t *testing.T) {
 	m := NewManager(Config{Workers: 1, MaxPending: 8, TTL: time.Hour, GCInterval: time.Hour})
 	started := make(chan struct{})
-	hog, err := m.Submit("hog", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+	hog, err := m.Submit("hog", "", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -282,7 +282,7 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 	<-started
 	var queued []*Job
 	for i := 0; i < 4; i++ {
-		j, err := m.Submit("queued", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+		j, err := m.Submit("queued", "", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
 			return nil, nil
 		})
 		if err != nil {
@@ -296,7 +296,7 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 			t.Fatalf("job %s after Close: state %s, want canceled", j.ID(), st)
 		}
 	}
-	if _, err := m.Submit("late", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+	if _, err := m.Submit("late", "", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
 		return nil, nil
 	}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
@@ -472,16 +472,13 @@ func TestListOrder(t *testing.T) {
 
 func TestSubmitDone(t *testing.T) {
 	m := newTestManager(t, 1)
-	j, err := m.SubmitDone("warm sweep", "batch-1", "", 6, "restored-result")
+	j, err := m.SubmitDone("warm sweep", "", 6, "restored-result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	info := j.Snapshot()
 	if info.State != StateSucceeded || info.Done != 6 || info.Total != 6 {
 		t.Fatalf("snapshot = %+v", info)
-	}
-	if info.Group != "batch-1" {
-		t.Fatalf("Group = %q", info.Group)
 	}
 	val, jobErr, done := j.Result()
 	if !done || jobErr != nil || val != "restored-result" {
@@ -513,59 +510,8 @@ func TestSubmitDone(t *testing.T) {
 func TestSubmitDoneAfterClose(t *testing.T) {
 	m := NewManager(Config{Workers: 1, TTL: time.Hour, GCInterval: time.Hour})
 	m.Close()
-	if _, err := m.SubmitDone("late", "", "", 1, nil); !errors.Is(err, ErrClosed) {
+	if _, err := m.SubmitDone("late", "", 1, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestGroups(t *testing.T) {
-	m := newTestManager(t, 2)
-	release := make(chan struct{})
-	fn := func(ctx context.Context, progress func(int, int)) (interface{}, error) {
-		<-release
-		return "ok", nil
-	}
-	a, err := m.SubmitGroup("a", "g1", "", 1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.SubmitGroup("b", "g2", "", 1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := m.Submit("ungrouped", 1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The label is pure metadata, surfaced on every snapshot (and hence
-	// in /v1/jobs listings); it never affects scheduling.
-	if got := a.Snapshot().Group; got != "g1" {
-		t.Fatalf("a.Group = %q", got)
-	}
-	if got := b.Snapshot().Group; got != "g2" {
-		t.Fatalf("b.Group = %q", got)
-	}
-	if got := c.Snapshot().Group; got != "" {
-		t.Fatalf("ungrouped.Group = %q", got)
-	}
-	byID := map[string]string{}
-	for _, info := range m.List() {
-		byID[info.ID] = info.Group
-	}
-	if byID[a.ID()] != "g1" || byID[b.ID()] != "g2" || byID[c.ID()] != "" {
-		t.Fatalf("List groups = %v", byID)
-	}
-	close(release)
-}
-
-func TestGroupSurvivesInList(t *testing.T) {
-	m := newTestManager(t, 1)
-	if _, err := m.SubmitDone("w", "batch-7", "", 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	list := m.List()
-	if len(list) != 1 || list[0].Group != "batch-7" {
-		t.Fatalf("List = %+v", list)
 	}
 }
 
@@ -620,7 +566,7 @@ func TestRunningCounter(t *testing.T) {
 // every snapshot, for both queued and pre-completed jobs.
 func TestJobTraceHandle(t *testing.T) {
 	m := newTestManager(t, 1)
-	j, err := m.SubmitGroup("traced", "", "tr-123", 0,
+	j, err := m.Submit("traced", "tr-123", 0,
 		func(ctx context.Context, progress func(int, int)) (interface{}, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +575,7 @@ func TestJobTraceHandle(t *testing.T) {
 		t.Fatalf("Trace = %q, want tr-123", got)
 	}
 	waitTerminal(t, j)
-	done, err := m.SubmitDone("warm", "", "tr-456", 1, nil)
+	done, err := m.SubmitDone("warm", "tr-456", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

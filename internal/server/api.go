@@ -104,58 +104,6 @@ type SweepCreatedResponse struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// BatchRequest is the body of POST /v1/batch: N sweep submissions fanned
-// through the same admission pipeline as POST /v1/sweep, grouped under
-// one batch id.
-type BatchRequest struct {
-	Sweeps []SweepRequest `json:"sweeps"`
-}
-
-// BatchItemResponse is the admission outcome of one batch entry, in
-// request order. Exactly one of Sweep and Error is set.
-type BatchItemResponse struct {
-	// Index is the entry's position in the request.
-	Index int `json:"index"`
-	// Status is the HTTP status this entry would have received as a
-	// standalone POST /v1/sweep: 202 created, 200 deduped or restored
-	// from the store, 400 malformed (missing source, bad spec), 422
-	// invalid, 429 shed, 503 shutting down.
-	Status int `json:"status"`
-	// Sweep carries the created/joined job on success.
-	Sweep *SweepCreatedResponse `json:"sweep,omitempty"`
-	// Error carries the refusal reason otherwise.
-	Error string `json:"error,omitempty"`
-}
-
-// BatchCreatedResponse is the body of POST /v1/batch.
-type BatchCreatedResponse struct {
-	// ID names the batch for GET /v1/batch/{id}.
-	ID string `json:"id"`
-	// Accepted counts entries that produced or joined a job.
-	Accepted int `json:"accepted"`
-	// Rejected counts entries refused with 4xx/5xx statuses.
-	Rejected int `json:"rejected"`
-	// RetryAfterSeconds is set when at least one entry was shed with 429:
-	// resubmitting the rejected entries after this many seconds is the
-	// expected recovery.
-	RetryAfterSeconds int `json:"retryAfterSeconds,omitempty"`
-	// Items lists the per-entry outcomes in request order.
-	Items []BatchItemResponse `json:"items"`
-}
-
-// BatchStatusResponse is the body of GET /v1/batch/{id}.
-type BatchStatusResponse struct {
-	ID string `json:"id"`
-	// Done reports that every job in the batch is terminal.
-	Done bool `json:"done"`
-	// Counts maps job state to how many of the batch's jobs are in it.
-	Counts map[jobs.State]int `json:"counts"`
-	// Jobs snapshots the batch's member jobs — jobs the batch created
-	// plus jobs its entries deduped onto (whose group label belongs to
-	// an earlier submission) — in first-reference order.
-	Jobs []jobs.Info `json:"jobs"`
-}
-
 // PointResponse is one sweep point in result views.
 type PointResponse struct {
 	// Index is the point's enumeration index (the deterministic

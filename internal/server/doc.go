@@ -5,15 +5,19 @@
 //
 //	POST /v1/synthesize        one-shot synthesis: a one-point sweep job, awaited
 //	POST /v1/sweep             create an async design-space sweep job
-//	POST /v1/batch             submit N sweeps in one request (one group)
-//	GET  /v1/batch/{id}        aggregate status of a batch's jobs
 //	GET  /v1/jobs              list jobs
 //	GET  /v1/jobs/{id}         job status
 //	GET  /v1/jobs/{id}/events  NDJSON stream of the ordered event log
 //	GET  /v1/jobs/{id}/result  best / pareto / table views of the sweep
+//	GET  /v1/jobs/{id}/trace   span tree of the request that admitted the job
 //	POST /v1/jobs/{id}/cancel  cancel a pending or running job
 //	GET  /healthz              liveness
 //	GET  /metrics              Prometheus-style counters
+//	GET  /debug/traces         the most recent retained request traces
+//
+// Every job enters through one of the two POST routes, and each request
+// carries one source and one spec: N sweeps are N POST /v1/sweep
+// requests, each routed, deduped and shed on its own.
 //
 // Identical requests collapse at one point, the dedup index of live jobs:
 // a synthesize is a one-point sweep, and every submission whose key — the

@@ -35,7 +35,7 @@ func TestSweepIndexStaysBounded(t *testing.T) {
 		s.sweepByFP[fmt.Sprintf("collected-%d", i)] = fmt.Sprintf("gone-%d", i)
 		s.mu.Unlock()
 		before := size()
-		if out := s.admitSweep(context.Background(), src, spec, rtl{}, ""); out.status >= 300 {
+		if out := s.admitSweep(context.Background(), src, spec, rtl{}); out.status >= 300 {
 			t.Fatalf("submission %d: %d %s", i, out.status, out.errMsg)
 		}
 		after := size()

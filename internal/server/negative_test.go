@@ -117,6 +117,13 @@ func TestMethodAndPathValidation(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/nothing", nil); code != http.StatusNotFound {
 		t.Errorf("unknown path = %d, want 404", code)
 	}
+	// There is no batch endpoint: N sweeps are N POST /v1/sweep requests.
+	if code, _ := postRaw(t, ts.URL+"/v1/batch", "application/json", `{"sweeps":[]}`); code != http.StatusNotFound {
+		t.Errorf("POST /v1/batch = %d, want 404", code)
+	}
+	if code := getJSON(t, ts.URL+"/v1/batch/b-0123456789abcdef", nil); code != http.StatusNotFound {
+		t.Errorf("GET /v1/batch/{id} = %d, want 404", code)
+	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/%20/events", nil); code != http.StatusNotFound {
 		t.Errorf("blank job events = %d, want 404", code)
 	}

@@ -61,9 +61,6 @@ type Config struct {
 	// StoreMaxBytes bounds the disk store; beyond it the least recently
 	// used entries are garbage-collected. <= 0 means 1 GiB.
 	StoreMaxBytes int64
-	// MaxBatchSweeps bounds the number of sweep specs one POST /v1/batch
-	// request may carry; <= 0 means 64.
-	MaxBatchSweeps int
 	// SelfURL is this node's advertised base URL (scheme://host:port).
 	// Non-empty enables cluster mode: job ids carry this node's id
 	// prefix, sweep and synthesize submissions are routed to the first
@@ -121,18 +118,10 @@ type Server struct {
 	sweepByFP map[string]string // index key -> job id
 	walked    int               // index size after its last prune walk
 
-	// batchMu guards the batch index: batch id -> member job ids, in
-	// request order, including jobs the batch's entries deduped onto
-	// (whose group label belongs to an earlier submission). Separate
-	// from mu so batch status reads never contend with sweep admission.
-	batchMu sync.Mutex
-	batches map[string][]string
-
 	synthRequests atomic.Int64
 	sweepRequests atomic.Int64
 	sweepSheds    atomic.Int64
 	sweepWarmHits atomic.Int64
-	batchRequests atomic.Int64
 	// Admission decisions: joins of a live job, and every other one.
 	joins, admits atomic.Int64
 }
@@ -161,9 +150,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.StoreMaxBytes <= 0 {
 		cfg.StoreMaxBytes = 1 << 30
-	}
-	if cfg.MaxBatchSweeps <= 0 {
-		cfg.MaxBatchSweeps = 64
 	}
 	var store *cache.Store
 	if cfg.StoreDir != "" {
@@ -207,7 +193,6 @@ func New(cfg Config) (*Server, error) {
 		log:       logger,
 		traces:    telemetry.NewRing(cfg.TraceCapacity),
 		sweepByFP: make(map[string]string),
-		batches:   make(map[string][]string),
 	}
 	s.metrics = newServerMetrics(s)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -220,8 +205,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleJobCancel)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/batch/{id}", s.handleBatchStatus)
 	s.mux.HandleFunc("GET /debug/traces", s.handleDebugTraces)
 	return s, nil
 }
@@ -331,7 +314,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if s.routed(w, r, req.Source, spec, req) {
 		return
 	}
-	out := s.admitSweep(r.Context(), req.Source, spec, emit, "")
+	out := s.admitSweep(r.Context(), req.Source, spec, emit)
 	if out.status >= 300 {
 		s.writeSweepOutcome(w, out)
 		return
@@ -402,7 +385,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.routed(w, r, req.Source, spec, req) {
 		return
 	}
-	s.writeSweepOutcome(w, s.admitSweep(r.Context(), req.Source, spec, rtl{}, ""))
+	s.writeSweepOutcome(w, s.admitSweep(r.Context(), req.Source, spec, rtl{}))
 }
 
 // routed walks cluster.Ranked for a submission: body is proxied to each
@@ -459,7 +442,7 @@ func (s *Server) clampWorkers(spec *pmsynth.SweepSpec) {
 // sweepOutcome is the admission pipeline's decision for one submission:
 // an HTTP status plus either the created/joined job or an error message.
 // Factoring the decision out of the HTTP handler is what lets POST
-// /v1/batch and POST /v1/synthesize share the identical pipeline.
+// /v1/synthesize wait on the job that POST /v1/sweep would only report.
 type sweepOutcome struct {
 	status int                  // 200 deduped/warm, 202 created, 422/429/503 refused
 	resp   SweepCreatedResponse // valid when status < 300
@@ -506,9 +489,10 @@ func (e rtl) key(fp string) string {
 	return fmt.Sprintf("%s|vhdl=%t|verilog=%t", fp, e.vhdl, e.verilog)
 }
 
-// admitSweep is the admission pipeline of every sweep, batch entry and
-// synthesize request. Its structure is the tentpole invariant of the
-// serving layer: client-controlled work never runs under s.mu.
+// admitSweep is the admission pipeline of every sweep and synthesize
+// request; the two handlers are its only callers, each after routed.
+// Its structure is the tentpole invariant of the serving layer:
+// client-controlled work never runs under s.mu.
 //
 //  1. Short critical section: dedup lookup — a live job with this key
 //     answers the submission immediately.
@@ -539,7 +523,7 @@ func (e rtl) key(fp string) string {
 // span, the per-point and per-pass spans underneath, all parent back to
 // the submitting request's root span, and the job snapshot carries the
 // trace id for GET /v1/jobs/{id}/trace.
-func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.SweepSpec, emit rtl, group string) (out sweepOutcome) {
+func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.SweepSpec, emit rtl) (out sweepOutcome) {
 	defer func() {
 		if out.resp.Deduped {
 			s.joins.Add(1)
@@ -563,7 +547,7 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	// restored table becomes an already-succeeded job so every /v1/jobs
 	// endpoint works on it, and the index then dedupes identical
 	// submissions onto it for as long as it lives.
-	if warm, ok := s.warmSweep(ctx, key, fp, group); ok {
+	if warm, ok := s.warmSweep(ctx, key, fp); ok {
 		return warm
 	}
 
@@ -620,7 +604,7 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	// action (worker pickup); a shed submission ends it immediately,
 	// marked shed so the wait histogram only sees real pickups.
 	_, qsp := telemetry.StartSpan(ctx, "queue-wait")
-	job, err := s.jobs.SubmitGroup("sweep "+design.Graph.Name, group, tr.ID(), total,
+	job, err := s.jobs.Submit("sweep "+design.Graph.Name, tr.ID(), total,
 		func(jobCtx context.Context, progress func(done, total int)) (interface{}, error) {
 			qsp.End()
 			if hook := s.cfg.SweepHook; hook != nil {
@@ -671,7 +655,7 @@ func sweepStoreKey(key string) string { return "sweep|" + key }
 // slot, no worker) and committed to the index, so concurrent identical
 // submissions join it; the commit re-checks the index under s.mu, so two
 // racing warm hits converge on one job.
-func (s *Server) warmSweep(ctx context.Context, key, fp, group string) (sweepOutcome, bool) {
+func (s *Server) warmSweep(ctx context.Context, key, fp string) (sweepOutcome, bool) {
 	if s.store == nil {
 		return sweepOutcome{}, false
 	}
@@ -694,7 +678,7 @@ func (s *Server) warmSweep(ctx context.Context, key, fp, group string) (sweepOut
 	}
 	trace := telemetry.TraceFrom(ctx).ID()
 	total := len(fs.sr.Points)
-	job, err := s.jobs.SubmitDone("sweep "+fs.sr.Design.Graph.Name, group, trace, total, fs)
+	job, err := s.jobs.SubmitDone("sweep "+fs.sr.Design.Graph.Name, trace, total, fs)
 	if err != nil {
 		s.mu.Unlock()
 		return s.shedOutcome(err), true

@@ -33,6 +33,7 @@ type serverMetrics struct {
 	passDuration telemetry.HistogramVec // per-pass pipeline time
 	compile      telemetry.Histogram    // every compile
 	point        telemetry.Histogram    // sweep-point time
+	storeOp      telemetry.HistogramVec // disk store get/put time
 }
 
 // newServerMetrics builds the registry: every legacy pmsynthd_* series as
@@ -50,7 +51,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	// The in-memory result tier: the dedup index of live jobs, counted
 	// once per admission decision.
-	ctr("pmsynthd_cache_hits", "admissions that joined a live job (sweep, synthesize or batch entry)", s.joins.Load)
+	ctr("pmsynthd_cache_hits", "admissions that joined a live job (sweep or synthesize)", s.joins.Load)
 	ctr("pmsynthd_cache_misses", "admissions that joined no live job: store restores, new jobs and refusals", s.admits.Load)
 
 	// Disk store. Series are emitted unconditionally (zeros when
@@ -107,7 +108,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	ctr("pmsynthd_sweep_requests", "POST /v1/sweep requests", s.sweepRequests.Load)
 	ctr("pmsynthd_sweep_shed", "sweep and synthesize submissions shed with 429", s.sweepSheds.Load)
 	ctr("pmsynthd_sweep_warm_hits", "sweep and synthesize submissions answered from the disk store", s.sweepWarmHits.Load)
-	ctr("pmsynthd_batch_requests", "POST /v1/batch requests", s.batchRequests.Load)
 
 	// Job manager. The running gauge reads the manager's O(1) transition
 	// counter — scrapes never iterate the job table.
@@ -149,6 +149,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"behavioral-source compile time", nil)
 	m.point = r.Histogram("pmsynthd_sweep_point_seconds",
 		"sweep-point evaluation time", nil)
+	m.storeOp = r.HistogramVec("pmsynthd_store_op_seconds",
+		"disk store operation time by op (get, put)", nil, "op")
 	return m
 }
 
@@ -171,6 +173,8 @@ func (m *serverMetrics) observeSpan(sp *telemetry.Span) {
 		m.point.Observe(sp.Duration().Seconds())
 	case strings.HasPrefix(name, "pass:"):
 		m.passDuration.With(name[len("pass:"):]).Observe(sp.Duration().Seconds())
+	case name == "store.get" || name == "store.put":
+		m.storeOp.With(name[len("store."):]).Observe(sp.Duration().Seconds())
 	}
 }
 

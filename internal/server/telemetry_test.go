@@ -13,7 +13,9 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/jobs"
@@ -241,5 +243,54 @@ func TestJobTraceNotFound(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	if code := getJSON(t, ts.URL+"/v1/jobs/j-does-not-exist/trace", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job trace status = %d, want 404", code)
+	}
+}
+
+// metricValue scrapes /metrics for the sample whose series (name plus
+// labels) is exactly series; 0 when there is none.
+func metricValue(t *testing.T, baseURL, series string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(fetchRaw(t, baseURL+"/metrics"), "\n") {
+		if name, val, _ := strings.Cut(line, " "); name == series {
+			n, err := strconv.ParseInt(val, 10, 64)
+			if err != nil {
+				t.Fatalf("series %s: bad value %q", series, val)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestStoreOpHistograms: the store.get and store.put spans feed
+// pmsynthd_store_op_seconds{op}. A computed sweep writes its table (put);
+// the same sweep on a restarted daemon over the same directory is
+// answered by a read (get).
+func TestStoreOpHistograms(t *testing.T) {
+	dir := t.TempDir()
+	req := server.SweepRequest{
+		Source: absDiffSrc,
+		Spec:   server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 3},
+	}
+	var compiles atomic.Int64
+	_, ts1, shutdown1 := newStoreServer(t, dir, &compiles)
+	var created server.SweepCreatedResponse
+	if code := postJSON(t, ts1.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
+		t.Fatalf("cold sweep = %d, want 202", code)
+	}
+	waitJobState(t, ts1.URL, created.ID, jobs.StateSucceeded)
+	if n := metricValue(t, ts1.URL, `pmsynthd_store_op_seconds_count{op="put"}`); n < 1 {
+		t.Fatalf("put count after a computed sweep = %d, want >= 1", n)
+	}
+	shutdown1()
+
+	_, ts2, shutdown2 := newStoreServer(t, dir, &compiles)
+	defer shutdown2()
+	var warm server.SweepCreatedResponse
+	if code := postJSON(t, ts2.URL+"/v1/sweep", req, &warm); code != http.StatusOK || !warm.Cached {
+		t.Fatalf("warm sweep = %d cached=%v, want 200 cached", code, warm.Cached)
+	}
+	if n := metricValue(t, ts2.URL, `pmsynthd_store_op_seconds_count{op="get"}`); n < 1 {
+		t.Fatalf("get count after a warm restart = %d, want >= 1", n)
 	}
 }
