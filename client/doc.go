@@ -2,9 +2,10 @@
 // for one-shot synthesis, asynchronous design-space sweeps, job polling,
 // and live NDJSON event streaming.
 //
-// The client owns its wire types — importing it never pulls in the
-// synthesis engine — and mirrors the server's JSON shapes exactly, so it
-// speaks to any pmsynthd regardless of how that daemon was built.
+// Its types are the wire: pmsynthd decodes and encodes these same
+// request, response, job and event types, so the SDK and the server share
+// one definition of every JSON shape. The package imports only the
+// standard library, so importing it never pulls in the synthesis engine.
 //
 // # Quick start
 //

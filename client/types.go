@@ -1,8 +1,8 @@
 package client
 
-// Wire types of the pmsynthd API, owned by the SDK. They mirror the
-// server's JSON shapes field for field; the SDK round-trip tests in this
-// package run against a real in-process server to pin the compatibility.
+// Wire types of the pmsynthd API, which pmsynthd itself decodes and
+// encodes. Enum-valued fields (mux orders, resource classes) travel as
+// their canonical string names, never as Go constant numbering.
 
 import "time"
 
@@ -21,8 +21,11 @@ type Options struct {
 	Resources map[string]int `json:"resources,omitempty"`
 }
 
-// Row is the Table II style summary of one synthesis. Field names match
-// the server's JSON exactly (the server marshals its Row without tags).
+// Row is the Table II style summary of one synthesis. Its fields are
+// those of pmsynth.Row, in the same order, so the server converts a
+// library row with client.Row(row); that conversion stops compiling the
+// moment the two lists differ. Untagged, its JSON keys are the field
+// names.
 type Row struct {
 	Circuit      string
 	Steps        int
@@ -48,20 +51,22 @@ type SynthesizeRequest struct {
 type SynthesizeResult struct {
 	// Fingerprint is the content-addressed request identity.
 	Fingerprint string `json:"fingerprint"`
-	// Cached reports the result was served without running the flow.
+	// Cached reports whether the result was served without starting a
+	// job: an identical live job or the persistent store answered.
 	Cached bool `json:"cached"`
+	// Trace is the server-side telemetry trace id of this request,
+	// from the response body or the X-Pmsynthd-Trace header.
+	Trace string `json:"trace,omitempty"`
 	// Row is the Table II style summary.
 	Row Row `json:"row"`
 	// VHDL and Verilog carry the requested RTL artifacts.
 	VHDL    string `json:"vhdl,omitempty"`
 	Verilog string `json:"verilog,omitempty"`
-	// Trace is the server-side telemetry trace id of this request,
-	// from the response body or the X-Pmsynthd-Trace header.
-	Trace string `json:"trace,omitempty"`
 }
 
 // SweepSpec enumerates a design-space sweep as the cross product of its
-// axes. Zero-valued axes default to a single neutral entry.
+// axes, as pmsynth.SweepSpec does. Zero-valued axes default to a single
+// neutral entry.
 type SweepSpec struct {
 	// Budgets lists explicit control-step budgets; when nil the
 	// inclusive BudgetMin..BudgetMax range applies, and when that is
@@ -98,7 +103,9 @@ type SweepJob struct {
 	// Fingerprint is the content-addressed sweep identity.
 	Fingerprint string `json:"fingerprint"`
 	// Workers is the effective evaluation pool size after the server
-	// clamp (zero on deduped and cached responses).
+	// clamp (zero on deduped and cached responses: the live job's pool
+	// was fixed at its own admission). It never affects results, only
+	// wall-clock time.
 	Workers int `json:"workers,omitempty"`
 	// Deduped reports the submission joined an identical live job.
 	Deduped bool `json:"deduped,omitempty"`
@@ -134,7 +141,11 @@ type JobInfo struct {
 	Name string `json:"name"`
 	// Node is the cluster node the job lives on (the same id that
 	// prefixes ID); empty against a single-node server.
-	Node     string    `json:"node,omitempty"`
+	Node string `json:"node,omitempty"`
+	// Trace is the telemetry trace id the job's spans are recorded
+	// under: the handle for Client.JobTrace and for correlating server
+	// logs. Empty when the submitter did not trace the job.
+	Trace    string    `json:"trace,omitempty"`
 	State    JobState  `json:"state"`
 	Created  time.Time `json:"created"`
 	Started  time.Time `json:"started"`
@@ -142,15 +153,13 @@ type JobInfo struct {
 	Done     int       `json:"done"`
 	Total    int       `json:"total"`
 	Err      string    `json:"err,omitempty"`
-	// Trace is the telemetry trace id the job's spans are recorded
-	// under; empty when the server retained no trace for the job.
-	Trace string `json:"trace,omitempty"`
 }
 
 // Event is one entry of a job's ordered event log. Seq strictly
-// increases; the server may coalesce old progress ticks away, so
-// sequence numbers can skip, but Done is a high-water mark and never
-// regresses.
+// increases, and progress events carry a strictly increasing Done. The
+// server retains only the most recent progress events, so sequence
+// numbers can skip where older ticks were coalesced away; Done is a
+// high-water mark, so a stream still never regresses.
 type Event struct {
 	Seq   int64     `json:"seq"`
 	Time  time.Time `json:"time"`

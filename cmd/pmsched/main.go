@@ -7,7 +7,7 @@
 //	pmsched -src design.sil -steps 6
 //	pmsched -src design.sil -steps 6 -vhdl out.vhd -dot cdfg.dot
 //	pmsched -src design.sil -steps 12 -ii 6            # two-stage pipeline
-//	pmsched -src design.sil -steps 6 -order greedy     # §IV.A reordering
+//	pmsched -src design.sil -steps 6 -order greedy-weight  # §IV.A reordering
 //	pmsched -src design.sil -steps 6 -gates -samples 200
 //	pmsched -builtin gcd -steps 7                      # run a paper benchmark
 //	pmsched -builtin dealer -steps 5 -optimal          # heuristic vs exact minimum
@@ -59,7 +59,7 @@ func main() {
 	builtin := flag.String("builtin", "", "built-in benchmark: dealer, gcd, vender, cordic, absdiff")
 	steps := flag.Int("steps", 0, "control steps per sample (default: critical path)")
 	ii := flag.Int("ii", 0, "pipeline initiation interval (0 = no pipelining)")
-	orderName := flag.String("order", "outputs", "mux order: outputs, inputs, greedy")
+	orderName := flag.String("order", "outputs-first", "mux order: outputs-first, inputs-first, greedy-weight")
 	vhdlPath := flag.String("vhdl", "", "write power managed VHDL to this file")
 	verilogPath := flag.String("verilog", "", "write power managed Verilog to this file")
 	dotPath := flag.String("dot", "", "write the scheduled CDFG in Graphviz format")
@@ -122,16 +122,9 @@ func main() {
 		*steps = cp
 	}
 
-	var order pmsynth.Order
-	switch *orderName {
-	case "outputs":
-		order = pmsynth.OrderOutputsFirst
-	case "inputs":
-		order = pmsynth.OrderInputsFirst
-	case "greedy":
-		order = pmsynth.OrderGreedyWeight
-	default:
-		fail("unknown order %q", *orderName)
+	order, err := pmsynth.ParseOrder(*orderName)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	if *sweep == "" {

@@ -310,25 +310,17 @@ func parseStages(s string) ([]string, error) {
 	return out, nil
 }
 
-// parseOrders resolves order names. The map is built from Order.String(),
-// so the flag vocabulary can never drift from the canonical names (the
-// same construction internal/server uses).
+// parseOrders resolves a comma-separated list of canonical order names.
 func parseOrders(s string) ([]pmsynth.Order, error) {
-	byName := map[string]pmsynth.Order{}
-	for _, o := range []pmsynth.Order{
-		pmsynth.OrderOutputsFirst, pmsynth.OrderInputsFirst, pmsynth.OrderGreedyWeight,
-	} {
-		byName[o.String()] = o
-	}
 	var out []pmsynth.Order
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		o, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown order %q", name)
+		o, err := pmsynth.ParseOrder(name)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, o)
 	}

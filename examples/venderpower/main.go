@@ -2,8 +2,9 @@
 // is synthesized twice — traditionally and with power management — both
 // variants are compiled to gate-level netlists (datapath + FSM
 // controller), and their switching activity is measured on the same random
-// input stream. It also emits the power managed VHDL, the artifact the
-// original flow handed to Synopsys.
+// input stream. It also writes the power managed VHDL, the artifact the
+// original flow handed to Synopsys, to vender_pm.vhd in the system's
+// temporary directory, and prints that path.
 //
 // Run with: go run ./examples/venderpower
 package main
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"repro"
 	"repro/internal/bench"
@@ -44,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	const path = "vender_pm.vhd"
+	path := filepath.Join(os.TempDir(), "vender_pm.vhd")
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		log.Fatal(err)
 	}

@@ -9,11 +9,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/alloc"
 	"repro/internal/bench"
 	"repro/internal/cdfg"
 	"repro/internal/core"
-	"repro/internal/mutex"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -134,47 +132,6 @@ func TestIntegrationOrdersAgreeSemantically(t *testing.T) {
 	}
 }
 
-// TestIntegrationStructuralMutexConsistent: the structural analysis never
-// contradicts the gated executor — ops it calls exclusive are indeed never
-// both executed in one sample.
-func TestIntegrationStructuralMutexConsistent(t *testing.T) {
-	for _, c := range []*bench.Circuit{bench.Dealer(), bench.GCD(), bench.Vender()} {
-		budget := c.Budgets[len(c.Budgets)-1]
-		syn, err := Synthesize(c.Design, Options{Budget: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		an, err := mutex.Analyze(syn.PM.Graph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := an.ExclusivePairs()
-		r := rand.New(rand.NewSource(3))
-		for i := 0; i < 30; i++ {
-			in := randomInputsFor(c.Graph(), r)
-			res, err := sim.ExecuteScheduled(syn.PM.Schedule, syn.PM.Guards, in, sim.Options{Width: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range pairs {
-				// Exclusiveness claims at most one is USED; a
-				// conservative schedule may still execute both
-				// only if one is unguarded. Check the guarded
-				// subset: both guarded and exclusive => never
-				// both executed.
-				_, g1 := syn.PM.Guards[p[0]]
-				_, g2 := syn.PM.Guards[p[1]]
-				if g1 && g2 && res.Executed[p[0]] && res.Executed[p[1]] {
-					t.Errorf("%s: exclusive pair (%s,%s) both executed",
-						c.Name,
-						syn.PM.Graph.Node(p[0]).Name,
-						syn.PM.Graph.Node(p[1]).Name)
-				}
-			}
-		}
-	}
-}
-
 // TestIntegrationExpectedOpsTotalInvariant: for any PM result, the
 // expected executions of a class never exceed the op count, and equal it
 // exactly when nothing of that class is gated.
@@ -205,25 +162,5 @@ func TestIntegrationExpectedOpsTotalInvariant(t *testing.T) {
 				t.Errorf("%s: ungated class %v has E %v < %v", c.Name, cls, ops[cls], total)
 			}
 		}
-	}
-}
-
-// TestIntegrationMutexBaselineBinding: binding the vender baseline with
-// the structural oracle shares the exclusive multipliers, reproducing the
-// paper's sub-1.0 area ratio possibility.
-func TestIntegrationMutexBaselineBinding(t *testing.T) {
-	c := bench.Vender()
-	base, _, err := core.Baseline(c.Graph(), 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := mutex.Analyze(c.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := alloc.Bind(base, nil)
-	smart := alloc.BindWithOracle(base, an.Exclusive)
-	if smart.UnitsArea(8) > plain.UnitsArea(8) {
-		t.Errorf("oracle binding larger than plain: %v > %v", smart.UnitsArea(8), plain.UnitsArea(8))
 	}
 }

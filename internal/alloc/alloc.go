@@ -63,15 +63,6 @@ func (b *Binding) OpsOnUnit(s *sched.Schedule, u Unit) []cdfg.NodeID {
 // unless another op on that unit occupies the same modulo slot without
 // being provably exclusive (by the power management guards).
 func Bind(s *sched.Schedule, guards sim.Guards) *Binding {
-	return BindWithOracle(s, func(a, b cdfg.NodeID) bool {
-		return MutuallyExclusive(guards, a, b)
-	})
-}
-
-// BindWithOracle is Bind with a caller-supplied exclusiveness test, e.g.
-// the structural condition-graph analysis of internal/mutex, which can
-// prove exclusiveness even for schedules without power management.
-func BindWithOracle(s *sched.Schedule, exclusive func(a, b cdfg.NodeID) bool) *Binding {
 	g := s.Graph
 	b := &Binding{
 		UnitOf: make(map[cdfg.NodeID]Unit),
@@ -101,7 +92,7 @@ func BindWithOracle(s *sched.Schedule, exclusive func(a, b cdfg.NodeID) bool) *B
 		for idx := range units {
 			ok := true
 			for _, other := range units[idx][slot] {
-				if !exclusive(id, other) {
+				if !MutuallyExclusive(guards, id, other) {
 					ok = false
 					break
 				}

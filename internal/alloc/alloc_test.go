@@ -55,6 +55,29 @@ func TestMutualExclusionSharing(t *testing.T) {
 	if MutuallyExclusive(r.Guards, d1, r.Graph.Lookup("g")) {
 		t.Error("comparator is not exclusive with anything")
 	}
+
+	// Only opposite branches of one select prove exclusiveness: ops on
+	// the same branch, or gated by different selects, may both execute.
+	guards := sim.Guards{
+		1: {{Sel: 9, WhenTrue: true}},
+		2: {{Sel: 9, WhenTrue: true}},
+		3: {{Sel: 8, WhenTrue: false}},
+		4: {{Sel: 8, WhenTrue: true}, {Sel: 9, WhenTrue: false}},
+	}
+	for _, c := range []struct {
+		a, b cdfg.NodeID
+		want bool
+	}{
+		{1, 2, false}, // same branch
+		{1, 3, false}, // different selects
+		{1, 4, true},  // opposite branches of select 9
+		{3, 4, true},  // opposite branches of select 8
+		{1, 5, false}, // 5 is ungated
+	} {
+		if got := MutuallyExclusive(guards, c.a, c.b); got != c.want {
+			t.Errorf("MutuallyExclusive(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
 }
 
 // TestBaselineNoSharing: without guards, same-step same-class ops need

@@ -39,6 +39,21 @@ func (o Order) String() string {
 	}
 }
 
+// ParseOrder resolves an order name as String spells it. The empty name
+// is the default, OrderOutputsFirst.
+func ParseOrder(name string) (Order, error) {
+	if name == "" {
+		return OrderOutputsFirst, nil
+	}
+	for o := OrderOutputsFirst; o <= OrderGreedyWeight; o++ {
+		if o.String() == name {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown order %q (valid: %v, %v, %v)",
+		name, OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight)
+}
+
 // Config parameterizes the power management scheduling run.
 type Config struct {
 	// Budget is the number of control steps allowed per sample (the

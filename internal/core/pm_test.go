@@ -429,9 +429,20 @@ func TestOrderStrategiesRun(t *testing.T) {
 		if o.String() == "" {
 			t.Error("empty order name")
 		}
+		if got, err := ParseOrder(o.String()); err != nil || got != o {
+			t.Errorf("ParseOrder(%q) = %v, %v", o, got, err)
+		}
 	}
 	if Order(99).String() == "" {
 		t.Error("unknown order should still print")
+	}
+	if o, err := ParseOrder(""); err != nil || o != OrderOutputsFirst {
+		t.Errorf(`ParseOrder("") = %v, %v; want the default`, o, err)
+	}
+	for _, bad := range []string{"greedy", "outputs", Order(99).String()} {
+		if _, err := ParseOrder(bad); err == nil {
+			t.Errorf("ParseOrder(%q) accepted a non-canonical name", bad)
+		}
 	}
 }
 

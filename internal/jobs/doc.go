@@ -18,7 +18,11 @@
 // serving layer. SubmitDone registers a job that is already succeeded
 // (the serving layer's store restores). A job carries a name and the
 // submitter's telemetry trace id; nothing else labels or groups it.
-// The manager is function-agnostic — it runs any Func —
-// so the synthesis layers stay out of its dependency cone and it can be
-// tested with microsecond workloads.
+//
+// Snapshots, events and states are the SDK's wire types
+// (client.JobInfo, client.Event, client.JobState): the serving layer
+// encodes what the manager returns as it is. The manager is
+// function-agnostic — it runs any Func — and the SDK imports only the
+// standard library, so the synthesis layers stay out of its dependency
+// cone and it can be tested with microsecond workloads.
 package jobs

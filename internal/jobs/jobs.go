@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/client"
 )
 
 // ErrQueueFull is returned by Submit when the bounded pending queue is at
@@ -19,62 +21,10 @@ var ErrQueueFull = errors.New("jobs: pending queue full")
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("jobs: manager closed")
 
-// State is a job lifecycle state.
-type State string
-
-// The job lifecycle states.
-const (
-	StatePending   State = "pending"
-	StateRunning   State = "running"
-	StateSucceeded State = "succeeded"
-	StateFailed    State = "failed"
-	StateCanceled  State = "canceled"
-)
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateSucceeded || s == StateFailed || s == StateCanceled
-}
-
-// Event is one entry of a job's ordered event log. Seq strictly increases
-// per event; progress events carry a strictly increasing Done counter, so
-// a streamed log is monotonic by construction. The retained log is
-// bounded: only the most recent EventTail progress events are kept (the
-// high-water tail), so Seq values observed by a streaming client may have
-// gaps where older ticks were coalesced away.
-type Event struct {
-	Seq   int64     `json:"seq"`
-	Time  time.Time `json:"time"`
-	Type  string    `json:"type"` // created|started|progress|succeeded|failed|canceled
-	Done  int       `json:"done"`
-	Total int       `json:"total"`
-	Err   string    `json:"err,omitempty"`
-}
-
 // Func is the work a job runs. It must honor ctx cancellation and may
 // report progress (safe to call concurrently; the job keeps a high-water
 // mark, so out-of-order calls never produce a regressing counter).
 type Func func(ctx context.Context, progress func(done, total int)) (interface{}, error)
-
-// Info is a point-in-time snapshot of a job.
-type Info struct {
-	ID   string `json:"id"`
-	Name string `json:"name"`
-	// Node is the cluster node the job lives on, when the manager is
-	// node-scoped; empty single-node. The same id prefixes ID.
-	Node string `json:"node,omitempty"`
-	// Trace is the telemetry trace id the job's spans are recorded
-	// under, if the submitter traced it: the handle for
-	// GET /v1/jobs/{id}/trace and for correlating server logs.
-	Trace    string    `json:"trace,omitempty"`
-	State    State     `json:"state"`
-	Created  time.Time `json:"created"`
-	Started  time.Time `json:"started"`
-	Finished time.Time `json:"finished"`
-	Done     int       `json:"done"`
-	Total    int       `json:"total"`
-	Err      string    `json:"err,omitempty"`
-}
 
 // Job is one unit of tracked work.
 type Job struct {
@@ -84,7 +34,7 @@ type Job struct {
 	node  string
 
 	mu       sync.Mutex
-	state    State
+	state    client.JobState
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -97,11 +47,11 @@ type Job struct {
 	// the terminal event. nextSeq numbers every event ever appended, so
 	// sequence numbers stay strictly increasing even as old progress
 	// events are coalesced out of the ring.
-	pre       []Event
-	ring      []Event
+	pre       []client.Event
+	ring      []client.Event
 	ringStart int
 	ringCap   int
-	term      *Event
+	term      *client.Event
 	coalesced int64
 	nextSeq   int64
 	notify    chan struct{} // closed and replaced on every append
@@ -115,10 +65,10 @@ type Job struct {
 func (j *Job) ID() string { return j.id }
 
 // Snapshot returns the job's current state.
-func (j *Job) Snapshot() Info {
+func (j *Job) Snapshot() client.JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := Info{
+	info := client.JobInfo{
 		ID: j.id, Name: j.name, Node: j.node, Trace: j.trace, State: j.state,
 		Created: j.created, Started: j.started, Finished: j.finished,
 		Done: j.done, Total: j.total,
@@ -147,7 +97,7 @@ func (j *Job) Result() (val interface{}, err error, ok bool) {
 // loop: drain, then wait on the channel unless done. Progress events
 // older than the retained tail are gone — Done is a high-water mark, so
 // the tail alone still yields a monotonic stream.
-func (j *Job) EventsSince(seq int64) (events []Event, more <-chan struct{}, done bool) {
+func (j *Job) EventsSince(seq int64) (events []client.Event, more <-chan struct{}, done bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i := range j.pre {
@@ -185,7 +135,7 @@ func (j *Job) EventCount() (retained int, coalesced int64) {
 // lifecycle events are always retained.
 func (j *Job) append(typ string, now time.Time) {
 	j.nextSeq++
-	ev := Event{
+	ev := client.Event{
 		Seq: j.nextSeq, Time: now, Type: typ,
 		Done: j.done, Total: j.total,
 	}
@@ -216,7 +166,7 @@ func (j *Job) append(typ string, now time.Time) {
 func (j *Job) progress(done, total int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning || done <= j.done {
+	if j.state != client.StateRunning || done <= j.done {
 		return
 	}
 	j.done = done
@@ -285,7 +235,7 @@ type Config struct {
 	Logger *slog.Logger
 	// Node, when non-empty, namespaces every job id as "<node>~<id>" —
 	// the cluster-routable form: any node can resolve the prefix to the
-	// node that owns the job — and stamps Info.Node. Empty (single-node)
+	// node that owns the job — and stamps JobInfo.Node. Empty (single-node)
 	// leaves ids bare.
 	Node string
 }
@@ -347,7 +297,7 @@ func (m *Manager) Submit(name, trace string, total int, fn Func) (*Job, error) {
 	ctx, cancel := context.WithCancel(m.base)
 	now := time.Now()
 	j := &Job{
-		id: m.newJobID(), name: name, trace: trace, node: m.node, state: StatePending,
+		id: m.newJobID(), name: name, trace: trace, node: m.node, state: client.StatePending,
 		created: now, total: total, ringCap: m.eventTail,
 		notify: make(chan struct{}),
 		cancel: cancel, ctx: ctx, fn: fn,
@@ -396,7 +346,7 @@ func (m *Manager) SubmitDone(name, trace string, total int, val interface{}) (*J
 	m.qmu.Unlock()
 	now := time.Now()
 	j := &Job{
-		id: m.newJobID(), name: name, trace: trace, node: m.node, state: StateSucceeded,
+		id: m.newJobID(), name: name, trace: trace, node: m.node, state: client.StateSucceeded,
 		created: now, started: now, finished: now,
 		done: total, total: total, ringCap: m.eventTail,
 		result: val,
@@ -404,7 +354,7 @@ func (m *Manager) SubmitDone(name, trace string, total int, val interface{}) (*J
 		cancel: func() {}, // no context: nothing will ever run
 	}
 	j.append("created", now)
-	j.append(string(StateSucceeded), now)
+	j.append(string(client.StateSucceeded), now)
 	m.mu.Lock()
 	m.jobs[j.id] = j
 	m.mu.Unlock()
@@ -487,7 +437,7 @@ func (m *Manager) run(j *Job) {
 		m.finish(j, nil, context.Canceled)
 		return
 	}
-	j.state = StateRunning
+	j.state = client.StateRunning
 	j.started = time.Now()
 	m.running.Add(1)
 	j.append("started", j.started)
@@ -525,23 +475,23 @@ func (m *Manager) finalize(j *Job, val interface{}, err error, onlyPending bool)
 	}()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() || (onlyPending && j.state != StatePending) {
+	if j.state.Terminal() || (onlyPending && j.state != client.StatePending) {
 		return
 	}
-	if j.state == StateRunning {
+	if j.state == client.StateRunning {
 		m.running.Add(-1)
 	}
 	j.fn = nil
 	j.finished = time.Now()
 	switch {
 	case err == nil:
-		j.state = StateSucceeded
+		j.state = client.StateSucceeded
 		j.result = val
 		if j.total > 0 {
 			j.done = j.total
 		}
 	case errors.Is(err, context.Canceled):
-		j.state = StateCanceled
+		j.state = client.StateCanceled
 		j.err = context.Canceled
 		// Keep whatever the Func chose to return alongside the
 		// cancellation error. The sweep Func returns nil here, so a
@@ -549,7 +499,7 @@ func (m *Manager) finalize(j *Job, val interface{}, err error, onlyPending bool)
 		// partial work keeps it queryable.
 		j.result = val
 	default:
-		j.state = StateFailed
+		j.state = client.StateFailed
 		j.err = err
 	}
 	j.append(string(j.state), j.finished)
@@ -592,7 +542,7 @@ func (m *Manager) Cancel(id string) bool {
 	}
 	j.mu.Lock()
 	terminal := j.state.Terminal()
-	pending := j.state == StatePending
+	pending := j.state == client.StatePending
 	j.mu.Unlock()
 	if terminal {
 		return false
@@ -609,14 +559,14 @@ func (m *Manager) Cancel(id string) bool {
 }
 
 // List snapshots every tracked job, oldest first.
-func (m *Manager) List() []Info {
+func (m *Manager) List() []client.JobInfo {
 	m.mu.Lock()
 	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
-	out := make([]Info, len(jobs))
+	out := make([]client.JobInfo, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Snapshot()
 	}

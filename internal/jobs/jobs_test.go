@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/client"
 )
 
 // newTestManager returns a manager whose janitor never interferes with the
@@ -39,7 +41,7 @@ func submit(t *testing.T, m *Manager, name string, total int, fn Func) *Job {
 }
 
 // waitTerminal polls until the job reaches a terminal state.
-func waitTerminal(t *testing.T, j *Job) Info {
+func waitTerminal(t *testing.T, j *Job) client.JobInfo {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -49,7 +51,7 @@ func waitTerminal(t *testing.T, j *Job) Info {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never reached a terminal state: %+v", j.ID(), j.Snapshot())
-	return Info{}
+	return client.JobInfo{}
 }
 
 func TestJobLifecycleSucceeds(t *testing.T) {
@@ -61,7 +63,7 @@ func TestJobLifecycleSucceeds(t *testing.T) {
 		return "result", nil
 	})
 	info := waitTerminal(t, j)
-	if info.State != StateSucceeded || info.Done != 3 || info.Total != 3 {
+	if info.State != client.StateSucceeded || info.Done != 3 || info.Total != 3 {
 		t.Fatalf("info = %+v, want succeeded 3/3", info)
 	}
 	val, err, ok := j.Result()
@@ -80,7 +82,7 @@ func TestJobFailure(t *testing.T) {
 		return nil, boom
 	})
 	info := waitTerminal(t, j)
-	if info.State != StateFailed || info.Err != "boom" {
+	if info.State != client.StateFailed || info.Err != "boom" {
 		t.Fatalf("info = %+v, want failed/boom", info)
 	}
 	if _, err, ok := j.Result(); !ok || !errors.Is(err, boom) {
@@ -101,7 +103,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("Cancel returned false for a running job")
 	}
 	info := waitTerminal(t, j)
-	if info.State != StateCanceled {
+	if info.State != client.StateCanceled {
 		t.Fatalf("state = %s, want canceled", info.State)
 	}
 	if m.Cancel(j.ID()) {
@@ -130,14 +132,14 @@ func TestQueuedJobWaitsForWorkerSlot(t *testing.T) {
 	// With one worker the second job must sit in pending while the first
 	// holds the worker.
 	time.Sleep(20 * time.Millisecond)
-	if st := second.Snapshot().State; st != StatePending {
+	if st := second.Snapshot().State; st != client.StatePending {
 		t.Fatalf("queued job state = %s, want pending", st)
 	}
 	close(release)
-	if info := waitTerminal(t, first); info.State != StateSucceeded {
+	if info := waitTerminal(t, first); info.State != client.StateSucceeded {
 		t.Fatalf("first = %+v", info)
 	}
-	if info := waitTerminal(t, second); info.State != StateSucceeded {
+	if info := waitTerminal(t, second); info.State != client.StateSucceeded {
 		t.Fatalf("second = %+v", info)
 	}
 }
@@ -168,7 +170,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// A queued job is finalized promptly — the hog still owns the only
 	// worker, so this proves Cancel does not wait for a dequeue.
 	info := waitTerminal(t, queued)
-	if info.State != StateCanceled {
+	if info.State != client.StateCanceled {
 		t.Fatalf("state = %s, want canceled", info.State)
 	}
 	if ran {
@@ -225,7 +227,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit after cancel freed a slot: %v", err)
 	}
-	if st := readmitted.Snapshot().State; st != StatePending {
+	if st := readmitted.Snapshot().State; st != client.StatePending {
 		t.Fatalf("readmitted job state = %s, want pending", st)
 	}
 }
@@ -260,7 +262,7 @@ func TestNoGoroutinePerPendingJob(t *testing.T) {
 	}
 	close(release)
 	for _, j := range jobs {
-		if info := waitTerminal(t, j); info.State != StateSucceeded {
+		if info := waitTerminal(t, j); info.State != client.StateSucceeded {
 			t.Fatalf("queued job = %+v", info)
 		}
 	}
@@ -292,7 +294,7 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 	}
 	m.Close()
 	for _, j := range append(queued, hog) {
-		if st := j.Snapshot().State; st != StateCanceled {
+		if st := j.Snapshot().State; st != client.StateCanceled {
 			t.Fatalf("job %s after Close: state %s, want canceled", j.ID(), st)
 		}
 	}
@@ -316,7 +318,7 @@ func TestEventLogMonotonicAndStreamable(t *testing.T) {
 	})
 	waitTerminal(t, j)
 
-	var all []Event
+	var all []client.Event
 	var seq int64
 	for {
 		events, more, done := j.EventsSince(seq)
@@ -335,7 +337,7 @@ func TestEventLogMonotonicAndStreamable(t *testing.T) {
 	if all[0].Type != "created" {
 		t.Fatalf("first event = %+v, want created", all[0])
 	}
-	if last := all[len(all)-1]; last.Type != string(StateSucceeded) {
+	if last := all[len(all)-1]; last.Type != string(client.StateSucceeded) {
 		t.Fatalf("last event = %+v, want succeeded", last)
 	}
 	lastDone, lastSeq := -1, int64(0)
@@ -403,11 +405,11 @@ func TestEventLogBounded(t *testing.T) {
 		}
 	}
 	final := events[len(events)-1]
-	if final.Type != string(StateSucceeded) || final.Done != ticks {
+	if final.Type != string(client.StateSucceeded) || final.Done != ticks {
 		t.Fatalf("final event = %+v, want succeeded %d/%d", final, ticks, ticks)
 	}
 	// The retained progress window is the most recent tail, not the oldest.
-	var firstProgress Event
+	var firstProgress client.Event
 	for _, ev := range events {
 		if ev.Type == "progress" {
 			firstProgress = ev
@@ -477,7 +479,7 @@ func TestSubmitDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := j.Snapshot()
-	if info.State != StateSucceeded || info.Done != 6 || info.Total != 6 {
+	if info.State != client.StateSucceeded || info.Done != 6 || info.Total != 6 {
 		t.Fatalf("snapshot = %+v", info)
 	}
 	val, jobErr, done := j.Result()

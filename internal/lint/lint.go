@@ -79,7 +79,7 @@ type Config struct {
 func DefaultConfig(modPath string) Config {
 	det := []string{modPath} // the root pmsynth package
 	for _, p := range []string{
-		"cdfg", "sched", "alloc", "ctrl", "mutex", "power",
+		"cdfg", "sched", "alloc", "ctrl", "power",
 		"sim", "core", "vhdl", "verilog", "tables", "flow",
 	} {
 		det = append(det, modPath+"/internal/"+p)

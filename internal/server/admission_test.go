@@ -24,7 +24,6 @@ import (
 	"repro"
 	"repro/client"
 	"repro/internal/gen"
-	"repro/internal/jobs"
 	"repro/internal/server"
 )
 
@@ -65,11 +64,11 @@ end
 `
 
 // waitJobState polls a job's status endpoint until it reaches want.
-func waitJobState(t *testing.T, baseURL, id string, want jobs.State) {
+func waitJobState(t *testing.T, baseURL, id string, want client.JobState) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		var info jobs.Info
+		var info client.JobInfo
 		if code := getJSON(t, baseURL+"/v1/jobs/"+id, &info); code != http.StatusOK {
 			t.Fatalf("job status = %d", code)
 		}
@@ -110,9 +109,9 @@ func TestHostileCompileDoesNotBlockSubmissions(t *testing.T) {
 
 	hostileDone := make(chan int, 1)
 	go func() {
-		var resp server.SweepCreatedResponse
+		var resp client.SweepJob
 		code, err := postJSONErr(ts.URL+"/v1/sweep",
-			server.SweepRequest{Source: hostileSrc, Spec: server.SweepSpecRequest{BudgetMin: 3, BudgetMax: 4}},
+			client.SweepRequest{Source: hostileSrc, Spec: client.SweepSpec{BudgetMin: 3, BudgetMax: 4}},
 			&resp)
 		if err != nil {
 			t.Errorf("hostile sweep: %v", err)
@@ -125,9 +124,9 @@ func TestHostileCompileDoesNotBlockSubmissions(t *testing.T) {
 	// parked. The bound is generous — the point is "milliseconds, not
 	// forever": with compile under the lock this would time out.
 	start := time.Now()
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	code := postJSON(t, ts.URL+"/v1/sweep",
-		server.SweepRequest{Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 7}},
+		client.SweepRequest{Source: gcdSrc, Spec: client.SweepSpec{BudgetMin: 5, BudgetMax: 7}},
 		&created)
 	elapsed := time.Since(start)
 	if code != http.StatusAccepted {
@@ -139,7 +138,7 @@ func TestHostileCompileDoesNotBlockSubmissions(t *testing.T) {
 	// The same must hold for the synthesize path, which shares the
 	// admission pipeline but must not share the hostile key's fate.
 	if code := postJSON(t, ts.URL+"/v1/synthesize",
-		server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}, nil); code != http.StatusOK {
+		client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3}}, nil); code != http.StatusOK {
 		t.Fatalf("synthesize behind blocked compile = %d, want 200", code)
 	}
 
@@ -159,9 +158,9 @@ func TestHostileCompileDoesNotBlockSubmissions(t *testing.T) {
 // collapse to exactly one job (the commit-time re-check) and one
 // execution, with every client handed the same job id.
 func TestSweepSubmitRaceOneJob(t *testing.T) {
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 9},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 9},
 	}
 	fp := pmsynth.SweepFingerprint(gcdSrc, pmsynth.SweepSpec{BudgetMin: 5, BudgetMax: 9})
 	var compiles, executions atomic.Int64
@@ -174,7 +173,7 @@ func TestSweepSubmitRaceOneJob(t *testing.T) {
 		},
 	})
 	const clients = 8
-	responses := make([]server.SweepCreatedResponse, clients)
+	responses := make([]client.SweepJob, clients)
 	codes := make([]int, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -218,7 +217,7 @@ func TestSweepSubmitRaceOneJob(t *testing.T) {
 	if committed != 1 {
 		t.Fatalf("%d submissions committed a job, want exactly 1", committed)
 	}
-	waitJobState(t, ts.URL, responses[0].ID, jobs.StateSucceeded)
+	waitJobState(t, ts.URL, responses[0].ID, client.StateSucceeded)
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("%d executions for %d identical submissions, want 1", n, clients)
 	}
@@ -244,24 +243,24 @@ func TestFinishedSweepsPinNoDesign(t *testing.T) {
 	cfg := gen.Default()
 	cfg.Ops = 150
 	cfg.MuxFanIn = 1
-	reqs := make([]server.SweepRequest, designs+1)
+	reqs := make([]client.SweepRequest, designs+1)
 	for i := range reqs {
 		src := gen.Source(int64(i+1), cfg)
 		cp, err := pmsynth.CriticalPath(pmsynth.MustCompile(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs[i] = server.SweepRequest{Source: src, Spec: server.SweepSpecRequest{BudgetMin: cp, BudgetMax: cp + 3}}
+		reqs[i] = client.SweepRequest{Source: src, Spec: client.SweepSpec{BudgetMin: cp, BudgetMax: cp + 3}}
 	}
 	_, ts := newTestServer(t, server.Config{})
-	sweep := func(req server.SweepRequest) {
+	sweep := func(req client.SweepRequest) {
 		t.Helper()
-		var created server.SweepCreatedResponse
+		var created client.SweepJob
 		if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 			t.Fatalf("sweep = %d (%+v), want 202", code, created)
 		}
 		streamEvents(t, ts.URL+"/v1/jobs/"+created.ID+"/events", nil)
-		waitJobState(t, ts.URL, created.ID, jobs.StateSucceeded)
+		waitJobState(t, ts.URL, created.ID, client.StateSucceeded)
 	}
 	liveHeap := func() int64 {
 		runtime.GC()
@@ -297,20 +296,20 @@ func TestSweepQueueFullSheds429(t *testing.T) {
 		CompileHook:    func(string) { compiles.Add(1) },
 	})
 	// Hog: wide one-worker sweep, runs for hundreds of milliseconds.
-	hog := server.SweepRequest{
+	hog := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 4000, Workers: 1},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 4000, Workers: 1},
 	}
-	var hogResp server.SweepCreatedResponse
+	var hogResp client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", hog, &hogResp); code != http.StatusAccepted {
 		t.Fatalf("hog sweep = %d", code)
 	}
 	// Wait until the hog owns the worker so the queue slot is free.
-	waitJobState(t, ts.URL, hogResp.ID, jobs.StateRunning)
+	waitJobState(t, ts.URL, hogResp.ID, client.StateRunning)
 
 	queued := hog
 	queued.Spec.BudgetMax = 4001
-	var queuedResp server.SweepCreatedResponse
+	var queuedResp client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", queued, &queuedResp); code != http.StatusAccepted {
 		t.Fatalf("queued sweep = %d, want 202", code)
 	}
@@ -319,9 +318,9 @@ func TestSweepQueueFullSheds429(t *testing.T) {
 	// seen: the early shed must fire before compile/enumerate, so a
 	// saturated server does minimal work per rejected request.
 	compiledBefore := compiles.Load()
-	over := server.SweepRequest{
+	over := client.SweepRequest{
 		Source: absDiffSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 3, BudgetMax: 4, Workers: 1},
+		Spec:   client.SweepSpec{BudgetMin: 3, BudgetMax: 4, Workers: 1},
 	}
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", postBody(t, over))
 	if err != nil {
@@ -340,7 +339,7 @@ func TestSweepQueueFullSheds429(t *testing.T) {
 
 	// An identical resubmission of a live job still dedups — backpressure
 	// applies to new work only.
-	var dedup server.SweepCreatedResponse
+	var dedup client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", hog, &dedup); code != http.StatusOK || !dedup.Deduped {
 		t.Fatalf("dedup under full queue = %d (%+v), want 200 deduped", code, dedup)
 	}
@@ -368,18 +367,18 @@ func TestSweepQueueFullSheds429(t *testing.T) {
 // served results (Workers is excluded from the fingerprint).
 func TestSweepWorkersClamped(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{MaxSweepWorkers: 2})
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 9, Workers: 1 << 20},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 9, Workers: 1 << 20},
 	}
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("sweep = %d", code)
 	}
 	if created.Workers != 2 {
 		t.Fatalf("effective workers = %d, want clamped to 2", created.Workers)
 	}
-	waitJobState(t, ts.URL, created.ID, jobs.StateSucceeded)
+	waitJobState(t, ts.URL, created.ID, client.StateSucceeded)
 
 	// The cap also governs the default path: a request that omits
 	// Workers must resolve its GOMAXPROCS default under the cap, not
@@ -389,11 +388,11 @@ func TestSweepWorkersClamped(t *testing.T) {
 	if g := runtime.GOMAXPROCS(0); g < wantDefault {
 		wantDefault = g
 	}
-	omitted := server.SweepRequest{
+	omitted := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 10},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 10},
 	}
-	var created2 server.SweepCreatedResponse
+	var created2 client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", omitted, &created2); code != http.StatusAccepted {
 		t.Fatalf("omitted-workers sweep = %d", code)
 	}
@@ -411,7 +410,7 @@ func TestSweepWorkersClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var table server.ResultResponse
+	var table client.Result
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+created.ID+"/result?view=table", &table); code != http.StatusOK {
 		t.Fatalf("table view = %d", code)
 	}
@@ -440,10 +439,10 @@ func TestStressMixedSubmissions(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				src := sources[(g+i)%len(sources)]
 				if (g+i)%3 == 0 {
-					var created server.SweepCreatedResponse
-					code, err := postJSONErr(ts.URL+"/v1/sweep", server.SweepRequest{
+					var created client.SweepJob
+					code, err := postJSONErr(ts.URL+"/v1/sweep", client.SweepRequest{
 						Source: src,
-						Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 5 + (g % 3)},
+						Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 5 + (g % 3)},
 					}, &created)
 					if err != nil {
 						t.Errorf("sweep: %v", err)
@@ -462,10 +461,10 @@ func TestStressMixedSubmissions(t *testing.T) {
 					if src == gcdSrc {
 						budget = 5 + (i % 2)
 					}
-					var res server.SynthesizeResponse
-					code, err := postJSONErr(ts.URL+"/v1/synthesize", server.SynthesizeRequest{
+					var res client.SynthesizeResult
+					code, err := postJSONErr(ts.URL+"/v1/synthesize", client.SynthesizeRequest{
 						Source:  src,
-						Options: server.OptionsRequest{Budget: budget},
+						Options: client.Options{Budget: budget},
 					}, &res)
 					if err != nil {
 						t.Errorf("synthesize: %v", err)
@@ -482,12 +481,12 @@ func TestStressMixedSubmissions(t *testing.T) {
 		id := k.(string)
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			var info jobs.Info
+			var info client.JobInfo
 			if code := getJSON(t, ts.URL+"/v1/jobs/"+id, &info); code != http.StatusOK {
 				t.Fatalf("job %s status = %d", id, code)
 			}
 			if info.State.Terminal() {
-				if info.State != jobs.StateSucceeded {
+				if info.State != client.StateSucceeded {
 					t.Fatalf("job %s ended %s (%s)", id, info.State, info.Err)
 				}
 				break
@@ -560,14 +559,14 @@ func TestSynthesizeRunsThroughAdmission(t *testing.T) {
 	t.Cleanup(func() { close(stop) })
 
 	budgets := []int{3, 4, 5, 6}
-	responses := make([]server.SynthesizeResponse, len(budgets))
+	responses := make([]client.SynthesizeResult, len(budgets))
 	var wg sync.WaitGroup
 	for i, b := range budgets {
 		wg.Add(1)
 		go func(i, b int) {
 			defer wg.Done()
-			code, err := postJSONErr(ts.URL+"/v1/synthesize", server.SynthesizeRequest{
-				Source: absDiffSrc, Options: server.OptionsRequest{Budget: b},
+			code, err := postJSONErr(ts.URL+"/v1/synthesize", client.SynthesizeRequest{
+				Source: absDiffSrc, Options: client.Options{Budget: b},
 			}, &responses[i])
 			if err != nil || code != http.StatusOK {
 				t.Errorf("budget %d: status %d, %v", b, code, err)
@@ -594,7 +593,7 @@ func TestSynthesizeRunsThroughAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if responses[i].Row != syn.Row() {
+		if responses[i].Row != client.Row(syn.Row()) {
 			t.Errorf("budget %d: served row %+v, library row %+v", b, responses[i].Row, syn.Row())
 		}
 	}
@@ -644,20 +643,20 @@ func TestSynthesizeShedWhenQueueFull(t *testing.T) {
 	})
 	t.Cleanup(releaseHook)
 
-	var hog, queued server.SweepCreatedResponse
-	if code := postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{
-		Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 6},
+	var hog, queued client.SweepJob
+	if code := postJSON(t, ts.URL+"/v1/sweep", client.SweepRequest{
+		Source: gcdSrc, Spec: client.SweepSpec{BudgetMin: 5, BudgetMax: 6},
 	}, &hog); code != http.StatusAccepted {
 		t.Fatalf("hog sweep = %d, want 202", code)
 	}
 	<-held // the worker is parked in the hog's hook
-	if code := postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{
-		Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 7},
+	if code := postJSON(t, ts.URL+"/v1/sweep", client.SweepRequest{
+		Source: gcdSrc, Spec: client.SweepSpec{BudgetMin: 5, BudgetMax: 7},
 	}, &queued); code != http.StatusAccepted {
 		t.Fatalf("queued sweep = %d, want 202", code)
 	}
 
-	req := server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}
+	req := client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3}}
 	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", postBody(t, req))
 	if err != nil {
 		t.Fatal(err)

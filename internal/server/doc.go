@@ -15,6 +15,12 @@
 //	GET  /metrics              Prometheus-style counters
 //	GET  /debug/traces         the most recent retained request traces
 //
+// The JSON bodies of the synthesize, sweep, job and health routes are
+// the SDK's types (repro/client), decoded and encoded as they are; this
+// package declares only its uniform error body. Trace bodies are
+// internal/telemetry snapshots, which client.Trace repeats field for
+// field.
+//
 // Every job enters through one of the two POST routes, and each request
 // carries one source and one spec: N sweeps are N POST /v1/sweep
 // requests, each routed, deduped and shed on its own.

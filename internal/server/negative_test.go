@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/server"
 )
 
@@ -86,11 +87,11 @@ func TestMalformedBodies(t *testing.T) {
 	}
 
 	// The server still works after the barrage.
-	ok := server.SynthesizeRequest{
+	ok := client.SynthesizeRequest{
 		Source:  absDiffSrc,
-		Options: server.OptionsRequest{Budget: 3},
+		Options: client.Options{Budget: 3},
 	}
-	var res server.SynthesizeResponse
+	var res client.SynthesizeResult
 	if code := postJSON(t, ts.URL+"/v1/synthesize", ok, &res); code != http.StatusOK {
 		t.Fatalf("sane request after barrage = %d, want 200", code)
 	}
@@ -150,22 +151,22 @@ func TestCanceledClientRequests(t *testing.T) {
 	// context error; the server must shrug it off.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	body, _ := json.Marshal(server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}})
+	body, _ := json.Marshal(client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3}})
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/synthesize", bytes.NewReader(body))
 	if _, err := http.DefaultClient.Do(req); err == nil {
 		t.Fatal("canceled request unexpectedly succeeded")
 	}
 
 	// Start a slow one-worker sweep and abandon its event stream twice.
-	sweep, _ := json.Marshal(server.SweepRequest{
+	sweep, _ := json.Marshal(client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 2000, Workers: 1},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 2000, Workers: 1},
 	})
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(sweep))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestOversizedSweepAxes(t *testing.T) {
 	for i := range manyBudgets {
 		manyBudgets[i] = i + 1
 	}
-	cases := []server.SweepSpecRequest{
+	cases := []client.SweepSpec{
 		{Budgets: manyBudgets},
 		{BudgetMin: 1, BudgetMax: 11},
 		{BudgetMin: 1, BudgetMax: 2, IIs: []int{0, 1}, Orders: []string{"outputs-first", "inputs-first", "greedy-weight"}},
@@ -237,7 +238,7 @@ func TestOversizedSweepAxes(t *testing.T) {
 		var e struct {
 			Error string `json:"error"`
 		}
-		code := postJSON(t, ts.URL+"/v1/sweep", server.SweepRequest{Source: gcdSrc, Spec: spec}, &e)
+		code := postJSON(t, ts.URL+"/v1/sweep", client.SweepRequest{Source: gcdSrc, Spec: spec}, &e)
 		if code != http.StatusUnprocessableEntity {
 			t.Errorf("case %d: status %d, want 422 (%s)", i, code, e.Error)
 		}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/client"
 	"repro/internal/cdfg"
 )
 
@@ -30,11 +31,11 @@ const persistVersion = 2
 // Go constant numbering. A synthesize is a one-point sweep; VHDL and
 // Verilog hold the RTL it asked for.
 type storedSweep struct {
-	Version int             `json:"v"`
-	Design  string          `json:"design"`
-	Points  []PointResponse `json:"points"`
-	VHDL    string          `json:"vhdl,omitempty"`
-	Verilog string          `json:"verilog,omitempty"`
+	Version int            `json:"v"`
+	Design  string         `json:"design"`
+	Points  []client.Point `json:"points"`
+	VHDL    string         `json:"vhdl,omitempty"`
+	Verilog string         `json:"verilog,omitempty"`
 }
 
 // finishedSweep is a finished sweep as its job holds it, computed or
@@ -52,7 +53,7 @@ type finishedSweep struct {
 func encodeSweepResult(sr *pmsynth.SweepResult, emit rtl) ([]byte, error) {
 	st := storedSweep{
 		Version: persistVersion,
-		Points:  make([]PointResponse, len(sr.Points)),
+		Points:  make([]client.Point, len(sr.Points)),
 	}
 	if sr.Design != nil && sr.Design.Graph != nil {
 		st.Design = sr.Design.Graph.Name
@@ -97,7 +98,7 @@ func decodeSweepResult(blob []byte) (*finishedSweep, error) {
 		Points: make([]pmsynth.SweepPoint, len(st.Points)),
 	}
 	for i, sp := range st.Points {
-		opt, err := sp.Options.toOptions()
+		opt, err := toOptions(sp.Options)
 		if err != nil {
 			return nil, fmt.Errorf("stored sweep point %d: %w", i, err)
 		}
@@ -107,7 +108,7 @@ func decodeSweepResult(blob []byte) (*finishedSweep, error) {
 		case sp.Err != "":
 			p.Err = errors.New(sp.Err)
 		case sp.Row != nil:
-			p.Row = *sp.Row
+			p.Row = pmsynth.Row(*sp.Row)
 		default:
 			return nil, fmt.Errorf("stored sweep point %d: neither row nor error", i)
 		}

@@ -4,12 +4,93 @@ package server
 // the version/shape guards that make format drift read as a miss.
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro"
+	"repro/internal/cdfg"
 )
+
+var update = flag.Bool("update", false, "rewrite the stored-sweep golden with the current encoding")
+
+// TestStoredSweepGolden pins the stored bytes of a finished sweep: one
+// failed point, a pipelined II, a non-default order, a fixed resource
+// bag and both RTL artifacts. A store written by an earlier build must
+// still answer warm, so the stored shape may change only together with a
+// persistVersion bump, which names a new golden file. Round trips within one build
+// cannot see such a change; this comparison with bytes an earlier build
+// wrote does. Pin the file of a new version with
+//
+//	go test ./internal/server -run StoredSweepGolden -update
+func TestStoredSweepGolden(t *testing.T) {
+	design, err := pmsynth.Compile(`
+func absdiff(a: num<8>, b: num<8>) out: num<8> =
+begin
+    g   = a > b;
+    d1  = a - b;
+    d2  = b - a;
+    out = if g -> d1 || d2 fi;
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := pmsynth.Sweep(design, pmsynth.SweepSpec{
+		Budgets:   []int{4, 3, 1}, // budget 1 cannot take II 2: a failed point
+		IIs:       []int{2},
+		Orders:    []pmsynth.Order{pmsynth.OrderGreedyWeight},
+		Resources: []map[cdfg.Class]int{{cdfg.ClassSub: 2, cdfg.ClassComp: 1, cdfg.ClassMux: 1}},
+		Workers:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Points[2].Err == nil {
+		t.Fatal("budget 1 at II 2 did not fail")
+	}
+	blob, err := encodeSweepResult(sr, rtl{vhdl: true, verilog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", fmt.Sprintf("stored_sweep_v%d.json", persistVersion))
+	if *update {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden for persistVersion %d (run with -update to create): %v", persistVersion, err)
+	}
+	if !bytes.Equal(blob, want) {
+		t.Errorf("stored sweep bytes drifted from %s without a persistVersion bump.\n--- got ---\n%s\n--- want ---\n%s",
+			path, blob, want)
+	}
+	fs, err := decodeSweepResult(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.sr.Table(); got != sr.Table() {
+		t.Errorf("golden decodes to a different table:\n%s\nwant:\n%s", got, sr.Table())
+	}
+	vhdl, err := sr.Points[0].Synthesis.VHDL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verilog, err := sr.Points[0].Synthesis.Verilog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.vhdl != vhdl || fs.verilog != verilog {
+		t.Error("golden decodes to different RTL")
+	}
+}
 
 // TestSynthResultRoundTrip: a synthesize is a one-point sweep whose
 // stored table also carries the RTL it asked for; row and artifacts

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/client"
 	"repro/internal/cache"
 	"repro/internal/cdfg"
 	"repro/internal/cluster"
@@ -257,7 +258,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthResponse{
+	writeJSON(w, http.StatusOK, client.Health{
 		Status: "ok",
 		Uptime: time.Since(s.start).Round(time.Millisecond).String(),
 		Time:   time.Now().UTC(),
@@ -279,7 +280,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // renders its point. N concurrent identical requests join one job.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.synthRequests.Add(1)
-	var req SynthesizeRequest
+	var req client.SynthesizeRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -287,7 +288,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing source")
 		return
 	}
-	opt, err := req.Options.toOptions()
+	opt, err := toOptions(req.Options)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad options: %v", err)
 		return
@@ -333,11 +334,11 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	case fs.sr.Points[0].Err != nil:
 		writeError(w, http.StatusUnprocessableEntity, "synthesize: %v", fs.sr.Points[0].Err)
 	default:
-		writeJSON(w, http.StatusOK, SynthesizeResponse{
+		writeJSON(w, http.StatusOK, client.SynthesizeResult{
 			Fingerprint: pmsynth.Fingerprint(req.Source, opt),
 			Cached:      out.status == http.StatusOK,
 			Trace:       telemetry.TraceFrom(r.Context()).ID(),
-			Row:         fs.sr.Points[0].Row,
+			Row:         client.Row(fs.sr.Points[0].Row),
 			VHDL:        fs.vhdl,
 			Verilog:     fs.verilog,
 		})
@@ -368,7 +369,7 @@ func waitJob(ctx context.Context, j *jobs.Job) error {
 // concurrency one request may demand from the flow pool.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepRequests.Add(1)
-	var req SweepRequest
+	var req client.SweepRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -376,7 +377,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing source")
 		return
 	}
-	spec, err := req.Spec.toSpec()
+	spec, err := toSpec(req.Spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
@@ -444,10 +445,10 @@ func (s *Server) clampWorkers(spec *pmsynth.SweepSpec) {
 // Factoring the decision out of the HTTP handler is what lets POST
 // /v1/synthesize wait on the job that POST /v1/sweep would only report.
 type sweepOutcome struct {
-	status int                  // 200 deduped/warm, 202 created, 422/429/503 refused
-	resp   SweepCreatedResponse // valid when status < 300
-	job    *jobs.Job            // valid when status < 300
-	errMsg string               // valid when status >= 300
+	status int             // 200 deduped/warm, 202 created, 422/429/503 refused
+	resp   client.SweepJob // valid when status < 300
+	job    *jobs.Job       // valid when status < 300
+	errMsg string          // valid when status >= 300
 }
 
 // writeSweepOutcome renders one admission outcome as an HTTP response,
@@ -641,7 +642,7 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	}
 	s.sweepByFP[key] = job.ID()
 	s.mu.Unlock()
-	return sweepOutcome{status: http.StatusAccepted, job: job, resp: SweepCreatedResponse{
+	return sweepOutcome{status: http.StatusAccepted, job: job, resp: client.SweepJob{
 		ID: job.ID(), State: job.Snapshot().State, Total: total,
 		Fingerprint: fp, Workers: spec.Workers, Trace: tr.ID(),
 	}}
@@ -686,8 +687,8 @@ func (s *Server) warmSweep(ctx context.Context, key, fp string) (sweepOutcome, b
 	s.sweepByFP[key] = job.ID()
 	s.mu.Unlock()
 	s.sweepWarmHits.Add(1)
-	return sweepOutcome{status: http.StatusOK, job: job, resp: SweepCreatedResponse{
-		ID: job.ID(), State: jobs.StateSucceeded, Total: total,
+	return sweepOutcome{status: http.StatusOK, job: job, resp: client.SweepJob{
+		ID: job.ID(), State: client.StateSucceeded, Total: total,
 		Fingerprint: fp, Cached: true, Trace: trace,
 	}}, true
 }
@@ -722,9 +723,9 @@ func (s *Server) dedupLocked(key, fp string) (sweepOutcome, bool) {
 	}
 	if j, live := s.jobs.Get(id); live {
 		info := j.Snapshot()
-		if info.State == jobs.StatePending || info.State == jobs.StateRunning ||
-			info.State == jobs.StateSucceeded {
-			return sweepOutcome{status: http.StatusOK, job: j, resp: SweepCreatedResponse{
+		if info.State == client.StatePending || info.State == client.StateRunning ||
+			info.State == client.StateSucceeded {
+			return sweepOutcome{status: http.StatusOK, job: j, resp: client.SweepJob{
 				ID: info.ID, State: info.State, Total: info.Total,
 				Fingerprint: fp, Deduped: true, Trace: info.Trace,
 			}}, true
@@ -798,7 +799,7 @@ func (s *Server) pruneSweepIndexLocked() {
 			continue
 		}
 		switch j.Snapshot().State {
-		case jobs.StateFailed, jobs.StateCanceled:
+		case client.StateFailed, client.StateCanceled:
 			delete(s.sweepByFP, key)
 		}
 	}
@@ -945,7 +946,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if view == "" {
 		view = "best"
 	}
-	resp := ResultResponse{ID: info.ID, State: info.State, View: view}
+	resp := client.Result{ID: info.ID, State: info.State, View: view}
 	switch view {
 	case "best":
 		obj, err := parseObjective(r.URL.Query().Get("objective"))
@@ -958,7 +959,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			resp.Best = &p
 		}
 	case "pareto":
-		resp.Pareto = []PointResponse{} // explicit empty list over null
+		resp.Pareto = []client.Point{} // explicit empty list over null
 		for _, p := range sr.Pareto() {
 			resp.Pareto = append(resp.Pareto, toPoint(pointIndex(sr, p), p))
 		}

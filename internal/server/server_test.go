@@ -15,13 +15,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro"
-	"repro/internal/jobs"
+	"repro/client"
 	"repro/internal/server"
 )
 
@@ -134,13 +133,13 @@ func TestHealthz(t *testing.T) {
 // and by exactly one response carrying cached=false.
 func TestSynthesizeConcurrentDedup(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	req := server.SynthesizeRequest{
+	req := client.SynthesizeRequest{
 		Source:  absDiffSrc,
-		Options: server.OptionsRequest{Budget: 3},
+		Options: client.Options{Budget: 3},
 		Emit:    []string{"vhdl"},
 	}
 	const clients = 8
-	responses := make([]server.SynthesizeResponse, clients)
+	responses := make([]client.SynthesizeResult, clients)
 	codes := make([]int, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -161,7 +160,7 @@ func TestSynthesizeConcurrentDedup(t *testing.T) {
 			uncached++
 		}
 		// Every client sees the same answer.
-		if !reflect.DeepEqual(responses[i].Row, responses[0].Row) {
+		if responses[i].Row != responses[0].Row {
 			t.Fatalf("client %d row diverged: %+v vs %+v", i, responses[i].Row, responses[0].Row)
 		}
 		if responses[i].Fingerprint != responses[0].Fingerprint {
@@ -196,15 +195,15 @@ func TestSynthesizeValidation(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	cases := []struct {
 		name string
-		req  server.SynthesizeRequest
+		req  client.SynthesizeRequest
 		code int
 	}{
-		{"missing source", server.SynthesizeRequest{Options: server.OptionsRequest{Budget: 3}}, http.StatusBadRequest},
-		{"bad order", server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3, Order: "bogus"}}, http.StatusBadRequest},
-		{"bad emit", server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}, Emit: []string{"edif"}}, http.StatusBadRequest},
-		{"bad resource class", server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3, Resources: map[string]int{"alu": 1}}}, http.StatusBadRequest},
-		{"compile error", server.SynthesizeRequest{Source: "func broken(", Options: server.OptionsRequest{Budget: 3}}, http.StatusUnprocessableEntity},
-		{"infeasible budget", server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 1}}, http.StatusUnprocessableEntity},
+		{"missing source", client.SynthesizeRequest{Options: client.Options{Budget: 3}}, http.StatusBadRequest},
+		{"bad order", client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3, Order: "bogus"}}, http.StatusBadRequest},
+		{"bad emit", client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3}, Emit: []string{"edif"}}, http.StatusBadRequest},
+		{"bad resource class", client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3, Resources: map[string]int{"alu": 1}}}, http.StatusBadRequest},
+		{"compile error", client.SynthesizeRequest{Source: "func broken(", Options: client.Options{Budget: 3}}, http.StatusUnprocessableEntity},
+		{"infeasible budget", client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 1}}, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		var errResp struct {
@@ -221,7 +220,7 @@ func TestSynthesizeValidation(t *testing.T) {
 
 // streamEvents reads the NDJSON event stream, calling observe per event,
 // and returns every event once the stream ends.
-func streamEvents(t *testing.T, url string, observe func(jobs.Event)) []jobs.Event {
+func streamEvents(t *testing.T, url string, observe func(client.Event)) []client.Event {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -234,10 +233,10 @@ func streamEvents(t *testing.T, url string, observe func(jobs.Event)) []jobs.Eve
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("events content-type = %q", ct)
 	}
-	var events []jobs.Event
+	var events []client.Event
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var ev jobs.Event
+		var ev client.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad event line %q: %v", sc.Text(), err)
 		}
@@ -255,7 +254,7 @@ func streamEvents(t *testing.T, url string, observe func(jobs.Event)) []jobs.Eve
 // checkMonotonic asserts the event log invariants: sequence numbers
 // strictly increase, progress strictly increases, and the log terminates
 // in the given state.
-func checkMonotonic(t *testing.T, events []jobs.Event, terminal jobs.State) {
+func checkMonotonic(t *testing.T, events []client.Event, terminal client.JobState) {
 	t.Helper()
 	if len(events) == 0 {
 		t.Fatal("empty event stream")
@@ -284,11 +283,11 @@ func checkMonotonic(t *testing.T, events []jobs.Event, terminal jobs.State) {
 // pmsynth.Sweep call.
 func TestSweepJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 9},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 9},
 	}
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("sweep create status = %d", code)
 	}
@@ -299,17 +298,17 @@ func TestSweepJobLifecycle(t *testing.T) {
 	// Stream events to completion: the log must be monotonic and end in
 	// success.
 	events := streamEvents(t, ts.URL+"/v1/jobs/"+created.ID+"/events", nil)
-	checkMonotonic(t, events, jobs.StateSucceeded)
+	checkMonotonic(t, events, client.StateSucceeded)
 	final := events[len(events)-1]
 	if final.Done != 5 || final.Total != 5 {
 		t.Fatalf("final event = %+v, want 5/5", final)
 	}
 
-	var info jobs.Info
+	var info client.JobInfo
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+created.ID, &info); code != http.StatusOK {
 		t.Fatalf("job status = %d", code)
 	}
-	if info.State != jobs.StateSucceeded || info.Done != 5 {
+	if info.State != client.StateSucceeded || info.Done != 5 {
 		t.Fatalf("info = %+v, want succeeded 5/5", info)
 	}
 
@@ -323,7 +322,7 @@ func TestSweepJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var best server.ResultResponse
+	var best client.Result
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+created.ID+"/result?view=best", &best); code != http.StatusOK {
 		t.Fatalf("best view status = %d", code)
 	}
@@ -331,14 +330,14 @@ func TestSweepJobLifecycle(t *testing.T) {
 	if best.Best == nil || wantBest == nil {
 		t.Fatalf("best missing: served %+v, direct %+v", best.Best, wantBest)
 	}
-	if best.Best.Row == nil || !reflect.DeepEqual(*best.Best.Row, wantBest.Row) {
+	if best.Best.Row == nil || *best.Best.Row != client.Row(wantBest.Row) {
 		t.Fatalf("served best row %+v != direct %+v", best.Best.Row, wantBest.Row)
 	}
 	if best.Best.Options.Budget != wantBest.Options.Budget {
 		t.Fatalf("served best budget %d != direct %d", best.Best.Options.Budget, wantBest.Options.Budget)
 	}
 
-	var pareto server.ResultResponse
+	var pareto client.Result
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+created.ID+"/result?view=pareto", &pareto); code != http.StatusOK {
 		t.Fatalf("pareto view status = %d", code)
 	}
@@ -347,12 +346,12 @@ func TestSweepJobLifecycle(t *testing.T) {
 		t.Fatalf("pareto size %d != direct %d", len(pareto.Pareto), len(wantPareto))
 	}
 	for i, p := range pareto.Pareto {
-		if p.Row == nil || !reflect.DeepEqual(*p.Row, wantPareto[i].Row) {
+		if p.Row == nil || *p.Row != client.Row(wantPareto[i].Row) {
 			t.Fatalf("pareto[%d] row %+v != direct %+v", i, p.Row, wantPareto[i].Row)
 		}
 	}
 
-	var table server.ResultResponse
+	var table client.Result
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+created.ID+"/result?view=table", &table); code != http.StatusOK {
 		t.Fatalf("table view status = %d", code)
 	}
@@ -366,21 +365,21 @@ func TestSweepJobLifecycle(t *testing.T) {
 // with partial progress.
 func TestSweepJobCancelMidFlight(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: gcdSrc,
 		// A single configuration takes on the order of 100µs, so ~4000
 		// of them at one worker give a few hundred milliseconds of
 		// runway — orders of magnitude more than the cancel round-trip.
-		Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 4000, Workers: 1},
+		Spec: client.SweepSpec{BudgetMin: 5, BudgetMax: 4000, Workers: 1},
 	}
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("sweep create status = %d", code)
 	}
 
 	canceled := make(chan struct{})
 	var once sync.Once
-	events := streamEvents(t, ts.URL+"/v1/jobs/"+created.ID+"/events", func(ev jobs.Event) {
+	events := streamEvents(t, ts.URL+"/v1/jobs/"+created.ID+"/events", func(ev client.Event) {
 		if ev.Type == "progress" {
 			once.Do(func() {
 				code := postJSON(t, ts.URL+"/v1/jobs/"+created.ID+"/cancel", struct{}{}, nil)
@@ -396,15 +395,15 @@ func TestSweepJobCancelMidFlight(t *testing.T) {
 	default:
 		t.Fatalf("stream ended without any progress event: %+v", events)
 	}
-	checkMonotonic(t, events, jobs.StateCanceled)
+	checkMonotonic(t, events, client.StateCanceled)
 	final := events[len(events)-1]
 	if final.Done >= final.Total {
 		t.Fatalf("cancel landed after completion (%d/%d); widen the sweep", final.Done, final.Total)
 	}
 
-	var info jobs.Info
+	var info client.JobInfo
 	getJSON(t, ts.URL+"/v1/jobs/"+created.ID, &info)
-	if info.State != jobs.StateCanceled {
+	if info.State != client.StateCanceled {
 		t.Fatalf("state = %s, want canceled", info.State)
 	}
 	// A canceled sweep has no result view.
@@ -417,11 +416,11 @@ func TestSweepJobCancelMidFlight(t *testing.T) {
 // instead of starting another sweep.
 func TestSweepDedup(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 40, Workers: 1},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 40, Workers: 1},
 	}
-	var first, second server.SweepCreatedResponse
+	var first, second client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &first); code != http.StatusAccepted {
 		t.Fatalf("first sweep status = %d", code)
 	}
@@ -437,7 +436,7 @@ func TestSweepDedup(t *testing.T) {
 	// A different spec is a different job.
 	other := req
 	other.Spec.BudgetMax = 41
-	var third server.SweepCreatedResponse
+	var third client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", other, &third); code != http.StatusAccepted {
 		t.Fatalf("third sweep status = %d", code)
 	}
@@ -452,9 +451,9 @@ func TestRequestSizeLimits(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{MaxSweepConfigs: 100})
 	// A budget range projecting billions of configurations is rejected
 	// before anything is enumerated.
-	huge := server.SweepRequest{
+	huge := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 1, BudgetMax: 2_000_000_000},
+		Spec:   client.SweepSpec{BudgetMin: 1, BudgetMax: 2_000_000_000},
 	}
 	var errResp struct {
 		Error string `json:"error"`
@@ -466,9 +465,9 @@ func TestRequestSizeLimits(t *testing.T) {
 		t.Fatalf("huge sweep error = %q", errResp.Error)
 	}
 	// The cross product counts too, not just budgets.
-	wide := server.SweepRequest{
+	wide := client.SweepRequest{
 		Source: gcdSrc,
-		Spec: server.SweepSpecRequest{
+		Spec: client.SweepSpec{
 			BudgetMin: 5, BudgetMax: 60,
 			Orders: []string{"outputs-first", "inputs-first"},
 		},
@@ -477,15 +476,15 @@ func TestRequestSizeLimits(t *testing.T) {
 		t.Fatalf("112-config sweep under a 100 limit = %d, want 422", code)
 	}
 	// Same guard on the one-shot path.
-	big := server.SynthesizeRequest{
+	big := client.SynthesizeRequest{
 		Source:  absDiffSrc,
-		Options: server.OptionsRequest{Budget: 1 << 30},
+		Options: client.Options{Budget: 1 << 30},
 	}
 	if code := postJSON(t, ts.URL+"/v1/synthesize", big, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("huge budget synthesize = %d, want 422", code)
 	}
 	// A sane request still works under the tight limit.
-	ok := server.SweepRequest{Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 9}}
+	ok := client.SweepRequest{Source: gcdSrc, Spec: client.SweepSpec{BudgetMin: 5, BudgetMax: 9}}
 	if code := postJSON(t, ts.URL+"/v1/sweep", ok, nil); code != http.StatusAccepted {
 		t.Fatalf("sane sweep status = %d, want 202", code)
 	}
@@ -502,11 +501,11 @@ func TestJobEndpointsValidation(t *testing.T) {
 
 	// Result before completion is a 409: the wide one-worker sweep is
 	// still running when the request lands.
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 4000, Workers: 1},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 4000, Workers: 1},
 	}
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("sweep create status = %d", code)
 	}
@@ -520,12 +519,12 @@ func TestJobEndpointsValidation(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/jobs/"+created.ID+"/cancel", struct{}{}, nil)
 
 	// Bad enumeration surfaces at submission time.
-	bad := server.SweepRequest{Source: gcdSrc, Spec: server.SweepSpecRequest{BudgetMin: 9, BudgetMax: 5}}
+	bad := client.SweepRequest{Source: gcdSrc, Spec: client.SweepSpec{BudgetMin: 9, BudgetMax: 5}}
 	if code := postJSON(t, ts.URL+"/v1/sweep", bad, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad range status = %d, want 422", code)
 	}
 
-	var list []jobs.Info
+	var list []client.JobInfo
 	if code := getJSON(t, ts.URL+"/v1/jobs", &list); code != http.StatusOK {
 		t.Fatalf("job list status = %d", code)
 	}

@@ -17,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/jobs"
+	"repro/client"
 	"repro/internal/server"
 )
 
@@ -57,19 +57,19 @@ func fetchRaw(t *testing.T, url string) string {
 
 func TestWarmStartSweep(t *testing.T) {
 	dir := t.TempDir()
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: absDiffSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 4, Orders: []string{"outputs-first", "inputs-first"}},
+		Spec:   client.SweepSpec{BudgetMin: 2, BudgetMax: 4, Orders: []string{"outputs-first", "inputs-first"}},
 	}
 
 	// ---- Cold run: first process lifetime.
 	var compiles1 atomic.Int64
 	_, ts1, shutdown1 := newStoreServer(t, dir, &compiles1)
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if code := postJSON(t, ts1.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("cold sweep = %d, want 202", code)
 	}
-	waitJobState(t, ts1.URL, created.ID, jobs.StateSucceeded)
+	waitJobState(t, ts1.URL, created.ID, client.StateSucceeded)
 	coldBest := fetchRaw(t, ts1.URL+"/v1/jobs/"+created.ID+"/result?view=best")
 	coldPareto := fetchRaw(t, ts1.URL+"/v1/jobs/"+created.ID+"/result?view=pareto")
 	coldTable := fetchRaw(t, ts1.URL+"/v1/jobs/"+created.ID+"/result?view=table")
@@ -82,7 +82,7 @@ func TestWarmStartSweep(t *testing.T) {
 	var compiles2 atomic.Int64
 	_, ts2, shutdown2 := newStoreServer(t, dir, &compiles2)
 	defer shutdown2()
-	var warm server.SweepCreatedResponse
+	var warm client.SweepJob
 	code := postJSON(t, ts2.URL+"/v1/sweep", req, &warm)
 	if code != http.StatusOK {
 		t.Fatalf("warm sweep = %d, want 200", code)
@@ -90,7 +90,7 @@ func TestWarmStartSweep(t *testing.T) {
 	if !warm.Cached {
 		t.Fatalf("warm response not marked cached: %+v", warm)
 	}
-	if warm.State != jobs.StateSucceeded {
+	if warm.State != client.StateSucceeded {
 		t.Fatalf("warm job state = %s, want succeeded immediately", warm.State)
 	}
 	if warm.Total != created.Total {
@@ -130,7 +130,7 @@ func TestWarmStartSweep(t *testing.T) {
 
 	// The restored job behaves like any other: it lists, snapshots, and
 	// streams a complete (created + succeeded) event log.
-	var info jobs.Info
+	var info client.JobInfo
 	if code := getJSON(t, ts2.URL+"/v1/jobs/"+warm.ID, &info); code != http.StatusOK {
 		t.Fatalf("warm job status = %d", code)
 	}
@@ -144,7 +144,7 @@ func TestWarmStartSweep(t *testing.T) {
 
 	// A second identical submission dedupes onto the restored job rather
 	// than re-reading the store.
-	var dedup server.SweepCreatedResponse
+	var dedup client.SweepJob
 	if code := postJSON(t, ts2.URL+"/v1/sweep", req, &dedup); code != http.StatusOK || !dedup.Deduped || dedup.ID != warm.ID {
 		t.Fatalf("resubmit = %d (%+v), want 200 deduped onto %s", code, dedup, warm.ID)
 	}
@@ -152,15 +152,15 @@ func TestWarmStartSweep(t *testing.T) {
 
 func TestWarmStartSynthesize(t *testing.T) {
 	dir := t.TempDir()
-	req := server.SynthesizeRequest{
+	req := client.SynthesizeRequest{
 		Source:  absDiffSrc,
-		Options: server.OptionsRequest{Budget: 3},
+		Options: client.Options{Budget: 3},
 		Emit:    []string{"vhdl", "verilog"},
 	}
 
 	var compiles1 atomic.Int64
 	_, ts1, shutdown1 := newStoreServer(t, dir, &compiles1)
-	var cold server.SynthesizeResponse
+	var cold client.SynthesizeResult
 	if code := postJSON(t, ts1.URL+"/v1/synthesize", req, &cold); code != http.StatusOK {
 		t.Fatalf("cold synthesize = %d", code)
 	}
@@ -172,7 +172,7 @@ func TestWarmStartSynthesize(t *testing.T) {
 	var compiles2 atomic.Int64
 	_, ts2, shutdown2 := newStoreServer(t, dir, &compiles2)
 	defer shutdown2()
-	var warm server.SynthesizeResponse
+	var warm client.SynthesizeResult
 	if code := postJSON(t, ts2.URL+"/v1/synthesize", req, &warm); code != http.StatusOK {
 		t.Fatalf("warm synthesize = %d", code)
 	}
@@ -189,8 +189,8 @@ func TestWarmStartSynthesize(t *testing.T) {
 
 	// Different emit sets must not alias: the warm store entry carries
 	// its emit qualifier in the key.
-	bare := server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}
-	var bareResp server.SynthesizeResponse
+	bare := client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3}}
+	var bareResp client.SynthesizeResult
 	if code := postJSON(t, ts2.URL+"/v1/synthesize", bare, &bareResp); code != http.StatusOK {
 		t.Fatalf("bare synthesize = %d", code)
 	}
@@ -217,12 +217,12 @@ func TestWarmStartSurvivesJobGC(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
-	req := server.SweepRequest{Source: absDiffSrc, Spec: server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 3}}
-	var created server.SweepCreatedResponse
+	req := client.SweepRequest{Source: absDiffSrc, Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 3}}
+	var created client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("sweep = %d", code)
 	}
-	waitJobState(t, ts.URL, created.ID, jobs.StateSucceeded)
+	waitJobState(t, ts.URL, created.ID, client.StateSucceeded)
 
 	// Wait for the TTL janitor to collect the finished job.
 	deadline := time.Now().Add(10 * time.Second)
@@ -237,7 +237,7 @@ func TestWarmStartSurvivesJobGC(t *testing.T) {
 	}
 
 	compiledBefore := compiles.Load()
-	var warm server.SweepCreatedResponse
+	var warm client.SweepJob
 	if code := postJSON(t, ts.URL+"/v1/sweep", req, &warm); code != http.StatusOK || !warm.Cached {
 		t.Fatalf("post-GC resubmit = %d (%+v), want 200 cached", code, warm)
 	}
@@ -250,15 +250,15 @@ func TestWarmStartSurvivesJobGC(t *testing.T) {
 // silently fall back to the cold path and heal the entry.
 func TestStoreCorruptionDegradesToRecompute(t *testing.T) {
 	dir := t.TempDir()
-	req := server.SweepRequest{Source: absDiffSrc, Spec: server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 3}}
+	req := client.SweepRequest{Source: absDiffSrc, Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 3}}
 
 	var compiles1 atomic.Int64
 	_, ts1, shutdown1 := newStoreServer(t, dir, &compiles1)
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if code := postJSON(t, ts1.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("sweep = %d", code)
 	}
-	waitJobState(t, ts1.URL, created.ID, jobs.StateSucceeded)
+	waitJobState(t, ts1.URL, created.ID, client.StateSucceeded)
 	shutdown1()
 
 	// Truncate every store file to garbage.
@@ -267,14 +267,14 @@ func TestStoreCorruptionDegradesToRecompute(t *testing.T) {
 	var compiles2 atomic.Int64
 	_, ts2, shutdown2 := newStoreServer(t, dir, &compiles2)
 	defer shutdown2()
-	var again server.SweepCreatedResponse
+	var again client.SweepJob
 	if code := postJSON(t, ts2.URL+"/v1/sweep", req, &again); code != http.StatusAccepted {
 		t.Fatalf("post-corruption sweep = %d, want 202 (recompute)", code)
 	}
 	if again.Cached {
 		t.Fatal("corrupted entry served as a warm hit")
 	}
-	waitJobState(t, ts2.URL, again.ID, jobs.StateSucceeded)
+	waitJobState(t, ts2.URL, again.ID, client.StateSucceeded)
 	if compiles2.Load() != 1 {
 		t.Fatalf("post-corruption run compiled %d times, want 1", compiles2.Load())
 	}
@@ -307,9 +307,9 @@ func corruptStoreFiles(t *testing.T, dir string) {
 func TestWarmRestoresAreOrdinaryJobs(t *testing.T) {
 	const sweeps = 257
 	dir := t.TempDir()
-	reqs := make([]server.SweepRequest, sweeps)
+	reqs := make([]client.SweepRequest, sweeps)
 	for i := range reqs {
-		reqs[i] = server.SweepRequest{Source: absDiffSrc, Spec: server.SweepSpecRequest{Budgets: []int{2 + i}}}
+		reqs[i] = client.SweepRequest{Source: absDiffSrc, Spec: client.SweepSpec{Budgets: []int{2 + i}}}
 	}
 
 	s1, err := server.New(server.Config{JobWorkers: 2, MaxPendingJobs: sweeps, StoreDir: dir})
@@ -319,14 +319,14 @@ func TestWarmRestoresAreOrdinaryJobs(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 	ids := make([]string, sweeps)
 	for i, req := range reqs {
-		var created server.SweepCreatedResponse
+		var created client.SweepJob
 		if code := postJSON(t, ts1.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 			t.Fatalf("cold sweep %d = %d, want 202", i, code)
 		}
 		ids[i] = created.ID
 	}
 	for _, id := range ids {
-		waitJobState(t, ts1.URL, id, jobs.StateSucceeded)
+		waitJobState(t, ts1.URL, id, client.StateSucceeded)
 	}
 	ts1.Close()
 	s1.Close()
@@ -335,7 +335,7 @@ func TestWarmRestoresAreOrdinaryJobs(t *testing.T) {
 	_, ts2, shutdown2 := newStoreServer(t, dir, &compiles)
 	defer shutdown2()
 	for i, req := range reqs {
-		var warm server.SweepCreatedResponse
+		var warm client.SweepJob
 		if code := postJSON(t, ts2.URL+"/v1/sweep", req, &warm); code != http.StatusOK || !warm.Cached {
 			t.Fatalf("warm sweep %d = %d (%+v), want 200 cached", i, code, warm)
 		}
@@ -350,18 +350,18 @@ func TestWarmRestoresAreOrdinaryJobs(t *testing.T) {
 // bytes, job id aside, so no measurement (a clock reading) ever leaks
 // into a result.
 func TestSweepViewsAreAFunctionOfTheRequest(t *testing.T) {
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: gcdSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 5, BudgetMax: 8, Orders: []string{"outputs-first", "inputs-first"}},
+		Spec:   client.SweepSpec{BudgetMin: 5, BudgetMax: 8, Orders: []string{"outputs-first", "inputs-first"}},
 	}
 	views := []string{"best", "pareto", "table"}
 	run := func() []string {
 		_, ts := newTestServer(t, server.Config{JobWorkers: 1})
-		var created server.SweepCreatedResponse
+		var created client.SweepJob
 		if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 			t.Fatalf("sweep = %d, want 202", code)
 		}
-		waitJobState(t, ts.URL, created.ID, jobs.StateSucceeded)
+		waitJobState(t, ts.URL, created.ID, client.StateSucceeded)
 		bodies := make([]string, len(views))
 		for i, view := range views {
 			body := fetchRaw(t, ts.URL+"/v1/jobs/"+created.ID+"/result?view="+view)

@@ -18,7 +18,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/jobs"
+	"repro/client"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -88,11 +88,11 @@ func passNames(ns []*telemetry.SpanNode) []string {
 func TestSweepTraceSpanTree(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: absDiffSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 3},
+		Spec:   client.SweepSpec{BudgetMin: 2, BudgetMax: 3},
 	}
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	resp := postJSONResp(t, ts.URL+"/v1/sweep", req, &created)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep create status = %d", resp.StatusCode)
@@ -105,10 +105,10 @@ func TestSweepTraceSpanTree(t *testing.T) {
 	}
 
 	events := streamEvents(t, ts.URL+"/v1/jobs/"+created.ID+"/events", nil)
-	checkMonotonic(t, events, jobs.StateSucceeded)
+	checkMonotonic(t, events, client.StateSucceeded)
 
 	// The job snapshot carries the same trace handle.
-	var info jobs.Info
+	var info client.JobInfo
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+created.ID, &info); code != http.StatusOK {
 		t.Fatalf("job status = %d", code)
 	}
@@ -188,11 +188,11 @@ func TestSweepTraceSpanTree(t *testing.T) {
 // the trace id in both the body and the response header.
 func TestSynthesizeTraceHeader(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	req := server.SynthesizeRequest{
+	req := client.SynthesizeRequest{
 		Source:  absDiffSrc,
-		Options: server.OptionsRequest{Budget: 2},
+		Options: client.Options{Budget: 2},
 	}
-	var res server.SynthesizeResponse
+	var res client.SynthesizeResult
 	resp := postJSONResp(t, ts.URL+"/v1/synthesize", req, &res)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("synthesize status = %d", resp.StatusCode)
@@ -210,8 +210,8 @@ func TestSynthesizeTraceHeader(t *testing.T) {
 // sweep's does.
 func TestSynthesizeTraceSpans(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	req := server.SynthesizeRequest{Source: absDiffSrc, Options: server.OptionsRequest{Budget: 3}}
-	var res server.SynthesizeResponse
+	req := client.SynthesizeRequest{Source: absDiffSrc, Options: client.Options{Budget: 3}}
+	var res client.SynthesizeResult
 	if code := postJSON(t, ts.URL+"/v1/synthesize", req, &res); code != http.StatusOK {
 		t.Fatalf("synthesize status = %d", code)
 	}
@@ -268,17 +268,17 @@ func metricValue(t *testing.T, baseURL, series string) int64 {
 // answered by a read (get).
 func TestStoreOpHistograms(t *testing.T) {
 	dir := t.TempDir()
-	req := server.SweepRequest{
+	req := client.SweepRequest{
 		Source: absDiffSrc,
-		Spec:   server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 3},
+		Spec:   client.SweepSpec{BudgetMin: 2, BudgetMax: 3},
 	}
 	var compiles atomic.Int64
 	_, ts1, shutdown1 := newStoreServer(t, dir, &compiles)
-	var created server.SweepCreatedResponse
+	var created client.SweepJob
 	if code := postJSON(t, ts1.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
 		t.Fatalf("cold sweep = %d, want 202", code)
 	}
-	waitJobState(t, ts1.URL, created.ID, jobs.StateSucceeded)
+	waitJobState(t, ts1.URL, created.ID, client.StateSucceeded)
 	if n := metricValue(t, ts1.URL, `pmsynthd_store_op_seconds_count{op="put"}`); n < 1 {
 		t.Fatalf("put count after a computed sweep = %d, want >= 1", n)
 	}
@@ -286,7 +286,7 @@ func TestStoreOpHistograms(t *testing.T) {
 
 	_, ts2, shutdown2 := newStoreServer(t, dir, &compiles)
 	defer shutdown2()
-	var warm server.SweepCreatedResponse
+	var warm client.SweepJob
 	if code := postJSON(t, ts2.URL+"/v1/sweep", req, &warm); code != http.StatusOK || !warm.Cached {
 		t.Fatalf("warm sweep = %d cached=%v, want 200 cached", code, warm.Cached)
 	}

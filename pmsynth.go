@@ -36,6 +36,11 @@ const (
 	OrderGreedyWeight = core.OrderGreedyWeight
 )
 
+// ParseOrder resolves an order name as Order.String spells it
+// ("outputs-first", "inputs-first", "greedy-weight"). The empty name is
+// the default, OrderOutputsFirst.
+func ParseOrder(name string) (Order, error) { return core.ParseOrder(name) }
+
 // Weights is the paper's relative power cost table (MUX 1, COMP 4, +/- 3,
 // * 20).
 var Weights = power.Weights
