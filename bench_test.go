@@ -39,6 +39,23 @@ func BenchmarkCompileFrontend(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileDatapath compiles the kind of source the benchmark's
+// sweep-datapath workload sends: a conditional-free 150-op generated
+// design (about 4.4 KB, fixed seed). BenchmarkCompileFrontend's gcd is
+// too small to show what compile costs on that workload.
+func BenchmarkCompileDatapath(b *testing.B) {
+	cfg := gen.Default()
+	cfg.Ops = 150
+	cfg.MuxFanIn = 1
+	src := gen.Source(1, cfg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFigure1AbsDiffTwoSteps(b *testing.B) {
 	c := bench.AbsDiff()
 	var managed int

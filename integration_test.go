@@ -43,7 +43,7 @@ func TestIntegrationAllBenchmarksAllBudgets(t *testing.T) {
 			// Binding covers all ops with consistent units.
 			for _, n := range syn.PM.Graph.Nodes() {
 				if n.IsOp() {
-					if _, ok := syn.Binding.UnitOf[n.ID]; !ok {
+					if _, ok := syn.Binding.Lookup(n.ID); !ok {
 						t.Errorf("%s@%d: op %s unbound", c.Name, budget, n.Name)
 					}
 				}

@@ -22,10 +22,21 @@ func (u Unit) String() string { return fmt.Sprintf("%s#%d", u.Class, u.Index) }
 // Binding is the execution-unit allocation result. The register file is
 // a separate analysis of the schedule alone (Registers).
 type Binding struct {
-	// UnitOf maps every operation node to its execution unit.
-	UnitOf map[cdfg.NodeID]Unit
+	// UnitOf holds, indexed by NodeID, the execution unit of every
+	// operation node. Other nodes hold the zero Unit, whose class is
+	// cdfg.ClassIO: no operation has that class, so it means "no unit".
+	UnitOf []Unit
 	// Units counts the allocated units per class.
 	Units map[cdfg.Class]int
+}
+
+// Lookup returns the unit operation id is bound to, and false when id has
+// none.
+func (b *Binding) Lookup(id cdfg.NodeID) (Unit, bool) {
+	if id < 0 || int(id) >= len(b.UnitOf) || b.UnitOf[id].Class == cdfg.ClassIO {
+		return Unit{}, false
+	}
+	return b.UnitOf[id], true
 }
 
 // MutuallyExclusive reports whether the guards prove a and b never execute
@@ -41,77 +52,102 @@ func MutuallyExclusive(guards sim.Guards, a, b cdfg.NodeID) bool {
 	return false
 }
 
-// OpsOnUnit returns the operations bound to u in execution order.
-func (b *Binding) OpsOnUnit(s *sched.Schedule, u Unit) []cdfg.NodeID {
-	var out []cdfg.NodeID
-	for id, bu := range b.UnitOf {
-		if bu == u {
-			out = append(out, id)
-		}
-	}
-	slices.SortFunc(out, func(a, b cdfg.NodeID) int {
-		if ta, tb := s.Time[a], s.Time[b]; ta != tb {
-			return cmp.Compare(ta, tb)
-		}
-		return cmp.Compare(a, b)
-	})
-	return out
-}
-
 // Bind allocates execution units for the schedule. Operations of one class
-// are packed greedily (earliest step first); an op joins an existing unit
-// unless another op on that unit occupies the same modulo slot without
-// being provably exclusive (by the power management guards).
+// are packed greedily (earliest step first, then least ID); an op joins an
+// existing unit unless another op on that unit occupies the same modulo
+// slot without being provably exclusive (by the power management guards).
+// Every operation's step must lie in [1, s.Steps].
+//
+// A call allocates the same few times whatever the graph's size: the op
+// order comes from a counting pass over the steps, and each (unit, slot)
+// occupancy is a chain through one flat slice.
 func Bind(s *sched.Schedule, guards sim.Guards) *Binding {
 	g := s.Graph
+	n := g.NumNodes()
 	b := &Binding{
-		UnitOf: make(map[cdfg.NodeID]Unit),
+		UnitOf: make([]Unit, n),
 		Units:  make(map[cdfg.Class]int),
 	}
-	// unitSlotOps[class][index][slot] = ops already there.
-	unitSlotOps := make(map[cdfg.Class][]map[int][]cdfg.NodeID)
 
-	var ops []cdfg.NodeID
-	for _, n := range g.Nodes() {
-		if n.IsOp() {
-			ops = append(ops, n.ID)
+	// One pass counts the ops per step, for the (step, ID) order, and per
+	// (slot, class), which bounds each class's units: an op opens a unit
+	// only when every open one already holds an op in its slot.
+	perStep := make([]int, s.Steps+1)
+	perSlot := make([]int, s.II*cdfg.NumClasses)
+	numOps := 0
+	for _, nd := range g.Nodes() {
+		if nd.IsOp() {
+			t := s.Time[nd.ID]
+			perStep[t]++
+			perSlot[((t-1)%s.II)*cdfg.NumClasses+int(nd.Class())]++
+			numOps++
 		}
 	}
-	slices.SortFunc(ops, func(a, b cdfg.NodeID) int {
-		if ta, tb := s.Time[a], s.Time[b]; ta != tb {
-			return cmp.Compare(ta, tb)
+	pos := 0
+	for t, k := range perStep {
+		perStep[t] = pos
+		pos += k
+	}
+	ops := make([]cdfg.NodeID, numOps)
+	for _, nd := range g.Nodes() {
+		if nd.IsOp() {
+			t := s.Time[nd.ID]
+			ops[perStep[t]] = nd.ID
+			perStep[t]++
 		}
-		return cmp.Compare(a, b)
-	})
+	}
+
+	// Number the units of all classes in one sequence, class c's from
+	// base[c] on. head[unit*II+slot] is 1 + the last op placed in that
+	// unit and slot (0: none), and prev[op] is 1 + the op placed there
+	// before it.
+	var base, open [cdfg.NumClasses]int
+	units := 0
+	for c := range base {
+		base[c] = units
+		most := 0
+		for slot := 0; slot < s.II; slot++ {
+			most = max(most, perSlot[slot*cdfg.NumClasses+c])
+		}
+		units += most
+	}
+	head := make([]int, units*s.II)
+	prev := make([]int, n)
 
 	for _, id := range ops {
 		cls := g.Node(id).Class()
 		slot := (s.Time[id] - 1) % s.II
-		units := unitSlotOps[cls]
-		bound := false
-		for idx := range units {
-			ok := true
-			for _, other := range units[idx][slot] {
-				if !MutuallyExclusive(guards, id, other) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				units[idx][slot] = append(units[idx][slot], id)
-				b.UnitOf[id] = Unit{Class: cls, Index: idx}
-				bound = true
+		idx := 0
+		for ; idx < open[cls]; idx++ {
+			if exclusiveWithAll(guards, id, head[(base[cls]+idx)*s.II+slot], prev) {
 				break
 			}
 		}
-		if !bound {
-			m := map[int][]cdfg.NodeID{slot: {id}}
-			unitSlotOps[cls] = append(unitSlotOps[cls], m)
-			b.UnitOf[id] = Unit{Class: cls, Index: len(unitSlotOps[cls]) - 1}
-			b.Units[cls]++
+		if idx == open[cls] {
+			open[cls]++
+		}
+		cell := (base[cls]+idx)*s.II + slot
+		prev[id] = head[cell]
+		head[cell] = int(id) + 1
+		b.UnitOf[id] = Unit{Class: cls, Index: idx}
+	}
+	for c, k := range open {
+		if k > 0 {
+			b.Units[cdfg.Class(c)] = k
 		}
 	}
 	return b
+}
+
+// exclusiveWithAll reports whether id is mutually exclusive with every op
+// on the chain that starts at link (1 + an op ID, 0 for the end).
+func exclusiveWithAll(guards sim.Guards, id cdfg.NodeID, link int, prev []int) bool {
+	for ; link != 0; link = prev[link-1] {
+		if !MutuallyExclusive(guards, id, cdfg.NodeID(link-1)) {
+			return false
+		}
+	}
+	return true
 }
 
 // lifetime returns, for every value-producing node, the interval

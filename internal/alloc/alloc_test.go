@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bench"
 	"repro/internal/cdfg"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/silage"
@@ -48,6 +50,9 @@ func TestMutualExclusionSharing(t *testing.T) {
 	d1, d2 := r.Graph.Lookup("d1"), r.Graph.Lookup("d2")
 	if b.UnitOf[d1] != b.UnitOf[d2] {
 		t.Error("gated subs should share a unit")
+	}
+	if u := b.UnitOf[d1].String(); u != "sub#0" {
+		t.Errorf("unit string = %q, want sub#0", u)
 	}
 	if !MutuallyExclusive(r.Guards, d1, d2) {
 		t.Error("gated subs should be mutually exclusive")
@@ -102,28 +107,18 @@ func TestBindingCoversAllOps(t *testing.T) {
 	b := Bind(r.Schedule, r.Guards)
 	for _, n := range r.Graph.Nodes() {
 		if n.IsOp() {
-			if _, ok := b.UnitOf[n.ID]; !ok {
+			if _, ok := b.Lookup(n.ID); !ok {
 				t.Errorf("op %q unbound", n.Name)
 			}
-		} else if _, ok := b.UnitOf[n.ID]; ok {
+		} else if _, ok := b.Lookup(n.ID); ok {
 			t.Errorf("non-op %q bound", n.Name)
 		}
 	}
-}
-
-func TestOpsOnUnitOrdered(t *testing.T) {
-	r := pmResult(t, absDiffSrc, 3)
-	b := Bind(r.Schedule, r.Guards)
-	u := b.UnitOf[r.Graph.Lookup("d1")]
-	ops := b.OpsOnUnit(r.Schedule, u)
-	if len(ops) != 2 {
-		t.Fatalf("ops on sub unit = %d, want 2", len(ops))
+	if len(b.UnitOf) != r.Graph.NumNodes() {
+		t.Errorf("UnitOf covers %d nodes, graph has %d", len(b.UnitOf), r.Graph.NumNodes())
 	}
-	if r.Schedule.Time[ops[0]] > r.Schedule.Time[ops[1]] {
-		t.Error("unit ops not in execution order")
-	}
-	if u.String() != "sub#0" {
-		t.Errorf("unit string = %q", u.String())
+	if _, ok := b.Lookup(cdfg.NodeID(r.Graph.NumNodes())); ok {
+		t.Error("a node beyond the graph is bound")
 	}
 }
 
@@ -207,7 +202,12 @@ end
 			}
 			b := Bind(r.Schedule, r.Guards)
 			byUnitSlot := make(map[Unit]map[int][]cdfg.NodeID)
-			for id, u := range b.UnitOf {
+			for _, n := range r.Graph.Nodes() {
+				u, ok := b.Lookup(n.ID)
+				if !ok {
+					continue
+				}
+				id := n.ID
 				slot := (r.Schedule.Time[id] - 1) % r.Schedule.II
 				if byUnitSlot[u] == nil {
 					byUnitSlot[u] = make(map[int][]cdfg.NodeID)
@@ -327,4 +327,50 @@ end
 		t.Error("unexpected unit relationship")
 	}
 	_ = sim.Guards(nil)
+}
+
+// TestBindAllocationsDoNotGrowWithTheGraph pins Bind to a fixed number of
+// allocations per call: the op order comes from a counting pass and the
+// unit occupancy lives in flat slices, so cordic's power-managed schedule
+// and a 150-op generated design's cost the same count.
+func TestBindAllocationsDoNotGrowWithTheGraph(t *testing.T) {
+	cordic := bench.Cordic().Graph()
+	cp, err := cordic.CriticalPath()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := core.Schedule(cordic, core.Config{Budget: cp + 4, Weights: power.Weights})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(small.Guards) == 0 {
+		t.Fatal("cordic's schedule gates nothing; the guard needs shared units")
+	}
+
+	cfg := gen.Default()
+	cfg.Ops = 150
+	d, err := silage.Compile(gen.Source(7, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, err = d.Graph.CriticalPath(); err != nil {
+		t.Fatal(err)
+	}
+	large, err := core.Schedule(d.Graph, core.Config{Budget: cp + 2, Weights: power.Weights})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if large.Graph.NumNodes() <= small.Graph.NumNodes() {
+		t.Fatalf("generated design has %d nodes, want more than cordic's %d", large.Graph.NumNodes(), small.Graph.NumNodes())
+	}
+
+	allocs := func(r *core.Result) float64 {
+		return testing.AllocsPerRun(20, func() { Bind(r.Schedule, r.Guards) })
+	}
+	a, b := allocs(small), allocs(large)
+	t.Logf("Bind allocations: cordic %v (%d nodes), generated %v (%d nodes)", a, small.Graph.NumNodes(), b, large.Graph.NumNodes())
+	const ceiling = 10
+	if a != b || a > ceiling {
+		t.Errorf("Bind allocates %v on cordic and %v on the generated design, want the same count of at most %d", a, b, ceiling)
+	}
 }

@@ -3,6 +3,7 @@ package cdfg
 import (
 	"errors"
 	"fmt"
+	"maps"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense indices starting
@@ -569,28 +570,44 @@ func (g *Graph) computeTopoOrder(adj Adjacency) ([]NodeID, error) {
 	return order, nil
 }
 
-// Clone returns a deep copy of the graph, including control edges.
+// Clone returns a deep copy of the graph, including control edges. The
+// nodes, their argument lists and the successor lists are each copied
+// into one block; every list is capped at its length, so an append to a
+// clone's list copies it rather than writing into its neighbour's.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		Name:         g.Name,
 		nodes:        make([]*Node, len(g.nodes)),
-		byName:       make(map[string]NodeID, len(g.byName)),
+		byName:       maps.Clone(g.byName),
 		succs:        make([][]NodeID, len(g.succs)),
 		controlEdges: append([]ControlEdge(nil), g.controlEdges...),
 		inputs:       append([]NodeID(nil), g.inputs...),
 		consts:       append([]NodeID(nil), g.consts...),
 		outputs:      append([]NodeID(nil), g.outputs...),
 	}
+	nargs, nsuccs := 0, 0
 	for i, n := range g.nodes {
-		cp := *n
-		cp.Args = append([]NodeID(nil), n.Args...)
-		ng.nodes[i] = &cp
+		nargs += len(n.Args)
+		nsuccs += len(g.succs[i])
 	}
-	for name, id := range g.byName {
-		ng.byName[name] = id
+	nodes := make([]Node, len(g.nodes))
+	args := make([]NodeID, 0, nargs)
+	for i, n := range g.nodes {
+		nodes[i] = *n
+		if len(n.Args) > 0 {
+			lo := len(args)
+			args = append(args, n.Args...)
+			nodes[i].Args = args[lo:len(args):len(args)]
+		}
+		ng.nodes[i] = &nodes[i]
 	}
+	succs := make([]NodeID, 0, nsuccs)
 	for i, s := range g.succs {
-		ng.succs[i] = append([]NodeID(nil), s...)
+		if len(s) > 0 {
+			lo := len(succs)
+			succs = append(succs, s...)
+			ng.succs[i] = succs[lo:len(succs):len(succs)]
+		}
 	}
 	g.shareAnalyses(ng)
 	return ng

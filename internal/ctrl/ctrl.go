@@ -113,7 +113,7 @@ func Build(s *sched.Schedule, b *alloc.Binding, guards sim.Guards, pm bool) (*Co
 			return nil, fmt.Errorf("ctrl: op %q scheduled at %d outside [1,%d]", n.Name, t, s.Steps)
 		}
 		c.Loads = append(c.Loads, Load{Node: n.ID, Step: t, Guards: guardsOf(n.ID)})
-		u, ok := b.UnitOf[n.ID]
+		u, ok := b.Lookup(n.ID)
 		if !ok {
 			return nil, fmt.Errorf("ctrl: op %q has no unit", n.Name)
 		}

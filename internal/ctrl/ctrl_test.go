@@ -195,7 +195,7 @@ func TestBuildRejectsForeignBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty binding: ops have no units.
-	empty := &alloc.Binding{UnitOf: map[cdfg.NodeID]alloc.Unit{}, Units: map[cdfg.Class]int{}}
+	empty := &alloc.Binding{Units: map[cdfg.Class]int{}}
 	if _, err := Build(r.Schedule, empty, r.Guards, true); err == nil {
 		t.Error("missing unit binding accepted")
 	}

@@ -144,7 +144,7 @@ func compareBaseline(t *testing.T, pt string, fc *Context) {
 		{"schedule steps", gs.Steps == s.Steps},
 		{"schedule II", gs.II == s.II},
 		{"resources", maps.Equal(fc.BaselineResources, res)},
-		{"binding UnitOf", maps.Equal(gb.UnitOf, b.UnitOf)},
+		{"binding UnitOf", slices.Equal(gb.UnitOf, b.UnitOf)},
 		{"binding Units", maps.Equal(gb.Units, b.Units)},
 	} {
 		if !c.same {
@@ -169,7 +169,7 @@ func compareController(t *testing.T, pt string, width int, got, want *ctrl.Contr
 		{"PM", got.PM == want.PM},
 		{"Steps", got.Steps == want.Steps},
 		{"schedule", slices.Equal(got.Schedule.Time, want.Schedule.Time)},
-		{"binding", maps.Equal(got.Binding.UnitOf, want.Binding.UnitOf)},
+		{"binding", slices.Equal(got.Binding.UnitOf, want.Binding.UnitOf)},
 	} {
 		if !c.same {
 			t.Errorf("%s: controller %s differ from the recomputation", pt, c.field)

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -120,36 +119,55 @@ func TestControllersNeedTheBaseline(t *testing.T) {
 	}
 }
 
-// TestCheckBound feeds the bind and baseline passes' per-op check the two
-// faults ctrl.Build rejects: an op scheduled outside [1, Steps] and an op
-// without a unit.
+// TestCheckBound feeds the bind and baseline passes' per-op checks the two
+// faults ctrl.Build rejects: an op scheduled outside [1, Steps], caught
+// before alloc.Bind (which requires the range), and an op without a unit.
 func TestCheckBound(t *testing.T) {
 	d := compile(t)
 	r, err := core.Schedule(d.Graph, core.Config{Budget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := alloc.Bind(r.Schedule, r.Guards)
-	if err := checkBound(r.Schedule, b); err != nil {
-		t.Fatalf("valid binding rejected: %v", err)
+	b, err := bind(r.Schedule, r.Guards)
+	if err != nil {
+		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	d1 := r.Graph.Lookup("d1")
 
 	late := *r.Schedule
 	late.Time = r.Schedule.Time.Clone()
-	late.Time[d1] = late.Steps + 1
-	if err := checkBound(&late, b); err == nil || !strings.Contains(err.Error(), `op "d1" scheduled at 4 outside [1,3]`) {
-		t.Errorf("out-of-range op: err = %v", err)
-	}
 	late.Time[d1] = 0
-	if err := checkBound(&late, b); err == nil || !strings.Contains(err.Error(), "outside [1,3]") {
+	if _, err := bind(&late, r.Guards); err == nil || !strings.Contains(err.Error(), `op "d1" scheduled at 0 outside [1,3]`) {
 		t.Errorf("op at step 0: err = %v", err)
 	}
 
-	missing := &alloc.Binding{UnitOf: maps.Clone(b.UnitOf), Units: b.Units}
-	delete(missing.UnitOf, d1)
+	missing := &alloc.Binding{UnitOf: slices.Clone(b.UnitOf), Units: b.Units}
+	missing.UnitOf[d1] = alloc.Unit{}
 	if err := checkBound(r.Schedule, missing); err == nil || !strings.Contains(err.Error(), `op "d1" has no unit`) {
 		t.Errorf("unbound op: err = %v", err)
+	}
+}
+
+// TestBindPassRejectsOpOutsideSteps hands the bind pass a schedule with one
+// op a step past the budget: the pass fails with the range error instead
+// of binding it.
+func TestBindPassRejectsOpOutsideSteps(t *testing.T) {
+	d := compile(t)
+	r, err := core.Schedule(d.Graph, core.Config{Budget: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := *r.Schedule
+	late.Time = r.Schedule.Time.Clone()
+	late.Time[r.Graph.Lookup("d1")] = late.Steps + 1
+	pm := *r
+	pm.Schedule = &late
+	fc := &Context{Graph: d.Graph, Width: d.Width, Config: core.Config{Budget: 3}, PM: &pm}
+	if err := (BindPass{}).Run(fc); err == nil || !strings.Contains(err.Error(), `op "d1" scheduled at 4 outside [1,3]`) {
+		t.Errorf("op at step 4 of 3: err = %v", err)
+	}
+	if fc.Binding != nil {
+		t.Error("a binding was stored for an invalid schedule")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/optimal"
 	"repro/internal/power"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // SchedulePass runs the power management scheduling algorithm (paper
@@ -40,27 +41,35 @@ func (BindPass) Run(c *Context) error {
 	if c.PM == nil {
 		return errors.New("bind requires the schedule pass")
 	}
-	b := alloc.Bind(c.PM.Schedule, c.PM.Guards)
-	if err := checkBound(c.PM.Schedule, b); err != nil {
+	b, err := bind(c.PM.Schedule, c.PM.Guards)
+	if err != nil {
 		return err
 	}
 	c.Binding = b
 	return nil
 }
 
-// checkBound enforces the two per-operation invariants the controller
-// generator relies on, at every point whether or not a controller is ever
-// built: each operation executes in a step of [1, Steps] and is bound to
-// a unit.
+// bind runs alloc.Bind between the two per-operation invariants the
+// controller generator relies on, checked at every point whether or not a
+// controller is ever built: each operation executes in a step of
+// [1, Steps], which Bind itself requires, and is bound to a unit.
+func bind(s *sched.Schedule, guards sim.Guards) (*alloc.Binding, error) {
+	for _, n := range s.Graph.Nodes() {
+		if t := s.Time[n.ID]; n.IsOp() && (t < 1 || t > s.Steps) {
+			return nil, fmt.Errorf("op %q scheduled at %d outside [1,%d]", n.Name, t, s.Steps)
+		}
+	}
+	b := alloc.Bind(s, guards)
+	if err := checkBound(s, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// checkBound reports the first operation b leaves without a unit.
 func checkBound(s *sched.Schedule, b *alloc.Binding) error {
 	for _, n := range s.Graph.Nodes() {
-		if !n.IsOp() {
-			continue
-		}
-		if t := s.Time[n.ID]; t < 1 || t > s.Steps {
-			return fmt.Errorf("op %q scheduled at %d outside [1,%d]", n.Name, t, s.Steps)
-		}
-		if _, ok := b.UnitOf[n.ID]; !ok {
+		if _, ok := b.Lookup(n.ID); n.IsOp() && !ok {
 			return fmt.Errorf("op %q has no unit", n.Name)
 		}
 	}
@@ -113,8 +122,8 @@ func (BaselinePass) Run(c *Context) error {
 	if err != nil {
 		return err
 	}
-	b := alloc.Bind(s, nil)
-	if err := checkBound(s, b); err != nil {
+	b, err := bind(s, nil)
+	if err != nil {
 		return err
 	}
 	c.BaselineSchedule, c.BaselineResources, c.BaselineBinding = s, res, b

@@ -65,3 +65,53 @@ func TestAnalyzeWindowAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 		t.Errorf("AnalyzeWindow allocates %v on cordic and %v on the generated design, want the same count of at most 2", small, large)
 	}
 }
+
+// TestListAllocationsDoNotGrowWithTheGraph pins the list scheduler to a
+// fixed number of allocations per call: its working memory is sized once from
+// the op count and reused across Minimize's attempts, so cordic and a
+// 150-op generated design cost the same count, whatever their step counts
+// and retries.
+func TestListAllocationsDoNotGrowWithTheGraph(t *testing.T) {
+	cordic, cordicBudget := pmGraph(t, bench.Cordic().Graph(), 4)
+
+	cfg := gen.Default()
+	cfg.Ops = 150
+	d, err := silage.Compile(gen.Source(7, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, bigBudget := pmGraph(t, d.Graph, 2)
+	if big.NumNodes() <= cordic.NumNodes() {
+		t.Fatalf("generated design has %d nodes, want more than cordic's %d", big.NumNodes(), cordic.NumNodes())
+	}
+
+	// allocs measures Minimize and then List with the bag Minimize found.
+	allocs := func(g *cdfg.Graph, budget int) (minimize, list float64) {
+		_, res, err := sched.Minimize(g, budget, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minimize = testing.AllocsPerRun(20, func() {
+			if _, _, err := sched.Minimize(g, budget, budget); err != nil {
+				t.Fatal(err)
+			}
+		})
+		list = testing.AllocsPerRun(20, func() {
+			if _, err := sched.List(g, budget, budget, res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return minimize, list
+	}
+	smallMin, smallList := allocs(cordic, cordicBudget)
+	largeMin, largeList := allocs(big, bigBudget)
+	t.Logf("Minimize allocations: cordic %v, generated %v; List: cordic %v, generated %v",
+		smallMin, largeMin, smallList, largeList)
+	const ceiling = 12
+	if smallMin != largeMin || smallMin > ceiling {
+		t.Errorf("Minimize allocates %v on cordic and %v on the generated design, want the same count of at most %d", smallMin, largeMin, ceiling)
+	}
+	if smallList != largeList || smallList > ceiling {
+		t.Errorf("List allocates %v on cordic and %v on the generated design, want the same count of at most %d", smallList, largeList, ceiling)
+	}
+}

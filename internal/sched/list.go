@@ -42,7 +42,11 @@ func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return list(g, budget, ii, res, w)
+	s := newListState(g, ii)
+	if f, ok := s.list(budget, ii, res, w); !ok {
+		return nil, f.err(g, budget)
+	}
+	return &Schedule{Graph: g, Steps: budget, II: ii, Time: s.time}, nil
 }
 
 // window checks the schedule shape and returns the ASAP/ALAP window of g
@@ -66,162 +70,227 @@ func window(g *cdfg.Graph, budget, ii int) (Window, error) {
 	return w, nil
 }
 
-// list is List over a window already checked by window.
-func list(g *cdfg.Graph, budget, ii int, res Resources, w Window) (*Schedule, error) {
-	adj := g.SchedAdjacency()
+// readyOp is an operation whose scheduling predecessors have all been
+// placed.
+type readyOp struct {
+	id    cdfg.NodeID
+	alap  int // priority: least ALAP first, then least ID
+	ready int // earliest step it may execute
+}
+
+// compareReady orders ready operations by (ALAP, ID). IDs are unique, so
+// the order is total: any two lists holding the same operations sort
+// the same way.
+func compareReady(a, b readyOp) int {
+	if a.alap != b.alap {
+		return cmp.Compare(a.alap, b.alap)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// listState is the working memory of list, sized once from the graph.
+// Minimize reuses one across its attempts; it is never shared between
+// calls.
+type listState struct {
+	g        *cdfg.Graph
+	adj      cdfg.Adjacency
+	alap     Times
+	totalOps int
+
+	time    Times
+	pending []int // unplaced scheduling predecessors
+	// ready holds the operations waiting for a step, sorted by
+	// compareReady; fresh collects those that become ready while a step
+	// is being filled, merged into ready when it closes.
+	ready, fresh []readyOp
+	// slotUse[slot*cdfg.NumClasses+class] counts the units of class
+	// occupied in modulo slot.
+	slotUse []int
+}
+
+func newListState(g *cdfg.Graph, ii int) *listState {
 	n := g.NumNodes()
-	time := make(Times, n)
-	done := make([]bool, n)
-	pending := make([]int, n) // unscheduled sched-preds
-	for _, nd := range g.Nodes() {
-		pending[nd.ID] = len(adj.Preds(nd.ID))
-	}
-
-	type readyOp struct {
-		id    cdfg.NodeID
-		ready int // earliest step it may execute
-	}
-	var ready []readyOp
-
-	// settle marks a node done at time t and releases its successors.
-	// Free successors (shifts, outputs) settle recursively.
-	var settle func(id cdfg.NodeID, t int)
-	settle = func(id cdfg.NodeID, t int) {
-		time[id] = t
-		done[id] = true
-		for _, s := range adj.Succs(id) {
-			pending[s]--
-			if pending[s] != 0 {
-				continue
-			}
-			readyAt := 0
-			for _, p := range adj.Preds(s) {
-				if time[p] > readyAt {
-					readyAt = time[p]
-				}
-			}
-			sn := g.Node(s)
-			if sn.Latency() == 0 {
-				settle(s, readyAt)
-			} else {
-				ready = append(ready, readyOp{id: s, ready: readyAt + 1})
-			}
-		}
-	}
-
-	// Seed: nodes with no predecessors. Snapshot first — settling a seed
-	// cascades and may drive other nodes' pending counts to zero, and
-	// those are enqueued by settle itself; re-examining them here would
-	// enqueue them twice.
-	var seeds []cdfg.NodeID
-	for _, nd := range g.Nodes() {
-		if pending[nd.ID] == 0 {
-			seeds = append(seeds, nd.ID)
-		}
-	}
-	for _, id := range seeds {
-		if done[id] {
-			continue
-		}
-		if g.Node(id).Latency() == 0 {
-			settle(id, 0)
-		} else {
-			ready = append(ready, readyOp{id: id, ready: 1})
-		}
-	}
-
-	// slotUse[slot][class] tracks units occupied in each modulo slot.
-	slotUse := make([]map[cdfg.Class]int, ii)
-	for i := range slotUse {
-		slotUse[i] = make(map[cdfg.Class]int)
-	}
-
-	scheduledOps := 0
 	totalOps := 0
 	for _, nd := range g.Nodes() {
 		if nd.IsOp() {
 			totalOps++
 		}
 	}
+	return &listState{
+		g:        g,
+		adj:      g.SchedAdjacency(),
+		totalOps: totalOps,
+		time:     make(Times, n),
+		pending:  make([]int, n),
+		ready:    make([]readyOp, 0, totalOps),
+		fresh:    make([]readyOp, 0, totalOps),
+		slotUse:  make([]int, ii*cdfg.NumClasses),
+	}
+}
 
-	for t := 1; t <= budget && scheduledOps < totalOps; t++ {
-		// Deterministic candidate order: least ALAP, then ID.
-		slices.SortFunc(ready, func(a, b readyOp) int {
-			if w.ALAP[a.id] != w.ALAP[b.id] {
-				return cmp.Compare(w.ALAP[a.id], w.ALAP[b.id])
+// listFailure describes why a list attempt failed, without formatting
+// anything: a Minimize retry only reads the node's class, and err builds
+// the InfeasibleError a caller sees.
+type listFailure struct {
+	// missed is set when node had to run at step but its class was
+	// exhausted; otherwise the budget ran out with scheduled of the
+	// graph's operations placed, and node is the smallest waiting one.
+	missed    bool
+	node      cdfg.NodeID
+	hasNode   bool
+	step      int
+	scheduled int
+	totalOps  int
+}
+
+// err builds the InfeasibleError List and Minimize report.
+func (f listFailure) err(g *cdfg.Graph, budget int) *InfeasibleError {
+	e := &InfeasibleError{Budget: budget, Node: f.node, HasNode: f.hasNode}
+	if f.hasNode {
+		e.Class, e.HasClass = g.Node(f.node).Class(), true
+	}
+	if f.missed {
+		e.Reason = fmt.Sprintf("op %q missed its deadline at step %d", g.Node(f.node).Name, f.step)
+	} else {
+		e.Reason = fmt.Sprintf("%d of %d ops unscheduled", f.totalOps-f.scheduled, f.totalOps)
+	}
+	return e
+}
+
+// settle places node id at time t and releases its successors: an
+// operation joins fresh, a free node (shift, output) settles at once.
+// Only a node with a predecessor is ever released, so settle never
+// reaches a seed.
+func (s *listState) settle(id cdfg.NodeID, t int) {
+	s.time[id] = t
+	for _, su := range s.adj.Succs(id) {
+		s.pending[su]--
+		if s.pending[su] != 0 {
+			continue
+		}
+		readyAt := 0
+		for _, p := range s.adj.Preds(su) {
+			if s.time[p] > readyAt {
+				readyAt = s.time[p]
 			}
-			return cmp.Compare(a.id, b.id)
-		})
+		}
+		if s.g.Node(su).Latency() == 0 {
+			s.settle(su, readyAt)
+		} else {
+			s.fresh = append(s.fresh, readyOp{id: su, alap: s.alap[su], ready: readyAt + 1})
+		}
+	}
+}
+
+// mergeFresh sorts fresh and merges it into ready[:k], which is sorted,
+// from the back, so ready holds both lists in compareReady order.
+func (s *listState) mergeFresh(k int) {
+	slices.SortFunc(s.fresh, compareReady)
+	n := k + len(s.fresh)
+	s.ready = s.ready[:n]
+	i, j := k-1, len(s.fresh)-1
+	for o := n - 1; j >= 0; o-- {
+		if i >= 0 && compareReady(s.fresh[j], s.ready[i]) < 0 {
+			s.ready[o] = s.ready[i]
+			i--
+		} else {
+			s.ready[o] = s.fresh[j]
+			j--
+		}
+	}
+	s.fresh = s.fresh[:0]
+}
+
+// list is one list-scheduling attempt over a window already checked by
+// window. On success s.time is the schedule's time vector.
+func (s *listState) list(budget, ii int, res Resources, w Window) (listFailure, bool) {
+	var limit [cdfg.NumClasses]int
+	var limited [cdfg.NumClasses]bool
+	for c, k := range res {
+		if c >= 0 && int(c) < cdfg.NumClasses {
+			limit[c], limited[c] = k, true
+		}
+	}
+	g := s.g
+	s.alap = w.ALAP
+	clear(s.time)
+	clear(s.slotUse)
+	s.ready, s.fresh = s.ready[:0], s.fresh[:0]
+	for _, nd := range g.Nodes() {
+		s.pending[nd.ID] = len(s.adj.Preds(nd.ID))
+	}
+	for _, nd := range g.Nodes() {
+		if len(s.adj.Preds(nd.ID)) != 0 {
+			continue
+		}
+		if nd.Latency() == 0 {
+			s.settle(nd.ID, 0)
+		} else {
+			s.fresh = append(s.fresh, readyOp{id: nd.ID, alap: s.alap[nd.ID], ready: 1})
+		}
+	}
+	s.mergeFresh(0)
+
+	scheduled := 0
+	for t := 1; t <= budget && scheduled < s.totalOps; t++ {
+		// Visit the waiting operations in (ALAP, ID) order. Those that
+		// stay are compacted in place, so ready stays sorted; those
+		// released by this step's placements wait in fresh.
 		slot := (t - 1) % ii
-		// Iterate over a snapshot: settle() appends ops that become
-		// ready during this step to the (reset) ready slice.
-		snapshot := ready
-		ready = nil
-		var remaining []readyOp
-		for _, cand := range snapshot {
+		use := s.slotUse[slot*cdfg.NumClasses : (slot+1)*cdfg.NumClasses]
+		k := 0
+		for _, cand := range s.ready {
 			if cand.ready > t {
-				remaining = append(remaining, cand)
+				s.ready[k] = cand
+				k++
 				continue
 			}
 			cls := g.Node(cand.id).Class()
-			limit, limited := res[cls]
-			if limited && slotUse[slot][cls] >= limit {
-				if w.ALAP[cand.id] <= t {
+			if limited[cls] && use[cls] >= limit[cls] {
+				if cand.alap <= t {
 					// This op must run now but cannot: the
 					// class is the bottleneck.
-					return nil, &InfeasibleError{
-						Budget:   budget,
-						Class:    cls,
-						HasClass: true,
-						Node:     cand.id,
-						HasNode:  true,
-						Reason:   fmt.Sprintf("op %q missed its deadline at step %d", g.Node(cand.id).Name, t),
-					}
+					return listFailure{missed: true, node: cand.id, hasNode: true, step: t}, false
 				}
-				remaining = append(remaining, cand)
+				s.ready[k] = cand
+				k++
 				continue
 			}
-			slotUse[slot][cls]++
-			scheduledOps++
-			settle(cand.id, t)
+			use[cls]++
+			scheduled++
+			s.settle(cand.id, t)
 		}
-		ready = append(ready, remaining...)
+		s.mergeFresh(k)
 	}
 
-	if scheduledOps != totalOps {
+	if scheduled != s.totalOps {
 		// Report a representative blocked op (smallest ID for
 		// determinism) so callers can relax constraints around it.
-		e := &InfeasibleError{
-			Budget: budget,
-			Reason: fmt.Sprintf("%d of %d ops unscheduled", totalOps-scheduledOps, totalOps),
-		}
-		for _, cand := range ready {
-			if !e.HasNode || cand.id < e.Node {
-				e.Node = cand.id
-				e.HasNode = true
-				e.Class = g.Node(cand.id).Class()
-				e.HasClass = true
+		f := listFailure{scheduled: scheduled, totalOps: s.totalOps}
+		for _, cand := range s.ready {
+			if !f.hasNode || cand.id < f.node {
+				f.node, f.hasNode = cand.id, true
 			}
 		}
-		return nil, e
+		return f, false
 	}
-
-	s := &Schedule{Graph: g, Steps: budget, II: ii, Time: time}
-	return s, nil
+	return listFailure{}, true
 }
 
 // lowerBound returns the per-class minimum feasible unit counts for the
 // given initiation interval: ceil(#ops(class) / ii).
 func lowerBound(g *cdfg.Graph, ii int) Resources {
-	counts := make(map[cdfg.Class]int)
+	var counts [cdfg.NumClasses]int
 	for _, nd := range g.Nodes() {
 		if nd.IsOp() {
 			counts[nd.Class()]++
 		}
 	}
-	res := make(Resources, len(counts))
+	res := make(Resources, cdfg.NumClasses)
 	for c, k := range counts {
-		res[c] = (k + ii - 1) / ii
+		if k > 0 {
+			res[cdfg.Class(c)] = (k + ii - 1) / ii
+		}
 	}
 	return res
 }
@@ -231,32 +300,24 @@ func lowerBound(g *cdfg.Graph, ii int) Resources {
 // manage, mimicking HYPER's minimum-hardware goal for a fixed throughput.
 // It starts from the per-class lower bound and adds one unit of the
 // blocking class until scheduling succeeds. A budget or ii that List
-// rejects returns List's error.
+// rejects returns List's error. Its attempts share one set of buffers,
+// so a call allocates the same few times whatever the graph's size.
 func Minimize(g *cdfg.Graph, budget, ii int) (*Schedule, Resources, error) {
 	w, err := window(g, budget, ii)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := lowerBound(g, ii)
-	maxUnits := 0
-	for _, nd := range g.Nodes() {
-		if nd.IsOp() {
-			maxUnits++
+	s := newListState(g, ii)
+	for iter := 0; iter <= s.totalOps+1; iter++ {
+		f, ok := s.list(budget, ii, res, w)
+		if ok {
+			return &Schedule{Graph: g, Steps: budget, II: ii, Time: s.time}, res, nil
 		}
-	}
-	for iter := 0; iter <= maxUnits+1; iter++ {
-		s, err := list(g, budget, ii, res, w)
-		if err == nil {
-			return s, res, nil
+		if !f.hasNode {
+			return nil, nil, f.err(g, budget)
 		}
-		ie, ok := err.(*InfeasibleError)
-		if !ok {
-			return nil, nil, err
-		}
-		if !ie.HasClass {
-			return nil, nil, err
-		}
-		res[ie.Class]++
+		res[g.Node(f.node).Class()]++
 	}
 	return nil, nil, fmt.Errorf("sched: minimize failed to converge for %q", g.Name)
 }

@@ -2,6 +2,7 @@ package silage
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cdfg"
 )
@@ -49,9 +50,20 @@ type elaborator struct {
 	callCount int
 }
 
-func (e *elaborator) freshName() string {
-	e.tmp++
-	return fmt.Sprintf("_t%d", e.tmp)
+// nodeName returns name, or when it is empty the temporary name _t<tmp>.
+// expr numbers every subexpression it visits in pre-order but formats a
+// temporary name only for a node it creates.
+func nodeName(name string, tmp int) string {
+	if name != "" {
+		return name
+	}
+	return numbered("_t", int64(tmp))
+}
+
+// numbered returns prefix followed by v in decimal, in one allocation.
+func numbered(prefix string, v int64) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), v, 10))
 }
 
 func (e *elaborator) constNode(v int64) (cdfg.NodeID, error) {
@@ -60,7 +72,7 @@ func (e *elaborator) constNode(v int64) (cdfg.NodeID, error) {
 	}
 	// ':' cannot appear in identifiers, so constant names never collide
 	// with user signals.
-	name := fmt.Sprintf("c:%d", v)
+	name := numbered("c:", v)
 	id, err := e.g.AddConst(name, v)
 	if err != nil {
 		return cdfg.InvalidNode, err
@@ -81,9 +93,10 @@ var binKinds = map[string]cdfg.Kind{
 func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 	numT := Type{Width: DefaultWidth}
 	boolT := Type{Bool: true}
-	nodeName := name
-	if nodeName == "" {
-		nodeName = e.freshName()
+	tmp := 0
+	if name == "" {
+		e.tmp++
+		tmp = e.tmp
 	}
 	switch v := x.(type) {
 	case *Ident:
@@ -109,13 +122,13 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 			if err != nil {
 				return cdfg.InvalidNode, Type{}, err
 			}
-			id, err := e.g.AddOp(cdfg.KindSub, nodeName, zero, xid)
+			id, err := e.g.AddOp(cdfg.KindSub, nodeName(name, tmp), zero, xid)
 			return id, numT, err
 		case "!":
 			if !xt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "operator ! needs a bool operand")
 			}
-			id, err := e.g.AddOp(cdfg.KindNot, nodeName, xid)
+			id, err := e.g.AddOp(cdfg.KindNot, nodeName(name, tmp), xid)
 			return id, boolT, err
 		default:
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "unknown unary operator %q", v.Op)
@@ -138,19 +151,19 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 			if !xt.Bool || !yt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "operator %q needs bool operands", v.Op)
 			}
-			id, err := e.g.AddOp(kind, nodeName, xid, yid)
+			id, err := e.g.AddOp(kind, nodeName(name, tmp), xid, yid)
 			return id, boolT, err
 		case kind.IsComparison():
 			if xt.Bool || yt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "comparison %q needs num operands", v.Op)
 			}
-			id, err := e.g.AddOp(kind, nodeName, xid, yid)
+			id, err := e.g.AddOp(kind, nodeName(name, tmp), xid, yid)
 			return id, boolT, err
 		default: // arithmetic
 			if xt.Bool || yt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "operator %q needs num operands", v.Op)
 			}
-			id, err := e.g.AddOp(kind, nodeName, xid, yid)
+			id, err := e.g.AddOp(kind, nodeName(name, tmp), xid, yid)
 			return id, numT, err
 		}
 	case *ShiftLit:
@@ -165,7 +178,7 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 		if v.Op == "<<" {
 			kind = cdfg.KindShl
 		}
-		id, err := e.g.AddShift(kind, nodeName, xid, v.By)
+		id, err := e.g.AddShift(kind, nodeName(name, tmp), xid, v.By)
 		return id, numT, err
 	case *If:
 		cid, ct, err := e.expr(v.Cond, "")
@@ -186,7 +199,7 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 		if tt.Bool != ft.Bool {
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "if branches have mismatched types (%s vs %s)", tt, ft)
 		}
-		id, err := e.g.AddMux(nodeName, cid, tid, fid)
+		id, err := e.g.AddMux(nodeName(name, tmp), cid, tid, fid)
 		return id, tt, err
 	case *Call:
 		return e.inlineCall(v)

@@ -3,8 +3,10 @@ package silage
 import "testing"
 
 // FuzzCompile drives the whole frontend — lexer, parser, type checker,
-// elaborator — with arbitrary inputs. The invariant under test: Compile
-// never panics, and any design it accepts validates as a well-formed CDFG.
+// elaborator — with arbitrary inputs. The invariants under test: Compile
+// never panics; any design it accepts validates as a well-formed CDFG; and
+// whenever LexAll rejects the input, Compile and Parse return LexAll's
+// error text, so a lexical error outranks every other.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"func f(a: num) o: num = begin o = a + 1; end",
@@ -14,12 +16,22 @@ func FuzzCompile(f *testing.F) {
 		"func f(", "begin end", "", "func f(a: num) o: num = begin o = ; end",
 		"# comment only",
 		"func f(a: num<64>) o: num = begin o = a << 63; end",
+		"func f(a: num) o: num = begin o = ; end $",
+		"func f(a: num) o: num = begin o = ; x = 99999999999999999999; end",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := Compile(src)
+		if _, lerr := LexAll(src); lerr != nil {
+			if err == nil || err.Error() != lerr.Error() {
+				t.Errorf("Compile error = %v, want the lexical error %v\nsource: %q", err, lerr, src)
+			}
+			if _, perr := Parse(src); perr == nil || perr.Error() != lerr.Error() {
+				t.Errorf("Parse error = %v, want the lexical error %v\nsource: %q", perr, lerr, src)
+			}
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

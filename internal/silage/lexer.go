@@ -126,7 +126,7 @@ func (l *Lexer) Next() Token {
 		}
 		if strings.IndexByte("()+-*<>=!&|,:;", c) >= 0 {
 			l.advance()
-			return Token{Kind: TokPunct, Text: string(c), Pos: pos}
+			return Token{Kind: TokPunct, Text: l.src[l.off-1 : l.off], Pos: pos}
 		}
 		if l.err == nil {
 			l.err = errf(pos, "unexpected character %q", string(c))
@@ -137,7 +137,9 @@ func (l *Lexer) Next() Token {
 }
 
 // LexAll tokenizes the whole input, returning the tokens (excluding the
-// trailing EOF) or the first lexical error.
+// trailing EOF) or the first lexical error. The parser pulls tokens from a
+// Lexer one at a time instead; LexAll is the reference its tests compare
+// against.
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
 	var out []Token

@@ -3,24 +3,31 @@ package silage
 import "fmt"
 
 // Parser is a recursive-descent parser for the Silage-inspired language.
+// It pulls tokens from its lexer one at a time, holding only the current
+// one.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex *Lexer
+	tok Token
+	// last is the position of the last token before end of input (1:1
+	// when there is none); the end-of-input token reports it.
+	last Pos
+}
+
+func newParser(src string) *Parser {
+	p := &Parser{lex: NewLexer(src), last: Pos{Line: 1, Col: 1}}
+	p.pull()
+	return p
 }
 
 // Parse parses a single function declaration from src.
 func Parse(src string) (*FuncDecl, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	f, err := p.parseFunc()
-	if err != nil {
-		return nil, err
+	if t := p.cur(); err == nil && t.Kind != TokEOF {
+		err = errf(t.Pos, "unexpected %s after function end", t)
 	}
-	if t := p.cur(); t.Kind != TokEOF {
-		return nil, errf(t.Pos, "unexpected %s after function end", t)
+	if err := p.finish(err); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -29,21 +36,18 @@ func Parse(src string) (*FuncDecl, error) {
 // last declaration is the top-level design; earlier ones are callable
 // helpers.
 func ParseFile(src string) ([]*FuncDecl, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	var funcs []*FuncDecl
-	for {
-		if p.cur().Kind == TokEOF {
+	var err error
+	for p.cur().Kind != TokEOF {
+		var f *FuncDecl
+		if f, err = p.parseFunc(); err != nil {
 			break
 		}
-		f, err := p.parseFunc()
-		if err != nil {
-			return nil, err
-		}
 		funcs = append(funcs, f)
+	}
+	if err := p.finish(err); err != nil {
+		return nil, err
 	}
 	if len(funcs) == 0 {
 		return nil, errf(Pos{Line: 1, Col: 1}, "no function declarations")
@@ -58,22 +62,44 @@ func ParseFile(src string) ([]*FuncDecl, error) {
 	return funcs, nil
 }
 
-func (p *Parser) cur() Token {
-	if p.pos >= len(p.toks) {
-		var pos Pos
-		if len(p.toks) > 0 {
-			pos = p.toks[len(p.toks)-1].Pos
-		} else {
-			pos = Pos{Line: 1, Col: 1}
+// finish returns the error a parse ends with. A lexical error anywhere in
+// the input outranks a parse error, as if the whole input had been lexed
+// first: a parse that stopped on err lexes the rest of the input, and the
+// first lexical error, if any, is returned in its place.
+func (p *Parser) finish(err error) error {
+	for err != nil && p.lex.Err() == nil {
+		if p.lex.Next().Kind == TokEOF {
+			break
 		}
-		return Token{Kind: TokEOF, Pos: pos}
 	}
-	return p.toks[p.pos]
+	if lerr := p.lex.Err(); lerr != nil {
+		return lerr
+	}
+	return err
 }
 
+// pull makes the lexer's next token current. The lexer reports a lexical
+// error as end of input, which finish turns into the error; either way
+// the end-of-input token takes the last real token's position.
+func (p *Parser) pull() {
+	t := p.lex.Next()
+	if t.Kind == TokEOF {
+		t.Pos = p.last
+	} else {
+		p.last = t.Pos
+	}
+	p.tok = t
+}
+
+func (p *Parser) cur() Token { return p.tok }
+
+// next returns the current token and advances past it; end of input stays
+// current.
 func (p *Parser) next() Token {
-	t := p.cur()
-	p.pos++
+	t := p.tok
+	if t.Kind != TokEOF {
+		p.pull()
+	}
 	return t
 }
 
