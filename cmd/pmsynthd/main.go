@@ -11,12 +11,10 @@
 // Usage:
 //
 //	pmsynthd [-addr 127.0.0.1:8357] [-job-workers 2]
-//	         [-max-pending-jobs 64] [-sweep-workers 0]
-//	         [-max-sweep-workers 0] [-job-ttl 1h] [-event-tail 256]
+//	         [-max-pending-jobs 64] [-max-sweep-workers 0] [-job-ttl 1h]
 //	         [-retry-after 1s] [-store-dir DIR] [-store-max-bytes N]
 //	         [-self-url URL] [-peers URL,URL,...] [-log-level info]
-//	         [-log-format json] [-trace-capacity 256] [-debug-addr ADDR]
-//	         [-drain 10s]
+//	         [-log-format json] [-debug-addr ADDR] [-drain 10s]
 //
 // With -store-dir set, finished sweeps and synthesize results persist
 // across restarts in a content-addressed disk store: a restarted
@@ -73,10 +71,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8357", "listen address")
 	jobWorkers := flag.Int("job-workers", 2, "fixed worker pool size for sweep and synthesize jobs")
 	maxPendingJobs := flag.Int("max-pending-jobs", 64, "admission queue depth; submissions beyond it get 429")
-	sweepWorkers := flag.Int("sweep-workers", 0, "default flow workers per sweep job (0 = GOMAXPROCS)")
-	maxSweepWorkers := flag.Int("max-sweep-workers", 0, "cap on client-requested flow workers per job (0 = GOMAXPROCS)")
+	maxSweepWorkers := flag.Int("max-sweep-workers", 0, "flow workers per job: the cap on client requests and the default (0 = GOMAXPROCS)")
 	jobTTL := flag.Duration("job-ttl", time.Hour, "how long finished jobs stay queryable")
-	eventTail := flag.Int("event-tail", 256, "retained progress events per job (older ticks coalesce)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) submissions")
 	storeDir := flag.String("store-dir", "", "directory of the persistent result store (empty disables persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 1<<30, "disk budget of the persistent store; LRU entries are GCed beyond it")
@@ -84,7 +80,6 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (self may be listed); requires -self-url")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "json", "log format: json or text")
-	traceCapacity := flag.Int("trace-capacity", 256, "retained request/job traces for /debug/traces and /v1/jobs/{id}/trace")
 	debugAddr := flag.String("debug-addr", "", "listen address for the pprof debug server (empty disables)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	flag.Parse()
@@ -108,17 +103,14 @@ func main() {
 	srv, err := server.New(server.Config{
 		JobWorkers:      *jobWorkers,
 		MaxPendingJobs:  *maxPendingJobs,
-		SweepWorkers:    *sweepWorkers,
 		MaxSweepWorkers: *maxSweepWorkers,
 		JobTTL:          *jobTTL,
-		EventTail:       *eventTail,
 		RetryAfter:      *retryAfter,
 		StoreDir:        *storeDir,
 		StoreMaxBytes:   *storeMaxBytes,
 		SelfURL:         *selfURL,
 		Peers:           splitPeers(*peers),
 		Logger:          logger,
-		TraceCapacity:   *traceCapacity,
 	})
 	if err != nil {
 		logger.Error("startup failed", "err", err)

@@ -1,8 +1,8 @@
 // Package cache holds the content-addressed disk tier of the pmsynthd
 // serving layer: an optional persistent store (Store) of finished
 // sweeps. It is the serving layer's only cache; the in-memory tier is
-// the server's dedup index of live jobs, and the server keeps no
-// compiled design.
+// the job manager's table of live jobs by dedup key, and the server
+// keeps no compiled design.
 //
 // Keys are canonical content hashes (pmsynth.SweepFingerprint, extended
 // by the RTL a synthesize asks for), so a hit is a proof of semantic

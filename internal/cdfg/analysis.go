@@ -63,23 +63,6 @@ func (g *Graph) TransitiveFanin(root NodeID) NodeSet {
 	return seen
 }
 
-// TransitiveFanout returns the set of nodes reachable from root via
-// dataflow edges, including root.
-func (g *Graph) TransitiveFanout(root NodeID) NodeSet {
-	seen := make(NodeSet)
-	stack := []NodeID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		stack = append(stack, g.succs[id]...)
-	}
-	return seen
-}
-
 // Depth returns, for every node, the earliest control step it could occupy
 // considering only dataflow edges (1-based for unit-latency ops; zero for
 // free nodes feeding nothing yet). This is the unconstrained ASAP level.

@@ -337,17 +337,6 @@ func TestTransitiveFanin(t *testing.T) {
 	}
 }
 
-func TestTransitiveFanout(t *testing.T) {
-	g := buildAbsDiff(t)
-	fo := g.TransitiveFanout(g.Lookup("g"))
-	if !fo.Contains(g.Lookup("m")) || !fo.Contains(g.Lookup("out")) {
-		t.Error("fanout of comparator missing mux/out")
-	}
-	if fo.Contains(g.Lookup("d1")) {
-		t.Error("fanout of comparator should not contain d1")
-	}
-}
-
 func TestDepthAndCriticalPath(t *testing.T) {
 	g := buildAbsDiff(t)
 	depth, err := g.Depth()

@@ -11,8 +11,8 @@
 // sweep hands it to the first node ranked ahead of itself that answers,
 // executing locally only when the walk reaches its own entry. Every
 // node that finds the same ranked nodes unreachable therefore picks the
-// same executor, whose in-memory dedup index joins the racing
-// submissions onto one job. Routing is an optimization, not a
+// same executor, whose job manager joins the racing submissions onto
+// one job. Routing is an optimization, not a
 // correctness requirement: determinism guarantees the bytes are
 // identical no matter which node runs the flow.
 //

@@ -19,6 +19,19 @@
 // (the serving layer's store restores). A job carries a name and the
 // submitter's telemetry trace id; nothing else labels or groups it.
 //
+// Every job is submitted under a dedup key, and the manager's one table
+// indexes jobs by id and by key under one mutex. A key is live while its
+// job is pending, running or succeeded: Submit and SubmitDone under a
+// live key join that job instead of creating one, and Lookup answers it
+// without submitting. A failed or canceled job answers no key, so the
+// next submission under it runs again and takes the key over. The TTL
+// janitor deletes a collected job's key with the job, so the key index
+// never outlives the table. The mutex is held only over map operations,
+// job-state reads and queue admission, never over a Func.
+//
+// Each job retains its lifecycle events and the most recent 256 progress
+// events; older progress ticks coalesce away.
+//
 // Snapshots, events and states are the SDK's wire types
 // (client.JobInfo, client.Event, client.JobState): the serving layer
 // encodes what the manager returns as it is. The manager is

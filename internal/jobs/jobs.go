@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/cluster"
 )
 
 // ErrQueueFull is returned by Submit when the bounded pending queue is at
@@ -26,9 +27,15 @@ var ErrClosed = errors.New("jobs: manager closed")
 // mark, so out-of-order calls never produce a regressing counter).
 type Func func(ctx context.Context, progress func(done, total int)) (interface{}, error)
 
+// eventTail bounds the retained progress events per job. Older ticks are
+// coalesced away (Done is a high-water mark, so streams stay monotonic);
+// lifecycle events are always retained.
+const eventTail = 256
+
 // Job is one unit of tracked work.
 type Job struct {
 	id    string
+	key   string // the dedup key the job was submitted under
 	name  string
 	trace string
 	node  string
@@ -50,7 +57,6 @@ type Job struct {
 	pre       []client.Event
 	ring      []client.Event
 	ringStart int
-	ringCap   int
 	term      *client.Event
 	coalesced int64
 	nextSeq   int64
@@ -144,7 +150,7 @@ func (j *Job) append(typ string, now time.Time) {
 	}
 	switch typ {
 	case "progress":
-		if len(j.ring) < j.ringCap {
+		if len(j.ring) < eventTail {
 			j.ring = append(j.ring, ev)
 		} else {
 			j.ring[j.ringStart] = ev
@@ -179,12 +185,15 @@ func (j *Job) progress(done, total int) {
 // Manager owns the job table, the bounded pending queue and the worker
 // pool.
 type Manager struct {
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	ttl       time.Duration
-	eventTail int
-	node      string       // id prefix of every job; "" single-node
-	log       *slog.Logger // nil disables lifecycle logging
+	// mu guards the job table, indexed by id and by dedup key. It is held
+	// only over map operations, job-state reads and queue admission: the
+	// lock order is mu → qmu and mu → Job.mu, and no Func runs under it.
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	byKey map[string]*Job // dedup key -> the latest job committed under it
+	ttl   time.Duration
+	node  string       // id prefix of every job; "" single-node
+	log   *slog.Logger // nil disables lifecycle logging
 	//pmlint:allow spanpair the manager's base context is the worker pool's shutdown root, canceled exactly once by Close
 	base        context.Context
 	stop        context.CancelFunc
@@ -220,15 +229,10 @@ type Config struct {
 	// MaxPending bounds the admission queue of jobs waiting for a
 	// worker; <= 0 means 64. Submit returns ErrQueueFull beyond it.
 	MaxPending int
-	// EventTail bounds the retained progress events per job; <= 0 means
-	// 256. Older ticks are coalesced away (Done is a high-water mark, so
-	// streams stay monotonic); lifecycle events are always retained.
-	EventTail int
 	// TTL is how long finished jobs stay queryable; <= 0 means 1 hour.
+	// The janitor collects expired jobs, with their keys, every TTL/4
+	// (at least every second).
 	TTL time.Duration
-	// GCInterval is how often the janitor sweeps; <= 0 means TTL/4
-	// (clamped to at least a second).
-	GCInterval time.Duration
 	// Logger, when non-nil, receives structured job lifecycle events
 	// (started, succeeded, failed, canceled) carrying job, name and
 	// trace ids. Nil disables lifecycle logging entirely.
@@ -240,11 +244,6 @@ type Config struct {
 	Node string
 }
 
-// nodeSep separates the node prefix from the local id in routable job
-// ids. It must match the cluster package's separator (a tilde: URL-path
-// safe where a slash would split the {id} route pattern).
-const nodeSep = "~"
-
 // NewManager starts a manager: its fixed worker pool and its janitor
 // goroutine. Call Close to stop it.
 func NewManager(cfg Config) *Manager {
@@ -254,25 +253,16 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 64
 	}
-	if cfg.EventTail <= 0 {
-		cfg.EventTail = 256
-	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = time.Hour
-	}
-	if cfg.GCInterval <= 0 {
-		cfg.GCInterval = cfg.TTL / 4
-		if cfg.GCInterval < time.Second {
-			cfg.GCInterval = time.Second
-		}
 	}
 	base, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		jobs:        make(map[string]*Job),
+		byKey:       make(map[string]*Job),
 		maxPending:  cfg.MaxPending,
 		wake:        make(chan struct{}, 1),
 		ttl:         cfg.TTL,
-		eventTail:   cfg.EventTail,
 		node:        cfg.Node,
 		log:         cfg.Logger,
 		base:        base,
@@ -283,84 +273,135 @@ func NewManager(cfg Config) *Manager {
 	for i := 0; i < cfg.Workers; i++ {
 		go m.worker()
 	}
-	go m.janitor(cfg.GCInterval)
+	go m.janitor(max(cfg.TTL/4, time.Second))
 	return m
 }
 
-// Submit registers a job on the pending queue, to be picked up by the
-// next free worker. It never blocks: when the queue is full the job is
-// shed with ErrQueueFull and nothing is retained. trace names the
-// submitter's telemetry trace ("" for none), so job snapshots carry the
-// correlation handle; it never affects scheduling. total may be 0 when
-// the amount of work is unknown up front; progress ticks refine it.
-func (m *Manager) Submit(name, trace string, total int, fn Func) (*Job, error) {
-	ctx, cancel := context.WithCancel(m.base)
+// Submit registers a job under key on the pending queue, to be picked up
+// by the next free worker — unless a live job already answers key, in
+// which case Submit returns that job with joined true and fn never runs.
+// A key is live while its job is pending, running or succeeded; a failed
+// or canceled job answers no key, so the next submission under it runs
+// again and takes the key over. The join check and the commit share one
+// critical section, so racing identical submissions create one job.
+//
+// Submit never blocks: when the queue is full the job is shed with
+// ErrQueueFull and nothing is retained. trace names the submitter's
+// telemetry trace ("" for none), so job snapshots carry the correlation
+// handle; it never affects scheduling. total may be 0 when the amount of
+// work is unknown up front; progress ticks refine it.
+func (m *Manager) Submit(key, name, trace string, total int, fn Func) (j *Job, joined bool, err error) {
 	now := time.Now()
-	j := &Job{
-		id: m.newJobID(), name: name, trace: trace, node: m.node, state: client.StatePending,
-		created: now, total: total, ringCap: m.eventTail,
+	j = &Job{
+		id: m.newJobID(), key: key, name: name, trace: trace, node: m.node, state: client.StatePending,
+		created: now, total: total,
 		notify: make(chan struct{}),
-		cancel: cancel, ctx: ctx, fn: fn,
+		fn:     fn,
 	}
 	j.append("created", now)
 
-	// Admission is decided under qmu — the same lock Close takes to mark
-	// the manager closed and drain stragglers — so a submission either
-	// lands before the drain (and is finalized by it) or observes closed.
-	m.qmu.Lock()
-	if m.closed {
-		m.qmu.Unlock()
-		cancel()
-		return nil, ErrClosed
-	}
-	if len(m.queue) >= m.maxPending {
-		m.qmu.Unlock()
-		cancel()
-		m.rejected.Add(1)
-		return nil, ErrQueueFull
-	}
-	m.queue = append(m.queue, j)
-	m.qmu.Unlock()
-
 	m.mu.Lock()
-	m.jobs[j.id] = j
-	m.mu.Unlock()
-	m.created.Add(1)
+	defer m.mu.Unlock()
+	if live, ok := m.liveLocked(key); ok {
+		return live, true, nil
+	}
+	if err = m.enqueue(j); err != nil {
+		return nil, false, err
+	}
+	m.commitLocked(j)
 	m.signal()
-	return j, nil
+	return j, false, nil
 }
 
-// SubmitDone registers a job that is already succeeded, carrying val as
-// its result. This is the warm-start path: when the serving layer finds a
-// completed sweep table in the disk store, the restored result still gets
-// a job identity — the same /v1/jobs endpoints, event stream and result
-// views as a freshly computed one — without consuming a queue slot or a
-// worker. The job's event log holds a created event and a terminal
-// succeeded event with Done == Total.
-func (m *Manager) SubmitDone(name, trace string, total int, val interface{}) (*Job, error) {
+// enqueue admits j to the pending queue. Admission is decided under qmu —
+// the same lock Close takes to mark the manager closed and drain
+// stragglers — so a submission either lands before the drain (and is
+// finalized by it) or observes closed. The job's context is made only
+// once the job is admitted, so a refused submission has nothing to
+// release.
+func (m *Manager) enqueue(j *Job) error {
 	m.qmu.Lock()
+	defer m.qmu.Unlock()
 	if m.closed {
-		m.qmu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	m.qmu.Unlock()
+	if len(m.queue) >= m.maxPending {
+		m.rejected.Add(1)
+		return ErrQueueFull
+	}
+	j.ctx, j.cancel = context.WithCancel(m.base)
+	m.queue = append(m.queue, j)
+	return nil
+}
+
+// SubmitDone registers a job under key that is already succeeded,
+// carrying val as its result, unless a live job already answers key: then
+// it returns that job with joined true, as Submit does. This is the
+// warm-start path: when the serving layer finds a completed sweep table
+// in the disk store, the restored result still gets a job identity — the
+// same /v1/jobs endpoints, event stream and result views as a freshly
+// computed one — without consuming a queue slot or a worker. The job's
+// event log holds a created event and a terminal succeeded event with
+// Done == Total.
+func (m *Manager) SubmitDone(key, name, trace string, total int, val interface{}) (j *Job, joined bool, err error) {
 	now := time.Now()
-	j := &Job{
-		id: m.newJobID(), name: name, trace: trace, node: m.node, state: client.StateSucceeded,
+	j = &Job{
+		id: m.newJobID(), key: key, name: name, trace: trace, node: m.node, state: client.StateSucceeded,
 		created: now, started: now, finished: now,
-		done: total, total: total, ringCap: m.eventTail,
+		done: total, total: total,
 		result: val,
 		notify: make(chan struct{}),
 		cancel: func() {}, // no context: nothing will ever run
 	}
 	j.append("created", now)
 	j.append(string(client.StateSucceeded), now)
+
 	m.mu.Lock()
-	m.jobs[j.id] = j
-	m.mu.Unlock()
-	m.created.Add(1)
+	defer m.mu.Unlock()
+	if live, ok := m.liveLocked(key); ok {
+		return live, true, nil
+	}
+	m.qmu.Lock()
+	closed := m.closed
+	m.qmu.Unlock()
+	if closed {
+		return nil, false, ErrClosed
+	}
+	m.commitLocked(j)
 	m.completed.Add(1)
-	return j, nil
+	return j, false, nil
+}
+
+// Lookup returns the live job that answers key, if there is one.
+func (m *Manager) Lookup(key string) (*Job, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.liveLocked(key)
+}
+
+// liveLocked returns the job indexed under key while it is pending,
+// running or succeeded. Called with m.mu held.
+func (m *Manager) liveLocked(key string) (*Job, bool) {
+	j, ok := m.byKey[key]
+	if !ok {
+		return nil, false
+	}
+	j.mu.Lock()
+	state := j.state
+	j.mu.Unlock()
+	if state == client.StateFailed || state == client.StateCanceled {
+		return nil, false
+	}
+	return j, true
+}
+
+// commitLocked enters a new job into the table under its id and its key,
+// taking the key over from any failed or canceled job. Called with m.mu
+// held.
+func (m *Manager) commitLocked(j *Job) {
+	m.jobs[j.id] = j
+	m.byKey[j.key] = j
+	m.created.Add(1)
 }
 
 // signal leaves at most one pending wake token for the workers.
@@ -612,7 +653,8 @@ func (m *Manager) janitor(interval time.Duration) {
 }
 
 // gc removes terminal jobs whose finish time is older than the TTL,
-// returning how many were dropped.
+// with their keys, returning how many were dropped. A key a newer job
+// has taken over stays with that job.
 func (m *Manager) gc(now time.Time) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -623,6 +665,9 @@ func (m *Manager) gc(now time.Time) int {
 		j.mu.Unlock()
 		if expired {
 			delete(m.jobs, id)
+			if m.byKey[j.key] == j {
+				delete(m.byKey, j.key)
+			}
 			n++
 		}
 	}
@@ -661,12 +706,11 @@ func newID() string {
 
 // newJobID returns a fresh job id, node-prefixed when the manager is
 // node-scoped: jobs are born with their routable identity, so every
-// surface — snapshots, event streams, the dedup index — carries the id
-// any cluster node can resolve.
+// surface — snapshots, event streams, dedup joins — carries the id any
+// cluster node can resolve.
 func (m *Manager) newJobID() string {
-	id := newID()
-	if m.node != "" {
-		id = m.node + nodeSep + id
+	if m.node == "" {
+		return newID()
 	}
-	return id
+	return cluster.RoutableID(m.node, newID())
 }

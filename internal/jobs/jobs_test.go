@@ -3,7 +3,10 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,30 +17,52 @@ import (
 // test and closes it on cleanup.
 func newTestManager(t *testing.T, workers int) *Manager {
 	t.Helper()
-	return newTestManagerCfg(t, Config{Workers: workers, TTL: time.Hour, GCInterval: time.Hour})
+	return newTestManagerCfg(t, Config{Workers: workers})
 }
 
+// newTestManagerCfg starts a manager with a one-hour TTL unless cfg sets
+// one, so the janitor (every TTL/4) never runs during a test.
 func newTestManagerCfg(t *testing.T, cfg Config) *Manager {
 	t.Helper()
 	if cfg.TTL == 0 {
 		cfg.TTL = time.Hour
-	}
-	if cfg.GCInterval == 0 {
-		cfg.GCInterval = time.Hour
 	}
 	m := NewManager(cfg)
 	t.Cleanup(m.Close)
 	return m
 }
 
-// submit is Submit with the queue-full path treated as a test failure.
+var keys atomic.Int64
+
+// freshKey returns a dedup key no other submission in the test binary
+// uses, so no test joins another job by accident.
+func freshKey() string { return fmt.Sprintf("key-%d", keys.Add(1)) }
+
+// submit is Submit under a fresh key, with the queue-full path treated
+// as a test failure.
 func submit(t *testing.T, m *Manager, name string, total int, fn Func) *Job {
 	t.Helper()
-	j, err := m.Submit(name, "", total, fn)
-	if err != nil {
-		t.Fatalf("Submit(%s): %v", name, err)
+	j, joined, err := m.Submit(freshKey(), name, "", total, fn)
+	if err != nil || joined {
+		t.Fatalf("Submit(%s) = joined %v, %v; want a new job", name, joined, err)
 	}
 	return j
+}
+
+// noop is a Func that succeeds at once.
+func noop(ctx context.Context, progress func(int, int)) (interface{}, error) { return nil, nil }
+
+// hog occupies a worker until release closes or the job is canceled,
+// closing started once it runs.
+func hog(started, release chan struct{}) Func {
+	return func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+		close(started)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}
 }
 
 // waitTerminal polls until the job reaches a terminal state.
@@ -115,14 +140,7 @@ func TestQueuedJobWaitsForWorkerSlot(t *testing.T) {
 	m := newTestManager(t, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	first := submit(t, m, "hog", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
-		close(started)
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return nil, nil
-	})
+	first := submit(t, m, "hog", 0, hog(started, release))
 	// Submission order does not assign workers — dequeue order does — so
 	// only submit the second job once the hog owns the only worker.
 	<-started
@@ -149,14 +167,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	started := make(chan struct{})
-	submit(t, m, "hog", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
-		close(started)
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return nil, nil
-	})
+	submit(t, m, "hog", 0, hog(started, release))
 	<-started
 	ran := false
 	queued := submit(t, m, "victim", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
@@ -187,19 +198,11 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	started := make(chan struct{})
-	submit(t, m, "hog", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
-		close(started)
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return nil, nil
-	})
+	submit(t, m, "hog", 0, hog(started, release))
 	<-started
-	noop := func(ctx context.Context, progress func(int, int)) (interface{}, error) { return nil, nil }
 	submit(t, m, "queued-0", 0, noop)
 	queued2 := submit(t, m, "queued-last", 0, noop)
-	shed, err := m.Submit("over", "", 0, noop)
+	shed, _, err := m.Submit(freshKey(), "over", "", 0, noop)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Submit over capacity = %v, %v; want ErrQueueFull", shed, err)
 	}
@@ -223,7 +226,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	if pending, _, _, _ := m.QueueStats(); pending != 1 {
 		t.Fatalf("pending = %d after canceling a queued job, want 1", pending)
 	}
-	readmitted, err := m.Submit("readmitted", "", 0, noop)
+	readmitted, _, err := m.Submit(freshKey(), "readmitted", "", 0, noop)
 	if err != nil {
 		t.Fatalf("Submit after cancel freed a slot: %v", err)
 	}
@@ -240,14 +243,7 @@ func TestNoGoroutinePerPendingJob(t *testing.T) {
 	m := newTestManagerCfg(t, Config{Workers: 1, MaxPending: 256})
 	release := make(chan struct{})
 	started := make(chan struct{})
-	submit(t, m, "hog", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
-		close(started)
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return nil, nil
-	})
+	submit(t, m, "hog", 0, hog(started, release))
 	<-started
 	before := runtime.NumGoroutine()
 	const queued = 200
@@ -271,9 +267,9 @@ func TestNoGoroutinePerPendingJob(t *testing.T) {
 // TestCloseCancelsQueuedJobs: shutdown must not strand pending jobs in a
 // non-terminal state.
 func TestCloseCancelsQueuedJobs(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxPending: 8, TTL: time.Hour, GCInterval: time.Hour})
+	m := NewManager(Config{Workers: 1, MaxPending: 8, TTL: time.Hour})
 	started := make(chan struct{})
-	hog, err := m.Submit("hog", "", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+	hog, _, err := m.Submit(freshKey(), "hog", "", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -284,9 +280,7 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 	<-started
 	var queued []*Job
 	for i := 0; i < 4; i++ {
-		j, err := m.Submit("queued", "", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
-			return nil, nil
-		})
+		j, _, err := m.Submit(freshKey(), "queued", "", 0, noop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,9 +292,7 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 			t.Fatalf("job %s after Close: state %s, want canceled", j.ID(), st)
 		}
 	}
-	if _, err := m.Submit("late", "", 0, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
-		return nil, nil
-	}); !errors.Is(err, ErrClosed) {
+	if _, _, err := m.Submit(freshKey(), "late", "", 0, noop); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
@@ -364,9 +356,9 @@ func TestEventLogMonotonicAndStreamable(t *testing.T) {
 // monotonic in both Seq and Done, and it still ends with the terminal
 // event carrying the final count.
 func TestEventLogBounded(t *testing.T) {
-	const tail = 8
+	const tail = eventTail
 	const ticks = 10_000
-	m := newTestManagerCfg(t, Config{Workers: 1, EventTail: tail})
+	m := newTestManager(t, 1)
 	j := submit(t, m, "firehose", ticks, func(ctx context.Context, progress func(int, int)) (interface{}, error) {
 		for i := 1; i <= ticks; i++ {
 			progress(i, ticks)
@@ -474,7 +466,7 @@ func TestListOrder(t *testing.T) {
 
 func TestSubmitDone(t *testing.T) {
 	m := newTestManager(t, 1)
-	j, err := m.SubmitDone("warm sweep", "", 6, "restored-result")
+	j, _, err := m.SubmitDone(freshKey(), "warm sweep", "", 6, "restored-result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,9 +502,9 @@ func TestSubmitDone(t *testing.T) {
 }
 
 func TestSubmitDoneAfterClose(t *testing.T) {
-	m := NewManager(Config{Workers: 1, TTL: time.Hour, GCInterval: time.Hour})
+	m := NewManager(Config{Workers: 1, TTL: time.Hour})
 	m.Close()
-	if _, err := m.SubmitDone("late", "", 1, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := m.SubmitDone(freshKey(), "late", "", 1, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
@@ -568,8 +560,7 @@ func TestRunningCounter(t *testing.T) {
 // every snapshot, for both queued and pre-completed jobs.
 func TestJobTraceHandle(t *testing.T) {
 	m := newTestManager(t, 1)
-	j, err := m.Submit("traced", "tr-123", 0,
-		func(ctx context.Context, progress func(int, int)) (interface{}, error) { return nil, nil })
+	j, _, err := m.Submit(freshKey(), "traced", "tr-123", 0, noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,11 +568,221 @@ func TestJobTraceHandle(t *testing.T) {
 		t.Fatalf("Trace = %q, want tr-123", got)
 	}
 	waitTerminal(t, j)
-	done, err := m.SubmitDone("warm", "tr-456", 1, nil)
+	done, _, err := m.SubmitDone(freshKey(), "warm", "tr-456", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := done.Snapshot().Trace; got != "tr-456" {
 		t.Fatalf("warm Trace = %q, want tr-456", got)
+	}
+}
+
+// TestSubmitJoinsLiveJob: a second submission under a key whose job is
+// pending, running or succeeded joins that job — Submit and SubmitDone
+// alike — and its own function never runs.
+func TestSubmitJoinsLiveJob(t *testing.T) {
+	m := newTestManager(t, 1)
+	hogStarted, releaseHog := make(chan struct{}), make(chan struct{})
+	submit(t, m, "hog", 0, hog(hogStarted, releaseHog))
+	<-hogStarted
+
+	var joinedRuns atomic.Int64
+	joinedFn := func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+		joinedRuns.Add(1)
+		return nil, nil
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	first, joined, err := m.Submit("k", "first", "", 0, hog(started, release))
+	if err != nil || joined {
+		t.Fatalf("first Submit = joined %v, %v", joined, err)
+	}
+	join := func(want client.JobState) {
+		t.Helper()
+		if st := first.Snapshot().State; st != want {
+			t.Fatalf("first job is %s, want %s", st, want)
+		}
+		j, joined, err := m.Submit("k", "again", "", 0, joinedFn)
+		if err != nil || !joined || j != first {
+			t.Fatalf("Submit while %s = joined %v, %v, same job %v; want the first job, joined", want, joined, err, j == first)
+		}
+		j, joined, err = m.SubmitDone("k", "warm", "", 1, "restored")
+		if err != nil || !joined || j != first {
+			t.Fatalf("SubmitDone while %s = joined %v, %v, same job %v; want the first job, joined", want, joined, err, j == first)
+		}
+		if j, ok := m.Lookup("k"); !ok || j != first {
+			t.Fatalf("Lookup while %s = %v, %v; want the first job", want, j, ok)
+		}
+	}
+	join(client.StatePending)
+	close(releaseHog)
+	<-started
+	join(client.StateRunning)
+	close(release)
+	waitTerminal(t, first)
+	join(client.StateSucceeded)
+
+	if n := joinedRuns.Load(); n != 0 {
+		t.Fatalf("joined submissions ran %d times, want 0", n)
+	}
+	if created, _ := m.Counters(); created != 2 {
+		t.Fatalf("created = %d, want 2 (the hog and the first job)", created)
+	}
+	if n := len(m.List()); n != 2 {
+		t.Fatalf("job table holds %d jobs, want 2", n)
+	}
+}
+
+// TestFailedAndCanceledJobsFreeTheirKey: a failed or canceled job answers
+// no key, so the next submission under it creates a new job, which takes
+// the key over.
+func TestFailedAndCanceledJobsFreeTheirKey(t *testing.T) {
+	m := newTestManager(t, 1)
+	boom := errors.New("boom")
+	fail := func(ctx context.Context, progress func(int, int)) (interface{}, error) { return nil, boom }
+	cancelMe := func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	for _, tc := range []struct {
+		name   string
+		fn     Func
+		finish func(j *Job)
+		want   client.JobState
+	}{
+		{"failed", fail, func(*Job) {}, client.StateFailed},
+		{"canceled", cancelMe, func(j *Job) { m.Cancel(j.ID()) }, client.StateCanceled},
+	} {
+		key := "key-" + tc.name
+		old, _, err := m.Submit(key, tc.name, "", 0, tc.fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.finish(old)
+		if info := waitTerminal(t, old); info.State != tc.want {
+			t.Fatalf("%s: state %s", tc.name, info.State)
+		}
+		if j, ok := m.Lookup(key); ok {
+			t.Fatalf("%s job still answers its key: %s", tc.name, j.ID())
+		}
+		again, joined, err := m.Submit(key, tc.name+" again", "", 0, noop)
+		if err != nil || joined || again == old {
+			t.Fatalf("Submit after %s = joined %v, %v; want a new job", tc.name, joined, err)
+		}
+		if j, ok := m.Lookup(key); !ok || j != again {
+			t.Fatalf("after %s the key answers %v, %v; want the new job", tc.name, j, ok)
+		}
+		if info := waitTerminal(t, again); info.State != client.StateSucceeded {
+			t.Fatalf("resubmission after %s = %+v", tc.name, info)
+		}
+	}
+	// SubmitDone takes a key over the same way.
+	old, _, err := m.Submit("key-warm", "fails", "", 0, fail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, old)
+	warm, joined, err := m.SubmitDone("key-warm", "warm", "", 1, "restored")
+	if err != nil || joined || warm == old {
+		t.Fatalf("SubmitDone after failure = joined %v, %v; want a new job", joined, err)
+	}
+	if j, ok := m.Lookup("key-warm"); !ok || j != warm {
+		t.Fatal("the restored job does not answer the key it took over")
+	}
+}
+
+// TestGCDropsKeyWithJob: collecting a job drops its key, so the index
+// never outlives the table — unless a newer job has taken the key over,
+// which keeps it.
+func TestGCDropsKeyWithJob(t *testing.T) {
+	m := newTestManager(t, 1)
+	done, _, err := m.Submit("collected", "done", "", 0, noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, done)
+
+	failed, _, err := m.Submit("taken-over", "fails", "", 0,
+		func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+			return nil, errors.New("boom")
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, failed)
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	newer, joined, err := m.Submit("taken-over", "newer", "", 0, hog(started, release))
+	if err != nil || joined {
+		t.Fatalf("Submit = joined %v, %v", joined, err)
+	}
+	<-started
+
+	if n := m.gc(time.Now().Add(2 * time.Hour)); n != 2 {
+		t.Fatalf("gc dropped %d jobs, want 2", n)
+	}
+	if _, ok := m.Lookup("collected"); ok {
+		t.Fatal("a collected job still answers its key")
+	}
+	if j, ok := m.Lookup("taken-over"); !ok || j != newer {
+		t.Fatalf("collecting the old job dropped the newer job's key: %v, %v", j, ok)
+	}
+	m.mu.Lock()
+	indexed := len(m.byKey)
+	m.mu.Unlock()
+	if indexed != 1 {
+		t.Fatalf("key index holds %d entries after gc, want 1", indexed)
+	}
+}
+
+// TestConcurrentSubmitsOneJob: N submissions racing under one key create
+// one job and join it N-1 times, and the job runs once.
+func TestConcurrentSubmitsOneJob(t *testing.T) {
+	m := newTestManager(t, 4)
+	const n = 16
+	var runs atomic.Int64
+	fn := func(ctx context.Context, progress func(int, int)) (interface{}, error) {
+		runs.Add(1)
+		return nil, nil
+	}
+	got := make([]*Job, n)
+	joins := make([]bool, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			j, joined, err := m.Submit("racy", "racer", "", 0, fn)
+			if err != nil {
+				t.Errorf("Submit %d: %v", i, err)
+				return
+			}
+			got[i], joins[i] = j, joined
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	created := 0
+	for i := 0; i < n; i++ {
+		if !joins[i] {
+			created++
+		}
+		if got[i] != got[0] {
+			t.Fatalf("submission %d got job %s, submission 0 got %s", i, got[i].ID(), got[0].ID())
+		}
+	}
+	if created != 1 {
+		t.Fatalf("%d submissions created a job, want 1 (and %d joins)", created, n-1)
+	}
+	waitTerminal(t, got[0])
+	if r := runs.Load(); r != 1 {
+		t.Fatalf("the job ran %d times, want 1", r)
+	}
+	if c, _ := m.Counters(); c != 1 {
+		t.Fatalf("created counter = %d, want 1", c)
 	}
 }

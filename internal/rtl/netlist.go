@@ -98,9 +98,6 @@ func (n *Netlist) NewNet() Net {
 	return id
 }
 
-// NumNets returns the number of nets, including the two constants.
-func (n *Netlist) NumNets() int { return n.numNets }
-
 // NumGates returns the number of gate instances.
 func (n *Netlist) NumGates() int { return len(n.gates) }
 
@@ -174,9 +171,6 @@ func (n *Netlist) InputNames() map[string][]Net { return n.inNames }
 
 // OutputBus returns the named output bus.
 func (n *Netlist) OutputBus(name string) []Net { return n.outName[name] }
-
-// Gates returns the gate list; treat as read-only.
-func (n *Netlist) Gates() []Gate { return n.gates }
 
 // PlaceholderBus allocates width undriven nets, to be connected later with
 // Drive. Use for feedback paths (state machines, accumulators) where a

@@ -15,7 +15,6 @@ type Simulator struct {
 	fanout []int  // per net
 
 	weightedToggles float64
-	rawToggles      int64
 	cycles          int
 }
 
@@ -93,7 +92,6 @@ func (s *Simulator) setNet(net Net, v bool) {
 	if s.values[net] != v {
 		s.values[net] = v
 		s.weightedToggles += float64(1 + s.fanout[net])
-		s.rawToggles++
 	}
 }
 
@@ -154,9 +152,6 @@ func (s *Simulator) Step() {
 	s.cycles++
 }
 
-// ReadNet returns a net's current value.
-func (s *Simulator) ReadNet(n Net) bool { return s.values[n] }
-
 // ReadOutput returns the named output bus value as an unsigned integer.
 func (s *Simulator) ReadOutput(name string) (int64, error) {
 	bus, ok := s.nl.outName[name]
@@ -187,12 +182,8 @@ func (s *Simulator) ReadBus(bus []Net) int64 {
 // transients).
 func (s *Simulator) ResetStats() {
 	s.weightedToggles = 0
-	s.rawToggles = 0
 	s.cycles = 0
 }
-
-// Cycles returns the number of Step calls since the last ResetStats.
-func (s *Simulator) Cycles() int { return s.cycles }
 
 // AveragePower returns the fanout-weighted toggles per cycle: the
 // DesignPower substitute.
@@ -202,6 +193,3 @@ func (s *Simulator) AveragePower() float64 {
 	}
 	return s.weightedToggles / float64(s.cycles)
 }
-
-// RawToggles returns the unweighted toggle count since the last reset.
-func (s *Simulator) RawToggles() int64 { return s.rawToggles }

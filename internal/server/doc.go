@@ -25,19 +25,20 @@
 // carries one source and one spec: N sweeps are N POST /v1/sweep
 // requests, each routed, deduped and shed on its own.
 //
-// Identical requests collapse at one point, the dedup index of live jobs:
-// a synthesize is a one-point sweep, and every submission whose key — the
-// sweep fingerprint, extended by the RTL a synthesize asks for — matches
-// a live job joins that job instead of starting a second one. The index
-// is the server's only in-memory tier. No compiled design is kept:
-// identical submissions racing through compile may each compile, then
-// meet at the index's commit-time re-check, and a finished job holds
-// only its decoded table.
+// Identical requests collapse at one point, the job manager's table of
+// jobs by key: a synthesize is a one-point sweep, and every submission
+// whose key — the sweep fingerprint, extended by the RTL a synthesize
+// asks for — matches a live job joins that job instead of starting a
+// second one. That table is the server's only in-memory tier; this
+// package keeps no index, map or mutex of its own. No compiled design is
+// kept: identical submissions racing through compile may each compile,
+// then meet when the job manager commits the first and joins the rest,
+// and a finished job holds only its decoded table.
 //
 // Admission is lock-free in the sense that matters for availability: no
-// client-controlled work (Compile, Enumerate) ever runs under the server
-// mutex, so one slow or hostile submission cannot head-of-line block the
-// others. Jobs, synthesize requests included, queue on a bounded
+// client-controlled work (Compile, Enumerate) ever runs under the job
+// manager's mutex, so one slow or hostile submission cannot head-of-line
+// block the others. Jobs, synthesize requests included, queue on a bounded
 // admission queue; beyond its capacity submissions are shed with 429 +
 // Retry-After instead of piling up unboundedly.
 //

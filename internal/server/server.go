@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,19 +32,13 @@ type Config struct {
 	// yet running; <= 0 means 64. Submissions beyond it are shed with
 	// 429 + Retry-After.
 	MaxPendingJobs int
-	// SweepWorkers bounds the flow worker pool inside one sweep job;
-	// <= 0 means GOMAXPROCS. It never changes results.
-	SweepWorkers int
-	// MaxSweepWorkers caps the client-supplied SweepRequest Workers value;
-	// <= 0 means max(GOMAXPROCS, SweepWorkers). The cap never changes
-	// results (Workers is excluded from the fingerprint), only how much
-	// concurrency one request can demand.
+	// MaxSweepWorkers caps the client-supplied SweepRequest Workers value
+	// and is the flow worker count of a request that names none; <= 0
+	// means GOMAXPROCS. It never changes results (Workers is excluded from
+	// the fingerprint), only how much concurrency one request can demand.
 	MaxSweepWorkers int
 	// JobTTL is how long finished jobs stay queryable; <= 0 means 1h.
 	JobTTL time.Duration
-	// EventTail bounds the retained progress events per job; <= 0 means
-	// the jobs package default (256).
-	EventTail int
 	// MaxSweepConfigs rejects sweep submissions that would enumerate
 	// more configurations than this; <= 0 means 65536. The library has
 	// no such limit — this is the network-facing guard against a single
@@ -80,7 +73,7 @@ type Config struct {
 	SweepHook func(fp string)
 	// CompileHook, when non-nil, runs immediately before each compile —
 	// exactly one call per compile, on the admitting goroutine, never
-	// under the server mutex. It is the test and instrumentation seam:
+	// under a lock. It is the test and instrumentation seam:
 	// the head-of-line regression test injects a blocking compile here
 	// and the shed, warm-start and routing tests count compiles through
 	// it.
@@ -88,10 +81,6 @@ type Config struct {
 	// Logger receives the structured access log and job lifecycle
 	// events; nil discards them.
 	Logger *slog.Logger
-	// TraceCapacity bounds the ring of retained request/job traces
-	// served by GET /debug/traces and GET /v1/jobs/{id}/trace;
-	// <= 0 means 256.
-	TraceCapacity int
 }
 
 // maxBudget bounds any requested control-step budget. Schedules allocate
@@ -110,14 +99,6 @@ type Server struct {
 	log     *slog.Logger
 	traces  *telemetry.Ring
 	metrics *serverMetrics
-
-	// mu guards only the dedup index. The invariant the admission
-	// pipeline preserves: no client-controlled work — Compile, Enumerate,
-	// synthesis — ever runs while mu is held; critical sections are map
-	// lookups and inserts only.
-	mu        sync.Mutex
-	sweepByFP map[string]string // index key -> job id
-	walked    int               // index size after its last prune walk
 
 	synthRequests atomic.Int64
 	sweepRequests atomic.Int64
@@ -142,9 +123,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxSweepWorkers <= 0 {
 		cfg.MaxSweepWorkers = runtime.GOMAXPROCS(0)
-		if cfg.SweepWorkers > cfg.MaxSweepWorkers {
-			cfg.MaxSweepWorkers = cfg.SweepWorkers
-		}
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -184,16 +162,14 @@ func New(cfg Config) (*Server, error) {
 		jobs: jobs.NewManager(jobs.Config{
 			Workers:    cfg.JobWorkers,
 			MaxPending: cfg.MaxPendingJobs,
-			EventTail:  cfg.EventTail,
 			TTL:        cfg.JobTTL,
 			Logger:     cfg.Logger,
 			Node:       nodeID,
 		}),
-		mux:       http.NewServeMux(),
-		start:     time.Now(),
-		log:       logger,
-		traces:    telemetry.NewRing(cfg.TraceCapacity),
-		sweepByFP: make(map[string]string),
+		mux:    http.NewServeMux(),
+		start:  time.Now(),
+		log:    logger,
+		traces: telemetry.NewRing(0),
 	}
 	s.metrics = newServerMetrics(s)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -397,7 +373,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // re-forwarded, so a routing disagreement costs one extra hop, not a
 // loop. Every node that finds the same ranked nodes unreachable (or
 // failing with 5xx) therefore sends the submission to the same executor,
-// whose dedup index collapses racing submissions onto one job.
+// whose job manager collapses racing submissions onto one job.
 func (s *Server) routed(w http.ResponseWriter, r *http.Request, source string, spec pmsynth.SweepSpec, body interface{}) bool {
 	if s.cluster == nil {
 		return false
@@ -424,18 +400,11 @@ func (s *Server) routed(w http.ResponseWriter, r *http.Request, source string, s
 	return false
 }
 
-// clampWorkers resolves the worker default before clamping, so the cap
-// governs the default path too: with no client value and no
-// -sweep-workers, the flow library would expand 0 to GOMAXPROCS, sailing
-// past a smaller MaxSweepWorkers if the clamp only saw explicit positives.
+// clampWorkers caps the client's worker count at MaxSweepWorkers, which
+// is also the count of a request that names none: the flow library would
+// expand 0 to GOMAXPROCS, sailing past a smaller cap.
 func (s *Server) clampWorkers(spec *pmsynth.SweepSpec) {
-	if spec.Workers <= 0 {
-		spec.Workers = s.cfg.SweepWorkers
-	}
-	if spec.Workers <= 0 {
-		spec.Workers = runtime.GOMAXPROCS(0)
-	}
-	if spec.Workers > s.cfg.MaxSweepWorkers {
+	if spec.Workers <= 0 || spec.Workers > s.cfg.MaxSweepWorkers {
 		spec.Workers = s.cfg.MaxSweepWorkers
 	}
 }
@@ -478,7 +447,7 @@ func (s *Server) retryAfterSeconds() int {
 // none.
 type rtl struct{ vhdl, verilog bool }
 
-// key extends a sweep fingerprint into the dedup index and store key:
+// key extends a sweep fingerprint into the dedup and store key:
 // the artifacts are part of the finished value, so requests for
 // different artifact sets must not alias. It adds nothing when nothing is
 // emitted, so a plain synthesize and the identical one-point sweep share
@@ -493,23 +462,25 @@ func (e rtl) key(fp string) string {
 // admitSweep is the admission pipeline of every sweep and synthesize
 // request; the two handlers are its only callers, each after routed.
 // Its structure is the tentpole invariant of the serving layer:
-// client-controlled work never runs under s.mu.
+// client-controlled work never runs under a lock. The job manager owns
+// the one table of jobs by key, and takes its mutex only inside Lookup,
+// Submit and SubmitDone.
 //
-//  1. Short critical section: dedup lookup — a live job with this key
-//     answers the submission immediately.
-//  2. No lock: the disk store lookup — a completed table persisted by an
-//     earlier run (possibly an earlier process over the same store
-//     directory) is restored as an already-succeeded job, skipping
+//  1. Lookup: a live job with this key answers the submission
+//     immediately.
+//  2. The disk store lookup — a completed table persisted by an earlier
+//     run (possibly an earlier process over the same store directory) is
+//     restored as an already-succeeded job with SubmitDone, skipping
 //     compile and evaluation entirely.
-//  3. No lock: the cheap size guard, then Compile and Enumerate, both on
+//  3. The cheap size guard, then Compile and Enumerate, both on
 //     untrusted input and potentially slow. Nothing caches the design:
 //     identical submissions that race through this stage each compile,
 //     and the job Func is the design's only holder, so a finished job
 //     pins its decoded table alone.
-//  4. Short critical section: re-check for a racing identical submission
-//     that committed while this one was compiling (join it if so), then
-//     submit the job and commit the index entry. The index is thus the
-//     serving layer's one in-memory tier and its one dedup point.
+//  4. Submit: join a racing identical submission that committed while
+//     this one was compiling, or commit the new job under the key. The
+//     job manager is thus the serving layer's one in-memory tier and its
+//     one dedup point.
 //
 // Job submission itself is non-blocking: when the bounded admission queue
 // is full the submission is shed with 429 and a Retry-After hint rather
@@ -535,19 +506,15 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	fp := pmsynth.SweepFingerprint(source, spec)
 	key := emit.key(fp)
 
-	s.mu.Lock()
-	s.pruneSweepIndexLocked()
-	if joined, ok := s.dedupLocked(key, fp); ok {
-		s.mu.Unlock()
-		return joined
+	if j, ok := s.jobs.Lookup(key); ok {
+		return joinedOutcome(j, fp)
 	}
-	s.mu.Unlock()
 
 	// Disk tier: a sweep computed before — by this process or a previous
 	// one over the same store directory — answers without compiling. The
 	// restored table becomes an already-succeeded job so every /v1/jobs
-	// endpoint works on it, and the index then dedupes identical
-	// submissions onto it for as long as it lives.
+	// endpoint works on it, and identical submissions join it for as
+	// long as it lives.
 	if warm, ok := s.warmSweep(ctx, key, fp); ok {
 		return warm
 	}
@@ -593,19 +560,12 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 	tr := telemetry.TraceFrom(ctx)
 	rootSp := telemetry.SpanFrom(ctx)
 
-	s.mu.Lock()
-	// Re-check: an identical submission may have committed a job while
-	// this one was compiling. Joining it preserves the invariant that one
-	// key has at most one live job; this submission's design is dropped.
-	if joined, ok := s.dedupLocked(key, fp); ok {
-		s.mu.Unlock()
-		return joined
-	}
-	// The queue-wait span opens now and is ended by the job Func's first
-	// action (worker pickup); a shed submission ends it immediately,
-	// marked shed so the wait histogram only sees real pickups.
+	// The queue-wait span opens before Submit, because a worker may pick
+	// the job up before Submit returns; the job Func's first action ends
+	// it. A submission that is shed or joins a racing identical one ends
+	// it at once, marked so the wait histogram only sees real pickups.
 	_, qsp := telemetry.StartSpan(ctx, "queue-wait")
-	job, err := s.jobs.Submit("sweep "+design.Graph.Name, tr.ID(), total,
+	job, joined, err := s.jobs.Submit(key, "sweep "+design.Graph.Name, tr.ID(), total,
 		func(jobCtx context.Context, progress func(done, total int)) (interface{}, error) {
 			qsp.End()
 			if hook := s.cfg.SweepHook; hook != nil {
@@ -635,13 +595,17 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 			return decodeSweepResult(blob)
 		})
 	if err != nil {
-		s.mu.Unlock()
 		qsp.SetAttr("shed", "true")
 		qsp.End()
 		return s.shedOutcome(err)
 	}
-	s.sweepByFP[key] = job.ID()
-	s.mu.Unlock()
+	if joined {
+		// An identical submission committed while this one was
+		// compiling; this submission's design is dropped.
+		qsp.SetAttr("joined", "true")
+		qsp.End()
+		return joinedOutcome(job, fp)
+	}
 	return sweepOutcome{status: http.StatusAccepted, job: job, resp: client.SweepJob{
 		ID: job.ID(), State: job.Snapshot().State, Total: total,
 		Fingerprint: fp, Workers: spec.Workers, Trace: tr.ID(),
@@ -653,9 +617,8 @@ func sweepStoreKey(key string) string { return "sweep|" + key }
 
 // warmSweep tries to answer a submission from the disk store. On a hit
 // the restored table is registered as an already-succeeded job (no queue
-// slot, no worker) and committed to the index, so concurrent identical
-// submissions join it; the commit re-checks the index under s.mu, so two
-// racing warm hits converge on one job.
+// slot, no worker) under the key, so identical submissions join it; two
+// racing warm hits converge on one job inside SubmitDone.
 func (s *Server) warmSweep(ctx context.Context, key, fp string) (sweepOutcome, bool) {
 	if s.store == nil {
 		return sweepOutcome{}, false
@@ -670,22 +633,17 @@ func (s *Server) warmSweep(ctx context.Context, key, fp string) (sweepOutcome, b
 		// recomputed sweep succeeds.
 		return sweepOutcome{}, false
 	}
-	s.mu.Lock()
-	if out, ok := s.dedupLocked(key, fp); ok {
-		// A racing identical submission (warm or computed) committed
-		// first; join its job.
-		s.mu.Unlock()
-		return out, true
-	}
 	trace := telemetry.TraceFrom(ctx).ID()
 	total := len(fs.sr.Points)
-	job, err := s.jobs.SubmitDone("sweep "+fs.sr.Design.Graph.Name, trace, total, fs)
+	job, joined, err := s.jobs.SubmitDone(key, "sweep "+fs.sr.Design.Graph.Name, trace, total, fs)
 	if err != nil {
-		s.mu.Unlock()
 		return s.shedOutcome(err), true
 	}
-	s.sweepByFP[key] = job.ID()
-	s.mu.Unlock()
+	if joined {
+		// A racing identical submission (warm or computed) committed
+		// first; join its job.
+		return joinedOutcome(job, fp), true
+	}
 	s.sweepWarmHits.Add(1)
 	return sweepOutcome{status: http.StatusOK, job: job, resp: client.SweepJob{
 		ID: job.ID(), State: client.StateSucceeded, Total: total,
@@ -712,27 +670,14 @@ func (s *Server) shedOutcome(err error) sweepOutcome {
 	}
 }
 
-// dedupLocked answers a submission from the index when a live (pending,
-// running or succeeded) job already covers its key. Entries whose jobs
-// are gone, failed or canceled are dropped so the next submission
-// retries. Called with s.mu held.
-func (s *Server) dedupLocked(key, fp string) (sweepOutcome, bool) {
-	id, ok := s.sweepByFP[key]
-	if !ok {
-		return sweepOutcome{}, false
-	}
-	if j, live := s.jobs.Get(id); live {
-		info := j.Snapshot()
-		if info.State == client.StatePending || info.State == client.StateRunning ||
-			info.State == client.StateSucceeded {
-			return sweepOutcome{status: http.StatusOK, job: j, resp: client.SweepJob{
-				ID: info.ID, State: info.State, Total: info.Total,
-				Fingerprint: fp, Deduped: true, Trace: info.Trace,
-			}}, true
-		}
-	}
-	delete(s.sweepByFP, key) // stale: job gone, failed or canceled
-	return sweepOutcome{}, false
+// joinedOutcome answers a submission with the live job that already
+// covers its key.
+func joinedOutcome(j *jobs.Job, fp string) sweepOutcome {
+	info := j.Snapshot()
+	return sweepOutcome{status: http.StatusOK, job: j, resp: client.SweepJob{
+		ID: info.ID, State: info.State, Total: info.Total,
+		Fingerprint: fp, Deduped: true, Trace: info.Trace,
+	}}
 }
 
 // checkSweepSize bounds a sweep submission without enumerating it: the
@@ -777,33 +722,6 @@ func (s *Server) checkSweepSize(spec pmsynth.SweepSpec) error {
 		return fmt.Errorf("sweep would enumerate %d configurations, over the server limit %d", count, limit)
 	}
 	return nil
-}
-
-// pruneSweepIndexLocked drops index entries whose jobs are gone
-// (TTL-collected), failed or canceled, so the index tracks the live jobs
-// rather than every key ever admitted. Each entry costs a jobs-manager
-// lookup and a snapshot under s.mu, and the index holds every job alive
-// within the TTL, so walking it on every submission would make each one
-// O(live jobs). Walking only once the index has doubled since the last
-// walk (and holds at least 32 entries) makes the walk O(1) amortized and
-// keeps the index within twice its live entries plus 32; dedupLocked
-// drops the stale entries it meets in between.
-func (s *Server) pruneSweepIndexLocked() {
-	if n := len(s.sweepByFP); n < 32 || n < 2*s.walked {
-		return
-	}
-	for key, id := range s.sweepByFP {
-		j, ok := s.jobs.Get(id)
-		if !ok {
-			delete(s.sweepByFP, key)
-			continue
-		}
-		switch j.Snapshot().State {
-		case client.StateFailed, client.StateCanceled:
-			delete(s.sweepByFP, key)
-		}
-	}
-	s.walked = len(s.sweepByFP)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

@@ -49,8 +49,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		r.GaugeFunc(name, help, func() float64 { return float64(fn()) })
 	}
 
-	// The in-memory result tier: the dedup index of live jobs, counted
-	// once per admission decision.
+	// The in-memory result tier: the job manager's live jobs by key,
+	// counted once per admission decision.
 	ctr("pmsynthd_cache_hits", "admissions that joined a live job (sweep or synthesize)", s.joins.Load)
 	ctr("pmsynthd_cache_misses", "admissions that joined no live job: store restores, new jobs and refusals", s.admits.Load)
 
@@ -162,7 +162,8 @@ func (m *serverMetrics) observeSpan(sp *telemetry.Span) {
 	name := sp.Name()
 	switch {
 	case name == "queue-wait":
-		if sp.Attr("shed") != "true" {
+		// A shed or joined submission's wait ended without a pickup.
+		if sp.Attr("shed") != "true" && sp.Attr("joined") != "true" {
 			m.queueWait.Observe(sp.Duration().Seconds())
 		}
 	case name == "run":

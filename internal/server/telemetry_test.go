@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -292,5 +293,67 @@ func TestStoreOpHistograms(t *testing.T) {
 	}
 	if n := metricValue(t, ts2.URL, `pmsynthd_store_op_seconds_count{op="get"}`); n < 1 {
 		t.Fatalf("get count after a warm restart = %d, want >= 1", n)
+	}
+}
+
+// TestJoinAtSubmitSkipsQueueWait: two identical sweeps held in compile
+// together both miss the lookup, so one commits its job at Submit and the
+// other joins it there. The joiner's queue-wait span ends at once,
+// marked joined, and pmsynthd_job_queue_wait_seconds counts only the one
+// worker pickup.
+func TestJoinAtSubmitSkipsQueueWait(t *testing.T) {
+	var arrived atomic.Int64
+	bothCompiling := make(chan struct{})
+	_, ts := newTestServer(t, server.Config{
+		CompileHook: func(string) {
+			if arrived.Add(1) == 2 {
+				close(bothCompiling)
+			}
+			<-bothCompiling
+		},
+	})
+	req := client.SweepRequest{Source: absDiffSrc, Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 3}}
+	var jobs [2]client.SweepJob
+	var codes [2]int
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			code, err := postJSONErr(ts.URL+"/v1/sweep", req, &jobs[i])
+			if err != nil {
+				t.Errorf("submission %d: %v", i, err)
+			}
+			codes[i] = code
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if jobs[0].ID != jobs[1].ID || jobs[0].Deduped == jobs[1].Deduped {
+		t.Fatalf("submissions = %d %+v and %d %+v; want one job, created once and joined once",
+			codes[0], jobs[0], codes[1], jobs[1])
+	}
+	waitJobState(t, ts.URL, jobs[0].ID, client.StateSucceeded)
+
+	if n := metricValue(t, ts.URL, "pmsynthd_job_queue_wait_seconds_count"); n != 1 {
+		t.Fatalf("queue-wait histogram counted %d waits, want the 1 worker pickup", n)
+	}
+	var recent []telemetry.Snapshot
+	if code := getJSON(t, ts.URL+"/debug/traces?n=100", &recent); code != http.StatusOK {
+		t.Fatalf("debug traces status = %d", code)
+	}
+	waits, joined := 0, 0
+	for _, snap := range recent {
+		for _, sp := range findSpans(snap.Roots, "queue-wait") {
+			waits++
+			if slices.Contains(sp.Attrs, telemetry.Attr{Key: "joined", Value: "true"}) {
+				joined++
+			}
+		}
+	}
+	if waits != 2 || joined != 1 {
+		t.Fatalf("%d queue-wait spans, %d marked joined; want 2 and 1", waits, joined)
 	}
 }

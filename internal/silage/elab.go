@@ -302,12 +302,6 @@ func (e *elaborator) assign(a *Assign, prefix string) error {
 	return nil
 }
 
-// Elaborate converts a parsed function into a CDFG design, performing
-// single-assignment and type checking.
-func Elaborate(f *FuncDecl) (*Design, error) {
-	return ElaborateProgram([]*FuncDecl{f})
-}
-
 // ElaborateProgram elaborates the last declaration of a multi-function
 // file; earlier declarations are callable helpers that inline at their
 // call sites.
