@@ -204,7 +204,9 @@ func zeroExtend(nl *rtl.Netlist, bit rtl.Net, w int) []rtl.Net {
 
 // buildUnits creates the execution units with operand steering, operand
 // registers, the shared combinational cores, and drives every operation's
-// value-register data placeholder.
+// value-register data placeholder. The units come from
+// ctrl.(*Controller).Units(): in (class, index) order, each with its
+// loads in UnitLoads order.
 func (b *builder) buildUnits() error {
 	// Multiplexor operations are interconnect, not execution units: they
 	// have no input latches to gate. Each is inlined as combinational
@@ -223,30 +225,11 @@ func (b *builder) buildUnits() error {
 		}
 	}
 
-	// Group the remaining unit loads by unit.
-	units := make(map[alloc.Unit][]opLoad)
-	for _, ul := range b.c.UnitLoads {
-		if b.c.Graph.Node(ul.Op).Kind == cdfg.KindMux {
+	for _, u := range b.c.Units() {
+		if u.Unit.Class == cdfg.ClassMux {
 			continue
 		}
-		units[ul.Unit] = append(units[ul.Unit], opLoad{op: ul.Op, step: ul.Step, guards: ul.Guards})
-	}
-	// Deterministic unit order.
-	var keys []alloc.Unit
-	for u := range units {
-		keys = append(keys, u)
-	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j].Class < keys[i].Class ||
-				(keys[j].Class == keys[i].Class && keys[j].Index < keys[i].Index) {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-
-	for _, u := range keys {
-		ops := units[u]
+		ops := u.Loads
 		// Per-op load terms (state AND guards), computed once and used
 		// both for operand steering and the register enables. Steering
 		// by the full term (not just the state bit) matters when two
@@ -254,7 +237,7 @@ func (b *builder) buildUnits() error {
 		// the guard distinguishes whose operands to route.
 		loadTerm := make([]rtl.Net, len(ops))
 		for i, ol := range ops {
-			loadTerm[i] = b.enableFor(ol.step, ol.guards)
+			loadTerm[i] = b.enableFor(ol.Step, ol.Guards)
 		}
 		en := b.nl.OrTree(loadTerm...)
 
@@ -263,15 +246,15 @@ func (b *builder) buildUnits() error {
 		const numOperands = 2
 		operandRegs := make([][]rtl.Net, numOperands)
 		for k := 0; k < numOperands; k++ {
-			argOf := func(ol opLoad) []rtl.Net {
-				n := b.c.Graph.Node(ol.op)
+			argOf := func(ol ctrl.UnitLoad) []rtl.Net {
+				n := b.c.Graph.Node(ol.Op)
 				if k >= len(n.Args) {
 					return b.nl.ConstBus(0, b.w)
 				}
 				// Operands are read during the load cycle; a
 				// producer executing in that same cycle is
 				// tapped combinationally.
-				return b.valueAt(n.Args[k], ol.step)
+				return b.valueAt(n.Args[k], ol.Step)
 			}
 			src := argOf(ops[0])
 			for i, ol := range ops[1:] {
@@ -281,23 +264,16 @@ func (b *builder) buildUnits() error {
 		}
 
 		// Combinational core and per-op result wiring.
-		if err := b.buildCore(u, ops, operandRegs); err != nil {
+		if err := b.buildCore(u.Unit, ops, operandRegs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// opLoad pairs an operation with its operand-load cycle and guards.
-type opLoad struct {
-	op     cdfg.NodeID
-	step   int
-	guards []sim.Guard
-}
-
 // buildCore instantiates the unit's combinational logic and drives the
 // value-register data inputs of every op bound to the unit.
-func (b *builder) buildCore(u alloc.Unit, ops []opLoad, regs [][]rtl.Net) error {
+func (b *builder) buildCore(u alloc.Unit, ops []ctrl.UnitLoad, regs [][]rtl.Net) error {
 	nl := b.nl
 	drive := func(op cdfg.NodeID, bus []rtl.Net) {
 		d := b.valueD[op]
@@ -309,17 +285,17 @@ func (b *builder) buildCore(u alloc.Unit, ops []opLoad, regs [][]rtl.Net) error 
 	case cdfg.ClassAdd:
 		sum, _ := nl.RippleAdder(regs[0], regs[1], rtl.Zero)
 		for _, ol := range ops {
-			drive(ol.op, sum)
+			drive(ol.Op, sum)
 		}
 	case cdfg.ClassSub:
 		diff, _ := nl.RippleSubtractor(regs[0], regs[1])
 		for _, ol := range ops {
-			drive(ol.op, diff)
+			drive(ol.Op, diff)
 		}
 	case cdfg.ClassMul:
 		prod := nl.ArrayMultiplier(regs[0], regs[1])
 		for _, ol := range ops {
-			drive(ol.op, prod)
+			drive(ol.Op, prod)
 		}
 	case cdfg.ClassComp:
 		// One subtract core plus an equality tree yields all six
@@ -333,7 +309,7 @@ func (b *builder) buildCore(u alloc.Unit, ops []opLoad, regs [][]rtl.Net) error 
 		le := nl.AddGate(rtl.GInv, gt)
 		for _, ol := range ops {
 			var flag rtl.Net
-			switch b.c.Graph.Node(ol.op).Kind {
+			switch b.c.Graph.Node(ol.Op).Kind {
 			case cdfg.KindGe:
 				flag = ge
 			case cdfg.KindLt:
@@ -347,9 +323,9 @@ func (b *builder) buildCore(u alloc.Unit, ops []opLoad, regs [][]rtl.Net) error 
 			case cdfg.KindLe:
 				flag = le
 			default:
-				return fmt.Errorf("chip: op %q is not a comparison", b.c.Graph.Node(ol.op).Name)
+				return fmt.Errorf("chip: op %q is not a comparison", b.c.Graph.Node(ol.Op).Name)
 			}
-			drive(ol.op, zeroExtend(nl, flag, b.w))
+			drive(ol.Op, zeroExtend(nl, flag, b.w))
 		}
 	case cdfg.ClassLogic:
 		a0, b0 := regs[0][0], regs[1][0]
@@ -358,7 +334,7 @@ func (b *builder) buildCore(u alloc.Unit, ops []opLoad, regs [][]rtl.Net) error 
 		notF := nl.AddGate(rtl.GInv, a0)
 		for _, ol := range ops {
 			var f rtl.Net
-			switch b.c.Graph.Node(ol.op).Kind {
+			switch b.c.Graph.Node(ol.Op).Kind {
 			case cdfg.KindAnd:
 				f = andF
 			case cdfg.KindOr:
@@ -366,9 +342,9 @@ func (b *builder) buildCore(u alloc.Unit, ops []opLoad, regs [][]rtl.Net) error 
 			case cdfg.KindNot:
 				f = notF
 			default:
-				return fmt.Errorf("chip: op %q is not a logic op", b.c.Graph.Node(ol.op).Name)
+				return fmt.Errorf("chip: op %q is not a logic op", b.c.Graph.Node(ol.Op).Name)
 			}
-			drive(ol.op, zeroExtend(nl, f, b.w))
+			drive(ol.Op, zeroExtend(nl, f, b.w))
 		}
 	default:
 		// ClassMux is inlined in buildUnits and never reaches here.

@@ -186,6 +186,31 @@ func (c *Controller) GuardCost() int {
 	return n
 }
 
+// Unit is one execution unit with the operand loads it hosts.
+type Unit struct {
+	Unit  alloc.Unit
+	Loads []UnitLoad
+}
+
+// Units groups UnitLoads by unit, in (class, index) order. Within a unit
+// the loads keep their UnitLoads order.
+func (c *Controller) Units() []Unit {
+	loads := slices.Clone(c.UnitLoads)
+	slices.SortStableFunc(loads, func(a, b UnitLoad) int {
+		return cmp.Or(cmp.Compare(a.Unit.Class, b.Unit.Class), cmp.Compare(a.Unit.Index, b.Unit.Index))
+	})
+	var out []Unit
+	for start := 0; start < len(loads); {
+		end := start + 1
+		for end < len(loads) && loads[end].Unit == loads[start].Unit {
+			end++
+		}
+		out = append(out, Unit{Unit: loads[start].Unit, Loads: loads[start:end:end]})
+		start = end
+	}
+	return out
+}
+
 // LoadsInStep returns the value-register loads scheduled for the given
 // step, in node order.
 func (c *Controller) LoadsInStep(step int) []Load {

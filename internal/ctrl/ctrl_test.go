@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/bench"
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/power"
@@ -198,5 +199,52 @@ func TestBuildRejectsForeignBinding(t *testing.T) {
 	empty := &alloc.Binding{Units: map[cdfg.Class]int{}}
 	if _, err := Build(r.Schedule, empty, r.Guards, true); err == nil {
 		t.Error("missing unit binding accepted")
+	}
+}
+
+// TestUnitsGroupLoads checks the grouping that the RTL lowering and the
+// gate-level chip share: every unit load lands in exactly one group, the
+// groups come in (class, index) order, and within a group the loads keep
+// their UnitLoads order.
+func TestUnitsGroupLoads(t *testing.T) {
+	shared := false
+	for _, c := range bench.All() {
+		for _, budget := range c.Budgets {
+			_, pm, _ := buildControllers(t, c.Source, budget)
+			pos := make(map[cdfg.NodeID]int, len(pm.UnitLoads))
+			for i, ul := range pm.UnitLoads {
+				pos[ul.Op] = i
+			}
+			grouped := 0
+			units := pm.Units()
+			for i, u := range units {
+				if i > 0 {
+					prev := units[i-1].Unit
+					if prev.Class > u.Unit.Class || prev.Class == u.Unit.Class && prev.Index >= u.Unit.Index {
+						t.Errorf("%s at %d: unit %v after %v", c.Name, budget, u.Unit, prev)
+					}
+				}
+				if len(u.Loads) > 1 {
+					shared = true
+				}
+				last := -1
+				for _, ul := range u.Loads {
+					if ul.Unit != u.Unit {
+						t.Errorf("%s at %d: load of %v in the group of %v", c.Name, budget, ul.Unit, u.Unit)
+					}
+					if pos[ul.Op] <= last {
+						t.Errorf("%s at %d: %v's loads out of UnitLoads order", c.Name, budget, u.Unit)
+					}
+					last = pos[ul.Op]
+					grouped++
+				}
+			}
+			if grouped != len(pm.UnitLoads) {
+				t.Errorf("%s at %d: %d loads grouped, %d unit loads", c.Name, budget, grouped, len(pm.UnitLoads))
+			}
+		}
+	}
+	if !shared {
+		t.Error("no circuit shares a unit between operations; the order check saw nothing")
 	}
 }

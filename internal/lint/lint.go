@@ -80,7 +80,7 @@ func DefaultConfig(modPath string) Config {
 	det := []string{modPath} // the root pmsynth package
 	for _, p := range []string{
 		"cdfg", "sched", "alloc", "ctrl", "power",
-		"sim", "core", "vhdl", "verilog", "tables", "flow",
+		"sim", "core", "hdl", "vhdl", "verilog", "tables", "flow",
 	} {
 		det = append(det, modPath+"/internal/"+p)
 	}

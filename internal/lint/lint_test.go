@@ -52,6 +52,7 @@ func TestDefaultConfig(t *testing.T) {
 	mustContain(cfg.DeterministicPackages, "m")
 	mustContain(cfg.DeterministicPackages, "m/internal/sched")
 	mustContain(cfg.DeterministicPackages, "m/internal/flow")
+	mustContain(cfg.DeterministicPackages, "m/internal/hdl")
 	mustContain(cfg.LockScopePackages, "m/internal/server")
 	mustContain(cfg.LockScopePackages, "m/internal/jobs")
 	mustContain(cfg.ForbiddenUnderLock, "m.*")

@@ -1,19 +1,31 @@
 package verilog
 
 import (
+	"flag"
 	"os"
 	"testing"
 )
 
-// TestGoldenAbsDiff locks the emitted Verilog for the canonical example.
+var update = flag.Bool("update", false, "rewrite the golden Verilog with the current output")
+
+// TestGoldenAbsDiff locks the emitted Verilog for the canonical example. A
+// deliberate printer change is re-pinned with
+//
+//	go test ./internal/verilog -run GoldenAbsDiff -update
 func TestGoldenAbsDiff(t *testing.T) {
 	got := generate(t, absDiffSrc, 3, true)
-	want, err := os.ReadFile("testdata/absdiff_pm.v")
+	const path = "testdata/absdiff_pm.v"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Error("Verilog output drifted from testdata/absdiff_pm.v; " +
-			"if intentional, regenerate the golden file from the new output")
+		t.Errorf("Verilog output drifted from %s; if intentional, re-pin with -update", path)
 	}
 }

@@ -1,136 +1,97 @@
 package verilog
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
-	"repro/internal/alloc"
 	"repro/internal/cdfg"
 	"repro/internal/ctrl"
-	"repro/internal/silage"
+	"repro/internal/hdl"
 	"repro/internal/sim"
 )
 
-// sanitize turns a node name into a legal Verilog identifier.
-func sanitize(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_':
-			b.WriteRune(r)
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				b.WriteByte('n')
-			}
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	s := b.String()
-	if s == "" {
-		return "sig"
-	}
-	return s
-}
-
-type emitter struct {
-	c *ctrl.Controller
-	g *cdfg.Graph
-	w int
-}
-
 // Generate emits the complete Verilog description.
 func Generate(c *ctrl.Controller, width int) (string, error) {
-	if width < 1 || width > 64 {
-		return "", fmt.Errorf("verilog: width %d outside [1,64]", width)
+	d, err := hdl.Lower(c, width)
+	if err != nil {
+		return "", fmt.Errorf("verilog: %w", err)
 	}
-	e := &emitter{c: c, g: c.Graph, w: width}
-	var b strings.Builder
+	p := &printer{Design: d, rng: fmt.Sprintf("[%d:0]", width-1)}
 	variant := "traditional"
 	if c.PM {
 		variant = "power managed"
 	}
-	fmt.Fprintf(&b, "// Generated by pmsynth: design %q, %d control steps, %s controller.\n",
-		c.Graph.Name, c.Steps, variant)
-	b.WriteString("// Scheduling follows Monteiro et al., DAC 1996.\n\n")
-	e.emitDatapath(&b)
-	e.emitController(&b)
-	e.emitTop(&b)
-	return b.String(), nil
+	fmt.Fprintf(&p.b, "// Generated by pmsynth: design %q, %d control steps, %s controller.\n",
+		d.Graph.Name, c.Steps, variant)
+	p.b.WriteString("// Scheduling follows Monteiro et al., DAC 1996.\n\n")
+	p.datapath()
+	p.controller()
+	p.top()
+	return p.b.String(), nil
 }
 
-func (e *emitter) name(id cdfg.NodeID) string { return sanitize(e.g.Node(id).Name) }
-
-func (e *emitter) unitName(u alloc.Unit) string {
-	return fmt.Sprintf("u_%s%d", sanitize(u.Class.String()), u.Index)
+type printer struct {
+	*hdl.Design
+	b   strings.Builder
+	rng string // the range of a datapath word
 }
 
-func (e *emitter) ldName(id cdfg.NodeID) string    { return "ld_" + e.name(id) }
-func (e *emitter) steerName(op cdfg.NodeID) string { return "go_" + e.name(op) }
-
-func (e *emitter) rng() string { return fmt.Sprintf("[%d:0]", e.w-1) }
-
-func (e *emitter) opsWithRegs() []cdfg.NodeID {
-	var out []cdfg.NodeID
-	for _, n := range e.g.Nodes() {
-		if n.IsOp() {
-			out = append(out, n.ID)
+// module prints a module header with its port list.
+func (p *printer) module(name string, ports []hdl.Port) {
+	fmt.Fprintf(&p.b, "module %s (\n", name)
+	for i, pt := range ports {
+		dir, rng := "input", ""
+		if pt.Out {
+			dir = "output"
 		}
-	}
-	return out
-}
-
-func (e *emitter) unitList() []alloc.Unit {
-	seen := make(map[alloc.Unit]bool)
-	var out []alloc.Unit
-	for _, ul := range e.c.UnitLoads {
-		if !seen[ul.Unit] {
-			seen[ul.Unit] = true
-			out = append(out, ul.Unit)
+		if pt.Bus {
+			rng = p.rng + " "
 		}
+		fmt.Fprintf(&p.b, "  %s wire %s%s%s\n", dir, rng, pt.Name, sep(i, ports))
 	}
-	slices.SortFunc(out, func(a, b alloc.Unit) int {
-		if a.Class != b.Class {
-			return cmp.Compare(a.Class, b.Class)
-		}
-		return cmp.Compare(a.Index, b.Index)
-	})
-	return out
+	p.b.WriteString(");\n")
 }
 
-func (e *emitter) sharedOps() []cdfg.NodeID {
-	var out []cdfg.NodeID
-	for _, ul := range e.c.UnitLoads {
-		out = append(out, ul.Op)
+// instance prints a module instantiation that connects every port to the
+// signal of the same name.
+func (p *printer) instance(module, label string, ports []hdl.Port) {
+	fmt.Fprintf(&p.b, "  %s %s (\n", module, label)
+	for i, pt := range ports {
+		fmt.Fprintf(&p.b, "    .%s(%s)%s\n", pt.Name, pt.Name, sep(i, ports))
 	}
-	slices.Sort(out)
-	return out
+	p.b.WriteString("  );\n")
 }
 
-func (e *emitter) valueExpr(id cdfg.NodeID) string {
-	n := e.g.Node(id)
+// sep is the separator after the i-th port: a comma, or nothing after
+// the last.
+func sep(i int, ports []hdl.Port) string {
+	if i == len(ports)-1 {
+		return ""
+	}
+	return ","
+}
+
+func (p *printer) valueExpr(id cdfg.NodeID) string {
+	n := p.Graph.Node(id)
 	switch n.Kind {
 	case cdfg.KindInput:
-		return e.name(id)
+		return p.Name(id)
 	case cdfg.KindConst:
-		return fmt.Sprintf("%d'd%d", e.w, uint64(n.Value)&((1<<uint(e.w))-1))
+		return fmt.Sprintf("%d'd%d", p.Width, uint64(n.Value)&((1<<uint(p.Width))-1))
 	case cdfg.KindShl:
-		return fmt.Sprintf("(%s << %d)", e.valueExpr(n.Args[0]), n.Shift)
+		return fmt.Sprintf("(%s << %d)", p.valueExpr(n.Args[0]), n.Shift)
 	case cdfg.KindShr:
-		return fmt.Sprintf("(%s >> %d)", e.valueExpr(n.Args[0]), n.Shift)
+		return fmt.Sprintf("(%s >> %d)", p.valueExpr(n.Args[0]), n.Shift)
 	default:
-		return "r_" + e.name(id)
+		return p.Reg(id)
 	}
 }
 
-func (e *emitter) resultExpr(id cdfg.NodeID) string {
-	n := e.g.Node(id)
-	un := e.unitName(e.c.Binding.UnitOf[id])
+func (p *printer) resultExpr(id cdfg.NodeID) string {
+	n := p.Graph.Node(id)
+	un := p.UnitOf(id)
 	bool2bus := func(expr string) string {
-		return fmt.Sprintf("{%d'd0, %s}", e.w-1, expr)
+		return fmt.Sprintf("{%d'd0, %s}", p.Width-1, expr)
 	}
 	switch {
 	case n.Kind.IsComparison():
@@ -150,48 +111,21 @@ func (e *emitter) resultExpr(id cdfg.NodeID) string {
 	}
 }
 
-func (e *emitter) emitDatapath(b *strings.Builder) {
-	g := e.g
-	top := sanitize(g.Name)
-	fmt.Fprintf(b, "module %s_datapath (\n  input wire clk,\n", top)
-	for _, id := range g.Inputs() {
-		fmt.Fprintf(b, "  input wire %s %s,\n", e.rng(), e.name(id))
+func (p *printer) datapath() {
+	b := &p.b
+	p.module(p.Top+"_datapath", p.DatapathPorts)
+	for _, id := range p.Ops {
+		fmt.Fprintf(b, "  reg %s %s = 0;\n", p.rng, p.Reg(id))
 	}
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "  input wire %s,\n", e.ldName(id))
-	}
-	for _, op := range e.sharedOps() {
-		fmt.Fprintf(b, "  input wire %s,\n", e.steerName(op))
-	}
-	for _, id := range e.c.CondNodes {
-		if g.Node(id).Kind != cdfg.KindInput {
-			fmt.Fprintf(b, "  output wire cond_%s,\n", e.name(id))
-		}
-	}
-	outs := g.Outputs()
-	for i, id := range outs {
-		sep := ","
-		if i == len(outs)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(b, "  output wire %s %s%s\n", e.rng(), sanitize(silage.PortName(g.Node(id).Name)), sep)
-	}
-	b.WriteString(");\n")
-
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "  reg %s r_%s = 0;\n", e.rng(), e.name(id))
-	}
-	units := e.unitList()
-	for _, u := range units {
-		un := e.unitName(u)
-		fmt.Fprintf(b, "  reg %s %s_a = 0, %s_b = 0;\n", e.rng(), un, un)
+	for _, u := range p.Units {
+		fmt.Fprintf(b, "  reg %s %s_a = 0, %s_b = 0;\n", p.rng, u.Name, u.Name)
 		if u.Class == cdfg.ClassMux {
-			fmt.Fprintf(b, "  reg %s_s = 0;\n", un)
+			fmt.Fprintf(b, "  reg %s_s = 0;\n", u.Name)
 		}
-		fmt.Fprintf(b, "  wire %s %s_y;\n", e.rng(), un)
+		fmt.Fprintf(b, "  wire %s %s_y;\n", p.rng, u.Name)
 	}
-	for _, u := range units {
-		un := e.unitName(u)
+	for _, u := range p.Units {
+		un := u.Name
 		switch u.Class {
 		case cdfg.ClassAdd:
 			fmt.Fprintf(b, "  assign %s_y = %s_a + %s_b;\n", un, un, un)
@@ -202,32 +136,25 @@ func (e *emitter) emitDatapath(b *strings.Builder) {
 		case cdfg.ClassMux:
 			fmt.Fprintf(b, "  assign %s_y = %s_s ? %s_a : %s_b;\n", un, un, un, un)
 		default:
-			fmt.Fprintf(b, "  assign %s_y = {%d{1'b0}};\n", un, e.w)
+			fmt.Fprintf(b, "  assign %s_y = {%d{1'b0}};\n", un, p.Width)
 		}
 	}
 
 	// Operand steering processes.
-	for _, u := range units {
-		un := e.unitName(u)
-		var ops []cdfg.NodeID
-		for _, ul := range e.c.UnitLoads {
-			if ul.Unit == u {
-				ops = append(ops, ul.Op)
-			}
-		}
-		slices.Sort(ops)
+	for _, u := range p.Units {
+		un := u.Name
 		b.WriteString("  always @(posedge clk) begin\n")
-		for _, op := range ops {
-			n := g.Node(op)
-			fmt.Fprintf(b, "    if (%s) begin\n", e.steerName(op))
+		for _, op := range u.Ops {
+			n := p.Graph.Node(op)
+			fmt.Fprintf(b, "    if (%s) begin\n", p.Go(op))
 			if n.Kind == cdfg.KindMux {
-				fmt.Fprintf(b, "      %s_s <= %s[0];\n", un, e.valueExpr(n.Args[cdfg.MuxSel]))
-				fmt.Fprintf(b, "      %s_a <= %s;\n", un, e.valueExpr(n.Args[cdfg.MuxTrue]))
-				fmt.Fprintf(b, "      %s_b <= %s;\n", un, e.valueExpr(n.Args[cdfg.MuxFalse]))
+				fmt.Fprintf(b, "      %s_s <= %s[0];\n", un, p.valueExpr(n.Args[cdfg.MuxSel]))
+				fmt.Fprintf(b, "      %s_a <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxTrue]))
+				fmt.Fprintf(b, "      %s_b <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxFalse]))
 			} else {
-				fmt.Fprintf(b, "      %s_a <= %s;\n", un, e.valueExpr(n.Args[0]))
+				fmt.Fprintf(b, "      %s_a <= %s;\n", un, p.valueExpr(n.Args[0]))
 				if len(n.Args) > 1 {
-					fmt.Fprintf(b, "      %s_b <= %s;\n", un, e.valueExpr(n.Args[1]))
+					fmt.Fprintf(b, "      %s_b <= %s;\n", un, p.valueExpr(n.Args[1]))
 				}
 			}
 			b.WriteString("    end\n")
@@ -237,156 +164,67 @@ func (e *emitter) emitDatapath(b *strings.Builder) {
 
 	// Value registers.
 	b.WriteString("  always @(posedge clk) begin\n")
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "    if (%s) r_%s <= %s;\n", e.ldName(id), e.name(id), e.resultExpr(id))
+	for _, id := range p.Ops {
+		fmt.Fprintf(b, "    if (%s) %s <= %s;\n", p.Ld(id), p.Reg(id), p.resultExpr(id))
 	}
 	b.WriteString("  end\n")
 
-	for _, id := range e.c.CondNodes {
-		if g.Node(id).Kind != cdfg.KindInput {
-			fmt.Fprintf(b, "  assign cond_%s = r_%s[0];\n", e.name(id), e.name(id))
-		}
+	for _, id := range p.Conds {
+		fmt.Fprintf(b, "  assign %s = %s[0];\n", p.Cond(id).Name, p.Reg(id))
 	}
-	for _, id := range g.Outputs() {
-		fmt.Fprintf(b, "  assign %s = %s;\n",
-			sanitize(silage.PortName(g.Node(id).Name)), e.valueExpr(g.Node(id).Args[0]))
+	for _, id := range p.Graph.Outputs() {
+		fmt.Fprintf(b, "  assign %s = %s;\n", p.Output(id), p.valueExpr(p.Graph.Node(id).Args[0]))
 	}
 	b.WriteString("endmodule\n\n")
 }
 
-func (e *emitter) guardExpr(guards []sim.Guard) string {
-	terms := make([]string, 0, len(guards))
+// enable renders the condition under which a load enable is high: its
+// state, and in the power managed controller its guard conjunction.
+func (p *printer) enable(step int, guards []sim.Guard) string {
+	terms := []string{fmt.Sprintf("state == %d", step)}
 	for _, gd := range guards {
-		src := "cond_" + e.name(gd.Sel)
-		if e.g.Node(gd.Sel).Kind == cdfg.KindInput {
-			src = e.name(gd.Sel) + "[0]"
+		src := p.Cond(gd.Sel)
+		if src.Bus {
+			src.Name += "[0]"
 		}
-		if gd.WhenTrue {
-			terms = append(terms, src)
-		} else {
-			terms = append(terms, "~"+src)
+		if !gd.WhenTrue {
+			src.Name = "~" + src.Name
 		}
+		terms = append(terms, src.Name)
 	}
 	return strings.Join(terms, " & ")
 }
 
-func (e *emitter) emitController(b *strings.Builder) {
-	g := e.g
-	top := sanitize(g.Name)
-	fmt.Fprintf(b, "module %s_controller (\n  input wire clk,\n  input wire rst,\n", top)
-	for _, id := range e.c.CondNodes {
-		if g.Node(id).Kind == cdfg.KindInput {
-			fmt.Fprintf(b, "  input wire %s %s,\n", e.rng(), e.name(id))
-		} else {
-			fmt.Fprintf(b, "  input wire cond_%s,\n", e.name(id))
-		}
-	}
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "  output wire %s,\n", e.ldName(id))
-	}
-	shared := e.sharedOps()
-	for i, op := range shared {
-		sep := ","
-		if i == len(shared)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(b, "  output wire %s%s\n", e.steerName(op), sep)
-	}
-	b.WriteString(");\n")
+func (p *printer) controller() {
+	b, c := &p.b, p.Ctrl
+	p.module(p.Top+"_controller", p.ControllerPorts)
 	bits := 1
-	for 1<<uint(bits) <= e.c.Steps {
+	for 1<<uint(bits) <= c.Steps {
 		bits++
 	}
 	fmt.Fprintf(b, "  reg [%d:0] state = 0;\n", bits-1)
 	b.WriteString("  always @(posedge clk) begin\n")
-	fmt.Fprintf(b, "    if (rst) state <= 0;\n    else if (state == %d) state <= 0;\n    else state <= state + 1;\n", e.c.Steps)
+	fmt.Fprintf(b, "    if (rst) state <= 0;\n    else if (state == %d) state <= 0;\n    else state <= state + 1;\n", c.Steps)
 	b.WriteString("  end\n")
-	for _, ld := range e.c.Loads {
+	for _, ld := range c.Loads {
 		if ld.Step == 0 {
 			continue
 		}
-		cond := fmt.Sprintf("state == %d", ld.Step)
-		if len(ld.Guards) > 0 {
-			cond += " & " + e.guardExpr(ld.Guards)
-		}
-		fmt.Fprintf(b, "  assign %s = (%s);\n", e.ldName(ld.Node), cond)
+		fmt.Fprintf(b, "  assign %s = (%s);\n", p.Ld(ld.Node), p.enable(ld.Step, ld.Guards))
 	}
-	for _, ul := range e.c.UnitLoads {
-		cond := fmt.Sprintf("state == %d", ul.Step)
-		if len(ul.Guards) > 0 {
-			cond += " & " + e.guardExpr(ul.Guards)
-		}
-		fmt.Fprintf(b, "  assign %s = (%s);\n", e.steerName(ul.Op), cond)
+	for _, ul := range c.UnitLoads {
+		fmt.Fprintf(b, "  assign %s = (%s);\n", p.Go(ul.Op), p.enable(ul.Step, ul.Guards))
 	}
 	b.WriteString("endmodule\n\n")
 }
 
-func (e *emitter) emitTop(b *strings.Builder) {
-	g := e.g
-	top := sanitize(g.Name)
-	fmt.Fprintf(b, "module %s (\n  input wire clk,\n  input wire rst,\n", top)
-	for _, id := range g.Inputs() {
-		fmt.Fprintf(b, "  input wire %s %s,\n", e.rng(), e.name(id))
+func (p *printer) top() {
+	b := &p.b
+	p.module(p.Top, p.TopPorts)
+	for _, w := range p.Wires {
+		fmt.Fprintf(b, "  wire %s;\n", w)
 	}
-	outs := g.Outputs()
-	for i, id := range outs {
-		sep := ","
-		if i == len(outs)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(b, "  output wire %s %s%s\n", e.rng(), sanitize(silage.PortName(g.Node(id).Name)), sep)
-	}
-	b.WriteString(");\n")
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "  wire %s;\n", e.ldName(id))
-	}
-	for _, op := range e.sharedOps() {
-		fmt.Fprintf(b, "  wire %s;\n", e.steerName(op))
-	}
-	for _, id := range e.c.CondNodes {
-		if g.Node(id).Kind != cdfg.KindInput {
-			fmt.Fprintf(b, "  wire cond_%s;\n", e.name(id))
-		}
-	}
-	// Instances with named connections.
-	fmt.Fprintf(b, "  %s_datapath dp (\n    .clk(clk),\n", top)
-	var conns []string
-	for _, id := range g.Inputs() {
-		conns = append(conns, fmt.Sprintf("    .%s(%s)", e.name(id), e.name(id)))
-	}
-	for _, id := range e.opsWithRegs() {
-		conns = append(conns, fmt.Sprintf("    .%s(%s)", e.ldName(id), e.ldName(id)))
-	}
-	for _, op := range e.sharedOps() {
-		conns = append(conns, fmt.Sprintf("    .%s(%s)", e.steerName(op), e.steerName(op)))
-	}
-	for _, id := range e.c.CondNodes {
-		if g.Node(id).Kind != cdfg.KindInput {
-			conns = append(conns, fmt.Sprintf("    .cond_%s(cond_%s)", e.name(id), e.name(id)))
-		}
-	}
-	for _, id := range outs {
-		p := sanitize(silage.PortName(g.Node(id).Name))
-		conns = append(conns, fmt.Sprintf("    .%s(%s)", p, p))
-	}
-	b.WriteString(strings.Join(conns, ",\n"))
-	b.WriteString("\n  );\n")
-
-	fmt.Fprintf(b, "  %s_controller fsm (\n    .clk(clk),\n    .rst(rst),\n", top)
-	conns = conns[:0]
-	for _, id := range e.c.CondNodes {
-		if g.Node(id).Kind == cdfg.KindInput {
-			conns = append(conns, fmt.Sprintf("    .%s(%s)", e.name(id), e.name(id)))
-		} else {
-			conns = append(conns, fmt.Sprintf("    .cond_%s(cond_%s)", e.name(id), e.name(id)))
-		}
-	}
-	for _, id := range e.opsWithRegs() {
-		conns = append(conns, fmt.Sprintf("    .%s(%s)", e.ldName(id), e.ldName(id)))
-	}
-	for _, op := range e.sharedOps() {
-		conns = append(conns, fmt.Sprintf("    .%s(%s)", e.steerName(op), e.steerName(op)))
-	}
-	b.WriteString(strings.Join(conns, ",\n"))
-	b.WriteString("\n  );\nendmodule\n")
+	p.instance(p.Top+"_datapath", "dp", p.DatapathPorts)
+	p.instance(p.Top+"_controller", "fsm", p.ControllerPorts)
+	b.WriteString("endmodule\n")
 }

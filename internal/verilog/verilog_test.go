@@ -1,6 +1,8 @@
 package verilog
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ctrl"
+	"repro/internal/hdl"
 	"repro/internal/power"
 	"repro/internal/silage"
 )
@@ -123,21 +126,47 @@ func TestWidthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Generate(c, 0); err == nil {
-		t.Error("width 0 accepted")
-	}
-	if _, err := Generate(c, 99); err == nil {
-		t.Error("width 99 accepted")
+	for _, w := range []int{0, 99} {
+		want := fmt.Sprintf("verilog: width %d outside [1,64]", w)
+		if _, err := Generate(c, w); err == nil || err.Error() != want {
+			t.Errorf("width %d: err = %v, want %q", w, err, want)
+		}
 	}
 }
 
+// TestSanitize pins the identifier rule the printer names every port,
+// register and wire by: each name must come out a legal Verilog
+// identifier.
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
 		"out:x": "out_x", "9a": "n9a", "": "sig", "_t3": "_t3",
 	}
 	for in, want := range cases {
-		if got := sanitize(in); got != want {
-			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+		if got := hdl.Sanitize(in); got != want {
+			t.Errorf("hdl.Sanitize(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestPortListsWithoutOperations prints a design with no operation: its
+// controller has no load enable or steering strobe, so clk and rst are
+// its only ports. Every port list and instance must still end without a
+// separator or a blank line before its closing parenthesis.
+func TestPortListsWithoutOperations(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/regress/wire-only-output.sil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pm := range []bool{true, false} {
+		text := generate(t, string(src), 1, pm)
+		lines := strings.Split(text, "\n")
+		for i, l := range lines {
+			if strings.TrimSpace(l) == ");" && (lines[i-1] == "" || strings.HasSuffix(lines[i-1], ",")) {
+				t.Errorf("pm=%v, line %d: %q before the closing parenthesis", pm, i, lines[i-1])
+			}
+		}
+		if !strings.Contains(text, "  input wire rst\n);") || !strings.Contains(text, "    .rst(rst)\n  );") {
+			t.Errorf("pm=%v: controller ports do not end at rst", pm)
 		}
 	}
 }

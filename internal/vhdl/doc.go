@@ -1,9 +1,9 @@
-// Package vhdl emits VHDL for a scheduled, bound design: a datapath
-// entity (registers, shared execution units, operand steering), a
-// controller entity (the FSM with condition-qualified load enables), and a
-// top-level entity wiring them together. This mirrors the original flow,
-// which generated VHDL from HYPER and synthesized it with Synopsys Design
-// Compiler.
+// Package vhdl emits VHDL for a scheduled, bound design. It prints
+// internal/hdl's lowering: a datapath entity (registers, shared execution
+// units, operand steering), a controller entity (the FSM with
+// condition-qualified load enables), and a top-level entity wiring them
+// together. This mirrors the original flow, which generated VHDL from
+// HYPER and synthesized it with Synopsys Design Compiler.
 //
 // The emitted text is deterministic for a given design, so golden tests
 // and diffs are stable.

@@ -1,21 +1,31 @@
 package vhdl
 
 import (
+	"flag"
 	"os"
 	"testing"
 )
 
-// TestGoldenAbsDiff locks the emitted VHDL for the canonical example. If a
-// deliberate backend change breaks this, regenerate the file by running
-// the generator snippet in the test failure message.
+var update = flag.Bool("update", false, "rewrite the golden VHDL with the current output")
+
+// TestGoldenAbsDiff locks the emitted VHDL for the canonical example. A
+// deliberate printer change is re-pinned with
+//
+//	go test ./internal/vhdl -run GoldenAbsDiff -update
 func TestGoldenAbsDiff(t *testing.T) {
 	got := generate(t, absDiffSrc, 3, true)
-	want, err := os.ReadFile("testdata/absdiff_pm.vhd")
+	const path = "testdata/absdiff_pm.vhd"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Error("VHDL output drifted from testdata/absdiff_pm.vhd; " +
-			"if intentional, regenerate the golden file from the new output")
+		t.Errorf("VHDL output drifted from %s; if intentional, re-pin with -update", path)
 	}
 }

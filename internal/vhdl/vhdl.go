@@ -1,177 +1,122 @@
 package vhdl
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
-	"repro/internal/alloc"
 	"repro/internal/cdfg"
 	"repro/internal/ctrl"
-	"repro/internal/silage"
+	"repro/internal/hdl"
 	"repro/internal/sim"
 )
-
-// sanitize turns a node name into a legal VHDL identifier.
-func sanitize(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z':
-			b.WriteRune(r)
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				b.WriteByte('n')
-			}
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	s := b.String()
-	if s == "" {
-		return "sig"
-	}
-	return s
-}
 
 // Generate emits the full VHDL description (datapath, controller, top) for
 // the controller's design at the given width.
 func Generate(c *ctrl.Controller, width int) (string, error) {
-	if width < 1 || width > 64 {
-		return "", fmt.Errorf("vhdl: width %d outside [1,64]", width)
+	d, err := hdl.Lower(c, width)
+	if err != nil {
+		return "", fmt.Errorf("vhdl: %w", err)
 	}
-	g := c.Graph
-	e := &emitter{c: c, g: g, w: width}
-	var b strings.Builder
+	p := &printer{Design: d, bus: fmt.Sprintf("unsigned(%d downto 0)", width-1)}
 	variant := "traditional"
 	if c.PM {
 		variant = "power managed"
 	}
-	fmt.Fprintf(&b, "-- Generated by pmsynth: design %q, %d control steps, %s controller.\n",
-		g.Name, c.Steps, variant)
-	b.WriteString("-- Scheduling follows Monteiro et al., DAC 1996.\n\n")
-	e.emitDatapath(&b)
-	e.emitController(&b)
-	e.emitTop(&b)
-	return b.String(), nil
+	fmt.Fprintf(&p.b, "-- Generated by pmsynth: design %q, %d control steps, %s controller.\n",
+		d.Graph.Name, c.Steps, variant)
+	p.b.WriteString("-- Scheduling follows Monteiro et al., DAC 1996.\n\n")
+	p.datapath()
+	p.controller()
+	p.top()
+	return p.b.String(), nil
 }
 
-type emitter struct {
-	c *ctrl.Controller
-	g *cdfg.Graph
-	w int
+type printer struct {
+	*hdl.Design
+	b   strings.Builder
+	bus string // the VHDL type of a datapath word
 }
 
-func (e *emitter) name(id cdfg.NodeID) string { return sanitize(e.g.Node(id).Name) }
+const header = "library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n"
 
-func (e *emitter) unitName(u alloc.Unit) string {
-	return fmt.Sprintf("u_%s%d", sanitize(u.Class.String()), u.Index)
-}
-
-// ldName is the load-enable signal of a value register.
-func (e *emitter) ldName(id cdfg.NodeID) string { return "ld_" + e.name(id) }
-
-// steerName is the controller output that routes one op's operands into
-// its unit.
-func (e *emitter) steerName(op cdfg.NodeID) string { return "go_" + e.name(op) }
-
-func (e *emitter) header(b *strings.Builder) {
-	b.WriteString("library ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n")
-}
-
-// condNodes returns the condition nodes in deterministic order.
-func (e *emitter) condNodes() []cdfg.NodeID { return e.c.CondNodes }
-
-// opsWithRegs returns all operation nodes in ID order.
-func (e *emitter) opsWithRegs() []cdfg.NodeID {
-	var out []cdfg.NodeID
-	for _, n := range e.g.Nodes() {
-		if n.IsOp() {
-			out = append(out, n.ID)
+// entity prints an entity declaration with its port clause.
+func (p *printer) entity(name string, ports []hdl.Port) {
+	fmt.Fprintf(&p.b, "%sentity %s is\n  port (\n", header, name)
+	for i, pt := range ports {
+		dir, typ := "in", "std_logic"
+		if pt.Out {
+			dir = "out"
 		}
+		if pt.Bus {
+			typ = p.bus
+		}
+		fmt.Fprintf(&p.b, "    %s : %s %s%s\n", pt.Name, dir, typ, sep(i, ports, ";"))
 	}
-	return out
+	p.b.WriteString("  );\nend entity;\n\n")
+}
+
+// instance prints a component instantiation whose port map connects every
+// port to the signal of the same name.
+func (p *printer) instance(label, entity string, ports []hdl.Port) {
+	fmt.Fprintf(&p.b, "  %s : entity work.%s\n    port map (\n", label, entity)
+	for i, pt := range ports {
+		fmt.Fprintf(&p.b, "      %s => %s%s\n", pt.Name, pt.Name, sep(i, ports, ","))
+	}
+	p.b.WriteString("    );\n")
+}
+
+// sep is the separator after the i-th port: s, or nothing after the last.
+func sep(i int, ports []hdl.Port, s string) string {
+	if i == len(ports)-1 {
+		return ""
+	}
+	return s
 }
 
 // valueExpr emits the VHDL expression for a node's value as read by a
 // consumer (register output, input port, constant, or shifted wiring).
-func (e *emitter) valueExpr(id cdfg.NodeID) string {
-	n := e.g.Node(id)
+func (p *printer) valueExpr(id cdfg.NodeID) string {
+	n := p.Graph.Node(id)
 	switch n.Kind {
 	case cdfg.KindInput:
-		return e.name(id)
+		return p.Name(id)
 	case cdfg.KindConst:
-		return fmt.Sprintf("to_unsigned(%d, %d)", uint64(n.Value)&((1<<uint(e.w))-1), e.w)
+		return fmt.Sprintf("to_unsigned(%d, %d)", uint64(n.Value)&((1<<uint(p.Width))-1), p.Width)
 	case cdfg.KindShl:
-		return fmt.Sprintf("shift_left(%s, %d)", e.valueExpr(n.Args[0]), n.Shift)
+		return fmt.Sprintf("shift_left(%s, %d)", p.valueExpr(n.Args[0]), n.Shift)
 	case cdfg.KindShr:
-		return fmt.Sprintf("shift_right(%s, %d)", e.valueExpr(n.Args[0]), n.Shift)
+		return fmt.Sprintf("shift_right(%s, %d)", p.valueExpr(n.Args[0]), n.Shift)
 	default:
-		return "r_" + e.name(id)
+		return p.Reg(id)
 	}
 }
 
-func (e *emitter) busType() string {
-	return fmt.Sprintf("unsigned(%d downto 0)", e.w-1)
-}
-
-func (e *emitter) emitDatapath(b *strings.Builder) {
-	g := e.g
-	e.header(b)
-	fmt.Fprintf(b, "entity %s_datapath is\n  port (\n", sanitize(g.Name))
-	b.WriteString("    clk : in std_logic;\n")
-	for _, id := range g.Inputs() {
-		fmt.Fprintf(b, "    %s : in %s;\n", e.name(id), e.busType())
+func (p *printer) datapath() {
+	b := &p.b
+	p.entity(p.Top+"_datapath", p.DatapathPorts)
+	fmt.Fprintf(b, "architecture rtl of %s_datapath is\n", p.Top)
+	for _, id := range p.Ops {
+		fmt.Fprintf(b, "  signal %s : %s := (others => '0');\n", p.Reg(id), p.bus)
 	}
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "    %s : in std_logic;\n", e.ldName(id))
-	}
-	// Steering controls, one per op on a shared unit.
-	for _, op := range e.sharedOps() {
-		fmt.Fprintf(b, "    %s : in std_logic;\n", e.steerName(op))
-	}
-	for _, id := range e.condNodes() {
-		if g.Node(id).Kind != cdfg.KindInput {
-			fmt.Fprintf(b, "    cond_%s : out std_logic;\n", e.name(id))
-		}
-	}
-	outs := g.Outputs()
-	for i, id := range outs {
-		sep := ";"
-		if i == len(outs)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(b, "    %s : out %s%s\n", sanitize(silage.PortName(g.Node(id).Name)), e.busType(), sep)
-	}
-	b.WriteString("  );\nend entity;\n\n")
-
-	fmt.Fprintf(b, "architecture rtl of %s_datapath is\n", sanitize(g.Name))
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "  signal r_%s : %s := (others => '0');\n", e.name(id), e.busType())
-	}
-	units := e.unitList()
-	for _, u := range units {
-		un := e.unitName(u)
-		fmt.Fprintf(b, "  signal %s_a, %s_b : %s := (others => '0');\n", un, un, e.busType())
+	for _, u := range p.Units {
+		fmt.Fprintf(b, "  signal %s_a, %s_b : %s := (others => '0');\n", u.Name, u.Name, p.bus)
 		if u.Class == cdfg.ClassMux {
-			fmt.Fprintf(b, "  signal %s_s : std_logic := '0';\n", un)
+			fmt.Fprintf(b, "  signal %s_s : std_logic := '0';\n", u.Name)
 		}
-		fmt.Fprintf(b, "  signal %s_y : %s;\n", un, e.busType())
+		fmt.Fprintf(b, "  signal %s_y : %s;\n", u.Name, p.bus)
 	}
 	b.WriteString("begin\n")
 
 	// Combinational unit cores.
-	for _, u := range units {
-		un := e.unitName(u)
+	for _, u := range p.Units {
+		un := u.Name
 		switch u.Class {
 		case cdfg.ClassAdd:
 			fmt.Fprintf(b, "  %s_y <= %s_a + %s_b;\n", un, un, un)
 		case cdfg.ClassSub:
 			fmt.Fprintf(b, "  %s_y <= %s_a - %s_b;\n", un, un, un)
 		case cdfg.ClassMul:
-			fmt.Fprintf(b, "  %s_y <= resize(%s_a * %s_b, %d);\n", un, un, un, e.w)
+			fmt.Fprintf(b, "  %s_y <= resize(%s_a * %s_b, %d);\n", un, un, un, p.Width)
 		case cdfg.ClassMux:
 			fmt.Fprintf(b, "  %s_y <= %s_a when %s_s = '1' else %s_b;\n", un, un, un, un)
 		case cdfg.ClassComp, cdfg.ClassLogic:
@@ -180,38 +125,33 @@ func (e *emitter) emitDatapath(b *strings.Builder) {
 	}
 
 	// Operand registers with steering: a clocked process per unit.
-	for _, u := range units {
-		e.emitUnitProcess(b, u)
+	for _, u := range p.Units {
+		p.unitProcess(u)
 	}
 
 	// Value registers.
 	b.WriteString("  regs : process (clk)\n  begin\n    if rising_edge(clk) then\n")
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "      if %s = '1' then r_%s <= %s; end if;\n",
-			e.ldName(id), e.name(id), e.resultExpr(id))
+	for _, id := range p.Ops {
+		fmt.Fprintf(b, "      if %s = '1' then %s <= %s; end if;\n", p.Ld(id), p.Reg(id), p.resultExpr(id))
 	}
 	b.WriteString("    end if;\n  end process;\n")
 
 	// Condition and output fan-out.
-	for _, id := range e.condNodes() {
-		if g.Node(id).Kind != cdfg.KindInput {
-			fmt.Fprintf(b, "  cond_%s <= r_%s(0);\n", e.name(id), e.name(id))
-		}
+	for _, id := range p.Conds {
+		fmt.Fprintf(b, "  %s <= %s(0);\n", p.Cond(id).Name, p.Reg(id))
 	}
-	for _, id := range g.Outputs() {
-		fmt.Fprintf(b, "  %s <= %s;\n",
-			sanitize(silage.PortName(g.Node(id).Name)), e.valueExpr(g.Node(id).Args[0]))
+	for _, id := range p.Graph.Outputs() {
+		fmt.Fprintf(b, "  %s <= %s;\n", p.Output(id), p.valueExpr(p.Graph.Node(id).Args[0]))
 	}
 	b.WriteString("end architecture;\n\n")
 }
 
 // resultExpr gives the expression latched into an op's value register.
-func (e *emitter) resultExpr(id cdfg.NodeID) string {
-	n := e.g.Node(id)
-	u := e.c.Binding.UnitOf[id]
-	un := e.unitName(u)
+func (p *printer) resultExpr(id cdfg.NodeID) string {
+	n := p.Graph.Node(id)
+	un := p.UnitOf(id)
 	pad := func(flag string) string {
-		return fmt.Sprintf("(%d downto 1 => '0') & %s", e.w-1, flag)
+		return fmt.Sprintf("(%d downto 1 => '0') & %s", p.Width-1, flag)
 	}
 	switch {
 	case n.Kind.IsComparison():
@@ -231,58 +171,22 @@ func (e *emitter) resultExpr(id cdfg.NodeID) string {
 	}
 }
 
-// unitList returns the bound units in deterministic order.
-func (e *emitter) unitList() []alloc.Unit {
-	seen := make(map[alloc.Unit]bool)
-	var out []alloc.Unit
-	for _, ul := range e.c.UnitLoads {
-		if !seen[ul.Unit] {
-			seen[ul.Unit] = true
-			out = append(out, ul.Unit)
-		}
-	}
-	slices.SortFunc(out, func(a, b alloc.Unit) int {
-		if a.Class != b.Class {
-			return cmp.Compare(a.Class, b.Class)
-		}
-		return cmp.Compare(a.Index, b.Index)
-	})
-	return out
-}
-
-// sharedOps returns all ops, in ID order, that receive a steering strobe.
-func (e *emitter) sharedOps() []cdfg.NodeID {
-	var out []cdfg.NodeID
-	for _, ul := range e.c.UnitLoads {
-		out = append(out, ul.Op)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// emitUnitProcess writes the operand-register process of one unit: when an
+// unitProcess writes the operand-register process of one unit: when an
 // op's steering strobe is high, its operands are latched.
-func (e *emitter) emitUnitProcess(b *strings.Builder, u alloc.Unit) {
-	un := e.unitName(u)
-	var ops []cdfg.NodeID
-	for _, ul := range e.c.UnitLoads {
-		if ul.Unit == u {
-			ops = append(ops, ul.Op)
-		}
-	}
-	slices.Sort(ops)
+func (p *printer) unitProcess(u hdl.Unit) {
+	b, un := &p.b, u.Name
 	fmt.Fprintf(b, "  %s_ops : process (clk)\n  begin\n    if rising_edge(clk) then\n", un)
-	for _, op := range ops {
-		n := e.g.Node(op)
-		fmt.Fprintf(b, "      if %s = '1' then\n", e.steerName(op))
+	for _, op := range u.Ops {
+		n := p.Graph.Node(op)
+		fmt.Fprintf(b, "      if %s = '1' then\n", p.Go(op))
 		if n.Kind == cdfg.KindMux {
-			fmt.Fprintf(b, "        %s_s <= %s(0);\n", un, e.valueExpr(n.Args[cdfg.MuxSel]))
-			fmt.Fprintf(b, "        %s_a <= %s;\n", un, e.valueExpr(n.Args[cdfg.MuxTrue]))
-			fmt.Fprintf(b, "        %s_b <= %s;\n", un, e.valueExpr(n.Args[cdfg.MuxFalse]))
+			fmt.Fprintf(b, "        %s_s <= %s(0);\n", un, p.valueExpr(n.Args[cdfg.MuxSel]))
+			fmt.Fprintf(b, "        %s_a <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxTrue]))
+			fmt.Fprintf(b, "        %s_b <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxFalse]))
 		} else {
-			fmt.Fprintf(b, "        %s_a <= %s;\n", un, e.valueExpr(n.Args[0]))
+			fmt.Fprintf(b, "        %s_a <= %s;\n", un, p.valueExpr(n.Args[0]))
 			if len(n.Args) > 1 {
-				fmt.Fprintf(b, "        %s_b <= %s;\n", un, e.valueExpr(n.Args[1]))
+				fmt.Fprintf(b, "        %s_b <= %s;\n", un, p.valueExpr(n.Args[1]))
 			}
 		}
 		b.WriteString("      end if;\n")
@@ -290,157 +194,59 @@ func (e *emitter) emitUnitProcess(b *strings.Builder, u alloc.Unit) {
 	b.WriteString("    end if;\n  end process;\n")
 }
 
-// guardExpr renders a guard conjunction over controller condition inputs.
-func (e *emitter) guardExpr(guards []sim.Guard) string {
-	terms := make([]string, 0, len(guards))
+// enable renders the condition under which a load enable is high: its
+// state, and in the power managed controller its guard conjunction.
+func (p *printer) enable(step int, guards []sim.Guard) string {
+	terms := []string{fmt.Sprintf("state = %d", step)}
 	for _, gd := range guards {
-		src := "cond_" + e.name(gd.Sel)
-		if e.g.Node(gd.Sel).Kind == cdfg.KindInput {
-			src = e.name(gd.Sel) + "(0)"
+		src := p.Cond(gd.Sel)
+		if src.Bus {
+			src.Name += "(0)"
 		}
+		bit := "'0'"
 		if gd.WhenTrue {
-			terms = append(terms, src+" = '1'")
-		} else {
-			terms = append(terms, src+" = '0'")
+			bit = "'1'"
 		}
+		terms = append(terms, src.Name+" = "+bit)
 	}
 	return strings.Join(terms, " and ")
 }
 
-func (e *emitter) emitController(b *strings.Builder) {
-	g := e.g
-	e.header(b)
-	fmt.Fprintf(b, "entity %s_controller is\n  port (\n", sanitize(g.Name))
-	b.WriteString("    clk : in std_logic;\n    rst : in std_logic;\n")
-	for _, id := range e.condNodes() {
-		if g.Node(id).Kind == cdfg.KindInput {
-			fmt.Fprintf(b, "    %s : in %s;\n", e.name(id), e.busType())
-		} else {
-			fmt.Fprintf(b, "    cond_%s : in std_logic;\n", e.name(id))
-		}
-	}
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "    %s : out std_logic;\n", e.ldName(id))
-	}
-	shared := e.sharedOps()
-	for i, op := range shared {
-		sep := ";"
-		if i == len(shared)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(b, "    %s : out std_logic%s\n", e.steerName(op), sep)
-	}
-	b.WriteString("  );\nend entity;\n\n")
-
-	fmt.Fprintf(b, "architecture fsm of %s_controller is\n", sanitize(g.Name))
-	fmt.Fprintf(b, "  signal state : natural range 0 to %d := 0;\n", e.c.Steps)
+func (p *printer) controller() {
+	b, c := &p.b, p.Ctrl
+	p.entity(p.Top+"_controller", p.ControllerPorts)
+	fmt.Fprintf(b, "architecture fsm of %s_controller is\n", p.Top)
+	fmt.Fprintf(b, "  signal state : natural range 0 to %d := 0;\n", c.Steps)
 	b.WriteString("begin\n")
 	b.WriteString("  advance : process (clk)\n  begin\n    if rising_edge(clk) then\n")
 	b.WriteString("      if rst = '1' then\n        state <= 0;\n")
-	fmt.Fprintf(b, "      elsif state = %d then\n        state <= 0;\n", e.c.Steps)
+	fmt.Fprintf(b, "      elsif state = %d then\n        state <= 0;\n", c.Steps)
 	b.WriteString("      else\n        state <= state + 1;\n      end if;\n")
 	b.WriteString("    end if;\n  end process;\n\n")
 
 	// Value-register load enables.
-	for _, ld := range e.c.Loads {
+	for _, ld := range c.Loads {
 		if ld.Step == 0 {
 			continue // inputs are environment-held
 		}
-		cond := fmt.Sprintf("state = %d", ld.Step)
-		if len(ld.Guards) > 0 {
-			cond += " and " + e.guardExpr(ld.Guards)
-		}
-		fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", e.ldName(ld.Node), cond)
+		fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", p.Ld(ld.Node), p.enable(ld.Step, ld.Guards))
 	}
 	// Unit steering strobes.
-	for _, ul := range e.c.UnitLoads {
-		cond := fmt.Sprintf("state = %d", ul.Step)
-		if len(ul.Guards) > 0 {
-			cond += " and " + e.guardExpr(ul.Guards)
-		}
-		fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", e.steerName(ul.Op), cond)
+	for _, ul := range c.UnitLoads {
+		fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", p.Go(ul.Op), p.enable(ul.Step, ul.Guards))
 	}
 	b.WriteString("end architecture;\n\n")
 }
 
-func (e *emitter) emitTop(b *strings.Builder) {
-	g := e.g
-	e.header(b)
-	top := sanitize(g.Name)
-	fmt.Fprintf(b, "entity %s is\n  port (\n", top)
-	b.WriteString("    clk : in std_logic;\n    rst : in std_logic;\n")
-	for _, id := range g.Inputs() {
-		fmt.Fprintf(b, "    %s : in %s;\n", e.name(id), e.busType())
-	}
-	outs := g.Outputs()
-	for i, id := range outs {
-		sep := ";"
-		if i == len(outs)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(b, "    %s : out %s%s\n", sanitize(silage.PortName(g.Node(id).Name)), e.busType(), sep)
-	}
-	b.WriteString("  );\nend entity;\n\n")
-
-	fmt.Fprintf(b, "architecture structure of %s is\n", top)
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "  signal %s : std_logic;\n", e.ldName(id))
-	}
-	for _, op := range e.sharedOps() {
-		fmt.Fprintf(b, "  signal %s : std_logic;\n", e.steerName(op))
-	}
-	for _, id := range e.condNodes() {
-		if g.Node(id).Kind != cdfg.KindInput {
-			fmt.Fprintf(b, "  signal cond_%s : std_logic;\n", e.name(id))
-		}
+func (p *printer) top() {
+	b := &p.b
+	p.entity(p.Top, p.TopPorts)
+	fmt.Fprintf(b, "architecture structure of %s is\n", p.Top)
+	for _, w := range p.Wires {
+		fmt.Fprintf(b, "  signal %s : std_logic;\n", w)
 	}
 	b.WriteString("begin\n")
-
-	// Datapath instance.
-	fmt.Fprintf(b, "  dp : entity work.%s_datapath\n    port map (\n      clk => clk,\n", top)
-	for _, id := range g.Inputs() {
-		fmt.Fprintf(b, "      %s => %s,\n", e.name(id), e.name(id))
-	}
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "      %s => %s,\n", e.ldName(id), e.ldName(id))
-	}
-	for _, op := range e.sharedOps() {
-		fmt.Fprintf(b, "      %s => %s,\n", e.steerName(op), e.steerName(op))
-	}
-	for _, id := range e.condNodes() {
-		if g.Node(id).Kind != cdfg.KindInput {
-			fmt.Fprintf(b, "      cond_%s => cond_%s,\n", e.name(id), e.name(id))
-		}
-	}
-	for i, id := range outs {
-		sep := ","
-		if i == len(outs)-1 {
-			sep = ""
-		}
-		port := sanitize(silage.PortName(g.Node(id).Name))
-		fmt.Fprintf(b, "      %s => %s%s\n", port, port, sep)
-	}
-	b.WriteString("    );\n")
-
-	// Controller instance.
-	fmt.Fprintf(b, "  fsm : entity work.%s_controller\n    port map (\n      clk => clk,\n      rst => rst,\n", top)
-	for _, id := range e.condNodes() {
-		if g.Node(id).Kind == cdfg.KindInput {
-			fmt.Fprintf(b, "      %s => %s,\n", e.name(id), e.name(id))
-		} else {
-			fmt.Fprintf(b, "      cond_%s => cond_%s,\n", e.name(id), e.name(id))
-		}
-	}
-	for _, id := range e.opsWithRegs() {
-		fmt.Fprintf(b, "      %s => %s,\n", e.ldName(id), e.ldName(id))
-	}
-	shared := e.sharedOps()
-	for i, op := range shared {
-		sep := ","
-		if i == len(shared)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(b, "      %s => %s%s\n", e.steerName(op), e.steerName(op), sep)
-	}
-	b.WriteString("    );\nend architecture;\n")
+	p.instance("dp", p.Top+"_datapath", p.DatapathPorts)
+	p.instance("fsm", p.Top+"_controller", p.ControllerPorts)
+	b.WriteString("end architecture;\n")
 }

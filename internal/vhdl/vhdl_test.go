@@ -1,6 +1,8 @@
 package vhdl
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ctrl"
+	"repro/internal/hdl"
 	"repro/internal/power"
 	"repro/internal/silage"
 )
@@ -149,14 +152,17 @@ func TestGenerateWidthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Generate(c, 0); err == nil {
-		t.Error("width 0 accepted")
-	}
-	if _, err := Generate(c, 65); err == nil {
-		t.Error("width 65 accepted")
+	for _, w := range []int{0, 65} {
+		want := fmt.Sprintf("vhdl: width %d outside [1,64]", w)
+		if _, err := Generate(c, w); err == nil || err.Error() != want {
+			t.Errorf("width %d: err = %v, want %q", w, err, want)
+		}
 	}
 }
 
+// TestSanitize pins the identifier rule the printer names every port,
+// register and signal by: each name must come out a legal VHDL
+// identifier.
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
 		"out:x":  "out_x",
@@ -167,8 +173,31 @@ func TestSanitize(t *testing.T) {
 		"normal": "normal",
 	}
 	for in, want := range cases {
-		if got := sanitize(in); got != want {
-			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+		if got := hdl.Sanitize(in); got != want {
+			t.Errorf("hdl.Sanitize(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestPortListsWithoutOperations prints a design with no operation: its
+// controller has no load enable or steering strobe, so clk and rst are
+// its only ports. Every port clause and port map must still end without
+// a separator before its closing parenthesis.
+func TestPortListsWithoutOperations(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/regress/wire-only-output.sil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pm := range []bool{true, false} {
+		text := generate(t, string(src), 1, pm)
+		lines := strings.Split(text, "\n")
+		for i, l := range lines {
+			if strings.TrimSpace(l) == ");" && (strings.HasSuffix(lines[i-1], ";") || strings.HasSuffix(lines[i-1], ",")) {
+				t.Errorf("pm=%v, line %d: separator before the closing parenthesis: %q", pm, i, lines[i-1])
+			}
+		}
+		if !strings.Contains(text, "    rst : in std_logic\n  );\nend entity;") {
+			t.Errorf("pm=%v: controller entity does not end at rst", pm)
 		}
 	}
 }
