@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite the golden files with the curre
 // paper-facing numbers (cmd/tables prints exactly these strings) must
 // never drift silently: any intentional change is re-pinned with
 //
-//	go test ./internal/tables -run Golden -update
+//	go test ./internal/tables -run 'Golden|TableIIIRendering' -update
 func golden(t *testing.T, name string, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name+".golden")
@@ -32,8 +32,8 @@ func golden(t *testing.T, name string, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("%s drifted from its golden snapshot.\n--- got ---\n%s\n--- want ---\n%s\n"+
-			"If the change is intentional, re-pin with: go test ./internal/tables -run Golden -update",
-			name, got, want)
+			"If the change is intentional, re-pin with: go test ./internal/tables -run %s -update",
+			name, got, want, t.Name())
 	}
 }
 

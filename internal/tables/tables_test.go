@@ -55,14 +55,18 @@ func TestMeasureRowIIShapes(t *testing.T) {
 	}
 }
 
+// TestTableIIIRendering pins Table III as cmd/tables prints it (100
+// vectors, seed 11): the gate-level chips' areas and powers, which no
+// other table reads.
 func TestTableIIIRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gate-level sim in short mode")
 	}
-	s, err := TableIII(40, 11)
+	s, err := TableIII(100, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, "table3", s)
 	for _, want := range []string{"dealer", "gcd", "vender", "paper"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table III missing %q", want)
