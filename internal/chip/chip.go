@@ -3,12 +3,11 @@ package chip
 import (
 	"fmt"
 
-	"repro/internal/alloc"
 	"repro/internal/cdfg"
 	"repro/internal/ctrl"
+	"repro/internal/hdl"
 	"repro/internal/rtl"
 	"repro/internal/silage"
-	"repro/internal/sim"
 )
 
 // Chip is a built gate-level design.
@@ -28,7 +27,7 @@ type Chip struct {
 
 type builder struct {
 	nl *rtl.Netlist
-	c  *ctrl.Controller
+	d  *hdl.Design
 	w  int
 
 	state []rtl.Net // one-hot state bits, length Steps+1
@@ -47,14 +46,19 @@ type builder struct {
 // stage above this bound).
 const MaxWidth = 32
 
-// Build assembles the gate-level chip for the controller.
+// Build maps the controller's register-transfer structure, as hdl.Lower
+// builds it, to gates.
 func Build(c *ctrl.Controller, width int) (*Chip, error) {
 	if width < 1 || width > MaxWidth {
 		return nil, fmt.Errorf("chip: width %d outside [1,%d]", width, MaxWidth)
 	}
+	d, err := hdl.Lower(c, width)
+	if err != nil {
+		return nil, fmt.Errorf("chip: %w", err)
+	}
 	b := &builder{
 		nl:       rtl.New(c.Graph.Name),
-		c:        c,
+		d:        d,
 		w:        width,
 		ports:    make(map[cdfg.NodeID][]rtl.Net),
 		valueQ:   make(map[cdfg.NodeID][]rtl.Net),
@@ -65,12 +69,10 @@ func Build(c *ctrl.Controller, width int) (*Chip, error) {
 	b.buildStateRing()
 	b.buildPorts()
 	b.buildValueRegisters()
-	if err := b.buildUnits(); err != nil {
+	if err := b.buildData(); err != nil {
 		return nil, err
 	}
-	if err := b.buildEnables(); err != nil {
-		return nil, err
-	}
+	b.buildEnables()
 	b.buildOutputs()
 	return &Chip{
 		Netlist:         b.nl,
@@ -84,7 +86,7 @@ func Build(c *ctrl.Controller, width int) (*Chip, error) {
 // buildStateRing creates the self-starting one-hot ring counter: when no
 // state bit is set (power-on), state 0 loads first.
 func (b *builder) buildStateRing() {
-	n := b.c.Steps + 1
+	n := b.d.Ctrl.Steps + 1
 	d := b.nl.PlaceholderBus(n)
 	q := b.nl.RegisterE(d, rtl.One)
 	b.state = q
@@ -107,8 +109,8 @@ func (b *builder) inv(x rtl.Net) rtl.Net {
 }
 
 func (b *builder) buildPorts() {
-	for _, id := range b.c.Graph.Inputs() {
-		b.ports[id] = b.nl.Input(b.c.Graph.Node(id).Name, b.w)
+	for _, id := range b.d.Graph.Inputs() {
+		b.ports[id] = b.nl.Input(b.d.Graph.Node(id).Name, b.w)
 	}
 }
 
@@ -116,84 +118,56 @@ func (b *builder) buildPorts() {
 // placeholder data/enable nets, so that units (whose inputs read register
 // outputs) can be built afterwards.
 func (b *builder) buildValueRegisters() {
-	for _, n := range b.c.Graph.Nodes() {
-		if !n.IsOp() {
-			continue
-		}
+	for _, r := range b.d.Regs {
 		d := b.nl.PlaceholderBus(b.w)
 		en := b.nl.PlaceholderBus(1)
-		b.valueD[n.ID] = d
-		b.valueE[n.ID] = en[0]
-		b.valueQ[n.ID] = b.nl.RegisterE(d, en[0])
+		b.valueD[r.Op] = d
+		b.valueE[r.Op] = en[0]
+		b.valueQ[r.Op] = b.nl.RegisterE(d, en[0])
 	}
 }
 
-// value returns the bus carrying node id's settled result: register
-// outputs for ops, ports for inputs, hardwired buses for constants, and
-// shifted wiring for the free shift nodes.
-func (b *builder) value(id cdfg.NodeID) []rtl.Net {
-	return b.valueAt(id, -1)
-}
-
-// valueAt returns the bus carrying node id's result as visible during the
-// given cycle. A value produced in exactly that cycle is not yet in its
-// register — it is tapped from the producing unit's combinational output
-// (the register's data input), which is how back-to-back steps chain in
-// the generated hardware. Pass cycle -1 for the settled (post-sample)
-// view.
-func (b *builder) valueAt(id cdfg.NodeID, cycle int) []rtl.Net {
-	n := b.c.Graph.Node(id)
-	switch {
-	case n.Kind == cdfg.KindInput:
-		return b.ports[id]
-	case n.Kind == cdfg.KindConst:
+// src returns the bus a read of s takes: an input's port, a hardwired
+// constant, shifted wiring, an operation's register output or, for a
+// result read, its register's data input.
+func (b *builder) src(s hdl.Src) []rtl.Net {
+	n := b.d.Graph.Node(s.Node)
+	switch n.Kind {
+	case cdfg.KindInput:
+		return b.ports[s.Node]
+	case cdfg.KindConst:
 		return b.nl.ConstBus(n.Value, b.w)
-	case n.Kind == cdfg.KindShl:
-		return b.nl.ShiftBus(b.valueAt(n.Args[0], cycle), true, n.Shift)
-	case n.Kind == cdfg.KindShr:
-		return b.nl.ShiftBus(b.valueAt(n.Args[0], cycle), false, n.Shift)
-	case n.Kind == cdfg.KindOutput:
-		return b.valueAt(n.Args[0], cycle)
-	case cycle >= 0 && b.c.Schedule.Time[id] == cycle:
-		return b.valueD[id]
-	default:
-		return b.valueQ[id]
+	case cdfg.KindShl, cdfg.KindShr:
+		return b.nl.ShiftBus(b.src(hdl.Src{Node: n.Args[0], Next: s.Next}), n.Kind == cdfg.KindShl, n.Shift)
 	}
+	if s.Next {
+		return b.valueD[s.Node]
+	}
+	return b.valueQ[s.Node]
 }
 
-// guardBit returns the single-bit net for one guard term as seen during
-// the given cycle. A condition produced in that same cycle is tapped from
-// the producing register's data input (the unit's combinational output);
-// conditions produced earlier come from the register output; boolean
-// primary inputs come from their port.
-func (b *builder) guardBit(gd sim.Guard, cycle int) rtl.Net {
-	selNode := b.c.Graph.Node(gd.Sel)
-	var bit rtl.Net
-	switch {
-	case selNode.Kind == cdfg.KindInput:
-		bit = b.ports[gd.Sel][0]
-	case b.c.Schedule.Time[gd.Sel] == cycle:
-		bit = b.valueD[gd.Sel][0]
-	default:
-		bit = b.valueQ[gd.Sel][0]
-	}
-	if !gd.WhenTrue {
-		bit = b.inv(bit)
-	}
-	return bit
-}
-
-// enableFor builds the enable net for a load at the given cycle with the
-// given guards: state AND guard terms.
-func (b *builder) enableFor(cycle int, guards []sim.Guard) rtl.Net {
-	term := b.state[cycle]
-	for _, gd := range guards {
-		term = b.nl.AddGate(rtl.GAnd, term, b.guardBit(gd, cycle))
+// enable returns the net of a load enable: its state bit ANDed with each
+// guard bit.
+func (b *builder) enable(e hdl.Enable) rtl.Net {
+	term := b.state[e.State]
+	for _, bit := range e.Bits {
+		x := b.src(bit.Src)[0]
+		if !bit.WhenTrue {
+			x = b.inv(x)
+		}
+		term = b.nl.AddGate(rtl.GAnd, term, x)
 	}
 	return term
 }
 
-func zeroExtend(nl *rtl.Netlist, bit rtl.Net, w int) []rtl.Net {
+func (b *builder) drive(op cdfg.NodeID, bus []rtl.Net) {
+	d := b.valueD[op]
+	for i := range d {
+		b.nl.Drive(d[i], bus[i])
+	}
+}
+
+func zeroExtend(bit rtl.Net, w int) []rtl.Net {
 	bus := make([]rtl.Net, w)
 	bus[0] = bit
 	for i := 1; i < w; i++ {
@@ -202,42 +176,26 @@ func zeroExtend(nl *rtl.Netlist, bit rtl.Net, w int) []rtl.Net {
 	return bus
 }
 
-// buildUnits creates the execution units with operand steering, operand
-// registers, the shared combinational cores, and drives every operation's
-// value-register data placeholder. The units come from
-// ctrl.(*Controller).Units(): in (class, index) order, each with its
-// loads in UnitLoads order.
-func (b *builder) buildUnits() error {
-	// Multiplexor operations are interconnect, not execution units: they
-	// have no input latches to gate. Each is inlined as combinational
-	// steering in front of its (possibly guarded) value register. All
-	// argument producers finish at least one cycle before the mux's
-	// step, so the settled register view is correct.
-	for _, n := range b.c.Graph.Nodes() {
-		if n.Kind != cdfg.KindMux {
-			continue
-		}
-		sel := b.value(n.Args[cdfg.MuxSel])[0]
-		out := b.nl.Mux2Bus(sel, b.value(n.Args[cdfg.MuxTrue]), b.value(n.Args[cdfg.MuxFalse]))
-		d := b.valueD[n.ID]
-		for i := range d {
-			b.nl.Drive(d[i], out[i])
+// buildData drives every value register's data: a multiplexor's
+// steering, or the result of its unit, which it builds with its operand
+// steering, operand registers and shared combinational core.
+func (b *builder) buildData() error {
+	for _, r := range b.d.Regs {
+		if r.Mux != nil {
+			sel := b.src(r.Mux[cdfg.MuxSel])[0]
+			b.drive(r.Op, b.nl.Mux2Bus(sel, b.src(r.Mux[cdfg.MuxTrue]), b.src(r.Mux[cdfg.MuxFalse])))
 		}
 	}
 
-	for _, u := range b.c.Units() {
-		if u.Unit.Class == cdfg.ClassMux {
-			continue
-		}
-		ops := u.Loads
-		// Per-op load terms (state AND guards), computed once and used
-		// both for operand steering and the register enables. Steering
-		// by the full term (not just the state bit) matters when two
-		// mutually exclusive ops share the unit in the same step: only
-		// the guard distinguishes whose operands to route.
-		loadTerm := make([]rtl.Net, len(ops))
-		for i, ol := range ops {
-			loadTerm[i] = b.enableFor(ol.Step, ol.Guards)
+	for _, u := range b.d.Units {
+		// Per-load enables, used both for operand steering and the
+		// register enables. Steering by the full enable (not just the
+		// state bit) matters when two mutually exclusive ops share the
+		// unit in the same step: only the guard distinguishes whose
+		// operands to route.
+		loadTerm := make([]rtl.Net, len(u.Loads))
+		for i, ld := range u.Loads {
+			loadTerm[i] = b.enable(ld.En)
 		}
 		en := b.nl.OrTree(loadTerm...)
 
@@ -246,25 +204,21 @@ func (b *builder) buildUnits() error {
 		const numOperands = 2
 		operandRegs := make([][]rtl.Net, numOperands)
 		for k := 0; k < numOperands; k++ {
-			argOf := func(ol ctrl.UnitLoad) []rtl.Net {
-				n := b.c.Graph.Node(ol.Op)
-				if k >= len(n.Args) {
+			argOf := func(ld hdl.Load) []rtl.Net {
+				if k >= len(ld.Args) {
 					return b.nl.ConstBus(0, b.w)
 				}
-				// Operands are read during the load cycle; a
-				// producer executing in that same cycle is
-				// tapped combinationally.
-				return b.valueAt(n.Args[k], ol.Step)
+				return b.src(ld.Args[k])
 			}
-			src := argOf(ops[0])
-			for i, ol := range ops[1:] {
-				src = b.nl.Mux2Bus(loadTerm[i+1], argOf(ol), src)
+			src := argOf(u.Loads[0])
+			for i, ld := range u.Loads[1:] {
+				src = b.nl.Mux2Bus(loadTerm[i+1], argOf(ld), src)
 			}
 			operandRegs[k] = b.nl.RegisterE(src, en)
 		}
 
 		// Combinational core and per-op result wiring.
-		if err := b.buildCore(u.Unit, ops, operandRegs); err != nil {
+		if err := b.buildCore(u, operandRegs); err != nil {
 			return err
 		}
 	}
@@ -273,29 +227,23 @@ func (b *builder) buildUnits() error {
 
 // buildCore instantiates the unit's combinational logic and drives the
 // value-register data inputs of every op bound to the unit.
-func (b *builder) buildCore(u alloc.Unit, ops []ctrl.UnitLoad, regs [][]rtl.Net) error {
+func (b *builder) buildCore(u hdl.Unit, regs [][]rtl.Net) error {
 	nl := b.nl
-	drive := func(op cdfg.NodeID, bus []rtl.Net) {
-		d := b.valueD[op]
-		for i := range d {
-			nl.Drive(d[i], bus[i])
-		}
-	}
 	switch u.Class {
 	case cdfg.ClassAdd:
 		sum, _ := nl.RippleAdder(regs[0], regs[1], rtl.Zero)
-		for _, ol := range ops {
-			drive(ol.Op, sum)
+		for _, ld := range u.Loads {
+			b.drive(ld.Op, sum)
 		}
 	case cdfg.ClassSub:
 		diff, _ := nl.RippleSubtractor(regs[0], regs[1])
-		for _, ol := range ops {
-			drive(ol.Op, diff)
+		for _, ld := range u.Loads {
+			b.drive(ld.Op, diff)
 		}
 	case cdfg.ClassMul:
 		prod := nl.ArrayMultiplier(regs[0], regs[1])
-		for _, ol := range ops {
-			drive(ol.Op, prod)
+		for _, ld := range u.Loads {
+			b.drive(ld.Op, prod)
 		}
 	case cdfg.ClassComp:
 		// One subtract core plus an equality tree yields all six
@@ -307,9 +255,9 @@ func (b *builder) buildCore(u alloc.Unit, ops []ctrl.UnitLoad, regs [][]rtl.Net)
 		ne := nl.AddGate(rtl.GInv, eq)
 		gt := nl.AddGate(rtl.GAnd, ge, ne)
 		le := nl.AddGate(rtl.GInv, gt)
-		for _, ol := range ops {
+		for _, ld := range u.Loads {
 			var flag rtl.Net
-			switch b.c.Graph.Node(ol.Op).Kind {
+			switch b.d.Graph.Node(ld.Op).Kind {
 			case cdfg.KindGe:
 				flag = ge
 			case cdfg.KindLt:
@@ -323,18 +271,18 @@ func (b *builder) buildCore(u alloc.Unit, ops []ctrl.UnitLoad, regs [][]rtl.Net)
 			case cdfg.KindLe:
 				flag = le
 			default:
-				return fmt.Errorf("chip: op %q is not a comparison", b.c.Graph.Node(ol.Op).Name)
+				return fmt.Errorf("chip: op %q is not a comparison", b.d.Graph.Node(ld.Op).Name)
 			}
-			drive(ol.Op, zeroExtend(nl, flag, b.w))
+			b.drive(ld.Op, zeroExtend(flag, b.w))
 		}
 	case cdfg.ClassLogic:
 		a0, b0 := regs[0][0], regs[1][0]
 		andF := nl.AddGate(rtl.GAnd, a0, b0)
 		orF := nl.AddGate(rtl.GOr, a0, b0)
 		notF := nl.AddGate(rtl.GInv, a0)
-		for _, ol := range ops {
+		for _, ld := range u.Loads {
 			var f rtl.Net
-			switch b.c.Graph.Node(ol.Op).Kind {
+			switch b.d.Graph.Node(ld.Op).Kind {
 			case cdfg.KindAnd:
 				f = andF
 			case cdfg.KindOr:
@@ -342,36 +290,26 @@ func (b *builder) buildCore(u alloc.Unit, ops []ctrl.UnitLoad, regs [][]rtl.Net)
 			case cdfg.KindNot:
 				f = notF
 			default:
-				return fmt.Errorf("chip: op %q is not a logic op", b.c.Graph.Node(ol.Op).Name)
+				return fmt.Errorf("chip: op %q is not a logic op", b.d.Graph.Node(ld.Op).Name)
 			}
-			drive(ol.Op, zeroExtend(nl, f, b.w))
+			b.drive(ld.Op, zeroExtend(f, b.w))
 		}
 	default:
-		// ClassMux is inlined in buildUnits and never reaches here.
 		return fmt.Errorf("chip: unit class %v not buildable", u.Class)
 	}
 	return nil
 }
 
 // buildEnables drives every value register's enable placeholder.
-func (b *builder) buildEnables() error {
-	for _, ld := range b.c.Loads {
-		if ld.Step == 0 {
-			continue // primary inputs: testbench-held ports
-		}
-		en, ok := b.valueE[ld.Node]
-		if !ok {
-			return fmt.Errorf("chip: load for unknown register %d", ld.Node)
-		}
-		b.nl.Drive(en, b.enableFor(ld.Step, ld.Guards))
+func (b *builder) buildEnables() {
+	for _, r := range b.d.Regs {
+		b.nl.Drive(b.valueE[r.Op], b.enable(r.En))
 	}
-	return nil
 }
 
 func (b *builder) buildOutputs() {
-	for _, id := range b.c.Graph.Outputs() {
-		name := silage.PortName(b.c.Graph.Node(id).Name)
-		b.nl.Output(name, b.value(id))
+	for _, o := range b.d.Outputs {
+		b.nl.Output(silage.PortName(b.d.Graph.Node(o.Node).Name), b.src(o.Src))
 	}
 }
 

@@ -47,10 +47,6 @@ type Controller struct {
 	// Steps is the number of execution cycles; the FSM has Steps+1
 	// states (state 0 loads the primary operands).
 	Steps int
-	// CondNodes lists, in ID order, the nodes whose single-bit results
-	// are captured in condition registers: every mux select and every
-	// guard source.
-	CondNodes []cdfg.NodeID
 	// Loads lists all value-register enables, sorted by (step, node).
 	Loads []Load
 	// UnitLoads lists all unit input-register enables, sorted by
@@ -70,26 +66,6 @@ func Build(s *sched.Schedule, b *alloc.Binding, guards sim.Guards, pm bool) (*Co
 		PM:       pm,
 		Steps:    s.Steps,
 	}
-
-	// Condition registers: every mux select source and every guard
-	// select. Both variants need the mux selects; only the PM variant
-	// uses them for gating, but the set is kept identical so the
-	// datapaths match structurally.
-	condSet := make(map[cdfg.NodeID]bool)
-	for _, n := range g.Nodes() {
-		if n.Kind == cdfg.KindMux {
-			condSet[n.Args[cdfg.MuxSel]] = true
-		}
-	}
-	for _, gl := range guards {
-		for _, gd := range gl {
-			condSet[gd.Sel] = true
-		}
-	}
-	for id := range condSet {
-		c.CondNodes = append(c.CondNodes, id)
-	}
-	slices.Sort(c.CondNodes)
 
 	guardsOf := func(id cdfg.NodeID) []sim.Guard {
 		if !pm {
@@ -172,20 +148,6 @@ func (c *Controller) Activations(conds map[cdfg.NodeID]bool) map[cdfg.NodeID]boo
 	return loaded
 }
 
-// GuardCost returns the number of extra single-bit AND/INV terms the PM
-// controller needs beyond the baseline: a proxy for the paper's
-// "controller is slightly more complex" note.
-func (c *Controller) GuardCost() int {
-	n := 0
-	for _, ld := range c.Loads {
-		n += len(ld.Guards)
-	}
-	for _, ul := range c.UnitLoads {
-		n += len(ul.Guards)
-	}
-	return n
-}
-
 // Unit is one execution unit with the operand loads it hosts.
 type Unit struct {
 	Unit  alloc.Unit
@@ -193,7 +155,8 @@ type Unit struct {
 }
 
 // Units groups UnitLoads by unit, in (class, index) order. Within a unit
-// the loads keep their UnitLoads order.
+// the loads keep their UnitLoads order. The RTL lowering (internal/hdl)
+// builds each unit's operand steering from it.
 func (c *Controller) Units() []Unit {
 	loads := slices.Clone(c.UnitLoads)
 	slices.SortStableFunc(loads, func(a, b UnitLoad) int {
@@ -207,18 +170,6 @@ func (c *Controller) Units() []Unit {
 		}
 		out = append(out, Unit{Unit: loads[start].Unit, Loads: loads[start:end:end]})
 		start = end
-	}
-	return out
-}
-
-// LoadsInStep returns the value-register loads scheduled for the given
-// step, in node order.
-func (c *Controller) LoadsInStep(step int) []Load {
-	var out []Load
-	for _, ld := range c.Loads {
-		if ld.Step == step {
-			out = append(out, ld)
-		}
 	}
 	return out
 }

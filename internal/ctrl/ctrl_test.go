@@ -49,10 +49,6 @@ func TestControllerShape(t *testing.T) {
 	if pm.Steps != 3 || orig.Steps != 3 {
 		t.Errorf("steps = %d/%d, want 3", pm.Steps, orig.Steps)
 	}
-	// Condition registers: the single comparator.
-	if len(pm.CondNodes) != 1 || pm.CondNodes[0] != r.Graph.Lookup("g") {
-		t.Errorf("cond nodes = %v", pm.CondNodes)
-	}
 	// Loads: 2 inputs at step 0 + 4 ops.
 	if len(pm.Loads) != 6 {
 		t.Errorf("loads = %d, want 6", len(pm.Loads))
@@ -70,11 +66,15 @@ func TestControllerShape(t *testing.T) {
 
 func TestGuardsOnlyInPMController(t *testing.T) {
 	r, pm, orig := buildControllers(t, absDiffSrc, 3)
-	if pm.GuardCost() == 0 {
-		t.Error("PM controller has no guards")
+	for _, ld := range orig.Loads {
+		if len(ld.Guards) != 0 {
+			t.Errorf("baseline load of %d carries guards %v", ld.Node, ld.Guards)
+		}
 	}
-	if orig.GuardCost() != 0 {
-		t.Error("baseline controller should have no guards")
+	for _, ul := range orig.UnitLoads {
+		if len(ul.Guards) != 0 {
+			t.Errorf("baseline unit load of %d carries guards %v", ul.Op, ul.Guards)
+		}
 	}
 	if !pm.PM || orig.PM {
 		t.Error("PM flags wrong")
@@ -172,20 +172,6 @@ end
 	}
 }
 
-func TestLoadsInStep(t *testing.T) {
-	_, pm, _ := buildControllers(t, absDiffSrc, 3)
-	if n := len(pm.LoadsInStep(0)); n != 2 {
-		t.Errorf("prologue loads = %d, want 2 inputs", n)
-	}
-	total := 0
-	for s := 0; s <= pm.Steps; s++ {
-		total += len(pm.LoadsInStep(s))
-	}
-	if total != len(pm.Loads) {
-		t.Error("LoadsInStep does not partition Loads")
-	}
-}
-
 func TestBuildRejectsForeignBinding(t *testing.T) {
 	d, err := silage.Compile(absDiffSrc)
 	if err != nil {
@@ -202,8 +188,8 @@ func TestBuildRejectsForeignBinding(t *testing.T) {
 	}
 }
 
-// TestUnitsGroupLoads checks the grouping that the RTL lowering and the
-// gate-level chip share: every unit load lands in exactly one group, the
+// TestUnitsGroupLoads checks the grouping the RTL lowering builds each
+// unit's operand steering from: every unit load lands in exactly one group, the
 // groups come in (class, index) order, and within a group the loads keep
 // their UnitLoads order.
 func TestUnitsGroupLoads(t *testing.T) {

@@ -163,7 +163,6 @@ func compareController(t *testing.T, pt string, width int, got, want *ctrl.Contr
 		field string
 		same  bool
 	}{
-		{"CondNodes", slices.Equal(got.CondNodes, want.CondNodes)},
 		{"Loads", reflect.DeepEqual(got.Loads, want.Loads)},
 		{"UnitLoads", reflect.DeepEqual(got.UnitLoads, want.UnitLoads)},
 		{"PM", got.PM == want.PM},

@@ -79,8 +79,8 @@ type Config struct {
 func DefaultConfig(modPath string) Config {
 	det := []string{modPath} // the root pmsynth package
 	for _, p := range []string{
-		"cdfg", "sched", "alloc", "ctrl", "power",
-		"sim", "core", "hdl", "vhdl", "verilog", "tables", "flow",
+		"cdfg", "sched", "alloc", "ctrl", "power", "sim", "core",
+		"hdl", "vhdl", "verilog", "chip", "rtl", "tables", "flow",
 	} {
 		det = append(det, modPath+"/internal/"+p)
 	}

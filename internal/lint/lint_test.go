@@ -53,6 +53,8 @@ func TestDefaultConfig(t *testing.T) {
 	mustContain(cfg.DeterministicPackages, "m/internal/sched")
 	mustContain(cfg.DeterministicPackages, "m/internal/flow")
 	mustContain(cfg.DeterministicPackages, "m/internal/hdl")
+	mustContain(cfg.DeterministicPackages, "m/internal/chip")
+	mustContain(cfg.DeterministicPackages, "m/internal/rtl")
 	mustContain(cfg.LockScopePackages, "m/internal/server")
 	mustContain(cfg.LockScopePackages, "m/internal/jobs")
 	mustContain(cfg.ForbiddenUnderLock, "m.*")

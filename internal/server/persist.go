@@ -20,9 +20,10 @@ import (
 )
 
 // persistVersion tags the stored encoding; bump on any change to the
-// stored shape or its interpretation so entries written by an older
-// daemon are recomputed, never misread.
-const persistVersion = 2
+// stored shape or its interpretation, or to the RTL text a sweep
+// carries, so entries written by an older daemon are recomputed, never
+// misread or served stale.
+const persistVersion = 3
 
 // storedSweep is the stored form of a finished sweep: the design name
 // (the result views print it) and every point in enumeration order, each

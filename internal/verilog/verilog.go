@@ -7,7 +7,6 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/ctrl"
 	"repro/internal/hdl"
-	"repro/internal/sim"
 )
 
 // Generate emits the complete Verilog description.
@@ -71,92 +70,89 @@ func sep(i int, ports []hdl.Port) string {
 	return ","
 }
 
-func (p *printer) valueExpr(id cdfg.NodeID) string {
-	n := p.Graph.Node(id)
+// expr is the Verilog expression a read of s takes.
+func (p *printer) expr(s hdl.Src) string {
+	n := p.Graph.Node(s.Node)
 	switch n.Kind {
-	case cdfg.KindInput:
-		return p.Name(id)
 	case cdfg.KindConst:
 		return fmt.Sprintf("%d'd%d", p.Width, uint64(n.Value)&((1<<uint(p.Width))-1))
 	case cdfg.KindShl:
-		return fmt.Sprintf("(%s << %d)", p.valueExpr(n.Args[0]), n.Shift)
+		return fmt.Sprintf("(%s << %d)", p.expr(hdl.Src{Node: n.Args[0], Next: s.Next}), n.Shift)
 	case cdfg.KindShr:
-		return fmt.Sprintf("(%s >> %d)", p.valueExpr(n.Args[0]), n.Shift)
-	default:
-		return p.Reg(id)
+		return fmt.Sprintf("(%s >> %d)", p.expr(hdl.Src{Node: n.Args[0], Next: s.Next}), n.Shift)
 	}
+	return p.Signal(s)
 }
 
-func (p *printer) resultExpr(id cdfg.NodeID) string {
-	n := p.Graph.Node(id)
-	un := p.UnitOf(id)
-	bool2bus := func(expr string) string {
-		return fmt.Sprintf("{%d'd0, %s}", p.Width-1, expr)
+// flag is the one-bit expression of a comparison or logic operation's
+// result.
+func (p *printer) flag(op cdfg.NodeID, u hdl.Unit) string {
+	k := p.Graph.Node(op).Kind
+	switch k {
+	case cdfg.KindAnd:
+		return fmt.Sprintf("%s[0] & %s[0]", u.A, u.B)
+	case cdfg.KindOr:
+		return fmt.Sprintf("%s[0] | %s[0]", u.A, u.B)
+	case cdfg.KindNot:
+		return fmt.Sprintf("~%s[0]", u.A)
 	}
-	switch {
-	case n.Kind.IsComparison():
-		op := map[cdfg.Kind]string{
-			cdfg.KindLt: "<", cdfg.KindGt: ">", cdfg.KindLe: "<=",
-			cdfg.KindGe: ">=", cdfg.KindEq: "==", cdfg.KindNe: "!=",
-		}[n.Kind]
-		return bool2bus(fmt.Sprintf("%s_a %s %s_b", un, op, un))
-	case n.Kind == cdfg.KindAnd:
-		return bool2bus(fmt.Sprintf("%s_a[0] & %s_b[0]", un, un))
-	case n.Kind == cdfg.KindOr:
-		return bool2bus(fmt.Sprintf("%s_a[0] | %s_b[0]", un, un))
-	case n.Kind == cdfg.KindNot:
-		return bool2bus(fmt.Sprintf("~%s_a[0]", un))
-	default:
-		return un + "_y"
-	}
+	rel := map[cdfg.Kind]string{
+		cdfg.KindLt: "<", cdfg.KindGt: ">", cdfg.KindLe: "<=",
+		cdfg.KindGe: ">=", cdfg.KindEq: "==", cdfg.KindNe: "!=",
+	}[k]
+	return fmt.Sprintf("%s %s %s", u.A, rel, u.B)
 }
 
 func (p *printer) datapath() {
 	b := &p.b
-	p.module(p.Top+"_datapath", p.DatapathPorts)
-	for _, id := range p.Ops {
-		fmt.Fprintf(b, "  reg %s %s = 0;\n", p.rng, p.Reg(id))
+	p.module(p.Datapath, p.DatapathPorts)
+	for _, r := range p.Regs {
+		fmt.Fprintf(b, "  reg %s %s = 0;\n", p.rng, r.Name)
 	}
-	for _, u := range p.Units {
-		fmt.Fprintf(b, "  reg %s %s_a = 0, %s_b = 0;\n", p.rng, u.Name, u.Name)
-		if u.Class == cdfg.ClassMux {
-			fmt.Fprintf(b, "  reg %s_s = 0;\n", u.Name)
+	for _, r := range p.Regs {
+		if p.OwnResult(r) {
+			fmt.Fprintf(b, "  wire %s %s;\n", p.rng, r.Result)
 		}
-		fmt.Fprintf(b, "  wire %s %s_y;\n", p.rng, u.Name)
 	}
 	for _, u := range p.Units {
-		un := u.Name
+		fmt.Fprintf(b, "  reg %s %s = 0, %s = 0;\n", p.rng, u.A, u.B)
+		if u.Y != "" {
+			fmt.Fprintf(b, "  wire %s %s;\n", p.rng, u.Y)
+		}
+	}
+	for _, u := range p.Units {
 		switch u.Class {
 		case cdfg.ClassAdd:
-			fmt.Fprintf(b, "  assign %s_y = %s_a + %s_b;\n", un, un, un)
+			fmt.Fprintf(b, "  assign %s = %s + %s;\n", u.Y, u.A, u.B)
 		case cdfg.ClassSub:
-			fmt.Fprintf(b, "  assign %s_y = %s_a - %s_b;\n", un, un, un)
+			fmt.Fprintf(b, "  assign %s = %s - %s;\n", u.Y, u.A, u.B)
 		case cdfg.ClassMul:
-			fmt.Fprintf(b, "  assign %s_y = %s_a * %s_b;\n", un, un, un)
-		case cdfg.ClassMux:
-			fmt.Fprintf(b, "  assign %s_y = %s_s ? %s_a : %s_b;\n", un, un, un, un)
-		default:
-			fmt.Fprintf(b, "  assign %s_y = {%d{1'b0}};\n", un, p.Width)
+			fmt.Fprintf(b, "  assign %s = %s * %s;\n", u.Y, u.A, u.B)
 		}
+	}
+	for _, r := range p.Regs {
+		if !p.OwnResult(r) {
+			continue
+		}
+		if r.Mux != nil {
+			fmt.Fprintf(b, "  assign %s = %s[0] ? %s : %s;\n", r.Result,
+				p.expr(r.Mux[cdfg.MuxSel]), p.expr(r.Mux[cdfg.MuxTrue]), p.expr(r.Mux[cdfg.MuxFalse]))
+			continue
+		}
+		fmt.Fprintf(b, "  assign %s = (%s) ? %d'd1 : %d'd0;\n", r.Result, p.flag(r.Op, p.Units[r.Unit]), p.Width, p.Width)
 	}
 
 	// Operand steering processes.
 	for _, u := range p.Units {
-		un := u.Name
 		b.WriteString("  always @(posedge clk) begin\n")
-		for _, op := range u.Ops {
-			n := p.Graph.Node(op)
-			fmt.Fprintf(b, "    if (%s) begin\n", p.Go(op))
-			if n.Kind == cdfg.KindMux {
-				fmt.Fprintf(b, "      %s_s <= %s[0];\n", un, p.valueExpr(n.Args[cdfg.MuxSel]))
-				fmt.Fprintf(b, "      %s_a <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxTrue]))
-				fmt.Fprintf(b, "      %s_b <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxFalse]))
-			} else {
-				fmt.Fprintf(b, "      %s_a <= %s;\n", un, p.valueExpr(n.Args[0]))
-				if len(n.Args) > 1 {
-					fmt.Fprintf(b, "      %s_b <= %s;\n", un, p.valueExpr(n.Args[1]))
-				}
+		for _, ld := range u.Loads {
+			bArg := fmt.Sprintf("%d'd0", p.Width)
+			if len(ld.Args) > 1 {
+				bArg = p.expr(ld.Args[1])
 			}
+			fmt.Fprintf(b, "    if (%s) begin\n", ld.Go)
+			fmt.Fprintf(b, "      %s <= %s;\n", u.A, p.expr(ld.Args[0]))
+			fmt.Fprintf(b, "      %s <= %s;\n", u.B, bArg)
 			b.WriteString("    end\n")
 		}
 		b.WriteString("  end\n")
@@ -164,30 +160,32 @@ func (p *printer) datapath() {
 
 	// Value registers.
 	b.WriteString("  always @(posedge clk) begin\n")
-	for _, id := range p.Ops {
-		fmt.Fprintf(b, "    if (%s) %s <= %s;\n", p.Ld(id), p.Reg(id), p.resultExpr(id))
+	for _, r := range p.Regs {
+		fmt.Fprintf(b, "    if (%s) %s <= %s;\n", r.Ld, r.Name, r.Result)
 	}
 	b.WriteString("  end\n")
 
-	for _, id := range p.Conds {
-		fmt.Fprintf(b, "  assign %s = %s[0];\n", p.Cond(id).Name, p.Reg(id))
+	for _, c := range p.Conds {
+		if !c.Port.Bus {
+			fmt.Fprintf(b, "  assign %s = %s[0];\n", c.Port.Name, p.expr(c.Src))
+		}
 	}
-	for _, id := range p.Graph.Outputs() {
-		fmt.Fprintf(b, "  assign %s = %s;\n", p.Output(id), p.valueExpr(p.Graph.Node(id).Args[0]))
+	for _, o := range p.Outputs {
+		fmt.Fprintf(b, "  assign %s = %s;\n", o.Name, p.expr(o.Src))
 	}
 	b.WriteString("endmodule\n\n")
 }
 
 // enable renders the condition under which a load enable is high: its
 // state, and in the power managed controller its guard conjunction.
-func (p *printer) enable(step int, guards []sim.Guard) string {
-	terms := []string{fmt.Sprintf("state == %d", step)}
-	for _, gd := range guards {
-		src := p.Cond(gd.Sel)
+func (p *printer) enable(e hdl.Enable) string {
+	terms := []string{fmt.Sprintf("state == %d", e.State)}
+	for _, bit := range e.Bits {
+		src := p.Cond(bit.Src)
 		if src.Bus {
 			src.Name += "[0]"
 		}
-		if !gd.WhenTrue {
+		if !bit.WhenTrue {
 			src.Name = "~" + src.Name
 		}
 		terms = append(terms, src.Name)
@@ -196,24 +194,24 @@ func (p *printer) enable(step int, guards []sim.Guard) string {
 }
 
 func (p *printer) controller() {
-	b, c := &p.b, p.Ctrl
-	p.module(p.Top+"_controller", p.ControllerPorts)
+	b := &p.b
+	p.module(p.FSM, p.ControllerPorts)
+	steps := p.Ctrl.Steps
 	bits := 1
-	for 1<<uint(bits) <= c.Steps {
+	for 1<<uint(bits) <= steps {
 		bits++
 	}
 	fmt.Fprintf(b, "  reg [%d:0] state = 0;\n", bits-1)
 	b.WriteString("  always @(posedge clk) begin\n")
-	fmt.Fprintf(b, "    if (rst) state <= 0;\n    else if (state == %d) state <= 0;\n    else state <= state + 1;\n", c.Steps)
+	fmt.Fprintf(b, "    if (rst) state <= 0;\n    else if (state == %d) state <= 0;\n    else state <= state + 1;\n", steps)
 	b.WriteString("  end\n")
-	for _, ld := range c.Loads {
-		if ld.Step == 0 {
-			continue
-		}
-		fmt.Fprintf(b, "  assign %s = (%s);\n", p.Ld(ld.Node), p.enable(ld.Step, ld.Guards))
+	for _, r := range p.Regs {
+		fmt.Fprintf(b, "  assign %s = (%s);\n", r.Ld, p.enable(r.En))
 	}
-	for _, ul := range c.UnitLoads {
-		fmt.Fprintf(b, "  assign %s = (%s);\n", p.Go(ul.Op), p.enable(ul.Step, ul.Guards))
+	for _, u := range p.Units {
+		for _, ld := range u.Loads {
+			fmt.Fprintf(b, "  assign %s = (%s);\n", ld.Go, p.enable(ld.En))
+		}
 	}
 	b.WriteString("endmodule\n\n")
 }
@@ -224,7 +222,7 @@ func (p *printer) top() {
 	for _, w := range p.Wires {
 		fmt.Fprintf(b, "  wire %s;\n", w)
 	}
-	p.instance(p.Top+"_datapath", "dp", p.DatapathPorts)
-	p.instance(p.Top+"_controller", "fsm", p.ControllerPorts)
+	p.instance(p.Datapath, "dp", p.DatapathPorts)
+	p.instance(p.FSM, "fsm", p.ControllerPorts)
 	b.WriteString("endmodule\n")
 }

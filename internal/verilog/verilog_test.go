@@ -3,6 +3,7 @@ package verilog
 import (
 	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -136,14 +137,19 @@ func TestWidthValidation(t *testing.T) {
 
 // TestSanitize pins the identifier rule the printer names every port,
 // register and wire by: each name must come out a legal Verilog
-// identifier.
+// identifier, a letter or '_' and then letters, digits, '_' or '$'.
 func TestSanitize(t *testing.T) {
+	legal := regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_$]*$`)
 	cases := map[string]string{
-		"out:x": "out_x", "9a": "n9a", "": "sig", "_t3": "_t3",
+		"out:x": "out_x", "9a": "n9a", "": "sig", "_t3": "t3",
 	}
 	for in, want := range cases {
-		if got := hdl.Sanitize(in); got != want {
+		got := hdl.Sanitize(in)
+		if got != want {
 			t.Errorf("hdl.Sanitize(%q) = %q, want %q", in, got, want)
+		}
+		if !legal.MatchString(got) {
+			t.Errorf("hdl.Sanitize(%q) = %q, not a legal Verilog identifier", in, got)
 		}
 	}
 }
@@ -151,7 +157,8 @@ func TestSanitize(t *testing.T) {
 // TestPortListsWithoutOperations prints a design with no operation: its
 // controller has no load enable or steering strobe, so clk and rst are
 // its only ports. Every port list and instance must still end without a
-// separator or a blank line before its closing parenthesis.
+// separator or a blank line before its closing parenthesis, and none may
+// name a port twice: the design's result x shares its parameter's name.
 func TestPortListsWithoutOperations(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/regress/wire-only-output.sil")
 	if err != nil {
@@ -160,13 +167,58 @@ func TestPortListsWithoutOperations(t *testing.T) {
 	for _, pm := range []bool{true, false} {
 		text := generate(t, string(src), 1, pm)
 		lines := strings.Split(text, "\n")
+		var seen map[string]bool
 		for i, l := range lines {
 			if strings.TrimSpace(l) == ");" && (lines[i-1] == "" || strings.HasSuffix(lines[i-1], ",")) {
 				t.Errorf("pm=%v, line %d: %q before the closing parenthesis", pm, i, lines[i-1])
 			}
+			f := strings.Fields(strings.TrimSuffix(l, ","))
+			switch {
+			case strings.HasSuffix(l, " ("):
+				seen = make(map[string]bool) // a module header or an instance
+			case strings.TrimSpace(l) == ");" || strings.TrimSpace(l) == "":
+				seen = nil
+			case seen != nil && len(f) > 0 && (f[0] == "input" || f[0] == "output" || strings.HasPrefix(f[0], ".")):
+				name := f[len(f)-1]
+				if strings.HasPrefix(name, ".") {
+					name = name[1:strings.Index(name, "(")]
+				}
+				if seen[name] {
+					t.Errorf("pm=%v, line %d: port %s named twice", pm, i+1, name)
+				}
+				seen[name] = true
+			}
 		}
 		if !strings.Contains(text, "  input wire rst\n);") || !strings.Contains(text, "    .rst(rst)\n  );") {
 			t.Errorf("pm=%v: controller ports do not end at rst", pm)
+		}
+	}
+}
+
+// TestFlagResultsFullWidth checks that every comparison and logic result
+// is a full-width value in a form legal at every width, 1 included.
+func TestFlagResultsFullWidth(t *testing.T) {
+	const src = `
+func flags(a: num<8>, b: num<8>) o: num<8> =
+begin
+    g = a > b;
+    l = a < b;
+    both = g & l;
+    either = g | l;
+    neither = !either;
+    o = if both -> a || if neither -> b || a - b fi fi;
+end
+`
+	text := generate(t, src, 5, true)
+	for _, want := range []string{
+		"assign y_g = (u_comp0_a > u_comp0_b) ? 8'd1 : 8'd0;",
+		"assign y_both = (u_logic0_a[0] & u_logic0_b[0]) ? 8'd1 : 8'd0;",
+		"assign y_either = (u_logic0_a[0] | u_logic0_b[0]) ? 8'd1 : 8'd0;",
+		"assign y_neither = (~u_logic0_a[0]) ? 8'd1 : 8'd0;",
+		"u_logic0_b <= 8'd0;",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q", want)
 		}
 	}
 }

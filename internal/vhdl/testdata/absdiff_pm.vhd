@@ -17,9 +17,9 @@ entity absdiff_datapath is
     go_g : in std_logic;
     go_d1 : in std_logic;
     go_d2 : in std_logic;
-    go_out : in std_logic;
     cond_g : out std_logic;
-    out : out unsigned(7 downto 0)
+    next_g : out std_logic;
+    out_1 : out unsigned(7 downto 0)
   );
 end entity;
 
@@ -28,26 +28,15 @@ architecture rtl of absdiff_datapath is
   signal r_d1 : unsigned(7 downto 0) := (others => '0');
   signal r_d2 : unsigned(7 downto 0) := (others => '0');
   signal r_out : unsigned(7 downto 0) := (others => '0');
-  signal u_mux0_a, u_mux0_b : unsigned(7 downto 0) := (others => '0');
-  signal u_mux0_s : std_logic := '0';
-  signal u_mux0_y : unsigned(7 downto 0);
+  signal y_g : unsigned(7 downto 0);
+  signal y_out : unsigned(7 downto 0);
   signal u_comp0_a, u_comp0_b : unsigned(7 downto 0) := (others => '0');
-  signal u_comp0_y : unsigned(7 downto 0);
   signal u_sub0_a, u_sub0_b : unsigned(7 downto 0) := (others => '0');
   signal u_sub0_y : unsigned(7 downto 0);
 begin
-  u_mux0_y <= u_mux0_a when u_mux0_s = '1' else u_mux0_b;
   u_sub0_y <= u_sub0_a - u_sub0_b;
-  u_mux0_ops : process (clk)
-  begin
-    if rising_edge(clk) then
-      if go_out = '1' then
-        u_mux0_s <= r_g(0);
-        u_mux0_a <= r_d1;
-        u_mux0_b <= r_d2;
-      end if;
-    end if;
-  end process;
+  y_g <= to_unsigned(1, 8) when u_comp0_a > u_comp0_b else to_unsigned(0, 8);
+  y_out <= r_d1 when r_g(0) = '1' else r_d2;
   u_comp0_ops : process (clk)
   begin
     if rising_edge(clk) then
@@ -73,14 +62,15 @@ begin
   regs : process (clk)
   begin
     if rising_edge(clk) then
-      if ld_g = '1' then r_g <= (7 downto 1 => '0') & '1' when u_comp0_a > u_comp0_b else '0'; end if;
+      if ld_g = '1' then r_g <= y_g; end if;
       if ld_d1 = '1' then r_d1 <= u_sub0_y; end if;
       if ld_d2 = '1' then r_d2 <= u_sub0_y; end if;
-      if ld_out = '1' then r_out <= u_mux0_y; end if;
+      if ld_out = '1' then r_out <= y_out; end if;
     end if;
   end process;
   cond_g <= r_g(0);
-  out <= r_out;
+  next_g <= y_g(0);
+  out_1 <= r_out;
 end architecture;
 
 library ieee;
@@ -92,14 +82,14 @@ entity absdiff_controller is
     clk : in std_logic;
     rst : in std_logic;
     cond_g : in std_logic;
+    next_g : in std_logic;
     ld_g : out std_logic;
     ld_d1 : out std_logic;
     ld_d2 : out std_logic;
     ld_out : out std_logic;
     go_g : out std_logic;
     go_d1 : out std_logic;
-    go_d2 : out std_logic;
-    go_out : out std_logic
+    go_d2 : out std_logic
   );
 end entity;
 
@@ -124,9 +114,8 @@ begin
   ld_d2 <= '1' when state = 2 and cond_g = '0' else '0';
   ld_out <= '1' when state = 3 else '0';
   go_g <= '1' when state = 0 else '0';
-  go_d1 <= '1' when state = 1 and cond_g = '1' else '0';
-  go_d2 <= '1' when state = 1 and cond_g = '0' else '0';
-  go_out <= '1' when state = 2 else '0';
+  go_d1 <= '1' when state = 1 and next_g = '1' else '0';
+  go_d2 <= '1' when state = 1 and next_g = '0' else '0';
 end architecture;
 
 library ieee;
@@ -139,7 +128,7 @@ entity absdiff is
     rst : in std_logic;
     a : in unsigned(7 downto 0);
     b : in unsigned(7 downto 0);
-    out : out unsigned(7 downto 0)
+    out_1 : out unsigned(7 downto 0)
   );
 end entity;
 
@@ -151,8 +140,8 @@ architecture structure of absdiff is
   signal go_g : std_logic;
   signal go_d1 : std_logic;
   signal go_d2 : std_logic;
-  signal go_out : std_logic;
   signal cond_g : std_logic;
+  signal next_g : std_logic;
 begin
   dp : entity work.absdiff_datapath
     port map (
@@ -166,22 +155,22 @@ begin
       go_g => go_g,
       go_d1 => go_d1,
       go_d2 => go_d2,
-      go_out => go_out,
       cond_g => cond_g,
-      out => out
+      next_g => next_g,
+      out_1 => out_1
     );
   fsm : entity work.absdiff_controller
     port map (
       clk => clk,
       rst => rst,
       cond_g => cond_g,
+      next_g => next_g,
       ld_g => ld_g,
       ld_d1 => ld_d1,
       ld_d2 => ld_d2,
       ld_out => ld_out,
       go_g => go_g,
       go_d1 => go_d1,
-      go_d2 => go_d2,
-      go_out => go_out
+      go_d2 => go_d2
     );
 end architecture;

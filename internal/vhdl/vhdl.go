@@ -7,7 +7,6 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/ctrl"
 	"repro/internal/hdl"
-	"repro/internal/sim"
 )
 
 // Generate emits the full VHDL description (datapath, controller, top) for
@@ -73,55 +72,63 @@ func sep(i int, ports []hdl.Port, s string) string {
 	return s
 }
 
-// valueExpr emits the VHDL expression for a node's value as read by a
-// consumer (register output, input port, constant, or shifted wiring).
-func (p *printer) valueExpr(id cdfg.NodeID) string {
-	n := p.Graph.Node(id)
+// expr is the VHDL expression a read of s takes.
+func (p *printer) expr(s hdl.Src) string {
+	n := p.Graph.Node(s.Node)
 	switch n.Kind {
-	case cdfg.KindInput:
-		return p.Name(id)
 	case cdfg.KindConst:
 		return fmt.Sprintf("to_unsigned(%d, %d)", uint64(n.Value)&((1<<uint(p.Width))-1), p.Width)
 	case cdfg.KindShl:
-		return fmt.Sprintf("shift_left(%s, %d)", p.valueExpr(n.Args[0]), n.Shift)
+		return fmt.Sprintf("shift_left(%s, %d)", p.expr(hdl.Src{Node: n.Args[0], Next: s.Next}), n.Shift)
 	case cdfg.KindShr:
-		return fmt.Sprintf("shift_right(%s, %d)", p.valueExpr(n.Args[0]), n.Shift)
-	default:
-		return p.Reg(id)
+		return fmt.Sprintf("shift_right(%s, %d)", p.expr(hdl.Src{Node: n.Args[0], Next: s.Next}), n.Shift)
 	}
+	return p.Signal(s)
 }
 
 func (p *printer) datapath() {
 	b := &p.b
-	p.entity(p.Top+"_datapath", p.DatapathPorts)
-	fmt.Fprintf(b, "architecture rtl of %s_datapath is\n", p.Top)
-	for _, id := range p.Ops {
-		fmt.Fprintf(b, "  signal %s : %s := (others => '0');\n", p.Reg(id), p.bus)
+	p.entity(p.Datapath, p.DatapathPorts)
+	fmt.Fprintf(b, "architecture rtl of %s is\n", p.Datapath)
+	for _, r := range p.Regs {
+		fmt.Fprintf(b, "  signal %s : %s := (others => '0');\n", r.Name, p.bus)
+	}
+	for _, r := range p.Regs {
+		if p.OwnResult(r) {
+			fmt.Fprintf(b, "  signal %s : %s;\n", r.Result, p.bus)
+		}
 	}
 	for _, u := range p.Units {
-		fmt.Fprintf(b, "  signal %s_a, %s_b : %s := (others => '0');\n", u.Name, u.Name, p.bus)
-		if u.Class == cdfg.ClassMux {
-			fmt.Fprintf(b, "  signal %s_s : std_logic := '0';\n", u.Name)
+		fmt.Fprintf(b, "  signal %s, %s : %s := (others => '0');\n", u.A, u.B, p.bus)
+		if u.Y != "" {
+			fmt.Fprintf(b, "  signal %s : %s;\n", u.Y, p.bus)
 		}
-		fmt.Fprintf(b, "  signal %s_y : %s;\n", u.Name, p.bus)
 	}
 	b.WriteString("begin\n")
 
 	// Combinational unit cores.
 	for _, u := range p.Units {
-		un := u.Name
 		switch u.Class {
 		case cdfg.ClassAdd:
-			fmt.Fprintf(b, "  %s_y <= %s_a + %s_b;\n", un, un, un)
+			fmt.Fprintf(b, "  %s <= %s + %s;\n", u.Y, u.A, u.B)
 		case cdfg.ClassSub:
-			fmt.Fprintf(b, "  %s_y <= %s_a - %s_b;\n", un, un, un)
+			fmt.Fprintf(b, "  %s <= %s - %s;\n", u.Y, u.A, u.B)
 		case cdfg.ClassMul:
-			fmt.Fprintf(b, "  %s_y <= resize(%s_a * %s_b, %d);\n", un, un, un, p.Width)
-		case cdfg.ClassMux:
-			fmt.Fprintf(b, "  %s_y <= %s_a when %s_s = '1' else %s_b;\n", un, un, un, un)
-		case cdfg.ClassComp, cdfg.ClassLogic:
-			// Per-op flag results are emitted at the registers.
+			fmt.Fprintf(b, "  %s <= resize(%s * %s, %d);\n", u.Y, u.A, u.B, p.Width)
 		}
+	}
+	// Results of the registers that no core drives.
+	for _, r := range p.Regs {
+		if !p.OwnResult(r) {
+			continue
+		}
+		if r.Mux != nil {
+			fmt.Fprintf(b, "  %s <= %s when %s(0) = '1' else %s;\n", r.Result,
+				p.expr(r.Mux[cdfg.MuxTrue]), p.expr(r.Mux[cdfg.MuxSel]), p.expr(r.Mux[cdfg.MuxFalse]))
+			continue
+		}
+		fmt.Fprintf(b, "  %s <= to_unsigned(1, %d) when %s else to_unsigned(0, %d);\n",
+			r.Result, p.Width, p.flag(r.Op, p.Units[r.Unit]), p.Width)
 	}
 
 	// Operand registers with steering: a clocked process per unit.
@@ -131,64 +138,55 @@ func (p *printer) datapath() {
 
 	// Value registers.
 	b.WriteString("  regs : process (clk)\n  begin\n    if rising_edge(clk) then\n")
-	for _, id := range p.Ops {
-		fmt.Fprintf(b, "      if %s = '1' then %s <= %s; end if;\n", p.Ld(id), p.Reg(id), p.resultExpr(id))
+	for _, r := range p.Regs {
+		fmt.Fprintf(b, "      if %s = '1' then %s <= %s; end if;\n", r.Ld, r.Name, r.Result)
 	}
 	b.WriteString("    end if;\n  end process;\n")
 
 	// Condition and output fan-out.
-	for _, id := range p.Conds {
-		fmt.Fprintf(b, "  %s <= %s(0);\n", p.Cond(id).Name, p.Reg(id))
+	for _, c := range p.Conds {
+		if !c.Port.Bus {
+			fmt.Fprintf(b, "  %s <= %s(0);\n", c.Port.Name, p.expr(c.Src))
+		}
 	}
-	for _, id := range p.Graph.Outputs() {
-		fmt.Fprintf(b, "  %s <= %s;\n", p.Output(id), p.valueExpr(p.Graph.Node(id).Args[0]))
+	for _, o := range p.Outputs {
+		fmt.Fprintf(b, "  %s <= %s;\n", o.Name, p.expr(o.Src))
 	}
 	b.WriteString("end architecture;\n\n")
 }
 
-// resultExpr gives the expression latched into an op's value register.
-func (p *printer) resultExpr(id cdfg.NodeID) string {
-	n := p.Graph.Node(id)
-	un := p.UnitOf(id)
-	pad := func(flag string) string {
-		return fmt.Sprintf("(%d downto 1 => '0') & %s", p.Width-1, flag)
+// flag is the condition under which a comparison or logic operation's
+// result is 1.
+func (p *printer) flag(op cdfg.NodeID, u hdl.Unit) string {
+	k := p.Graph.Node(op).Kind
+	switch k {
+	case cdfg.KindAnd:
+		return fmt.Sprintf("(%s(0) and %s(0)) = '1'", u.A, u.B)
+	case cdfg.KindOr:
+		return fmt.Sprintf("(%s(0) or %s(0)) = '1'", u.A, u.B)
+	case cdfg.KindNot:
+		return fmt.Sprintf("%s(0) = '0'", u.A)
 	}
-	switch {
-	case n.Kind.IsComparison():
-		op := map[cdfg.Kind]string{
-			cdfg.KindLt: "<", cdfg.KindGt: ">", cdfg.KindLe: "<=",
-			cdfg.KindGe: ">=", cdfg.KindEq: "=", cdfg.KindNe: "/=",
-		}[n.Kind]
-		return pad(fmt.Sprintf("'1' when %s_a %s %s_b else '0'", un, op, un))
-	case n.Kind == cdfg.KindAnd:
-		return pad(fmt.Sprintf("%s_a(0) and %s_b(0)", un, un))
-	case n.Kind == cdfg.KindOr:
-		return pad(fmt.Sprintf("%s_a(0) or %s_b(0)", un, un))
-	case n.Kind == cdfg.KindNot:
-		return pad(fmt.Sprintf("not %s_a(0)", un))
-	default:
-		return un + "_y"
-	}
+	rel := map[cdfg.Kind]string{
+		cdfg.KindLt: "<", cdfg.KindGt: ">", cdfg.KindLe: "<=",
+		cdfg.KindGe: ">=", cdfg.KindEq: "=", cdfg.KindNe: "/=",
+	}[k]
+	return fmt.Sprintf("%s %s %s", u.A, rel, u.B)
 }
 
-// unitProcess writes the operand-register process of one unit: when an
-// op's steering strobe is high, its operands are latched.
+// unitProcess writes the operand-register process of one unit: when a
+// load's enable is high, its operands are latched.
 func (p *printer) unitProcess(u hdl.Unit) {
-	b, un := &p.b, u.Name
-	fmt.Fprintf(b, "  %s_ops : process (clk)\n  begin\n    if rising_edge(clk) then\n", un)
-	for _, op := range u.Ops {
-		n := p.Graph.Node(op)
-		fmt.Fprintf(b, "      if %s = '1' then\n", p.Go(op))
-		if n.Kind == cdfg.KindMux {
-			fmt.Fprintf(b, "        %s_s <= %s(0);\n", un, p.valueExpr(n.Args[cdfg.MuxSel]))
-			fmt.Fprintf(b, "        %s_a <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxTrue]))
-			fmt.Fprintf(b, "        %s_b <= %s;\n", un, p.valueExpr(n.Args[cdfg.MuxFalse]))
-		} else {
-			fmt.Fprintf(b, "        %s_a <= %s;\n", un, p.valueExpr(n.Args[0]))
-			if len(n.Args) > 1 {
-				fmt.Fprintf(b, "        %s_b <= %s;\n", un, p.valueExpr(n.Args[1]))
-			}
+	b := &p.b
+	fmt.Fprintf(b, "  %s : process (clk)\n  begin\n    if rising_edge(clk) then\n", u.Label)
+	for _, ld := range u.Loads {
+		bArg := "(others => '0')"
+		if len(ld.Args) > 1 {
+			bArg = p.expr(ld.Args[1])
 		}
+		fmt.Fprintf(b, "      if %s = '1' then\n", ld.Go)
+		fmt.Fprintf(b, "        %s <= %s;\n", u.A, p.expr(ld.Args[0]))
+		fmt.Fprintf(b, "        %s <= %s;\n", u.B, bArg)
 		b.WriteString("      end if;\n")
 	}
 	b.WriteString("    end if;\n  end process;\n")
@@ -196,44 +194,42 @@ func (p *printer) unitProcess(u hdl.Unit) {
 
 // enable renders the condition under which a load enable is high: its
 // state, and in the power managed controller its guard conjunction.
-func (p *printer) enable(step int, guards []sim.Guard) string {
-	terms := []string{fmt.Sprintf("state = %d", step)}
-	for _, gd := range guards {
-		src := p.Cond(gd.Sel)
+func (p *printer) enable(e hdl.Enable) string {
+	terms := []string{fmt.Sprintf("state = %d", e.State)}
+	for _, bit := range e.Bits {
+		src := p.Cond(bit.Src)
 		if src.Bus {
 			src.Name += "(0)"
 		}
-		bit := "'0'"
-		if gd.WhenTrue {
-			bit = "'1'"
+		val := "'0'"
+		if bit.WhenTrue {
+			val = "'1'"
 		}
-		terms = append(terms, src.Name+" = "+bit)
+		terms = append(terms, src.Name+" = "+val)
 	}
 	return strings.Join(terms, " and ")
 }
 
 func (p *printer) controller() {
-	b, c := &p.b, p.Ctrl
-	p.entity(p.Top+"_controller", p.ControllerPorts)
-	fmt.Fprintf(b, "architecture fsm of %s_controller is\n", p.Top)
-	fmt.Fprintf(b, "  signal state : natural range 0 to %d := 0;\n", c.Steps)
+	b := &p.b
+	p.entity(p.FSM, p.ControllerPorts)
+	fmt.Fprintf(b, "architecture fsm of %s is\n", p.FSM)
+	fmt.Fprintf(b, "  signal state : natural range 0 to %d := 0;\n", p.Ctrl.Steps)
 	b.WriteString("begin\n")
 	b.WriteString("  advance : process (clk)\n  begin\n    if rising_edge(clk) then\n")
 	b.WriteString("      if rst = '1' then\n        state <= 0;\n")
-	fmt.Fprintf(b, "      elsif state = %d then\n        state <= 0;\n", c.Steps)
+	fmt.Fprintf(b, "      elsif state = %d then\n        state <= 0;\n", p.Ctrl.Steps)
 	b.WriteString("      else\n        state <= state + 1;\n      end if;\n")
 	b.WriteString("    end if;\n  end process;\n\n")
 
-	// Value-register load enables.
-	for _, ld := range c.Loads {
-		if ld.Step == 0 {
-			continue // inputs are environment-held
-		}
-		fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", p.Ld(ld.Node), p.enable(ld.Step, ld.Guards))
+	// Value-register load enables, then the units' operand loads.
+	for _, r := range p.Regs {
+		fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", r.Ld, p.enable(r.En))
 	}
-	// Unit steering strobes.
-	for _, ul := range c.UnitLoads {
-		fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", p.Go(ul.Op), p.enable(ul.Step, ul.Guards))
+	for _, u := range p.Units {
+		for _, ld := range u.Loads {
+			fmt.Fprintf(b, "  %s <= '1' when %s else '0';\n", ld.Go, p.enable(ld.En))
+		}
 	}
 	b.WriteString("end architecture;\n\n")
 }
@@ -246,7 +242,7 @@ func (p *printer) top() {
 		fmt.Fprintf(b, "  signal %s : std_logic;\n", w)
 	}
 	b.WriteString("begin\n")
-	p.instance("dp", p.Top+"_datapath", p.DatapathPorts)
-	p.instance("fsm", p.Top+"_controller", p.ControllerPorts)
+	p.instance("dp", p.Datapath, p.DatapathPorts)
+	p.instance("fsm", p.FSM, p.ControllerPorts)
 	b.WriteString("end architecture;\n")
 }

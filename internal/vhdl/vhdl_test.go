@@ -3,6 +3,7 @@ package vhdl
 import (
 	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -72,12 +73,20 @@ func TestPMControllerHasGuards(t *testing.T) {
 	if !strings.Contains(pm, "cond_g = '1'") || !strings.Contains(pm, "cond_g = '0'") {
 		t.Error("PM controller lacks condition-qualified enables")
 	}
-	if strings.Contains(orig, "and cond_g") {
-		t.Error("baseline controller should not gate on conditions")
+	// The subtractions' operands load in the comparison's own step, so
+	// their strobes read its result, not its register.
+	if !strings.Contains(pm, "state = 1 and next_g = '1'") || !strings.Contains(pm, "state = 1 and next_g = '0'") {
+		t.Error("PM steering strobes do not read the comparison's result")
 	}
-	// Both route the condition bit (the mux select needs it).
-	if !strings.Contains(orig, "cond_g : in std_logic") {
-		t.Error("baseline controller missing condition input")
+	// The datapath steers the inlined multiplexor with the comparison's
+	// register itself, so the baseline controller reads no condition.
+	if strings.Contains(orig, "cond_g") || strings.Contains(orig, "next_g") {
+		t.Error("baseline controller reads a condition")
+	}
+	for _, text := range []string{pm, orig} {
+		if !strings.Contains(text, "y_out <= r_d1 when r_g(0) = '1' else r_d2;") {
+			t.Error("multiplexor not inlined in front of its register")
+		}
 	}
 }
 
@@ -162,19 +171,24 @@ func TestGenerateWidthValidation(t *testing.T) {
 
 // TestSanitize pins the identifier rule the printer names every port,
 // register and signal by: each name must come out a legal VHDL
-// identifier.
+// identifier, a letter first, no '_' at either end and never two in a row.
 func TestSanitize(t *testing.T) {
+	legal := regexp.MustCompile(`^[A-Za-z](_?[A-Za-z0-9])*$`)
 	cases := map[string]string{
 		"out:x":  "out_x",
-		"c:-5":   "c__5",
-		"_t1":    "_t1",
+		"c:-5":   "c_5",
+		"_t1":    "t1",
 		"9lives": "n9lives",
 		"":       "sig",
 		"normal": "normal",
 	}
 	for in, want := range cases {
-		if got := hdl.Sanitize(in); got != want {
+		got := hdl.Sanitize(in)
+		if got != want {
 			t.Errorf("hdl.Sanitize(%q) = %q, want %q", in, got, want)
+		}
+		if !legal.MatchString(got) {
+			t.Errorf("hdl.Sanitize(%q) = %q, not a legal VHDL identifier", in, got)
 		}
 	}
 }
@@ -182,7 +196,8 @@ func TestSanitize(t *testing.T) {
 // TestPortListsWithoutOperations prints a design with no operation: its
 // controller has no load enable or steering strobe, so clk and rst are
 // its only ports. Every port clause and port map must still end without
-// a separator before its closing parenthesis.
+// a separator before its closing parenthesis, and none may name a port
+// twice: the design's result x shares its parameter's name.
 func TestPortListsWithoutOperations(t *testing.T) {
 	src, err := os.ReadFile("../../testdata/regress/wire-only-output.sil")
 	if err != nil {
@@ -191,9 +206,20 @@ func TestPortListsWithoutOperations(t *testing.T) {
 	for _, pm := range []bool{true, false} {
 		text := generate(t, string(src), 1, pm)
 		lines := strings.Split(text, "\n")
+		var seen map[string]bool
 		for i, l := range lines {
 			if strings.TrimSpace(l) == ");" && (strings.HasSuffix(lines[i-1], ";") || strings.HasSuffix(lines[i-1], ",")) {
 				t.Errorf("pm=%v, line %d: separator before the closing parenthesis: %q", pm, i, lines[i-1])
+			}
+			switch f := strings.Fields(l); {
+			case strings.HasSuffix(l, "port (") || strings.HasSuffix(l, "port map ("):
+				seen = make(map[string]bool)
+			case seen != nil && len(f) >= 3 && (f[1] == ":" || f[1] == "=>"):
+				name := strings.ToLower(f[0])
+				if seen[name] {
+					t.Errorf("pm=%v, line %d: port %s named twice", pm, i+1, f[0])
+				}
+				seen[name] = true
 			}
 		}
 		if !strings.Contains(text, "    rst : in std_logic\n  );\nend entity;") {
@@ -222,5 +248,40 @@ func TestVenderMultiplierEmitted(t *testing.T) {
 	}
 	if !strings.Contains(text, "shift_") && strings.Contains(v.Source, ">>") {
 		t.Error("expected shift wiring")
+	}
+}
+
+// flagsSrc computes a comparison and each logic operation; their results
+// steer the output.
+const flagsSrc = `
+func flags(a: num<8>, b: num<8>) o: num<8> =
+begin
+    g = a > b;
+    l = a < b;
+    both = g & l;
+    either = g | l;
+    neither = !either;
+    o = if both -> a || if neither -> b || a - b fi fi;
+end
+`
+
+// TestFlagResultsFullWidth checks that every comparison and logic result
+// is a full-width value in both branches, and that a logic operation's
+// operand bits are parenthesized: & binds tighter than and.
+func TestFlagResultsFullWidth(t *testing.T) {
+	text := generate(t, flagsSrc, 5, true)
+	for _, want := range []string{
+		"y_g <= to_unsigned(1, 8) when u_comp0_a > u_comp0_b else to_unsigned(0, 8);",
+		"y_both <= to_unsigned(1, 8) when (u_logic0_a(0) and u_logic0_b(0)) = '1' else to_unsigned(0, 8);",
+		"y_either <= to_unsigned(1, 8) when (u_logic0_a(0) or u_logic0_b(0)) = '1' else to_unsigned(0, 8);",
+		"y_neither <= to_unsigned(1, 8) when u_logic0_a(0) = '0' else to_unsigned(0, 8);",
+		"u_logic0_b <= (others => '0');",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q", want)
+		}
+	}
+	if strings.Contains(text, "downto 1 =>") {
+		t.Error("a flag is still padded to width")
 	}
 }
