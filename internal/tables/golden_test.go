@@ -88,3 +88,13 @@ func TestGoldenResourceSweep(t *testing.T) {
 	}
 	golden(t, "resource_sweep", out)
 }
+
+// TestGoldenAblations pins the §IV studies: mux processing order and
+// two-stage pipelining.
+func TestGoldenAblations(t *testing.T) {
+	out, err := Ablations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "ablations", out)
+}
