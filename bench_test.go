@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/power"
-	"repro/internal/tables"
 )
 
 func BenchmarkCompileFrontend(b *testing.B) {
@@ -99,17 +98,17 @@ func BenchmarkTableIIPowerManagement(b *testing.B) {
 			name := fmt.Sprintf("%s@%d", c.Name, budget)
 			c, budget := c, budget
 			b.Run(name, func(b *testing.B) {
-				var row tables.RowII
-				var err error
+				var row Row
 				for i := 0; i < b.N; i++ {
-					row, err = tables.MeasureRowII(c, budget)
+					s, err := Synthesize(c.Design, Options{Budget: budget})
 					if err != nil {
 						b.Fatal(err)
 					}
+					row = s.Row()
 				}
-				b.ReportMetric(row.PowerRedPct, "%power-reduction")
+				b.ReportMetric(row.PowerReductionPct, "%power-reduction")
 				b.ReportMetric(float64(row.PMMuxes), "pm-muxes")
-				b.ReportMetric(row.AreaIncr, "area-ratio")
+				b.ReportMetric(row.AreaIncrease, "area-ratio")
 			})
 		}
 	}
@@ -123,10 +122,12 @@ func BenchmarkTableIIISynopsysEstimate(b *testing.B) {
 		c := c
 		b.Run(c.Name, func(b *testing.B) {
 			var rep chip.Report
-			var err error
 			for i := 0; i < b.N; i++ {
-				rep, err = chip.Compare(c.Graph(), c.PaperIII.Steps, c.Design.Width, 60, 11)
+				s, err := Synthesize(c.Design, Options{Budget: c.PaperIII.Steps})
 				if err != nil {
+					b.Fatal(err)
+				}
+				if rep, err = s.GateLevelReport(60, 11); err != nil {
 					b.Fatal(err)
 				}
 			}

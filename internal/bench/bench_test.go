@@ -155,7 +155,7 @@ func TestPMFeasibilityAcrossBudgets(t *testing.T) {
 		for i, budget := range c.Budgets {
 			cfgs[i] = core.Config{Budget: budget, Weights: power.Weights}
 		}
-		ctxs, err := flow.RunAll(context.Background(), c.Graph(), c.Design.Width, cfgs, 0)
+		ctxs, err := flow.RunAllPipeline(context.Background(), nil, c.Graph(), c.Design.Width, cfgs, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}

@@ -84,7 +84,7 @@ func MeasureSweeps(circuits []*bench.Circuit, workerCounts []int) (*SweepBenchRe
 				resolved = runtime.GOMAXPROCS(0)
 			}
 			start := time.Now()
-			ctxs, err := flow.RunAll(nil, c.Graph(), c.Design.Width, cfgs, workers)
+			ctxs, err := flow.RunAllPipeline(nil, nil, c.Graph(), c.Design.Width, cfgs, workers)
 			wall := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s sweep: %w", c.Name, err)

@@ -97,13 +97,6 @@ type Stats struct {
 	Count [NumClasses]int
 }
 
-// NumOps returns the number of datapath operations (mux, comp, add, sub,
-// mul) in the summary.
-func (s Stats) NumOps() int {
-	return s.Count[ClassMux] + s.Count[ClassComp] + s.Count[ClassAdd] +
-		s.Count[ClassSub] + s.Count[ClassMul]
-}
-
 // String formats the stats as a Table I row fragment.
 func (s Stats) String() string {
 	return fmt.Sprintf("cp=%d mux=%d comp=%d add=%d sub=%d mul=%d",
@@ -129,17 +122,6 @@ func (g *Graph) Muxes() []NodeID {
 	var out []NodeID
 	for _, n := range g.nodes {
 		if n.Kind == KindMux {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
-// OpsByClass returns the IDs of all nodes of the given class in ID order.
-func (g *Graph) OpsByClass(c Class) []NodeID {
-	var out []NodeID
-	for _, n := range g.nodes {
-		if n.Class() == c {
 			out = append(out, n.ID)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/ctrl"
+	"repro/internal/flow"
 	"repro/internal/power"
 	"repro/internal/silage"
 	"repro/internal/sim"
@@ -44,6 +45,21 @@ func buildChip(t *testing.T, src string, budget int, pm bool) (*core.Result, *Ch
 		t.Fatal(err)
 	}
 	return r, ch
+}
+
+// controllers runs the schedule, bind and baseline passes on g at the
+// given budget and returns the power managed and baseline controllers.
+func controllers(t *testing.T, g *cdfg.Graph, budget, width int) (pm, base *ctrl.Controller) {
+	t.Helper()
+	fc := &flow.Context{Graph: g, Width: width, Config: core.Config{Budget: budget}}
+	if err := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.BaselinePass{}).Run(fc); err != nil {
+		t.Fatalf("%s at %d: %v", g.Name, budget, err)
+	}
+	pm, base, err := fc.Controllers()
+	if err != nil {
+		t.Fatalf("%s at %d: %v", g.Name, budget, err)
+	}
+	return pm, base
 }
 
 func TestChipComputesAbsDiff(t *testing.T) {
@@ -97,7 +113,9 @@ func TestChipMatchesReferenceRandom(t *testing.T) {
 // the PM chip must burn measurably less than the baseline on the same
 // input stream.
 func TestGatingReducesChipPower(t *testing.T) {
-	rep, err := Compare(silage.MustCompile(absDiffSrc).Graph, 3, 8, 150, 99)
+	g := silage.MustCompile(absDiffSrc).Graph
+	pm, base := controllers(t, g, 3, 8)
+	rep, err := Compare(pm, base, 8, RandomVectors(g, 8, 150, rand.New(rand.NewSource(99))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +219,7 @@ func TestChipAllBenchmarksFunctional(t *testing.T) {
 				t.Fatalf("%s sample %d: %v", c.Name, i, err)
 			}
 			for _, id := range c.Graph().Outputs() {
-				port := portOf(c.Graph(), id)
+				port := silage.PortName(c.Graph().Node(id).Name)
 				if got[port] != want[c.Graph().Node(id).Name] {
 					t.Errorf("%s sample %d out %s: chip %d, ref %d (in %v)",
 						c.Name, i, port, got[port], want[c.Graph().Node(id).Name], in)
@@ -235,7 +253,8 @@ func TestChipBuildErrors(t *testing.T) {
 
 func TestCompareSampleValidation(t *testing.T) {
 	g := silage.MustCompile(absDiffSrc).Graph
-	if _, err := Compare(g, 3, 8, 0, 1); err == nil {
+	pm, base := controllers(t, g, 3, 8)
+	if _, err := Compare(pm, base, 8, RandomVectors(g, 8, 0, rand.New(rand.NewSource(1)))); err == nil {
 		t.Error("zero samples accepted")
 	}
 }
@@ -294,5 +313,4 @@ func TestBaselineChipPowerExceedsPM(t *testing.T) {
 		t.Errorf("same-schedule gating saved nothing: pm %.1f, orig %.1f",
 			pmTB.AveragePower(), origTB.AveragePower())
 	}
-	_ = cdfg.ClassMux // keep import for readability of future edits
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/cdfg"
-	"repro/internal/core"
-	"repro/internal/flow"
+	"repro/internal/ctrl"
+	"repro/internal/silage"
 	"repro/internal/sim"
 )
 
@@ -61,11 +61,11 @@ func RandomWord(rnd *rand.Rand, width int) int64 {
 }
 
 // RandomVectors draws the given number of uniform random input vectors for
-// g at the given datapath width from rnd. The generator is injectable so
-// gate-level power measurements are reproducible regardless of which sweep
-// worker runs them.
+// g at the given datapath width from rnd; a negative count draws none. The
+// generator is injectable so gate-level power measurements are
+// reproducible regardless of which sweep worker runs them.
 func RandomVectors(g *cdfg.Graph, width, samples int, rnd *rand.Rand) []map[string]int64 {
-	vectors := make([]map[string]int64, samples)
+	vectors := make([]map[string]int64, max(samples, 0))
 	for i := range vectors {
 		in := make(map[string]int64, len(g.Inputs()))
 		for _, id := range g.Inputs() {
@@ -76,61 +76,30 @@ func RandomVectors(g *cdfg.Graph, width, samples int, rnd *rand.Rand) []map[stri
 	return vectors
 }
 
-// Compare builds the traditional and power managed gate-level designs of
-// graph g at the given budget and measures both on the same random input
+// Compare builds the gate-level chips of one design's power managed (pm)
+// and traditional (base) controllers and measures both on the same input
 // stream, verifying every sample's outputs against the reference
-// interpreter. It reproduces one Table III row.
-func Compare(g *cdfg.Graph, budget, width, samples int, seed int64) (Report, error) {
-	rnd := rand.New(rand.NewSource(seed))
-	return CompareWithVectors(g, budget, width, RandomVectors(g, width, samples, rnd))
-}
-
-// CompareWithVectors is Compare with a caller-supplied input stream. The
-// measured savings depend directly on how often the gating conditions fire
-// on the stream — skewed operating points (a condition that is almost
+// interpreter. It reproduces one Table III row; it runs no scheduling or
+// binding, so callers that synthesized a design pass the controllers they
+// already have.
+//
+// The measured savings depend directly on how often the gating conditions
+// fire on the stream: skewed operating points (a condition that is almost
 // always true) gate almost nothing, balanced ones realize the full
 // equiprobable-model savings. This is the gate-level knob behind the
 // Table III sensitivity analysis in EXPERIMENTS.md.
-func CompareWithVectors(g *cdfg.Graph, budget, width int, vectors []map[string]int64) (Report, error) {
-	if len(vectors) < 1 {
-		return Report{Name: g.Name, Steps: budget}, fmt.Errorf("chip: need at least one sample")
-	}
-	fc := &flow.Context{Graph: g, Width: width, Config: core.Config{Budget: budget}}
-	// The standard pipeline minus the activity pass: the gate-level
-	// comparison measures switching directly and never reads the
-	// probabilistic activity model.
-	pipe := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.BaselinePass{})
-	if err := pipe.Run(fc); err != nil {
-		return Report{Name: g.Name, Steps: budget, Samples: len(vectors)}, err
-	}
-	return CompareContext(fc, vectors)
-}
-
-// CompareContext measures the gate-level chips of an already-run pipeline
-// context on the given input stream. Both controllers (power managed and
-// baseline) come from the context's Controllers, so callers that already
-// synthesized a design — the sweep engine, the root Synthesis — do not
-// re-run any scheduling or binding.
-func CompareContext(fc *flow.Context, vectors []map[string]int64) (Report, error) {
-	if fc == nil || fc.PM == nil {
-		return Report{Samples: len(vectors)}, fmt.Errorf("chip: context is missing pipeline artifacts")
-	}
-	g := fc.Graph
-	rep := Report{Name: g.Name, Samples: len(vectors)}
-	rep.Steps = fc.PM.Schedule.Steps
+func Compare(pm, base *ctrl.Controller, width int, vectors []map[string]int64) (Report, error) {
+	g := base.Graph
+	rep := Report{Name: g.Name, Steps: pm.Steps, Samples: len(vectors)}
 	if len(vectors) < 1 {
 		return rep, fmt.Errorf("chip: need at least one sample")
 	}
-	pmCtl, baseCtl, err := fc.Controllers()
-	if err != nil {
-		return rep, err
-	}
 
-	pmChip, err := Build(pmCtl, fc.Width)
+	pmChip, err := Build(pm, width)
 	if err != nil {
 		return rep, err
 	}
-	baseChip, err := Build(baseCtl, fc.Width)
+	baseChip, err := Build(base, width)
 	if err != nil {
 		return rep, err
 	}
@@ -160,7 +129,7 @@ func CompareContext(fc *flow.Context, vectors []map[string]int64) (Report, error
 
 	// One compiled reference program serves the whole vector stream; its
 	// reused output map is read before the next EvalReuse call.
-	ref, err := sim.Compile(g, sim.Options{Width: fc.Width})
+	ref, err := sim.Compile(g, sim.Options{Width: width})
 	if err != nil {
 		return rep, err
 	}
@@ -178,7 +147,7 @@ func CompareContext(fc *flow.Context, vectors []map[string]int64) (Report, error
 			return rep, err
 		}
 		for _, id := range g.Outputs() {
-			port := portOf(g, id)
+			port := silage.PortName(g.Node(id).Name)
 			if gotPM[port] != want[g.Node(id).Name] {
 				return rep, fmt.Errorf("chip: PM output %s = %d, reference %d (sample %d, inputs %v)",
 					port, gotPM[port], want[g.Node(id).Name], i, in)
@@ -192,13 +161,4 @@ func CompareContext(fc *flow.Context, vectors []map[string]int64) (Report, error
 	rep.PowerOrig = baseSim.AveragePower()
 	rep.PowerNew = pmSim.AveragePower()
 	return rep, nil
-}
-
-func portOf(g *cdfg.Graph, id cdfg.NodeID) string {
-	name := g.Node(id).Name
-	const prefix = "out:"
-	if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-		return name[len(prefix):]
-	}
-	return name
 }

@@ -24,4 +24,10 @@
 //
 // Primary inputs are driven and held by the testbench for a whole sample,
 // so they need no input registers; constants are hardwired.
+//
+// Compare takes one design's two controllers, power managed and
+// traditional (as flow.Context.Controllers returns them), builds both
+// chips, and measures them on one input stream, checking every sample
+// against the reference interpreter. The package schedules and binds
+// nothing itself: whoever synthesized the design passes its controllers.
 package chip

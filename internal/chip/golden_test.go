@@ -10,9 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/ctrl"
-	"repro/internal/flow"
 )
 
 var update = flag.Bool("update", false, "rewrite the paper chips' golden with the current netlists")
@@ -30,15 +28,8 @@ func TestGoldenPaperChips(t *testing.T) {
 	for _, c := range bench.All() {
 		for _, budget := range c.Budgets {
 			g, width := c.Graph(), c.Design.Width
-			fc := &flow.Context{Graph: g, Width: width, Config: core.Config{Budget: budget}}
-			if err := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.BaselinePass{}).Run(fc); err != nil {
-				t.Fatalf("%s at %d: %v", c.Name, budget, err)
-			}
-			pm, base, err := fc.Controllers()
-			if err != nil {
-				t.Fatalf("%s at %d: %v", c.Name, budget, err)
-			}
-			rep, err := CompareContext(fc, RandomVectors(g, width, 32, rand.New(rand.NewSource(11))))
+			pm, base := controllers(t, g, budget, width)
+			rep, err := Compare(pm, base, width, RandomVectors(g, width, 32, rand.New(rand.NewSource(11))))
 			if err != nil {
 				t.Fatalf("%s at %d: %v", c.Name, budget, err)
 			}

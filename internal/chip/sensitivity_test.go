@@ -19,6 +19,7 @@ import (
 // skewed-false streams alike.
 func TestConditionProbabilitySensitivity(t *testing.T) {
 	g := silage.MustCompile(absDiffSrc).Graph
+	pm, base := controllers(t, g, 3, 8)
 	mk := func(gen func(r *rand.Rand) (int64, int64)) []map[string]int64 {
 		r := rand.New(rand.NewSource(42))
 		out := make([]map[string]int64, 120)
@@ -40,7 +41,7 @@ func TestConditionProbabilitySensitivity(t *testing.T) {
 		}),
 	}
 	for name, vectors := range streams {
-		rep, err := CompareWithVectors(g, 3, 8, vectors)
+		rep, err := Compare(pm, base, 8, vectors)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -51,12 +52,12 @@ func TestConditionProbabilitySensitivity(t *testing.T) {
 }
 
 func TestCompareWithVectorsValidation(t *testing.T) {
-	g := silage.MustCompile(absDiffSrc).Graph
-	if _, err := CompareWithVectors(g, 3, 8, nil); err == nil {
+	pm, base := controllers(t, silage.MustCompile(absDiffSrc).Graph, 3, 8)
+	if _, err := Compare(pm, base, 8, nil); err == nil {
 		t.Error("empty vector stream accepted")
 	}
 	// Missing input in a vector must surface as an error.
-	_, err := CompareWithVectors(g, 3, 8, []map[string]int64{{"a": 1}})
+	_, err := Compare(pm, base, 8, []map[string]int64{{"a": 1}})
 	if err == nil {
 		t.Error("missing input accepted")
 	}

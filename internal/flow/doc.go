@@ -3,8 +3,12 @@
 // bounded-concurrency engine that evaluates many configurations of one
 // design — the architectural seam between the per-run algorithms
 // (internal/core, internal/alloc, internal/ctrl, internal/power) and the
-// layers that explore a design space (the root pmsynth.Sweep API,
-// cmd/pmsched -sweep, cmd/tables, the benchmark harness).
+// layers that explore a design space. The root pmsynth package is the
+// engine's main caller: cmd/pmsched -sweep, cmd/tables and pmsynthd reach
+// it through pmsynth.Synthesize and Sweep. Programs that extend or
+// measure the engine itself (the optimality-gap table with its
+// optimal-schedule pass, cmd/pmbench and the benchmark harness) call
+// RunAllPipeline directly.
 //
 // A Pass is one stage of the flow; a Pipeline runs passes in order over a
 // Context, which collects every artifact. Pass timing is the

@@ -64,8 +64,8 @@ type Context struct {
 	Optimal *optimal.Result
 
 	// Err records the pipeline failure when the Context was produced by
-	// the sweep engine (RunAll); a directly-run Pipeline returns the
-	// error instead.
+	// the sweep engine (RunAllPipeline); a directly-run Pipeline returns
+	// the error instead.
 	Err error
 
 	// controllers guards the one build of Controller and
@@ -171,12 +171,4 @@ func (p *Pipeline) Run(c *Context) error {
 // come on demand from Context.Controllers.
 func Standard() *Pipeline {
 	return New(SchedulePass{}, BindPass{}, BaselinePass{}, ActivityPass{})
-}
-
-// WithOptimal returns the standard pipeline extended with the exact
-// minimum-power scheduling baseline (optimal-schedule pass), seeded by the
-// heuristic's schedule. Use it when the sweep should report the optimality
-// gap alongside every point.
-func WithOptimal() *Pipeline {
-	return New(SchedulePass{}, BindPass{}, BaselinePass{}, ActivityPass{}, OptimalPass{})
 }

@@ -218,7 +218,7 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var want []string
 	for _, workers := range []int{1, 2, 8} {
-		ctxs, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, workers)
+		ctxs, err := RunAllPipeline(context.Background(), nil, d.Graph, d.Width, cfgs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestRunAllRecordsPerConfigErrors(t *testing.T) {
 		{Budget: 1}, // below the critical path
 		{Budget: 4, Weights: power.Weights},
 	}
-	ctxs, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, 2)
+	ctxs, err := RunAllPipeline(context.Background(), nil, d.Graph, d.Width, cfgs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestRunAllCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfgs := []core.Config{{Budget: 3}, {Budget: 4}}
-	ctxs, err := RunAll(ctx, d.Graph, d.Width, cfgs, 1)
+	ctxs, err := RunAllPipeline(ctx, nil, d.Graph, d.Width, cfgs, 1)
 	if err == nil {
 		t.Fatal("canceled context should surface an error")
 	}
@@ -281,7 +281,7 @@ func TestWithOptimalProducesCertifiedBaseline(t *testing.T) {
 		Width:  d.Width,
 		Config: core.Config{Budget: 3, Weights: power.Weights},
 	}
-	if err := WithOptimal().Run(fc); err != nil {
+	if err := New(SchedulePass{}, BindPass{}, BaselinePass{}, ActivityPass{}, OptimalPass{}).Run(fc); err != nil {
 		t.Fatal(err)
 	}
 	if fc.Optimal == nil {

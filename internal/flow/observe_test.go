@@ -21,7 +21,7 @@ func TestRunAllObserved(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	ctxs, err := RunAllObserved(context.Background(), d.Graph, d.Width, cfgs, 2,
+	ctxs, err := RunAllPipelineObserved(context.Background(), nil, d.Graph, d.Width, cfgs, 2,
 		func(i int, fc *Context) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -42,7 +42,7 @@ func TestRunAllObserved(t *testing.T) {
 		}
 	}
 
-	plain, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, 2)
+	plain, err := RunAllPipeline(context.Background(), nil, d.Graph, d.Width, cfgs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// RunAll evaluates the standard pipeline once per configuration over a
-// bounded worker pool and returns one Context per configuration, in input
-// order. Results are deterministic: the worker count affects wall-clock
-// time only, never the artifacts.
+// RunAllPipeline evaluates pipeline p (nil means Standard()) once per
+// configuration over a bounded worker pool and returns one Context per
+// configuration, in input order. Results are deterministic: the worker
+// count affects wall-clock time only, never the artifacts.
 //
 // The shared read-only analyses of g (depth, height, critical path,
 // topological order) are prewarmed once. Every configuration reads them
@@ -26,35 +26,23 @@ import (
 // schedule may alias g; they, like g, are read-only.
 //
 // A configuration whose pipeline fails has its error recorded in the
-// Context's Err field; RunAll itself returns an error only when ctx is
-// canceled, in which case the contexts evaluated so far are still
+// Context's Err field; RunAllPipeline itself returns an error only when
+// ctx is canceled, in which case the contexts evaluated so far are still
 // returned (unevaluated slots are nil).
-func RunAll(ctx context.Context, g *cdfg.Graph, width int, cfgs []core.Config, workers int) ([]*Context, error) {
-	return RunAllPipelineObserved(ctx, nil, g, width, cfgs, workers, nil)
-}
-
-// RunAllPipeline is RunAll with an explicit pipeline: every configuration
-// runs p instead of the standard pass sequence (nil p means Standard()).
 func RunAllPipeline(ctx context.Context, p *Pipeline, g *cdfg.Graph, width int, cfgs []core.Config, workers int) ([]*Context, error) {
 	return RunAllPipelineObserved(ctx, p, g, width, cfgs, workers, nil)
 }
 
-// RunAllObserved is RunAll with a completion observer: observe(i, fc) is
-// called once per configuration, immediately after its pipeline finishes
-// (successfully or not), with the configuration's input index and its
-// Context. Observers feed progress reporting in the layers above (the
-// pmsynth sweep API and the pmsynthd job manager).
+// RunAllPipelineObserved is RunAllPipeline with a completion observer:
+// observe(i, fc) is called once per configuration, immediately after its
+// pipeline finishes (successfully or not), with the configuration's input
+// index and its Context. Observers feed progress reporting in the layers
+// above (the pmsynth sweep API and the pmsynthd job manager).
 //
 // The observer is called from the worker goroutines, so calls may arrive
 // out of input order and concurrently; it must be safe for concurrent use.
 // Observation never influences the artifacts: results remain identical to
 // an unobserved run.
-func RunAllObserved(ctx context.Context, g *cdfg.Graph, width int, cfgs []core.Config, workers int, observe func(i int, fc *Context)) ([]*Context, error) {
-	return RunAllPipelineObserved(ctx, nil, g, width, cfgs, workers, observe)
-}
-
-// RunAllPipelineObserved combines RunAllPipeline and RunAllObserved: an
-// explicit pipeline (nil means Standard()) with a completion observer.
 func RunAllPipelineObserved(ctx context.Context, p *Pipeline, g *cdfg.Graph, width int, cfgs []core.Config, workers int, observe func(i int, fc *Context)) ([]*Context, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -81,6 +81,7 @@ func DefaultConfig(modPath string) Config {
 	for _, p := range []string{
 		"cdfg", "sched", "alloc", "ctrl", "power", "sim", "core",
 		"hdl", "vhdl", "verilog", "chip", "rtl", "tables", "flow",
+		"optimal", "silage", "bench",
 	} {
 		det = append(det, modPath+"/internal/"+p)
 	}

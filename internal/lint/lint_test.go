@@ -55,6 +55,9 @@ func TestDefaultConfig(t *testing.T) {
 	mustContain(cfg.DeterministicPackages, "m/internal/hdl")
 	mustContain(cfg.DeterministicPackages, "m/internal/chip")
 	mustContain(cfg.DeterministicPackages, "m/internal/rtl")
+	mustContain(cfg.DeterministicPackages, "m/internal/optimal")
+	mustContain(cfg.DeterministicPackages, "m/internal/silage")
+	mustContain(cfg.DeterministicPackages, "m/internal/bench")
 	mustContain(cfg.LockScopePackages, "m/internal/server")
 	mustContain(cfg.LockScopePackages, "m/internal/jobs")
 	mustContain(cfg.ForbiddenUnderLock, "m.*")

@@ -99,17 +99,6 @@ func (n *Netlist) CompareEQ(a, b []Net) Net {
 	return acc
 }
 
-// CompareNE returns a != b.
-func (n *Netlist) CompareNE(a, b []Net) Net {
-	return n.AddGate(GInv, n.CompareEQ(a, b))
-}
-
-// CompareLT returns a < b (unsigned).
-func (n *Netlist) CompareLT(a, b []Net) Net { return n.CompareGT(b, a) }
-
-// CompareLE returns a <= b (unsigned).
-func (n *Netlist) CompareLE(a, b []Net) Net { return n.CompareGE(b, a) }
-
 // ArrayMultiplier builds an array multiplier returning the low len(a) bits
 // of a*b (the datapath is fixed width, as in the paper's 8-bit setup).
 func (n *Netlist) ArrayMultiplier(a, b []Net) []Net {
@@ -156,18 +145,6 @@ func (n *Netlist) RegisterE(d []Net, en Net) []Net {
 		q[i] = n.AddGate(GDffE, d[i], en)
 	}
 	return q
-}
-
-// AndTree reduces the nets with AND gates (returns One for no inputs).
-func (n *Netlist) AndTree(ins ...Net) Net {
-	if len(ins) == 0 {
-		return One
-	}
-	acc := ins[0]
-	for _, x := range ins[1:] {
-		acc = n.AddGate(GAnd, acc, x)
-	}
-	return acc
 }
 
 // OrTree reduces the nets with OR gates (returns Zero for no inputs).

@@ -70,10 +70,7 @@ func TestComparatorsRandom(t *testing.T) {
 	cases := []cmp{
 		{"gt", func(n *Netlist, a, b []Net) Net { return n.CompareGT(a, b) }, func(a, b int64) bool { return a > b }},
 		{"ge", func(n *Netlist, a, b []Net) Net { return n.CompareGE(a, b) }, func(a, b int64) bool { return a >= b }},
-		{"lt", func(n *Netlist, a, b []Net) Net { return n.CompareLT(a, b) }, func(a, b int64) bool { return a < b }},
-		{"le", func(n *Netlist, a, b []Net) Net { return n.CompareLE(a, b) }, func(a, b int64) bool { return a <= b }},
 		{"eq", func(n *Netlist, a, b []Net) Net { return n.CompareEQ(a, b) }, func(a, b int64) bool { return a == b }},
-		{"ne", func(n *Netlist, a, b []Net) Net { return n.CompareNE(a, b) }, func(a, b int64) bool { return a != b }},
 	}
 	for _, c := range cases {
 		c := c
@@ -351,26 +348,13 @@ func TestNandNorGates(t *testing.T) {
 func TestAndOrTrees(t *testing.T) {
 	n := New("t")
 	a := n.Input("a", 3)
-	n.Output("and", []Net{n.AndTree(a...)})
 	n.Output("or", []Net{n.OrTree(a...)})
-	n.Output("emptyAnd", []Net{n.AndTree()})
 	n.Output("emptyOr", []Net{n.OrTree()})
 	sim, _ := NewSimulator(n)
-	sim.SetInput("a", 7)
-	sim.Propagate()
-	if v, _ := sim.ReadOutput("and"); v != 1 {
-		t.Error("and tree wrong")
-	}
 	sim.SetInput("a", 6)
 	sim.Propagate()
-	if v, _ := sim.ReadOutput("and"); v != 0 {
-		t.Error("and tree wrong for 6")
-	}
 	if v, _ := sim.ReadOutput("or"); v != 1 {
 		t.Error("or tree wrong")
-	}
-	if v, _ := sim.ReadOutput("emptyAnd"); v != 1 {
-		t.Error("empty and tree should be 1")
 	}
 	if v, _ := sim.ReadOutput("emptyOr"); v != 0 {
 		t.Error("empty or tree should be 0")

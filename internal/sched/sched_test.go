@@ -352,11 +352,6 @@ func TestResourcesHelpers(t *testing.T) {
 	if Resources(nil).String() != "(none)" {
 		t.Errorf("empty String = %q", Resources(nil).String())
 	}
-	g := absDiff(t)
-	min := MinimalResources(g)
-	if min[cdfg.ClassSub] != 1 || min[cdfg.ClassAdd] != 0 {
-		t.Errorf("MinimalResources = %v", min)
-	}
 }
 
 // randomDAG mirrors the cdfg test helper.

@@ -155,17 +155,3 @@ func (r Resources) Total() int {
 	}
 	return t
 }
-
-// MinimalResources returns one unit for every op class present in g: the
-// smallest conceivable resource bag.
-func MinimalResources(g *cdfg.Graph) Resources {
-	res := make(Resources)
-	for _, n := range g.Nodes() {
-		if n.IsOp() {
-			if res[n.Class()] == 0 {
-				res[n.Class()] = 1
-			}
-		}
-	}
-	return res
-}

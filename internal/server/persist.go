@@ -23,7 +23,7 @@ import (
 // stored shape or its interpretation, or to the RTL text a sweep
 // carries, so entries written by an older daemon are recomputed, never
 // misread or served stale.
-const persistVersion = 3
+const persistVersion = 4
 
 // storedSweep is the stored form of a finished sweep: the design name
 // (the result views print it) and every point in enumeration order, each

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/alloc"
+	pmsynth "repro"
 	"repro/internal/bench"
 	"repro/internal/cdfg"
-	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/power"
-	"repro/internal/sched"
 )
 
 // TableI renders the circuit statistics table. The reconstructed circuits
@@ -34,72 +32,9 @@ func TableI() (string, error) {
 	return b.String(), nil
 }
 
-// RowII is one measured Table II row.
-type RowII struct {
-	Circuit                  string
-	Steps                    int
-	PMMuxes                  int
-	AreaIncr                 float64
-	Mux, Comp, Add, Sub, Mul float64
-	PowerRedPct              float64
-}
-
-// rowFromContext projects one completed pipeline context into a Table II
-// row.
-func rowFromContext(c *bench.Circuit, fc *flow.Context) RowII {
-	ops := fc.Activity.ExpectedOps(fc.PM.Graph)
-	return RowII{
-		Circuit:     c.Name,
-		Steps:       fc.Config.Budget,
-		PMMuxes:     fc.PM.NumManaged(),
-		AreaIncr:    alloc.AreaIncrease(fc.Binding, fc.BaselineBinding, c.Design.Width),
-		Mux:         ops[cdfg.ClassMux],
-		Comp:        ops[cdfg.ClassComp],
-		Add:         ops[cdfg.ClassAdd],
-		Sub:         ops[cdfg.ClassSub],
-		Mul:         ops[cdfg.ClassMul],
-		PowerRedPct: 100 * power.Reduction(fc.PM.Graph, fc.Activity, power.Weights),
-	}
-}
-
-// MeasureRowII runs the full PM flow for one circuit and budget through the
-// standard pass pipeline.
-func MeasureRowII(c *bench.Circuit, budget int) (RowII, error) {
-	fc := &flow.Context{
-		Graph:  c.Graph(),
-		Width:  c.Design.Width,
-		Config: core.Config{Budget: budget, Weights: power.Weights},
-	}
-	if err := flow.Standard().Run(fc); err != nil {
-		return RowII{}, err
-	}
-	return rowFromContext(c, fc), nil
-}
-
-// MeasureTableII evaluates a circuit's full budget sweep concurrently
-// through the sweep engine, one row per budget in order.
-func MeasureTableII(c *bench.Circuit, budgets []int) ([]RowII, error) {
-	cfgs := make([]core.Config, len(budgets))
-	for i, budget := range budgets {
-		cfgs[i] = core.Config{Budget: budget, Weights: power.Weights}
-	}
-	ctxs, err := flow.RunAll(context.Background(), c.Graph(), c.Design.Width, cfgs, 0)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]RowII, len(ctxs))
-	for i, fc := range ctxs {
-		if fc.Err != nil {
-			return nil, fmt.Errorf("%s@%d: %w", c.Name, budgets[i], fc.Err)
-		}
-		rows[i] = rowFromContext(c, fc)
-	}
-	return rows, nil
-}
-
 // TableII renders the power management sweep with the paper's rows
-// interleaved for comparison. Each circuit's budget sweep runs through the
-// concurrent sweep engine.
+// interleaved for comparison. Each circuit's budget sweep is one
+// pmsynth.Sweep, printed row by row.
 func TableII() (string, error) {
 	var b strings.Builder
 	b.WriteString("TABLE II — AVERAGE OPERATIONS EXECUTED WITH POWER MANAGEMENT\n")
@@ -107,14 +42,15 @@ func TableII() (string, error) {
 	b.WriteString(" so shapes — monotone growth, saturation, op mix — are the comparison)\n")
 	b.WriteString("Circuit  Steps PM  Area    MUX   COMP      +      -      *    PowerRed\n")
 	for _, c := range bench.All() {
-		rows, err := MeasureTableII(c, c.Budgets)
+		res, err := pmsynth.Sweep(c.Design, pmsynth.SweepSpec{Budgets: c.Budgets})
 		if err != nil {
 			return "", err
 		}
-		for _, row := range rows {
-			fmt.Fprintf(&b, "%-8s %3d  %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%\n",
-				row.Circuit, row.Steps, row.PMMuxes, row.AreaIncr,
-				row.Mux, row.Comp, row.Add, row.Sub, row.Mul, row.PowerRedPct)
+		for i, p := range res.Points {
+			if p.Err != nil {
+				return "", fmt.Errorf("%s@%d: %w", c.Name, c.Budgets[i], p.Err)
+			}
+			fmt.Fprintln(&b, p.Row)
 		}
 		for _, p := range c.PaperII {
 			fmt.Fprintf(&b, "  paper %3d  %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%\n",
@@ -179,7 +115,11 @@ func TableIII(samples int, seed int64) (string, error) {
 		if c.PaperIII.Steps == 0 {
 			continue
 		}
-		rep, err := chip.Compare(c.Graph(), c.PaperIII.Steps, c.Design.Width, samples, seed)
+		syn, err := pmsynth.Synthesize(c.Design, pmsynth.Options{Budget: c.PaperIII.Steps})
+		if err != nil {
+			return "", err
+		}
+		rep, err := syn.GateLevelReport(samples, seed)
 		if err != nil {
 			return "", err
 		}
@@ -199,52 +139,40 @@ func TableIII(samples int, seed int64) (string, error) {
 // managed three-step schedule.
 func Figures() (string, error) {
 	var b strings.Builder
-	c := bench.AbsDiff()
-	g := c.Graph()
+	d := bench.AbsDiff().Design
 
 	b.WriteString("FIGURE 1 — |a-b| with 2 control steps (no PM possible)\n")
-	r2, err := core.Schedule(g, core.Config{Budget: 2, Weights: power.Weights})
+	s2, err := pmsynth.Synthesize(d, pmsynth.Options{Budget: 2})
 	if err != nil {
 		return "", err
 	}
-	b.WriteString(r2.Schedule.String())
-	fmt.Fprintf(&b, "power managed muxes: %d (the schedule is unique)\n\n", r2.NumManaged())
+	b.WriteString(s2.PM.Schedule.String())
+	fmt.Fprintf(&b, "power managed muxes: %d (the schedule is unique)\n\n", s2.PM.NumManaged())
 
-	b.WriteString("FIGURE 2(a) — traditional 3-step schedule (one subtractor)\n")
-	s3, res3, err := core.Baseline(g, 3, 0)
+	s3, err := pmsynth.Synthesize(d, pmsynth.Options{Budget: 3})
 	if err != nil {
 		return "", err
 	}
-	b.WriteString(s3.String())
-	fmt.Fprintf(&b, "resources: %v; both subtractions always execute\n\n", res3)
+	b.WriteString("FIGURE 2(a) — traditional 3-step schedule (one subtractor)\n")
+	b.WriteString(s3.BaselineSchedule.String())
+	fmt.Fprintf(&b, "resources: %v; both subtractions always execute\n\n", s3.Flow.BaselineResources)
 
 	b.WriteString("FIGURE 2(b) — power managed 3-step schedule (two subtractors)\n")
-	r3, err := core.Schedule(g, core.Config{Budget: 3, Weights: power.Weights})
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(r3.Schedule.String())
-	act, _ := power.AnalyzeExact(r3.Graph, r3.Guards)
-	ops := act.ExpectedOps(r3.Graph)
+	b.WriteString(s3.PM.Schedule.String())
 	fmt.Fprintf(&b, "power managed muxes: %d; expected subtractions per sample: %.1f of 2\n",
-		r3.NumManaged(), ops[cdfg.ClassSub])
+		s3.PM.NumManaged(), s3.Row().Sub)
 
 	b.WriteString("\nFIGURE 2(b'), §II.B — 3 steps with only ONE subtractor (partial gating)\n")
-	r3r, err := core.Schedule(g, core.Config{
-		Budget: 3,
-		Resources: sched.Resources{
-			cdfg.ClassSub: 1, cdfg.ClassComp: 1, cdfg.ClassMux: 1,
-		},
-		Weights: power.Weights,
+	s3r, err := pmsynth.Synthesize(d, pmsynth.Options{
+		Budget:    3,
+		Resources: map[cdfg.Class]int{cdfg.ClassSub: 1, cdfg.ClassComp: 1, cdfg.ClassMux: 1},
 	})
 	if err != nil {
 		return "", err
 	}
-	b.WriteString(r3r.Schedule.String())
-	act2, _ := power.AnalyzeExact(r3r.Graph, r3r.Guards)
-	ops2 := act2.ExpectedOps(r3r.Graph)
+	b.WriteString(s3r.PM.Schedule.String())
 	fmt.Fprintf(&b, "expected subtractions per sample: %.1f of 2 (one always runs, one gated)\n",
-		ops2[cdfg.ClassSub])
+		s3r.Row().Sub)
 	return b.String(), nil
 }
 
@@ -256,44 +184,34 @@ func ResourceSweep() (string, error) {
 	var b strings.Builder
 	b.WriteString("RESOURCE SWEEP §II.B — gating under fixed hardware (absdiff, 3 steps)\n")
 	b.WriteString("subtractors  gated-ops  E[-]   PowerRed\n")
-	c := bench.AbsDiff()
+	absdiff := bench.AbsDiff().Design
 	for subs := 2; subs >= 1; subs-- {
-		r, err := core.Schedule(c.Graph(), core.Config{
-			Budget: 3,
-			Resources: sched.Resources{
-				cdfg.ClassSub: subs, cdfg.ClassComp: 1, cdfg.ClassMux: 1,
-			},
-			Weights: power.Weights,
+		s, err := pmsynth.Synthesize(absdiff, pmsynth.Options{
+			Budget:    3,
+			Resources: map[cdfg.Class]int{cdfg.ClassSub: subs, cdfg.ClassComp: 1, cdfg.ClassMux: 1},
 		})
 		if err != nil {
 			return "", err
 		}
-		act, _ := power.AnalyzeExact(r.Graph, r.Guards)
-		ops := act.ExpectedOps(r.Graph)
-		fmt.Fprintf(&b, "%11d  %9d  %.2f   %6.2f%%\n",
-			subs, len(r.Guards), ops[cdfg.ClassSub],
-			100*power.Reduction(r.Graph, act, power.Weights))
+		r := s.Row()
+		fmt.Fprintf(&b, "%11d  %9d  %.2f   %6.2f%%\n", subs, len(s.PM.Guards), r.Sub, r.PowerReductionPct)
 	}
 	b.WriteString("\nRESOURCE SWEEP — vender at 6 steps, shrinking multipliers\n")
 	b.WriteString("multipliers  gated-ops  E[*]   PowerRed\n")
-	v := bench.Vender()
+	vender := bench.Vender().Design
 	for muls := 2; muls >= 1; muls-- {
-		r, err := core.Schedule(v.Graph(), core.Config{
+		s, err := pmsynth.Synthesize(vender, pmsynth.Options{
 			Budget: 6,
-			Resources: sched.Resources{
+			Resources: map[cdfg.Class]int{
 				cdfg.ClassMul: muls, cdfg.ClassAdd: 2, cdfg.ClassSub: 2,
 				cdfg.ClassComp: 2, cdfg.ClassMux: 3,
 			},
-			Weights: power.Weights,
 		})
 		if err != nil {
 			return "", err
 		}
-		act, _ := power.AnalyzeExact(r.Graph, r.Guards)
-		ops := act.ExpectedOps(r.Graph)
-		fmt.Fprintf(&b, "%11d  %9d  %.2f   %6.2f%%\n",
-			muls, len(r.Guards), ops[cdfg.ClassMul],
-			100*power.Reduction(r.Graph, act, power.Weights))
+		r := s.Row()
+		fmt.Fprintf(&b, "%11d  %9d  %.2f   %6.2f%%\n", muls, len(s.PM.Guards), r.Mul, r.PowerReductionPct)
 	}
 	return b.String(), nil
 }
@@ -304,17 +222,16 @@ func Ablations() (string, error) {
 	var b strings.Builder
 	b.WriteString("ABLATION §IV.A — mux processing order (datapath power reduction %)\n")
 	b.WriteString("Circuit  Steps  outputs-first  inputs-first  greedy-weight\n")
-	orders := []core.Order{core.OrderOutputsFirst, core.OrderInputsFirst, core.OrderGreedyWeight}
+	orders := []pmsynth.Order{pmsynth.OrderOutputsFirst, pmsynth.OrderInputsFirst, pmsynth.OrderGreedyWeight}
 	for _, c := range bench.All() {
 		budget := c.Budgets[len(c.Budgets)-1]
 		fmt.Fprintf(&b, "%-8s %3d    ", c.Name, budget)
 		for _, o := range orders {
-			r, err := core.Schedule(c.Graph(), core.Config{Budget: budget, Order: o, Weights: power.Weights})
+			s, err := pmsynth.Synthesize(c.Design, pmsynth.Options{Budget: budget, Order: o})
 			if err != nil {
 				return "", err
 			}
-			act, _ := power.AnalyzeExact(r.Graph, r.Guards)
-			fmt.Fprintf(&b, "   %10.2f", 100*power.Reduction(r.Graph, act, power.Weights))
+			fmt.Fprintf(&b, "   %10.2f", s.Row().PowerReductionPct)
 		}
 		b.WriteString("\n")
 	}
@@ -323,20 +240,18 @@ func Ablations() (string, error) {
 	b.WriteString("Circuit  budget(II)        PM muxes  PowerRed%\n")
 	for _, c := range bench.All() {
 		cp := c.PaperStats.CriticalPath
-		plain, err := core.Schedule(c.Graph(), core.Config{Budget: cp, Weights: power.Weights})
-		if err != nil {
-			return "", err
+		for _, v := range []struct {
+			name   string
+			budget int
+		}{{"plain", cp}, {"piped", 2 * cp}} {
+			s, err := pmsynth.Synthesize(c.Design, pmsynth.Options{Budget: v.budget, II: cp})
+			if err != nil {
+				return "", err
+			}
+			r := s.Row()
+			fmt.Fprintf(&b, "%-8s %3d (=%3d) %s  %7d   %8.2f\n", c.Name, v.budget, cp, v.name,
+				r.PMMuxes, r.PowerReductionPct)
 		}
-		actP, _ := power.AnalyzeExact(plain.Graph, plain.Guards)
-		fmt.Fprintf(&b, "%-8s %3d (=%3d) plain  %7d   %8.2f\n", c.Name, cp, cp,
-			plain.NumManaged(), 100*power.Reduction(plain.Graph, actP, power.Weights))
-		piped, err := core.Schedule(c.Graph(), core.Config{Budget: 2 * cp, II: cp, Weights: power.Weights})
-		if err != nil {
-			return "", err
-		}
-		actQ, _ := power.AnalyzeExact(piped.Graph, piped.Guards)
-		fmt.Fprintf(&b, "%-8s %3d (=%3d) piped  %7d   %8.2f\n", c.Name, 2*cp, cp,
-			piped.NumManaged(), 100*power.Reduction(piped.Graph, actQ, power.Weights))
 	}
 	return b.String(), nil
 }

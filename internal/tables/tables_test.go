@@ -38,23 +38,6 @@ func TestTableIIRendering(t *testing.T) {
 	}
 }
 
-func TestMeasureRowIIShapes(t *testing.T) {
-	// vender at 5 steps: the headline row. Multipliers halve.
-	row, err := MeasureRowII(bench.Vender(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Mul != 1.0 {
-		t.Errorf("vender E[mul] = %.2f, want 1.00", row.Mul)
-	}
-	if row.PowerRedPct < 20 || row.PowerRedPct > 50 {
-		t.Errorf("vender reduction = %.1f%%, outside plausible band", row.PowerRedPct)
-	}
-	if row.PMMuxes < 3 {
-		t.Errorf("vender PM muxes = %d, want >= 3", row.PMMuxes)
-	}
-}
-
 // TestTableIIIRendering pins Table III as cmd/tables prints it (100
 // vectors, seed 11): the gate-level chips' areas and powers, which no
 // other table reads.

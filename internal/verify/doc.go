@@ -9,7 +9,7 @@
 //     power management must never change functionality;
 //   - RTL/gate-level equivalence: both generated chips (power managed and
 //     baseline) match the reference interpreter on shared random vectors
-//     (chip.CompareContext verifies every sample);
+//     (chip.Compare verifies every sample);
 //   - determinism: re-running Synthesize yields byte-identical schedules,
 //     VHDL and Verilog, and Sweep yields a byte-identical result table at
 //     every worker count, each count's table computed afresh (no Sweep

@@ -88,23 +88,6 @@ func (m Matrix) optimalExpansions() int {
 	return defaultOptimalExpansions
 }
 
-// DefaultMatrix covers all three mux orders, two budgets of slack, serial
-// vs parallel sweeps, and a pipelined point.
-func DefaultMatrix() Matrix {
-	return Matrix{
-		BudgetSlack: 2,
-		Orders: []pmsynth.Order{
-			pmsynth.OrderOutputsFirst,
-			pmsynth.OrderInputsFirst,
-			pmsynth.OrderGreedyWeight,
-		},
-		Workers:     []int{1, 4},
-		Vectors:     16,
-		GateSamples: 6,
-		Pipeline:    true,
-	}
-}
-
 // Oracle stages, in pipeline order.
 const (
 	StageCompile     = "compile"
@@ -446,9 +429,10 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 		rep.observe(StageActivity, start)
 	}
 
-	// Gate-level equivalence: CompareContext verifies both chips' outputs
-	// against the reference interpreter on every sample. Designs wider
-	// than the netlist builder supports stay behavioral-only.
+	// Gate-level equivalence: chip.Compare, which GateLevelReportRand
+	// calls, verifies both chips' outputs against the reference
+	// interpreter on every sample. Designs wider than the netlist builder
+	// supports stay behavioral-only.
 	if m.GateSamples > 0 && design.Width <= chip.MaxWidth && m.runStage(StageGateLevel) {
 		start := time.Now()
 		rep.Checks++

@@ -310,17 +310,13 @@ func TestOptimalityGaps(t *testing.T) {
 	}
 }
 
+// TestDefaultMatrix checks the zero Matrix's defaults: no stage filter runs
+// every stage, and a zero expansion cap takes defaultOptimalExpansions.
 func TestDefaultMatrix(t *testing.T) {
-	m := DefaultMatrix()
-	if len(m.Orders) != 3 || len(m.Workers) != 2 || !m.Pipeline {
-		t.Fatalf("DefaultMatrix = %+v", m)
-	}
-	if len(m.Stages) != 0 {
-		t.Fatalf("default matrix must run every stage, got filter %v", m.Stages)
-	}
+	var m Matrix
 	for _, s := range KnownStages() {
 		if !m.runStage(s) {
-			t.Errorf("stage %s filtered by the default matrix", s)
+			t.Errorf("stage %s filtered by an empty stage list", s)
 		}
 	}
 	if m.optimalExpansions() != defaultOptimalExpansions {

@@ -2,6 +2,7 @@ package vhdl
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/cdfg"
@@ -77,7 +78,13 @@ func (p *printer) expr(s hdl.Src) string {
 	n := p.Graph.Node(s.Node)
 	switch n.Kind {
 	case cdfg.KindConst:
-		return fmt.Sprintf("to_unsigned(%d, %d)", uint64(n.Value)&((1<<uint(p.Width))-1), p.Width)
+		v := uint64(n.Value) & ((1 << uint(p.Width)) - 1)
+		if v > math.MaxInt32 {
+			// to_unsigned takes a natural, which VHDL guarantees only
+			// up to 2^31-1.
+			return fmt.Sprintf(`unsigned'(B"%0*b")`, p.Width, v)
+		}
+		return fmt.Sprintf("to_unsigned(%d, %d)", v, p.Width)
 	case cdfg.KindShl:
 		return fmt.Sprintf("shift_left(%s, %d)", p.expr(hdl.Src{Node: n.Args[0], Next: s.Next}), n.Shift)
 	case cdfg.KindShr:

@@ -285,3 +285,37 @@ func TestFlagResultsFullWidth(t *testing.T) {
 		t.Error("a flag is still padded to width")
 	}
 }
+
+// TestWideConstants checks that a constant above 2^31-1 prints as a
+// bit-string literal of the full width: to_unsigned takes a natural, which
+// VHDL guarantees only up to 2^31-1. Constants up to that bound keep
+// to_unsigned.
+func TestWideConstants(t *testing.T) {
+	for _, tc := range []struct{ typ, k, want string }{
+		{"num<40>", "4000000000", `unsigned'(B"0000000011101110011010110010100000000000")`},
+		{"num<32>", "2147483648", `unsigned'(B"10000000000000000000000000000000")`},
+		{"num<64>", "-1", `unsigned'(B"` + strings.Repeat("1", 64) + `")`},
+		{"num<32>", "2147483647", "to_unsigned(2147483647, 32)"},
+	} {
+		src := fmt.Sprintf("func big(a: %s) o: %s = begin o = a + %s; end", tc.typ, tc.typ, tc.k)
+		d, err := silage.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.Schedule(d.Graph, core.Config{Budget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ctrl.Build(r.Schedule, alloc.Bind(r.Schedule, r.Guards), r.Guards, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := Generate(c, d.Width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "u_add0_b <= " + tc.want + ";"; !strings.Contains(text, want) {
+			t.Errorf("%s + %s: missing %q in\n%s", tc.typ, tc.k, want, text)
+		}
+	}
+}

@@ -217,11 +217,15 @@ func (s *Synthesis) GateLevelReport(samples int, seed int64) (chip.Report, error
 
 // GateLevelReportRand is GateLevelReport with an injectable random vector
 // source, so measurements stay reproducible no matter which sweep worker
-// runs them. The chips are built from this synthesis's own pipeline
-// context and its controllers — no part of the flow is re-run.
+// runs them. The chips are built from this synthesis's own controllers —
+// no part of the flow is re-run.
 func (s *Synthesis) GateLevelReportRand(samples int, rnd *rand.Rand) (chip.Report, error) {
+	pm, base, err := s.Flow.Controllers()
+	if err != nil {
+		return chip.Report{}, err
+	}
 	vectors := chip.RandomVectors(s.Design.Graph, s.Design.Width, samples, rnd)
-	return chip.CompareContext(s.Flow, vectors)
+	return chip.Compare(pm, base, s.Design.Width, vectors)
 }
 
 // DumpVCD simulates the power managed gate-level chip for the given number
@@ -283,17 +287,13 @@ func (s *Synthesis) DumpVCDRand(samples int, rnd *rand.Rand, w io.Writer) error 
 // reference interpreter on n pseudo-random input vectors.
 func (s *Synthesis) Verify(n int, seed int64) error {
 	g := s.Design.Graph
-	rnd := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		in := make(map[string]int64)
-		for _, id := range g.Inputs() {
-			in[g.Node(id).Name] = chip.RandomWord(rnd, s.Design.Width)
-		}
-		want, err := sim.Evaluate(g, in, sim.Options{Width: s.Design.Width})
+	opt := sim.Options{Width: s.Design.Width}
+	for _, in := range chip.RandomVectors(g, s.Design.Width, n, rand.New(rand.NewSource(seed))) {
+		want, err := sim.Evaluate(g, in, opt)
 		if err != nil {
 			return err
 		}
-		got, err := sim.ExecuteScheduled(s.PM.Schedule, s.PM.Guards, in, sim.Options{Width: s.Design.Width})
+		got, err := sim.ExecuteScheduled(s.PM.Schedule, s.PM.Guards, in, opt)
 		if err != nil {
 			return fmt.Errorf("pmsynth: gated execution failed on %v: %w", in, err)
 		}
@@ -328,12 +328,7 @@ func CriticalPath(d *Design) (int, error) { return d.Graph.CriticalPath() }
 // the given budget and why not otherwise — the designer-facing diagnostic
 // for deciding between relaxing throughput and restructuring the behavior.
 func Explain(d *Design, opt Options) (string, error) {
-	reports, err := core.Explain(d.Graph, core.Config{
-		Budget:  opt.Budget,
-		II:      opt.II,
-		Order:   opt.Order,
-		Weights: power.Weights,
-	})
+	reports, err := core.Explain(d.Graph, opt.coreConfig())
 	if err != nil {
 		return "", err
 	}

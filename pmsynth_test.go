@@ -113,6 +113,9 @@ func TestVerify(t *testing.T) {
 	if err := syn.Verify(200, 42); err != nil {
 		t.Error(err)
 	}
+	if err := syn.Verify(-1, 42); err != nil {
+		t.Errorf("Verify(-1): %v", err)
+	}
 }
 
 func TestGateLevelReport(t *testing.T) {
@@ -126,6 +129,11 @@ func TestGateLevelReport(t *testing.T) {
 	}
 	if rep.PowerReductionPct() <= 0 {
 		t.Errorf("gate-level reduction = %.1f%%, want > 0", rep.PowerReductionPct())
+	}
+	// A negative count (pmsched -gates -samples -1) draws no vectors: an
+	// error, not a panic.
+	if _, err := syn.GateLevelReport(-1, 7); err == nil {
+		t.Error("GateLevelReport(-1) succeeded")
 	}
 }
 

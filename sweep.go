@@ -162,7 +162,7 @@ func SweepContextProgress(ctx context.Context, d *Design, spec SweepSpec, progre
 			progress(int(done.Add(1)), total)
 		}
 	}
-	ctxs, err := flow.RunAllObserved(ctx, d.Graph, d.Width, cfgs, spec.Workers, observe)
+	ctxs, err := flow.RunAllPipelineObserved(ctx, nil, d.Graph, d.Width, cfgs, spec.Workers, observe)
 	if err != nil {
 		return nil, err
 	}
