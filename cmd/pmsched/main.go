@@ -24,16 +24,26 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/alloc"
 	"repro/internal/bench"
 	"repro/internal/cdfg"
-	"repro/internal/optimal"
-	"repro/internal/power"
 )
 
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "pmsched: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// lookupBuiltin finds a -builtin circuit by case-insensitive name: one of
+// the four paper benchmarks or the |a-b| example of Figures 1 and 2.
+func lookupBuiltin(name string) (*bench.Circuit, error) {
+	var names []string
+	for _, c := range append(bench.All(), bench.AbsDiff()) {
+		if strings.EqualFold(c.Name, name) {
+			return c, nil
+		}
+		names = append(names, c.Name)
+	}
+	return nil, fmt.Errorf("unknown builtin %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // parseRange parses a "lo:hi" budget range (a single "n" means n:n).
@@ -90,20 +100,9 @@ func main() {
 			fail("%v", err)
 		}
 	case *builtin != "":
-		var c *bench.Circuit
-		switch strings.ToLower(*builtin) {
-		case "dealer":
-			c = bench.Dealer()
-		case "gcd":
-			c = bench.GCD()
-		case "vender":
-			c = bench.Vender()
-		case "cordic":
-			c = bench.Cordic()
-		case "absdiff":
-			c = bench.AbsDiff()
-		default:
-			fail("unknown builtin %q", *builtin)
+		c, err := lookupBuiltin(*builtin)
+		if err != nil {
+			fail("%v", err)
 		}
 		design, source = c.Design, c.Source
 	default:
@@ -200,26 +199,16 @@ func main() {
 		fmt.Printf("  mux %s (select %s): shuts down true={%s} false={%s}\n",
 			g.Node(mm.Mux).Name, g.Node(mm.Sel).Name, names(mm.GatedTrue), names(mm.GatedFalse))
 	}
-	regs, _ := alloc.Registers(syn.PM.Schedule)
-	fmt.Printf("units: %v, registers: %d\n", syn.Binding.Units, regs)
-	row := syn.Row()
-	fmt.Println("Steps PM  Area    MUX   COMP      +      -      *    PowerRed")
-	fmt.Printf("%5d %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%\n",
-		row.Steps, row.PMMuxes, row.AreaIncrease, row.Mux, row.Comp, row.Add, row.Sub, row.Mul,
-		row.PowerReductionPct)
+	fmt.Printf("units: %v\n", syn.Binding.Units)
+	fmt.Println(pmsynth.RowHeader)
+	fmt.Println(syn.Row())
 
 	if *optimalCmp {
-		opt, err := optimal.Schedule(design.Graph, optimal.Config{
-			Budget:        *steps,
-			II:            *ii,
-			Weights:       power.Weights,
-			MaxExpansions: *optExp,
-			Seed:          syn.PM.Schedule.Time,
-		})
+		opt, err := syn.Optimal(*optExp)
 		if err != nil {
 			fail("optimal: %v", err)
 		}
-		hp := syn.Activity.WeightedPower(syn.PM.Graph, power.Weights)
+		hp := syn.Activity.WeightedPower(syn.PM.Graph, pmsynth.Weights)
 		fmt.Printf("exact minimum (branch and bound): power %.4g vs heuristic %.4g", opt.Power, hp)
 		if hp > 0 {
 			fmt.Printf(" (gap %.2f%%)", 100*(hp-opt.Power)/hp)

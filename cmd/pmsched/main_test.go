@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseRange(t *testing.T) {
 	lo, hi, err := parseRange("5:10")
@@ -15,5 +18,18 @@ func TestParseRange(t *testing.T) {
 		if _, _, err := parseRange(bad); err == nil {
 			t.Errorf("parseRange(%q) accepted", bad)
 		}
+	}
+}
+
+func TestLookupBuiltin(t *testing.T) {
+	for _, name := range []string{"dealer", "gcd", "vender", "cordic", "absdiff", "GCD"} {
+		c, err := lookupBuiltin(name)
+		if err != nil || !strings.EqualFold(c.Name, name) {
+			t.Errorf("lookupBuiltin(%q) = %v, %v", name, c, err)
+		}
+	}
+	_, err := lookupBuiltin("nope")
+	if err == nil || !strings.Contains(err.Error(), "valid: dealer, gcd, vender, cordic, absdiff") {
+		t.Errorf("lookupBuiltin(nope) error = %v, want the valid names listed", err)
 	}
 }

@@ -20,16 +20,13 @@ func main() {
 	fmt.Println("source:")
 	fmt.Println(c.Source)
 
-	fmt.Println("Steps PM  Area    MUX   COMP      +      -      *    PowerRed")
+	fmt.Println(pmsynth.RowHeader)
 	for budget := c.PaperStats.CriticalPath; budget <= c.PaperStats.CriticalPath+3; budget++ {
 		syn, err := pmsynth.Synthesize(c.Design, pmsynth.Options{Budget: budget})
 		if err != nil {
 			log.Fatal(err)
 		}
-		row := syn.Row()
-		fmt.Printf("%5d %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%\n",
-			row.Steps, row.PMMuxes, row.AreaIncrease,
-			row.Mux, row.Comp, row.Add, row.Sub, row.Mul, row.PowerReductionPct)
+		fmt.Println(syn.Row())
 		if err := syn.Verify(200, int64(budget)); err != nil {
 			log.Fatalf("budget %d: %v", budget, err)
 		}

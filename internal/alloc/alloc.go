@@ -1,9 +1,7 @@
 package alloc
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/cdfg"
 	"repro/internal/sched"
@@ -19,8 +17,7 @@ type Unit struct {
 // String renders e.g. "add#0".
 func (u Unit) String() string { return fmt.Sprintf("%s#%d", u.Class, u.Index) }
 
-// Binding is the execution-unit allocation result. The register file is
-// a separate analysis of the schedule alone (Registers).
+// Binding is the execution-unit allocation result.
 type Binding struct {
 	// UnitOf holds, indexed by NodeID, the execution unit of every
 	// operation node. Other nodes hold the zero Unit, whose class is
@@ -148,154 +145,4 @@ func exclusiveWithAll(guards sim.Guards, id cdfg.NodeID, link int, prev []int) b
 		}
 	}
 	return true
-}
-
-// lifetime returns, for every value-producing node, the interval
-// (def, lastUse]: the value is written at the clock edge ending step def
-// and must be held until its last consumer's step. Consumers behind
-// transparent wires inherit the wire consumers' times. Output values are
-// held to the end of the schedule.
-func lifetime(s *sched.Schedule) (def, lastUse []int, needs []bool) {
-	g := s.Graph
-	n := g.NumNodes()
-	def = make([]int, n)
-	lastUse = make([]int, n)
-	needs = make([]bool, n)
-
-	// lastUseOf computes the maximum consumer step, looking through
-	// wires and extending through outputs.
-	var lastUseOf func(id cdfg.NodeID) int
-	memo := make(map[cdfg.NodeID]int)
-	lastUseOf = func(id cdfg.NodeID) int {
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		last := 0
-		for _, su := range g.Succs(id) {
-			sn := g.Node(su)
-			switch {
-			case sn.Kind == cdfg.KindOutput:
-				if s.Steps > last {
-					last = s.Steps
-				}
-			case sn.Class() == cdfg.ClassWire:
-				if lu := lastUseOf(su); lu > last {
-					last = lu
-				}
-			default:
-				if s.Time[su] > last {
-					last = s.Time[su]
-				}
-			}
-		}
-		memo[id] = last
-		return last
-	}
-
-	for _, nd := range g.Nodes() {
-		switch {
-		case nd.Kind == cdfg.KindConst, nd.Kind == cdfg.KindOutput, nd.Class() == cdfg.ClassWire:
-			// Hardwired or pass-through: no register.
-		case nd.Kind == cdfg.KindInput:
-			def[nd.ID] = 0
-			lastUse[nd.ID] = lastUseOf(nd.ID)
-			needs[nd.ID] = lastUse[nd.ID] > 0
-		default:
-			def[nd.ID] = s.Time[nd.ID]
-			lastUse[nd.ID] = lastUseOf(nd.ID)
-			needs[nd.ID] = lastUse[nd.ID] > def[nd.ID]
-		}
-	}
-	return def, lastUse, needs
-}
-
-// Registers allocates the schedule's register file from lifetime
-// analysis: left-edge for non-pipelined schedules, which also returns
-// each value-producing node's register index, and a modulo-slot demand
-// bound for pipelined ones, whose index map is empty. count is the
-// minimum register count.
-func Registers(s *sched.Schedule) (count int, regOf map[cdfg.NodeID]int) {
-	def, lastUse, needs := lifetime(s)
-	g := s.Graph
-
-	var vals []cdfg.NodeID
-	for _, nd := range g.Nodes() {
-		if needs[nd.ID] {
-			vals = append(vals, nd.ID)
-		}
-	}
-
-	if s.II == s.Steps {
-		// Left-edge: sort by definition time, reuse the first free
-		// register (its previous value dead by our start).
-		slices.SortFunc(vals, func(a, b cdfg.NodeID) int {
-			if def[a] != def[b] {
-				return cmp.Compare(def[a], def[b])
-			}
-			return cmp.Compare(a, b)
-		})
-		regOf := make(map[cdfg.NodeID]int)
-		var regEnd []int
-		for _, v := range vals {
-			placed := false
-			for r := range regEnd {
-				if regEnd[r] <= def[v] {
-					regEnd[r] = lastUse[v]
-					regOf[v] = r
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				regEnd = append(regEnd, lastUse[v])
-				regOf[v] = len(regEnd) - 1
-			}
-		}
-		return len(regEnd), regOf
-	}
-
-	// Pipelined: a value occupies modulo slot m once per overlapped
-	// iteration; register demand is the worst slot occupancy.
-	maxDemand := 0
-	for m := 0; m < s.II; m++ {
-		demand := 0
-		for _, v := range vals {
-			for t := def[v] + 1; t <= lastUse[v]; t++ {
-				if (t-1)%s.II == m {
-					demand++
-					break
-				}
-			}
-			// A lifetime longer than II occupies the slot in
-			// several concurrent iterations.
-			span := lastUse[v] - def[v]
-			if span > s.II {
-				demand += span/s.II - 1
-			}
-		}
-		if demand > maxDemand {
-			maxDemand = demand
-		}
-	}
-	return maxDemand, map[cdfg.NodeID]int{}
-}
-
-// MaxOverlap returns the maximum number of simultaneously live values in a
-// non-pipelined schedule: the information-theoretic register lower bound,
-// which left-edge allocation achieves on interval graphs.
-func MaxOverlap(s *sched.Schedule) int {
-	def, lastUse, needs := lifetime(s)
-	max := 0
-	for t := 1; t <= s.Steps; t++ {
-		live := 0
-		for id := range needs {
-			if needs[id] && def[id] < t && t <= lastUse[id] {
-				live++
-			}
-		}
-		if live > max {
-			max = live
-		}
-	}
-	return max
 }

@@ -12,7 +12,6 @@ import "repro/internal/cdfg"
 //	multiplier  W adder rows + W(W+1)/2 partial-product ANDs
 //	mux         W 2:1 muxes à 2.5                          -> 2.5W
 //	logic       one gate
-//	register    W enabled flip-flops à 6.0                 -> 6W
 
 // UnitArea returns the NAND2-equivalent area of one execution unit of the
 // given class at the given datapath width.
@@ -35,9 +34,6 @@ func UnitArea(c cdfg.Class, width int) float64 {
 		return 0
 	}
 }
-
-// RegisterArea returns the area of one width-bit register.
-func RegisterArea(width int) float64 { return 6 * float64(width) }
 
 // UnitsArea sums the execution-unit area of a binding: the paper's
 // Table II area metric ("area increase due to the extra execution units").

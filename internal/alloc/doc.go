@@ -1,6 +1,7 @@
-// Package alloc maps a scheduled CDFG onto hardware: execution-unit
-// binding, register lifetime analysis, and the area model used for the
-// Table II "Area Incr." column.
+// Package alloc maps a scheduled CDFG onto execution units, and holds the
+// unit area model used for the Table II "Area Incr." column. It allocates
+// no register file: every design the tool builds gives each operation its
+// own value register.
 //
 // Binding exploits mutual exclusiveness (paper §II.C): two operations of
 // the same class scheduled in the same control step may share one unit

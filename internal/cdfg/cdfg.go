@@ -398,6 +398,16 @@ func (g *Graph) AddControlEdge(from, to NodeID) error {
 // treat it as read-only.
 func (g *Graph) ControlEdges() []ControlEdge { return g.controlEdges }
 
+// HasControlEdge reports whether the control edge from -> to is present.
+func (g *Graph) HasControlEdge(from, to NodeID) bool {
+	for _, e := range g.controlEdges {
+		if e.From == from && e.To == to {
+			return true
+		}
+	}
+	return false
+}
+
 // ClearControlEdges removes all control edges (used when re-running the
 // power management pass with a different configuration).
 func (g *Graph) ClearControlEdges() {

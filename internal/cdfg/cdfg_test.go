@@ -151,6 +151,9 @@ func TestTopoOrderIncludesControlEdges(t *testing.T) {
 	if err := g.AddControlEdge(g.Lookup("g"), g.Lookup("d1")); err != nil {
 		t.Fatalf("AddControlEdge: %v", err)
 	}
+	if !g.HasControlEdge(g.Lookup("g"), g.Lookup("d1")) || g.HasControlEdge(g.Lookup("d1"), g.Lookup("g")) {
+		t.Error("HasControlEdge does not report exactly the added edge")
+	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		t.Fatalf("TopoOrder: %v", err)

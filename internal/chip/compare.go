@@ -128,13 +128,13 @@ func Compare(pm, base *ctrl.Controller, width int, vectors []map[string]int64) (
 	baseSim.ResetStats()
 
 	// One compiled reference program serves the whole vector stream; its
-	// reused output map is read before the next EvalReuse call.
+	// reused output map is read before the next Eval call.
 	ref, err := sim.Compile(g, sim.Options{Width: width})
 	if err != nil {
 		return rep, err
 	}
 	for i, in := range vectors {
-		want, err := ref.EvalReuse(in)
+		want, err := ref.Eval(in)
 		if err != nil {
 			return rep, err
 		}

@@ -83,7 +83,7 @@ func rebuildControlEdges(pr *passResult, userEdges []cdfg.ControlEdge) error {
 		for _, branch := range [][]cdfg.NodeID{m.GatedTrue, m.GatedFalse} {
 			set := cdfg.NewNodeSet(branch...)
 			for _, top := range topsOf(g, set) {
-				if hasControlEdge(g, m.Sel, top) {
+				if g.HasControlEdge(m.Sel, top) {
 					continue
 				}
 				if err := g.AddControlEdge(m.Sel, top); err != nil {
@@ -93,15 +93,6 @@ func rebuildControlEdges(pr *passResult, userEdges []cdfg.ControlEdge) error {
 		}
 	}
 	return nil
-}
-
-func hasControlEdge(g *cdfg.Graph, from, to cdfg.NodeID) bool {
-	for _, e := range g.ControlEdges() {
-		if e.From == from && e.To == to {
-			return true
-		}
-	}
-	return false
 }
 
 // gatedAncestor finds the cheapest gated operation on which the blocked

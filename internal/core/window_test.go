@@ -137,7 +137,7 @@ func tentative(work *cdfg.Graph, m cdfg.NodeID, sets ...cdfg.NodeSet) *cdfg.Grap
 	sel := c.Node(m).Args[cdfg.MuxSel]
 	for _, set := range sets {
 		for _, top := range GatedTops(c, set) {
-			if !hasControlEdge(c, sel, top) {
+			if !c.HasControlEdge(sel, top) {
 				if err := c.AddControlEdge(sel, top); err != nil {
 					panic(err)
 				}

@@ -4,11 +4,12 @@
 // design — the architectural seam between the per-run algorithms
 // (internal/core, internal/alloc, internal/ctrl, internal/power) and the
 // layers that explore a design space. The root pmsynth package is the
-// engine's main caller: cmd/pmsched -sweep, cmd/tables and pmsynthd reach
-// it through pmsynth.Synthesize and Sweep. Programs that extend or
-// measure the engine itself (the optimality-gap table with its
-// optimal-schedule pass, cmd/pmbench and the benchmark harness) call
-// RunAllPipeline directly.
+// engine's main caller: cmd/pmsched, cmd/tables and pmsynthd reach it
+// through pmsynth.Synthesize and Sweep. Programs that measure the engine
+// itself (cmd/pmbench and the benchmark harness) call RunAllPipeline
+// directly. The exact minimum-power scheduler (internal/optimal) is no
+// pass: it is an oracle that studies one finished synthesis, reached
+// through pmsynth.(*Synthesis).Optimal.
 //
 // A Pass is one stage of the flow; a Pipeline runs passes in order over a
 // Context, which collects every artifact. Pass timing is the
@@ -19,7 +20,6 @@
 //
 // The FSM controllers of both designs, which only RTL emission and the
 // gate-level chips read, are built on first use by Context.Controllers.
-// Register allocation is alloc.Registers, run by whoever reports it.
 //
 // See DESIGN.md at the repository root for the architecture.
 package flow

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/ctrl"
-	"repro/internal/optimal"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -59,9 +58,6 @@ type Context struct {
 	// whether it was computed exactly.
 	Activity      power.Activity
 	ActivityExact bool
-	// Optimal is the certified minimum-power schedule for the same
-	// budget, II and resources (optimal-schedule pass).
-	Optimal *optimal.Result
 
 	// Err records the pipeline failure when the Context was produced by
 	// the sweep engine (RunAllPipeline); a directly-run Pipeline returns

@@ -273,28 +273,3 @@ func TestRunAllCanceled(t *testing.T) {
 		t.Fatalf("got %d contexts, want %d slots", len(ctxs), len(cfgs))
 	}
 }
-
-func TestWithOptimalProducesCertifiedBaseline(t *testing.T) {
-	d := compile(t)
-	fc := &Context{
-		Graph:  d.Graph,
-		Width:  d.Width,
-		Config: core.Config{Budget: 3, Weights: power.Weights},
-	}
-	if err := New(SchedulePass{}, BindPass{}, BaselinePass{}, ActivityPass{}, OptimalPass{}).Run(fc); err != nil {
-		t.Fatal(err)
-	}
-	if fc.Optimal == nil {
-		t.Fatal("missing optimal artifact")
-	}
-	if !fc.Optimal.Cert.Optimal {
-		t.Fatalf("cert = %+v, want optimal on absdiff", fc.Optimal.Cert)
-	}
-	hp := fc.Activity.WeightedPower(fc.PM.Graph, power.Weights)
-	if fc.Optimal.Power > hp {
-		t.Fatalf("optimal power %v above heuristic %v", fc.Optimal.Power, hp)
-	}
-	if err := fc.Optimal.Schedule.Validate(fc.Config.Resources); err != nil {
-		t.Fatalf("invalid optimal schedule: %v", err)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/ctrl"
-	"repro/internal/optimal"
 	"repro/internal/power"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -127,46 +126,6 @@ func (BaselinePass) Run(c *Context) error {
 		return err
 	}
 	c.BaselineSchedule, c.BaselineResources, c.BaselineBinding = s, res, b
-	return nil
-}
-
-// OptimalPass runs the exact minimum-power scheduling baseline for the
-// point's budget, II and resources, warm-started from the heuristic
-// schedule. Weights default to the paper's table (power.Weights) when the
-// configuration leaves them nil, so the objective matches the Table II
-// reporting.
-type OptimalPass struct {
-	// MaxExpansions bounds the branch-and-bound search; zero uses
-	// optimal.DefaultMaxExpansions. A truncated search still returns a
-	// schedule at least as good as the heuristic seed, plus a sound
-	// lower bound in the certificate.
-	MaxExpansions int
-}
-
-// Name implements Pass.
-func (OptimalPass) Name() string { return "optimal-schedule" }
-
-// Run implements Pass.
-func (p OptimalPass) Run(c *Context) error {
-	if c.PM == nil {
-		return errors.New("optimal-schedule requires the schedule pass")
-	}
-	weights := c.Config.Weights
-	if weights == nil {
-		weights = power.Weights
-	}
-	r, err := optimal.Schedule(c.Graph, optimal.Config{
-		Budget:        c.Config.Budget,
-		II:            c.Config.II,
-		Resources:     c.Config.Resources,
-		Weights:       weights,
-		MaxExpansions: p.MaxExpansions,
-		Seed:          c.PM.Schedule.Time,
-	})
-	if err != nil {
-		return err
-	}
-	c.Optimal = r
 	return nil
 }
 

@@ -28,10 +28,6 @@ type Config struct {
 	II int
 	// Resources fixes the available units per class; nil is unlimited.
 	Resources sched.Resources
-	// Weights is the class power-weight table for the objective; nil
-	// weighs every class 1 (callers comparing against Table II pass
-	// power.Weights).
-	Weights map[cdfg.Class]float64
 	// MaxExpansions bounds search-node expansions; 0 uses
 	// DefaultMaxExpansions.
 	MaxExpansions int
@@ -70,8 +66,8 @@ type Result struct {
 	// the exact select enumeration; false means the independence
 	// approximation was the objective (too many distinct selects).
 	Exact bool
-	// Power is the objective value: Activity weighted by the configured
-	// class weights.
+	// Power is the objective value: Activity weighted by the paper's
+	// class weights (power.Weights), the measure Table II reports.
 	Power float64
 	// Gated is the number of operations carrying at least one guard.
 	Gated int
@@ -166,10 +162,9 @@ type solver struct {
 	augOrder   []cdfg.NodeID
 	curTimes   []int
 
-	exact   bool
-	weights map[cdfg.Class]float64
-	cache   map[string]float64
-	keyBuf  []byte
+	exact  bool
+	cache  map[string]float64
+	keyBuf []byte
 
 	bestPower float64
 	bestTimes []int
@@ -191,7 +186,7 @@ type solver struct {
 
 func newSolver(g *cdfg.Graph, cfg Config, ii int) *solver {
 	n := g.NumNodes()
-	s := &solver{g: g, cfg: cfg, ii: ii, n: n, weights: cfg.Weights}
+	s := &solver{g: g, cfg: cfg, ii: ii, n: n}
 	s.max = cfg.MaxExpansions
 	if s.max <= 0 {
 		s.max = DefaultMaxExpansions
@@ -531,33 +526,28 @@ func (s *solver) evalKept(kept [][]bool) float64 {
 	return p
 }
 
-// powerOf evaluates the objective for a guard map. In exact mode each
-// operation's probability is enumerated over its local guard closure only
-// (the distinct selects reachable through nested guards), which is
-// bit-identical to power.AnalyzeExact's global enumeration — an
-// operation's execution depends on no other coins — but costs 2^closure
-// instead of 2^k per evaluation. assemble re-derives the final power
-// through power.AnalyzeExact and fails loudly on any disagreement.
+// powerOf evaluates the objective, the guard map's activity weighted by
+// power.Weights. In exact mode each operation's probability is enumerated
+// over its local guard closure only (the distinct selects reachable
+// through nested guards), which is bit-identical to power.AnalyzeExact's
+// global enumeration — an operation's execution depends on no other coins
+// — but costs 2^closure instead of 2^k per evaluation. assemble re-derives
+// the final power through power.AnalyzeExact and fails loudly on any
+// disagreement.
 func (s *solver) powerOf(guards sim.Guards) float64 {
+	if !s.exact {
+		return power.Independent(s.g, guards).WeightedPower(s.g, power.Weights)
+	}
 	total := 0.0
 	for _, nd := range s.g.Nodes() {
 		if !nd.IsOp() {
 			continue
 		}
-		w, ok := s.weights[nd.Class()]
+		w, ok := power.Weights[nd.Class()]
 		if !ok {
 			w = 1
 		}
-		var p float64
-		if s.exact {
-			p = exactOpProb(guards, nd.ID)
-		} else {
-			p = 1.0
-			for range guards[nd.ID] {
-				p /= 2
-			}
-		}
-		total += w * p
+		total += w * exactOpProb(guards, nd.ID)
 	}
 	return total
 }
@@ -647,15 +637,7 @@ func (s *solver) activityFor(g *cdfg.Graph, guards sim.Guards) power.Activity {
 		act, _ := power.AnalyzeExact(g, guards)
 		return act
 	}
-	prob := make([]float64, s.n)
-	for _, nd := range s.g.Nodes() {
-		p := 1.0
-		for range guards[nd.ID] {
-			p /= 2
-		}
-		prob[nd.ID] = p
-	}
-	return power.Activity{Prob: prob}
+	return power.Independent(g, guards)
 }
 
 func (s *solver) pushEdge(from, to cdfg.NodeID) {
@@ -842,7 +824,7 @@ func (s *solver) assemble() (*Result, error) {
 			continue
 		}
 		for _, top := range core.GatedTops(clone, set) {
-			if hasControlEdge(clone, cs.cand.Sel, top) {
+			if clone.HasControlEdge(cs.cand.Sel, top) {
 				continue
 			}
 			if err := clone.AddControlEdge(cs.cand.Sel, top); err != nil {
@@ -861,7 +843,7 @@ func (s *solver) assemble() (*Result, error) {
 	}
 	guards := s.buildGuards(s.bestKept)
 	act := s.activityFor(clone, guards)
-	if got := act.WeightedPower(clone, s.weights); got != s.bestPower {
+	if got := act.WeightedPower(clone, power.Weights); got != s.bestPower {
 		return nil, fmt.Errorf("optimal: internal error: search evaluator %v disagrees with power analysis %v", s.bestPower, got)
 	}
 	res := Result{
@@ -886,15 +868,6 @@ func (s *solver) assemble() (*Result, error) {
 		res.Resources = schedule.Usage()
 	}
 	return &res, nil
-}
-
-func hasControlEdge(g *cdfg.Graph, from, to cdfg.NodeID) bool {
-	for _, e := range g.ControlEdges() {
-		if e.From == from && e.To == to {
-			return true
-		}
-	}
-	return false
 }
 
 func cloneInts(v []int) []int {

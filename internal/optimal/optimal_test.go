@@ -52,7 +52,7 @@ func heuristicPower(t *testing.T, g *cdfg.Graph, cfg core.Config) (float64, *cor
 // keep the graphs tiny.
 func bruteMinPower(t *testing.T, g *cdfg.Graph, budget int) float64 {
 	t.Helper()
-	s := newSolver(g, Config{Budget: budget, Weights: power.Weights}, budget)
+	s := newSolver(g, Config{Budget: budget}, budget)
 	if !s.computeWindows() {
 		t.Fatalf("budget %d below critical path", budget)
 	}
@@ -106,7 +106,7 @@ func TestAbsDiffKnownOptima(t *testing.T) {
 		{2, 11}, // no gating fits: 4 + 3 + 3 + 1
 		{3, 8},  // both subtractions gated: 4 + 1.5 + 1.5 + 1
 	} {
-		r, err := Schedule(g, Config{Budget: tc.budget, Weights: power.Weights})
+		r, err := Schedule(g, Config{Budget: tc.budget})
 		if err != nil {
 			t.Fatalf("budget %d: %v", tc.budget, err)
 		}
@@ -132,7 +132,7 @@ func TestGapdemoBeatsHeuristic(t *testing.T) {
 	if hp != 11 {
 		t.Fatalf("heuristic power at budget 3 = %v, want 11 (whole-branch revert)", hp)
 	}
-	r, err := Schedule(g, Config{Budget: 3, Weights: power.Weights})
+	r, err := Schedule(g, Config{Budget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGapdemoBeatsHeuristic(t *testing.T) {
 		t.Errorf("optimal %v did not beat heuristic %v", r.Power, hp)
 	}
 
-	r4, err := Schedule(g, Config{Budget: 4, Weights: power.Weights})
+	r4, err := Schedule(g, Config{Budget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBruteForceDifferential(t *testing.T) {
 	for _, tc := range cases {
 		for _, budget := range tc.budgets {
 			want := bruteMinPower(t, tc.graph, budget)
-			r, err := Schedule(tc.graph, Config{Budget: budget, Weights: power.Weights})
+			r, err := Schedule(tc.graph, Config{Budget: budget})
 			if err != nil {
 				t.Fatalf("%s budget %d: %v", tc.name, budget, err)
 			}
@@ -191,7 +191,6 @@ func TestSeedDominatesHeuristic(t *testing.T) {
 			hp, hr := heuristicPower(t, g, core.Config{Budget: budget})
 			r, err := Schedule(g, Config{
 				Budget:        budget,
-				Weights:       power.Weights,
 				MaxExpansions: 5_000,
 				Seed:          hr.Schedule.Time,
 			})
@@ -215,7 +214,7 @@ func TestSeedDominatesHeuristic(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	g := bench.Dealer().Graph()
-	cfg := Config{Budget: 6, Weights: power.Weights}
+	cfg := Config{Budget: 6}
 	a, err := Schedule(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +241,6 @@ func TestTruncationCertificate(t *testing.T) {
 	hp4, hr4 := heuristicPower(t, g, core.Config{Budget: 4})
 	r4, err := Schedule(g, Config{
 		Budget:        4,
-		Weights:       power.Weights,
 		MaxExpansions: 1,
 		Seed:          hr4.Schedule.Time,
 	})
@@ -260,7 +258,7 @@ func TestTruncationCertificate(t *testing.T) {
 	// interval. (A heuristic seed would hide this: keptFromTimes recovers
 	// the partial gating from the seed's times even though the pass
 	// reverted its claim, closing the gap before any expansion.)
-	r, err := Schedule(g, Config{Budget: 3, Weights: power.Weights, MaxExpansions: 1})
+	r, err := Schedule(g, Config{Budget: 3, MaxExpansions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +283,14 @@ func TestFixedResources(t *testing.T) {
 
 	// Budget 2 forces both subtractions into step 1: infeasible with one
 	// subtractor.
-	_, err := Schedule(g, Config{Budget: 2, Resources: res, Weights: power.Weights})
+	_, err := Schedule(g, Config{Budget: 2, Resources: res})
 	var ie *sched.InfeasibleError
 	if !errors.As(err, &ie) {
 		t.Fatalf("budget 2 with one subtractor: err = %v, want InfeasibleError", err)
 	}
 
 	// Budget 3 fits one gated and one ungated subtraction.
-	r, err := Schedule(g, Config{Budget: 3, Resources: res, Weights: power.Weights})
+	r, err := Schedule(g, Config{Budget: 3, Resources: res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +306,7 @@ func TestFixedResources(t *testing.T) {
 
 	// Budget 4 with II=2 pipelines the two subtractions into distinct
 	// modulo slots, so both can be gated.
-	r, err = Schedule(g, Config{Budget: 4, II: 2, Resources: res, Weights: power.Weights})
+	r, err = Schedule(g, Config{Budget: 4, II: 2, Resources: res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +325,7 @@ begin
     out = a + b;
 end
 `)
-	r, err := Schedule(g, Config{Budget: 2, Weights: power.Weights})
+	r, err := Schedule(g, Config{Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +360,7 @@ func TestInvalidSeedIgnored(t *testing.T) {
 	for i := range bogus {
 		bogus[i] = 99 // violates every validation rule
 	}
-	r, err := Schedule(g, Config{Budget: 3, Weights: power.Weights, Seed: bogus})
+	r, err := Schedule(g, Config{Budget: 3, Seed: bogus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +387,8 @@ func TestActivityOnSerializedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{
-		{Budget: cp + 1, Weights: power.Weights, MaxExpansions: 2000},
-		{Budget: 2 * cp, II: cp, Weights: power.Weights, MaxExpansions: 2000}, // the failing pipelined point
+		{Budget: cp + 1, MaxExpansions: 2000},
+		{Budget: 2 * cp, II: cp, MaxExpansions: 2000}, // the failing pipelined point
 	} {
 		hp, hr := heuristicPower(t, g, core.Config{Budget: cfg.Budget, II: cfg.II})
 		cfg.Seed = hr.Schedule.Time

@@ -20,19 +20,16 @@ var Weights = map[cdfg.Class]float64{
 	cdfg.ClassMul:  20,
 }
 
-// maxExactSelects bounds the exhaustive enumeration: 2^26 outcomes. The
+// MaxExactSelects is the largest distinct-select count AnalyzeExact (and
+// its scalar reference) enumerates exactly: 2^26 outcomes. The
 // word-parallel evaluator walks 64 joint outcomes per machine word, so the
 // worst case costs 2^20 word-operation blocks — comparable to what the
-// scalar walk paid for 2^20 outcomes when the bound was 20. Designs beyond
-// the bound fall back to the independence approximation.
-const maxExactSelects = 26
-
-// MaxExactSelects is the largest distinct-select count AnalyzeExact (and
-// its scalar reference) enumerates exactly; beyond it both fall back to
-// the independence approximation. Exported so callers that must keep a
-// whole family of guard-set evaluations on one consistent evaluator (the
-// exact-scheduling branch-and-bound) can decide the mode up front.
-const MaxExactSelects = maxExactSelects
+// scalar walk paid for 2^20 outcomes when the bound was 20. Beyond it both
+// fall back to the independence approximation (Independent). Exported so
+// callers that must keep a whole family of guard-set evaluations on one
+// consistent evaluator (the exact-scheduling branch-and-bound) can decide
+// the mode up front.
+const MaxExactSelects = 26
 
 // Activity holds per-node execution probabilities under the equiprobable
 // select model. Interface nodes and wiring have probability 1 but carry no
@@ -91,9 +88,9 @@ func Reduction(g *cdfg.Graph, gated Activity, weights map[cdfg.Class]float64) fl
 	return 1 - gated.WeightedPower(g, weights)/base
 }
 
-// distinctSelects returns the sorted distinct select sources appearing in
-// the guard map.
-func distinctSelects(guards sim.Guards) []cdfg.NodeID {
+// DistinctSelects returns the sorted distinct select sources appearing in
+// the guard map: k, the exponent of the exact enumeration.
+func DistinctSelects(guards sim.Guards) []cdfg.NodeID {
 	set := make(map[cdfg.NodeID]bool)
 	for _, gl := range guards {
 		for _, gd := range gl {
@@ -106,6 +103,22 @@ func distinctSelects(guards sim.Guards) []cdfg.NodeID {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// Independent is the independence approximation of the activity: each
+// guard halves its operation's execution probability, ignoring nested
+// shutdown and shared selects. AnalyzeExact falls back to it past
+// MaxExactSelects.
+func Independent(g *cdfg.Graph, guards sim.Guards) Activity {
+	prob := make([]float64, g.NumNodes())
+	for _, nd := range g.Nodes() {
+		p := 1.0
+		for range guards[nd.ID] {
+			p /= 2
+		}
+		prob[nd.ID] = p
+	}
+	return Activity{Prob: prob}
 }
 
 // lanePattern[i] is the value of select index i across one 64-outcome
@@ -136,9 +149,9 @@ var lanePattern = [6]uint64{
 // The probabilities are bit-identical to the scalar outcome walk (kept as
 // analyzeExactScalar and checked differentially).
 //
-// When k exceeds maxExactSelects the function falls back to the
-// independence approximation 2^-#guards and reports it via the bool result
-// (false = approximate).
+// When k exceeds MaxExactSelects the function falls back to the
+// independence approximation (Independent) and reports it via the bool
+// result (false = approximate).
 func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	n := g.NumNodes()
 	prob := make([]float64, n)
@@ -148,16 +161,9 @@ func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 		}
 		return Activity{Prob: prob}, true
 	}
-	sels := distinctSelects(guards)
-	if len(sels) > maxExactSelects {
-		for _, nd := range g.Nodes() {
-			p := 1.0
-			for range guards[nd.ID] {
-				p /= 2
-			}
-			prob[nd.ID] = p
-		}
-		return Activity{Prob: prob}, false
+	sels := DistinctSelects(guards)
+	if len(sels) > MaxExactSelects {
+		return Independent(g, guards), false
 	}
 	compiled, guarded, ok := compileGuards(g, guards, sels)
 	if !ok {
@@ -277,16 +283,9 @@ func analyzeExactScalar(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 		}
 		return Activity{Prob: prob}, true
 	}
-	sels := distinctSelects(guards)
-	if len(sels) > maxExactSelects {
-		for _, nd := range g.Nodes() {
-			p := 1.0
-			for range guards[nd.ID] {
-				p /= 2
-			}
-			prob[nd.ID] = p
-		}
-		return Activity{Prob: prob}, false
+	sels := DistinctSelects(guards)
+	if len(sels) > MaxExactSelects {
+		return Independent(g, guards), false
 	}
 	compiled, guarded, ok := compileGuards(g, guards, sels)
 	if !ok {
@@ -357,7 +356,7 @@ func MonteCarlo(s *sched.Schedule, guards sim.Guards, width, runs int, seed int6
 		for _, id := range g.Inputs() {
 			in[g.Node(id).Name] = r.Int63n(limit)
 		}
-		res, err := prog.RunReuse(in)
+		res, err := prog.Run(in)
 		if err != nil {
 			return Activity{}, err
 		}

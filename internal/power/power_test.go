@@ -225,13 +225,13 @@ func TestReductionZeroPowerGraph(t *testing.T) {
 }
 
 func TestApproximationFallback(t *testing.T) {
-	// Build guards with more than maxExactSelects distinct selects.
+	// Build guards with more than MaxExactSelects distinct selects.
 	g := cdfg.New("big")
 	a := cdfg.MustAdd(g.AddInput("a"))
 	b := cdfg.MustAdd(g.AddInput("b"))
 	guards := make(sim.Guards)
 	var last cdfg.NodeID = a
-	for i := 0; i < maxExactSelects+2; i++ {
+	for i := 0; i < MaxExactSelects+2; i++ {
 		c := cdfg.MustAdd(g.AddOp(cdfg.KindGt, nameN("c", i), last, b))
 		op := cdfg.MustAdd(g.AddOp(cdfg.KindAdd, nameN("t", i), a, b))
 		guards[op] = []sim.Guard{{Sel: c, WhenTrue: true}}

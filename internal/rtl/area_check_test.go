@@ -7,10 +7,12 @@ import (
 	"repro/internal/cdfg"
 )
 
-// TestAreaModelMatchesGenerators keeps alloc.UnitArea in lock step with
-// the actual gate counts of this package's unit generators, for several
-// widths. Table II's area ratios and Table III's absolute areas share one
-// model because of this test.
+// TestAreaModelMatchesGenerators keeps alloc.UnitArea, which Table II's
+// area ratios weigh units by, equal to the gate counts of this package's
+// adder, subtractor, CompareGT, array multiplier and 2:1 mux generators,
+// at several widths. It does not tie Table II to Table III: the chip
+// builds its comparator units from CompareGE and an equality tree, not
+// from CompareGT, so a chip comparator costs more than the model's.
 func TestAreaModelMatchesGenerators(t *testing.T) {
 	for _, w := range []int{4, 8, 16} {
 		build := func(f func(n *Netlist, a, b []Net)) float64 {
@@ -39,10 +41,6 @@ func TestAreaModelMatchesGenerators(t *testing.T) {
 		mux := build(func(n *Netlist, a, b []Net) { n.Mux2Bus(One, a, b) })
 		if got := alloc.UnitArea(cdfg.ClassMux, w); got != mux {
 			t.Errorf("w=%d mux: model %v, generator %v", w, got, mux)
-		}
-		reg := build(func(n *Netlist, a, b []Net) { n.RegisterE(a, One) })
-		if got := alloc.RegisterArea(w); got != reg {
-			t.Errorf("w=%d register: model %v, generator %v", w, got, reg)
 		}
 	}
 }

@@ -114,24 +114,11 @@ func (p *Program) run(inputs map[string]int64) error {
 	return nil
 }
 
-// Eval runs one vector and returns the outputs in a freshly allocated map
-// (keyed by output node name), exactly like Evaluate.
+// Eval runs one vector and returns the outputs keyed by output node name,
+// in a program-owned map that is valid only until the next Eval call.
+// Batch consumers compare or fold each vector's outputs before the next,
+// so evaluation makes no steady-state allocations.
 func (p *Program) Eval(inputs map[string]int64) (map[string]int64, error) {
-	if err := p.run(inputs); err != nil {
-		return nil, err
-	}
-	out := make(map[string]int64, len(p.outIDs))
-	for _, id := range p.outIDs {
-		out[p.g.Node(id).Name] = p.vals[id]
-	}
-	return out, nil
-}
-
-// EvalReuse is Eval over a program-owned output map: the returned map is
-// valid only until the next Eval/EvalReuse call. Batch consumers that
-// compare or fold outputs per vector use this to evaluate with zero
-// steady-state allocations.
-func (p *Program) EvalReuse(inputs map[string]int64) (map[string]int64, error) {
 	if err := p.run(inputs); err != nil {
 		return nil, err
 	}
@@ -355,12 +342,12 @@ func (p *ScheduledProgram) run(inputs map[string]int64) error {
 	return nil
 }
 
-// RunReuse executes one gated sample and returns a Result backed by the
+// Run executes one gated sample and returns a Result backed by the
 // program's own buffers: Outputs and Executed are valid only until the
-// next Run/RunReuse call. Batch consumers that fold each sample's result
-// immediately (activity counting, output comparison) use this to execute
-// with zero steady-state allocations.
-func (p *ScheduledProgram) RunReuse(inputs map[string]int64) (Result, error) {
+// next Run call. Batch consumers fold each sample's result immediately
+// (activity counting, output comparison), so execution makes no
+// steady-state allocations.
+func (p *ScheduledProgram) Run(inputs map[string]int64) (Result, error) {
 	if err := p.run(inputs); err != nil {
 		return Result{}, err
 	}
@@ -368,17 +355,4 @@ func (p *ScheduledProgram) RunReuse(inputs map[string]int64) (Result, error) {
 		p.out[p.g.Node(id).Name] = p.vals[id]
 	}
 	return Result{Outputs: p.out, Executed: p.executed}, nil
-}
-
-// Run executes one gated sample and returns a Result the caller owns,
-// exactly like ExecuteScheduled.
-func (p *ScheduledProgram) Run(inputs map[string]int64) (Result, error) {
-	if err := p.run(inputs); err != nil {
-		return Result{}, err
-	}
-	out := make(map[string]int64, len(p.outIDs))
-	for _, id := range p.outIDs {
-		out[p.g.Node(id).Name] = p.vals[id]
-	}
-	return Result{Outputs: out, Executed: append([]bool(nil), p.executed...)}, nil
 }

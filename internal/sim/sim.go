@@ -91,6 +91,7 @@ func Evaluate(g *cdfg.Graph, inputs map[string]int64, opt Options) (map[string]i
 	if err != nil {
 		return nil, err
 	}
+	// The program is throwaway, so handing out its output map is safe.
 	return p.Eval(inputs)
 }
 
@@ -146,5 +147,5 @@ func ExecuteScheduled(s *sched.Schedule, guards Guards, inputs map[string]int64,
 		return Result{}, err
 	}
 	// The program is throwaway, so handing out its buffers is safe.
-	return p.RunReuse(inputs)
+	return p.Run(inputs)
 }

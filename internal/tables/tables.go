@@ -1,16 +1,12 @@
 package tables
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	pmsynth "repro"
 	"repro/internal/bench"
 	"repro/internal/cdfg"
-	"repro/internal/core"
-	"repro/internal/flow"
-	"repro/internal/power"
 )
 
 // TableI renders the circuit statistics table. The reconstructed circuits
@@ -40,7 +36,7 @@ func TableII() (string, error) {
 	b.WriteString("TABLE II — AVERAGE OPERATIONS EXECUTED WITH POWER MANAGEMENT\n")
 	b.WriteString("(paper rows shown beneath measured rows; circuits are reconstructions,\n")
 	b.WriteString(" so shapes — monotone growth, saturation, op mix — are the comparison)\n")
-	b.WriteString("Circuit  Steps PM  Area    MUX   COMP      +      -      *    PowerRed\n")
+	b.WriteString(pmsynth.RowHeader + "\n")
 	for _, c := range bench.All() {
 		res, err := pmsynth.Sweep(c.Design, pmsynth.SweepSpec{Budgets: c.Budgets})
 		if err != nil {
@@ -62,32 +58,32 @@ func TableII() (string, error) {
 
 // TableOptimal renders the optimality-gap study: the paper's heuristic
 // scheduler against the exact branch-and-bound minimum at every circuit
-// and budget of Table II. Certified rows are proven minima; truncated rows
-// report the best schedule found (never worse than the heuristic, which
-// seeds the search) together with the solver's sound lower bound after
-// maxExpansions node expansions (0 uses the solver default).
+// and budget of Table II. Each circuit's budgets are one pmsynth.Sweep,
+// and each point is solved by Synthesis.Optimal. Certified rows are proven
+// minima; truncated rows report the best schedule found (never worse than
+// the heuristic, which seeds the search) together with the solver's sound
+// lower bound after maxExpansions node expansions (0 uses the solver
+// default).
 func TableOptimal(maxExpansions int) (string, error) {
 	var b strings.Builder
 	b.WriteString("OPTIMALITY GAP — heuristic vs exact minimum switched capacitance\n")
 	b.WriteString("(power = expected weighted ops per sample under the paper's weights)\n")
 	b.WriteString("Circuit  Steps  Heuristic   Optimal   Gap%  Certificate\n")
-	p := flow.New(flow.SchedulePass{}, flow.BindPass{}, flow.BaselinePass{},
-		flow.ActivityPass{}, flow.OptimalPass{MaxExpansions: maxExpansions})
 	for _, c := range bench.All() {
-		cfgs := make([]core.Config, len(c.Budgets))
-		for i, budget := range c.Budgets {
-			cfgs[i] = core.Config{Budget: budget, Weights: power.Weights}
-		}
-		ctxs, err := flow.RunAllPipeline(context.Background(), p, c.Graph(), c.Design.Width, cfgs, 0)
+		res, err := pmsynth.Sweep(c.Design, pmsynth.SweepSpec{Budgets: c.Budgets})
 		if err != nil {
 			return "", err
 		}
-		for i, fc := range ctxs {
-			if fc.Err != nil {
-				return "", fmt.Errorf("%s@%d: %w", c.Name, c.Budgets[i], fc.Err)
+		for i, p := range res.Points {
+			if p.Err != nil {
+				return "", fmt.Errorf("%s@%d: %w", c.Name, c.Budgets[i], p.Err)
 			}
-			hp := fc.Activity.WeightedPower(fc.PM.Graph, power.Weights)
-			opt := fc.Optimal
+			syn := p.Synthesis
+			opt, err := syn.Optimal(maxExpansions)
+			if err != nil {
+				return "", fmt.Errorf("%s@%d: %w", c.Name, c.Budgets[i], err)
+			}
+			hp := syn.Activity.WeightedPower(syn.PM.Graph, pmsynth.Weights)
 			gap := 0.0
 			if hp > 0 {
 				gap = 100 * (hp - opt.Power) / hp

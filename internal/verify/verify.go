@@ -17,18 +17,6 @@ import (
 	"repro/internal/sim"
 )
 
-// distinctSelectCount counts the distinct guard select nodes, the exponent
-// of both exact activity enumerations.
-func distinctSelectCount(guards sim.Guards) int {
-	set := map[int64]bool{}
-	for _, gl := range guards {
-		for _, gd := range gl {
-			set[int64(gd.Sel)] = true
-		}
-	}
-	return len(set)
-}
-
 // Matrix enumerates the configuration space the oracle exercises for one
 // design: (Order x Budget x workers), plus an optional pipelined point.
 type Matrix struct {
@@ -350,7 +338,7 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 	// stage is disabled or skipped for width).
 	// The three simulators are compiled once per point and reused across
 	// the whole probe set; each program's output map is read before its
-	// next run, so the reuse variants are safe here.
+	// next run, so the program-owned buffers they hand out are safe here.
 	if m.runStage(StageBehavioral) {
 		start := time.Now()
 		g := design.Graph
@@ -369,12 +357,12 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 		} else {
 			for i, in := range vectors {
 				rep.Checks++
-				want, err := ref.EvalReuse(in)
+				want, err := ref.Eval(in)
 				if err != nil {
 					rep.addf(StageBehavioral, pt, "reference eval failed on vector %d %v: %v", i, in, err)
 					continue
 				}
-				got, err := pmProg.RunReuse(in)
+				got, err := pmProg.Run(in)
 				if err != nil {
 					rep.addf(StageBehavioral, pt, "gated execution failed on vector %d %v: %v", i, in, err)
 					continue
@@ -389,7 +377,7 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 				if baseProg == nil {
 					continue
 				}
-				base, err := baseProg.RunReuse(in)
+				base, err := baseProg.Run(in)
 				if err != nil {
 					rep.addf(StageBehavioral, pt, "baseline execution failed on vector %d %v: %v", i, in, err)
 					continue
@@ -410,7 +398,7 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 	// must be bit-identical to the scalar reference enumeration. Both are
 	// exponential in the distinct select count, so the stage caps the
 	// scalar side at 2^16 joint outcomes.
-	if n := distinctSelectCount(syn.PM.Guards); n <= 16 && m.runStage(StageActivity) {
+	if n := len(power.DistinctSelects(syn.PM.Guards)); n <= 16 && m.runStage(StageActivity) {
 		start := time.Now()
 		rep.Checks++
 		fast, fastOK := power.AnalyzeExact(syn.PM.Graph, syn.PM.Guards)
@@ -542,19 +530,12 @@ func checkOptimality(rep *Report, design *pmsynth.Design, syn *pmsynth.Synthesis
 		// The first order at this (budget, II) seeds the warm start; the
 		// point iteration order is fixed, so the cache stays
 		// deterministic.
-		cfg := optimal.Config{
-			Budget:        p.opt.Budget,
-			II:            p.opt.II,
-			Weights:       power.Weights,
-			MaxExpansions: m.optimalExpansions(),
-			Seed:          syn.PM.Schedule.Time,
-		}
-		r1, err := optimal.Schedule(design.Graph, cfg)
+		r1, err := syn.Optimal(m.optimalExpansions())
 		entry = &optPoint{res: r1, err: err}
 		optCache[key] = entry
 		rep.Checks++
 		if err == nil {
-			r2, err2 := optimal.Schedule(design.Graph, cfg)
+			r2, err2 := syn.Optimal(m.optimalExpansions())
 			switch {
 			case err2 != nil:
 				rep.addf(StageOptimality, pt, "re-solve failed: %v", err2)
@@ -597,12 +578,12 @@ func checkOptimality(rep *Report, design *pmsynth.Design, syn *pmsynth.Synthesis
 	} else {
 		for i, in := range vectors {
 			rep.Checks++
-			want, err := ref.EvalReuse(in)
+			want, err := ref.Eval(in)
 			if err != nil {
 				rep.addf(StageOptimality, pt, "reference eval failed on vector %d %v: %v", i, in, err)
 				continue
 			}
-			got, err := prog.RunReuse(in)
+			got, err := prog.Run(in)
 			if err != nil {
 				rep.addf(StageOptimality, pt, "optimal execution failed on vector %d %v: %v", i, in, err)
 				continue

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/flow"
+	"repro/internal/optimal"
 	"repro/internal/power"
 	"repro/internal/rtl"
 	"repro/internal/sched"
@@ -145,6 +146,10 @@ type Row struct {
 	PowerReductionPct float64
 }
 
+// RowHeader is Table II's column header, the one Row.String lines up
+// under.
+const RowHeader = "Circuit  Steps PM  Area    MUX   COMP      +      -      *    PowerRed"
+
 // String formats the row like the paper's Table II.
 func (r Row) String() string {
 	return fmt.Sprintf("%-8s %3d  %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%",
@@ -167,6 +172,25 @@ func (s *Synthesis) Row() Row {
 		Mul:               ops[cdfg.ClassMul],
 		PowerReductionPct: 100 * power.Reduction(s.PM.Graph, s.Activity, power.Weights),
 	}
+}
+
+// Optimal runs the exact minimum-power scheduler on the design at this
+// synthesis's budget, II and resources, under the paper's weights, and
+// warm-started from the heuristic schedule, so the result's power never
+// exceeds the heuristic's. maxExpansions bounds the branch-and-bound
+// search; 0 uses optimal.DefaultMaxExpansions, and a truncated search
+// reports a sound lower bound in its certificate. The solver is an oracle
+// that studies one synthesis, not a stage of the flow: Synthesize and
+// Sweep never run it.
+func (s *Synthesis) Optimal(maxExpansions int) (*optimal.Result, error) {
+	cfg := s.Flow.Config
+	return optimal.Schedule(s.Design.Graph, optimal.Config{
+		Budget:        cfg.Budget,
+		II:            cfg.II,
+		Resources:     cfg.Resources,
+		MaxExpansions: maxExpansions,
+		Seed:          s.PM.Schedule.Time,
+	})
 }
 
 // Controller returns the condition-qualified FSM of the power managed
@@ -284,16 +308,26 @@ func (s *Synthesis) DumpVCDRand(samples int, rnd *rand.Rand, w io.Writer) error 
 }
 
 // Verify checks output equivalence of the gated schedule against the
-// reference interpreter on n pseudo-random input vectors.
+// reference interpreter on n pseudo-random input vectors. Both simulators
+// are compiled once; a gated program that does not compile fails on the
+// first vector, as an execution would.
 func (s *Synthesis) Verify(n int, seed int64) error {
 	g := s.Design.Graph
 	opt := sim.Options{Width: s.Design.Width}
+	ref, err := sim.Compile(g, opt)
+	if err != nil {
+		return err
+	}
+	gated, gatedErr := sim.CompileScheduled(s.PM.Schedule, s.PM.Guards, opt)
 	for _, in := range chip.RandomVectors(g, s.Design.Width, n, rand.New(rand.NewSource(seed))) {
-		want, err := sim.Evaluate(g, in, opt)
+		want, err := ref.Eval(in)
 		if err != nil {
 			return err
 		}
-		got, err := sim.ExecuteScheduled(s.PM.Schedule, s.PM.Guards, in, opt)
+		got, err := sim.Result{}, gatedErr
+		if err == nil {
+			got, err = gated.Run(in)
+		}
 		if err != nil {
 			return fmt.Errorf("pmsynth: gated execution failed on %v: %w", in, err)
 		}

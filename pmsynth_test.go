@@ -118,6 +118,30 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+func TestOptimalProducesCertifiedBaseline(t *testing.T) {
+	syn, err := Synthesize(MustCompile(absDiffSrc), Options{Budget: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := syn.Optimal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt == nil {
+		t.Fatal("missing optimal result")
+	}
+	if !opt.Cert.Optimal {
+		t.Fatalf("cert = %+v, want optimal on absdiff", opt.Cert)
+	}
+	hp := syn.Activity.WeightedPower(syn.PM.Graph, Weights)
+	if opt.Power > hp {
+		t.Fatalf("optimal power %v above heuristic %v", opt.Power, hp)
+	}
+	if err := opt.Schedule.Validate(syn.Flow.Config.Resources); err != nil {
+		t.Fatalf("invalid optimal schedule: %v", err)
+	}
+}
+
 func TestGateLevelReport(t *testing.T) {
 	syn, err := Synthesize(MustCompile(absDiffSrc), Options{Budget: 3})
 	if err != nil {
