@@ -12,8 +12,10 @@ package server
 
 import (
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cache"
@@ -135,6 +137,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	gauge("pmsynthd_traces_retained", "traces retained in the debug ring", func() int64 {
 		return int64(s.traces.Len())
 	})
+	registerRuntimeMetrics(r)
 
 	// Duration histograms, fed by the middleware and the span observer.
 	m.httpLatency = r.HistogramVec("pmsynthd_http_request_duration_seconds",
@@ -152,6 +155,55 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.storeOp = r.HistogramVec("pmsynthd_store_op_seconds",
 		"disk store operation time by op (get, put)", nil, "op")
 	return m
+}
+
+// runtimeSeries maps each exported Go runtime counter to the
+// runtime/metrics sample it reads. The runtime documents its CPU classes
+// as estimates, comparable only with each other and updated at the end of
+// each GC cycle: derive the GC share as gc/(total-idle), and read process
+// CPU from the pmsynthd_process_cpu_* series instead.
+var runtimeSeries = []struct{ name, sample, help string }{
+	{"pmsynthd_go_cpu_gc_seconds", "/cpu/classes/gc/total:cpu-seconds", "estimated CPU time spent in GC (marking, assists, pauses); compare only with the other pmsynthd_go_cpu_* series"},
+	{"pmsynthd_go_cpu_user_seconds", "/cpu/classes/user:cpu-seconds", "estimated CPU time running Go code outside the runtime"},
+	{"pmsynthd_go_cpu_idle_seconds", "/cpu/classes/idle:cpu-seconds", "estimated CPU time available to Go but left idle"},
+	{"pmsynthd_go_cpu_total_seconds", "/cpu/classes/total:cpu-seconds", "GOMAXPROCS integrated over the process's wall-clock time"},
+	{"pmsynthd_go_gc_cycles", "/gc/cycles/total:gc-cycles", "completed GC cycles"},
+	{"pmsynthd_go_heap_alloc_bytes", "/gc/heap/allocs:bytes", "cumulative bytes allocated on the heap"},
+}
+
+// registerRuntimeMetrics exports the Go runtime's CPU classes, GC cycle
+// count and cumulative heap allocation, and the process's user and system
+// CPU from getrusage, all read at scrape time.
+func registerRuntimeMetrics(r *telemetry.Registry) {
+	for _, rs := range runtimeSeries {
+		sample := rs.sample
+		r.CounterFunc(rs.name, rs.help, func() float64 {
+			s := []metrics.Sample{{Name: sample}}
+			metrics.Read(s)
+			switch s[0].Value.Kind() {
+			case metrics.KindFloat64:
+				return s[0].Value.Float64()
+			case metrics.KindUint64:
+				return float64(s[0].Value.Uint64())
+			}
+			return 0 // the runtime does not support the sample
+		})
+	}
+	rusage := func(user bool) float64 {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			return 0
+		}
+		tv := ru.Stime
+		if user {
+			tv = ru.Utime
+		}
+		return float64(tv.Nano()) / 1e9
+	}
+	r.CounterFunc("pmsynthd_process_cpu_user_seconds", "process user CPU time (getrusage)",
+		func() float64 { return rusage(true) })
+	r.CounterFunc("pmsynthd_process_cpu_system_seconds", "process system CPU time (getrusage)",
+		func() float64 { return rusage(false) })
 }
 
 // observeSpan feeds duration histograms from ended spans. It is the

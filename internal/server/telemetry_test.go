@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -355,5 +356,75 @@ func TestJoinAtSubmitSkipsQueueWait(t *testing.T) {
 	}
 	if waits != 2 || joined != 1 {
 		t.Fatalf("%d queue-wait spans, %d marked joined; want 2 and 1", waits, joined)
+	}
+}
+
+// runtimeSeriesValues scrapes /metrics once and returns the value of
+// every pmsynthd_go_* and pmsynthd_process_cpu_* series.
+func runtimeSeriesValues(t *testing.T, baseURL string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(fetchRaw(t, baseURL+"/metrics"), "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		if !strings.HasPrefix(name, "pmsynthd_go_") && !strings.HasPrefix(name, "pmsynthd_process_cpu_") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("series %s: bad value %q", name, val)
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// TestRuntimeSeriesGrowAcrossASweep: /metrics exports the Go runtime's CPU
+// classes, GC cycles and heap allocation and the process CPU, and a sweep
+// moves them. The runtime updates its CPU classes at the end of each GC
+// cycle, so the test ends the sweep with one.
+func TestRuntimeSeriesGrowAcrossASweep(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	before := runtimeSeriesValues(t, ts.URL)
+	grow := []string{
+		"pmsynthd_go_cpu_gc_seconds", "pmsynthd_go_cpu_total_seconds",
+		"pmsynthd_go_gc_cycles", "pmsynthd_go_heap_alloc_bytes",
+	}
+	keep := []string{
+		"pmsynthd_go_cpu_user_seconds", "pmsynthd_go_cpu_idle_seconds",
+		"pmsynthd_process_cpu_user_seconds", "pmsynthd_process_cpu_system_seconds",
+	}
+	for _, name := range append(grow, keep...) {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("series %s missing from /metrics", name)
+		}
+	}
+	if len(before) != len(grow)+len(keep) {
+		t.Fatalf("runtime series %v, want exactly %v and %v", before, grow, keep)
+	}
+
+	var created client.SweepJob
+	req := client.SweepRequest{Source: absDiffSrc, Spec: client.SweepSpec{BudgetMin: 2, BudgetMax: 6}}
+	if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
+		t.Fatalf("sweep = %d, want 202", code)
+	}
+	waitJobState(t, ts.URL, created.ID, client.StateSucceeded)
+	runtime.GC()
+	after := runtimeSeriesValues(t, ts.URL)
+
+	for _, name := range grow {
+		if after[name] <= before[name] {
+			t.Errorf("%s = %v after the sweep, want more than %v", name, after[name], before[name])
+		}
+	}
+	for _, name := range keep {
+		if after[name] < before[name] {
+			t.Errorf("%s fell from %v to %v", name, before[name], after[name])
+		}
+	}
+	cpu := func(m map[string]float64) float64 {
+		return m["pmsynthd_process_cpu_user_seconds"] + m["pmsynthd_process_cpu_system_seconds"]
+	}
+	if cpu(after) <= cpu(before) {
+		t.Errorf("process CPU %v after the sweep, want more than %v", cpu(after), cpu(before))
 	}
 }

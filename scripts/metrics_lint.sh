@@ -143,4 +143,16 @@ for series in pmsynthd_cluster_enabled pmsynthd_cluster_nodes \
     }
 done
 
+# The Go runtime and process CPU series are read at scrape time, so they
+# are present from the first scrape on.
+for series in pmsynthd_go_cpu_gc_seconds pmsynthd_go_cpu_user_seconds \
+    pmsynthd_go_cpu_idle_seconds pmsynthd_go_cpu_total_seconds \
+    pmsynthd_go_gc_cycles pmsynthd_go_heap_alloc_bytes \
+    pmsynthd_process_cpu_user_seconds pmsynthd_process_cpu_system_seconds; do
+    grep -q "^$series " "$OUT" || {
+        echo "metrics-lint: runtime series $series missing" >&2
+        exit 1
+    }
+done
+
 echo "metrics-lint: ok ($(grep -c '^pmsynthd' "$OUT") sample lines)"
