@@ -208,10 +208,10 @@ func main() {
 		if err != nil {
 			fail("optimal: %v", err)
 		}
-		hp := syn.Activity.WeightedPower(syn.PM.Graph, pmsynth.Weights)
+		hp := syn.WeightedPower()
 		fmt.Printf("exact minimum (branch and bound): power %.4g vs heuristic %.4g", opt.Power, hp)
 		if hp > 0 {
-			fmt.Printf(" (gap %.2f%%)", 100*(hp-opt.Power)/hp)
+			fmt.Printf(" (gap %.2f%%)", pmsynth.GapPct(hp, opt.Power))
 		}
 		fmt.Println()
 		if opt.Cert.Optimal {

@@ -245,12 +245,10 @@ func run(seeds int, start int64, profile string, m verify.Matrix, par int, shrin
 			if gp.Certified {
 				gs.Certified++
 			}
-			if gp.Heuristic > 0 {
-				pct := 100 * (gp.Heuristic - gp.Optimal) / gp.Heuristic
-				gapPctSum += pct
-				if pct > gs.MaxPct {
-					gs.MaxPct = pct
-				}
+			pct := gp.Pct()
+			gapPctSum += pct
+			if pct > gs.MaxPct {
+				gs.MaxPct = pct
 			}
 		}
 		if r.OK() {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cdfg"
 	"repro/internal/sched"
+	"repro/internal/scratch"
 	"repro/internal/sim"
 )
 
@@ -49,15 +50,28 @@ func MutuallyExclusive(guards sim.Guards, a, b cdfg.NodeID) bool {
 	return false
 }
 
+// bindScratch is Bind's working memory, kept in binders between calls:
+// the op counts per step and per (slot, class), the ops in (step, ID)
+// order, and the occupancy chains.
+type bindScratch struct {
+	perStep, perSlot []int
+	ops              []cdfg.NodeID
+	head, prev       []int
+}
+
+// binders holds the idle scratch of Bind.
+var binders scratch.List[bindScratch]
+
 // Bind allocates execution units for the schedule. Operations of one class
 // are packed greedily (earliest step first, then least ID); an op joins an
 // existing unit unless another op on that unit occupies the same modulo
 // slot without being provably exclusive (by the power management guards).
 // Every operation's step must lie in [1, s.Steps].
 //
-// A call allocates the same few times whatever the graph's size: the op
-// order comes from a counting pass over the steps, and each (unit, slot)
-// occupancy is a chain through one flat slice.
+// A warm call allocates only the Binding it returns: the op order comes
+// from a counting pass over the steps, each (unit, slot) occupancy is a
+// chain through one flat slice, and those buffers are reused from call to
+// call.
 func Bind(s *sched.Schedule, guards sim.Guards) *Binding {
 	g := s.Graph
 	n := g.NumNodes()
@@ -65,12 +79,17 @@ func Bind(s *sched.Schedule, guards sim.Guards) *Binding {
 		UnitOf: make([]Unit, n),
 		Units:  make(map[cdfg.Class]int),
 	}
+	sc := binders.Get()
+	defer binders.Put(sc)
 
 	// One pass counts the ops per step, for the (step, ID) order, and per
 	// (slot, class), which bounds each class's units: an op opens a unit
 	// only when every open one already holds an op in its slot.
-	perStep := make([]int, s.Steps+1)
-	perSlot := make([]int, s.II*cdfg.NumClasses)
+	perStep := scratch.Grow(sc.perStep, s.Steps+1)
+	perSlot := scratch.Grow(sc.perSlot, s.II*cdfg.NumClasses)
+	sc.perStep, sc.perSlot = perStep, perSlot
+	clear(perStep)
+	clear(perSlot)
 	numOps := 0
 	for _, nd := range g.Nodes() {
 		if nd.IsOp() {
@@ -85,7 +104,8 @@ func Bind(s *sched.Schedule, guards sim.Guards) *Binding {
 		perStep[t] = pos
 		pos += k
 	}
-	ops := make([]cdfg.NodeID, numOps)
+	ops := scratch.Grow(sc.ops, numOps)
+	sc.ops = ops
 	for _, nd := range g.Nodes() {
 		if nd.IsOp() {
 			t := s.Time[nd.ID]
@@ -108,8 +128,10 @@ func Bind(s *sched.Schedule, guards sim.Guards) *Binding {
 		}
 		units += most
 	}
-	head := make([]int, units*s.II)
-	prev := make([]int, n)
+	head := scratch.Grow(sc.head, units*s.II)
+	prev := scratch.Grow(sc.prev, n)
+	sc.head, sc.prev = head, prev
+	clear(head)
 
 	for _, id := range ops {
 		cls := g.Node(id).Class()

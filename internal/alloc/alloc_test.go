@@ -266,10 +266,11 @@ end
 	}
 }
 
-// TestBindAllocationsDoNotGrowWithTheGraph pins Bind to a fixed number of
-// allocations per call: the op order comes from a counting pass and the
-// unit occupancy lives in flat slices, so cordic's power-managed schedule
-// and a 150-op generated design's cost the same count.
+// TestBindAllocationsDoNotGrowWithTheGraph pins a warm Bind to the
+// Binding it returns: the op order comes from a counting pass, the unit
+// occupancy lives in flat slices, and both are reused from call to call,
+// so cordic's power-managed schedule and a 150-op generated design's cost
+// the same count: the Binding, its UnitOf vector and its Units map.
 func TestBindAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 	cordic := bench.Cordic().Graph()
 	cp, err := cordic.CriticalPath()
@@ -306,7 +307,7 @@ func TestBindAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 	}
 	a, b := allocs(small), allocs(large)
 	t.Logf("Bind allocations: cordic %v (%d nodes), generated %v (%d nodes)", a, small.Graph.NumNodes(), b, large.Graph.NumNodes())
-	const ceiling = 10
+	const ceiling = 4
 	if a != b || a > ceiling {
 		t.Errorf("Bind allocates %v on cordic and %v on the generated design, want the same count of at most %d", a, b, ceiling)
 	}

@@ -63,22 +63,16 @@ func (g *Graph) TransitiveFanin(root NodeID) NodeSet {
 	return seen
 }
 
-// Depth returns, for every node, the earliest control step it could occupy
-// considering only dataflow edges (1-based for unit-latency ops; zero for
-// free nodes feeding nothing yet). This is the unconstrained ASAP level.
-// The underlying computation is memoized; the returned slice is a fresh
-// copy the caller may modify.
-func (g *Graph) Depth() ([]int, error) {
-	return append([]int(nil), g.depthMemo()...), nil
-}
-
-// HeightToOutput returns, for every node, the longest latency-weighted path
-// from the node to any output (the node's own latency included). Nodes that
-// reach no output have height equal to their own latency. The underlying
-// computation is memoized; the returned slice is a fresh copy the caller
-// may modify.
-func (g *Graph) HeightToOutput() ([]int, error) {
-	return append([]int(nil), g.heightMemo()...), nil
+// Levels returns two per-node vectors over the dataflow edges alone.
+// depth is the earliest control step a node could occupy (1-based for
+// unit-latency ops; zero for free nodes feeding nothing yet): the
+// unconstrained ASAP level. height is the longest latency-weighted path
+// from the node to any output, its own latency included; a node that
+// reaches no output has its own latency. Both are memoized, computed on a
+// miss, and shared with the cache and with every clone and fork of the
+// graph: treat them as read-only.
+func (g *Graph) Levels() (depth, height []int) {
+	return g.depthMemo(), g.heightMemo()
 }
 
 // CriticalPath returns the minimum number of control steps needed to

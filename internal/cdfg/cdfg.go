@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
+
+	"repro/internal/scratch"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense indices starting
@@ -250,6 +253,10 @@ type Graph struct {
 	consts  []NodeID
 	outputs []NodeID
 
+	// fork is set on a graph made by Fork: it shares its node list with
+	// the graph it was forked from, so it can gain no node.
+	fork bool
+
 	// memo caches the pure-dataflow analyses (see memo.go). Graphs are
 	// always handled by pointer; the zero memo is an empty cache.
 	memo analysisMemo
@@ -288,6 +295,9 @@ func (g *Graph) Lookup(name string) NodeID {
 }
 
 func (g *Graph) add(n *Node) (NodeID, error) {
+	if g.fork {
+		return InvalidNode, fmt.Errorf("cdfg: cannot add node %q to a fork of %q", n.Name, g.Name)
+	}
 	if n.Name == "" {
 		return InvalidNode, errors.New("cdfg: node must have a name")
 	}
@@ -383,14 +393,36 @@ func (g *Graph) Preds(id NodeID) []NodeID { return g.nodes[id].Args }
 // AddControlEdge records an extra precedence constraint from -> to. It does
 // not affect dataflow semantics, only scheduling. Self edges are rejected.
 func (g *Graph) AddControlEdge(from, to NodeID) error {
-	if from == to {
-		return fmt.Errorf("cdfg: control self-edge on node %d", from)
-	}
-	if from < 0 || int(from) >= len(g.nodes) || to < 0 || int(to) >= len(g.nodes) {
-		return fmt.Errorf("cdfg: control edge references undefined node (%d -> %d)", from, to)
+	if err := g.checkControlEdge(ControlEdge{From: from, To: to}); err != nil {
+		return err
 	}
 	g.invalidateSchedDeps()
 	g.controlEdges = append(g.controlEdges, ControlEdge{From: from, To: to})
+	return nil
+}
+
+// checkControlEdge rejects a self edge and an edge to or from no node.
+func (g *Graph) checkControlEdge(e ControlEdge) error {
+	if e.From == e.To {
+		return fmt.Errorf("cdfg: control self-edge on node %d", e.From)
+	}
+	if e.From < 0 || int(e.From) >= len(g.nodes) || e.To < 0 || int(e.To) >= len(g.nodes) {
+		return fmt.Errorf("cdfg: control edge references undefined node (%d -> %d)", e.From, e.To)
+	}
+	return nil
+}
+
+// AddControlEdges records the constraints in order, as AddControlEdge
+// would one at a time, growing the edge list once. On an invalid edge it
+// returns AddControlEdge's error and records none of them.
+func (g *Graph) AddControlEdges(edges []ControlEdge) error {
+	for _, e := range edges {
+		if err := g.checkControlEdge(e); err != nil {
+			return err
+		}
+	}
+	g.invalidateSchedDeps()
+	g.controlEdges = append(slices.Grow(g.controlEdges, len(edges)), edges...)
 	return nil
 }
 
@@ -549,22 +581,37 @@ func (h *nodeMinHeap) pop() NodeID {
 	return top
 }
 
-// computeTopoOrder does the work behind TopoOrder on a memo miss.
+// topoScratch is computeTopoOrder's working memory: the in-degrees and
+// the ready heap. It waits in topoWalks between calls.
+type topoScratch struct {
+	indeg []int
+	heap  nodeMinHeap
+}
+
+// topoWalks holds the idle topoScratch values.
+var topoWalks scratch.List[topoScratch]
+
+// computeTopoOrder does the work behind TopoOrder on a memo miss. Only the
+// order, which the memo keeps, is allocated.
 func (g *Graph) computeTopoOrder(adj Adjacency) ([]NodeID, error) {
 	n := len(g.nodes)
-	indeg := make([]int, n)
+	ts := topoWalks.Get()
+	defer topoWalks.Put(ts)
+	ts.indeg = scratch.Grow(ts.indeg, n)
+	indeg := ts.indeg
 	for i := range indeg {
 		indeg[i] = len(adj.Preds(NodeID(i)))
 	}
 	// Deterministic order: process ready nodes in ID order.
-	heap := make(nodeMinHeap, 0, n)
+	ts.heap = scratch.Grow(ts.heap, n)[:0]
+	heap := &ts.heap
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			heap.push(NodeID(i))
 		}
 	}
 	order := make([]NodeID, 0, n)
-	for len(heap) > 0 {
+	for len(*heap) > 0 {
 		id := heap.pop()
 		order = append(order, id)
 		for _, s := range adj.Succs(id) {
@@ -618,6 +665,37 @@ func (g *Graph) Clone() *Graph {
 			succs = append(succs, s...)
 			ng.succs[i] = succs[lo:len(succs):len(succs)]
 		}
+	}
+	g.shareAnalyses(ng)
+	return ng
+}
+
+// Fork returns a graph with g's nodes and dataflow edges and its own copy
+// of g's control edges: the work graph of a pass that adds or clears
+// control edges and nothing else. The fork shares g's nodes, name index,
+// successor lists and pure-dataflow analyses, so it costs one small
+// allocation plus its edge list, and it owns its control edges and the
+// analyses that depend on them. Control edges added to or cleared from
+// the fork never reach g, and Fork only reads g, so any number of
+// goroutines may fork one graph at once.
+//
+// A fork can gain no node: its add methods return an error. g must gain
+// none while a fork of it is in use either, which holds for every graph
+// the compiler has finished building.
+func (g *Graph) Fork() *Graph {
+	n := len(g.nodes)
+	ng := &Graph{
+		Name:    g.Name,
+		nodes:   g.nodes[:n:n],
+		byName:  g.byName,
+		succs:   g.succs[:n:n],
+		inputs:  g.inputs[:len(g.inputs):len(g.inputs)],
+		consts:  g.consts[:len(g.consts):len(g.consts)],
+		outputs: g.outputs[:len(g.outputs):len(g.outputs)],
+		fork:    true,
+	}
+	if len(g.controlEdges) > 0 {
+		ng.controlEdges = append([]ControlEdge(nil), g.controlEdges...)
 	}
 	g.shareAnalyses(ng)
 	return ng

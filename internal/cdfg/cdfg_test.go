@@ -342,10 +342,7 @@ func TestTransitiveFanin(t *testing.T) {
 
 func TestDepthAndCriticalPath(t *testing.T) {
 	g := buildAbsDiff(t)
-	depth, err := g.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
+	depth, _ := g.Levels()
 	if d := depth[g.Lookup("a")]; d != 0 {
 		t.Errorf("input depth = %d, want 0", d)
 	}
@@ -370,10 +367,7 @@ func TestShiftsAreFree(t *testing.T) {
 	s := MustAdd(MustAddErr(g.AddShift(KindShr, "s", a, 2)))
 	b := MustAdd(g.AddOp(KindAdd, "sum", s, a))
 	MustAdd(g.AddOutput("o", b))
-	depth, err := g.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
+	depth, _ := g.Levels()
 	if depth[s] != 0 {
 		t.Errorf("shift depth = %d, want 0 (free wiring)", depth[s])
 	}
@@ -388,10 +382,7 @@ func MustAddErr(id NodeID, err error) (NodeID, error) { return id, err }
 
 func TestHeightToOutput(t *testing.T) {
 	g := buildAbsDiff(t)
-	h, err := g.HeightToOutput()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, h := g.Levels()
 	if h[g.Lookup("m")] != 1 {
 		t.Errorf("mux height = %d, want 1", h[g.Lookup("m")])
 	}
@@ -448,6 +439,121 @@ func TestCloneIsDeep(t *testing.T) {
 	if g.Node(0).Name == "mutated" {
 		t.Error("clone shares node structs with original")
 	}
+}
+
+// TestForkEdgesNeverReachTheInput: a fork shares its input's nodes and
+// dataflow analyses, but the control edges added to it, in one call or
+// many, and its cleared list, never reach the input, nor do the analyses
+// that depend on them.
+func TestForkEdgesNeverReachTheInput(t *testing.T) {
+	g := buildAbsDiff(t)
+	MustAddControlEdge(t, g, g.Lookup("g"), g.Lookup("d1"))
+	topo := slices.Clone(mustTopo(t, g))
+	depth, height := g.Levels()
+
+	f := g.Fork()
+	if f.NumNodes() != g.NumNodes() || f.Node(2) != g.Node(2) || f.Lookup("d2") != g.Lookup("d2") {
+		t.Fatal("fork does not share the input's nodes")
+	}
+	if fd, fh := f.Levels(); &fd[0] != &depth[0] || &fh[0] != &height[0] {
+		t.Error("fork does not share the input's depth and height")
+	}
+	if !slices.Equal(f.ControlEdges(), g.ControlEdges()) {
+		t.Fatalf("fork edges %v, input's %v", f.ControlEdges(), g.ControlEdges())
+	}
+	MustAddControlEdge(t, f, f.Lookup("g"), f.Lookup("d2"))
+	if err := f.AddControlEdges([]ControlEdge{{From: f.Lookup("d1"), To: f.Lookup("d2")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.SchedSuccs(f.Lookup("d1")); !slices.Contains(got, f.Lookup("d2")) {
+		t.Errorf("fork's scheduling successors of d1 %v miss its control edge", got)
+	}
+	if len(g.ControlEdges()) != 1 || len(g.SchedSuccs(g.Lookup("d1"))) != 1 {
+		t.Fatalf("input gained the fork's edges: %v", g.ControlEdges())
+	}
+	if !slices.Equal(mustTopo(t, g), topo) {
+		t.Error("input's topological order changed")
+	}
+	f.ClearControlEdges()
+	if len(g.ControlEdges()) != 1 || len(f.ControlEdges()) != 0 {
+		t.Fatalf("clearing the fork: input edges %v, fork edges %v", g.ControlEdges(), f.ControlEdges())
+	}
+	// A fork of a graph without control edges owns a fresh list too.
+	h := New("h")
+	a := MustAdd(h.AddInput("a"))
+	b := MustAdd(h.AddOp(KindAdd, "b", a, a))
+	c := MustAdd(h.AddOp(KindAdd, "c", a, a))
+	MustAdd(h.AddOutput("o", MustAdd(h.AddOp(KindAdd, "d", b, c))))
+	hf := h.Fork()
+	MustAddControlEdge(t, hf, b, c)
+	if len(h.ControlEdges()) != 0 || len(h.SchedPreds(c)) != 2 {
+		t.Fatalf("input gained the fork's edge: %v", h.ControlEdges())
+	}
+	if err := hf.AddControlEdges([]ControlEdge{{From: c, To: c}}); err == nil || len(hf.ControlEdges()) != 1 {
+		t.Fatalf("AddControlEdges took a self edge: err %v, edges %v", err, hf.ControlEdges())
+	}
+}
+
+// TestForkGainsNoNode: every way of adding a node fails on a fork, and
+// leaves both the fork and its input as they were.
+func TestForkGainsNoNode(t *testing.T) {
+	g := buildAbsDiff(t)
+	f := g.Fork()
+	a, m := g.Lookup("a"), g.Lookup("m")
+	adds := map[string]func() (NodeID, error){
+		"input":  func() (NodeID, error) { return f.AddInput("x") },
+		"const":  func() (NodeID, error) { return f.AddConst("k", 1) },
+		"op":     func() (NodeID, error) { return f.AddOp(KindAdd, "s", a, a) },
+		"mux":    func() (NodeID, error) { return f.AddMux("n", g.Lookup("g"), a, a) },
+		"shift":  func() (NodeID, error) { return f.AddShift(KindShl, "sh", a, 1) },
+		"output": func() (NodeID, error) { return f.AddOutput("o2", m) },
+	}
+	for kind, add := range adds {
+		if id, err := add(); err == nil || id != InvalidNode {
+			t.Errorf("adding a %s node to a fork gave %d, %v; want an error", kind, id, err)
+		}
+	}
+	if f.NumNodes() != g.NumNodes() || g.NumNodes() != 7 || len(g.Inputs()) != 2 || g.Lookup("x") != InvalidNode {
+		t.Fatalf("a refused add changed the graphs: fork %d nodes, input %d", f.NumNodes(), g.NumNodes())
+	}
+}
+
+// TestConcurrentForksOfOneGraph: goroutines fork one graph at once and
+// schedule their own edges; the race detector sees Fork only read it.
+func TestConcurrentForksOfOneGraph(t *testing.T) {
+	g := buildAbsDiff(t)
+	g.PrewarmAnalyses()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				f := g.Fork()
+				if err := f.AddControlEdge(f.Lookup("g"), f.Lookup("d1")); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := f.TopoOrder(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(g.ControlEdges()) != 0 {
+		t.Fatalf("input gained edges: %v", g.ControlEdges())
+	}
+}
+
+func mustTopo(t *testing.T, g *Graph) []NodeID {
+	t.Helper()
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return order
 }
 
 func MustAddControlEdge(t *testing.T, g *Graph, from, to NodeID) {
@@ -611,10 +717,7 @@ func TestPropertyDepthMonotonic(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, int(size%40)+1)
-		depth, err := g.Depth()
-		if err != nil {
-			return false
-		}
+		depth, _ := g.Levels()
 		for _, nd := range g.Nodes() {
 			for _, arg := range nd.Args {
 				if depth[arg] >= depth[nd.ID]+1-nd.Latency() && nd.Latency() == 1 && depth[arg] > depth[nd.ID]-1 {

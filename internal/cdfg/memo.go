@@ -64,8 +64,8 @@ func (g *Graph) invalidateSchedDeps() {
 }
 
 // shareAnalyses copies the warm cache entries of g into ng (a fresh clone
-// with an identical node list). The cached slices are immutable once
-// computed and safely shared.
+// or fork with an identical node list). The cached slices are immutable
+// once computed and safely shared.
 func (g *Graph) shareAnalyses(ng *Graph) {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
@@ -73,8 +73,9 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 	ng.memo.height = g.memo.height
 	ng.memo.critOK = g.memo.critOK
 	ng.memo.critical = g.memo.critical
-	// A clone starts with an identical node list and identical control
-	// edges, so the schedule-dependent entries are valid for it too.
+	// A clone or fork starts with an identical node list and identical
+	// control edges, so the schedule-dependent entries are valid for it
+	// too.
 	ng.memo.topo = g.memo.topo
 	ng.memo.sched = g.memo.sched
 }
@@ -84,8 +85,7 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 // topological order. A sweep calls this once on the shared design so every
 // per-configuration clone starts warm.
 func (g *Graph) PrewarmAnalyses() {
-	_, _ = g.Depth()
-	_, _ = g.HeightToOutput()
+	g.Levels()
 	_, _ = g.TopoOrder()
 }
 

@@ -99,9 +99,10 @@ func (m ManagedMux) GatedCount() int { return len(m.GatedTrue) + len(m.GatedFals
 
 // Result is the outcome of power management scheduling.
 type Result struct {
-	// Graph is the scheduled graph: a clone of the input with the pass's
-	// control edges inserted, or the input itself when no mux was
-	// managed and Resources was nil. Treat it as read-only.
+	// Graph is the scheduled graph: a fork of the input (see
+	// cdfg.Graph.Fork) with the pass's control edges inserted, or the
+	// input itself when no mux was managed and Resources was nil. Treat
+	// it as read-only.
 	Graph *cdfg.Graph
 	// Schedule is the final schedule on Graph.
 	Schedule *sched.Schedule
@@ -134,11 +135,13 @@ func (r *Result) GatedOps() cdfg.NodeSet {
 // method" the paper compares against: minimum hardware for the given
 // throughput, no control edges. An input without control edges is
 // scheduled as it is, so the schedule's graph is g; otherwise it is a
-// clone with the edges cleared. g is not modified.
+// fork with the edges cleared. g is not modified. The scheduler takes the
+// pre-pass window, which on a graph without control edges follows from
+// g's memoized depth and height (see sched.Window.Compute).
 func Baseline(g *cdfg.Graph, budget, ii int) (*sched.Schedule, sched.Resources, error) {
 	work := g
 	if len(g.ControlEdges()) > 0 {
-		work = g.Clone()
+		work = g.Fork()
 		work.ClearControlEdges()
 	}
 	if ii == 0 {

@@ -58,12 +58,13 @@ func Explain(g *cdfg.Graph, cfg Config) ([]MuxReport, error) {
 	if cfg.Budget < 1 {
 		return nil, fmt.Errorf("core: budget %d must be positive", cfg.Budget)
 	}
-	pr, err := selectPass(g, cfg)
+	p, err := selectPass(g, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	work := pr.graph
-	reports := pr.reports
+	defer p.release()
+	work := p.res.graph
+	reports := p.res.reports
 	for i := range reports {
 		rep := &reports[i]
 		sel := work.Node(work.Node(rep.Mux).Args[cdfg.MuxSel]).Name

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/cdfg"
+	"repro/internal/scratch"
 )
 
 // Per-node flags of one gated-set derivation: membership in the fanin cones
@@ -46,8 +47,11 @@ type gateDeriver struct {
 	tops []cdfg.NodeID
 }
 
-func newGateDeriver(g *cdfg.Graph) *gateDeriver {
-	return &gateDeriver{g: g, flags: make([]uint8, g.NumNodes())}
+// reset sets d up over g, reusing its buffers.
+func (d *gateDeriver) reset(g *cdfg.Graph) {
+	d.g = g
+	d.flags = scratch.Grow(d.flags, g.NumNodes())
+	clear(d.flags)
 }
 
 // derive computes the gated sets of mux m and their tops. Node IDs are a
@@ -182,7 +186,8 @@ type BranchCandidate struct {
 // of one behavior regardless of inserted control edges.
 func BranchCandidates(g *cdfg.Graph) []BranchCandidate {
 	var out []BranchCandidate
-	d := newGateDeriver(g)
+	d := new(gateDeriver)
+	d.reset(g)
 	for _, m := range g.Muxes() {
 		d.derive(m)
 		sel := g.Node(m).Args[cdfg.MuxSel]

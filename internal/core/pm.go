@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cdfg"
 	"repro/internal/sched"
+	"repro/internal/scratch"
 	"repro/internal/sim"
 )
 
@@ -16,71 +17,111 @@ type passResult struct {
 	graph   *cdfg.Graph
 	managed []ManagedMux
 	guards  sim.Guards
-	// reports holds every mux's verdict and gated sets in processing
-	// order, with Detail left empty. A managed mux's report shares its
-	// gated sets with its ManagedMux, which the relaxation path may shrink
-	// in place, so Explain (which never relaxes) is their only reader.
+	// reports holds every mux's verdict and a copy of its gated sets in
+	// processing order, with Detail left empty, when the pass runs for
+	// Explain, and nothing otherwise.
 	reports []MuxReport
 }
 
 // pass runs Fig. 3 steps 2-10 over the muxes of one graph. Its deriver and
-// feasibility window are built at the first mux that needs them, so a
+// feasibility window are set up at the first mux that needs them, so a
 // graph without anything to gate pays for neither.
 //
-// The pass reads its input graph and never writes it: the first committed
-// batch is the first write, so only then does the pass clone the input,
-// and the clone takes that batch's edges and every later one. Until then
-// res.graph is the input itself.
+// A pass is working memory: newPass takes one from passes, and the caller
+// releases it once it has read the result. While the muxes are stepped
+// through, the pass records the committed edges, the managed muxes and
+// their guards in its own buffers; finish then builds the result from
+// them, each piece in one allocation of its exact size. The pass reads its
+// input graph and never writes it: the result's graph is a fork of the
+// input carrying the committed edges, or the input itself when no batch
+// was committed.
 type pass struct {
-	input  *cdfg.Graph
-	res    passResult
+	input *cdfg.Graph
+	res   passResult
+	// explain records every mux's verdict in res.reports.
+	explain bool
+	// window is the input's window under the budget until win takes it
+	// over at the first feasibility test; from then on win keeps it equal
+	// to the window of the input plus the committed edges, so after the
+	// last mux it is the window of the result's graph, which Schedule
+	// hands to the scheduler.
 	window sched.Window
-	gates  *gateDeriver
-	win    *passWindow
-	// ids backs the recorded gated sets, which are capped sub-slices.
-	ids []cdfg.NodeID
+	gates  gateDeriver
+	win    passWindow
+	// hasGates and hasWin report whether gates and win are set up over
+	// this pass's input.
+	hasGates, hasWin bool
+	// order is the mux processing order; scores holds the greedy-weight
+	// order's per-mux scores, indexed by node.
+	order  []cdfg.NodeID
+	scores []float64
+	// muxes records the managed muxes in processing order, their gated
+	// sets held in ids.
+	muxes []committedMux
+	ids   []cdfg.NodeID
+	// guardsOf holds each node's guards in the order they were added, and
+	// guarded the nodes with at least one, in the order of their first.
+	guardsOf [][]sim.Guard
+	guarded  []cdfg.NodeID
 }
 
-// newPass prepares a pass over g, whose ASAP/ALAP window under the budget
-// is w. The pass takes ownership of w; g stays read-only.
-func newPass(g *cdfg.Graph, w sched.Window) *pass {
-	return &pass{input: g, res: passResult{graph: g, guards: make(sim.Guards)}, window: w}
+// committedMux is a managed mux as the pass records it: its gated sets
+// are ids[lo:mid] (true branch) and ids[mid:hi] (false branch).
+type committedMux struct {
+	mux, sel    cdfg.NodeID
+	lo, mid, hi int
 }
 
-// runPass executes Fig. 3 steps 2-10 over the muxes of g (whose window
-// under the budget is w) in the given order, committing each mux whose
-// serialization keeps the budget feasible. The result's graph carries the
-// committed control edges: a clone of g, or g itself when nothing was
-// committed. w is updated in place.
-func runPass(g *cdfg.Graph, order []cdfg.NodeID, w sched.Window) (passResult, error) {
-	p := newPass(g, w)
-	for _, m := range order {
-		if err := p.step(m); err != nil {
-			return passResult{}, err
-		}
+// passes holds the idle passes.
+var passes scratch.List[pass]
+
+// newPass takes an idle pass and starts it over g, which it only reads.
+// The caller computes g's window under the budget into p.window before
+// the first step, and calls release when done with the result.
+func newPass(g *cdfg.Graph, explain bool) *pass {
+	p := passes.Get()
+	p.input, p.explain = g, explain
+	p.res = passResult{graph: g}
+	p.muxes, p.ids = p.muxes[:0], p.ids[:0]
+	p.guardsOf = resetLists(p.guardsOf, g.NumNodes())
+	p.guarded = p.guarded[:0]
+	return p
+}
+
+// release returns p to passes, dropping every reference to the graph and
+// the result.
+func (p *pass) release() {
+	p.input, p.res = nil, passResult{}
+	p.gates.g = nil
+	p.win.g, p.win.asap, p.win.alap = nil, nil, nil
+	p.hasGates, p.hasWin = false, false
+	passes.Put(p)
+}
+
+// deriver returns the pass's gate deriver, set up over the input on first
+// use.
+func (p *pass) deriver() *gateDeriver {
+	if !p.hasGates {
+		p.gates.reset(p.input)
+		p.hasGates = true
 	}
-	return p.res, nil
+	return &p.gates
 }
 
 // step derives m's gated sets, tentatively serializes its select before
 // their tops, and keeps the mux if every node still fits the budget.
 func (p *pass) step(m cdfg.NodeID) error {
-	g := p.res.graph
-	if p.gates == nil {
-		p.gates = newGateDeriver(g)
-	}
-	d := p.gates
+	d := p.deriver()
 	d.derive(m)
-	rep := MuxReport{Mux: m, Verdict: VerdictNothingToGate}
 	if d.empty() {
-		p.res.reports = append(p.res.reports, rep)
+		p.report(m, VerdictNothingToGate)
 		return nil
 	}
-	rep.GatedTrue, rep.GatedFalse = p.keep(d.sets[0]), p.keep(d.sets[1])
-	if p.win == nil {
-		p.win = newPassWindow(g, p.window)
+	if !p.hasWin {
+		p.win.reset(p.input, p.window)
+		p.hasWin = true
 	}
-	sel := g.Node(m).Args[cdfg.MuxSel]
+	sel := p.input.Node(m).Args[cdfg.MuxSel]
 	ok, err := p.win.test(sel, d.tops)
 	if err != nil {
 		return err
@@ -88,59 +129,104 @@ func (p *pass) step(m cdfg.NodeID) error {
 	if !ok {
 		// Paper step 7: revert; no PM for this mux at this throughput.
 		p.win.rollback()
-		rep.Verdict = VerdictNoSlack
-		p.res.reports = append(p.res.reports, rep)
+		p.report(m, VerdictNoSlack)
 		return nil
 	}
-	if p.res.graph == p.input {
-		p.res.graph = p.input.Clone()
-	}
-	if err := p.win.commit(p.res.graph); err != nil {
-		return err
-	}
-	rep.Verdict = VerdictManaged
-	p.res.reports = append(p.res.reports, rep)
-	p.res.managed = append(p.res.managed, ManagedMux{
-		Mux:        m,
-		Sel:        sel,
-		GatedTrue:  rep.GatedTrue,
-		GatedFalse: rep.GatedFalse,
-	})
-	for _, id := range rep.GatedTrue {
-		addGuard(p.res.guards, id, sim.Guard{Sel: sel, WhenTrue: true})
-	}
-	for _, id := range rep.GatedFalse {
-		addGuard(p.res.guards, id, sim.Guard{Sel: sel, WhenTrue: false})
+	p.win.commit()
+	p.report(m, VerdictManaged)
+	lo := len(p.ids)
+	p.ids = append(p.ids, d.sets[0]...)
+	mid := len(p.ids)
+	p.ids = append(p.ids, d.sets[1]...)
+	p.muxes = append(p.muxes, committedMux{mux: m, sel: sel, lo: lo, mid: mid, hi: len(p.ids)})
+	for b, set := range d.sets {
+		for _, id := range set {
+			p.addGuard(id, sim.Guard{Sel: sel, WhenTrue: b == 0})
+		}
 	}
 	return nil
 }
 
-// keep copies ids into the pass's backing store and returns the copy, nil
-// when ids is empty.
-func (p *pass) keep(ids []cdfg.NodeID) []cdfg.NodeID {
+// report records m's verdict, with a copy of its gated sets unless there
+// is nothing to gate, when the pass runs for Explain.
+func (p *pass) report(m cdfg.NodeID, v MuxVerdict) {
+	if !p.explain {
+		return
+	}
+	rep := MuxReport{Mux: m, Verdict: v}
+	if v != VerdictNothingToGate {
+		rep.GatedTrue, rep.GatedFalse = cloneIDs(p.gates.sets[0]), cloneIDs(p.gates.sets[1])
+	}
+	p.res.reports = append(p.res.reports, rep)
+}
+
+// cloneIDs returns a copy of ids, nil when ids is empty.
+func cloneIDs(ids []cdfg.NodeID) []cdfg.NodeID {
 	if len(ids) == 0 {
 		return nil
 	}
-	start := len(p.ids)
-	p.ids = append(p.ids, ids...)
-	return p.ids[start:len(p.ids):len(p.ids)]
+	return slices.Clone(ids)
 }
 
 // addGuard appends a guard unless an identical one is already present: two
 // muxes sharing one select can gate overlapping cones, and a repeated
 // identical guard must not be double counted by the probability analyses.
-func addGuard(gs sim.Guards, id cdfg.NodeID, gd sim.Guard) {
-	for _, have := range gs[id] {
-		if have == gd {
-			return
+func (p *pass) addGuard(id cdfg.NodeID, gd sim.Guard) {
+	have := p.guardsOf[id]
+	if slices.Contains(have, gd) {
+		return
+	}
+	if len(have) == 0 {
+		p.guarded = append(p.guarded, id)
+	}
+	p.guardsOf[id] = append(have, gd)
+}
+
+// finish builds the result from the pass's records. The graph is a fork
+// of the input carrying the committed edges, or the input when there are
+// none; the managed muxes, their gated sets, the guard map and its lists
+// each take one allocation of their exact size, so the count does not
+// grow with the design.
+func (p *pass) finish() error {
+	if p.hasWin && len(p.win.edges) > 0 {
+		fork := p.input.Fork()
+		if err := fork.AddControlEdges(p.win.edges); err != nil {
+			return err
+		}
+		p.res.graph = fork
+	}
+	if len(p.muxes) > 0 {
+		ids := slices.Clone(p.ids)
+		span := func(lo, hi int) []cdfg.NodeID {
+			if lo == hi {
+				return nil
+			}
+			return ids[lo:hi:hi]
+		}
+		p.res.managed = make([]ManagedMux, len(p.muxes))
+		for i, cm := range p.muxes {
+			p.res.managed[i] = ManagedMux{Mux: cm.mux, Sel: cm.sel,
+				GatedTrue: span(cm.lo, cm.mid), GatedFalse: span(cm.mid, cm.hi)}
 		}
 	}
-	gs[id] = append(gs[id], gd)
+	total := 0
+	for _, id := range p.guarded {
+		total += len(p.guardsOf[id])
+	}
+	p.res.guards = make(sim.Guards, len(p.guarded))
+	block := make([]sim.Guard, 0, total)
+	for _, id := range p.guarded {
+		lo := len(block)
+		block = append(block, p.guardsOf[id]...)
+		p.res.guards[id] = block[lo:len(block):len(block)]
+	}
+	return nil
 }
 
 // Schedule runs the full power management scheduling flow on g (paper
 // Fig. 3). The input graph is not modified. Result.Graph is g itself when
-// no mux was managed and Resources is nil; otherwise it is a clone.
+// no mux was managed and Resources is nil; otherwise it is a fork of g
+// (see cdfg.Graph.Fork) carrying the pass's control edges.
 func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if cfg.Budget < 1 {
 		return nil, fmt.Errorf("core: budget %d must be positive", cfg.Budget)
@@ -149,10 +235,12 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if ii < 1 || ii > cfg.Budget {
 		return nil, fmt.Errorf("core: initiation interval %d outside [1,%d]", ii, cfg.Budget)
 	}
-	pr, err := selectPass(g, cfg)
+	p, err := selectPass(g, cfg, false)
 	if err != nil {
 		return nil, err
 	}
+	defer p.release()
+	pr := &p.res
 
 	var s *sched.Schedule
 	var res sched.Resources
@@ -160,16 +248,17 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 		// Fixed hardware: degrade gating gracefully when the resource
 		// constraint makes the fully gated schedule infeasible
 		// (paper §II.B's one-subtractor scenario). Relaxation rewrites
-		// the graph's control edges, so it works on a clone even when
+		// the graph's control edges, so it works on a fork even when
 		// the pass committed nothing.
 		res = cfg.Resources.Clone()
 		userEdges := append([]cdfg.ControlEdge(nil), g.ControlEdges()...)
 		if pr.graph == g {
-			pr.graph = g.Clone()
+			pr.graph = g.Fork()
 		}
-		s, err = scheduleWithRelaxation(&pr, cfg.Budget, ii, res, userEdges, cfg.Weights)
+		s, err = scheduleWithRelaxation(pr, cfg.Budget, ii, res, userEdges, cfg.Weights)
 	} else {
-		s, res, err = sched.Minimize(pr.graph, cfg.Budget, ii)
+		// The pass's window is the committed graph's: no new analysis.
+		s, res, err = sched.MinimizeWithin(pr.graph, cfg.Budget, ii, p.window)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: final scheduling failed: %w", err)
@@ -184,72 +273,84 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// selectPass runs the mux selection loop in the configured order.
-// Schedule finishes that pass; Explain reports its verdicts.
-func selectPass(g *cdfg.Graph, cfg Config) (passResult, error) {
+// selectPass runs the mux selection loop in the configured order, with
+// every mux's verdict recorded when explain is set. Schedule finishes
+// that pass; Explain reports its verdicts. The caller releases the pass.
+func selectPass(g *cdfg.Graph, cfg Config, explain bool) (*pass, error) {
 	if err := g.Validate(); err != nil {
-		return passResult{}, err
-	}
-	// Budget feasibility before any PM constraint. The window and the
-	// order only read g; its analysis memo is safe to share.
-	w, err := sched.AnalyzeWindow(g, cfg.Budget)
-	if err != nil {
-		return passResult{}, err
-	}
-	if !w.Feasible() {
-		return passResult{}, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
-	}
-	order, err := candidateOrder(g, cfg)
-	if err != nil {
-		return passResult{}, err
-	}
-	return runPass(g, order, w)
-}
-
-// candidateOrder produces the mux processing order of the configured
-// strategy.
-func candidateOrder(g *cdfg.Graph, cfg Config) ([]cdfg.NodeID, error) {
-	muxes := g.Muxes()
-	if len(muxes) == 0 {
-		return nil, nil
-	}
-	height, err := g.HeightToOutput()
-	if err != nil {
 		return nil, err
 	}
-	byHeight := func(asc bool) []cdfg.NodeID {
-		out := append([]cdfg.NodeID(nil), muxes...)
-		slices.SortStableFunc(out, func(a, b cdfg.NodeID) int {
+	p := newPass(g, explain)
+	if err := p.run(cfg); err != nil {
+		p.release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// run checks the budget, orders the muxes and steps through them.
+func (p *pass) run(cfg Config) error {
+	// Budget feasibility before any PM constraint. The window and the
+	// order only read the input; its analysis memo is safe to share.
+	if err := p.window.Compute(p.input, cfg.Budget); err != nil {
+		return err
+	}
+	if !p.window.Feasible() {
+		return fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
+	}
+	if err := p.orderMuxes(cfg); err != nil {
+		return err
+	}
+	for _, m := range p.order {
+		if err := p.step(m); err != nil {
+			return err
+		}
+	}
+	return p.finish()
+}
+
+// orderMuxes fills p.order with the input's multiplexors in the
+// processing order of the configured strategy.
+func (p *pass) orderMuxes(cfg Config) error {
+	g := p.input
+	p.order = p.order[:0]
+	for _, nd := range g.Nodes() {
+		if nd.Kind == cdfg.KindMux {
+			p.order = append(p.order, nd.ID)
+		}
+	}
+	if len(p.order) == 0 {
+		return nil
+	}
+	_, height := g.Levels()
+	byHeight := func(a, b cdfg.NodeID) int {
+		if ha, hb := height[a], height[b]; ha != hb {
+			return cmp.Compare(ha, hb)
+		}
+		return cmp.Compare(a, b)
+	}
+	switch cfg.Order {
+	case OrderOutputsFirst:
+		slices.SortStableFunc(p.order, byHeight)
+	case OrderInputsFirst:
+		slices.SortStableFunc(p.order, func(a, b cdfg.NodeID) int {
 			if ha, hb := height[a], height[b]; ha != hb {
-				if asc {
-					return cmp.Compare(ha, hb)
-				}
 				return cmp.Compare(hb, ha)
 			}
 			return cmp.Compare(a, b)
 		})
-		return out
-	}
-	switch cfg.Order {
-	case OrderOutputsFirst:
-		return byHeight(true), nil
-	case OrderInputsFirst:
-		return byHeight(false), nil
 	case OrderGreedyWeight:
-		return greedyWeightOrder(g, muxes, cfg.Weights), nil
+		p.greedyWeightOrder(cfg.Weights, height)
 	default:
-		return nil, fmt.Errorf("core: unknown order strategy %v", cfg.Order)
+		return fmt.Errorf("core: unknown order strategy %v", cfg.Order)
 	}
+	return nil
 }
 
-// greedyWeightOrder sorts muxes by decreasing gateable-cone weight, the
+// greedyWeightOrder sorts p.order by decreasing gateable-cone weight, the
 // §IV.A pre-processing heuristic. Ties fall back to outputs-first.
-func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Class]float64) []cdfg.NodeID {
-	height, err := g.HeightToOutput()
-	if err != nil {
-		// Callers validated the graph; unreachable in practice.
-		height = make([]int, g.NumNodes())
-	}
+func (p *pass) greedyWeightOrder(weights map[cdfg.Class]float64, height []int) {
+	g := p.input
 	weightOf := func(set []cdfg.NodeID) float64 {
 		total := 0.0
 		for _, id := range set {
@@ -263,14 +364,14 @@ func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Clas
 		}
 		return total
 	}
-	score := make(map[cdfg.NodeID]float64, len(muxes))
-	d := newGateDeriver(g)
-	for _, m := range muxes {
+	p.scores = scratch.Grow(p.scores, g.NumNodes())
+	score := p.scores
+	d := p.deriver()
+	for _, m := range p.order {
 		d.derive(m)
 		score[m] = weightOf(d.sets[0]) + weightOf(d.sets[1])
 	}
-	out := append([]cdfg.NodeID(nil), muxes...)
-	slices.SortStableFunc(out, func(a, b cdfg.NodeID) int {
+	slices.SortStableFunc(p.order, func(a, b cdfg.NodeID) int {
 		if score[a] != score[b] {
 			return cmp.Compare(score[b], score[a])
 		}
@@ -279,5 +380,4 @@ func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Clas
 		}
 		return cmp.Compare(a, b)
 	})
-	return out
 }

@@ -446,7 +446,7 @@ func TestOrderStrategiesRun(t *testing.T) {
 	}
 }
 
-// TestInputGraphNotMutated pins clone on first write: Schedule, Baseline
+// TestInputGraphNotMutated pins the fork on first write: Schedule, Baseline
 // and Explain read their input and never write it, at every budget from
 // the critical path up, pipelined, under fixed resources, and on an input
 // that carries a control edge of its own. Schedule's result aliases the

@@ -48,24 +48,42 @@ type passWindow struct {
 	pending         []cdfg.NodeID
 	raised, lowered []cdfg.NodeID
 	heap            changeHeap
+	// edges lists the committed batches' edges in commit order: with the
+	// caller's edges of g, they make the graph whose window pw keeps.
+	edges []cdfg.ControlEdge
 }
 
-// newPassWindow takes ownership of w, the window of g under the budget.
-func newPassWindow(g *cdfg.Graph, w sched.Window) *passWindow {
+// reset starts pw over g, taking over w, the window of g under the budget:
+// pw updates w's vectors in place from here on. Every buffer pw held
+// before is reused.
+func (pw *passWindow) reset(g *cdfg.Graph, w sched.Window) {
 	n := g.NumNodes()
-	pw := &passWindow{
-		g:         g,
-		asap:      w.ASAP,
-		alap:      w.ALAP,
-		base:      sched.Window{ASAP: w.ASAP.Clone(), ALAP: w.ALAP.Clone()},
-		ctrlSuccs: make([][]cdfg.NodeID, n),
-		ctrlPreds: make([][]cdfg.NodeID, n),
-	}
+	pw.g = g
+	pw.asap, pw.alap = w.ASAP, w.ALAP
+	pw.base.ASAP = append(pw.base.ASAP[:0], w.ASAP...)
+	pw.base.ALAP = append(pw.base.ALAP[:0], w.ALAP...)
+	pw.ctrlSuccs = resetLists(pw.ctrlSuccs, n)
+	pw.ctrlPreds = resetLists(pw.ctrlPreds, n)
 	for _, e := range g.ControlEdges() {
 		pw.ctrlSuccs[e.From] = append(pw.ctrlSuccs[e.From], e.To)
 		pw.ctrlPreds[e.To] = append(pw.ctrlPreds[e.To], e.From)
 	}
-	return pw
+	pw.clearPending()
+	pw.heap = pw.heap[:0]
+	pw.edges = pw.edges[:0]
+}
+
+// resetLists returns n empty per-node lists, reusing the lists of l and
+// their arrays.
+func resetLists[E any](l [][]E, n int) [][]E {
+	if cap(l) < n {
+		l = append(l[:cap(l)], make([][]E, n-cap(l))...)
+	}
+	l = l[:n]
+	for i := range l {
+		l[i] = l[i][:0]
+	}
+	return l
 }
 
 // test adds the batch sel→tops (skipping edges the graph already has) and
@@ -135,10 +153,9 @@ func (pw *passWindow) lower(id cdfg.NodeID, t int) {
 }
 
 // commit makes the pending batch part of the committed window: it lowers
-// ALAP from sel, keeps the new times, and adds the batch's edges to work
-// in batch order. work is the pass's clone of pw.g, so the two agree on
-// every node and dataflow edge; pw.g itself is never written.
-func (pw *passWindow) commit(work *cdfg.Graph) error {
+// ALAP from sel, keeps the new times, and appends the batch's edges to
+// edges in batch order. pw.g itself is never written.
+func (pw *passWindow) commit() {
 	g, alap := pw.g, pw.alap
 	for _, top := range pw.pending {
 		pw.lower(pw.sel, alap[top]-g.Node(top).Latency())
@@ -162,12 +179,9 @@ func (pw *passWindow) commit(work *cdfg.Graph) error {
 		pw.base.ALAP[id] = alap[id]
 	}
 	for _, top := range pw.pending {
-		if err := work.AddControlEdge(pw.sel, top); err != nil {
-			return err
-		}
+		pw.edges = append(pw.edges, cdfg.ControlEdge{From: pw.sel, To: top})
 	}
 	pw.clearPending()
-	return nil
 }
 
 // rollback restores the committed window and drops the pending edges.

@@ -48,15 +48,16 @@ func oracleGraphs(t *testing.T, n int) []namedGraph {
 	return out
 }
 
-// checkPassWindow runs the selection loop of runPass over g under budget in
-// the given order and checks every batch, committed or rejected, against a
-// from-scratch computation. The pass's window must equal sched.AnalyzeWindow
-// on a clone carrying the same control edges. Each mux's gated sets must
-// equal the reference derivation's. A managed mux must have added exactly
-// the reference batch's edges and left the graph feasible; a rejected mux
-// must have added none, and the reference batch must be infeasible. The
-// pass must never write g: its graph is g itself until the first managed
-// mux and a clone from there on. It returns the pass's error, if any.
+// checkPassWindow runs the selection loop of the pass over g under budget
+// in the given order and checks every batch, committed or rejected,
+// against a from-scratch computation. The pass's window must equal
+// sched.AnalyzeWindow on a clone of g carrying the committed edges. Each
+// mux's gated sets must equal the reference derivation's. A managed mux
+// must have added exactly the reference batch's edges and left the graph
+// feasible; a rejected mux must have added none, and the reference batch
+// must be infeasible. The pass must never write g: its result's graph is
+// g itself when no mux was managed and a fork carrying the committed
+// edges otherwise. It returns the pass's error, if any.
 func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeID) error {
 	t.Helper()
 	w, err := sched.AnalyzeWindow(g, budget)
@@ -69,17 +70,29 @@ func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeI
 			t.Errorf("budget %d: the pass wrote its input graph's control edges", budget)
 		}
 	}()
-	p := newPass(g, w)
+	p := newPass(g, true)
+	defer p.release()
+	p.window = w
+	// committed is g with the edges the pass has committed so far.
+	committed := func() *cdfg.Graph {
+		c := g.Clone()
+		if p.hasWin {
+			if err := c.AddControlEdges(p.win.edges); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
 	managed := false
 	for _, m := range order {
-		work := p.res.graph
+		work := committed()
 		refTrue, refFalse := referenceGatedSets(work, m)
 		before := slices.Clone(work.ControlEdges())
 		tent := tentative(work, m, refTrue, refFalse)
 		stepErr := p.step(m)
-		work = p.res.graph
+		work = committed()
 
-		want, err := sched.AnalyzeWindow(work.Clone(), budget)
+		want, err := sched.AnalyzeWindow(work, budget)
 		if err != nil {
 			t.Fatalf("mux %d: committed graph: %v", m, err)
 		}
@@ -87,7 +100,7 @@ func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeI
 			t.Fatalf("mux %d: window\n asap %v\n alap %v\nwant\n asap %v\n alap %v",
 				m, p.window.ASAP, p.window.ALAP, want.ASAP, want.ALAP)
 		}
-		if p.win != nil && (!slices.Equal(p.win.base.ASAP, want.ASAP) || !slices.Equal(p.win.base.ALAP, want.ALAP)) {
+		if p.hasWin && (!slices.Equal(p.win.base.ASAP, want.ASAP) || !slices.Equal(p.win.base.ALAP, want.ALAP)) {
 			t.Fatalf("mux %d: committed window differs from the analysis", m)
 		}
 		if stepErr != nil {
@@ -122,11 +135,26 @@ func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeI
 				t.Fatalf("mux %d: nothing to gate, but reference sets %v/%v", m, refTrue.Sorted(), refFalse.Sorted())
 			}
 		}
-		if (work == g) == managed {
-			t.Fatalf("mux %d: pass graph is the input: %v, a mux managed so far: %v", m, work == g, managed)
-		}
+	}
+	if err := p.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.res.graph; (got == g) == managed || !slices.Equal(got.ControlEdges(), committed().ControlEdges()) {
+		t.Fatalf("result graph is the input: %v, with edges %v; a mux managed: %v, committed edges %v",
+			got == g, got.ControlEdges(), managed, committed().ControlEdges())
 	}
 	return nil
+}
+
+// muxOrder returns the pass's processing order of g's muxes under cfg.
+func muxOrder(t testing.TB, g *cdfg.Graph, cfg Config) []cdfg.NodeID {
+	t.Helper()
+	p := newPass(g, false)
+	defer p.release()
+	if err := p.orderMuxes(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return slices.Clone(p.order)
 }
 
 // tentative returns a clone of work with mux m's batch for the given gated
@@ -197,10 +225,7 @@ func checkAllOrders(t testing.TB, g *cdfg.Graph) {
 	}
 	for budget := cp; budget <= cp+3; budget++ {
 		for _, o := range []Order{OrderOutputsFirst, OrderInputsFirst, OrderGreedyWeight} {
-			order, err := candidateOrder(g, Config{Budget: budget, Order: o, Weights: power.Weights})
-			if err != nil {
-				t.Fatal(err)
-			}
+			order := muxOrder(t, g, Config{Budget: budget, Order: o, Weights: power.Weights})
 			if err := checkPassWindow(t, g, budget, order); err != nil {
 				t.Fatalf("budget %d order %v: %v", budget, o, err)
 			}
@@ -264,15 +289,13 @@ func TestFeasibilityBatchAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order, err := candidateOrder(g, Config{Budget: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := newPass(g.Clone(), w)
+		order := muxOrder(t, g, Config{Budget: budget})
+		p := newPass(g.Clone(), false)
+		p.window = w
 		batches := 0
 		for _, m := range order {
 			sel := g.Node(m).Args[cdfg.MuxSel]
-			if p.gates != nil && p.win != nil {
+			if p.hasGates && p.hasWin {
 				allocs := testing.AllocsPerRun(20, func() {
 					p.gates.derive(m)
 					if _, err := p.win.test(sel, p.gates.tops); err != nil {
@@ -289,24 +312,21 @@ func TestFeasibilityBatchAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		p.release()
 		if batches == 0 {
 			t.Fatalf("budget %d: no batch measured", budget)
 		}
 	}
 }
 
-// Sinks that keep measured values alive, so they escape as Schedule's
+// resultSink keeps measured results alive, so they escape as Schedule's
 // results do.
-var (
-	resultSink *Result
-	windowSink sched.Window
-	orderSink  []cdfg.NodeID
-)
+var resultSink *Result
 
 // TestScheduleConditionalFreeAllocs: on a design without conditionals the
-// pass builds neither its deriver nor its window, so Schedule allocates no
-// more than the flow it cannot avoid: validate, the window, the empty
-// order, a work clone, its guards map, minimize and the result.
+// pass builds neither its deriver nor its window, and its working memory
+// is reused, so Schedule allocates no more than the flow it cannot avoid:
+// the guards map, the minimized schedule and the result.
 func TestScheduleConditionalFreeAllocs(t *testing.T) {
 	cfg := gen.Default()
 	cfg.Ops = 150
@@ -331,22 +351,12 @@ func TestScheduleConditionalFreeAllocs(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		w, err := sched.AnalyzeWindow(g, sc.Budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order, err := candidateOrder(g, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		work := g.Clone()
 		guards := make(sim.Guards)
-		s, res, err := sched.Minimize(work, sc.Budget, sc.Budget)
+		s, res, err := sched.Minimize(g, sc.Budget, sc.Budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		windowSink, orderSink = w, order
-		resultSink = &Result{Graph: work, Schedule: s, Resources: res, Guards: guards}
+		resultSink = &Result{Graph: g, Schedule: s, Resources: res, Guards: guards}
 	})
 	t.Logf("Schedule: %v allocations per call; floor %v", got, floor)
 	if got > floor {

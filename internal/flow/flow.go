@@ -18,11 +18,11 @@ import (
 // Context carries one configuration's inputs and every artifact the passes
 // produce. A Context is used by one goroutine at a time while its pipeline
 // runs; distinct Contexts may run concurrently even when they share the
-// input Graph. Passes treat the input as read-only: the PM pass reads it
-// until its first committed control edge and clones it there, so PM.Graph
-// is the input itself at a point that manages nothing under minimized
-// hardware. Once the pipeline has finished, Controllers is safe for
-// concurrent use.
+// input Graph. Passes treat the input as read-only: the PM pass forks it
+// when it commits control edges (cdfg.Graph.Fork), so PM.Graph shares the
+// input's nodes, and is the input itself at a point that manages nothing
+// under minimized hardware. Once the pipeline has finished, Controllers is
+// safe for concurrent use.
 type Context struct {
 	// Ctx carries cancellation for long runs; nil means never canceled.
 	//pmlint:allow spanpair the pipeline Context is the per-run carrier passes thread cancellation through; it lives exactly one Run and the sweep engine clears it before returning the Context

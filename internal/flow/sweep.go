@@ -18,12 +18,22 @@ import (
 //
 // The shared read-only analyses of g (depth, height, critical path,
 // topological order) are prewarmed once. Every configuration reads them
-// from g itself, or from the clone its PM pass makes at its first
-// committed control edge, which shares them, so the per-configuration
-// runs do not recompute them. Nothing else is memoized: every call runs
-// the pipeline for every configuration and returns Contexts it alone
-// owns, with their Ctx field cleared. A Context's PM graph and baseline
-// schedule may alias g; they, like g, are read-only.
+// from g itself, or from the fork its PM pass makes when it commits
+// control edges, which shares them with g's nodes, so the
+// per-configuration runs do not recompute them. Nothing else is memoized:
+// every call runs the pipeline for every configuration and returns
+// Contexts it alone owns, with their Ctx field cleared.
+//
+// Ownership. A Context owns what its row keeps, allocated per point: the
+// schedules' time vectors, the bindings, the guards, the activity, and the
+// PM graph's control edges with the analyses that depend on them. Its PM
+// graph shares g's nodes, and its baseline schedule may alias g; they,
+// like g, are read-only. Everything else a pass uses only while it runs
+// (the list scheduler's state, the windows, the PM pass's deriver, the
+// binder's and the activity walk's tables) comes from its package's
+// bounded free list (internal/scratch) and goes back there before the
+// pass returns, so the points of this and every later sweep reuse it, on
+// whichever goroutine they run.
 //
 // A configuration whose pipeline fails has its error recorded in the
 // Context's Err field; RunAllPipeline itself returns an error only when

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cdfg"
 	"repro/internal/sched"
+	"repro/internal/scratch"
 	"repro/internal/sim"
 )
 
@@ -56,16 +57,19 @@ func (a Activity) ExpectedOps(g *cdfg.Graph) map[cdfg.Class]float64 {
 func (a Activity) WeightedPower(g *cdfg.Graph, weights map[cdfg.Class]float64) float64 {
 	total := 0.0
 	for _, n := range g.Nodes() {
-		if !n.IsOp() {
-			continue
+		if n.IsOp() {
+			total += weightOf(weights, n.Class()) * a.Prob[n.ID]
 		}
-		w, ok := weights[n.Class()]
-		if !ok {
-			w = 1
-		}
-		total += w * a.Prob[n.ID]
 	}
 	return total
+}
+
+// weightOf returns class c's weight, 1 when weights lists none.
+func weightOf(weights map[cdfg.Class]float64, c cdfg.Class) float64 {
+	if w, ok := weights[c]; ok {
+		return w
+	}
+	return 1
 }
 
 // Ungated returns the all-ops-execute activity, the paper's baseline
@@ -81,7 +85,14 @@ func Ungated(g *cdfg.Graph) Activity {
 // Reduction returns the fractional datapath power saving of the gated
 // activity against the ungated baseline (the last column of Table II).
 func Reduction(g *cdfg.Graph, gated Activity, weights map[cdfg.Class]float64) float64 {
-	base := Ungated(g).WeightedPower(g, weights)
+	// Ungated(g).WeightedPower(g, weights), summed in the same order
+	// without a vector of ones: a sweep computes it at every point.
+	base := 0.0
+	for _, n := range g.Nodes() {
+		if n.IsOp() {
+			base += weightOf(weights, n.Class())
+		}
+	}
 	if base == 0 {
 		return 0
 	}
@@ -151,26 +162,24 @@ var lanePattern = [6]uint64{
 //
 // When k exceeds MaxExactSelects the function falls back to the
 // independence approximation (Independent) and reports it via the bool
-// result (false = approximate).
+// result (false = approximate). The compiled guard tables and the lane
+// words are reused from call to call, so a warm call allocates only the
+// Activity it returns.
 func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	n := g.NumNodes()
-	prob := make([]float64, n)
 	if len(guards) == 0 {
-		for i := range prob {
-			prob[i] = 1
-		}
-		return Activity{Prob: prob}, true
+		return Ungated(g), true
 	}
-	sels := DistinctSelects(guards)
-	if len(sels) > MaxExactSelects {
+	c := walks.Get()
+	defer walks.Put(c)
+	k := c.countSelects(g, guards)
+	if k > MaxExactSelects {
 		return Independent(g, guards), false
 	}
-	compiled, guarded, ok := compileGuards(g, guards, sels)
-	if !ok {
+	if !c.compile(g, guards) {
 		// Callers hold validated graphs; treat as all-on.
 		return Ungated(g), false
 	}
-	k := len(sels)
 	// laneMask keeps only the populated lanes when fewer than 64 joint
 	// outcomes exist (k < 6).
 	laneMask := ^uint64(0)
@@ -184,13 +193,16 @@ func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	// execW[id] holds node id's execution set over the current block, one
 	// bit per outcome. Unguarded nodes execute everywhere and are never
 	// overwritten; guarded nodes are fully rewritten each block before
-	// any consumer reads them (topological order).
-	execW := make([]uint64, n)
+	// any consumer reads them (topological order). counts[i] counts the
+	// outcomes under which guarded[i] executes.
+	execW := scratch.Grow(c.execW, n)
+	counts := scratch.Grow(c.counts, len(c.guarded))
+	selVal := scratch.Grow(c.selVal, k)
+	c.execW, c.counts, c.selVal = execW, counts, selVal
 	for i := range execW {
 		execW[i] = ^uint64(0)
 	}
-	counts := make([]int64, n)
-	selVal := make([]uint64, k)
+	clear(counts)
 	for i := 0; i < k && i < 6; i++ {
 		selVal[i] = lanePattern[i]
 	}
@@ -202,23 +214,16 @@ func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 				selVal[i] = 0
 			}
 		}
-		for _, id := range guarded {
+		for i, id := range c.guarded {
 			w := laneMask
-			for _, gd := range compiled[id] {
+			for _, gd := range c.guardsOf(i) {
 				w &= execW[gd.sel] & (selVal[gd.selIdx] ^ gd.invert)
 			}
 			execW[id] = w
-			counts[id] += int64(bits.OnesCount64(w))
+			counts[i] += int64(bits.OnesCount64(w))
 		}
 	}
-	total := int64(1) << uint(k)
-	for i := range prob {
-		prob[i] = 1
-	}
-	for _, id := range guarded {
-		prob[id] = float64(counts[id]) / float64(total)
-	}
-	return Activity{Prob: prob}, true
+	return c.activity(n, k, counts), true
 }
 
 // wGuard is one compiled gating condition of the word-parallel evaluator:
@@ -234,39 +239,94 @@ type wGuard struct {
 	invert uint64
 }
 
-// compileGuards lowers the guard map into slice-indexed form, listing the
+// exactWalk is the working memory of one exact activity walk: the guard
+// map compiled to slice-indexed tables, and the word-parallel evaluator's
+// lane words. It waits in walks between calls.
+type exactWalk struct {
+	// selIdx holds, per node, 1 + its index among the distinct selects
+	// in ascending ID order, or 0 for a node that selects nothing.
+	selIdx []int
+	// guarded lists the guarded nodes in topological order; node
+	// guarded[i]'s guards are list[off[i]:off[i+1]].
+	guarded []cdfg.NodeID
+	off     []int
+	list    []wGuard
+
+	execW  []uint64
+	counts []int64
+	selVal []uint64
+}
+
+// walks holds the idle walks of AnalyzeExact and its scalar reference.
+var walks scratch.List[exactWalk]
+
+// countSelects numbers the distinct select sources of guards in ascending
+// ID order, the order DistinctSelects returns, and returns their count k:
+// the exponent of the exact enumeration.
+func (c *exactWalk) countSelects(g *cdfg.Graph, guards sim.Guards) int {
+	c.selIdx = scratch.Grow(c.selIdx, g.NumNodes())
+	clear(c.selIdx)
+	for _, gl := range guards {
+		for _, gd := range gl {
+			c.selIdx[gd.Sel] = 1
+		}
+	}
+	k := 0
+	for id, mark := range c.selIdx {
+		if mark != 0 {
+			k++
+			c.selIdx[id] = k
+		}
+	}
+	return k
+}
+
+// compile lowers the guard map into slice-indexed form, listing the
 // guarded nodes in topological order so that a select's execution word is
 // final before any node guarded on it is evaluated (selects precede their
-// muxes' branch cones by construction). ok is false when the graph has no
-// topological order (cyclic).
-func compileGuards(g *cdfg.Graph, guards sim.Guards, sels []cdfg.NodeID) (compiled [][]wGuard, guarded []cdfg.NodeID, ok bool) {
+// muxes' branch cones by construction). It needs the select numbering of
+// countSelects, and reports false when the graph has no topological order
+// (cyclic).
+func (c *exactWalk) compile(g *cdfg.Graph, guards sim.Guards) bool {
 	order, err := g.TopoOrder()
 	if err != nil {
-		return nil, nil, false
+		return false
 	}
-	selIndex := make(map[cdfg.NodeID]int, len(sels))
-	for i, s := range sels {
-		selIndex[s] = i
-	}
-	compiled = make([][]wGuard, g.NumNodes())
-	guarded = make([]cdfg.NodeID, 0, len(guards))
+	c.guarded, c.off, c.list = c.guarded[:0], append(c.off[:0], 0), c.list[:0]
 	for _, id := range order {
 		gl := guards[id]
 		if len(gl) == 0 {
 			continue
 		}
-		cg := make([]wGuard, len(gl))
-		for i, gd := range gl {
+		for _, gd := range gl {
 			inv := ^uint64(0)
 			if gd.WhenTrue {
 				inv = 0
 			}
-			cg[i] = wGuard{sel: gd.Sel, selIdx: selIndex[gd.Sel], invert: inv}
+			c.list = append(c.list, wGuard{sel: gd.Sel, selIdx: c.selIdx[gd.Sel] - 1, invert: inv})
 		}
-		compiled[id] = cg
-		guarded = append(guarded, id)
+		c.guarded = append(c.guarded, id)
+		c.off = append(c.off, len(c.list))
 	}
-	return compiled, guarded, true
+	return true
+}
+
+// guardsOf returns the compiled guards of guarded[i].
+func (c *exactWalk) guardsOf(i int) []wGuard { return c.list[c.off[i]:c.off[i+1]] }
+
+// activity turns the per-guarded-node outcome counts of a walk over k
+// selects into the probabilities of an n-node graph: 1 for every unguarded
+// node.
+func (c *exactWalk) activity(n, k int, counts []int64) Activity {
+	prob := make([]float64, n)
+	for i := range prob {
+		prob[i] = 1
+	}
+	total := int64(1) << uint(k)
+	for i, id := range c.guarded {
+		prob[id] = float64(counts[i]) / float64(total)
+	}
+	return Activity{Prob: prob}
 }
 
 // analyzeExactScalar is the scalar reference implementation of
@@ -276,31 +336,28 @@ func compileGuards(g *cdfg.Graph, guards sim.Guards, sels []cdfg.NodeID) (compil
 // the two must agree bit for bit on every graph.
 func analyzeExactScalar(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	n := g.NumNodes()
-	prob := make([]float64, n)
 	if len(guards) == 0 {
-		for i := range prob {
-			prob[i] = 1
-		}
-		return Activity{Prob: prob}, true
+		return Ungated(g), true
 	}
-	sels := DistinctSelects(guards)
-	if len(sels) > MaxExactSelects {
+	c := walks.Get()
+	defer walks.Put(c)
+	k := c.countSelects(g, guards)
+	if k > MaxExactSelects {
 		return Independent(g, guards), false
 	}
-	compiled, guarded, ok := compileGuards(g, guards, sels)
-	if !ok {
+	if !c.compile(g, guards) {
 		return Ungated(g), false
 	}
-	counts := make([]int64, n)
+	counts := make([]int64, len(c.guarded))
 	exec := make([]bool, n)
 	for i := range exec {
 		exec[i] = true // unguarded nodes always execute
 	}
-	total := int64(1) << uint(len(sels))
+	total := int64(1) << uint(k)
 	for v := int64(0); v < total; v++ {
-		for _, id := range guarded {
+		for i, id := range c.guarded {
 			e := true
-			for _, gd := range compiled[id] {
+			for _, gd := range c.guardsOf(i) {
 				want := int64(0)
 				if gd.invert == 0 {
 					want = 1
@@ -312,17 +369,11 @@ func analyzeExactScalar(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 			}
 			exec[id] = e
 			if e {
-				counts[id]++
+				counts[i]++
 			}
 		}
 	}
-	for i := range prob {
-		prob[i] = 1
-	}
-	for _, id := range guarded {
-		prob[id] = float64(counts[id]) / float64(total)
-	}
-	return Activity{Prob: prob}, true
+	return c.activity(n, k, counts), true
 }
 
 // AnalyzeExactReference exposes the scalar reference implementation for

@@ -1,6 +1,8 @@
 package sched_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -66,11 +68,12 @@ func TestAnalyzeWindowAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 	}
 }
 
-// TestListAllocationsDoNotGrowWithTheGraph pins the list scheduler to a
-// fixed number of allocations per call: its working memory is sized once from
-// the op count and reused across Minimize's attempts, so cordic and a
-// 150-op generated design cost the same count, whatever their step counts
-// and retries.
+// TestListAllocationsDoNotGrowWithTheGraph pins the list scheduler to what
+// a warm call returns: its working memory is reused across Minimize's
+// attempts and, through the package's free list, across calls, so cordic
+// and a 150-op generated design cost the same count, whatever their step
+// counts and retries. List allocates the schedule and its time vector;
+// Minimize adds the resource map.
 func TestListAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 	cordic, cordicBudget := pmGraph(t, bench.Cordic().Graph(), 4)
 
@@ -107,11 +110,113 @@ func TestListAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 	largeMin, largeList := allocs(big, bigBudget)
 	t.Logf("Minimize allocations: cordic %v, generated %v; List: cordic %v, generated %v",
 		smallMin, largeMin, smallList, largeList)
-	const ceiling = 12
-	if smallMin != largeMin || smallMin > ceiling {
-		t.Errorf("Minimize allocates %v on cordic and %v on the generated design, want the same count of at most %d", smallMin, largeMin, ceiling)
+	const minimizeCeiling, listCeiling = 4, 2
+	if smallMin != largeMin || smallMin > minimizeCeiling {
+		t.Errorf("Minimize allocates %v on cordic and %v on the generated design, want the same count of at most %d", smallMin, largeMin, minimizeCeiling)
 	}
-	if smallList != largeList || smallList > ceiling {
-		t.Errorf("List allocates %v on cordic and %v on the generated design, want the same count of at most %d", smallList, largeList, ceiling)
+	if smallList != largeList || smallList > listCeiling {
+		t.Errorf("List allocates %v on cordic and %v on the generated design, want the same count of at most %d", smallList, largeList, listCeiling)
 	}
+}
+
+// TestMinimizeWithinMatchesMinimize: handed the window Minimize would
+// compute, MinimizeWithin schedules identically, and allocates no more.
+// It rejects a window that does not cover the graph.
+func TestMinimizeWithinMatchesMinimize(t *testing.T) {
+	g, budget := pmGraph(t, bench.Cordic().Graph(), 4)
+	w, err := sched.AnalyzeWindow(g, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantRes, err := sched.Minimize(g, budget, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotRes, err := sched.MinimizeWithin(g, budget, budget, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Time, want.Time) || gotRes.String() != wantRes.String() {
+		t.Fatalf("MinimizeWithin gave %v with %v, Minimize %v with %v", got.Time, gotRes, want.Time, wantRes)
+	}
+	within := testing.AllocsPerRun(20, func() {
+		if _, _, err := sched.MinimizeWithin(g, budget, budget, w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	minimize := testing.AllocsPerRun(20, func() {
+		if _, _, err := sched.Minimize(g, budget, budget); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if within > minimize {
+		t.Errorf("MinimizeWithin allocates %v, Minimize %v", within, minimize)
+	}
+	short := sched.Window{ASAP: w.ASAP[1:], ALAP: w.ALAP[1:]}
+	if _, _, err := sched.MinimizeWithin(g, budget, budget, short); err == nil {
+		t.Error("MinimizeWithin accepted a window one node short")
+	}
+}
+
+// TestWindowComputeMatchesAnalyzeWindow is the property behind the
+// walk-free window: on generated graphs without control edges, ASAP is the
+// memoized depth and ALAP the budget less the memoized height plus the
+// node's latency, equal to what AnalyzeWindow's topological walks compute,
+// at budgets below, at and above the critical path. On the power-managed
+// graphs, which carry control edges, Compute walks, and a window reused
+// from graph to graph of any size still matches, with no allocation once
+// its vectors are large enough.
+func TestWindowComputeMatchesAnalyzeWindow(t *testing.T) {
+	var w sched.Window
+	check := func(name string, g *cdfg.Graph, budget int) {
+		t.Helper()
+		want, err := sched.AnalyzeWindow(g, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Compute(g, budget); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(w.ASAP, want.ASAP) || !slices.Equal(w.ALAP, want.ALAP) {
+			t.Fatalf("%s at budget %d: Compute\n asap %v\n alap %v\nAnalyzeWindow\n asap %v\n alap %v",
+				name, budget, w.ASAP, w.ALAP, want.ASAP, want.ALAP)
+		}
+	}
+	profiles := []func(*gen.Config){
+		func(*gen.Config) {},
+		func(c *gen.Config) { c.Ops = 150; c.MuxFanIn = 1 },
+		func(c *gen.Config) { c.Ops = 60; c.Depth = 4 },
+	}
+	graphs := 0
+	for i, profile := range profiles {
+		cfg := gen.Default()
+		profile(&cfg)
+		for seed := int64(1); seed <= 40; seed++ {
+			d, err := silage.Compile(gen.Source(seed, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := d.Graph
+			if len(g.ControlEdges()) != 0 {
+				t.Fatal("a compiled design carries control edges")
+			}
+			cp, err := g.CriticalPath()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for budget := max(1, cp-1); budget <= cp+3; budget++ {
+				check(fmt.Sprintf("profile %d seed %d", i, seed), g, budget)
+			}
+			graphs++
+		}
+	}
+	for _, c := range bench.All() {
+		g, budget := pmGraph(t, c.Graph(), 2)
+		name := c.Name + " managed"
+		check(name, g, budget)
+		if n := testing.AllocsPerRun(10, func() { check(name, g, budget) }); n > 2 {
+			t.Errorf("%s: a warm Compute plus the reference allocates %v, want only the reference's 2", c.Name, n)
+		}
+	}
+	t.Logf("%d generated graphs", graphs)
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/cdfg"
+	"repro/internal/scratch"
 )
 
 // InfeasibleError reports that no schedule exists under the given budget
@@ -38,36 +39,37 @@ func (e *InfeasibleError) Error() string {
 // each class executing in the same modulo-ii slot; classes absent from res
 // are unlimited.
 func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
-	w, err := window(g, budget, ii)
-	if err != nil {
+	if err := checkShape(budget, ii); err != nil {
 		return nil, err
 	}
-	s := newListState(g, ii)
-	if f, ok := s.list(budget, ii, res, w); !ok {
+	s := getListState(g, ii)
+	defer s.release()
+	if err := s.window(budget); err != nil {
+		return nil, err
+	}
+	if f, ok := s.list(budget, ii, res); !ok {
 		return nil, f.err(g, budget)
 	}
-	return &Schedule{Graph: g, Steps: budget, II: ii, Time: s.time}, nil
+	return s.schedule(budget, ii), nil
 }
 
-// window checks the schedule shape and returns the ASAP/ALAP window of g
-// for budget, or an error when no schedule of that shape exists. It does
-// not depend on the resources, so Minimize computes it once for all of
-// its attempts.
-func window(g *cdfg.Graph, budget, ii int) (Window, error) {
+// checkShape rejects a budget or initiation interval no schedule can have.
+func checkShape(budget, ii int) error {
 	if budget < 1 {
-		return Window{}, &InfeasibleError{Budget: budget, Reason: "budget must be at least 1"}
+		return &InfeasibleError{Budget: budget, Reason: "budget must be at least 1"}
 	}
 	if ii < 1 || ii > budget {
-		return Window{}, fmt.Errorf("sched: initiation interval %d outside [1,%d]", ii, budget)
+		return fmt.Errorf("sched: initiation interval %d outside [1,%d]", ii, budget)
 	}
-	w, err := AnalyzeWindow(g, budget)
-	if err != nil {
-		return Window{}, err
-	}
+	return nil
+}
+
+// checkFeasible reports an infeasible window as the budget's error.
+func checkFeasible(w Window, budget int) error {
 	if !w.Feasible() {
-		return Window{}, &InfeasibleError{Budget: budget, Reason: "critical path exceeds budget"}
+		return &InfeasibleError{Budget: budget, Reason: "critical path exceeds budget"}
 	}
-	return w, nil
+	return nil
 }
 
 // readyOp is an operation whose scheduling predecessors have all been
@@ -88,9 +90,10 @@ func compareReady(a, b readyOp) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-// listState is the working memory of list, sized once from the graph.
-// Minimize reuses one across its attempts; it is never shared between
-// calls.
+// listState is the working memory of List and Minimize, sized from the
+// graph at each call. Minimize reuses one across its attempts. Between
+// calls it waits in states, so a sweep's points reuse one another's
+// buffers; only time, which the schedule keeps, is allocated per call.
 type listState struct {
 	g        *cdfg.Graph
 	adj      cdfg.Adjacency
@@ -106,9 +109,15 @@ type listState struct {
 	// slotUse[slot*cdfg.NumClasses+class] counts the units of class
 	// occupied in modulo slot.
 	slotUse []int
+	// win is the window List and Minimize compute for themselves.
+	win Window
 }
 
-func newListState(g *cdfg.Graph, ii int) *listState {
+// states holds the idle list states.
+var states scratch.List[listState]
+
+// getListState takes an idle state and sizes it for g and ii.
+func getListState(g *cdfg.Graph, ii int) *listState {
 	n := g.NumNodes()
 	totalOps := 0
 	for _, nd := range g.Nodes() {
@@ -116,16 +125,40 @@ func newListState(g *cdfg.Graph, ii int) *listState {
 			totalOps++
 		}
 	}
-	return &listState{
-		g:        g,
-		adj:      g.SchedAdjacency(),
-		totalOps: totalOps,
-		time:     make(Times, n),
-		pending:  make([]int, n),
-		ready:    make([]readyOp, 0, totalOps),
-		fresh:    make([]readyOp, 0, totalOps),
-		slotUse:  make([]int, ii*cdfg.NumClasses),
+	s := states.Get()
+	s.g, s.adj, s.totalOps = g, g.SchedAdjacency(), totalOps
+	s.time = make(Times, n)
+	s.pending = scratch.Grow(s.pending, n)
+	s.ready = scratch.Grow(s.ready, totalOps)[:0]
+	s.fresh = scratch.Grow(s.fresh, totalOps)[:0]
+	s.slotUse = scratch.Grow(s.slotUse, ii*cdfg.NumClasses)
+	return s
+}
+
+// release returns s to states. The time vector stays with the schedule
+// that holds it, and s keeps no reference to the graph or a caller's
+// window.
+func (s *listState) release() {
+	s.g, s.adj, s.alap, s.time = nil, cdfg.Adjacency{}, nil, nil
+	states.Put(s)
+}
+
+// window computes the window of s's graph under budget into s.win, checks
+// it is feasible, and makes its ALAP the list's priority.
+func (s *listState) window(budget int) error {
+	if err := s.win.Compute(s.g, budget); err != nil {
+		return err
 	}
+	if err := checkFeasible(s.win, budget); err != nil {
+		return err
+	}
+	s.alap = s.win.ALAP
+	return nil
+}
+
+// schedule wraps the time vector of a successful attempt.
+func (s *listState) schedule(budget, ii int) *Schedule {
+	return &Schedule{Graph: s.g, Steps: budget, II: ii, Time: s.time}
 }
 
 // listFailure describes why a list attempt failed, without formatting
@@ -201,9 +234,9 @@ func (s *listState) mergeFresh(k int) {
 	s.fresh = s.fresh[:0]
 }
 
-// list is one list-scheduling attempt over a window already checked by
-// window. On success s.time is the schedule's time vector.
-func (s *listState) list(budget, ii int, res Resources, w Window) (listFailure, bool) {
+// list is one list-scheduling attempt under the priority s.alap, taken
+// from a feasible window. On success s.time is the schedule's time vector.
+func (s *listState) list(budget, ii int, res Resources) (listFailure, bool) {
 	var limit [cdfg.NumClasses]int
 	var limited [cdfg.NumClasses]bool
 	for c, k := range res {
@@ -212,7 +245,6 @@ func (s *listState) list(budget, ii int, res Resources, w Window) (listFailure, 
 		}
 	}
 	g := s.g
-	s.alap = w.ALAP
 	clear(s.time)
 	clear(s.slotUse)
 	s.ready, s.fresh = s.ready[:0], s.fresh[:0]
@@ -301,18 +333,49 @@ func lowerBound(g *cdfg.Graph, ii int) Resources {
 // It starts from the per-class lower bound and adds one unit of the
 // blocking class until scheduling succeeds. A budget or ii that List
 // rejects returns List's error. Its attempts share one set of buffers,
-// so a call allocates the same few times whatever the graph's size.
+// taken from the ones earlier calls left idle, so a warm call allocates
+// only what it returns: the schedule, its time vector and the resources.
 func Minimize(g *cdfg.Graph, budget, ii int) (*Schedule, Resources, error) {
-	w, err := window(g, budget, ii)
-	if err != nil {
+	if err := checkShape(budget, ii); err != nil {
 		return nil, nil, err
 	}
+	s := getListState(g, ii)
+	defer s.release()
+	if err := s.window(budget); err != nil {
+		return nil, nil, err
+	}
+	return s.minimize(budget, ii)
+}
+
+// MinimizeWithin is Minimize over a window the caller already holds: w
+// must be g's window under budget, equal to what AnalyzeWindow(g, budget)
+// returns, and Minimize's checks apply to it. The power management pass
+// passes the window it keeps up to date with its own control edges, so
+// the window is not computed again. w is only read.
+func MinimizeWithin(g *cdfg.Graph, budget, ii int, w Window) (*Schedule, Resources, error) {
+	if err := checkShape(budget, ii); err != nil {
+		return nil, nil, err
+	}
+	if n := g.NumNodes(); len(w.ASAP) != n || len(w.ALAP) != n {
+		return nil, nil, fmt.Errorf("sched: window covers %d and %d nodes, graph has %d", len(w.ASAP), len(w.ALAP), n)
+	}
+	if err := checkFeasible(w, budget); err != nil {
+		return nil, nil, err
+	}
+	s := getListState(g, ii)
+	defer s.release()
+	s.alap = w.ALAP
+	return s.minimize(budget, ii)
+}
+
+// minimize runs Minimize's attempts under the priority s.alap.
+func (s *listState) minimize(budget, ii int) (*Schedule, Resources, error) {
+	g := s.g
 	res := lowerBound(g, ii)
-	s := newListState(g, ii)
 	for iter := 0; iter <= s.totalOps+1; iter++ {
-		f, ok := s.list(budget, ii, res, w)
+		f, ok := s.list(budget, ii, res)
 		if ok {
-			return &Schedule{Graph: g, Steps: budget, II: ii, Time: s.time}, res, nil
+			return s.schedule(budget, ii), res, nil
 		}
 		if !f.hasNode {
 			return nil, nil, f.err(g, budget)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cdfg"
+	"repro/internal/scratch"
 )
 
 // Times holds per-node availability times from a timing analysis.
@@ -25,19 +26,23 @@ func ASAP(g *cdfg.Graph) (Times, error) {
 	if err != nil {
 		return nil, err
 	}
-	adj := g.SchedAdjacency()
 	t := make(Times, g.NumNodes())
+	walkASAP(g, order, t)
+	return t, nil
+}
+
+// walkASAP fills t with g's ASAP times, visiting the nodes in order.
+func walkASAP(g *cdfg.Graph, order []cdfg.NodeID, t Times) {
+	adj := g.SchedAdjacency()
 	for _, id := range order {
-		n := g.Node(id)
 		ready := 0
 		for _, p := range adj.Preds(id) {
 			if t[p] > ready {
 				ready = t[p]
 			}
 		}
-		t[id] = ready + n.Latency()
+		t[id] = ready + g.Node(id).Latency()
 	}
-	return t, nil
 }
 
 // ALAP computes, for every node, the latest availability time such that all
@@ -49,11 +54,15 @@ func ALAP(g *cdfg.Graph, budget int) (Times, error) {
 	if err != nil {
 		return nil, err
 	}
-	adj := g.SchedAdjacency()
 	t := make(Times, g.NumNodes())
-	for i := range t {
-		t[i] = budget
-	}
+	walkALAP(g, order, budget, t)
+	return t, nil
+}
+
+// walkALAP fills t with g's ALAP times under budget, visiting the nodes in
+// reverse order.
+func walkALAP(g *cdfg.Graph, order []cdfg.NodeID, budget int, t Times) {
+	adj := g.SchedAdjacency()
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		limit := budget
@@ -65,7 +74,6 @@ func ALAP(g *cdfg.Graph, budget int) (Times, error) {
 		}
 		t[id] = limit
 	}
-	return t, nil
 }
 
 // Window holds the ASAP and ALAP times of one analysis.
@@ -87,7 +95,9 @@ func (w Window) Feasible() bool {
 	return true
 }
 
-// AnalyzeWindow computes ASAP and ALAP for the given budget.
+// AnalyzeWindow computes ASAP and ALAP for the given budget by walking the
+// scheduling graph in topological order. It allocates both vectors;
+// Compute fills a window the caller reuses.
 func AnalyzeWindow(g *cdfg.Graph, budget int) (Window, error) {
 	asap, err := ASAP(g)
 	if err != nil {
@@ -98,6 +108,39 @@ func AnalyzeWindow(g *cdfg.Graph, budget int) (Window, error) {
 		return Window{}, err
 	}
 	return Window{ASAP: asap, ALAP: alap}, nil
+}
+
+// Compute overwrites w with the window of g under budget, reusing w's
+// vectors when their capacity allows, and returns AnalyzeWindow's error,
+// if any. The times equal AnalyzeWindow's. On a graph without control
+// edges no walk runs: ASAP is the memoized depth, and ALAP is the budget
+// less the memoized height to an output plus the node's own latency,
+// since the latest time of a node is the budget less the longest path
+// below it.
+func (w *Window) Compute(g *cdfg.Graph, budget int) error {
+	n := g.NumNodes()
+	w.ASAP, w.ALAP = scratch.Grow(w.ASAP, n), scratch.Grow(w.ALAP, n)
+	if len(g.ControlEdges()) == 0 {
+		levelWindow(g, budget, *w)
+		return nil
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return err
+	}
+	walkASAP(g, order, w.ASAP)
+	walkALAP(g, order, budget, w.ALAP)
+	return nil
+}
+
+// levelWindow fills w, sized to g, with the window of g under budget from
+// the memoized depth and height. g must have no control edges.
+func levelWindow(g *cdfg.Graph, budget int, w Window) {
+	depth, height := g.Levels()
+	copy(w.ASAP, depth)
+	for i, nd := range g.Nodes() {
+		w.ALAP[i] = budget - height[i] + nd.Latency()
+	}
 }
 
 // MinBudget returns the smallest budget for which the graph (including its

@@ -83,11 +83,8 @@ func TableOptimal(maxExpansions int) (string, error) {
 			if err != nil {
 				return "", fmt.Errorf("%s@%d: %w", c.Name, c.Budgets[i], err)
 			}
-			hp := syn.Activity.WeightedPower(syn.PM.Graph, pmsynth.Weights)
-			gap := 0.0
-			if hp > 0 {
-				gap = 100 * (hp - opt.Power) / hp
-			}
+			hp := syn.WeightedPower()
+			gap := pmsynth.GapPct(hp, opt.Power)
 			cert := "certified"
 			if !opt.Cert.Optimal {
 				cert = fmt.Sprintf("bound %.4g", opt.Cert.LowerBound)

@@ -148,6 +148,10 @@ type Gap struct {
 	Certified bool `json:"certified"`
 }
 
+// Pct returns the gap in percent of the heuristic's power
+// (pmsynth.GapPct).
+func (g Gap) Pct() float64 { return pmsynth.GapPct(g.Heuristic, g.Optimal) }
+
 // observe accrues wall time spent in one stage.
 func (r *Report) observe(stage string, start time.Time) {
 	if r.StageNanos == nil {
@@ -604,7 +608,7 @@ func checkOptimality(rep *Report, design *pmsynth.Design, syn *pmsynth.Synthesis
 	// power; the certified lower bound is the invariant that always
 	// holds.
 	if syn.ActivityExact == opt.Exact {
-		hp := syn.Activity.WeightedPower(syn.PM.Graph, power.Weights)
+		hp := syn.WeightedPower()
 		rep.Checks++
 		if hp < opt.Cert.LowerBound {
 			kind := "lower bound"

@@ -148,13 +148,21 @@ type Row struct {
 
 // RowHeader is Table II's column header, the one Row.String lines up
 // under.
-const RowHeader = "Circuit  Steps PM  Area    MUX   COMP      +      -      *    PowerRed"
+const RowHeader = "Circuit  Steps " + cellsHeader
+
+// cellsHeader heads the columns Row.cells formats.
+const cellsHeader = "PM  Area    MUX   COMP      +      -      *    PowerRed"
 
 // String formats the row like the paper's Table II.
 func (r Row) String() string {
-	return fmt.Sprintf("%-8s %3d  %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%",
-		r.Circuit, r.Steps, r.PMMuxes, r.AreaIncrease,
-		r.Mux, r.Comp, r.Add, r.Sub, r.Mul, r.PowerReductionPct)
+	return fmt.Sprintf("%-8s %3d  %s", r.Circuit, r.Steps, r.cells())
+}
+
+// cells formats the row from its PM column on: the columns Row.String and
+// (*SweepResult).Table share, under cellsHeader.
+func (r Row) cells() string {
+	return fmt.Sprintf("%2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%",
+		r.PMMuxes, r.AreaIncrease, r.Mux, r.Comp, r.Add, r.Sub, r.Mul, r.PowerReductionPct)
 }
 
 // Row computes the Table II summary of the synthesis.
@@ -191,6 +199,25 @@ func (s *Synthesis) Optimal(maxExpansions int) (*optimal.Result, error) {
 		MaxExpansions: maxExpansions,
 		Seed:          s.PM.Schedule.Time,
 	})
+}
+
+// WeightedPower returns the expected weighted operations per sample of
+// the power-managed schedule under the paper's weights: the quantity
+// Optimal's solver minimizes, and the heuristic side of GapPct.
+func (s *Synthesis) WeightedPower() float64 {
+	return s.Activity.WeightedPower(s.PM.Graph, power.Weights)
+}
+
+// GapPct returns the optimality gap of a heuristic schedule against an
+// exact one, in percent of the heuristic's weighted power:
+// 100*(heuristic-optimal)/heuristic, or 0 when heuristic is 0. The
+// optimality table, pmsched -optimal and the verification oracle's
+// summary all report it.
+func GapPct(heuristic, optimal float64) float64 {
+	if heuristic <= 0 {
+		return 0
+	}
+	return 100 * (heuristic - optimal) / heuristic
 }
 
 // Controller returns the condition-qualified FSM of the power managed

@@ -274,7 +274,7 @@ func (sr *SweepResult) Table() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "SWEEP %s — %d configurations\n", name, len(sr.Points))
-	b.WriteString("Budget  II  Order           Steps PM  Area    MUX   COMP      +      -      *    PowerRed\n")
+	b.WriteString("Budget  II  Order           Steps " + cellsHeader + "\n")
 	for i := range sr.Points {
 		p := &sr.Points[i]
 		o := p.Options
@@ -283,10 +283,7 @@ func (sr *SweepResult) Table() string {
 			fmt.Fprintf(&b, "error: %v\n", p.Err)
 			continue
 		}
-		r := p.Row
-		fmt.Fprintf(&b, "%5d %2d  %.2f  %6.2f %6.2f %6.2f %6.2f %6.2f  %6.2f%%\n",
-			r.Steps, r.PMMuxes, r.AreaIncrease,
-			r.Mux, r.Comp, r.Add, r.Sub, r.Mul, r.PowerReductionPct)
+		fmt.Fprintf(&b, "%5d %s\n", p.Row.Steps, p.Row.cells())
 	}
 	return b.String()
 }
