@@ -75,7 +75,7 @@ func main() {
 	jobTTL := flag.Duration("job-ttl", time.Hour, "how long finished jobs stay queryable")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) submissions")
 	storeDir := flag.String("store-dir", "", "directory of the persistent result store (empty disables persistence)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 1<<30, "disk budget of the persistent store; LRU entries are GCed beyond it")
+	storeMaxBytes := flag.Int64("store-max-bytes", 1<<30, "disk budget of the persistent store's segment files; the oldest segments are deleted beyond it")
 	selfURL := flag.String("self-url", "", "this node's advertised base URL (e.g. http://10.0.0.3:8357); enables cluster mode")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (self may be listed); requires -self-url")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")

@@ -1,37 +1,47 @@
 package cache
 
 // The disk tier of the serving layer: a content-addressed store that
-// persists values as atomically written, checksummed files so a restarted
-// pmsynthd can serve warm hits without recomputing. The serving layer
-// consults it only when no live job answers a submission.
+// persists values as checksummed records appended to segment files, so a
+// restarted pmsynthd can serve warm hits without recomputing. The serving
+// layer consults it only when no live job answers a submission.
+//
+// The layout is Bitcask's (Sheehy and Smith, "Bitcask: A Log-Structured
+// Hash Table for Fast Key/Value Data", 2010): each Store appends records
+// to a segment file it created, and keeps an in-memory index from key to
+// segment, offset and length.
 //
 // Durability contract:
 //
-//   - A Put is atomic: the value is written to a temporary file in the
-//     same directory and renamed into place. A crash mid-write leaves a
-//     tmp-* file that the next Open deletes; it can never leave a
-//     half-written entry under a live name.
-//   - A Get verifies the file's magic, its recorded key and payload
-//     length, and a SHA-256 checksum of the payload before returning it.
-//     Any mismatch — truncation, corruption, a stale format — degrades to
-//     a miss and the bad file is removed. Corruption is never an error
-//     and never a wrong result.
-//   - The store is size-bounded: when the resident bytes exceed the
-//     configured budget, the least recently used entries are deleted
-//     until the store fits. A Get racing a concurrent GC of the same
-//     entry degrades to a miss.
+//   - A Put is one append and one fsync to the Store's active segment. A
+//     writer that dies mid-append leaves a torn record at its segment's
+//     tail. The scan of that segment ends there, and no Store ever appends
+//     to a segment it did not create.
+//   - A Get is an index lookup and one positioned read. It verifies the
+//     record's magic, its recorded key and payload length, and a SHA-256
+//     checksum of the payload before returning it. Any mismatch degrades
+//     to a miss and the index forgets the record, so it is never served
+//     again. Corruption is never an error and never a wrong result. A Get
+//     writes nothing.
+//   - The store is size-bounded: when its segments exceed the configured
+//     budget, whole segments are deleted, oldest first. A segment another
+//     live Store still appends to is never deleted: its writer holds a
+//     lock on it until the segment seals. A Get racing the eviction of its
+//     segment degrades to a miss.
+//   - Several Stores (several daemons) may share one directory. A miss
+//     indexes what the others appended since this Store last looked, so a
+//     Put through one is a hit through another.
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,17 +52,36 @@ import (
 	"repro/internal/telemetry"
 )
 
-// storeMagic brands every entry file; bump the digit on any format change
-// so older daemons' files read as corrupt (a miss), never as wrong data.
+// storeMagic brands every record; bump the digit on any format change so
+// older daemons' records read as corrupt (a miss), never as wrong data.
 const storeMagic = "pmstore1"
 
-// storeSuffix names entry files; everything else in the directory is
-// ignored (and tmp-* leftovers are collected at Open).
-const storeSuffix = ".pmr"
+// segmentSuffix names segment files; everything else in the directory is
+// ignored and left alone.
+const segmentSuffix = ".pmseg"
+
+const (
+	// maxSegmentBytes caps the size at which a segment seals. Below it a
+	// segment seals at an eighth of the budget, so eviction frees the
+	// budget in steps of at most an eighth.
+	maxSegmentBytes = 64 << 20
+	// maxKeyLen bounds a record's key, so a record header always fits the
+	// scan buffer. Keys are fingerprints with short view qualifiers.
+	maxKeyLen = 4 << 10
+	// scanBufBytes is the buffer the scan reads record headers through.
+	scanBufBytes = 64 << 10
+)
+
+// errSegmentGone reports that another Store's eviction unlinked a segment
+// between its creation and its writer's lock.
+var errSegmentGone = errors.New("cache: new segment evicted before its lock")
+
+// errStoreClosed is what a Put on a closed Store returns.
+var errStoreClosed = errors.New("cache: store closed")
 
 // StoreStats is a point-in-time snapshot of the disk-tier counters.
 type StoreStats struct {
-	// Hits counts Gets answered from a verified file.
+	// Hits counts Gets answered from a verified record.
 	Hits int64
 	// Misses counts Gets that found no usable entry.
 	Misses int64
@@ -60,44 +89,65 @@ type StoreStats struct {
 	Puts int64
 	// PutErrors counts writes that failed (disk full, permissions).
 	PutErrors int64
-	// Corrupt counts files rejected by verification and removed.
+	// Corrupt counts records rejected by verification and forgotten.
 	Corrupt int64
 	// Evictions counts entries removed by the size-bound GC.
 	Evictions int64
-	// Bytes is the resident payload+header size across entries.
+	// Bytes is the record size, header plus payload, across live entries.
 	Bytes int64
-	// Entries is the current number of resident files.
+	// Entries is the current number of live entries.
 	Entries int64
 }
 
-// storeEntry is the in-memory accounting record of one resident file.
-type storeEntry struct {
-	size     int64
-	lastUsed time.Time
+// segment is one segment file the Store knows: its own, which it appends
+// to until the segment seals, or another Store's, which it only reads.
+type segment struct {
+	name string
+	f    *os.File // nil while an own segment is being created
+	own  bool
+
+	// The fields below are guarded by Store.mu.
+	sealed  bool     // own segments: no more appends
+	size    int64    // bytes on disk as last seen (own: as appended)
+	scanned int64    // another Store's segment: where the next scan starts
+	syncing int      // Puts between their append and their fsync's end
+	keys    []string // keys indexed into this segment, for eviction
+}
+
+// recordLoc is where the live record of a key sits.
+type recordLoc struct {
+	seg *segment
+	off int64
+	n   int64 // the whole record: header, key and payload
 }
 
 // Store is the disk-backed content-addressed tier. Keys are arbitrary
 // strings (the serving layer uses fingerprints plus view qualifiers);
 // values are opaque byte slices the caller serializes. Safe for
-// concurrent use.
+// concurrent use. Lock order: wmu, then scanMu, then mu.
 type Store struct {
 	dir      string
 	maxBytes int64 // <= 0 means unbounded
 
-	// lockFile is the flock handle serializing rename-into-place against
-	// identity-checked removals across *processes*. s.mu gives the same
-	// atomicity within one process; when several daemons share the
-	// directory (the cluster's shared store), only an OS-level lock can
-	// keep one process's corrupt-cleanup or GC unlink from deleting a
-	// file another process just renamed into place. Lock ordering is
-	// always s.mu before the flock, and both are held only around
-	// stat/rename/remove syscalls — never around reads, writes or
-	// client-controlled work.
-	lockFile *os.File
+	// wmu serializes appends to the active segment and its rotation. It
+	// is never held across an fsync.
+	wmu    sync.Mutex
+	active *segment // nil until the next Put creates one
 
-	mu      sync.Mutex
-	entries map[string]*storeEntry // file base name -> accounting
-	bytes   int64
+	// scanMu serializes refreshes; dirf, the open directory each lists,
+	// scanBuf and recs are their scratch.
+	scanMu  sync.Mutex
+	dirf    *os.File
+	scanBuf []byte
+	recs    []scannedRecord
+
+	mu        sync.Mutex
+	index     map[string]recordLoc
+	segs      map[string]*segment // by file name
+	bytes     int64               // live records
+	disk      int64               // every known segment's size
+	lastStamp int64               // of the newest own segment's name
+	closed    bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -107,10 +157,11 @@ type Store struct {
 	evictions atomic.Int64
 }
 
-// OpenStore opens (creating if needed) a store rooted at dir, bounded to
-// maxBytes on disk (<= 0 means unbounded). It scans the directory to
-// rebuild size accounting, deletes tmp-* leftovers from crashed writes,
-// and GCs immediately if the resident set already exceeds the bound.
+// OpenStore opens (creating the directory if needed) a store rooted at
+// dir, bounded to maxBytes on disk (<= 0 means unbounded). It indexes the
+// segments already in the directory by reading their record headers, and
+// GCs immediately if they exceed the bound. It creates no file: the first
+// Put creates the Store's segment.
 func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cache: store dir is empty")
@@ -118,131 +169,79 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: store dir: %w", err)
 	}
+	dirf, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("cache: store dir: %w", err)
+	}
 	s := &Store{
 		dir:      dir,
 		maxBytes: maxBytes,
-		entries:  make(map[string]*storeEntry),
+		dirf:     dirf,
+		index:    make(map[string]recordLoc),
+		segs:     make(map[string]*segment),
 	}
-	lockFile, err := os.OpenFile(filepath.Join(dir, ".pmstore.lock"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cache: store lock: %w", err)
-	}
-	s.lockFile = lockFile
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if strings.HasPrefix(name, "tmp-") {
-			// A crashed Put's leftover — but only when it is old enough to
-			// be certainly dead. Another *live* process sharing this
-			// directory may be mid-Put right now; deleting its temp file
-			// would fail that write for no reason.
-			if info, ierr := d.Info(); ierr == nil && time.Since(info.ModTime()) > staleTmpAge {
-				os.Remove(path)
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, storeSuffix) {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil // raced a concurrent delete; skip
-		}
-		s.entries[name] = &storeEntry{size: info.Size(), lastUsed: info.ModTime()}
-		s.bytes += info.Size()
-		return nil
-	})
-	if err != nil {
+	if _, err := s.refresh(); err != nil {
+		s.Close()
 		return nil, fmt.Errorf("cache: store scan: %w", err)
 	}
-	s.mu.Lock()
-	victims := s.gcLocked()
-	s.mu.Unlock()
-	s.unlinkEvicted(victims)
+	s.GC()
 	return s, nil
 }
-
-// staleTmpAge is how old a tmp-* leftover must be before Open collects
-// it. Any live writer renames or removes its temp file within seconds;
-// minutes-old temp files can only be crash debris.
-const staleTmpAge = 15 * time.Minute
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the cross-process lock handle. Gets and Puts issued
-// after Close still work but fall back to in-process exclusion only.
+// Close seals the Store's active segment, releasing its writer's lock so
+// other Stores may evict it, and closes every segment file. After Close
+// every Get misses and every Put fails.
 func (s *Store) Close() error {
-	if s.lockFile == nil {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.active != nil {
+		s.sealLocked(s.active)
+	}
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	s.mu.Lock()
+	closed := s.closed
+	s.closed = true
+	segs := s.segs
+	s.segs = make(map[string]*segment)
+	s.index = make(map[string]recordLoc)
+	s.bytes, s.disk = 0, 0
+	s.mu.Unlock()
+	if closed {
 		return nil
 	}
-	err := s.lockFile.Close()
-	s.lockFile = nil
-	return err
-}
-
-// dirLock takes the cross-process directory lock (blocking). Best
-// effort: if flock fails (exotic filesystem, closed handle) the store
-// degrades to in-process exclusion — exactly the pre-flock behavior —
-// rather than failing the operation.
-func (s *Store) dirLock() {
-	if s.lockFile == nil {
-		return
-	}
-	for {
-		err := syscall.Flock(int(s.lockFile.Fd()), syscall.LOCK_EX)
-		if !errors.Is(err, syscall.EINTR) {
-			return
+	err := s.dirf.Close()
+	for _, seg := range segs {
+		if seg.f != nil {
+			if cerr := seg.f.Close(); err == nil {
+				err = cerr
+			}
 		}
 	}
-}
-
-// dirUnlock releases the cross-process directory lock.
-func (s *Store) dirUnlock() {
-	if s.lockFile == nil {
-		return
-	}
-	syscall.Flock(int(s.lockFile.Fd()), syscall.LOCK_UN)
-}
-
-// fileName maps a key to its entry file base name. Keys are rehashed so
-// arbitrary key strings (fingerprints with view qualifiers) become fixed,
-// path-safe names; the key itself is recorded inside the file and
-// verified on read, so a hash collision reads as corruption, not as a
-// wrong value.
-func fileName(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + storeSuffix
-}
-
-// shardDir spreads entries over 256 subdirectories so no single directory
-// grows unboundedly.
-func (s *Store) shardDir(name string) string {
-	return filepath.Join(s.dir, name[:2])
+	return err
 }
 
 // Get returns the stored value for key. ok is false on any miss — absent,
 // truncated, corrupt, or concurrently evicted — never an error the caller
-// must handle: the disk tier degrades, it does not fail.
+// must handle: the disk tier degrades, it does not fail. A key this Store
+// has not indexed is looked for again after indexing what other Stores
+// appended since the last look.
 func (s *Store) Get(key string) (val []byte, ok bool) {
-	name := fileName(key)
-	path := filepath.Join(s.shardDir(name), name)
-	val, observed, err := readEntry(path, key)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			// The file exists but cannot be trusted; drop it so the next
-			// request recomputes instead of re-verifying garbage.
-			s.corrupt.Add(1)
-			s.removeCorrupt(name, path, observed)
+	val, ok = s.read(key)
+	if !ok {
+		if found, _ := s.refresh(); found {
+			val, ok = s.read(key)
 		}
-		s.misses.Add(1)
-		return nil, false
 	}
-	s.hits.Add(1)
-	s.touch(name, path)
-	return val, true
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	return val, ok
 }
 
 // GetCtx is Get with telemetry: when ctx carries a trace, the lookup
@@ -272,198 +271,473 @@ func (s *Store) PutCtx(ctx context.Context, key string, val []byte) error {
 	return err
 }
 
-// touch refreshes an entry's LRU position. Best effort: the mtime bump
-// keeps recency across restarts, the in-memory record keeps it exact
-// within one process lifetime.
-func (s *Store) touch(name, path string) {
-	now := time.Now()
-	os.Chtimes(path, now, now)
+// read serves key from the record the index holds for it, verifying it.
+// A record that fails a check counts as corrupt and is forgotten.
+func (s *Store) read(key string) ([]byte, bool) {
 	s.mu.Lock()
-	if e, ok := s.entries[name]; ok {
-		e.lastUsed = now
-	}
+	loc, ok := s.index[key]
 	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	blob := make([]byte, loc.n)
+	n, err := loc.seg.f.ReadAt(blob, loc.off)
+	if errors.Is(err, os.ErrClosed) {
+		return nil, false // its segment was evicted under us
+	}
+	var val []byte
+	if n == len(blob) {
+		val, err = decodeEntry(blob, key)
+	} else if err == nil {
+		err = fmt.Errorf("cache: store read: short record")
+	}
+	if err != nil {
+		s.corrupt.Add(1)
+		s.mu.Lock()
+		if s.index[key] == loc {
+			delete(s.index, key)
+			s.bytes -= loc.n
+		}
+		s.mu.Unlock()
+		return nil, false
+	}
+	return val, true
 }
 
-// Put writes the value for key atomically: temp file, checksum, rename.
-// An existing entry is replaced. Put failures are counted and returned,
-// but callers treat the store as advisory — a failed Put only costs a
-// future recompute.
+// Put appends the value for key to the Store's active segment and syncs
+// it. A later Put of the same key supersedes the earlier record. Put
+// failures are counted and returned, but callers treat the store as
+// advisory — a failed Put only costs a future recompute.
 func (s *Store) Put(key string, val []byte) error {
-	name := fileName(key)
-	dir := s.shardDir(name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if len(key) > maxKeyLen {
 		s.putErrors.Add(1)
-		return fmt.Errorf("cache: store put: %w", err)
+		return fmt.Errorf("cache: store put: key of %d bytes exceeds %d", len(key), maxKeyLen)
 	}
-	blob := encodeEntry(key, val)
-	tmp, err := os.CreateTemp(dir, "tmp-*")
+	rec := encodeEntry(key, val)
+	seg, off, err := s.append(rec)
+	if err == nil {
+		// Outside wmu: Puts that append meanwhile share the disk flush.
+		if err = seg.f.Sync(); err != nil {
+			s.seal(seg) // its tail cannot be trusted: append elsewhere
+		}
+	}
+	if seg != nil {
+		s.mu.Lock()
+		seg.syncing--
+		// An eviction can take the segment only once its syncs are done,
+		// so seg is still known here.
+		if err == nil {
+			s.setLocked(key, recordLoc{seg: seg, off: off, n: int64(len(rec))})
+		}
+		s.mu.Unlock()
+	}
 	if err != nil {
 		s.putErrors.Add(1)
 		return fmt.Errorf("cache: store put: %w", err)
 	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(blob)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		s.putErrors.Add(1)
-		return fmt.Errorf("cache: store put: %w", werr)
-	}
-	// The rename happens under s.mu — and under the cross-process flock —
-	// so it is atomic with respect to removeCorrupt's identity check in
-	// this process and in every other process sharing the directory: a
-	// reader that just failed to verify the *old* file can never delete
-	// the fresh one.
-	size := int64(len(blob))
-	s.mu.Lock()
-	s.dirLock()
-	werr = os.Rename(tmpName, filepath.Join(dir, name))
-	s.dirUnlock()
-	if werr != nil {
-		s.mu.Unlock()
-		os.Remove(tmpName)
-		s.putErrors.Add(1)
-		return fmt.Errorf("cache: store put: %w", werr)
-	}
-	if e, ok := s.entries[name]; ok {
-		s.bytes += size - e.size
-		e.size = size
-		e.lastUsed = time.Now()
-	} else {
-		s.entries[name] = &storeEntry{size: size, lastUsed: time.Now()}
-		s.bytes += size
-	}
-	victims := s.gcLocked()
-	s.mu.Unlock()
-	s.unlinkEvicted(victims)
 	s.puts.Add(1)
+	if s.over() {
+		s.GC()
+	}
 	return nil
 }
 
-// removeCorrupt deletes a file that failed verification, plus its
-// accounting record — but only if the on-disk file is still the one the
-// reader observed (os.SameFile): a concurrent Put may have renamed a
-// fresh, valid entry into place after the bad read, and that write must
-// not be lost. Runs under s.mu and the cross-process flock, which Put's
-// rename also holds — in this process and in any other daemon sharing
-// the store directory.
-func (s *Store) removeCorrupt(name, path string, observed os.FileInfo) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirLock()
-	defer s.dirUnlock()
-	if observed != nil {
-		cur, err := os.Lstat(path)
-		if err != nil || !os.SameFile(cur, observed) {
-			return // gone or replaced: nothing of ours left to clean
-		}
-	}
-	os.Remove(path)
-	if e, ok := s.entries[name]; ok {
-		s.bytes -= e.size
-		delete(s.entries, name)
-	}
-}
-
-// evictedFile identifies a file selected for eviction while s.mu was
-// held: its observed identity lets the deferred unlink skip a file a
-// racing Put has since replaced.
-type evictedFile struct {
-	path string
-	info os.FileInfo // nil when the file was already gone at selection
-}
-
-// gcLocked selects least-recently-used entries until the store fits its
-// byte budget, dropping their accounting records. Called with s.mu held.
-// The file unlinks are NOT done here — they are returned for the caller
-// to run via unlinkEvicted after releasing the lock, so an eviction
-// storm (a restart with a smaller budget, a huge batch) never stalls
-// every concurrent Get and Put behind thousands of unlink syscalls.
-func (s *Store) gcLocked() []evictedFile {
-	if s.maxBytes <= 0 || s.bytes <= s.maxBytes {
-		return nil
-	}
-	type aged struct {
-		name string
-		e    *storeEntry
-	}
-	candidates := make([]aged, 0, len(s.entries))
-	for name, e := range s.entries {
-		candidates = append(candidates, aged{name, e})
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if !candidates[i].e.lastUsed.Equal(candidates[j].e.lastUsed) {
-			return candidates[i].e.lastUsed.Before(candidates[j].e.lastUsed)
-		}
-		return candidates[i].name < candidates[j].name
-	})
-	var victims []evictedFile
-	for _, v := range candidates {
-		if s.bytes <= s.maxBytes {
-			break
-		}
-		s.bytes -= v.e.size
-		delete(s.entries, v.name)
-		path := filepath.Join(s.shardDir(v.name), v.name)
-		info, err := os.Lstat(path)
+// append writes rec at the end of the active segment, creating one if
+// none is open, and seals the segment once it reaches its size or the
+// write fails. The caller syncs the segment and then decrements its
+// syncing count, which append incremented.
+func (s *Store) append(rec []byte) (*segment, int64, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.active == nil {
+		seg, err := s.createSegment()
 		if err != nil {
-			info = nil
+			return nil, 0, err
 		}
-		victims = append(victims, evictedFile{path: path, info: info})
-		s.evictions.Add(1)
+		s.active = seg
 	}
-	return victims
+	seg := s.active
+	off := seg.size // only a holder of wmu changes an active segment's size
+	n, err := seg.f.WriteAt(rec, off)
+	s.mu.Lock()
+	seg.size += int64(n)
+	s.disk += int64(n)
+	seg.syncing++
+	s.mu.Unlock()
+	if err != nil || seg.size >= s.sealBytes() {
+		s.sealLocked(seg)
+	}
+	return seg, off, err
 }
 
-// unlinkEvicted deletes evicted files one short critical section at a
-// time. Each unlink re-takes s.mu plus the cross-process flock and
-// re-checks file identity (os.SameFile against what gcLocked observed),
-// which is atomic with Put's under-lock rename — in this process and in
-// every other process over the same directory — so a key re-Put after
-// its eviction keeps its fresh file, and concurrent Gets proceed
-// between unlinks.
-func (s *Store) unlinkEvicted(victims []evictedFile) {
-	for _, v := range victims {
-		if v.info == nil {
-			continue // already gone when selected
+// sealBytes is the size at which the active segment seals.
+func (s *Store) sealBytes() int64 {
+	if s.maxBytes <= 0 {
+		return maxSegmentBytes
+	}
+	return min(max(s.maxBytes/8, 1), maxSegmentBytes)
+}
+
+// createSegment creates the Store's next segment and takes its writer's
+// lock. Called with wmu held. Segment names are creation stamps, so name
+// order is age order; the name is registered before the file exists, so
+// a concurrent refresh never mistakes it for another Store's segment.
+func (s *Store) createSegment() (*segment, error) {
+	var err error
+	for attempt := 0; attempt < 8; attempt++ {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, errStoreClosed
+		}
+		s.lastStamp = max(time.Now().UnixNano(), s.lastStamp+1)
+		seg := &segment{name: fmt.Sprintf("%016x%s", s.lastStamp, segmentSuffix), own: true}
+		if s.segs[seg.name] != nil {
+			s.mu.Unlock()
+			continue
+		}
+		s.segs[seg.name] = seg
+		s.mu.Unlock()
+		var f *os.File
+		f, err = os.OpenFile(filepath.Join(s.dir, seg.name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err == nil {
+			err = lockWriter(f)
+		}
+		if err == nil {
+			s.mu.Lock()
+			seg.f = f
+			s.mu.Unlock()
+			return seg, nil
 		}
 		s.mu.Lock()
-		s.dirLock()
-		if cur, err := os.Lstat(v.path); err == nil && os.SameFile(cur, v.info) {
-			os.Remove(v.path)
-		}
-		s.dirUnlock()
+		delete(s.segs, seg.name)
 		s.mu.Unlock()
+		if f != nil {
+			f.Close()
+		}
+		if !errors.Is(err, fs.ErrExist) && !errors.Is(err, errSegmentGone) {
+			break
+		}
 	}
+	return nil, err
+}
+
+// lockWriter takes the writer's lock on a segment just created, then
+// checks that the segment is still linked: another Store's eviction may
+// have locked and unlinked it first. Where flock is unsupported the
+// segment stays unlocked, as a lone Store needs no lock.
+func lockWriter(f *os.File) error {
+	if flock(f, syscall.LOCK_EX) != nil {
+		return nil
+	}
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if unlinked(info) {
+		return errSegmentGone
+	}
+	return nil
+}
+
+// flock applies how to f, retrying on EINTR.
+func flock(f *os.File, how int) error {
+	for {
+		err := syscall.Flock(int(f.Fd()), how)
+		if !errors.Is(err, syscall.EINTR) {
+			return err
+		}
+	}
+}
+
+// unlinked reports whether a file's last name is gone.
+func unlinked(info os.FileInfo) bool {
+	st, ok := info.Sys().(*syscall.Stat_t)
+	return ok && st.Nlink == 0
+}
+
+// sealLocked stops appends to seg, an own segment, and releases its
+// writer's lock. Called with wmu held. The file stays open for reads.
+func (s *Store) sealLocked(seg *segment) {
+	flock(seg.f, syscall.LOCK_UN)
+	s.mu.Lock()
+	seg.sealed = true
+	s.mu.Unlock()
+	if s.active == seg {
+		s.active = nil
+	}
+}
+
+// seal seals seg if it is still the active segment.
+func (s *Store) seal(seg *segment) {
+	s.wmu.Lock()
+	if s.active == seg {
+		s.sealLocked(seg)
+	}
+	s.wmu.Unlock()
+}
+
+// setLocked points key's index entry at loc. Called with mu held.
+func (s *Store) setLocked(key string, loc recordLoc) {
+	if old, ok := s.index[key]; ok {
+		s.bytes -= old.n
+	}
+	s.index[key] = loc
+	s.bytes += loc.n
+	loc.seg.keys = append(loc.seg.keys, key)
+}
+
+// dropLocked forgets seg and every index entry that points into it,
+// returning how many entries that was. Called with mu held.
+func (s *Store) dropLocked(seg *segment) int {
+	n := 0
+	for _, key := range seg.keys {
+		if loc, ok := s.index[key]; ok && loc.seg == seg {
+			delete(s.index, key)
+			s.bytes -= loc.n
+			n++
+		}
+	}
+	delete(s.segs, seg.name)
+	s.disk -= seg.size
+	return n
+}
+
+// over reports whether the known segments exceed the budget.
+func (s *Store) over() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.maxBytes > 0 && s.disk > s.maxBytes
 }
 
 // GC enforces the byte budget immediately (it normally runs inside Put)
-// and reports how many entries were evicted.
+// and reports how many entries were evicted. It deletes whole segments,
+// oldest first: this Store's sealed ones and other Stores' segments that
+// no live writer holds. When none is left it seals this Store's active
+// segment and deletes that too.
 func (s *Store) GC() int {
-	s.mu.Lock()
-	victims := s.gcLocked()
-	s.mu.Unlock()
-	s.unlinkEvicted(victims)
-	return len(victims)
+	evicted := 0
+	for s.over() {
+		s.mu.Lock()
+		victim := s.victimLocked()
+		n := 0
+		if victim != nil {
+			n = s.dropLocked(victim)
+		}
+		s.mu.Unlock()
+		if victim == nil {
+			s.wmu.Lock()
+			active := s.active
+			if active != nil {
+				s.sealLocked(active)
+			}
+			s.wmu.Unlock()
+			if active == nil {
+				break
+			}
+			continue
+		}
+		os.Remove(filepath.Join(s.dir, victim.name))
+		victim.f.Close() // releases the eviction lock on another Store's segment
+		s.evictions.Add(int64(n))
+		evicted += n
+	}
+	return evicted
 }
 
-// Len returns the number of resident entries.
+// victimLocked returns the oldest segment GC may delete, or nil. Another
+// Store's segment qualifies only if this Store can take its lock, which
+// its writer holds until the segment seals; the lock is held until the
+// victim's file closes. Called with mu held.
+func (s *Store) victimLocked() *segment {
+	var cands []*segment
+	for _, seg := range s.segs {
+		if seg.f != nil && seg.syncing == 0 && (seg.sealed || !seg.own) {
+			cands = append(cands, seg)
+		}
+	}
+	slices.SortFunc(cands, func(a, b *segment) int { return strings.Compare(a.name, b.name) })
+	for _, seg := range cands {
+		if seg.own || flock(seg.f, syscall.LOCK_EX|syscall.LOCK_NB) == nil {
+			return seg
+		}
+	}
+	return nil
+}
+
+// scannedRecord is one whole record a scan found.
+type scannedRecord struct {
+	key    string
+	off, n int64
+}
+
+// refresh indexes what other Stores appended since this one last looked:
+// segments it has not seen and the grown tails of those it has. It
+// forgets segments another Store evicted. It reads no byte of a segment
+// this Store wrote or of one that has not grown, and reports whether it
+// indexed any record.
+func (s *Store) refresh() (bool, error) {
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return false, nil
+	}
+	// Listing the open directory again spares a path lookup per miss.
+	if _, err := s.dirf.Seek(0, io.SeekStart); err != nil {
+		return false, err
+	}
+	ents, err := s.dirf.ReadDir(-1)
+	if err != nil {
+		return false, err
+	}
+	slices.SortFunc(ents, func(a, b os.DirEntry) int { return strings.Compare(a.Name(), b.Name()) })
+	found := false
+	for _, e := range ents {
+		name := e.Name()
+		if !strings.HasSuffix(name, segmentSuffix) || !e.Type().IsRegular() {
+			continue
+		}
+		s.mu.Lock()
+		seg := s.segs[name]
+		s.mu.Unlock()
+		if seg != nil && seg.own {
+			continue
+		}
+		fresh := seg == nil
+		if fresh {
+			f, err := os.Open(filepath.Join(s.dir, name))
+			if err != nil {
+				continue // evicted since the listing
+			}
+			seg = &segment{name: name, f: f}
+		}
+		// Only refresh writes size and scanned of another Store's
+		// segment, so it reads them here without mu.
+		info, err := seg.f.Stat()
+		if err != nil || info.Size() <= seg.size {
+			if fresh {
+				seg.f.Close()
+			}
+			continue
+		}
+		size := info.Size()
+		if s.scanBuf == nil {
+			s.scanBuf = make([]byte, scanBufBytes)
+		}
+		s.recs = s.recs[:0]
+		next := s.scanSegment(seg.f, seg.scanned, size)
+		s.mu.Lock()
+		// A GC may have evicted a known segment meanwhile.
+		keep := fresh || s.segs[name] == seg
+		if keep {
+			s.segs[name] = seg
+			s.disk += size - seg.size
+			seg.size, seg.scanned = size, next
+			for _, r := range s.recs {
+				s.setLocked(r.key, recordLoc{seg: seg, off: r.off, n: r.n})
+			}
+		}
+		s.mu.Unlock()
+		if !keep && fresh {
+			seg.f.Close()
+		}
+		found = found || (keep && len(s.recs) > 0)
+	}
+	s.forgetUnlinked(ents)
+	return found, nil
+}
+
+// forgetUnlinked drops the known segments missing from the listing ents
+// whose files another Store has unlinked. Called with scanMu held.
+func (s *Store) forgetUnlinked(ents []os.DirEntry) {
+	var missing []*segment
+	s.mu.Lock()
+	for name, seg := range s.segs {
+		if seg.f == nil || (seg.own && !seg.sealed) {
+			continue
+		}
+		if _, ok := slices.BinarySearchFunc(ents, name, func(e os.DirEntry, name string) int {
+			return strings.Compare(e.Name(), name)
+		}); !ok {
+			missing = append(missing, seg)
+		}
+	}
+	s.mu.Unlock()
+	for _, seg := range missing {
+		// A segment created after the listing is missing from it too; the
+		// link count tells the two apart.
+		if info, err := seg.f.Stat(); err != nil || !unlinked(info) {
+			continue
+		}
+		s.mu.Lock()
+		gone := s.segs[seg.name] == seg && seg.syncing == 0
+		if gone {
+			s.dropLocked(seg)
+		}
+		s.mu.Unlock()
+		if gone {
+			seg.f.Close()
+		}
+	}
+}
+
+// scanSegment reads the record headers of f from off up to size through
+// the scan buffer, appending every whole record to s.recs, and returns
+// where it stopped: size, or the start of a record it could not read
+// whole — a torn tail, or bytes that are no record. It skips payloads
+// unread when they run past the buffer. Called with scanMu held.
+func (s *Store) scanSegment(f *os.File, off, size int64) int64 {
+	buf := s.scanBuf
+	var bufOff, bufLen int64 // buf holds the file's bytes [bufOff, bufOff+bufLen)
+	window := func(at, n int64) []byte {
+		if at < bufOff || at+n > bufOff+bufLen {
+			got, _ := f.ReadAt(buf[:min(int64(len(buf)), size-at)], at)
+			bufOff, bufLen = at, int64(got)
+		}
+		if at+n > bufOff+bufLen {
+			return nil
+		}
+		return buf[at-bufOff : at-bufOff+n]
+	}
+	for off < size {
+		h := window(off, 16)
+		if h == nil || string(h[:8]) != storeMagic {
+			break
+		}
+		keyLen := int64(binary.BigEndian.Uint64(h[8:16]))
+		if keyLen < 0 || keyLen > maxKeyLen {
+			break
+		}
+		h = window(off, 16+keyLen+8)
+		if h == nil {
+			break
+		}
+		valLen := binary.BigEndian.Uint64(h[16+keyLen:])
+		n := 16 + keyLen + 8 + 32
+		if rest := size - off - n; rest < 0 || valLen > uint64(rest) {
+			break
+		}
+		n += int64(valLen)
+		s.recs = append(s.recs, scannedRecord{key: string(h[16 : 16+keyLen]), off: off, n: n})
+		off += n
+	}
+	return off
+}
+
+// Len returns the number of live entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.index)
 }
 
 // Stats snapshots the disk-tier counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
-	bytes, entries := s.bytes, int64(len(s.entries))
+	bytes, entries := s.bytes, int64(len(s.index))
 	s.mu.Unlock()
 	return StoreStats{
 		Hits:      s.hits.Load(),
@@ -477,7 +751,7 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// Entry file layout (all integers big-endian):
+// Record layout (all integers big-endian):
 //
 //	offset  size  field
 //	0       8     magic "pmstore1"
@@ -487,11 +761,11 @@ func (s *Store) Stats() StoreStats {
 //	24+K    32    SHA-256(payload)
 //	56+K    N     payload
 //
-// The recorded key closes the (astronomically unlikely) file-name hash
-// collision: a mismatched key verifies as corrupt instead of serving a
-// value for the wrong request.
+// A segment is records laid end to end. The recorded key lets a scan
+// rebuild the index, and lets a read reject a record the index points at
+// wrongly instead of serving a value for the wrong request.
 
-// encodeEntry serializes one entry blob.
+// encodeEntry serializes one record.
 func encodeEntry(key string, val []byte) []byte {
 	sum := sha256.Sum256(val)
 	buf := make([]byte, 0, 8+8+len(key)+8+32+len(val))
@@ -504,36 +778,23 @@ func encodeEntry(key string, val []byte) []byte {
 	return buf
 }
 
-// readEntry reads and verifies one entry file, returning the payload and
-// the opened file's identity (for removeCorrupt's same-file check).
-// os.IsNotExist errors mean a clean miss; every other error means the
-// file is present but unusable.
-func readEntry(path, key string) ([]byte, os.FileInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	info, _ := f.Stat() // nil info just skips the same-file guard
-	blob, err := io.ReadAll(f)
-	if err != nil {
-		return nil, info, fmt.Errorf("cache: store read: %w", err)
-	}
+// decodeEntry verifies one record read whole and returns its payload.
+func decodeEntry(blob []byte, key string) ([]byte, error) {
 	if len(blob) < 8+8 || string(blob[:8]) != storeMagic {
-		return nil, info, fmt.Errorf("cache: store entry: bad magic")
+		return nil, fmt.Errorf("cache: store entry: bad magic")
 	}
 	off := 8
 	keyLen := binary.BigEndian.Uint64(blob[off : off+8])
 	off += 8
 	if keyLen > uint64(len(blob)-off) {
-		return nil, info, fmt.Errorf("cache: store entry: truncated key")
+		return nil, fmt.Errorf("cache: store entry: truncated key")
 	}
 	if string(blob[off:off+int(keyLen)]) != key {
-		return nil, info, fmt.Errorf("cache: store entry: key mismatch")
+		return nil, fmt.Errorf("cache: store entry: key mismatch")
 	}
 	off += int(keyLen)
 	if len(blob)-off < 8+32 {
-		return nil, info, fmt.Errorf("cache: store entry: truncated header")
+		return nil, fmt.Errorf("cache: store entry: truncated header")
 	}
 	valLen := binary.BigEndian.Uint64(blob[off : off+8])
 	off += 8
@@ -541,11 +802,11 @@ func readEntry(path, key string) ([]byte, os.FileInfo, error) {
 	copy(want[:], blob[off:off+32])
 	off += 32
 	if valLen != uint64(len(blob)-off) {
-		return nil, info, fmt.Errorf("cache: store entry: truncated payload")
+		return nil, fmt.Errorf("cache: store entry: truncated payload")
 	}
 	val := blob[off:]
 	if sha256.Sum256(val) != want {
-		return nil, info, fmt.Errorf("cache: store entry: checksum mismatch")
+		return nil, fmt.Errorf("cache: store entry: checksum mismatch")
 	}
-	return val, info, nil
+	return val, nil
 }

@@ -8,18 +8,75 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// entryPath locates the on-disk file for a key through the same mapping
-// the store uses.
-func entryPath(s *Store, key string) string {
-	name := fileName(key)
-	return filepath.Join(s.shardDir(name), name)
+// recordOf locates key's live record through the store's index: its
+// segment file, offset and length.
+func recordOf(t *testing.T, s *Store, key string) (path string, off, n int64) {
+	t.Helper()
+	s.mu.Lock()
+	loc, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
+		t.Fatalf("%q is not indexed", key)
+	}
+	return filepath.Join(s.dir, loc.seg.name), loc.off, loc.n
+}
+
+// writeAt overwrites bytes of a file in place.
+func writeAt(t *testing.T, path string, b []byte, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirFiles maps every regular file under dir, by path, to its info, and
+// counts the subdirectories.
+func dirFiles(t *testing.T, dir string) (files map[string]os.FileInfo, subdirs int) {
+	t.Helper()
+	files = make(map[string]os.FileInfo)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != dir {
+				subdirs++
+			}
+			return nil
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		files[path] = info
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files, subdirs
+}
+
+// diskBytes sums the sizes of the regular files under dir.
+func diskBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	files, _ := dirFiles(t, dir)
+	var total int64
+	for _, info := range files {
+		total += info.Size()
+	}
+	return total
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -38,8 +95,13 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, ok := s.Get("absent"); ok {
 		t.Fatal("Get(absent) hit")
 	}
+	// A key too long for a record header to fit the scan buffer is
+	// refused.
+	if err := s.Put(strings.Repeat("k", maxKeyLen+1), val); err == nil {
+		t.Fatal("Put of an oversized key succeeded")
+	}
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.PutErrors != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -93,37 +155,43 @@ func TestStoreOverwrite(t *testing.T) {
 	}
 }
 
-// TestStoreTruncated covers every truncation point of the file format:
-// each must degrade to a miss and remove the bad file, never panic or
-// return data.
+// TestStoreTruncated covers every truncation point of the record format:
+// each must degrade to a miss and be forgotten, never panic or return
+// data, and a reopened store must not serve it either.
 func TestStoreTruncated(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := "trunc"
 	val := []byte("some payload worth keeping")
-	if err := s.Put(key, val); err != nil {
-		t.Fatal(err)
-	}
-	path := entryPath(s, key)
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(whole); cut += 7 {
+	n := int64(len(encodeEntry(key, val)))
+	for cut := int64(0); cut < n; cut += 7 {
+		dir := t.TempDir()
+		s, err := OpenStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Put(key, val); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+		path, off, _ := recordOf(t, s, key)
+		if err := os.Truncate(path, off+cut); err != nil {
 			t.Fatal(err)
 		}
 		if got, ok := s.Get(key); ok {
 			t.Fatalf("cut=%d: truncated entry served %q", cut, got)
 		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("cut=%d: corrupt file not removed", cut)
+		// The record is forgotten: a second Get misses without
+		// re-verifying it.
+		if _, ok := s.Get(key); ok || s.Stats().Corrupt != 1 || s.Len() != 0 {
+			t.Fatalf("cut=%d: truncated record not forgotten: %+v", cut, s.Stats())
 		}
+		s.Close()
+		s2, err := OpenStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s2.Get(key); ok {
+			t.Fatalf("cut=%d: reopened store served %q", cut, got)
+		}
+		s2.Close()
 	}
 }
 
@@ -147,23 +215,28 @@ func TestStoreBadChecksum(t *testing.T) {
 			if err := s.Put(key, []byte("checksummed payload")); err != nil {
 				t.Fatal(err)
 			}
-			path := entryPath(s, key)
-			blob, err := os.ReadFile(path)
+			path, off, n := recordOf(t, s, key)
+			blob := make([]byte, n)
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.ReadAt(blob, off)
+			f.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.corrupt(blob)
-			if err := os.WriteFile(path, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeAt(t, path, blob, off)
 			if got, ok := s.Get(key); ok {
 				t.Fatalf("corrupt entry served %q", got)
 			}
 			if st := s.Stats(); st.Corrupt != 1 {
 				t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatal("corrupt file not removed")
+			// The record is forgotten: it is never read again.
+			if _, ok := s.Get(key); ok || s.Stats().Corrupt != 1 || s.Len() != 0 {
+				t.Fatalf("corrupt record not forgotten: %+v", s.Stats())
 			}
 			// A re-Put works and serves again.
 			if err := s.Put(key, []byte("fresh")); err != nil {
@@ -181,64 +254,65 @@ func TestStoreKeyMismatchReadsAsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a file-name hash collision: entry content recorded for a
-	// different key under this key's file name.
-	name := fileName("wanted")
-	dir := s.shardDir(name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	// Point the index at a record written for a different key: the
+	// recorded key must reject it.
+	if err := s.Put("other", []byte("value for other")); err != nil {
 		t.Fatal(err)
 	}
-	blob := encodeEntry("other", []byte("value for other"))
-	if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	s.mu.Lock()
+	s.setLocked("wanted", s.index["other"])
+	s.mu.Unlock()
 	if got, ok := s.Get("wanted"); ok {
 		t.Fatalf("key-mismatched entry served %q", got)
 	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
+	}
+	if got, ok := s.Get("other"); !ok || string(got) != "value for other" {
+		t.Fatalf("Get(other) = %q, %v", got, ok)
+	}
 }
 
-// TestStorePartialWriteCrash simulates a crash between temp-write and
-// rename: the leftover tmp file must never be served and must be cleaned
-// up by the next Open.
+// TestStorePartialWriteCrash simulates a writer that died mid-append: the
+// half-written record at its segment's tail must never be served, by a
+// store open at the time or by one opened afterwards, while the records
+// before it still are.
 func TestStorePartialWriteCrash(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-plant what a crashed Put leaves behind: a tmp file holding a
-	// half-written entry in a shard directory.
-	name := fileName("crashed")
-	shard := s.shardDir(name)
-	if err := os.MkdirAll(shard, 0o755); err != nil {
+	// Hand-plant what the dead writer left behind: a segment holding one
+	// whole record and half of the next.
+	whole := encodeEntry("written", []byte("whole"))
+	half := encodeEntry("crashed", []byte("half"))
+	seg := append(whole, half[:len(half)/2]...)
+	if err := os.WriteFile(filepath.Join(dir, "0000000000000001"+segmentSuffix), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	blob := encodeEntry("crashed", []byte("half"))
-	tmpPath := filepath.Join(shard, "tmp-123456")
-	if err := os.WriteFile(tmpPath, blob[:len(blob)/2], 0o644); err != nil {
-		t.Fatal(err)
+	for _, st := range []*Store{s, reopen(t, dir)} {
+		if _, ok := st.Get("crashed"); ok {
+			t.Fatal("partial write served")
+		}
+		if got, ok := st.Get("written"); !ok || string(got) != "whole" {
+			t.Fatalf("record before the torn one = %q, %v", got, ok)
+		}
+		if st.Stats().Corrupt != 0 {
+			t.Fatalf("a torn tail is not corruption: %+v", st.Stats())
+		}
 	}
-	if _, ok := s.Get("crashed"); ok {
-		t.Fatal("partial write visible under the live name")
-	}
-	// Age the leftover past staleTmpAge: Open only collects tmp files old
-	// enough to be certainly dead, so a sibling daemon's in-flight write
-	// over a shared directory is never destroyed.
-	old := time.Now().Add(-2 * staleTmpAge)
-	if err := os.Chtimes(tmpPath, old, old); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen — the janitorial scan removes the leftover.
-	s2, err := OpenStore(dir, 0)
+}
+
+// reopen opens a second, unbounded store over dir, closed with the test.
+func reopen(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
-		t.Fatal("tmp leftover survived reopen")
-	}
-	if _, ok := s2.Get("crashed"); ok {
-		t.Fatal("partial write visible after reopen")
-	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 func TestStoreGCBounded(t *testing.T) {
@@ -253,8 +327,6 @@ func TestStoreGCBounded(t *testing.T) {
 		if err := s.Put(key, bytes.Repeat([]byte("x"), 100)); err != nil {
 			t.Fatal(err)
 		}
-		// Distinct lastUsed stamps so LRU order is deterministic.
-		time.Sleep(2 * time.Millisecond)
 	}
 	st := s.Stats()
 	if st.Entries > 3 || st.Bytes > 3*entrySize {
@@ -283,6 +355,7 @@ func TestStoreOpenGCsOversizedDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s1.Close() // the first process exits
 	entrySize := int64(len(encodeEntry("k0", bytes.Repeat([]byte("y"), 50))))
 	s2, err := OpenStore(dir, 2*entrySize)
 	if err != nil {
@@ -343,10 +416,19 @@ func TestStoreOpenEmptyDirErrors(t *testing.T) {
 	}
 }
 
+// TestStoreIgnoresForeignFiles: files that are not segments — among them
+// an older store's shard directories of per-entry files — read as empty
+// and survive the store's GC.
 func TestStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("not an entry"), 0o644); err != nil {
+	foreign := []string{filepath.Join(dir, "README"), filepath.Join(dir, "ab", "ab01.pmr")}
+	if err := os.Mkdir(filepath.Join(dir, "ab"), 0o755); err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range foreign {
+		if err := os.WriteFile(p, encodeEntry("old", []byte("not a segment")), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, err := OpenStore(dir, 0)
 	if err != nil {
@@ -355,8 +437,20 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("foreign file indexed: Len = %d", s.Len())
 	}
-	if !strings.HasSuffix(fileName("x"), storeSuffix) {
-		t.Fatal("fileName lost its suffix")
+	if _, ok := s.Get("old"); ok {
+		t.Fatal("an entry outside any segment was served")
+	}
+	if err := s.Put("a", []byte("aaaa")); err != nil {
+		t.Fatal(err)
+	}
+	s.maxBytes = 1
+	if n := s.GC(); n != 1 {
+		t.Fatalf("GC = %d, want 1", n)
+	}
+	for _, p := range foreign {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("foreign file %s not left alone: %v", p, err)
+		}
 	}
 }
 
@@ -430,52 +524,17 @@ func TestStoreCtxVariants(t *testing.T) {
 // --- Cross-process sharing -------------------------------------------
 //
 // Several pmsynthd nodes point at one store directory in cluster mode.
-// Each runs its own *Store over the same files, so the in-process mutex
-// no longer serializes rename-into-place against identity-checked
-// removals; the flock taken in dirLock must. These tests run two Store
-// instances over one directory — flock is per open file description, so
-// two instances in one test process contend exactly like two daemons.
-
-func TestStoreCrossProcessLockExcludes(t *testing.T) {
-	dir := t.TempDir()
-	a, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.dirLock()
-	if err := syscall.Flock(int(b.lockFile.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err == nil {
-		syscall.Flock(int(b.lockFile.Fd()), syscall.LOCK_UN)
-		t.Fatal("second instance acquired the directory lock while the first held it")
-	}
-	a.dirUnlock()
-	if err := syscall.Flock(int(b.lockFile.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		t.Fatalf("lock not released: %v", err)
-	}
-	syscall.Flock(int(b.lockFile.Fd()), syscall.LOCK_UN)
-	if err := a.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// After Close the store degrades to in-process exclusion; operations
-	// must still work.
-	if err := a.Put("post-close", []byte("v")); err != nil {
-		t.Fatalf("Put after Close: %v", err)
-	}
-	if _, ok := a.Get("post-close"); !ok {
-		t.Fatal("Get after Close missed")
-	}
-	b.Close()
-}
+// Each runs its own *Store over the same segments: each appends only to
+// segments it created, reads the others', and may evict any segment no
+// live writer holds. flock is per open file description, so two
+// instances in one test process contend exactly like two daemons.
 
 // TestStoreCrossInstanceConcurrency is the cross-process extension of
 // TestStoreConcurrentGCvsRead: two Store instances over one directory,
 // concurrent Put/Get/GC plus injected corruption, under a byte budget
 // tight enough to keep the GC evicting. No reader on either instance
-// may ever observe wrong bytes, and a corrupt-cleanup on one instance
-// must never delete a fresh entry renamed into place by the other.
+// may ever observe wrong bytes, and after the storm a Put through one
+// instance is a hit through the other.
 func TestStoreCrossInstanceConcurrency(t *testing.T) {
 	dir := t.TempDir()
 	entrySize := int64(len(encodeEntry("key-00", bytes.Repeat([]byte("z"), 64))))
@@ -519,20 +578,30 @@ func TestStoreCrossInstanceConcurrency(t *testing.T) {
 			}
 		}(r)
 	}
-	// A corrupter flipping payload bytes on disk: each instance's next
-	// Get of a victim must detect it, remove the file under the flock,
-	// and never take down a fresh entry the other instance just renamed
-	// into place.
+	// A corrupter flipping the last payload byte of records on disk:
+	// each instance's next Get of a victim must detect it and forget the
+	// record, whichever instance wrote it.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for iter := 0; iter < 60; iter++ {
-			i := iter % keys
-			path := entryPath(a, fmt.Sprintf("key-%02d", i))
-			if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-				data[len(data)-1] ^= 0xff
-				os.WriteFile(path, data, 0o644)
+			key := fmt.Sprintf("key-%02d", iter%keys)
+			a.mu.Lock()
+			loc, ok := a.index[key]
+			a.mu.Unlock()
+			if !ok {
+				continue
 			}
+			f, err := os.OpenFile(filepath.Join(dir, loc.seg.name), os.O_RDWR, 0)
+			if err != nil {
+				continue // evicted
+			}
+			last := []byte{0}
+			if _, err := f.ReadAt(last, loc.off+loc.n-1); err == nil {
+				last[0] ^= 0xff
+				f.WriteAt(last, loc.off+loc.n-1)
+			}
+			f.Close()
 		}
 	}()
 	wg.Wait()
@@ -546,26 +615,227 @@ func TestStoreCrossInstanceConcurrency(t *testing.T) {
 	}
 }
 
-func TestStoreOpenKeepsFreshTmpFiles(t *testing.T) {
+// TestStorePutCreatesNoFilePerEntry: Open creates no file, and every Put
+// of an unbounded store appends to the one segment the first Put created.
+func TestStorePutCreatesNoFilePerEntry(t *testing.T) {
 	dir := t.TempDir()
-	fresh := filepath.Join(dir, "tmp-live-writer")
-	stale := filepath.Join(dir, "tmp-crashed-writer")
-	for _, p := range []string{fresh, stale} {
-		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+	s, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files, subdirs := dirFiles(t, dir); len(files) != 0 || subdirs != 0 {
+		t.Fatalf("OpenStore created %d files and %d directories", len(files), subdirs)
+	}
+	for i := 0; i < 200; i++ {
+		if err := s.Put(fmt.Sprintf("key-%03d", i), []byte(fmt.Sprintf("value %d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(stale, old, old); err != nil {
+	files, subdirs := dirFiles(t, dir)
+	if len(files) != 1 || subdirs != 0 {
+		t.Fatalf("200 Puts left %d files and %d directories, want one segment", len(files), subdirs)
+	}
+	for i := 0; i < 200; i++ {
+		if got, ok := s.Get(fmt.Sprintf("key-%03d", i)); !ok || string(got) != fmt.Sprintf("value %d", i) {
+			t.Fatalf("key-%03d = %q, %v", i, got, ok)
+		}
+	}
+}
+
+// TestStoreGetWritesNothing: a hit, through the writer or through a store
+// opened over its directory, and a miss change no file's size or mtime
+// and create no file.
+func TestStoreGetWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(dir, 0); err != nil {
+	for i := 0; i < 20; i++ {
+		if err := s.Put(fmt.Sprintf("key-%02d", i), bytes.Repeat([]byte{byte(i)}, 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Age every file, so a write-back of the time of a read shows.
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	before, _ := dirFiles(t, dir)
+	for path := range before {
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ = dirFiles(t, dir)
+	for _, st := range []*Store{s, reopen(t, dir)} {
+		for i := 0; i < 20; i++ {
+			if _, ok := st.Get(fmt.Sprintf("key-%02d", i)); !ok {
+				t.Fatalf("key-%02d missed", i)
+			}
+		}
+		if _, ok := st.Get("absent"); ok {
+			t.Fatal("absent key hit")
+		}
+	}
+	after, _ := dirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("Gets changed the file count from %d to %d", len(before), len(after))
+	}
+	for path, b := range before {
+		a, ok := after[path]
+		if !ok || a.Size() != b.Size() || !a.ModTime().Equal(b.ModTime()) {
+			t.Fatalf("Gets wrote %s: size %d -> %d, mtime %v -> %v", path, b.Size(), a.Size(), b.ModTime(), a.ModTime())
+		}
+	}
+}
+
+// TestStoreEvictionSparesALiveWriter: two stores share one directory
+// under a tight budget. The evicting store's GC deletes the writer's
+// sealed segments but never its active one, whose records stay served by
+// both; once the writer closes, its last segment is fair game.
+func TestStoreEvictionSparesALiveWriter(t *testing.T) {
+	dir := t.TempDir()
+	val := bytes.Repeat([]byte("v"), 100)
+	entrySize := int64(len(encodeEntry("w-00", val)))
+	budget := 40 * entrySize // segments seal at five entries
+	evictor, err := OpenStore(dir, budget)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Lstat(fresh); err != nil {
-		t.Fatal("Open deleted a fresh tmp file another live process may own")
+	writer, err := OpenStore(dir, budget)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Lstat(stale); !os.IsNotExist(err) {
-		t.Fatal("Open kept a stale crashed-write leftover")
+	put := func(s *Store, key string) {
+		t.Helper()
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	served := func(key string) {
+		t.Helper()
+		for _, s := range []*Store{writer, evictor} {
+			if got, ok := s.Get(key); !ok || !bytes.Equal(got, val) {
+				t.Fatalf("%s through %p = %q, %v", key, s, got, ok)
+			}
+		}
+	}
+	// The writer's oldest segment seals; its newest stays active.
+	for i := 0; i < 7; i++ {
+		put(writer, fmt.Sprintf("w-%02d", i))
+	}
+	activePath, _, _ := recordOf(t, writer, "w-06")
+	served("w-06") // the evictor indexes the writer's segments on its miss
+
+	// The evictor floods the budget, then shrinks it to nothing.
+	for i := 0; i < 100; i++ {
+		put(evictor, fmt.Sprintf("e-%03d", i))
+	}
+	evictor.maxBytes = 1
+	evictor.GC()
+	if st := evictor.Stats(); st.Evictions == 0 {
+		t.Fatalf("the evictor evicted nothing: %+v", st)
+	}
+	if _, ok := evictor.Get("w-00"); ok {
+		t.Fatal("the writer's sealed segment survived the evictor's GC")
+	}
+	if _, err := os.Stat(activePath); err != nil {
+		t.Fatalf("the evictor deleted the writer's active segment: %v", err)
+	}
+	served("w-06")
+	put(writer, "w-late")
+	served("w-late")
+
+	// Closing seals the writer's segment: now the evictor may take it.
+	writer.Close()
+	evictor.GC()
+	if _, err := os.Stat(activePath); !os.IsNotExist(err) {
+		t.Fatalf("a sealed segment survived GC over budget: %v", err)
+	}
+	if evictor.Len() != 0 {
+		t.Fatalf("evictor Len = %d after evicting everything", evictor.Len())
+	}
+}
+
+// TestStoreTornTail: a segment cut anywhere inside its last record, as a
+// writer dying mid-append leaves it, serves every earlier record, misses
+// the cut one, and is never appended to by the store that reopens it.
+func TestStoreTornTail(t *testing.T) {
+	src := t.TempDir()
+	w, err := OpenStore(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"k0", "k1", "k2", "k3"}
+	for _, k := range keys {
+		if err := w.Put(k, []byte("payload of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, off, n := recordOf(t, w, "k3")
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	for cut := int64(0); cut < n; cut += 5 {
+		dir := t.TempDir()
+		segPath := filepath.Join(dir, filepath.Base(path))
+		if err := os.WriteFile(segPath, whole[:off+cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys[:3] {
+			if got, ok := s.Get(k); !ok || string(got) != "payload of "+k {
+				t.Fatalf("cut=%d: %s = %q, %v", cut, k, got, ok)
+			}
+		}
+		if got, ok := s.Get("k3"); ok {
+			t.Fatalf("cut=%d: torn record served %q", cut, got)
+		}
+		if err := s.Put("k4", []byte("after the tear")); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := os.Stat(segPath); err != nil || info.Size() != off+cut {
+			t.Fatalf("cut=%d: the reopened store appended to the torn segment", cut)
+		}
+		if files, _ := dirFiles(t, dir); len(files) != 2 {
+			t.Fatalf("cut=%d: %d files, want the torn segment and a new one", cut, len(files))
+		}
+		s.Close()
+		if got, ok := reopen(t, dir).Get("k4"); !ok || string(got) != "after the tear" {
+			t.Fatalf("cut=%d: k4 after reopen = %q, %v", cut, got, ok)
+		}
+	}
+}
+
+// TestStoreDiskBound: after many Puts of mixed sizes under budget B, the
+// directory holds at most B plus one segment, and the newest entry is
+// served.
+func TestStoreDiskBound(t *testing.T) {
+	dir := t.TempDir()
+	const budget = 8 << 10
+	s, err := OpenStore(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxRec int64
+	for i := 0; i < 300; i++ {
+		key := fmt.Sprintf("key-%03d", i)
+		val := bytes.Repeat([]byte{byte(i)}, 100+(i*37)%500)
+		maxRec = max(maxRec, int64(len(encodeEntry(key, val))))
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if got := diskBytes(t, dir); got > budget+s.sealBytes()+maxRec {
+			t.Fatalf("after %d Puts the directory holds %d bytes, budget %d", i+1, got, budget)
+		}
+	}
+	if _, ok := s.Get("key-299"); !ok {
+		t.Fatal("newest entry evicted")
+	}
+	if st := s.Stats(); st.Bytes > budget || st.Evictions == 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

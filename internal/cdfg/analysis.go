@@ -69,8 +69,8 @@ func (g *Graph) TransitiveFanin(root NodeID) NodeSet {
 // unconstrained ASAP level. height is the longest latency-weighted path
 // from the node to any output, its own latency included; a node that
 // reaches no output has its own latency. Both are memoized, computed on a
-// miss, and shared with the cache and with every clone and fork of the
-// graph: treat them as read-only.
+// miss, and shared with the cache and with every fork of the graph:
+// treat them as read-only.
 func (g *Graph) Levels() (depth, height []int) {
 	return g.depthMemo(), g.heightMemo()
 }

@@ -3,14 +3,13 @@ package cdfg
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/scratch"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense indices starting
-// at zero; they are stable across Clone.
+// at zero; they are stable across Fork.
 type NodeID int
 
 // InvalidNode is returned by lookups that find nothing.
@@ -488,7 +487,7 @@ func (a Adjacency) Succs(id NodeID) []NodeID {
 // SchedAdjacency returns the scheduling adjacency of the graph. A graph
 // without control edges answers from its dataflow lists; a graph with
 // control edges builds its per-node lists once and memoizes them until
-// the node list or the control edges change (clones share them).
+// the node list or the control edges change (forks share them).
 func (g *Graph) SchedAdjacency() Adjacency {
 	if len(g.controlEdges) == 0 {
 		return Adjacency{g: g}
@@ -625,49 +624,6 @@ func (g *Graph) computeTopoOrder(adj Adjacency) ([]NodeID, error) {
 		return nil, ErrCycle
 	}
 	return order, nil
-}
-
-// Clone returns a deep copy of the graph, including control edges. The
-// nodes, their argument lists and the successor lists are each copied
-// into one block; every list is capped at its length, so an append to a
-// clone's list copies it rather than writing into its neighbour's.
-func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		Name:         g.Name,
-		nodes:        make([]*Node, len(g.nodes)),
-		byName:       maps.Clone(g.byName),
-		succs:        make([][]NodeID, len(g.succs)),
-		controlEdges: append([]ControlEdge(nil), g.controlEdges...),
-		inputs:       append([]NodeID(nil), g.inputs...),
-		consts:       append([]NodeID(nil), g.consts...),
-		outputs:      append([]NodeID(nil), g.outputs...),
-	}
-	nargs, nsuccs := 0, 0
-	for i, n := range g.nodes {
-		nargs += len(n.Args)
-		nsuccs += len(g.succs[i])
-	}
-	nodes := make([]Node, len(g.nodes))
-	args := make([]NodeID, 0, nargs)
-	for i, n := range g.nodes {
-		nodes[i] = *n
-		if len(n.Args) > 0 {
-			lo := len(args)
-			args = append(args, n.Args...)
-			nodes[i].Args = args[lo:len(args):len(args)]
-		}
-		ng.nodes[i] = &nodes[i]
-	}
-	succs := make([]NodeID, 0, nsuccs)
-	for i, s := range g.succs {
-		if len(s) > 0 {
-			lo := len(succs)
-			succs = append(succs, s...)
-			ng.succs[i] = succs[lo:len(succs):len(succs)]
-		}
-	}
-	g.shareAnalyses(ng)
-	return ng
 }
 
 // Fork returns a graph with g's nodes and dataflow edges and its own copy

@@ -266,24 +266,24 @@ func TestSchedPredsSuccs(t *testing.T) {
 	}
 	checkSched(t, g, "after revert")
 
-	// A clone shares the warm adjacency, but an edge added on either
+	// A fork shares the warm adjacency, but an edge added on either
 	// side never shows on the other.
-	cl := g.Clone()
+	cl := g.Fork()
 	if err := cl.AddControlEdge(d2, d1); err != nil {
 		t.Fatal(err)
 	}
-	checkSched(t, g, "original after clone edge")
-	checkSched(t, cl, "clone after its edge")
+	checkSched(t, g, "original after fork edge")
+	checkSched(t, cl, "fork after its edge")
 	if slices.Contains(g.SchedPreds(d1), d2) {
-		t.Error("clone's control edge d2->d1 leaked into the original")
+		t.Error("fork's control edge d2->d1 leaked into the original")
 	}
-	cl2 := g.Clone()
+	cl2 := g.Fork()
 	if err := g.AddControlEdge(gt, d2); err != nil {
 		t.Fatal(err)
 	}
-	checkSched(t, cl2, "clone after original edge")
+	checkSched(t, cl2, "fork after original edge")
 	if slices.Contains(cl2.SchedPreds(d2), gt) {
-		t.Error("original's control edge g->d2 leaked into an earlier clone")
+		t.Error("original's control edge g->d2 leaked into an earlier fork")
 	}
 
 	// Appending to an answer never writes into Args, the dataflow
@@ -300,7 +300,7 @@ func TestSchedPredsSuccs(t *testing.T) {
 	}
 
 	// Concurrent readers of one shared graph race to build the memo
-	// entry and to read it (and clone it); under -race this checks the
+	// entry and to read it (and fork it); under -race this checks the
 	// sharing contract.
 	shared := buildAbsDiff(t)
 	if err := shared.AddControlEdge(gt, d1); err != nil {
@@ -311,7 +311,7 @@ func TestSchedPredsSuccs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := shared.Clone()
+			cl := shared.Fork()
 			for _, n := range shared.Nodes() {
 				wp, ws := wantSched(shared, n.ID)
 				if !slices.Equal(shared.SchedPreds(n.ID), wp) || !slices.Equal(shared.SchedSuccs(n.ID), ws) ||
@@ -418,33 +418,6 @@ func TestMuxes(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := buildAbsDiff(t)
-	MustAddControlEdge(t, g, g.Lookup("g"), g.Lookup("d1"))
-	c := g.Clone()
-	if c.NumNodes() != g.NumNodes() {
-		t.Fatalf("clone node count %d != %d", c.NumNodes(), g.NumNodes())
-	}
-	// Mutating the clone must not affect the original.
-	MustAdd(c.AddInput("extra"))
-	if g.Lookup("extra") != InvalidNode {
-		t.Error("clone shares name map with original")
-	}
-	c.ClearControlEdges()
-	if len(g.ControlEdges()) != 1 {
-		t.Error("clone shares control edges with original")
-	}
-	// Node structs must be copies.
-	c.Node(0).Name = "mutated"
-	if g.Node(0).Name == "mutated" {
-		t.Error("clone shares node structs with original")
-	}
-}
-
-// TestForkEdgesNeverReachTheInput: a fork shares its input's nodes and
-// dataflow analyses, but the control edges added to it, in one call or
-// many, and its cleared list, never reach the input, nor do the analyses
-// that depend on them.
 func TestForkEdgesNeverReachTheInput(t *testing.T) {
 	g := buildAbsDiff(t)
 	MustAddControlEdge(t, g, g.Lookup("g"), g.Lookup("d1"))
@@ -750,23 +723,6 @@ func TestPropertyFaninContainsArgsTransitively(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyCloneEquivalent(t *testing.T) {
-	f := func(seed int64, size uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomDAG(r, int(size%40)+1)
-		c := g.Clone()
-		ds1, err1 := g.ComputeStats()
-		ds2, err2 := c.ComputeStats()
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return ds1 == ds2 && g.DOT() == c.DOT()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

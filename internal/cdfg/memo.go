@@ -16,8 +16,8 @@ import "sync"
 //
 // The cache is safe for concurrent use: the design-space sweep engine
 // evaluates many configurations of one design in parallel, reading the
-// design's graph itself and the clones its points make, which share the
-// entries that were warm at clone time.
+// design's graph itself and the forks its points make, which share the
+// entries that were warm at fork time.
 type analysisMemo struct {
 	mu       sync.Mutex
 	depth    []int
@@ -63,8 +63,8 @@ func (g *Graph) invalidateSchedDeps() {
 	g.memo.mu.Unlock()
 }
 
-// shareAnalyses copies the warm cache entries of g into ng (a fresh clone
-// or fork with an identical node list). The cached slices are immutable
+// shareAnalyses copies the warm cache entries of g into ng (a fresh fork
+// with an identical node list). The cached slices are immutable
 // once computed and safely shared.
 func (g *Graph) shareAnalyses(ng *Graph) {
 	g.memo.mu.Lock()
@@ -73,7 +73,7 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 	ng.memo.height = g.memo.height
 	ng.memo.critOK = g.memo.critOK
 	ng.memo.critical = g.memo.critical
-	// A clone or fork starts with an identical node list and identical
+	// A fork starts with an identical node list and identical
 	// control edges, so the schedule-dependent entries are valid for it
 	// too.
 	ng.memo.topo = g.memo.topo
@@ -83,7 +83,7 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 // PrewarmAnalyses computes and caches the analyses the synthesis flow
 // queries repeatedly: depth, height to output, the critical path and the
 // topological order. A sweep calls this once on the shared design so every
-// per-configuration clone starts warm.
+// per-configuration fork starts warm.
 func (g *Graph) PrewarmAnalyses() {
 	g.Levels()
 	_, _ = g.TopoOrder()

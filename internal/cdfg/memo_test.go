@@ -62,40 +62,8 @@ func TestAnalysesInvalidatedOnNodeAdd(t *testing.T) {
 	}
 }
 
-func TestCloneSharesWarmAnalyses(t *testing.T) {
-	g := memoGraph(t)
-	g.PrewarmAnalyses()
-	clone := g.Clone()
-	cp, _ := g.CriticalPath()
-	cp2, _ := clone.CriticalPath()
-	if cp != cp2 {
-		t.Errorf("clone critical path = %d, want %d", cp2, cp)
-	}
-	for _, name := range []string{"g", "d1", "d2"} {
-		id := g.Lookup(name)
-		a := g.TransitiveFanin(id).Sorted()
-		b := clone.TransitiveFanin(id).Sorted()
-		if len(a) != len(b) {
-			t.Fatalf("fanin(%s) differs between graph and clone", name)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("fanin(%s) differs between graph and clone", name)
-			}
-		}
-	}
-	// Mutating the clone's node list must not corrupt the parent.
-	MustAdd(clone.AddInput("extra"))
-	if g.NumNodes() == clone.NumNodes() {
-		t.Fatal("clone mutation leaked into parent")
-	}
-	if cp3, _ := g.CriticalPath(); cp3 != cp {
-		t.Errorf("parent critical path changed after clone mutation: %d", cp3)
-	}
-}
-
 // TestConcurrentAnalyses exercises the memo under concurrent access (run
-// with -race): many goroutines querying the shared graph and cloning it,
+// with -race): many goroutines querying the shared graph and forking it,
 // as the sweep engine's workers do.
 func TestConcurrentAnalyses(t *testing.T) {
 	g := memoGraph(t)
@@ -114,9 +82,9 @@ func TestConcurrentAnalyses(t *testing.T) {
 					t.Errorf("fanin(m) = %d members, want 6", len(cone))
 					return
 				}
-				clone := g.Clone()
-				if _, height := clone.Levels(); height[g.Lookup("m")] != 1 {
-					t.Errorf("clone's height of m = %d, want 1", height[g.Lookup("m")])
+				fork := g.Fork()
+				if _, height := fork.Levels(); height[g.Lookup("m")] != 1 {
+					t.Errorf("fork's height of m = %d, want 1", height[g.Lookup("m")])
 					return
 				}
 			}

@@ -33,7 +33,7 @@ func TestBranchCandidates(t *testing.T) {
 
 	// The sets depend only on dataflow: a serializing control edge must
 	// not change the enumeration.
-	gc := g.Clone()
+	gc := g.Fork()
 	if err := gc.AddControlEdge(sel, gc.Lookup("d1")); err != nil {
 		t.Fatal(err)
 	}

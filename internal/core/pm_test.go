@@ -456,7 +456,7 @@ func TestInputGraphNotMutated(t *testing.T) {
 	for _, ng := range oracleGraphs(t, 20) {
 		// The user edge runs from an input to the last operation, so it
 		// leaves the critical path as it is.
-		withEdge := ng.g.Clone()
+		withEdge := ng.g.Fork()
 		last := cdfg.InvalidNode
 		for _, n := range withEdge.Nodes() {
 			if n.IsOp() {

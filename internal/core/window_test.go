@@ -75,7 +75,7 @@ func checkPassWindow(t testing.TB, g *cdfg.Graph, budget int, order []cdfg.NodeI
 	p.window = w
 	// committed is g with the edges the pass has committed so far.
 	committed := func() *cdfg.Graph {
-		c := g.Clone()
+		c := g.Fork()
 		if p.hasWin {
 			if err := c.AddControlEdges(p.win.edges); err != nil {
 				t.Fatal(err)
@@ -157,11 +157,11 @@ func muxOrder(t testing.TB, g *cdfg.Graph, cfg Config) []cdfg.NodeID {
 	return slices.Clone(p.order)
 }
 
-// tentative returns a clone of work with mux m's batch for the given gated
+// tentative returns a fork of work with mux m's batch for the given gated
 // sets added from scratch: its select before every top of each set, true
 // branch first, skipping edges work already has.
 func tentative(work *cdfg.Graph, m cdfg.NodeID, sets ...cdfg.NodeSet) *cdfg.Graph {
-	c := work.Clone()
+	c := work.Fork()
 	sel := c.Node(m).Args[cdfg.MuxSel]
 	for _, set := range sets {
 		for _, top := range GatedTops(c, set) {
@@ -290,7 +290,7 @@ func TestFeasibilityBatchAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		order := muxOrder(t, g, Config{Budget: budget})
-		p := newPass(g.Clone(), false)
+		p := newPass(g.Fork(), false)
 		p.window = w
 		batches := 0
 		for _, m := range order {

@@ -809,9 +809,10 @@ func (s *solver) assignNode(pos int, t []int) solveStatus {
 	return solveInfeasible
 }
 
-// assemble builds the Result from the incumbent.
+// assemble builds the Result from the incumbent. It adds only control
+// edges, so a fork of the input graph carries them.
 func (s *solver) assemble() (*Result, error) {
-	clone := s.g.Clone()
+	fork := s.g.Fork()
 	for c := range s.cands {
 		cs := &s.cands[c]
 		set := make(cdfg.NodeSet)
@@ -823,17 +824,17 @@ func (s *solver) assemble() (*Result, error) {
 		if len(set) == 0 {
 			continue
 		}
-		for _, top := range core.GatedTops(clone, set) {
-			if clone.HasControlEdge(cs.cand.Sel, top) {
+		for _, top := range core.GatedTops(fork, set) {
+			if fork.HasControlEdge(cs.cand.Sel, top) {
 				continue
 			}
-			if err := clone.AddControlEdge(cs.cand.Sel, top); err != nil {
+			if err := fork.AddControlEdge(cs.cand.Sel, top); err != nil {
 				return nil, fmt.Errorf("optimal: serializing gated top: %w", err)
 			}
 		}
 	}
 	schedule := &sched.Schedule{
-		Graph: clone,
+		Graph: fork,
 		Steps: s.cfg.Budget,
 		II:    s.ii,
 		Time:  append(sched.Times(nil), s.bestTimes...),
@@ -842,8 +843,8 @@ func (s *solver) assemble() (*Result, error) {
 		return nil, fmt.Errorf("optimal: internal error: best schedule invalid: %w", err)
 	}
 	guards := s.buildGuards(s.bestKept)
-	act := s.activityFor(clone, guards)
-	if got := act.WeightedPower(clone, power.Weights); got != s.bestPower {
+	act := s.activityFor(fork, guards)
+	if got := act.WeightedPower(fork, power.Weights); got != s.bestPower {
 		return nil, fmt.Errorf("optimal: internal error: search evaluator %v disagrees with power analysis %v", s.bestPower, got)
 	}
 	res := Result{

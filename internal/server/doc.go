@@ -44,8 +44,8 @@
 //
 // With a store directory configured, results also survive the process: a
 // disk-backed content-addressed tier (internal/cache.Store) persists
-// finished sweeps under their keys, so a restarted daemon serves warm
-// hits — byte-identical, with zero recompiles — and a key stays
-// answerable after its job is TTL-collected. See DESIGN.md
-// ("Persistence").
+// finished sweeps under their keys, appended to one segment file per
+// daemon, so a restarted daemon serves warm hits — byte-identical, with
+// zero recompiles — and a key stays answerable after its job is
+// TTL-collected. See DESIGN.md ("Persistence").
 package server

@@ -52,8 +52,8 @@ type Config struct {
 	// one-point sweep) persist across restarts and are served as warm
 	// hits without recompiling. Empty disables persistence.
 	StoreDir string
-	// StoreMaxBytes bounds the disk store; beyond it the least recently
-	// used entries are garbage-collected. <= 0 means 1 GiB.
+	// StoreMaxBytes bounds the disk store's segment files; beyond it the
+	// oldest segments are deleted. <= 0 means 1 GiB.
 	StoreMaxBytes int64
 	// SelfURL is this node's advertised base URL (scheme://host:port).
 	// Non-empty enables cluster mode: job ids carry this node's id
@@ -190,8 +190,8 @@ func New(cfg Config) (*Server, error) {
 // middleware (per-request traces, latency histograms, access log).
 func (s *Server) Handler() http.Handler { return s.withTelemetry(s.mux) }
 
-// Close stops the job manager (canceling running jobs) and releases the
-// disk store's cross-process lock file.
+// Close stops the job manager (canceling running jobs) and closes the
+// disk store, releasing its lock on the segment it appends to.
 func (s *Server) Close() {
 	s.jobs.Close()
 	if s.store != nil {

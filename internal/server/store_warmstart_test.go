@@ -261,7 +261,7 @@ func TestStoreCorruptionDegradesToRecompute(t *testing.T) {
 	waitJobState(t, ts1.URL, created.ID, client.StateSucceeded)
 	shutdown1()
 
-	// Truncate every store file to garbage.
+	// Overwrite every store segment with garbage.
 	corruptStoreFiles(t, dir)
 
 	var compiles2 atomic.Int64
@@ -280,13 +280,13 @@ func TestStoreCorruptionDegradesToRecompute(t *testing.T) {
 	}
 }
 
-// corruptStoreFiles truncates every store entry under dir to a garbage
-// prefix.
+// corruptStoreFiles truncates every store segment under dir to a garbage
+// prefix, so no record in it reads back.
 func corruptStoreFiles(t *testing.T, dir string) {
 	t.Helper()
 	n := 0
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".pmr") {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".pmseg") {
 			return err
 		}
 		n++
@@ -296,7 +296,7 @@ func corruptStoreFiles(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	if n == 0 {
-		t.Fatal("no store entries found to corrupt")
+		t.Fatal("no store segments found to corrupt")
 	}
 }
 
