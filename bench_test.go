@@ -55,6 +55,21 @@ func BenchmarkCompileDatapath(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileControl compiles the kind of source the benchmark's
+// sweep-control workload sends: a 20-op generated design rich in
+// conditionals (fixed seed).
+func BenchmarkCompileControl(b *testing.B) {
+	cfg := gen.Default()
+	cfg.Ops = 20
+	src := gen.Source(1, cfg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFigure1AbsDiffTwoSteps(b *testing.B) {
 	c := bench.AbsDiff()
 	var managed int

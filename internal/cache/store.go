@@ -180,13 +180,57 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 		index:    make(map[string]recordLoc),
 		segs:     make(map[string]*segment),
 	}
-	if _, err := s.refresh(); err != nil {
+	s.scanMu.Lock()
+	ents, err := s.listLocked()
+	if err == nil {
+		s.indexLocked(ents)
+		removeOldLayout(dir, ents)
+	}
+	s.scanMu.Unlock()
+	if err != nil {
 		s.Close()
 		return nil, fmt.Errorf("cache: store scan: %w", err)
 	}
 	s.GC()
 	return s, nil
 }
+
+// removeOldLayout deletes what the one-file-per-entry layout left in a
+// store directory upgraded in place: the .pmr entry files in its
+// two-hex-digit shard directories, then each shard they emptied. This
+// store never serves them, and left in place they would hold disk that
+// maxBytes does not count. It reads the listing OpenStore already made,
+// so a directory without shards costs no system call. Another Store
+// opening the directory at the same time may remove a file or shard
+// first; anything else in a shard, and so the shard, stays.
+func removeOldLayout(dir string, ents []os.DirEntry) {
+	for _, e := range ents {
+		name := e.Name()
+		if !e.IsDir() || len(name) != 2 || !isLowerHex(name[0]) || !isLowerHex(name[1]) {
+			continue
+		}
+		shard := filepath.Join(dir, name)
+		files, err := os.ReadDir(shard)
+		if err != nil {
+			continue // gone already, or unreadable: left as it is
+		}
+		for _, f := range files {
+			if f.Type().IsRegular() && strings.HasSuffix(f.Name(), oldEntrySuffix) {
+				// Best effort, like the shard below: ENOENT means another
+				// Store removed it first, and any other error leaves a
+				// file this store ignores anyway.
+				_ = os.Remove(filepath.Join(shard, f.Name()))
+			}
+		}
+		// Fails, keeping the shard, while anything else is in it.
+		_ = os.Remove(shard)
+	}
+}
+
+// oldEntrySuffix names an entry file of the one-file-per-entry layout.
+const oldEntrySuffix = ".pmr"
+
+func isLowerHex(c byte) bool { return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
@@ -585,15 +629,32 @@ func (s *Store) refresh() (bool, error) {
 	if closed {
 		return false, nil
 	}
-	// Listing the open directory again spares a path lookup per miss.
-	if _, err := s.dirf.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	ents, err := s.dirf.ReadDir(-1)
+	ents, err := s.listLocked()
 	if err != nil {
 		return false, err
 	}
+	return s.indexLocked(ents), nil
+}
+
+// listLocked lists the store directory, sorted by name. Called with
+// scanMu held.
+func (s *Store) listLocked() ([]os.DirEntry, error) {
+	// Listing the open directory again spares a path lookup per miss.
+	if _, err := s.dirf.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	ents, err := s.dirf.ReadDir(-1)
+	if err != nil {
+		return nil, err
+	}
 	slices.SortFunc(ents, func(a, b os.DirEntry) int { return strings.Compare(a.Name(), b.Name()) })
+	return ents, nil
+}
+
+// indexLocked indexes the segments of the listing ents as refresh
+// describes and reports whether it indexed any record. Called with scanMu
+// held.
+func (s *Store) indexLocked(ents []os.DirEntry) bool {
 	found := false
 	for _, e := range ents {
 		name := e.Name()
@@ -647,7 +708,7 @@ func (s *Store) refresh() (bool, error) {
 		found = found || (keep && len(s.recs) > 0)
 	}
 	s.forgetUnlinked(ents)
-	return found, nil
+	return found
 }
 
 // forgetUnlinked drops the known segments missing from the listing ents

@@ -416,16 +416,21 @@ func TestStoreOpenEmptyDirErrors(t *testing.T) {
 	}
 }
 
-// TestStoreIgnoresForeignFiles: files that are not segments — among them
-// an older store's shard directories of per-entry files — read as empty
-// and survive the store's GC.
+// TestStoreIgnoresForeignFiles: files that are not segments read as empty
+// and survive the store's GC. The one exception is the one-file-per-entry
+// layout's .pmr files in two-hex-digit shard directories, which OpenStore
+// deletes, with each shard they leave empty; a shard holding anything
+// else keeps it.
 func TestStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	foreign := []string{filepath.Join(dir, "README"), filepath.Join(dir, "ab", "ab01.pmr")}
-	if err := os.Mkdir(filepath.Join(dir, "ab"), 0o755); err != nil {
-		t.Fatal(err)
+	for _, d := range []string{"ab", "cd"} {
+		if err := os.Mkdir(filepath.Join(dir, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, p := range foreign {
+	foreign := []string{filepath.Join(dir, "README"), filepath.Join(dir, "cd", "notes")}
+	old := []string{filepath.Join(dir, "ab", "ab01.pmr"), filepath.Join(dir, "cd", "cd02.pmr")}
+	for _, p := range append(append([]string(nil), foreign...), old...) {
 		if err := os.WriteFile(p, encodeEntry("old", []byte("not a segment")), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -440,6 +445,11 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if _, ok := s.Get("old"); ok {
 		t.Fatal("an entry outside any segment was served")
 	}
+	for _, p := range append(old, filepath.Join(dir, "ab")) {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("old layout's %s not removed: %v", p, err)
+		}
+	}
 	if err := s.Put("a", []byte("aaaa")); err != nil {
 		t.Fatal(err)
 	}
@@ -451,6 +461,45 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("foreign file %s not left alone: %v", p, err)
 		}
+	}
+}
+
+// TestStoreConcurrentOpensRemoveOldLayout: stores opening one directory at
+// once each try to remove the old layout's files and shards, and each
+// opens even when another removed them first.
+func TestStoreConcurrentOpensRemoveOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 64; i++ {
+		shard := filepath.Join(dir, fmt.Sprintf("%02x", i))
+		if err := os.Mkdir(shard, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 4; j++ {
+			if err := os.WriteFile(filepath.Join(shard, fmt.Sprintf("%02x%02x.pmr", i, j)), []byte("old"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const opens = 4
+	stores := make([]*Store, opens)
+	errs := make([]error, opens)
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stores[i], errs[i] = OpenStore(dir, 0)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		stores[i].Close()
+	}
+	if files, subdirs := dirFiles(t, dir); len(files) != 0 || subdirs != 0 {
+		t.Fatalf("old layout left behind: %d files, %d shards", len(files), subdirs)
 	}
 }
 

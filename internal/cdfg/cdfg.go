@@ -243,8 +243,10 @@ type Graph struct {
 	nodes  []*Node
 	byName map[string]NodeID
 
-	// succs caches dataflow successors (derived from Args).
-	succs [][]NodeID
+	// free and freeArgs are the unused rest of the blocks that new nodes
+	// and their argument lists are taken from (see Grow).
+	free     []Node
+	freeArgs []NodeID
 
 	controlEdges []ControlEdge
 
@@ -256,14 +258,32 @@ type Graph struct {
 	// the graph it was forked from, so it can gain no node.
 	fork bool
 
-	// memo caches the pure-dataflow analyses (see memo.go). Graphs are
-	// always handled by pointer; the zero memo is an empty cache.
+	// memo caches the dataflow successor lists and the analyses (see
+	// memo.go). Graphs are always handled by pointer; the zero memo is an
+	// empty cache.
 	memo analysisMemo
 }
 
 // New returns an empty graph with the given design name.
 func New(name string) *Graph {
 	return &Graph{Name: name, byName: make(map[string]NodeID)}
+}
+
+// Grow reserves room for n more nodes holding args arguments in all: the
+// adds it covers allocate nothing, their names aside. The front end calls
+// it with bounds taken from the parse. Like slices.Grow it is a hint:
+// adding past it still works, from blocks allocated as needed.
+func (g *Graph) Grow(n, args int) {
+	g.nodes = slices.Grow(g.nodes, n)
+	if len(g.free) < n {
+		g.free = make([]Node, n)
+	}
+	if len(g.freeArgs) < args {
+		g.freeArgs = make([]NodeID, args)
+	}
+	if len(g.byName) == 0 {
+		g.byName = make(map[string]NodeID, n)
+	}
 }
 
 // NumNodes returns the number of nodes in the graph.
@@ -293,7 +313,12 @@ func (g *Graph) Lookup(name string) NodeID {
 	return InvalidNode
 }
 
-func (g *Graph) add(n *Node) (NodeID, error) {
+// add appends a copy of n with a copy of args as its argument list, taking
+// both from the graph's blocks; args stays the caller's. A graph under
+// construction never touches its memo: the memo describes a node count,
+// and the first read after the node list grew drops it (see
+// analysisMemo).
+func (g *Graph) add(n Node, args ...NodeID) (NodeID, error) {
 	if g.fork {
 		return InvalidNode, fmt.Errorf("cdfg: cannot add node %q to a fork of %q", n.Name, g.Name)
 	}
@@ -303,11 +328,11 @@ func (g *Graph) add(n *Node) (NodeID, error) {
 	if _, dup := g.byName[n.Name]; dup {
 		return InvalidNode, fmt.Errorf("cdfg: duplicate node name %q", n.Name)
 	}
-	if want := n.Kind.Arity(); len(n.Args) != want {
+	if want := n.Kind.Arity(); len(args) != want {
 		return InvalidNode, fmt.Errorf("cdfg: %s node %q wants %d args, got %d",
-			n.Kind, n.Name, want, len(n.Args))
+			n.Kind, n.Name, want, len(args))
 	}
-	for _, a := range n.Args {
+	for _, a := range args {
 		if a < 0 || int(a) >= len(g.nodes) {
 			return InvalidNode, fmt.Errorf("cdfg: node %q references undefined node %d", n.Name, a)
 		}
@@ -316,13 +341,22 @@ func (g *Graph) add(n *Node) (NodeID, error) {
 		}
 	}
 	n.ID = NodeID(len(g.nodes))
-	g.invalidateAnalyses()
-	g.nodes = append(g.nodes, n)
-	g.succs = append(g.succs, nil)
-	g.byName[n.Name] = n.ID
-	for _, a := range n.Args {
-		g.succs[a] = append(g.succs[a], n.ID)
+	if k := len(args); k > 0 {
+		if len(g.freeArgs) < k {
+			g.freeArgs = make([]NodeID, max(k, 16, 2*len(g.nodes)))
+		}
+		n.Args = g.freeArgs[:k:k]
+		g.freeArgs = g.freeArgs[k:]
+		copy(n.Args, args)
 	}
+	if len(g.free) == 0 {
+		g.free = make([]Node, max(8, len(g.nodes)))
+	}
+	p := &g.free[0]
+	g.free = g.free[1:]
+	*p = n
+	g.nodes = append(g.nodes, p)
+	g.byName[n.Name] = n.ID
 	switch n.Kind {
 	case KindInput:
 		g.inputs = append(g.inputs, n.ID)
@@ -336,29 +370,29 @@ func (g *Graph) add(n *Node) (NodeID, error) {
 
 // AddInput appends a primary input node.
 func (g *Graph) AddInput(name string) (NodeID, error) {
-	return g.add(&Node{Kind: KindInput, Name: name})
+	return g.add(Node{Kind: KindInput, Name: name})
 }
 
 // AddConst appends a constant node with the given value.
 func (g *Graph) AddConst(name string, value int64) (NodeID, error) {
-	return g.add(&Node{Kind: KindConst, Name: name, Value: value})
+	return g.add(Node{Kind: KindConst, Name: name, Value: value})
 }
 
 // AddOutput appends an output node fed by src.
 func (g *Graph) AddOutput(name string, src NodeID) (NodeID, error) {
-	return g.add(&Node{Kind: KindOutput, Name: name, Args: []NodeID{src}})
+	return g.add(Node{Kind: KindOutput, Name: name}, src)
 }
 
 // AddOp appends a generic operation node. For multiplexors prefer AddMux,
-// for shifts AddShift.
+// for shifts AddShift. The node keeps a copy of args.
 func (g *Graph) AddOp(kind Kind, name string, args ...NodeID) (NodeID, error) {
-	return g.add(&Node{Kind: kind, Name: name, Args: args})
+	return g.add(Node{Kind: kind, Name: name}, args...)
 }
 
 // AddMux appends a 2:1 multiplexor selecting t when sel is nonzero and f
 // otherwise.
 func (g *Graph) AddMux(name string, sel, t, f NodeID) (NodeID, error) {
-	return g.add(&Node{Kind: KindMux, Name: name, Args: []NodeID{sel, t, f}})
+	return g.add(Node{Kind: KindMux, Name: name}, sel, t, f)
 }
 
 // AddShift appends a constant shift (KindShl or KindShr) of src by the
@@ -370,7 +404,7 @@ func (g *Graph) AddShift(kind Kind, name string, src NodeID, by int) (NodeID, er
 	if by < 0 {
 		return InvalidNode, fmt.Errorf("cdfg: negative shift amount %d", by)
 	}
-	return g.add(&Node{Kind: kind, Name: name, Args: []NodeID{src}, Shift: by})
+	return g.add(Node{Kind: kind, Name: name, Shift: by}, src)
 }
 
 // MustAdd panics when err is non-nil; it is a convenience for building the
@@ -383,8 +417,8 @@ func MustAdd(id NodeID, err error) NodeID {
 }
 
 // Succs returns the dataflow successors of id (nodes that consume its
-// value). The slice is shared; treat it as read-only.
-func (g *Graph) Succs(id NodeID) []NodeID { return g.succs[id] }
+// value), in ID order. The slice is shared; treat it as read-only.
+func (g *Graph) Succs(id NodeID) []NodeID { return g.dataSuccs().row(id) }
 
 // Preds returns the dataflow predecessors of id (its argument list).
 func (g *Graph) Preds(id NodeID) []NodeID { return g.nodes[id].Args }
@@ -455,6 +489,8 @@ func (g *Graph) ClearControlEdges() {
 // query is then a slice index, with no lock and no allocation.
 type Adjacency struct {
 	g *Graph
+	// succs is the graph's dataflow successor lists.
+	succs *csr
 	// lists is the memoized adjacency of a graph with control edges; nil
 	// when the dataflow is the whole story.
 	lists *schedLists
@@ -465,8 +501,7 @@ type Adjacency struct {
 // as read-only (its capacity equals its length, so an append copies).
 func (a Adjacency) Preds(id NodeID) []NodeID {
 	if l := a.lists; l != nil {
-		lo, hi := l.predOff[id], l.predOff[id+1]
-		return l.preds[lo:hi:hi]
+		return l.preds.row(id)
 	}
 	args := a.g.nodes[id].Args
 	return args[:len(args):len(args)]
@@ -477,11 +512,9 @@ func (a Adjacency) Preds(id NodeID) []NodeID {
 // as read-only (its capacity equals its length, so an append copies).
 func (a Adjacency) Succs(id NodeID) []NodeID {
 	if l := a.lists; l != nil {
-		lo, hi := l.succOff[id], l.succOff[id+1]
-		return l.succs[lo:hi:hi]
+		return l.succs.row(id)
 	}
-	s := a.g.succs[id]
-	return s[:len(s):len(s)]
+	return a.succs.row(id)
 }
 
 // SchedAdjacency returns the scheduling adjacency of the graph. A graph
@@ -490,7 +523,7 @@ func (a Adjacency) Succs(id NodeID) []NodeID {
 // the node list or the control edges change (forks share them).
 func (g *Graph) SchedAdjacency() Adjacency {
 	if len(g.controlEdges) == 0 {
-		return Adjacency{g: g}
+		return Adjacency{g: g, succs: g.dataSuccs()}
 	}
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
@@ -591,9 +624,19 @@ type topoScratch struct {
 var topoWalks scratch.List[topoScratch]
 
 // computeTopoOrder does the work behind TopoOrder on a memo miss. Only the
-// order, which the memo keeps, is allocated.
+// order, which the memo keeps, is allocated. Without control edges every
+// edge runs from a smaller ID to a larger one (add rejects forward
+// references), so the smallest-ready-first order is the ID order and no
+// walk is needed.
 func (g *Graph) computeTopoOrder(adj Adjacency) ([]NodeID, error) {
 	n := len(g.nodes)
+	if adj.lists == nil {
+		order := make([]NodeID, n)
+		for i := range order {
+			order[i] = NodeID(i)
+		}
+		return order, nil
+	}
 	ts := topoWalks.Get()
 	defer topoWalks.Put(ts)
 	ts.indeg = scratch.Grow(ts.indeg, n)
@@ -644,7 +687,6 @@ func (g *Graph) Fork() *Graph {
 		Name:    g.Name,
 		nodes:   g.nodes[:n:n],
 		byName:  g.byName,
-		succs:   g.succs[:n:n],
 		inputs:  g.inputs[:len(g.inputs):len(g.inputs)],
 		consts:  g.consts[:len(g.consts):len(g.consts)],
 		outputs: g.outputs[:len(g.outputs):len(g.outputs)],

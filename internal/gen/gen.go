@@ -170,11 +170,11 @@ func (g *generator) statement() {
 func (g *generator) unrollStep(i int) {
 	name := g.fresh("acc")
 	prev := g.nums[len(g.nums)-1]
-	op := "+"
+	op := silage.OpAdd
 	if i%3 == 1 {
-		op = "-"
+		op = silage.OpSub
 	} else if i%3 == 2 && g.cfg.AllowMul {
-		op = "*"
+		op = silage.OpMul
 	}
 	e := &silage.Binary{Op: op, X: &silage.Ident{Name: prev}, Y: g.numLeaf()}
 	g.assign(name, e)
@@ -209,7 +209,7 @@ func (g *generator) opExpr(depth int) silage.Expr {
 	switch e.(type) {
 	case *silage.Ident, *silage.IntLit:
 		// Wrap wires into a real op so the cone is non-empty.
-		return &silage.Binary{Op: "+", X: e, Y: g.numLeaf()}
+		return &silage.Binary{Op: silage.OpAdd, X: e, Y: g.numLeaf()}
 	default:
 		return e
 	}
@@ -224,16 +224,16 @@ func (g *generator) numExpr(depth int) silage.Expr {
 	case r < 2:
 		return g.numLeaf()
 	case r < 7: // arithmetic
-		ops := []string{"+", "-"}
+		ops := []silage.Op{silage.OpAdd, silage.OpSub}
 		if g.cfg.AllowMul {
-			ops = append(ops, "*")
+			ops = append(ops, silage.OpMul)
 		}
 		op := ops[g.rnd.Intn(len(ops))]
 		return &silage.Binary{Op: op, X: g.numExpr(depth - 1), Y: g.numExpr(depth - 1)}
 	case r < 8 && g.cfg.AllowShift: // constant shift
-		op := ">>"
+		op := silage.OpShr
 		if g.rnd.Intn(2) == 0 {
-			op = "<<"
+			op = silage.OpShl
 		}
 		by := 1 + g.rnd.Intn(3)
 		return &silage.ShiftLit{Op: op, X: g.numExpr(depth - 1), By: by}
@@ -245,10 +245,10 @@ func (g *generator) numExpr(depth int) silage.Expr {
 			// parser fixpoint.
 			return &silage.IntLit{Value: -lit.Value}
 		}
-		return &silage.Unary{Op: "-", X: x}
+		return &silage.Unary{Op: silage.OpSub, X: x}
 	default: // mux
 		if g.cfg.MuxFanIn < 2 {
-			return &silage.Binary{Op: "+", X: g.numExpr(depth - 1), Y: g.numLeaf()}
+			return &silage.Binary{Op: silage.OpAdd, X: g.numExpr(depth - 1), Y: g.numLeaf()}
 		}
 		return &silage.If{
 			Cond: g.boolExpr(depth - 1),
@@ -263,14 +263,14 @@ func (g *generator) boolExpr(depth int) silage.Expr {
 	if depth > 0 && len(g.bools) > 0 && g.rnd.Intn(4) == 0 {
 		switch g.rnd.Intn(3) {
 		case 0:
-			return &silage.Unary{Op: "!", X: g.boolLeaf()}
+			return &silage.Unary{Op: silage.OpNot, X: g.boolLeaf()}
 		case 1:
-			return &silage.Binary{Op: "&", X: g.boolLeaf(), Y: g.boolExpr(depth - 1)}
+			return &silage.Binary{Op: silage.OpAnd, X: g.boolLeaf(), Y: g.boolExpr(depth - 1)}
 		default:
-			return &silage.Binary{Op: "|", X: g.boolLeaf(), Y: g.boolExpr(depth - 1)}
+			return &silage.Binary{Op: silage.OpOr, X: g.boolLeaf(), Y: g.boolExpr(depth - 1)}
 		}
 	}
-	cmps := []string{"<", ">", "<=", ">=", "==", "!="}
+	cmps := []silage.Op{silage.OpLt, silage.OpGt, silage.OpLe, silage.OpGe, silage.OpEq, silage.OpNe}
 	op := cmps[g.rnd.Intn(len(cmps))]
 	return &silage.Binary{Op: op, X: g.numLeaf(), Y: g.numLeaf()}
 }

@@ -70,23 +70,23 @@ type IntLit struct {
 	Pos   Pos
 }
 
-// Unary is a prefix operation: "-" (negation) or "!" (boolean not).
+// Unary is a prefix operation: OpSub (negation) or OpNot (boolean not).
 type Unary struct {
-	Op  string
+	Op  Op
 	X   Expr
 	Pos Pos
 }
 
 // Binary is an infix operation: + - * < > <= >= == != & |.
 type Binary struct {
-	Op   string
+	Op   Op
 	X, Y Expr
 	Pos  Pos
 }
 
 // ShiftLit is a constant shift: x >> k or x << k.
 type ShiftLit struct {
-	Op  string // ">>" or "<<"
+	Op  Op // OpShr or OpShl
 	X   Expr
 	By  int
 	Pos Pos
@@ -131,7 +131,7 @@ func (e *Call) ExprPos() Pos { return e.Pos }
 func (e *Ident) print(b *strings.Builder)  { b.WriteString(e.Name) }
 func (e *IntLit) print(b *strings.Builder) { fmt.Fprintf(b, "%d", e.Value) }
 func (e *Unary) print(b *strings.Builder) {
-	b.WriteString(e.Op)
+	b.WriteString(e.Op.String())
 	b.WriteByte('(')
 	e.X.print(b)
 	b.WriteByte(')')
@@ -140,7 +140,7 @@ func (e *Binary) print(b *strings.Builder) {
 	b.WriteByte('(')
 	e.X.print(b)
 	b.WriteByte(' ')
-	b.WriteString(e.Op)
+	b.WriteString(e.Op.String())
 	b.WriteByte(' ')
 	e.Y.print(b)
 	b.WriteByte(')')

@@ -3,8 +3,10 @@ package silage
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/cdfg"
+	"repro/internal/scratch"
 )
 
 // OutputPrefix prefixes CDFG output-node names so they never collide with
@@ -24,8 +26,6 @@ func PortName(nodeName string) string {
 type Design struct {
 	// Graph is the elaborated CDFG.
 	Graph *cdfg.Graph
-	// Func is the source declaration.
-	Func *FuncDecl
 	// Width is the datapath word width: the widest num type in the
 	// interface (the paper uses a uniform 8-bit datapath).
 	Width int
@@ -36,11 +36,54 @@ type binding struct {
 	typ Type
 }
 
+// compileState is the working memory of one Compile: the parse memory the
+// AST is built in and the elaborator's tables. It waits in compiles
+// between calls, so a compile allocates only what its Design keeps: the
+// graph, with its nodes and argument lists in blocks sized from the parse,
+// and one block holding the names the elaborator makes.
+type compileState struct {
+	mem   parseMem
+	funcs []*FuncDecl
+	elaborator
+}
+
+// compiles holds the idle compileState values.
+var compiles scratch.List[compileState]
+
+// reset readies s for the next compile, keeping its memory and pinning
+// nothing of this one: the graph and the names block stay with the
+// Design.
+func (s *compileState) reset() {
+	s.mem.reset()
+	s.funcs = clearStack(s.funcs)
+	e := &s.elaborator
+	e.g = nil
+	e.names = strings.Builder{}
+	clear(e.env)
+	clear(e.consts)
+	clear(e.taken)
+	clear(e.funcs)
+	for _, env := range e.callEnvs {
+		clear(env)
+	}
+	e.inlining = clearStack(e.inlining)
+	e.args = e.args[:0]
+	e.tmp, e.callCount = 0, 0
+}
+
 type elaborator struct {
-	g      *cdfg.Graph
+	g *cdfg.Graph
+	// names holds the text of every node name the elaborator makes
+	// (temporaries, constants, outputs, inlined signals); a Builder never
+	// moves or rewrites the bytes of a string it has returned. User
+	// signal names are substrings of the source.
+	names  strings.Builder
 	env    map[string]binding
 	consts map[int64]cdfg.NodeID
 	tmp    int
+	// taken holds the design's parameters and node-creating assignments
+	// spelled "_t..." (see tempName).
+	taken map[string]bool
 
 	// funcs holds all declarations in the file for call inlining;
 	// inlining is the active call stack (recursion detection) and
@@ -48,22 +91,62 @@ type elaborator struct {
 	funcs     map[string]*FuncDecl
 	inlining  []string
 	callCount int
+	// callEnvs[d] is the scope of a body inlined d calls deep, and args
+	// stacks the bindings of the arguments being evaluated for a call.
+	callEnvs []map[string]binding
+	args     []binding
 }
 
-// nodeName returns name, or when it is empty the temporary name _t<tmp>.
-// expr numbers every subexpression it visits in pre-order but formats a
+// intern copies b into the names block and returns it as a string.
+func (e *elaborator) intern(b []byte) string {
+	start := e.names.Len()
+	e.names.Write(b)
+	return e.names.String()[start:]
+}
+
+// join returns a+b from the names block.
+func (e *elaborator) join(a, b string) string {
+	start := e.names.Len()
+	e.names.WriteString(a)
+	e.names.WriteString(b)
+	return e.names.String()[start:]
+}
+
+// numbered returns prefix followed by v in decimal, from the names block.
+func (e *elaborator) numbered(prefix string, v int64) string {
+	var buf [32]byte
+	return e.intern(strconv.AppendInt(append(buf[:0], prefix...), v, 10))
+}
+
+// nodeName returns name, or when it is empty the name of temporary tmp.
+// expr numbers every subexpression it visits in pre-order but makes a
 // temporary name only for a node it creates.
-func nodeName(name string, tmp int) string {
+func (e *elaborator) nodeName(name string, tmp int) string {
 	if name != "" {
 		return name
 	}
-	return numbered("_t", int64(tmp))
+	return e.tempName(tmp)
 }
 
-// numbered returns prefix followed by v in decimal, in one allocation.
-func numbered(prefix string, v int64) string {
-	var buf [24]byte
-	return string(strconv.AppendInt(append(buf[:0], prefix...), v, 10))
+// tempName returns _t<n>, the name of temporary n. Identifiers may start
+// with '_', so when the design itself declares a parameter or a
+// node-creating signal _t<n>, the temporary is $t<n> instead: '$' cannot
+// appear in identifiers. No design that compiled without the rename sees
+// a node renamed.
+func (e *elaborator) tempName(n int) string {
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], "_t"...), int64(n), 10)
+	if e.taken[string(b)] {
+		b[0] = '$'
+	}
+	return e.intern(b)
+}
+
+// reserve records a design signal spelled like a temporary.
+func (e *elaborator) reserve(name string) {
+	if strings.HasPrefix(name, "_t") {
+		e.taken[name] = true
+	}
 }
 
 func (e *elaborator) constNode(v int64) (cdfg.NodeID, error) {
@@ -72,8 +155,7 @@ func (e *elaborator) constNode(v int64) (cdfg.NodeID, error) {
 	}
 	// ':' cannot appear in identifiers, so constant names never collide
 	// with user signals.
-	name := numbered("c:", v)
-	id, err := e.g.AddConst(name, v)
+	id, err := e.g.AddConst(e.numbered("c:", v), v)
 	if err != nil {
 		return cdfg.InvalidNode, err
 	}
@@ -81,11 +163,33 @@ func (e *elaborator) constNode(v int64) (cdfg.NodeID, error) {
 	return id, nil
 }
 
-var binKinds = map[string]cdfg.Kind{
-	"+": cdfg.KindAdd, "-": cdfg.KindSub, "*": cdfg.KindMul,
-	"<": cdfg.KindLt, ">": cdfg.KindGt, "<=": cdfg.KindLe,
-	">=": cdfg.KindGe, "==": cdfg.KindEq, "!=": cdfg.KindNe,
-	"&": cdfg.KindAnd, "|": cdfg.KindOr,
+// binKind returns the node kind of a binary operator.
+func binKind(op Op) (cdfg.Kind, bool) {
+	switch op {
+	case OpAdd:
+		return cdfg.KindAdd, true
+	case OpSub:
+		return cdfg.KindSub, true
+	case OpMul:
+		return cdfg.KindMul, true
+	case OpLt:
+		return cdfg.KindLt, true
+	case OpGt:
+		return cdfg.KindGt, true
+	case OpLe:
+		return cdfg.KindLe, true
+	case OpGe:
+		return cdfg.KindGe, true
+	case OpEq:
+		return cdfg.KindEq, true
+	case OpNe:
+		return cdfg.KindNe, true
+	case OpAnd:
+		return cdfg.KindAnd, true
+	case OpOr:
+		return cdfg.KindOr, true
+	}
+	return 0, false
 }
 
 // expr elaborates an expression. name, when non-empty, is used for the node
@@ -114,7 +218,7 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 			return cdfg.InvalidNode, Type{}, err
 		}
 		switch v.Op {
-		case "-":
+		case OpSub:
 			if xt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "cannot negate a bool")
 			}
@@ -122,13 +226,13 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 			if err != nil {
 				return cdfg.InvalidNode, Type{}, err
 			}
-			id, err := e.g.AddOp(cdfg.KindSub, nodeName(name, tmp), zero, xid)
+			id, err := e.g.AddOp(cdfg.KindSub, e.nodeName(name, tmp), zero, xid)
 			return id, numT, err
-		case "!":
+		case OpNot:
 			if !xt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "operator ! needs a bool operand")
 			}
-			id, err := e.g.AddOp(cdfg.KindNot, nodeName(name, tmp), xid)
+			id, err := e.g.AddOp(cdfg.KindNot, e.nodeName(name, tmp), xid)
 			return id, boolT, err
 		default:
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "unknown unary operator %q", v.Op)
@@ -142,7 +246,7 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 		if err != nil {
 			return cdfg.InvalidNode, Type{}, err
 		}
-		kind, ok := binKinds[v.Op]
+		kind, ok := binKind(v.Op)
 		if !ok {
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "unknown operator %q", v.Op)
 		}
@@ -151,19 +255,19 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 			if !xt.Bool || !yt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "operator %q needs bool operands", v.Op)
 			}
-			id, err := e.g.AddOp(kind, nodeName(name, tmp), xid, yid)
+			id, err := e.g.AddOp(kind, e.nodeName(name, tmp), xid, yid)
 			return id, boolT, err
 		case kind.IsComparison():
 			if xt.Bool || yt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "comparison %q needs num operands", v.Op)
 			}
-			id, err := e.g.AddOp(kind, nodeName(name, tmp), xid, yid)
+			id, err := e.g.AddOp(kind, e.nodeName(name, tmp), xid, yid)
 			return id, boolT, err
 		default: // arithmetic
 			if xt.Bool || yt.Bool {
 				return cdfg.InvalidNode, Type{}, errf(v.Pos, "operator %q needs num operands", v.Op)
 			}
-			id, err := e.g.AddOp(kind, nodeName(name, tmp), xid, yid)
+			id, err := e.g.AddOp(kind, e.nodeName(name, tmp), xid, yid)
 			return id, numT, err
 		}
 	case *ShiftLit:
@@ -175,10 +279,10 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "cannot shift a bool")
 		}
 		kind := cdfg.KindShr
-		if v.Op == "<<" {
+		if v.Op == OpShl {
 			kind = cdfg.KindShl
 		}
-		id, err := e.g.AddShift(kind, nodeName(name, tmp), xid, v.By)
+		id, err := e.g.AddShift(kind, e.nodeName(name, tmp), xid, v.By)
 		return id, numT, err
 	case *If:
 		cid, ct, err := e.expr(v.Cond, "")
@@ -199,7 +303,7 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 		if tt.Bool != ft.Bool {
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "if branches have mismatched types (%s vs %s)", tt, ft)
 		}
-		id, err := e.g.AddMux(nodeName(name, tmp), cid, tid, fid)
+		id, err := e.g.AddMux(e.nodeName(name, tmp), cid, tid, fid)
 		return id, tt, err
 	case *Call:
 		return e.inlineCall(v)
@@ -230,8 +334,9 @@ func (e *elaborator) inlineCall(v *Call) (cdfg.NodeID, Type, error) {
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "recursive call to %q", v.Name)
 		}
 	}
-	// Evaluate arguments in the caller's environment.
-	callEnv := make(map[string]binding, len(callee.Params))
+	// Evaluate arguments in the caller's environment. A call among them
+	// finishes, scope and all, before this one takes its scope.
+	mark := len(e.args)
 	for i, arg := range v.Args {
 		id, typ, err := e.expr(arg, "")
 		if err != nil {
@@ -242,8 +347,18 @@ func (e *elaborator) inlineCall(v *Call) (cdfg.NodeID, Type, error) {
 			return cdfg.InvalidNode, Type{}, errf(arg.ExprPos(),
 				"argument %d of %q: have %s, want %s", i+1, v.Name, typ, p.Type)
 		}
-		callEnv[p.Name] = binding{id: id, typ: p.Type}
+		e.args = append(e.args, binding{id: id, typ: p.Type})
 	}
+	depth := len(e.inlining) - 1
+	if depth == len(e.callEnvs) {
+		e.callEnvs = append(e.callEnvs, make(map[string]binding, len(callee.Params)))
+	}
+	callEnv := e.callEnvs[depth]
+	clear(callEnv)
+	for i, b := range e.args[mark:] {
+		callEnv[callee.Params[i].Name] = b
+	}
+	e.args = e.args[:mark]
 	// Elaborate the body in the callee's own scope.
 	e.callCount++
 	prefix := fmt.Sprintf("%s$%d$", v.Name, e.callCount)
@@ -294,7 +409,11 @@ func (e *elaborator) assign(a *Assign, prefix string) error {
 		e.env[a.Name] = binding{id: id, typ: Type{Width: DefaultWidth}}
 		return nil
 	}
-	id, typ, err := e.expr(a.Expr, prefix+a.Name)
+	name := a.Name
+	if prefix != "" {
+		name = e.join(prefix, a.Name)
+	}
+	id, typ, err := e.expr(a.Expr, name)
 	if err != nil {
 		return err
 	}
@@ -302,23 +421,35 @@ func (e *elaborator) assign(a *Assign, prefix string) error {
 	return nil
 }
 
-// ElaborateProgram elaborates the last declaration of a multi-function
-// file; earlier declarations are callable helpers that inline at their
-// call sites.
-func ElaborateProgram(funcs []*FuncDecl) (*Design, error) {
-	if len(funcs) == 0 {
-		return nil, errf(Pos{Line: 1, Col: 1}, "no functions to elaborate")
-	}
-	top := funcs[len(funcs)-1]
-	e := &elaborator{
-		g:      cdfg.New(top.Name),
-		env:    make(map[string]binding),
-		consts: make(map[int64]cdfg.NodeID),
-		funcs:  make(map[string]*FuncDecl, len(funcs)),
+// elaborate elaborates the last of funcs, a whole file's declarations;
+// the earlier ones are callable helpers that inline at their call sites.
+// nodes and args size the graph's blocks (see Parser).
+func (e *elaborator) elaborate(funcs []*FuncDecl, nodes, args int) (*Design, error) {
+	if e.env == nil {
+		e.env = make(map[string]binding)
+		e.consts = make(map[int64]cdfg.NodeID)
+		e.taken = make(map[string]bool)
+		e.funcs = make(map[string]*FuncDecl)
 	}
 	for _, f := range funcs {
+		if _, dup := e.funcs[f.Name]; dup {
+			return nil, errDuplicateFunc(f)
+		}
 		e.funcs[f.Name] = f
 	}
+	top := funcs[len(funcs)-1]
+	for _, p := range top.Params {
+		e.reserve(p.Name)
+	}
+	for _, a := range top.Body {
+		switch a.Expr.(type) {
+		case *Unary, *Binary, *ShiftLit, *If:
+			e.reserve(a.Name)
+		}
+	}
+	e.g = cdfg.New(top.Name)
+	e.g.Grow(nodes, args)
+	e.names.Grow(namesPerNode * nodes)
 	width := 0
 	for _, p := range top.Params {
 		if _, dup := e.env[p.Name]; dup {
@@ -355,24 +486,39 @@ func ElaborateProgram(funcs []*FuncDecl) (*Design, error) {
 		if b.typ.Bool != r.Type.Bool {
 			return nil, errf(r.Pos, "result %q declared %s but assigned %s", r.Name, r.Type, b.typ)
 		}
-		if _, err := e.g.AddOutput(OutputPrefix+r.Name, b.id); err != nil {
+		if _, err := e.g.AddOutput(e.join(OutputPrefix, r.Name), b.id); err != nil {
 			return nil, errf(r.Pos, "%v", err)
 		}
 	}
 	if err := e.g.Validate(); err != nil {
 		return nil, err
 	}
-	return &Design{Graph: e.g, Func: top, Width: width}, nil
+	return &Design{Graph: e.g, Width: width}, nil
 }
 
+// namesPerNode is the bytes the names block reserves per node of the
+// parse's bound. User signals are named by the source, so only
+// temporaries, constants and outputs take room: about 2.7 bytes per node
+// on the generated designs the sweep workloads send.
+const namesPerNode = 4
+
 // Compile parses and elaborates src in one step. Multi-function files are
-// supported: helpers first, the top-level design last.
+// supported: helpers first, the top-level design last. The AST lives in
+// parse memory that the next compile reuses; the Design shares nothing
+// with it.
 func Compile(src string) (*Design, error) {
-	funcs, err := ParseFile(src)
+	s := compiles.Get()
+	defer func() {
+		s.reset()
+		compiles.Put(s)
+	}()
+	p := newParser(src, &s.mem)
+	funcs, err := p.parseFuncs(s.funcs[:0])
+	s.funcs = funcs
 	if err != nil {
 		return nil, err
 	}
-	return ElaborateProgram(funcs)
+	return s.elaborate(funcs, p.nodes, p.args)
 }
 
 // MustCompile compiles src and panics on error; for built-in sources.

@@ -112,8 +112,9 @@ func rejectedSources(t testing.TB) []source {
 // outcome is what Compile decides for src: a SHA-256 over every node's ID,
 // kind, name, arguments, value and shift, the input, constant and output
 // lists and the width, or the error text.
-func outcome(src string) string {
-	d, err := silage.Compile(src)
+func outcome(src string) string { return describe(silage.Compile(src)) }
+
+func describe(d *silage.Design, err error) string {
 	if err != nil {
 		return "error " + strconv.Quote(err.Error())
 	}

@@ -1,9 +1,6 @@
 package silage
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Lexer splits source text into tokens. Create with NewLexer; Next returns
 // TokEOF forever once the input is exhausted.
@@ -75,9 +72,6 @@ func isIdentCont(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// twoCharPuncts are the multi-character operators, longest match first.
-var twoCharPuncts = []string{"->", "||", "<=", ">=", "==", "!=", "<<", ">>"}
-
 // Next returns the next token. Lexical errors are reported via a TokEOF
 // token and Err().
 func (l *Lexer) Next() Token {
@@ -86,23 +80,24 @@ func (l *Lexer) Next() Token {
 	if l.off >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: pos}
 	}
-	c := l.peek()
+	start := l.off
+	c := l.src[start]
 	switch {
 	case isIdentStart(c):
-		start := l.off
-		for l.off < len(l.src) && isIdentCont(l.peek()) {
-			l.advance()
+		// Identifiers, integers and operators hold no newline, so only
+		// the column moves.
+		for l.off++; l.off < len(l.src) && isIdentCont(l.src[l.off]); l.off++ {
 		}
+		l.col += l.off - start
 		text := l.src[start:l.off]
-		if keywords[text] {
-			return Token{Kind: TokKeyword, Text: text, Pos: pos}
+		if op := keyword(text); op != OpNone {
+			return Token{Kind: TokKeyword, Op: op, Text: text, Pos: pos}
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: pos}
 	case isDigit(c):
-		start := l.off
-		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
+		for l.off++; l.off < len(l.src) && isDigit(l.src[l.off]); l.off++ {
 		}
+		l.col += l.off - start
 		text := l.src[start:l.off]
 		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
@@ -112,28 +107,75 @@ func (l *Lexer) Next() Token {
 			return Token{Kind: TokEOF, Pos: pos}
 		}
 		return Token{Kind: TokInt, Text: text, Int: v, Pos: pos}
+	}
+	// Operators and punctuation, longest match first.
+	op, n := OpNone, 1
+	next := l.peek2()
+	switch c {
+	case '(':
+		op = OpLParen
+	case ')':
+		op = OpRParen
+	case '+':
+		op = OpAdd
+	case '-':
+		op = OpSub
+		if next == '>' {
+			op, n = OpArrow, 2
+		}
+	case '*':
+		op = OpMul
+	case '<':
+		switch next {
+		case '=':
+			op, n = OpLe, 2
+		case '<':
+			op, n = OpShl, 2
+		default:
+			op = OpLt
+		}
+	case '>':
+		switch next {
+		case '=':
+			op, n = OpGe, 2
+		case '>':
+			op, n = OpShr, 2
+		default:
+			op = OpGt
+		}
+	case '=':
+		op = OpAssign
+		if next == '=' {
+			op, n = OpEq, 2
+		}
+	case '!':
+		op = OpNot
+		if next == '=' {
+			op, n = OpNe, 2
+		}
+	case '&':
+		op = OpAnd
+	case '|':
+		op = OpOr
+		if next == '|' {
+			op, n = OpBars, 2
+		}
+	case ',':
+		op = OpComma
+	case ':':
+		op = OpColon
+	case ';':
+		op = OpSemi
 	default:
-		two := ""
-		if l.off+1 < len(l.src) {
-			two = l.src[l.off : l.off+2]
-		}
-		for _, p := range twoCharPuncts {
-			if two == p {
-				l.advance()
-				l.advance()
-				return Token{Kind: TokPunct, Text: p, Pos: pos}
-			}
-		}
-		if strings.IndexByte("()+-*<>=!&|,:;", c) >= 0 {
-			l.advance()
-			return Token{Kind: TokPunct, Text: l.src[l.off-1 : l.off], Pos: pos}
-		}
 		if l.err == nil {
 			l.err = errf(pos, "unexpected character %q", string(c))
 		}
 		l.advance()
 		return Token{Kind: TokEOF, Pos: pos}
 	}
+	l.off += n
+	l.col += n
+	return Token{Kind: TokPunct, Op: op, Text: l.src[start:l.off], Pos: pos}
 }
 
 // LexAll tokenizes the whole input, returning the tokens (excluding the

@@ -4,26 +4,32 @@ import "fmt"
 
 // Parser is a recursive-descent parser for the Silage-inspired language.
 // It pulls tokens from its lexer one at a time, holding only the current
-// one.
+// one, and builds the AST in its parse memory.
 type Parser struct {
-	lex *Lexer
+	lex Lexer
 	tok Token
 	// last is the position of the last token before end of input (1:1
 	// when there is none); the end-of-input token reports it.
 	last Pos
+	mem  *parseMem
+	// nodes and args bound the CDFG nodes and argument slots the parsed
+	// functions elaborate to without calls: one node per operator,
+	// conditional, literal, parameter and result, plus negation's shared
+	// zero. Compile sizes the graph's blocks from them.
+	nodes, args int
 }
 
-func newParser(src string) *Parser {
-	p := &Parser{lex: NewLexer(src), last: Pos{Line: 1, Col: 1}}
+func newParser(src string, mem *parseMem) *Parser {
+	p := &Parser{lex: Lexer{src: src, line: 1, col: 1}, last: Pos{Line: 1, Col: 1}, mem: mem, nodes: 1}
 	p.pull()
 	return p
 }
 
 // Parse parses a single function declaration from src.
 func Parse(src string) (*FuncDecl, error) {
-	p := newParser(src)
+	p := newParser(src, new(parseMem))
 	f, err := p.parseFunc()
-	if t := p.cur(); err == nil && t.Kind != TokEOF {
+	if t := p.tok; err == nil && t.Kind != TokEOF {
 		err = errf(t.Pos, "unexpected %s after function end", t)
 	}
 	if err := p.finish(err); err != nil {
@@ -36,10 +42,27 @@ func Parse(src string) (*FuncDecl, error) {
 // last declaration is the top-level design; earlier ones are callable
 // helpers.
 func ParseFile(src string) ([]*FuncDecl, error) {
-	p := newParser(src)
-	var funcs []*FuncDecl
+	funcs, err := newParser(src, new(parseMem)).parseFuncs(nil)
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool, len(funcs))
+	for _, f := range funcs {
+		if seen[f.Name] {
+			return nil, errDuplicateFunc(f)
+		}
+		seen[f.Name] = true
+	}
+	return funcs, nil
+}
+
+func errDuplicateFunc(f *FuncDecl) error { return errf(f.Pos, "duplicate function %q", f.Name) }
+
+// parseFuncs appends every declaration of the input to funcs. It leaves
+// duplicate names to its caller.
+func (p *Parser) parseFuncs(funcs []*FuncDecl) ([]*FuncDecl, error) {
 	var err error
-	for p.cur().Kind != TokEOF {
+	for p.tok.Kind != TokEOF {
 		var f *FuncDecl
 		if f, err = p.parseFunc(); err != nil {
 			break
@@ -47,17 +70,10 @@ func ParseFile(src string) ([]*FuncDecl, error) {
 		funcs = append(funcs, f)
 	}
 	if err := p.finish(err); err != nil {
-		return nil, err
+		return funcs, err
 	}
 	if len(funcs) == 0 {
-		return nil, errf(Pos{Line: 1, Col: 1}, "no function declarations")
-	}
-	seen := make(map[string]bool, len(funcs))
-	for _, f := range funcs {
-		if seen[f.Name] {
-			return nil, errf(f.Pos, "duplicate function %q", f.Name)
-		}
-		seen[f.Name] = true
+		return funcs, errf(Pos{Line: 1, Col: 1}, "no function declarations")
 	}
 	return funcs, nil
 }
@@ -91,8 +107,6 @@ func (p *Parser) pull() {
 	p.tok = t
 }
 
-func (p *Parser) cur() Token { return p.tok }
-
 // next returns the current token and advances past it; end of input stays
 // current.
 func (p *Parser) next() Token {
@@ -103,37 +117,29 @@ func (p *Parser) next() Token {
 	return t
 }
 
-func (p *Parser) expectPunct(text string) (Token, error) {
-	t := p.cur()
-	if t.Kind != TokPunct || t.Text != text {
-		return t, errf(t.Pos, "expected %q, found %s", text, t)
-	}
-	return p.next(), nil
-}
+// at reports whether the current token is the operator, punctuation or
+// keyword op.
+func (p *Parser) at(op Op) bool { return p.tok.Op == op }
 
-func (p *Parser) expectKeyword(word string) (Token, error) {
-	t := p.cur()
-	if t.Kind != TokKeyword || t.Text != word {
-		return t, errf(t.Pos, "expected %q, found %s", word, t)
+// expect consumes the operator, punctuation or keyword op.
+func (p *Parser) expect(op Op) (Token, error) {
+	t := p.tok
+	if t.Op != op {
+		return t, errf(t.Pos, "expected %q, found %s", op, t)
 	}
 	return p.next(), nil
 }
 
 func (p *Parser) expectIdent() (Token, error) {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != TokIdent {
 		return t, errf(t.Pos, "expected identifier, found %s", t)
 	}
 	return p.next(), nil
 }
 
-func (p *Parser) atPunct(text string) bool {
-	t := p.cur()
-	return t.Kind == TokPunct && t.Text == text
-}
-
 func (p *Parser) parseFunc() (*FuncDecl, error) {
-	kw, err := p.expectKeyword("func")
+	kw, err := p.expect(KwFunc)
 	if err != nil {
 		return nil, err
 	}
@@ -141,46 +147,36 @@ func (p *Parser) parseFunc() (*FuncDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &FuncDecl{Name: name.Text, Pos: kw.Pos}
-	if _, err := p.expectPunct("("); err != nil {
+	f := p.mem.funcs.new()
+	f.Name, f.Pos = name.Text, kw.Pos
+	if _, err := p.expect(OpLParen); err != nil {
 		return nil, err
 	}
-	if !p.atPunct(")") {
-		for {
-			param, err := p.parseParam()
-			if err != nil {
-				return nil, err
-			}
-			f.Params = append(f.Params, param)
-			if !p.atPunct(",") {
-				break
-			}
-			p.next()
-		}
-	}
-	if _, err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	for {
-		ret, err := p.parseParam()
-		if err != nil {
+	m := p.mem
+	if !p.at(OpRParen) {
+		if err := p.parseParams(); err != nil {
 			return nil, err
 		}
-		f.Results = append(f.Results, ret)
-		if !p.atPunct(",") {
-			break
-		}
-		p.next()
+		f.Params = pop(&m.paramStack, &m.params, 0)
 	}
-	if _, err := p.expectPunct("="); err != nil {
+	if _, err := p.expect(OpRParen); err != nil {
 		return nil, err
 	}
-	if _, err := p.expectKeyword("begin"); err != nil {
+	if err := p.parseParams(); err != nil {
+		return nil, err
+	}
+	f.Results = pop(&m.paramStack, &m.params, 0)
+	p.nodes += len(f.Params) + len(f.Results)
+	p.args += len(f.Results)
+	if _, err := p.expect(OpAssign); err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(KwBegin); err != nil {
 		return nil, err
 	}
 	for {
-		t := p.cur()
-		if t.Kind == TokKeyword && t.Text == "end" {
+		t := p.tok
+		if t.Op == KwEnd {
 			p.next()
 			break
 		}
@@ -191,9 +187,25 @@ func (p *Parser) parseFunc() (*FuncDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Body = append(f.Body, a)
+		m.stmtStack = append(m.stmtStack, a)
 	}
+	f.Body = pop(&m.stmtStack, &m.stmts, 0)
 	return f, nil
+}
+
+// parseParams stacks a comma-separated list of at least one parameter.
+func (p *Parser) parseParams() error {
+	for {
+		param, err := p.parseParam()
+		if err != nil {
+			return err
+		}
+		p.mem.paramStack = append(p.mem.paramStack, param)
+		if !p.at(OpComma) {
+			return nil
+		}
+		p.next()
+	}
 }
 
 func (p *Parser) parseParam() (Param, error) {
@@ -201,7 +213,7 @@ func (p *Parser) parseParam() (Param, error) {
 	if err != nil {
 		return Param{}, err
 	}
-	if _, err := p.expectPunct(":"); err != nil {
+	if _, err := p.expect(OpColon); err != nil {
 		return Param{}, err
 	}
 	typ, err := p.parseType()
@@ -212,20 +224,17 @@ func (p *Parser) parseParam() (Param, error) {
 }
 
 func (p *Parser) parseType() (Type, error) {
-	t := p.cur()
-	if t.Kind != TokKeyword {
-		return Type{}, errf(t.Pos, "expected type, found %s", t)
-	}
-	switch t.Text {
-	case "bool":
+	t := p.tok
+	switch t.Op {
+	case KwBool:
 		p.next()
 		return Type{Bool: true}, nil
-	case "num":
+	case KwNum:
 		p.next()
 		typ := Type{Width: DefaultWidth}
-		if p.atPunct("<") {
+		if p.at(OpLt) {
 			p.next()
-			w := p.cur()
+			w := p.tok
 			if w.Kind != TokInt {
 				return Type{}, errf(w.Pos, "expected width, found %s", w)
 			}
@@ -234,7 +243,7 @@ func (p *Parser) parseType() (Type, error) {
 			}
 			p.next()
 			typ.Width = int(w.Int)
-			if _, err := p.expectPunct(">"); err != nil {
+			if _, err := p.expect(OpGt); err != nil {
 				return Type{}, err
 			}
 		}
@@ -249,210 +258,196 @@ func (p *Parser) parseAssign() (*Assign, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct("="); err != nil {
+	if _, err := p.expect(OpAssign); err != nil {
 		return nil, err
 	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct(";"); err != nil {
+	if _, err := p.expect(OpSemi); err != nil {
 		return nil, err
 	}
-	return &Assign{Name: name.Text, Expr: e, Pos: name.Pos}, nil
+	a := p.mem.assigns.new()
+	a.Name, a.Expr, a.Pos = name.Text, e, name.Pos
+	return a, nil
 }
 
 // parseExpr parses the full expression grammar, with the if-fi conditional
 // at the lowest precedence.
 func (p *Parser) parseExpr() (Expr, error) {
-	t := p.cur()
-	if t.Kind == TokKeyword && t.Text == "if" {
-		p.next()
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct("->"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectPunct("||"); err != nil {
-			return nil, err
-		}
-		els, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expectKeyword("fi"); err != nil {
-			return nil, err
-		}
-		return &If{Cond: cond, Then: then, Else: els, Pos: t.Pos}, nil
+	t := p.tok
+	if t.Op != KwIf {
+		return p.parseBinary(precOr)
 	}
-	return p.parseOr()
-}
-
-func (p *Parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
+	p.next()
+	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	for p.atPunct("|") {
-		op := p.next()
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: "|", X: x, Y: y, Pos: op.Pos}
+	if _, err := p.expect(OpArrow); err != nil {
+		return nil, err
 	}
-	return x, nil
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	x, err := p.parseCmp()
+	then, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	for p.atPunct("&") {
-		op := p.next()
-		y, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: "&", X: x, Y: y, Pos: op.Pos}
+	if _, err := p.expect(OpBars); err != nil {
+		return nil, err
 	}
-	return x, nil
-}
-
-var cmpOps = map[string]bool{"<": true, ">": true, "<=": true, ">=": true, "==": true, "!=": true}
-
-func (p *Parser) parseCmp() (Expr, error) {
-	x, err := p.parseAdd()
+	els, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	t := p.cur()
-	if t.Kind == TokPunct && cmpOps[t.Text] {
-		p.next()
-		y, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: t.Text, X: x, Y: y, Pos: t.Pos}, nil
-	}
-	return x, nil
-}
-
-func (p *Parser) parseAdd() (Expr, error) {
-	x, err := p.parseMul()
-	if err != nil {
+	if _, err := p.expect(KwFi); err != nil {
 		return nil, err
 	}
-	for p.atPunct("+") || p.atPunct("-") {
-		op := p.next()
-		y, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: op.Text, X: x, Y: y, Pos: op.Pos}
-	}
+	x := p.mem.ifs.new()
+	x.Cond, x.Then, x.Else, x.Pos = cond, then, els, t.Pos
+	p.nodes++
+	p.args += 3
 	return x, nil
 }
 
-func (p *Parser) parseMul() (Expr, error) {
-	x, err := p.parseShift()
-	if err != nil {
-		return nil, err
-	}
-	for p.atPunct("*") {
-		op := p.next()
-		y, err := p.parseShift()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: "*", X: x, Y: y, Pos: op.Pos}
-	}
-	return x, nil
+// Binary operator precedence, loosest first; 0 marks a token that is no
+// binary operator.
+const (
+	precOr = 1 + iota
+	precAnd
+	precCmp
+	precAdd
+	precMul
+	precShift
+)
+
+var precedence = [numOps]int{
+	OpOr: precOr, OpAnd: precAnd,
+	OpLt: precCmp, OpGt: precCmp, OpLe: precCmp, OpGe: precCmp, OpEq: precCmp, OpNe: precCmp,
+	OpAdd: precAdd, OpSub: precAdd, OpMul: precMul, OpShl: precShift, OpShr: precShift,
 }
 
-func (p *Parser) parseShift() (Expr, error) {
+// parseBinary parses a chain of binary operators of precedence min or
+// tighter over unary operands, by precedence climbing. Every level is
+// left-associative except comparisons, which do not chain: once a
+// comparison is built, no operator of its precedence or tighter may
+// extend it, at this level or any level above. A shift's right operand
+// is an integer literal, not an expression.
+func (p *Parser) parseBinary(min int) (Expr, error) {
 	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for p.atPunct(">>") || p.atPunct("<<") {
-		op := p.next()
-		amt := p.cur()
-		if amt.Kind != TokInt {
-			return nil, errf(amt.Pos, "shift amount must be an integer literal, found %s", amt)
-		}
-		if amt.Int < 0 || amt.Int > 63 {
-			return nil, errf(amt.Pos, "shift amount %d outside [0,63]", amt.Int)
+	limit := precShift
+	for {
+		t := p.tok
+		prec := precedence[t.Op]
+		if prec < min || prec > limit {
+			return x, nil
 		}
 		p.next()
-		x = &ShiftLit{Op: op.Text, X: x, By: int(amt.Int), Pos: op.Pos}
-	}
-	return x, nil
-}
-
-func (p *Parser) parseUnary() (Expr, error) {
-	t := p.cur()
-	if t.Kind == TokPunct && (t.Text == "-" || t.Text == "!") {
-		p.next()
-		x, err := p.parseUnary()
+		if prec == precShift {
+			amt := p.tok
+			if amt.Kind != TokInt {
+				return nil, errf(amt.Pos, "shift amount must be an integer literal, found %s", amt)
+			}
+			if amt.Int < 0 || amt.Int > 63 {
+				return nil, errf(amt.Pos, "shift amount %d outside [0,63]", amt.Int)
+			}
+			p.next()
+			s := p.mem.shifts.new()
+			s.Op, s.X, s.By, s.Pos = t.Op, x, int(amt.Int), t.Pos
+			p.nodes++
+			p.args++
+			x = s
+			continue
+		}
+		y, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		// Fold negation of literals immediately.
-		if t.Text == "-" {
-			if lit, ok := x.(*IntLit); ok {
-				return &IntLit{Value: -lit.Value, Pos: t.Pos}, nil
-			}
+		b := p.mem.binaries.new()
+		b.Op, b.X, b.Y, b.Pos = t.Op, x, y, t.Pos
+		p.nodes++
+		p.args += 2
+		x = b
+		limit = prec
+		if prec == precCmp {
+			limit = precCmp - 1
 		}
-		return &Unary{Op: t.Text, X: x, Pos: t.Pos}, nil
 	}
-	return p.parsePrimary()
+}
+
+func (p *Parser) parseUnary() (Expr, error) {
+	t := p.tok
+	if t.Op != OpSub && t.Op != OpNot {
+		return p.parsePrimary()
+	}
+	p.next()
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	// Fold negation of literals immediately.
+	if lit, ok := x.(*IntLit); ok && t.Op == OpSub {
+		lit.Value, lit.Pos = -lit.Value, t.Pos
+		return lit, nil
+	}
+	u := p.mem.unaries.new()
+	u.Op, u.X, u.Pos = t.Op, x, t.Pos
+	p.nodes++
+	p.args++
+	if t.Op == OpSub {
+		p.args++ // negation elaborates to 0 - x
+	}
+	return u, nil
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t := p.tok
 	switch {
 	case t.Kind == TokIdent:
 		p.next()
-		if p.atPunct("(") {
-			p.next()
-			call := &Call{Name: t.Text, Pos: t.Pos}
-			if !p.atPunct(")") {
-				for {
-					arg, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, arg)
-					if !p.atPunct(",") {
-						break
-					}
-					p.next()
-				}
-			}
-			if _, err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return call, nil
+		if !p.at(OpLParen) {
+			id := p.mem.idents.new()
+			id.Name, id.Pos = t.Text, t.Pos
+			return id, nil
 		}
-		return &Ident{Name: t.Text, Pos: t.Pos}, nil
+		p.next()
+		call := p.mem.calls.new()
+		call.Name, call.Pos = t.Text, t.Pos
+		m := p.mem
+		mark := len(m.exprStack)
+		if !p.at(OpRParen) {
+			for {
+				arg, err := p.parseExpr()
+				if err != nil {
+					return nil, err
+				}
+				m.exprStack = append(m.exprStack, arg)
+				if !p.at(OpComma) {
+					break
+				}
+				p.next()
+			}
+		}
+		call.Args = pop(&m.exprStack, &m.exprs, mark)
+		if _, err := p.expect(OpRParen); err != nil {
+			return nil, err
+		}
+		return call, nil
 	case t.Kind == TokInt:
 		p.next()
-		return &IntLit{Value: t.Int, Pos: t.Pos}, nil
-	case t.Kind == TokPunct && t.Text == "(":
+		lit := p.mem.ints.new()
+		lit.Value, lit.Pos = t.Int, t.Pos
+		p.nodes++
+		return lit, nil
+	case t.Op == OpLParen:
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectPunct(")"); err != nil {
+		if _, err := p.expect(OpRParen); err != nil {
 			return nil, err
 		}
 		return e, nil

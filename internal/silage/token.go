@@ -46,6 +46,8 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 // Token is a lexical token.
 type Token struct {
 	Kind TokKind
+	// Op is the code of a TokPunct or TokKeyword token.
+	Op   Op
 	Text string
 	Int  int64 // value for TokInt
 	Pos  Pos
@@ -63,14 +65,86 @@ func (t Token) String() string {
 	}
 }
 
-var keywords = map[string]bool{
-	"func":  true,
-	"begin": true,
-	"end":   true,
-	"if":    true,
-	"fi":    true,
-	"num":   true,
-	"bool":  true,
+// Op is the code of an operator, punctuation or keyword token, and the
+// operator of a Unary, Binary or ShiftLit expression. Identifiers,
+// integers and end of input carry OpNone. The parser and the elaborator
+// dispatch on it; Text keeps the spelling for error messages.
+type Op uint8
+
+// Operator, punctuation and keyword codes.
+const (
+	OpNone   Op = iota
+	OpAdd       // +
+	OpSub       // -
+	OpMul       // *
+	OpLt        // <
+	OpGt        // >
+	OpLe        // <=
+	OpGe        // >=
+	OpEq        // ==
+	OpNe        // !=
+	OpAnd       // &
+	OpOr        // |
+	OpNot       // !
+	OpShl       // <<
+	OpShr       // >>
+	OpLParen    // (
+	OpRParen    // )
+	OpComma     // ,
+	OpColon     // :
+	OpSemi      // ;
+	OpAssign    // =
+	OpArrow     // ->
+	OpBars      // ||, the else of an if-fi
+	KwFunc      // func
+	KwBegin     // begin
+	KwEnd       // end
+	KwIf        // if
+	KwFi        // fi
+	KwNum       // num
+	KwBool      // bool
+
+	numOps // the number of codes
+)
+
+var opText = [numOps]string{
+	OpAdd: "+", OpSub: "-", OpMul: "*",
+	OpLt: "<", OpGt: ">", OpLe: "<=", OpGe: ">=", OpEq: "==", OpNe: "!=",
+	OpAnd: "&", OpOr: "|", OpNot: "!", OpShl: "<<", OpShr: ">>",
+	OpLParen: "(", OpRParen: ")", OpComma: ",", OpColon: ":", OpSemi: ";",
+	OpAssign: "=", OpArrow: "->", OpBars: "||",
+	KwFunc: "func", KwBegin: "begin", KwEnd: "end", KwIf: "if", KwFi: "fi",
+	KwNum: "num", KwBool: "bool",
+}
+
+// String returns the code's spelling in source text.
+func (o Op) String() string {
+	if o != OpNone && o < numOps {
+		return opText[o]
+	}
+	return fmt.Sprintf("op(%d)", int(o))
+}
+
+// keyword returns the code of a reserved word, or OpNone for an
+// identifier.
+func keyword(text string) Op {
+	switch text {
+	case "func":
+		return KwFunc
+	case "begin":
+		return KwBegin
+	case "end":
+		return KwEnd
+	case "if":
+		return KwIf
+	case "fi":
+		return KwFi
+	case "num":
+		return KwNum
+	case "bool":
+		return KwBool
+	}
+	return OpNone
 }
 
 // Error is a positioned frontend error.
