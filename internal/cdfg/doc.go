@@ -12,4 +12,12 @@
 // graph may carry control edges, the extra precedence constraints the power
 // management scheduling algorithm inserts between the last node of a mux's
 // control cone and the first nodes of its gated data cones.
+//
+// A graph is append-only: a node and its argument list never change once
+// added. Construction therefore keeps no derived state. Nodes and argument
+// lists come from blocks, which Grow sizes up front when the caller knows
+// the graph's size (the front end does); the dataflow successor lists are
+// built in one block when first read; and the analysis memo describes a
+// node count, so the first read after the node list grew drops it once
+// instead of every add taking its lock.
 package cdfg

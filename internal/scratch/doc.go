@@ -8,7 +8,8 @@
 // pass with its windows and gate deriver (internal/core), the binder's
 // counting buffers (internal/alloc), the activity walk's guard tables
 // (internal/power) and the topological sort's in-degrees and heap
-// (internal/cdfg).
+// (internal/cdfg). The front end keeps one for Compile's parse memory and
+// elaborator tables (internal/silage).
 //
 // A List is not a sync.Pool on purpose. Under the race detector a Pool
 // drops a share of its Puts at random, and every GC cycle empties it, so

@@ -41,4 +41,22 @@
 //	end
 //
 // Recursion is rejected; helpers may reference each other in any order.
+//
+// Identifiers may begin with '_', so a design may name a signal like the
+// elaborator's temporaries (_t1, _t2, ...). A temporary whose name the
+// design's own parameters or node-creating signals take is named $tN
+// instead, a name no identifier can spell.
+//
+// # Memory
+//
+// The lexer recognises keywords and operators with a switch, and each
+// token carries an Op code that the AST's operator nodes keep; the parser
+// and the elaborator compare codes, not strings. Compile allocates only
+// what its Design keeps. It builds the AST in parse memory (blocks per
+// node type) that it takes from a bounded free list, together with the
+// elaborator's maps, and hands them back once the design is elaborated:
+// a Design holds no AST. The graph's node and argument blocks are sized
+// from counts the parser keeps, and the names the elaborator makes share
+// one block. Parse and ParseFile use fresh parse memory, so the ASTs they
+// return own theirs.
 package silage

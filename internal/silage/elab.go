@@ -43,7 +43,7 @@ type binding struct {
 // and one block holding the names the elaborator makes.
 type compileState struct {
 	mem   parseMem
-	funcs []*FuncDecl
+	decls []*FuncDecl
 	elaborator
 }
 
@@ -55,7 +55,7 @@ var compiles scratch.List[compileState]
 // Design.
 func (s *compileState) reset() {
 	s.mem.reset()
-	s.funcs = clearStack(s.funcs)
+	s.decls = clearStack(s.decls)
 	e := &s.elaborator
 	e.g = nil
 	e.names = strings.Builder{}
@@ -118,24 +118,19 @@ func (e *elaborator) numbered(prefix string, v int64) string {
 	return e.intern(strconv.AppendInt(append(buf[:0], prefix...), v, 10))
 }
 
-// nodeName returns name, or when it is empty the name of temporary tmp.
-// expr numbers every subexpression it visits in pre-order but makes a
-// temporary name only for a node it creates.
+// nodeName returns name, or when it is empty the name of temporary tmp:
+// _t<tmp>. expr numbers every subexpression it visits in pre-order but
+// makes a temporary name only for a node it creates. Identifiers may
+// start with '_', so when the design itself declares a parameter or a
+// node-creating signal _t<tmp>, the temporary is $t<tmp> instead: '$'
+// cannot appear in identifiers. No design that compiled without the
+// rename sees a node renamed.
 func (e *elaborator) nodeName(name string, tmp int) string {
 	if name != "" {
 		return name
 	}
-	return e.tempName(tmp)
-}
-
-// tempName returns _t<n>, the name of temporary n. Identifiers may start
-// with '_', so when the design itself declares a parameter or a
-// node-creating signal _t<n>, the temporary is $t<n> instead: '$' cannot
-// appear in identifiers. No design that compiled without the rename sees
-// a node renamed.
-func (e *elaborator) tempName(n int) string {
 	var buf [32]byte
-	b := strconv.AppendInt(append(buf[:0], "_t"...), int64(n), 10)
+	b := strconv.AppendInt(append(buf[:0], "_t"...), int64(tmp), 10)
 	if e.taken[string(b)] {
 		b[0] = '$'
 	}
@@ -163,33 +158,13 @@ func (e *elaborator) constNode(v int64) (cdfg.NodeID, error) {
 	return id, nil
 }
 
-// binKind returns the node kind of a binary operator.
-func binKind(op Op) (cdfg.Kind, bool) {
-	switch op {
-	case OpAdd:
-		return cdfg.KindAdd, true
-	case OpSub:
-		return cdfg.KindSub, true
-	case OpMul:
-		return cdfg.KindMul, true
-	case OpLt:
-		return cdfg.KindLt, true
-	case OpGt:
-		return cdfg.KindGt, true
-	case OpLe:
-		return cdfg.KindLe, true
-	case OpGe:
-		return cdfg.KindGe, true
-	case OpEq:
-		return cdfg.KindEq, true
-	case OpNe:
-		return cdfg.KindNe, true
-	case OpAnd:
-		return cdfg.KindAnd, true
-	case OpOr:
-		return cdfg.KindOr, true
-	}
-	return 0, false
+// binKinds maps each binary operator to its node kind. Every other code
+// maps to KindInput, which no operator makes.
+var binKinds = [numOps]cdfg.Kind{
+	OpAdd: cdfg.KindAdd, OpSub: cdfg.KindSub, OpMul: cdfg.KindMul,
+	OpLt: cdfg.KindLt, OpGt: cdfg.KindGt, OpLe: cdfg.KindLe,
+	OpGe: cdfg.KindGe, OpEq: cdfg.KindEq, OpNe: cdfg.KindNe,
+	OpAnd: cdfg.KindAnd, OpOr: cdfg.KindOr,
 }
 
 // expr elaborates an expression. name, when non-empty, is used for the node
@@ -246,8 +221,11 @@ func (e *elaborator) expr(x Expr, name string) (cdfg.NodeID, Type, error) {
 		if err != nil {
 			return cdfg.InvalidNode, Type{}, err
 		}
-		kind, ok := binKind(v.Op)
-		if !ok {
+		kind := cdfg.KindInput
+		if v.Op < numOps {
+			kind = binKinds[v.Op]
+		}
+		if kind == cdfg.KindInput {
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "unknown operator %q", v.Op)
 		}
 		switch {
@@ -421,23 +399,11 @@ func (e *elaborator) assign(a *Assign, prefix string) error {
 	return nil
 }
 
-// elaborate elaborates the last of funcs, a whole file's declarations;
-// the earlier ones are callable helpers that inline at their call sites.
-// nodes and args size the graph's blocks (see Parser).
-func (e *elaborator) elaborate(funcs []*FuncDecl, nodes, args int) (*Design, error) {
-	if e.env == nil {
-		e.env = make(map[string]binding)
-		e.consts = make(map[int64]cdfg.NodeID)
-		e.taken = make(map[string]bool)
-		e.funcs = make(map[string]*FuncDecl)
-	}
-	for _, f := range funcs {
-		if _, dup := e.funcs[f.Name]; dup {
-			return nil, errDuplicateFunc(f)
-		}
-		e.funcs[f.Name] = f
-	}
-	top := funcs[len(funcs)-1]
+// elaborate elaborates top, the last declaration of a file whose
+// declarations e.funcs indexes; the earlier ones are callable helpers that
+// inline at their call sites. nodes and args size the graph's blocks (see
+// Parser).
+func (e *elaborator) elaborate(top *FuncDecl, nodes, args int) (*Design, error) {
 	for _, p := range top.Params {
 		e.reserve(p.Name)
 	}
@@ -512,13 +478,19 @@ func Compile(src string) (*Design, error) {
 		s.reset()
 		compiles.Put(s)
 	}()
+	if s.env == nil {
+		s.env = make(map[string]binding)
+		s.consts = make(map[int64]cdfg.NodeID)
+		s.taken = make(map[string]bool)
+		s.funcs = make(map[string]*FuncDecl)
+	}
 	p := newParser(src, &s.mem)
-	funcs, err := p.parseFuncs(s.funcs[:0])
-	s.funcs = funcs
+	decls, err := p.parseFuncs(s.decls[:0], s.funcs)
+	s.decls = decls
 	if err != nil {
 		return nil, err
 	}
-	return s.elaborate(funcs, p.nodes, p.args)
+	return s.elaborate(decls[len(decls)-1], p.nodes, p.args)
 }
 
 // MustCompile compiles src and panics on error; for built-in sources.

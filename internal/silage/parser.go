@@ -42,25 +42,16 @@ func Parse(src string) (*FuncDecl, error) {
 // last declaration is the top-level design; earlier ones are callable
 // helpers.
 func ParseFile(src string) ([]*FuncDecl, error) {
-	funcs, err := newParser(src, new(parseMem)).parseFuncs(nil)
+	funcs, err := newParser(src, new(parseMem)).parseFuncs(nil, make(map[string]*FuncDecl))
 	if err != nil {
 		return nil, err
-	}
-	seen := make(map[string]bool, len(funcs))
-	for _, f := range funcs {
-		if seen[f.Name] {
-			return nil, errDuplicateFunc(f)
-		}
-		seen[f.Name] = true
 	}
 	return funcs, nil
 }
 
-func errDuplicateFunc(f *FuncDecl) error { return errf(f.Pos, "duplicate function %q", f.Name) }
-
-// parseFuncs appends every declaration of the input to funcs. It leaves
-// duplicate names to its caller.
-func (p *Parser) parseFuncs(funcs []*FuncDecl) ([]*FuncDecl, error) {
+// parseFuncs appends every declaration of the input to funcs and indexes
+// it by name in byName, rejecting a name declared twice.
+func (p *Parser) parseFuncs(funcs []*FuncDecl, byName map[string]*FuncDecl) ([]*FuncDecl, error) {
 	var err error
 	for p.tok.Kind != TokEOF {
 		var f *FuncDecl
@@ -74,6 +65,12 @@ func (p *Parser) parseFuncs(funcs []*FuncDecl) ([]*FuncDecl, error) {
 	}
 	if len(funcs) == 0 {
 		return funcs, errf(Pos{Line: 1, Col: 1}, "no function declarations")
+	}
+	for _, f := range funcs {
+		if _, dup := byName[f.Name]; dup {
+			return funcs, errf(f.Pos, "duplicate function %q", f.Name)
+		}
+		byName[f.Name] = f
 	}
 	return funcs, nil
 }
