@@ -17,9 +17,9 @@ import (
 // name only an alias takes (no node) keeps its own.
 func TestTemporaryNamesNeverCollide(t *testing.T) {
 	for _, c := range []struct {
-		src              string
-		user, temp       string
-		userKind, tmpKnd cdfg.Kind
+		src                string
+		user, temp         string
+		userKind, tempKind cdfg.Kind
 	}{
 		{tempNameSources[0].src, "_t3", "$t3", cdfg.KindAdd, cdfg.KindAdd},
 		{tempNameSources[1].src, "_t1", "$t1", cdfg.KindSub, cdfg.KindAdd},
@@ -36,8 +36,8 @@ func TestTemporaryNamesNeverCollide(t *testing.T) {
 				t.Errorf("%s: signal %s is not the design's %s", c.src, c.user, c.userKind)
 			}
 		}
-		if id := g.Lookup(c.temp); id == cdfg.InvalidNode || g.Node(id).Kind != c.tmpKnd {
-			t.Errorf("%s: no temporary %s of kind %s", c.src, c.temp, c.tmpKnd)
+		if id := g.Lookup(c.temp); id == cdfg.InvalidNode || g.Node(id).Kind != c.tempKind {
+			t.Errorf("%s: no temporary %s of kind %s", c.src, c.temp, c.tempKind)
 		}
 	}
 }
