@@ -67,6 +67,32 @@ func TestCompileAllocations(t *testing.T) {
 	}
 }
 
+// TestGraphBoundCoversCallFreeDesigns checks that the bound Compile sizes
+// a graph's blocks from covers every node and argument of each golden
+// design that calls no function, so a change to how a construct
+// elaborates cannot leave the bound short unseen.
+func TestGraphBoundCoversCallFreeDesigns(t *testing.T) {
+	checked := 0
+	for _, s := range goldenSources(t) {
+		d, nodes, args, calls, err := silage.CompileBound(s.src)
+		if err != nil || calls {
+			continue
+		}
+		checked++
+		g := d.Graph
+		used := 0
+		for _, n := range g.Nodes() {
+			used += len(n.Args)
+		}
+		if g.NumNodes() > nodes || used > args {
+			t.Errorf("%s: %d nodes and %d arguments, bound %d and %d", s.label, g.NumNodes(), used, nodes, args)
+		}
+	}
+	if checked < 600 {
+		t.Fatalf("only %d call-free designs compiled", checked)
+	}
+}
+
 // TestConcurrentCompileDeterministic compiles accepted and rejected
 // sources on several goroutines at once, each starting at a different
 // source, and checks every result against the serial one once all have

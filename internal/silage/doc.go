@@ -55,8 +55,11 @@
 // what its Design keeps. It builds the AST in parse memory (blocks per
 // node type) that it takes from a bounded free list, together with the
 // elaborator's maps, and hands them back once the design is elaborated:
-// a Design holds no AST. The graph's node and argument blocks are sized
-// from counts the parser keeps, and the names the elaborator makes share
+// a Design holds no AST. The free list bounds the number of idle states,
+// and a source longer than 16 KiB drops its state instead of handing it
+// back, so no idle state keeps blocks sized for a large design. The
+// graph's node and argument blocks are sized from a bound computed from
+// the AST values the parse made, and the names the elaborator makes share
 // one block. Parse and ParseFile use fresh parse memory, so the ASTs they
 // return own theirs.
 package silage

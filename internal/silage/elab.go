@@ -63,11 +63,7 @@ func (s *compileState) reset() {
 	clear(e.consts)
 	clear(e.taken)
 	clear(e.funcs)
-	for _, env := range e.callEnvs {
-		clear(env)
-	}
 	e.inlining = clearStack(e.inlining)
-	e.args = e.args[:0]
 	e.tmp, e.callCount = 0, 0
 }
 
@@ -82,7 +78,7 @@ type elaborator struct {
 	consts map[int64]cdfg.NodeID
 	tmp    int
 	// taken holds the design's parameters and node-creating assignments
-	// spelled "_t..." (see tempName).
+	// spelled "_t..." (see nodeName).
 	taken map[string]bool
 
 	// funcs holds all declarations in the file for call inlining;
@@ -91,10 +87,6 @@ type elaborator struct {
 	funcs     map[string]*FuncDecl
 	inlining  []string
 	callCount int
-	// callEnvs[d] is the scope of a body inlined d calls deep, and args
-	// stacks the bindings of the arguments being evaluated for a call.
-	callEnvs []map[string]binding
-	args     []binding
 }
 
 // intern copies b into the names block and returns it as a string.
@@ -312,9 +304,8 @@ func (e *elaborator) inlineCall(v *Call) (cdfg.NodeID, Type, error) {
 			return cdfg.InvalidNode, Type{}, errf(v.Pos, "recursive call to %q", v.Name)
 		}
 	}
-	// Evaluate arguments in the caller's environment. A call among them
-	// finishes, scope and all, before this one takes its scope.
-	mark := len(e.args)
+	// Evaluate arguments in the caller's environment.
+	callEnv := make(map[string]binding, len(callee.Params))
 	for i, arg := range v.Args {
 		id, typ, err := e.expr(arg, "")
 		if err != nil {
@@ -325,18 +316,8 @@ func (e *elaborator) inlineCall(v *Call) (cdfg.NodeID, Type, error) {
 			return cdfg.InvalidNode, Type{}, errf(arg.ExprPos(),
 				"argument %d of %q: have %s, want %s", i+1, v.Name, typ, p.Type)
 		}
-		e.args = append(e.args, binding{id: id, typ: p.Type})
+		callEnv[p.Name] = binding{id: id, typ: p.Type}
 	}
-	depth := len(e.inlining) - 1
-	if depth == len(e.callEnvs) {
-		e.callEnvs = append(e.callEnvs, make(map[string]binding, len(callee.Params)))
-	}
-	callEnv := e.callEnvs[depth]
-	clear(callEnv)
-	for i, b := range e.args[mark:] {
-		callEnv[callee.Params[i].Name] = b
-	}
-	e.args = e.args[:mark]
 	// Elaborate the body in the callee's own scope.
 	e.callCount++
 	prefix := fmt.Sprintf("%s$%d$", v.Name, e.callCount)
@@ -402,7 +383,7 @@ func (e *elaborator) assign(a *Assign, prefix string) error {
 // elaborate elaborates top, the last declaration of a file whose
 // declarations e.funcs indexes; the earlier ones are callable helpers that
 // inline at their call sites. nodes and args size the graph's blocks (see
-// Parser).
+// graphBound).
 func (e *elaborator) elaborate(top *FuncDecl, nodes, args int) (*Design, error) {
 	for _, p := range top.Params {
 		e.reserve(p.Name)
@@ -462,11 +443,38 @@ func (e *elaborator) elaborate(top *FuncDecl, nodes, args int) (*Design, error) 
 	return &Design{Graph: e.g, Width: width}, nil
 }
 
+// graphBound bounds the nodes and argument slots of the graph that the
+// parse in s.mem elaborates to when it calls no function, from the AST
+// values the parse made, by the rules of expr and elaborate: a node per
+// literal, operator and conditional, one per parameter and result, and
+// the zero that negations share; two arguments per binary operator and
+// per negation (0 - x), one per shift and output, three per conditional.
+// Repeated literals share a node and ! takes one argument, so the bound
+// may overshoot.
+func (s *compileState) graphBound() (nodes, args int) {
+	m := &s.mem
+	ops := m.unaries.count + m.binaries.count + m.shifts.count + m.ifs.count
+	nodes = 1 + m.ints.count + ops
+	args = 2*(m.unaries.count+m.binaries.count) + m.shifts.count + 3*m.ifs.count
+	for _, f := range s.decls {
+		nodes += len(f.Params) + len(f.Results)
+		args += len(f.Results)
+	}
+	return nodes, args
+}
+
 // namesPerNode is the bytes the names block reserves per node of the
 // parse's bound. User signals are named by the source, so only
 // temporaries, constants and outputs take room: about 2.7 bytes per node
 // on the generated designs the sweep workloads send.
 const namesPerNode = 4
+
+// maxKeptSource is the longest source whose compile state goes back to
+// the free list. A longer one leaves blocks and maps sized for it, which
+// clearing does not shrink, so its state is dropped instead: an idle
+// state holds at most what a source of this size needs. The generated
+// designs the sweep workloads send are under 5 KB.
+const maxKeptSource = 16 << 10
 
 // Compile parses and elaborates src in one step. Multi-function files are
 // supported: helpers first, the top-level design last. The AST lives in
@@ -475,9 +483,16 @@ const namesPerNode = 4
 func Compile(src string) (*Design, error) {
 	s := compiles.Get()
 	defer func() {
-		s.reset()
-		compiles.Put(s)
+		if len(src) <= maxKeptSource {
+			s.reset()
+			compiles.Put(s)
+		}
 	}()
+	return s.compile(src)
+}
+
+// compile parses src into s's parse memory and elaborates it.
+func (s *compileState) compile(src string) (*Design, error) {
 	if s.env == nil {
 		s.env = make(map[string]binding)
 		s.consts = make(map[int64]cdfg.NodeID)
@@ -490,7 +505,8 @@ func Compile(src string) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.elaborate(decls[len(decls)-1], p.nodes, p.args)
+	nodes, args := s.graphBound()
+	return s.elaborate(decls[len(decls)-1], nodes, args)
 }
 
 // MustCompile compiles src and panics on error; for built-in sources.

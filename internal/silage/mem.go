@@ -6,8 +6,9 @@ package silage
 type block[T any] struct {
 	arrays [][]T
 	// cur indexes the array being filled and used counts its values
-	// handed out.
-	cur, used int
+	// handed out; count counts every value handed out since the last
+	// reset.
+	cur, used, count int
 }
 
 // take returns n contiguous zero values, capped at n.
@@ -24,6 +25,7 @@ func (b *block[T]) take(n int) []T {
 	}
 	s := b.arrays[b.cur][b.used : b.used+n : b.used+n]
 	b.used += n
+	b.count += n
 	return s
 }
 
@@ -46,7 +48,7 @@ func (b *block[T]) reset() {
 		clear(b.arrays)
 		b.arrays = append(b.arrays[:0], make([]T, total))
 	}
-	b.cur, b.used = 0, 0
+	b.cur, b.used, b.count = 0, 0, 0
 }
 
 // parseMem is the memory a parse builds its AST in: one block per node

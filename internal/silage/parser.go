@@ -12,15 +12,10 @@ type Parser struct {
 	// when there is none); the end-of-input token reports it.
 	last Pos
 	mem  *parseMem
-	// nodes and args bound the CDFG nodes and argument slots the parsed
-	// functions elaborate to without calls: one node per operator,
-	// conditional, literal, parameter and result, plus negation's shared
-	// zero. Compile sizes the graph's blocks from them.
-	nodes, args int
 }
 
 func newParser(src string, mem *parseMem) *Parser {
-	p := &Parser{lex: Lexer{src: src, line: 1, col: 1}, last: Pos{Line: 1, Col: 1}, mem: mem, nodes: 1}
+	p := &Parser{lex: Lexer{src: src, line: 1, col: 1}, last: Pos{Line: 1, Col: 1}, mem: mem}
 	p.pull()
 	return p
 }
@@ -163,8 +158,6 @@ func (p *Parser) parseFunc() (*FuncDecl, error) {
 		return nil, err
 	}
 	f.Results = pop(&m.paramStack, &m.params, 0)
-	p.nodes += len(f.Params) + len(f.Results)
-	p.args += len(f.Results)
 	if _, err := p.expect(OpAssign); err != nil {
 		return nil, err
 	}
@@ -301,8 +294,6 @@ func (p *Parser) parseExpr() (Expr, error) {
 	}
 	x := p.mem.ifs.new()
 	x.Cond, x.Then, x.Else, x.Pos = cond, then, els, t.Pos
-	p.nodes++
-	p.args += 3
 	return x, nil
 }
 
@@ -353,8 +344,6 @@ func (p *Parser) parseBinary(min int) (Expr, error) {
 			p.next()
 			s := p.mem.shifts.new()
 			s.Op, s.X, s.By, s.Pos = t.Op, x, int(amt.Int), t.Pos
-			p.nodes++
-			p.args++
 			x = s
 			continue
 		}
@@ -364,8 +353,6 @@ func (p *Parser) parseBinary(min int) (Expr, error) {
 		}
 		b := p.mem.binaries.new()
 		b.Op, b.X, b.Y, b.Pos = t.Op, x, y, t.Pos
-		p.nodes++
-		p.args += 2
 		x = b
 		limit = prec
 		if prec == precCmp {
@@ -391,11 +378,6 @@ func (p *Parser) parseUnary() (Expr, error) {
 	}
 	u := p.mem.unaries.new()
 	u.Op, u.X, u.Pos = t.Op, x, t.Pos
-	p.nodes++
-	p.args++
-	if t.Op == OpSub {
-		p.args++ // negation elaborates to 0 - x
-	}
 	return u, nil
 }
 
@@ -436,7 +418,6 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		p.next()
 		lit := p.mem.ints.new()
 		lit.Value, lit.Pos = t.Int, t.Pos
-		p.nodes++
 		return lit, nil
 	case t.Op == OpLParen:
 		p.next()
