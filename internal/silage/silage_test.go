@@ -1,10 +1,12 @@
 package silage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cdfg"
+	"repro/internal/scratch"
 )
 
 const absDiffSrc = `
@@ -459,5 +461,42 @@ end
 	}
 	if len(d.Graph.Outputs()) != 2 {
 		t.Errorf("outputs = %d, want 2", len(d.Graph.Outputs()))
+	}
+}
+
+// TestLargeSourceLeavesNoIdleState compiles a source longer than
+// maxKeptSource and checks that no idle compile state kept blocks sized
+// for it: clearing does not shrink a block, so a kept state would hold
+// that memory for the life of the process.
+func TestLargeSourceLeavesNoIdleState(t *testing.T) {
+	const stmts = 20000
+	var b strings.Builder
+	b.WriteString("func f(a: num) o: num = begin ")
+	for i := range stmts {
+		fmt.Fprintf(&b, "x%d = a; ", i)
+	}
+	b.WriteString("o = a; end")
+	if b.Len() <= maxKeptSource {
+		t.Fatalf("source of %d bytes is not over the %d-byte bound", b.Len(), maxKeptSource)
+	}
+	if _, err := Compile(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	var idle []*compileState
+	defer func() {
+		for _, s := range idle {
+			compiles.Put(s)
+		}
+	}()
+	for range scratch.Bound {
+		s := compiles.Get()
+		idle = append(idle, s)
+		held := 0
+		for _, a := range s.mem.assigns.arrays {
+			held += len(a)
+		}
+		if held >= stmts {
+			t.Fatalf("an idle state holds room for %d assignments", held)
+		}
 	}
 }
