@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/power"
+	"repro/internal/sim"
 )
 
 func BenchmarkCompileFrontend(b *testing.B) {
@@ -385,6 +386,33 @@ func BenchmarkExactActivityAnalysis(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, exact := power.AnalyzeExact(r.Graph, r.Guards); !exact {
+			b.Fatal("expected exact analysis")
+		}
+	}
+}
+
+// BenchmarkExactActivityOneGroup measures the exact analysis where
+// grouping the selects saves nothing: one group of 20 selects, a nested
+// chain, with 100 operations guarded on the innermost select.
+func BenchmarkExactActivityOneGroup(b *testing.B) {
+	g := cdfg.New("chain")
+	x := cdfg.MustAdd(g.AddInput("x"))
+	y := cdfg.MustAdd(g.AddInput("y"))
+	guards := make(sim.Guards)
+	sel := cdfg.MustAdd(g.AddOp(cdfg.KindGt, "c0", x, y))
+	for i := 1; i < 20; i++ {
+		inner := cdfg.MustAdd(g.AddOp(cdfg.KindGt, fmt.Sprintf("c%d", i), x, y))
+		guards[inner] = []sim.Guard{{Sel: sel, WhenTrue: true}}
+		sel = inner
+	}
+	for i := 0; i < 100; i++ {
+		op := cdfg.MustAdd(g.AddOp(cdfg.KindAdd, fmt.Sprintf("t%d", i), x, y))
+		guards[op] = []sim.Guard{{Sel: sel, WhenTrue: i%2 == 0}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, exact := power.AnalyzeExact(g, guards); !exact {
 			b.Fatal("expected exact analysis")
 		}
 	}

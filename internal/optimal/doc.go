@@ -7,7 +7,9 @@
 // over all schedules that satisfy the latency budget, the initiation
 // interval and (optionally) a fixed resource bag, with operations gated
 // exactly when their serialization constraint ("select resolves before
-// the gated operation fires") is met.
+// the gated operation fires") is met. The solver evaluates the objective
+// with the flow's own evaluator, power.AnalyzeExact, or power.Independent
+// for the whole search when the candidates' selects exceed its cap.
 //
 // Search structure. The gating opportunities of a graph are its branch
 // candidates (core.BranchCandidates): per mux branch, the maximal

@@ -3,6 +3,7 @@ package optimal
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/cdfg"
@@ -242,7 +243,7 @@ func newSolver(g *cdfg.Graph, cfg Config, ii int) *solver {
 				}
 				mi.impossible = true
 			}
-			sortInts(mi.succs)
+			slices.Sort(mi.succs)
 			cs.members[i] = mi
 		}
 		// Decide successors first: descending topological position.
@@ -250,7 +251,9 @@ func newSolver(g *cdfg.Graph, cfg Config, ii int) *solver {
 		for i := range cs.decOrder {
 			cs.decOrder[i] = i
 		}
-		sortByDescTopo(cs.decOrder, bc.Members, topoPos)
+		slices.SortFunc(cs.decOrder, func(a, b int) int {
+			return topoPos[bc.Members[b]] - topoPos[bc.Members[a]]
+		})
 		s.cands = append(s.cands, cs)
 	}
 
@@ -521,79 +524,9 @@ func (s *solver) evalKept(kept [][]bool) float64 {
 	if p, ok := s.cache[string(key)]; ok {
 		return p
 	}
-	p := s.powerOf(s.buildGuards(kept))
+	p := s.activityFor(s.buildGuards(kept)).WeightedPower(s.g, power.Weights)
 	s.cache[string(key)] = p
 	return p
-}
-
-// powerOf evaluates the objective, the guard map's activity weighted by
-// power.Weights. In exact mode each operation's probability is enumerated
-// over its local guard closure only (the distinct selects reachable
-// through nested guards), which is bit-identical to power.AnalyzeExact's
-// global enumeration — an operation's execution depends on no other coins
-// — but costs 2^closure instead of 2^k per evaluation. assemble re-derives
-// the final power through power.AnalyzeExact and fails loudly on any
-// disagreement.
-func (s *solver) powerOf(guards sim.Guards) float64 {
-	if !s.exact {
-		return power.Independent(s.g, guards).WeightedPower(s.g, power.Weights)
-	}
-	total := 0.0
-	for _, nd := range s.g.Nodes() {
-		if !nd.IsOp() {
-			continue
-		}
-		w, ok := power.Weights[nd.Class()]
-		if !ok {
-			w = 1
-		}
-		total += w * exactOpProb(guards, nd.ID)
-	}
-	return total
-}
-
-// exactOpProb returns P(id executes) in the equiprobable-select model: the
-// conjunction over id's guards of "select has the wanted value AND the
-// select node itself executes", enumerated over the distinct selects in
-// id's nested-guard closure.
-func exactOpProb(guards sim.Guards, id cdfg.NodeID) float64 {
-	if len(guards[id]) == 0 {
-		return 1
-	}
-	idx := make(map[cdfg.NodeID]int)
-	var coins []cdfg.NodeID
-	var collect func(nid cdfg.NodeID)
-	collect = func(nid cdfg.NodeID) {
-		for _, gd := range guards[nid] {
-			if _, ok := idx[gd.Sel]; !ok {
-				idx[gd.Sel] = len(coins)
-				coins = append(coins, gd.Sel)
-				collect(gd.Sel)
-			}
-		}
-	}
-	collect(id)
-	var exec func(nid cdfg.NodeID, v uint64) bool
-	exec = func(nid cdfg.NodeID, v uint64) bool {
-		for _, gd := range guards[nid] {
-			want := uint64(0)
-			if gd.WhenTrue {
-				want = 1
-			}
-			if (v>>uint(idx[gd.Sel]))&1 != want || !exec(gd.Sel, v) {
-				return false
-			}
-		}
-		return true
-	}
-	count := 0
-	outcomes := uint64(1) << uint(len(coins))
-	for v := uint64(0); v < outcomes; v++ {
-		if exec(id, v) {
-			count++
-		}
-	}
-	return float64(count) / float64(outcomes)
 }
 
 // buildGuards lowers a kept-set family into the simulator guard map,
@@ -624,20 +557,17 @@ func (s *solver) buildGuards(kept [][]bool) sim.Guards {
 	return guards
 }
 
-// activityFor evaluates guard activity on the solver's single configured
-// evaluator: exact enumeration in exact mode, the independence
-// approximation otherwise (matching power.AnalyzeExact's fallback bit for
-// bit). The graph must be the assembled clone carrying the serializing
-// control edges: AnalyzeExact finalizes execution words in topological
-// order, so every guard's select has to precede the nodes it gates, which
-// only the control edges guarantee (a select need not be a dataflow
-// ancestor of the branch cone it shuts down).
-func (s *solver) activityFor(g *cdfg.Graph, guards sim.Guards) power.Activity {
+// activityFor evaluates guard activity on the solver's one evaluator:
+// power.AnalyzeExact in exact mode, the independence approximation
+// otherwise (AnalyzeExact's own fallback, taken once for the whole
+// search). AnalyzeExact reads no order from the graph, so the solver's
+// own graph serves, without the serializing control edges.
+func (s *solver) activityFor(guards sim.Guards) power.Activity {
 	if s.exact {
-		act, _ := power.AnalyzeExact(g, guards)
+		act, _ := power.AnalyzeExact(s.g, guards)
 		return act
 	}
-	return power.Independent(g, guards)
+	return power.Independent(s.g, guards)
 }
 
 func (s *solver) pushEdge(from, to cdfg.NodeID) {
@@ -842,9 +772,12 @@ func (s *solver) assemble() (*Result, error) {
 	if err := schedule.Validate(s.cfg.Resources); err != nil {
 		return nil, fmt.Errorf("optimal: internal error: best schedule invalid: %w", err)
 	}
+	// The incumbent's power came through the memo; evaluating its guards
+	// afresh must give it back bit for bit, or the memo's keys or the
+	// incumbent's bookkeeping are wrong.
 	guards := s.buildGuards(s.bestKept)
-	act := s.activityFor(fork, guards)
-	if got := act.WeightedPower(fork, power.Weights); got != s.bestPower {
+	act := s.activityFor(guards)
+	if got := act.WeightedPower(s.g, power.Weights); got != s.bestPower {
 		return nil, fmt.Errorf("optimal: internal error: search evaluator %v disagrees with power analysis %v", s.bestPower, got)
 	}
 	res := Result{
@@ -873,23 +806,4 @@ func (s *solver) assemble() (*Result, error) {
 
 func cloneInts(v []int) []int {
 	return append([]int(nil), v...)
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j-1] > v[j]; j-- {
-			v[j-1], v[j] = v[j], v[j-1]
-		}
-	}
-}
-
-// sortByDescTopo orders member indices by descending topological position
-// of their node (successors first). Positions are unique, so the order is
-// total and deterministic.
-func sortByDescTopo(idx []int, members []cdfg.NodeID, topoPos []int) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && topoPos[members[idx[j-1]]] < topoPos[members[idx[j]]]; j-- {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-		}
-	}
 }

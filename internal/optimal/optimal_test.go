@@ -371,11 +371,12 @@ func TestInvalidSeedIgnored(t *testing.T) {
 
 // TestActivityOnSerializedGraph replays the generated-seed reproducer in
 // testdata/regress/optimal-activity-topo.sil: a guarded select that is not
-// a dataflow ancestor of the cone it gates. Evaluating the final activity
-// on the original graph (without the sel->top serializing edges) made
-// power.AnalyzeExact read a stale execution word for the select and
-// disagree with the search evaluator; assemble must run the cross-check on
-// the assembled clone instead.
+// a dataflow ancestor of the cone it gates. When power.AnalyzeExact took
+// its order from the graph, evaluating that gating on the graph without
+// the sel->top serializing edges read a stale execution word for the
+// select. The walk now takes its order from the guards, so the solver
+// evaluates on its own graph, and every solve here must still agree with
+// its incumbent.
 func TestActivityOnSerializedGraph(t *testing.T) {
 	data, err := os.ReadFile("../../testdata/regress/optimal-activity-topo.sil")
 	if err != nil {

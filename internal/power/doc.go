@@ -13,5 +13,8 @@
 // the joint outcomes of the distinct controlling signals (selects shared by
 // several muxes are fully correlated — cordic's x/y/z updates share one
 // sign bit per iteration), and cross-checks with a Monte Carlo executor
-// that runs the gated schedule on random input vectors.
+// that runs the gated schedule on random input vectors. AnalyzeExact is
+// the one exact evaluator, for the flow and the exact solver alike: it
+// enumerates each group of selects the guards connect on its own, and
+// reads its order from the guards, not the graph.
 package power

@@ -145,26 +145,40 @@ var lanePattern = [6]uint64{
 	0xFFFFFFFF00000000, // bit 5
 }
 
-// AnalyzeExact computes execution probabilities by enumerating all 2^k
-// joint outcomes of the k distinct controlling signals. An operation
-// executes under an outcome when, for every guard, the select has the
-// required value AND the select-producing operation itself executes
-// (nested shut-down: a dead comparator enables nothing).
+// AnalyzeExact computes execution probabilities by enumerating the joint
+// outcomes of the distinct controlling signals. An operation executes
+// under an outcome when, for every guard, the select has the required
+// value AND the select-producing operation itself executes (nested
+// shut-down: a dead comparator enables nothing).
+//
+// The selects fall into independent groups: a guarded node joins the
+// group of every select it is guarded on, so two guarded nodes share a
+// group exactly when their guards connect them. Each group is enumerated
+// on its own, over the 2^k_g outcomes of its k_g selects. A node's count
+// over those outcomes divided by 2^k_g equals its count over all 2^k
+// outcomes divided by 2^k bit for bit: the other groups' selects are fair
+// coins it never reads, and dividing by a power of two is exact.
 //
 // The enumeration is word-parallel: 64 joint outcomes are packed per
-// uint64 lane word. For select index i, its value over outcome v is bit i
-// of v, so per 64-outcome block each select's lane word is either a fixed
-// periodic pattern (i < 6) or all-0s/all-1s taken from the block number
-// (i >= 6). A node's execution set becomes branch-free AND/AND-NOT word
-// operations over its compiled guards, and counts come from popcounts.
-// The probabilities are bit-identical to the scalar outcome walk (kept as
-// analyzeExactScalar and checked differentially).
+// uint64 lane word. For a group's select index i, its value over outcome
+// v is bit i of v, so per 64-outcome block each select's lane word is
+// either a fixed periodic pattern (i < 6) or all-0s/all-1s taken from the
+// block number (i >= 6). A node's execution set becomes branch-free
+// AND/AND-NOT word operations over its compiled guards, and counts come
+// from popcounts. The probabilities are bit-identical to the scalar walk
+// over all 2^k outcomes (kept as analyzeExactScalar and checked
+// differentially).
 //
-// When k exceeds MaxExactSelects the function falls back to the
-// independence approximation (Independent) and reports it via the bool
-// result (false = approximate). The compiled guard tables and the lane
-// words are reused from call to call, so a warm call allocates only the
-// Activity it returns.
+// The order the guarded nodes are visited in is read from the guards
+// alone, each guarded select before the nodes guarded on it, so the
+// graph's edges play no part. A guard map whose selects guard one another
+// in a cycle has no such order and yields (Ungated(g), false).
+//
+// When k, counted over the whole map, exceeds MaxExactSelects the
+// function falls back to the independence approximation (Independent)
+// and reports it via the bool result (false = approximate). The compiled
+// guard tables and the lane words are reused from call to call, so a warm
+// call allocates only the Activity it returns.
 func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	n := g.NumNodes()
 	if len(guards) == 0 {
@@ -172,58 +186,57 @@ func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	}
 	c := walks.Get()
 	defer walks.Put(c)
-	k := c.countSelects(g, guards)
+	k, ok := c.compile(guards, n)
+	if !ok {
+		return Ungated(g), false
+	}
 	if k > MaxExactSelects {
 		return Independent(g, guards), false
 	}
-	if !c.compile(g, guards) {
-		// Callers hold validated graphs; treat as all-on.
-		return Ungated(g), false
-	}
-	// laneMask keeps only the populated lanes when fewer than 64 joint
-	// outcomes exist (k < 6).
-	laneMask := ^uint64(0)
-	if k < 6 {
-		laneMask = 1<<(1<<uint(k)) - 1
-	}
-	blocks := 1
-	if k > 6 {
-		blocks = 1 << uint(k-6)
-	}
-	// execW[id] holds node id's execution set over the current block, one
-	// bit per outcome. Unguarded nodes execute everywhere and are never
-	// overwritten; guarded nodes are fully rewritten each block before
-	// any consumer reads them (topological order). counts[i] counts the
-	// outcomes under which guarded[i] executes.
+	// execW[id] holds node id's execution set over the current block of
+	// its group's outcomes, one bit per outcome. Unguarded nodes execute
+	// everywhere and are never overwritten; a guarded node is rewritten
+	// each block before any node guarded on it reads it. counts[i] counts
+	// the outcomes of its group under which guarded[i] executes.
 	execW := scratch.Grow(c.execW, n)
 	counts := scratch.Grow(c.counts, len(c.guarded))
-	selVal := scratch.Grow(c.selVal, k)
+	selVal := scratch.Grow(c.selVal, max(k, 6))
 	c.execW, c.counts, c.selVal = execW, counts, selVal
 	for i := range execW {
 		execW[i] = ^uint64(0)
 	}
 	clear(counts)
-	for i := 0; i < k && i < 6; i++ {
-		selVal[i] = lanePattern[i]
-	}
-	for b := 0; b < blocks; b++ {
-		for i := 6; i < k; i++ {
-			if b>>(uint(i)-6)&1 == 1 {
-				selVal[i] = ^uint64(0)
-			} else {
-				selVal[i] = 0
+	copy(selVal, lanePattern[:])
+	lo := 0
+	for _, grp := range c.groups {
+		// laneMask keeps only the populated lanes when the group has
+		// fewer than 64 joint outcomes (k_g < 6).
+		laneMask, blocks := ^uint64(0), 1
+		if grp.k < 6 {
+			laneMask = 1<<(1<<uint(grp.k)) - 1
+		} else {
+			blocks = 1 << uint(grp.k-6)
+		}
+		for b := 0; b < blocks; b++ {
+			for i := 6; i < grp.k; i++ {
+				if b>>(uint(i)-6)&1 == 1 {
+					selVal[i] = ^uint64(0)
+				} else {
+					selVal[i] = 0
+				}
+			}
+			for i := lo; i < grp.end; i++ {
+				w := laneMask
+				for _, gd := range c.guardsOf(i) {
+					w &= execW[gd.sel] & (selVal[gd.selIdx] ^ gd.invert)
+				}
+				execW[c.guarded[i]] = w
+				counts[i] += int64(bits.OnesCount64(w))
 			}
 		}
-		for i, id := range c.guarded {
-			w := laneMask
-			for _, gd := range c.guardsOf(i) {
-				w &= execW[gd.sel] & (selVal[gd.selIdx] ^ gd.invert)
-			}
-			execW[id] = w
-			counts[i] += int64(bits.OnesCount64(w))
-		}
+		lo = grp.end
 	}
-	return c.activity(n, k, counts), true
+	return c.activity(n, 0, counts), true
 }
 
 // wGuard is one compiled gating condition of the word-parallel evaluator:
@@ -232,25 +245,44 @@ func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 type wGuard struct {
 	// sel indexes execW: the node producing the controlling signal.
 	sel cdfg.NodeID
-	// selIdx is the select's index in the distinct-select ordering.
+	// selIdx is the select's index among its group's selects.
 	selIdx int
 	// invert is all-1s when the guard wants select=0 (the select value
 	// word is XOR-flipped before masking), 0 when it wants select=1.
 	invert uint64
 }
 
+// walkGroup is one independent group of selects in a compiled walk: the
+// guarded nodes guarded[start:end], where start is the previous group's
+// end, and the number k of selects they are guarded on.
+type walkGroup struct{ end, k int }
+
+// Walk states of a node in compile's depth-first walk over the guards.
+const (
+	unguarded uint8 = iota
+	pending
+	visiting
+	visited
+)
+
 // exactWalk is the working memory of one exact activity walk: the guard
 // map compiled to slice-indexed tables, and the word-parallel evaluator's
 // lane words. It waits in walks between calls.
 type exactWalk struct {
-	// selIdx holds, per node, 1 + its index among the distinct selects
-	// in ascending ID order, or 0 for a node that selects nothing.
+	// up is a union-find forest over the nodes that joins each guarded
+	// node with its guards' selects; a group's root is its least node.
+	up    []cdfg.NodeID
+	state []uint8
+	// selIdx holds, per node, 1 + its index among its group's selects,
+	// or 0 for a node that selects nothing.
 	selIdx []int
-	// guarded lists the guarded nodes in topological order; node
-	// guarded[i]'s guards are list[off[i]:off[i+1]].
+	// guarded lists the guarded nodes group by group, each guarded select
+	// before the nodes guarded on it; node guarded[i]'s guards are
+	// list[off[i]:off[i+1]].
 	guarded []cdfg.NodeID
 	off     []int
 	list    []wGuard
+	groups  []walkGroup
 
 	execW  []uint64
 	counts []int64
@@ -260,80 +292,113 @@ type exactWalk struct {
 // walks holds the idle walks of AnalyzeExact and its scalar reference.
 var walks scratch.List[exactWalk]
 
-// countSelects numbers the distinct select sources of guards in ascending
-// ID order, the order DistinctSelects returns, and returns their count k:
-// the exponent of the exact enumeration.
-func (c *exactWalk) countSelects(g *cdfg.Graph, guards sim.Guards) int {
-	c.selIdx = scratch.Grow(c.selIdx, g.NumNodes())
-	clear(c.selIdx)
-	for _, gl := range guards {
+// compile lowers the guard map of an n-node graph into slice-indexed
+// form, group by group, and returns k, the number of distinct selects:
+// the exponent of the whole map's enumeration. The guarded nodes are
+// listed by a depth-first walk over the guards, in ascending ID order,
+// then grouped without reordering a group, so a guarded select's
+// execution word is final before any node guarded on it reads it. It
+// reports false when selects guard one another in a cycle.
+func (c *exactWalk) compile(guards sim.Guards, n int) (k int, ok bool) {
+	c.up, c.state, c.selIdx = scratch.Grow(c.up, n), scratch.Grow(c.state, n), scratch.Grow(c.selIdx, n)
+	for i := range c.up {
+		c.up[i], c.state[i], c.selIdx[i] = cdfg.NodeID(i), unguarded, 0
+	}
+	for id, gl := range guards {
 		for _, gd := range gl {
-			c.selIdx[gd.Sel] = 1
+			a, b := c.find(id), c.find(gd.Sel)
+			c.up[max(a, b)] = min(a, b)
+			c.state[id] = pending
 		}
 	}
-	k := 0
-	for id, mark := range c.selIdx {
-		if mark != 0 {
-			k++
-			c.selIdx[id] = k
+	c.guarded = c.guarded[:0]
+	for id, st := range c.state {
+		if st == pending && !c.visit(guards, cdfg.NodeID(id)) {
+			return 0, false
 		}
 	}
-	return k
-}
-
-// compile lowers the guard map into slice-indexed form, listing the
-// guarded nodes in topological order so that a select's execution word is
-// final before any node guarded on it is evaluated (selects precede their
-// muxes' branch cones by construction). It needs the select numbering of
-// countSelects, and reports false when the graph has no topological order
-// (cyclic).
-func (c *exactWalk) compile(g *cdfg.Graph, guards sim.Guards) bool {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return false
-	}
-	c.guarded, c.off, c.list = c.guarded[:0], append(c.off[:0], 0), c.list[:0]
-	for _, id := range order {
-		gl := guards[id]
-		if len(gl) == 0 {
-			continue
+	slices.SortStableFunc(c.guarded, func(a, b cdfg.NodeID) int { return int(c.find(a) - c.find(b)) })
+	c.groups, c.off, c.list = c.groups[:0], append(c.off[:0], 0), c.list[:0]
+	for i, id := range c.guarded {
+		if i == 0 || c.find(id) != c.find(c.guarded[i-1]) {
+			c.groups = append(c.groups, walkGroup{})
 		}
-		for _, gd := range gl {
+		grp := &c.groups[len(c.groups)-1]
+		grp.end = i + 1
+		for _, gd := range guards[id] {
+			if c.selIdx[gd.Sel] == 0 {
+				k, grp.k = k+1, grp.k+1
+				c.selIdx[gd.Sel] = grp.k
+			}
 			inv := ^uint64(0)
 			if gd.WhenTrue {
 				inv = 0
 			}
 			c.list = append(c.list, wGuard{sel: gd.Sel, selIdx: c.selIdx[gd.Sel] - 1, invert: inv})
 		}
-		c.guarded = append(c.guarded, id)
 		c.off = append(c.off, len(c.list))
 	}
+	return k, true
+}
+
+// find returns the root of x's tree in up, halving the path on the way.
+func (c *exactWalk) find(x cdfg.NodeID) cdfg.NodeID {
+	for c.up[x] != x {
+		c.up[x] = c.up[c.up[x]]
+		x = c.up[x]
+	}
+	return x
+}
+
+// visit appends guarded node id to guarded after every pending guarded
+// select it is guarded on. It reports false when the guards lead back to
+// a node still being visited: a cycle.
+func (c *exactWalk) visit(guards sim.Guards, id cdfg.NodeID) bool {
+	c.state[id] = visiting
+	for _, gd := range guards[id] {
+		switch c.state[gd.Sel] {
+		case visiting:
+			return false
+		case pending:
+			if !c.visit(guards, gd.Sel) {
+				return false
+			}
+		}
+	}
+	c.state[id] = visited
+	c.guarded = append(c.guarded, id)
 	return true
 }
 
 // guardsOf returns the compiled guards of guarded[i].
 func (c *exactWalk) guardsOf(i int) []wGuard { return c.list[c.off[i]:c.off[i+1]] }
 
-// activity turns the per-guarded-node outcome counts of a walk over k
-// selects into the probabilities of an n-node graph: 1 for every unguarded
-// node.
+// activity turns the per-guarded-node outcome counts of a walk into the
+// probabilities of an n-node graph, 1 for every unguarded node. Each
+// count was taken over 2^k outcomes or, when k is 0, over the 2^k_g
+// outcomes of its own group's selects.
 func (c *exactWalk) activity(n, k int, counts []int64) Activity {
 	prob := make([]float64, n)
 	for i := range prob {
 		prob[i] = 1
 	}
-	total := int64(1) << uint(k)
-	for i, id := range c.guarded {
-		prob[id] = float64(counts[i]) / float64(total)
+	lo := 0
+	for _, grp := range c.groups {
+		total := int64(1) << uint(max(k, grp.k))
+		for i := lo; i < grp.end; i++ {
+			prob[c.guarded[i]] = float64(counts[i]) / float64(total)
+		}
+		lo = grp.end
 	}
 	return Activity{Prob: prob}
 }
 
 // analyzeExactScalar is the scalar reference implementation of
-// AnalyzeExact: the same 2^k joint-outcome enumeration walked one outcome
-// at a time. It is retained verbatim (modulo shared compilation helpers)
-// as the differential-testing oracle for the word-parallel evaluator —
-// the two must agree bit for bit on every graph.
+// AnalyzeExact: every one of the 2^k joint outcomes of the whole map's
+// selects, walked one outcome at a time, with each group's selects on
+// the bits above the earlier groups' ones. It is the differential-testing
+// oracle for the word-parallel evaluator — the two must agree bit for bit
+// on every graph.
 func analyzeExactScalar(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	n := g.NumNodes()
 	if len(guards) == 0 {
@@ -341,12 +406,12 @@ func analyzeExactScalar(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	}
 	c := walks.Get()
 	defer walks.Put(c)
-	k := c.countSelects(g, guards)
+	k, ok := c.compile(guards, n)
+	if !ok {
+		return Ungated(g), false
+	}
 	if k > MaxExactSelects {
 		return Independent(g, guards), false
-	}
-	if !c.compile(g, guards) {
-		return Ungated(g), false
 	}
 	counts := make([]int64, len(c.guarded))
 	exec := make([]bool, n)
@@ -355,22 +420,26 @@ func analyzeExactScalar(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	}
 	total := int64(1) << uint(k)
 	for v := int64(0); v < total; v++ {
-		for i, id := range c.guarded {
-			e := true
-			for _, gd := range c.guardsOf(i) {
-				want := int64(0)
-				if gd.invert == 0 {
-					want = 1
+		lo, base := 0, 0
+		for _, grp := range c.groups {
+			for i := lo; i < grp.end; i++ {
+				e := true
+				for _, gd := range c.guardsOf(i) {
+					want := int64(0)
+					if gd.invert == 0 {
+						want = 1
+					}
+					if !exec[gd.sel] || v>>uint(base+gd.selIdx)&1 != want {
+						e = false
+						break
+					}
 				}
-				if !exec[gd.sel] || v>>uint(gd.selIdx)&1 != want {
-					e = false
-					break
+				exec[c.guarded[i]] = e
+				if e {
+					counts[i]++
 				}
 			}
-			exec[id] = e
-			if e {
-				counts[i]++
-			}
+			lo, base = grp.end, base+grp.k
 		}
 	}
 	return c.activity(n, k, counts), true

@@ -69,6 +69,11 @@ func (m Matrix) runStage(stage string) bool {
 // matches the heuristic, so truncation only loosens the bound).
 const defaultOptimalExpansions = 10_000
 
+// maxReferenceSelects caps the distinct selects of a guard map the stages
+// hand to the scalar reference enumeration, power.AnalyzeExactReference:
+// 2^16 joint outcomes.
+const maxReferenceSelects = 16
+
 func (m Matrix) optimalExpansions() int {
 	if m.OptimalExpansions > 0 {
 		return m.OptimalExpansions
@@ -401,8 +406,8 @@ func checkPoint(rep *Report, design *pmsynth.Design, src string, p point, m Matr
 	// Activity differential: the word-parallel exact activity analysis
 	// must be bit-identical to the scalar reference enumeration. Both are
 	// exponential in the distinct select count, so the stage caps the
-	// scalar side at 2^16 joint outcomes.
-	if n := len(power.DistinctSelects(syn.PM.Guards)); n <= 16 && m.runStage(StageActivity) {
+	// scalar side at maxReferenceSelects.
+	if n := len(power.DistinctSelects(syn.PM.Guards)); n <= maxReferenceSelects && m.runStage(StageActivity) {
 		start := time.Now()
 		rep.Checks++
 		fast, fastOK := power.AnalyzeExact(syn.PM.Graph, syn.PM.Guards)
@@ -549,6 +554,19 @@ func checkOptimality(rep *Report, design *pmsynth.Design, syn *pmsynth.Synthesis
 				rep.addf(StageOptimality, pt,
 					"solver nondeterministic: power %v vs %v, cert %+v vs %+v",
 					r1.Power, r2.Power, r1.Cert, r2.Cert)
+			}
+			// The solver evaluates with power.AnalyzeExact; its result
+			// must match the scalar reference bit for bit, as the
+			// heuristic's does in the activity-differential stage.
+			if r1.Exact && len(power.DistinctSelects(r1.Guards)) <= maxReferenceSelects {
+				rep.Checks++
+				ref, _ := power.AnalyzeExactReference(r1.Schedule.Graph, r1.Guards)
+				for id := range ref.Prob {
+					if r1.Activity.Prob[id] != ref.Prob[id] {
+						rep.addf(StageOptimality, pt, "node %d optimal activity differs: solver %v, scalar %v",
+							id, r1.Activity.Prob[id], ref.Prob[id])
+					}
+				}
 			}
 		}
 	}
