@@ -222,12 +222,23 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody strictly decodes a JSON request body.
+// maxBodyBytes caps a request body, so one request cannot make the daemon
+// hold or compile an input of any size. The longest source the repository
+// sends in its workloads is under 5 KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes a JSON request body, answering 413 to a body
+// longer than maxBodyBytes.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+		} else {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
 		return false
 	}
 	return true

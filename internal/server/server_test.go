@@ -483,6 +483,16 @@ func TestRequestSizeLimits(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/synthesize", big, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("huge budget synthesize = %d, want 422", code)
 	}
+	// A body over 1 MiB is refused with the uniform error body before
+	// anything decodes it.
+	long := client.SynthesizeRequest{Source: strings.Repeat(" ", 1<<20), Options: client.Options{Budget: 3}}
+	errResp.Error = ""
+	if code := postJSON(t, ts.URL+"/v1/synthesize", long, &errResp); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB body status = %d, want 413", code)
+	}
+	if !strings.Contains(errResp.Error, "exceeds") {
+		t.Fatalf("1 MiB body error = %q", errResp.Error)
+	}
 	// A sane request still works under the tight limit.
 	ok := client.SweepRequest{Source: gcdSrc, Spec: client.SweepSpec{BudgetMin: 5, BudgetMax: 9}}
 	if code := postJSON(t, ts.URL+"/v1/sweep", ok, nil); code != http.StatusAccepted {

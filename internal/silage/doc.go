@@ -42,6 +42,12 @@
 //
 // Recursion is rejected; helpers may reference each other in any order.
 //
+// An expression tree may be at most 256 levels high, counting every
+// operator, conditional and call, and each operator of a chain like
+// a+b+c; the parser allows 512 unary operators, conditionals, calls and
+// parentheses around any point. Deeper input fails with a positioned
+// error before the parser, the elaborator or the printer recurses on it.
+//
 // Identifiers may begin with '_', so a design may name a signal like the
 // elaborator's temporaries (_t1, _t2, ...). A temporary whose name the
 // design's own parameters or node-creating signals take is named $tN

@@ -12,6 +12,33 @@ type Parser struct {
 	// when there is none); the end-of-input token reports it.
 	last Pos
 	mem  *parseMem
+	// depth counts the unary operators, conditionals, calls and
+	// parentheses the parser is inside of (see maxDepth).
+	depth int
+}
+
+// maxDepth bounds an expression tree's height: the most nodes on a path
+// from an assignment's expression down to a leaf, where each operator of
+// a chain like a+b+c is one. The elaborator and the AST printer recurse
+// once per level. The parser recurses once per unary operator,
+// conditional, call and pair of parentheses it is inside of, and allows
+// 2*maxDepth of those: the printed form of a tree within maxDepth, which
+// parenthesizes every operator, then parses again. The designs in this
+// repository nest at most 6 levels.
+const maxDepth = 256
+
+// errDepth reports an expression nested past maxDepth at pos.
+func errDepth(pos Pos) error {
+	return errf(pos, "expression nested deeper than %d levels", maxDepth)
+}
+
+// open enters one more level of the parser's recursion at pos (see
+// maxDepth); the caller leaves it with p.depth--.
+func (p *Parser) open(pos Pos) error {
+	if p.depth++; p.depth > 2*maxDepth {
+		return errDepth(pos)
+	}
+	return nil
 }
 
 func newParser(src string, mem *parseMem) *Parser {
@@ -251,9 +278,12 @@ func (p *Parser) parseAssign() (*Assign, error) {
 	if _, err := p.expect(OpAssign); err != nil {
 		return nil, err
 	}
-	e, err := p.parseExpr()
+	e, h, err := p.parseExpr()
 	if err != nil {
 		return nil, err
+	}
+	if h > maxDepth {
+		return nil, errDepth(e.ExprPos())
 	}
 	if _, err := p.expect(OpSemi); err != nil {
 		return nil, err
@@ -264,37 +294,42 @@ func (p *Parser) parseAssign() (*Assign, error) {
 }
 
 // parseExpr parses the full expression grammar, with the if-fi conditional
-// at the lowest precedence.
-func (p *Parser) parseExpr() (Expr, error) {
+// at the lowest precedence. It returns the expression with its height in
+// levels (see maxDepth).
+func (p *Parser) parseExpr() (Expr, int, error) {
 	t := p.tok
 	if t.Op != KwIf {
 		return p.parseBinary(precOr)
 	}
 	p.next()
-	cond, err := p.parseExpr()
+	if err := p.open(t.Pos); err != nil {
+		return nil, 0, err
+	}
+	cond, hc, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, err := p.expect(OpArrow); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	then, err := p.parseExpr()
+	then, ht, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, err := p.expect(OpBars); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	els, err := p.parseExpr()
+	els, he, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, err := p.expect(KwFi); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	p.depth--
 	x := p.mem.ifs.new()
 	x.Cond, x.Then, x.Else, x.Pos = cond, then, els, t.Pos
-	return x, nil
+	return x, 1 + max(hc, ht, he), nil
 }
 
 // Binary operator precedence, loosest first; 0 marks a token that is no
@@ -319,41 +354,42 @@ var precedence = [numOps]int{
 // left-associative except comparisons, which do not chain: once a
 // comparison is built, no operator of its precedence or tighter may
 // extend it, at this level or any level above. A shift's right operand
-// is an integer literal, not an expression.
-func (p *Parser) parseBinary(min int) (Expr, error) {
-	x, err := p.parseUnary()
+// is an integer literal, not an expression. Each operator of a chain puts
+// the chain so far one level deeper, with no recursion.
+func (p *Parser) parseBinary(min int) (Expr, int, error) {
+	x, h, err := p.parseUnary()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	limit := precShift
 	for {
 		t := p.tok
 		prec := precedence[t.Op]
 		if prec < min || prec > limit {
-			return x, nil
+			return x, h, nil
 		}
 		p.next()
 		if prec == precShift {
 			amt := p.tok
 			if amt.Kind != TokInt {
-				return nil, errf(amt.Pos, "shift amount must be an integer literal, found %s", amt)
+				return nil, 0, errf(amt.Pos, "shift amount must be an integer literal, found %s", amt)
 			}
 			if amt.Int < 0 || amt.Int > 63 {
-				return nil, errf(amt.Pos, "shift amount %d outside [0,63]", amt.Int)
+				return nil, 0, errf(amt.Pos, "shift amount %d outside [0,63]", amt.Int)
 			}
 			p.next()
 			s := p.mem.shifts.new()
 			s.Op, s.X, s.By, s.Pos = t.Op, x, int(amt.Int), t.Pos
-			x = s
+			x, h = s, h+1
 			continue
 		}
-		y, err := p.parseBinary(prec + 1)
+		y, hy, err := p.parseBinary(prec + 1)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		b := p.mem.binaries.new()
 		b.Op, b.X, b.Y, b.Pos = t.Op, x, y, t.Pos
-		x = b
+		x, h = b, 1+max(h, hy)
 		limit = prec
 		if prec == precCmp {
 			limit = precCmp - 1
@@ -361,27 +397,31 @@ func (p *Parser) parseBinary(min int) (Expr, error) {
 	}
 }
 
-func (p *Parser) parseUnary() (Expr, error) {
+func (p *Parser) parseUnary() (Expr, int, error) {
 	t := p.tok
 	if t.Op != OpSub && t.Op != OpNot {
 		return p.parsePrimary()
 	}
 	p.next()
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+	if err := p.open(t.Pos); err != nil {
+		return nil, 0, err
 	}
+	x, h, err := p.parseUnary()
+	if err != nil {
+		return nil, 0, err
+	}
+	p.depth--
 	// Fold negation of literals immediately.
 	if lit, ok := x.(*IntLit); ok && t.Op == OpSub {
 		lit.Value, lit.Pos = -lit.Value, t.Pos
-		return lit, nil
+		return lit, h + 1, nil
 	}
 	u := p.mem.unaries.new()
 	u.Op, u.X, u.Pos = t.Op, x, t.Pos
-	return u, nil
+	return u, h + 1, nil
 }
 
-func (p *Parser) parsePrimary() (Expr, error) {
+func (p *Parser) parsePrimary() (Expr, int, error) {
 	t := p.tok
 	switch {
 	case t.Kind == TokIdent:
@@ -389,20 +429,25 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if !p.at(OpLParen) {
 			id := p.mem.idents.new()
 			id.Name, id.Pos = t.Text, t.Pos
-			return id, nil
+			return id, 1, nil
 		}
 		p.next()
+		if err := p.open(t.Pos); err != nil {
+			return nil, 0, err
+		}
 		call := p.mem.calls.new()
 		call.Name, call.Pos = t.Text, t.Pos
 		m := p.mem
 		mark := len(m.exprStack)
+		h := 0
 		if !p.at(OpRParen) {
 			for {
-				arg, err := p.parseExpr()
+				arg, ha, err := p.parseExpr()
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 				m.exprStack = append(m.exprStack, arg)
+				h = max(h, ha)
 				if !p.at(OpComma) {
 					break
 				}
@@ -411,26 +456,31 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		call.Args = pop(&m.exprStack, &m.exprs, mark)
 		if _, err := p.expect(OpRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return call, nil
+		p.depth--
+		return call, h + 1, nil
 	case t.Kind == TokInt:
 		p.next()
 		lit := p.mem.ints.new()
 		lit.Value, lit.Pos = t.Int, t.Pos
-		return lit, nil
+		return lit, 1, nil
 	case t.Op == OpLParen:
 		p.next()
-		e, err := p.parseExpr()
+		if err := p.open(t.Pos); err != nil {
+			return nil, 0, err
+		}
+		e, h, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if _, err := p.expect(OpRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return e, nil
+		p.depth--
+		return e, h, nil
 	default:
-		return nil, errf(t.Pos, "expected expression, found %s", t)
+		return nil, 0, errf(t.Pos, "expected expression, found %s", t)
 	}
 }
 

@@ -1,6 +1,7 @@
 package silage
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -229,6 +230,49 @@ func TestParseErrorHasPosition(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "3:") {
 		t.Errorf("error %q lacks line 3 position", err)
+	}
+}
+
+// TestExpressionDepthBound: an expression tree maxDepth levels high
+// compiles, and its printed form parses again; one a level higher fails
+// with a positioned error, whatever nests: a left-deep operator chain,
+// unary operators, conditionals or call arguments. Parentheses, which
+// make no level of the tree, are allowed 2*maxDepth deep. At 100,000
+// levels each fails before the parser, the elaborator or the printer
+// recurses that deep.
+func TestExpressionDepthBound(t *testing.T) {
+	const id = "func id(x: num) y: num = begin y = x; end\n"
+	for _, c := range []struct {
+		name  string
+		limit int
+		expr  func(n int) string
+	}{
+		{"chain", maxDepth - 1, func(n int) string { return "a" + strings.Repeat(" + a", n) }},
+		{"unary", maxDepth - 1, func(n int) string { return strings.Repeat("- ", n) + "a" }},
+		{"conditionals", maxDepth - 1, func(n int) string { return strings.Repeat("if g -> ", n) + "a" + strings.Repeat(" || a fi", n) }},
+		{"calls", maxDepth - 1, func(n int) string { return strings.Repeat("id(", n) + "a" + strings.Repeat(")", n) }},
+		{"parentheses", 2 * maxDepth, func(n int) string { return strings.Repeat("(", n) + "a" + strings.Repeat(")", n) }},
+	} {
+		src := func(n int) string {
+			return id + "func f(a: num, g: bool) o: num = begin o = " + c.expr(n) + "; end"
+		}
+		if _, err := Compile(src(c.limit)); err != nil {
+			t.Errorf("%s at the bound: %v", c.name, err)
+		}
+		funcs, err := ParseFile(src(c.limit))
+		if err != nil {
+			t.Fatalf("%s at the bound: %v", c.name, err)
+		}
+		if _, err := Parse(funcs[1].String()); err != nil {
+			t.Errorf("%s at the bound: printed form does not parse: %v", c.name, err)
+		}
+		for _, n := range []int{c.limit + 1, 100_000} {
+			_, err := Compile(src(n))
+			var perr *Error
+			if !errors.As(err, &perr) || perr.Pos.Line != 2 || !strings.Contains(perr.Msg, "nested deeper than") {
+				t.Errorf("%s %d deep: err = %v, want a depth error on line 2", c.name, n, err)
+			}
+		}
 	}
 }
 
