@@ -207,36 +207,45 @@ func AnalyzeExact(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	}
 	clear(counts)
 	copy(selVal, lanePattern[:])
-	lo := 0
+	node, guard := 0, 0
 	for _, grp := range c.groups {
-		// laneMask keeps only the populated lanes when the group has
-		// fewer than 64 joint outcomes (k_g < 6).
-		laneMask, blocks := ^uint64(0), 1
-		if grp.k < 6 {
-			laneMask = 1<<(1<<uint(grp.k)) - 1
-		} else {
-			blocks = 1 << uint(grp.k-6)
-		}
-		for b := 0; b < blocks; b++ {
-			for i := 6; i < grp.k; i++ {
-				if b>>(uint(i)-6)&1 == 1 {
-					selVal[i] = ^uint64(0)
-				} else {
-					selVal[i] = 0
-				}
-			}
-			for i := lo; i < grp.end; i++ {
-				w := laneMask
-				for _, gd := range c.guardsOf(i) {
-					w &= execW[gd.sel] & (selVal[gd.selIdx] ^ gd.invert)
-				}
-				execW[c.guarded[i]] = w
-				counts[i] += int64(bits.OnesCount64(w))
-			}
-		}
-		lo = grp.end
+		countGroup(grp.k, c.list[guard:grp.guards], execW, selVal, counts[node:grp.nodes])
+		node, guard = grp.nodes, grp.guards
 	}
 	return c.activity(n, 0, counts), true
+}
+
+// countGroup walks the 2^k outcomes of one group of k selects, 64 to a
+// block. list holds the group's compiled guards, each guarded node's in
+// one run whose last guard names the node; counts[i] gathers the outcomes
+// under which the group's i-th guarded node executes.
+func countGroup(k int, list []wGuard, execW, selVal []uint64, counts []int64) {
+	// laneMask keeps only the populated lanes when the group has fewer
+	// than 64 joint outcomes (k < 6).
+	laneMask, blocks := ^uint64(0), 1
+	if k < 6 {
+		laneMask = 1<<(1<<uint(k)) - 1
+	} else {
+		blocks = 1 << uint(k-6)
+	}
+	for b := 0; b < blocks; b++ {
+		for i := 6; i < k; i++ {
+			if b>>(uint(i)-6)&1 == 1 {
+				selVal[i] = ^uint64(0)
+			} else {
+				selVal[i] = 0
+			}
+		}
+		w, i := laneMask, 0
+		for _, gd := range list {
+			w &= execW[gd.sel] & (selVal[gd.selIdx] ^ gd.invert)
+			if gd.node >= 0 {
+				execW[gd.node] = w
+				counts[i] += int64(bits.OnesCount64(w))
+				w, i = laneMask, i+1
+			}
+		}
+	}
 }
 
 // wGuard is one compiled gating condition of the word-parallel evaluator:
@@ -250,12 +259,15 @@ type wGuard struct {
 	// invert is all-1s when the guard wants select=0 (the select value
 	// word is XOR-flipped before masking), 0 when it wants select=1.
 	invert uint64
+	// node is the guarded node on its last guard, -1 on the others.
+	node cdfg.NodeID
 }
 
-// walkGroup is one independent group of selects in a compiled walk: the
-// guarded nodes guarded[start:end], where start is the previous group's
-// end, and the number k of selects they are guarded on.
-type walkGroup struct{ end, k int }
+// walkGroup is one independent group of selects in a compiled walk: its
+// guarded nodes end at index nodes of guarded and its guards at index
+// guards of list, each range starting where the previous group's ends,
+// and k is the number of selects they are guarded on.
+type walkGroup struct{ nodes, guards, k int }
 
 // Walk states of a node in compile's depth-first walk over the guards.
 const (
@@ -277,10 +289,9 @@ type exactWalk struct {
 	// or 0 for a node that selects nothing.
 	selIdx []int
 	// guarded lists the guarded nodes group by group, each guarded select
-	// before the nodes guarded on it; node guarded[i]'s guards are
-	// list[off[i]:off[i+1]].
+	// before the nodes guarded on it, and list their guards in the same
+	// order.
 	guarded []cdfg.NodeID
-	off     []int
 	list    []wGuard
 	groups  []walkGroup
 
@@ -318,25 +329,28 @@ func (c *exactWalk) compile(guards sim.Guards, n int) (k int, ok bool) {
 		}
 	}
 	slices.SortStableFunc(c.guarded, func(a, b cdfg.NodeID) int { return int(c.find(a) - c.find(b)) })
-	c.groups, c.off, c.list = c.groups[:0], append(c.off[:0], 0), c.list[:0]
+	c.groups, c.list = c.groups[:0], c.list[:0]
 	for i, id := range c.guarded {
 		if i == 0 || c.find(id) != c.find(c.guarded[i-1]) {
 			c.groups = append(c.groups, walkGroup{})
 		}
 		grp := &c.groups[len(c.groups)-1]
-		grp.end = i + 1
-		for _, gd := range guards[id] {
+		gl := guards[id]
+		for j, gd := range gl {
 			if c.selIdx[gd.Sel] == 0 {
 				k, grp.k = k+1, grp.k+1
 				c.selIdx[gd.Sel] = grp.k
 			}
-			inv := ^uint64(0)
+			w := wGuard{sel: gd.Sel, selIdx: c.selIdx[gd.Sel] - 1, invert: ^uint64(0), node: -1}
 			if gd.WhenTrue {
-				inv = 0
+				w.invert = 0
 			}
-			c.list = append(c.list, wGuard{sel: gd.Sel, selIdx: c.selIdx[gd.Sel] - 1, invert: inv})
+			if j == len(gl)-1 {
+				w.node = id
+			}
+			c.list = append(c.list, w)
 		}
-		c.off = append(c.off, len(c.list))
+		grp.nodes, grp.guards = i+1, len(c.list)
 	}
 	return k, true
 }
@@ -370,9 +384,6 @@ func (c *exactWalk) visit(guards sim.Guards, id cdfg.NodeID) bool {
 	return true
 }
 
-// guardsOf returns the compiled guards of guarded[i].
-func (c *exactWalk) guardsOf(i int) []wGuard { return c.list[c.off[i]:c.off[i+1]] }
-
 // activity turns the per-guarded-node outcome counts of a walk into the
 // probabilities of an n-node graph, 1 for every unguarded node. Each
 // count was taken over 2^k outcomes or, when k is 0, over the 2^k_g
@@ -385,10 +396,10 @@ func (c *exactWalk) activity(n, k int, counts []int64) Activity {
 	lo := 0
 	for _, grp := range c.groups {
 		total := int64(1) << uint(max(k, grp.k))
-		for i := lo; i < grp.end; i++ {
+		for i := lo; i < grp.nodes; i++ {
 			prob[c.guarded[i]] = float64(counts[i]) / float64(total)
 		}
-		lo = grp.end
+		lo = grp.nodes
 	}
 	return Activity{Prob: prob}
 }
@@ -420,26 +431,24 @@ func analyzeExactScalar(g *cdfg.Graph, guards sim.Guards) (Activity, bool) {
 	}
 	total := int64(1) << uint(k)
 	for v := int64(0); v < total; v++ {
-		lo, base := 0, 0
+		lo, base, i := 0, 0, 0
 		for _, grp := range c.groups {
-			for i := lo; i < grp.end; i++ {
-				e := true
-				for _, gd := range c.guardsOf(i) {
-					want := int64(0)
-					if gd.invert == 0 {
-						want = 1
-					}
-					if !exec[gd.sel] || v>>uint(base+gd.selIdx)&1 != want {
-						e = false
-						break
-					}
+			e := true
+			for _, gd := range c.list[lo:grp.guards] {
+				want := int64(0)
+				if gd.invert == 0 {
+					want = 1
 				}
-				exec[c.guarded[i]] = e
-				if e {
-					counts[i]++
+				e = e && exec[gd.sel] && v>>uint(base+gd.selIdx)&1 == want
+				if gd.node >= 0 {
+					exec[gd.node] = e
+					if e {
+						counts[i]++
+					}
+					e, i = true, i+1
 				}
 			}
-			lo, base = grp.end, base+grp.k
+			lo, base = grp.guards, base+grp.k
 		}
 	}
 	return c.activity(n, k, counts), true
