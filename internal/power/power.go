@@ -172,7 +172,7 @@ var lanePattern = [6]uint64{
 // The order the guarded nodes are visited in is read from the guards
 // alone, each guarded select before the nodes guarded on it, so the
 // graph's edges play no part. A guard map whose selects guard one another
-// in a cycle has no such order and yields (Ungated(g), false).
+// in a cycle has no such order and yields (Ungated(g), false) at any k.
 //
 // When k, counted over the whole map, exceeds MaxExactSelects the
 // function falls back to the independence approximation (Independent)
