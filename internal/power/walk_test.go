@@ -195,6 +195,9 @@ func TestAnalyzeExactAllocations(t *testing.T) {
 	cfg.Ops = 20
 	var control *pmsynth.Synthesis
 	for seed := int64(1); control == nil; seed++ {
+		if seed > 200 {
+			t.Fatal("no sweep-control design with more than 6 selects in 200 seeds")
+		}
 		src := gen.Source(seed, cfg)
 		if strings.Count(src, "(if ") > 26 {
 			continue
