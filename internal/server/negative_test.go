@@ -277,34 +277,6 @@ func TestGarbageBarrage(t *testing.T) {
 	}
 }
 
-// FuzzSynthesizeHandler fuzzes the synthesize endpoint at the handler
-// level (no network): any body must produce a well-formed JSON response
-// with a sane status, and the handler must never panic.
-func FuzzSynthesizeHandler(f *testing.F) {
-	f.Add([]byte(`{"source":"func f(a: num) o: num = begin o = a + 1; end","options":{"budget":1}}`))
-	f.Add([]byte(`{"source":"func f(a: num) o: num = begin o = a + 1; end","emit":["vhdl","verilog"]}`))
-	f.Add([]byte(`{"source":""}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`{"source":"x","options":{"budget":1048577}}`))
-	s, err := server.New(server.Config{})
-	if err != nil {
-		f.Fatalf("server.New: %v", err)
-	}
-	f.Cleanup(s.Close)
-	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code >= 500) {
-			t.Fatalf("status %d for body %q", rec.Code, body)
-		}
-		if !json.Valid(rec.Body.Bytes()) {
-			t.Fatalf("non-JSON response %q for body %q", rec.Body.Bytes(), body)
-		}
-	})
-}
-
 // TestBadObjectiveRejected: the best view validates its objective name.
 func TestBadObjectiveRejected(t *testing.T) {
 	s, err := server.New(server.Config{JobWorkers: 1})
