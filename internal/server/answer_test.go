@@ -15,6 +15,7 @@ import (
 	"repro"
 	"repro/client"
 	"repro/internal/bench"
+	"repro/internal/telemetry"
 )
 
 // checkAnswer decodes a 200 synthesize body, requires it to equal the
@@ -149,3 +150,66 @@ func TestSynthesizeAnswerBytes(t *testing.T) {
 		t.Errorf("store hits = %d, want %d", st.Hits, len(reqs))
 	}
 }
+
+// BenchmarkSynthesizeAnswer times the 200 write of a finished synthesize
+// job into a ResponseWriter that keeps nothing: cordic at its critical
+// path with VHDL and Verilog (150 KB of RTL), and dealer with no RTL.
+func BenchmarkSynthesizeAnswer(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		c    *bench.Circuit
+		emit rtl
+	}{
+		{"cordic/vhdl+verilog", bench.Cordic(), rtl{vhdl: true, verilog: true}},
+		{"dealer/none", bench.Dealer(), rtl{}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			res := finishedAnswer(b, bc.c, bc.emit)
+			w := discardWriter{make(http.Header)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				writeSynthesizeResult(w, res)
+			}
+		})
+	}
+}
+
+// finishedAnswer is the answer the handler renders for c at its critical
+// path from a finished job, which holds what a restore of its stored
+// bytes would.
+func finishedAnswer(b *testing.B, c *bench.Circuit, emit rtl) client.SynthesizeResult {
+	cp, err := pmsynth.CriticalPath(c.Design)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sr, err := pmsynth.Sweep(c.Design, pmsynth.SweepSpec{Budgets: []int{cp}, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := encodeSweepResult(sr, emit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := decodeSweepResult(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return client.SynthesizeResult{
+		Fingerprint: pmsynth.Fingerprint(c.Source, pmsynth.Options{Budget: cp}),
+		Cached:      true,
+		Trace:       telemetry.NewTraceID(),
+		Row:         client.Row(fs.sr.Points[0].Row),
+		VHDL:        fs.vhdl,
+		Verilog:     fs.verilog,
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing of the body. Like
+// net/http's, it is an io.StringWriter.
+type discardWriter struct{ header http.Header }
+
+func (d discardWriter) Header() http.Header               { return d.header }
+func (d discardWriter) Write(p []byte) (int, error)       { return len(p), nil }
+func (d discardWriter) WriteString(s string) (int, error) { return len(s), nil }
+func (d discardWriter) WriteHeader(int)                   {}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -217,6 +218,51 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc.Encode(v)
 }
 
+// writeSynthesizeResult writes res as the 200 answer of POST
+// /v1/synthesize: the bytes writeJSON writes for it, in two parts. The
+// head, every member but the RTL, goes through the indenting encoder. Each
+// RTL member follows as encoding/json quotes it, with no indenter, which
+// only inserts whitespace between tokens and so leaves a quoted string as
+// it is; the RTL is nearly all of an answer that carries it.
+func writeSynthesizeResult(w http.ResponseWriter, res client.SynthesizeResult) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	members := [...]struct{ key, text string }{
+		{",\n  \"vhdl\": ", res.VHDL},
+		{",\n  \"verilog\": ", res.Verilog},
+	}
+	res.VHDL, res.Verilog = "", "" // omitempty leaves them out of the head
+	tw := &trimWriter{w: w, n: len("\n}\n")}
+	enc := json.NewEncoder(tw)
+	enc.SetIndent("", "  ")
+	if enc.Encode(res) != nil {
+		return
+	}
+	enc.SetIndent("", "")
+	tw.n = len("\n")
+	for _, m := range members {
+		if m.text != "" {
+			io.WriteString(w, m.key)
+			enc.Encode(m.text)
+		}
+	}
+	io.WriteString(w, "\n}\n")
+}
+
+// trimWriter writes all but the last n bytes of each Write: the end with
+// which json.Encoder closes a value, where the answer goes on.
+type trimWriter struct {
+	w io.Writer
+	n int
+}
+
+func (t *trimWriter) Write(p []byte) (int, error) {
+	if _, err := t.w.Write(p[:len(p)-t.n]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
 // writeError writes the uniform error body.
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
@@ -321,7 +367,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	case fs.sr.Points[0].Err != nil:
 		writeError(w, http.StatusUnprocessableEntity, "synthesize: %v", fs.sr.Points[0].Err)
 	default:
-		writeJSON(w, http.StatusOK, client.SynthesizeResult{
+		writeSynthesizeResult(w, client.SynthesizeResult{
 			Fingerprint: pmsynth.Fingerprint(req.Source, opt),
 			Cached:      out.status == http.StatusOK,
 			Trace:       telemetry.TraceFrom(r.Context()).ID(),
