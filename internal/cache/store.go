@@ -149,6 +149,12 @@ type Store struct {
 	lastStamp int64               // of the newest own segment's name
 	closed    bool
 
+	// The old layout's removal, when OpenStore found shard directories:
+	// Close closes cleanStop to stop it, and it closes cleanDone when it
+	// returns. Both are nil when it never started.
+	cleanStop, cleanDone chan struct{}
+	cleanOnce            sync.Once
+
 	hits      atomic.Int64
 	misses    atomic.Int64
 	puts      atomic.Int64
@@ -161,8 +167,17 @@ type Store struct {
 // dir, bounded to maxBytes on disk (<= 0 means unbounded). It indexes the
 // segments already in the directory by reading their record headers, and
 // GCs immediately if they exceed the bound. It creates no file: the first
-// Put creates the Store's segment.
+// Put creates the Store's segment. When the directory holds the shard
+// directories of the one-file-per-entry layout, their removal goes on in
+// the background after OpenStore returns, until it ends or Close stops it.
 func OpenStore(dir string, maxBytes int64) (*Store, error) {
+	return openStore(dir, maxBytes, nil)
+}
+
+// openStore is OpenStore with a hook the old layout's removal calls, when
+// non-nil, before each file it unlinks, passing the channel Close closes
+// to stop it. Tests hold the removal back with it.
+func openStore(dir string, maxBytes int64, hook func(stop <-chan struct{})) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cache: store dir is empty")
 	}
@@ -184,30 +199,58 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	ents, err := s.listLocked()
 	if err == nil {
 		s.indexLocked(ents)
-		removeOldLayout(dir, ents)
 	}
 	s.scanMu.Unlock()
 	if err != nil {
 		s.Close()
 		return nil, fmt.Errorf("cache: store scan: %w", err)
 	}
+	if shards := oldShards(ents); len(shards) > 0 {
+		s.cleanStop, s.cleanDone = make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(s.cleanDone)
+			removeOldLayout(dir, shards, s.cleanStop, hook)
+		}()
+	}
 	s.GC()
 	return s, nil
 }
 
-// removeOldLayout deletes what the one-file-per-entry layout left in a
-// store directory upgraded in place: the .pmr entry files in its
-// two-hex-digit shard directories, then each shard they emptied. This
-// store never serves them, and left in place they would hold disk that
-// maxBytes does not count. It reads the listing OpenStore already made,
-// so a directory without shards costs no system call. Another Store
-// opening the directory at the same time may remove a file or shard
-// first; anything else in a shard, and so the shard, stays.
-func removeOldLayout(dir string, ents []os.DirEntry) {
+// oldShards returns the two-hex-digit shard directories of the
+// one-file-per-entry layout in the listing ents, which OpenStore already
+// made, so a directory without shards costs no system call.
+func oldShards(ents []os.DirEntry) []string {
+	var shards []string
 	for _, e := range ents {
 		name := e.Name()
-		if !e.IsDir() || len(name) != 2 || !isLowerHex(name[0]) || !isLowerHex(name[1]) {
-			continue
+		if e.IsDir() && len(name) == 2 && isLowerHex(name[0]) && isLowerHex(name[1]) {
+			shards = append(shards, name)
+		}
+	}
+	return shards
+}
+
+// removeOldLayout deletes what the one-file-per-entry layout left in a
+// store directory upgraded in place: the .pmr entry files in its shard
+// directories, then each shard they emptied. This store never serves
+// them, and left in place they would hold disk that maxBytes does not
+// count. A full store holds hundreds of thousands of them, so it runs
+// beside the serving store and returns between two files once stop is
+// closed; the next OpenStore finishes the job. Another Store opening the
+// directory at the same time may remove a file or shard first; anything
+// else in a shard, and so the shard, stays.
+func removeOldLayout(dir string, shards []string, stop <-chan struct{}, hook func(stop <-chan struct{})) {
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, name := range shards {
+		if stopped() {
+			return
 		}
 		shard := filepath.Join(dir, name)
 		files, err := os.ReadDir(shard)
@@ -215,12 +258,19 @@ func removeOldLayout(dir string, ents []os.DirEntry) {
 			continue // gone already, or unreadable: left as it is
 		}
 		for _, f := range files {
-			if f.Type().IsRegular() && strings.HasSuffix(f.Name(), oldEntrySuffix) {
-				// Best effort, like the shard below: ENOENT means another
-				// Store removed it first, and any other error leaves a
-				// file this store ignores anyway.
-				_ = os.Remove(filepath.Join(shard, f.Name()))
+			if !f.Type().IsRegular() || !strings.HasSuffix(f.Name(), oldEntrySuffix) {
+				continue
 			}
+			if hook != nil {
+				hook(stop)
+			}
+			if stopped() {
+				return
+			}
+			// Best effort, like the shard below: ENOENT means another
+			// Store removed it first, and any other error leaves a file
+			// this store ignores anyway.
+			_ = os.Remove(filepath.Join(shard, f.Name()))
 		}
 		// Fails, keeping the shard, while anything else is in it.
 		_ = os.Remove(shard)
@@ -235,10 +285,15 @@ func isLowerHex(c byte) bool { return (c >= '0' && c <= '9') || (c >= 'a' && c <
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close seals the Store's active segment, releasing its writer's lock so
-// other Stores may evict it, and closes every segment file. After Close
-// every Get misses and every Put fails.
+// Close stops the old layout's removal and waits for it, seals the
+// Store's active segment, releasing its writer's lock so other Stores may
+// evict it, and closes every segment file. After Close every Get misses
+// and every Put fails.
 func (s *Store) Close() error {
+	if s.cleanDone != nil {
+		s.cleanOnce.Do(func() { close(s.cleanStop) })
+		<-s.cleanDone
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.active != nil {

@@ -416,11 +416,19 @@ func TestStoreOpenEmptyDirErrors(t *testing.T) {
 	}
 }
 
+// waitOldLayout waits until s has finished removing the old layout, if
+// its OpenStore started to.
+func waitOldLayout(s *Store) {
+	if s.cleanDone != nil {
+		<-s.cleanDone
+	}
+}
+
 // TestStoreIgnoresForeignFiles: files that are not segments read as empty
 // and survive the store's GC. The one exception is the one-file-per-entry
 // layout's .pmr files in two-hex-digit shard directories, which OpenStore
-// deletes, with each shard they leave empty; a shard holding anything
-// else keeps it.
+// has deleted in the background, with each shard they leave empty; a
+// shard holding anything else keeps it.
 func TestStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	for _, d := range []string{"ab", "cd"} {
@@ -445,6 +453,7 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if _, ok := s.Get("old"); ok {
 		t.Fatal("an entry outside any segment was served")
 	}
+	waitOldLayout(s)
 	for _, p := range append(old, filepath.Join(dir, "ab")) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("old layout's %s not removed: %v", p, err)
@@ -496,10 +505,84 @@ func TestStoreConcurrentOpensRemoveOldLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
+		waitOldLayout(stores[i])
 		stores[i].Close()
 	}
 	if files, subdirs := dirFiles(t, dir); len(files) != 0 || subdirs != 0 {
 		t.Fatalf("old layout left behind: %d files, %d shards", len(files), subdirs)
+	}
+}
+
+// TestStoreRemovesOldLayoutInTheBackground: OpenStore returns, and its
+// store serves, while the old layout's removal is held back; Close stops
+// the removal between two files and waits for it; the next open finishes
+// it.
+func TestStoreRemovesOldLayoutInTheBackground(t *testing.T) {
+	dir := t.TempDir()
+	var old []string
+	for _, shard := range []string{"0a", "0b"} {
+		if err := os.Mkdir(filepath.Join(dir, shard), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 3; j++ {
+			p := filepath.Join(dir, shard, fmt.Sprintf("%s%02x.pmr", shard, j))
+			if err := os.WriteFile(p, []byte("old"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			old = append(old, p)
+		}
+	}
+	held := make(chan struct{})
+	calls := 0 // only the removal touches it until Close has waited for it
+	s, err := openStore(dir, 0, func(stop <-chan struct{}) {
+		calls++
+		if calls == 2 {
+			close(held)
+			<-stop
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held // one file is gone, and the removal waits before the next
+	if err := s.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("k"); !ok || string(got) != "v" {
+		t.Fatalf("Get while the removal is held = %q, %v", got, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.cleanDone:
+	default:
+		t.Fatal("the old layout's removal still runs after Close")
+	}
+	if calls != 2 {
+		t.Fatalf("the removal went on after Close stopped it: %d hook calls, want 2", calls)
+	}
+	left := 0
+	for _, p := range old {
+		if _, err := os.Stat(p); err == nil {
+			left++
+		}
+	}
+	if left != len(old)-1 {
+		t.Fatalf("%d old files left after Close, want %d", left, len(old)-1)
+	}
+
+	s2, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	waitOldLayout(s2)
+	if files, subdirs := dirFiles(t, dir); len(files) != 1 || subdirs != 0 {
+		t.Fatalf("after a second open: %d files (want the segment alone), %d shards", len(files), subdirs)
+	}
+	if got, ok := s2.Get("k"); !ok || string(got) != "v" {
+		t.Fatalf("reopened Get = %q, %v", got, ok)
 	}
 }
 
