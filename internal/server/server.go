@@ -236,17 +236,19 @@ func writeSynthesizeResult(w http.ResponseWriter, res client.SynthesizeResult) {
 	enc := json.NewEncoder(tw)
 	enc.SetIndent("", "  ")
 	if enc.Encode(res) != nil {
-		return
+		return // writeJSON writes nothing either
 	}
+	// With the status sent, a failed write below has no one to report
+	// to: the client is gone, and the writes after it fail too.
 	enc.SetIndent("", "")
 	tw.n = len("\n")
 	for _, m := range members {
 		if m.text != "" {
-			io.WriteString(w, m.key)
-			enc.Encode(m.text)
+			_, _ = io.WriteString(w, m.key)
+			_ = enc.Encode(m.text)
 		}
 	}
-	io.WriteString(w, "\n}\n")
+	_, _ = io.WriteString(w, "\n}\n")
 }
 
 // trimWriter writes all but the last n bytes of each Write: the end with
