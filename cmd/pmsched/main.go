@@ -28,6 +28,10 @@ import (
 	"repro/internal/cdfg"
 )
 
+// verifyVectors is how many random vectors every single run checks the
+// gated schedule against the reference on.
+const verifyVectors = 200
+
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "pmsched: "+format+"\n", args...)
 	os.Exit(1)
@@ -75,14 +79,11 @@ func main() {
 	dotPath := flag.String("dot", "", "write the scheduled CDFG in Graphviz format")
 	explain := flag.Bool("explain", false, "report per-mux power management verdicts")
 	optimalCmp := flag.Bool("optimal", false, "compare against the exact minimum-power schedule (branch and bound)")
-	optExp := flag.Int("optexp", 0, "expansion cap for -optimal (0 = solver default)")
 	gates := flag.Bool("gates", false, "measure gate-level power (PM vs traditional)")
 	vcdPath := flag.String("vcd", "", "dump gate-level waveforms (VCD) to this file")
 	samples := flag.Int("samples", 100, "random vectors for -gates")
-	verify := flag.Int("verify", 200, "random vectors for output-equivalence check (0 disables)")
 	sweep := flag.String("sweep", "", "budget sweep range lo:hi — evaluate every budget concurrently")
 	pareto := flag.Bool("pareto", false, "with -sweep, report the Pareto-optimal points and the best configuration")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	dumpSource := flag.Bool("dump-source", false, "print the design's Silage source and exit (for feeding builtins to pmsynthd)")
 	flag.Parse()
 
@@ -128,8 +129,8 @@ func main() {
 
 	if *sweep == "" {
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "pareto" || f.Name == "workers" {
-				fail("-%s requires -sweep", f.Name)
+			if f.Name == "pareto" {
+				fail("-pareto requires -sweep")
 			}
 		})
 	} else {
@@ -138,7 +139,7 @@ func main() {
 		incompatible := map[string]bool{
 			"steps": true, "gates": true, "samples": true, "vcd": true,
 			"vhdl": true, "verilog": true, "dot": true, "explain": true,
-			"verify": true, "optimal": true, "optexp": true,
+			"optimal": true,
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if incompatible[f.Name] {
@@ -151,9 +152,8 @@ func main() {
 		}
 		spec := pmsynth.SweepSpec{
 			BudgetMin: lo, BudgetMax: hi,
-			IIs:     []int{*ii},
-			Orders:  []pmsynth.Order{order},
-			Workers: *workers,
+			IIs:    []int{*ii},
+			Orders: []pmsynth.Order{order},
 		}
 		res, err := pmsynth.Sweep(design, spec)
 		if err != nil {
@@ -204,7 +204,7 @@ func main() {
 	fmt.Println(syn.Row())
 
 	if *optimalCmp {
-		opt, err := syn.Optimal(*optExp)
+		opt, err := syn.Optimal(0) // the solver's default expansion cap
 		if err != nil {
 			fail("optimal: %v", err)
 		}
@@ -234,12 +234,10 @@ func main() {
 		fmt.Print(text)
 	}
 
-	if *verify > 0 {
-		if err := syn.Verify(*verify, 12345); err != nil {
-			fail("verification FAILED: %v", err)
-		}
-		fmt.Printf("verified: gated schedule matches reference on %d random vectors\n", *verify)
+	if err := syn.Verify(verifyVectors, 12345); err != nil {
+		fail("verification FAILED: %v", err)
 	}
+	fmt.Printf("verified: gated schedule matches reference on %d random vectors\n", verifyVectors)
 
 	if *vhdlPath != "" {
 		text, err := syn.VHDL()

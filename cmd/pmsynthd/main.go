@@ -27,12 +27,16 @@
 // same executor — and job ids become cluster-routable ("<node>~<id>",
 // resolvable at any node). See DESIGN.md ("Cluster").
 //
-// Logging is structured (log/slog) on stderr: one access-log line per
-// request and one lifecycle line per job transition, each carrying the
-// telemetry trace id, at -log-level (debug|info|warn|error) in
-// -log-format (json|text). With -debug-addr set, a second listener
-// serves net/http/pprof under /debug/pprof/ — kept off the API address
-// so profiling endpoints are never exposed where the API is.
+// Logging is structured (log/slog) on stderr, at -log-level
+// (debug|info|warn|error) in -log-format (json|text). At info the daemon
+// logs its own start and shutdown, and warns when a cluster proxy call
+// fails; debug adds one access-log line per request, carrying the
+// telemetry trace id. A job's lifecycle is its event stream
+// (/v1/jobs/{id}/events), not a log line.
+//
+// With -debug-addr set, a second listener serves net/http/pprof under
+// /debug/pprof/ — kept off the API address so profiling endpoints are
+// never exposed where the API is.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener stops
 // accepting, in-flight requests drain (bounded by -drain), and running

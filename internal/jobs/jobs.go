@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +57,6 @@ type Job struct {
 	ring      []client.Event
 	ringStart int
 	term      *client.Event
-	coalesced int64
 	nextSeq   int64
 	notify    chan struct{} // closed and replaced on every append
 	cancel    context.CancelFunc
@@ -124,18 +122,6 @@ func (j *Job) EventsSince(seq int64) (events []client.Event, more <-chan struct{
 	return events, j.notify, j.state.Terminal()
 }
 
-// EventCount reports how many events are retained and how many progress
-// ticks were coalesced out of the bounded ring.
-func (j *Job) EventCount() (retained int, coalesced int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	retained = len(j.pre) + len(j.ring)
-	if j.term != nil {
-		retained++
-	}
-	return retained, j.coalesced
-}
-
 // append records an event under j.mu and wakes streamers. Progress events
 // go to the bounded ring, overwriting the oldest retained tick once full;
 // lifecycle events are always retained.
@@ -155,7 +141,6 @@ func (j *Job) append(typ string, now time.Time) {
 		} else {
 			j.ring[j.ringStart] = ev
 			j.ringStart = (j.ringStart + 1) % len(j.ring)
-			j.coalesced++
 		}
 	case "created", "started":
 		j.pre = append(j.pre, ev)
@@ -192,8 +177,7 @@ type Manager struct {
 	jobs  map[string]*Job
 	byKey map[string]*Job // dedup key -> the latest job committed under it
 	ttl   time.Duration
-	node  string       // id prefix of every job; "" single-node
-	log   *slog.Logger // nil disables lifecycle logging
+	node  string // id prefix of every job; "" single-node
 	//pmlint:allow spanpair the manager's base context is the worker pool's shutdown root, canceled exactly once by Close
 	base        context.Context
 	stop        context.CancelFunc
@@ -221,7 +205,9 @@ type Manager struct {
 	running atomic.Int64
 }
 
-// Config parameterizes a Manager.
+// Config parameterizes a Manager. The manager writes no log: a job's
+// event log and its snapshot's stamps are its lifecycle record, and the
+// serving layer times it with its own spans.
 type Config struct {
 	// Workers is the fixed worker-pool size — how many jobs run
 	// concurrently; <= 0 means 1.
@@ -233,10 +219,6 @@ type Config struct {
 	// The janitor collects expired jobs, with their keys, every TTL/4
 	// (at least every second).
 	TTL time.Duration
-	// Logger, when non-nil, receives structured job lifecycle events
-	// (started, succeeded, failed, canceled) carrying job, name and
-	// trace ids. Nil disables lifecycle logging entirely.
-	Logger *slog.Logger
 	// Node, when non-empty, namespaces every job id as "<node>~<id>" —
 	// the cluster-routable form: any node can resolve the prefix to the
 	// node that owns the job — and stamps JobInfo.Node. Empty (single-node)
@@ -264,7 +246,6 @@ func NewManager(cfg Config) *Manager {
 		wake:        make(chan struct{}, 1),
 		ttl:         cfg.TTL,
 		node:        cfg.Node,
-		log:         cfg.Logger,
 		base:        base,
 		stop:        stop,
 		janitorDone: make(chan struct{}),
@@ -483,13 +464,7 @@ func (m *Manager) run(j *Job) {
 	m.running.Add(1)
 	j.append("started", j.started)
 	ctx, fn := j.ctx, j.fn
-	wait := j.started.Sub(j.created)
 	j.mu.Unlock()
-	if m.log != nil {
-		m.log.Info("job started",
-			"job", j.id, "name", j.name, "trace", j.trace,
-			"queue_wait", wait)
-	}
 
 	val, err := fn(ctx, j.progress)
 	if err == nil && ctx.Err() != nil {
@@ -508,12 +483,6 @@ func (m *Manager) finish(j *Job, val interface{}, err error) {
 // no-op unless the job is still queued — that is how Cancel finalizes a
 // pending job promptly without racing a worker that just started it.
 func (m *Manager) finalize(j *Job, val interface{}, err error, onlyPending bool) {
-	var logEvent func()
-	defer func() {
-		if logEvent != nil {
-			logEvent() // after j.mu is released
-		}
-	}()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || (onlyPending && j.state != client.StatePending) {
@@ -545,21 +514,6 @@ func (m *Manager) finalize(j *Job, val interface{}, err error, onlyPending bool)
 	}
 	j.append(string(j.state), j.finished)
 	m.completed.Add(1)
-	if m.log != nil {
-		state, errStr := j.state, ""
-		if j.err != nil {
-			errStr = j.err.Error()
-		}
-		var elapsed time.Duration
-		if !j.started.IsZero() {
-			elapsed = j.finished.Sub(j.started)
-		}
-		logEvent = func() {
-			m.log.Info("job finished",
-				"job", j.id, "name", j.name, "trace", j.trace,
-				"state", string(state), "elapsed", elapsed, "err", errStr)
-		}
-	}
 }
 
 // Get returns the job with the given id.

@@ -367,21 +367,19 @@ func TestEventLogBounded(t *testing.T) {
 	})
 	waitTerminal(t, j)
 
-	retained, coalesced := j.EventCount()
-	// created + started + tail progress events + terminal.
-	if want := tail + 3; retained != want {
-		t.Fatalf("retained %d events after %d ticks, want %d", retained, ticks, want)
-	}
-	if coalesced != ticks-tail {
-		t.Fatalf("coalesced = %d, want %d", coalesced, ticks-tail)
-	}
-
 	events, _, done := j.EventsSince(0)
 	if !done {
 		t.Fatal("terminal job reported incomplete log")
 	}
-	if len(events) != retained {
-		t.Fatalf("EventsSince(0) returned %d events, retained %d", len(events), retained)
+	// created + started + tail progress events + terminal.
+	if want := tail + 3; len(events) != want {
+		t.Fatalf("retained %d events after %d ticks, want %d", len(events), ticks, want)
+	}
+	// Every event ever appended took a Seq, so the terminal event's Seq
+	// (ticks + 3) less the retained count is the number of ticks dropped.
+	if term := events[len(events)-1]; term.Seq != ticks+3 || term.Seq-int64(len(events)) != ticks-tail {
+		t.Fatalf("terminal seq %d with %d retained: dropped %d ticks, want seq %d and %d dropped",
+			term.Seq, len(events), term.Seq-int64(len(events)), ticks+3, ticks-tail)
 	}
 	lastSeq, lastDone := int64(0), -1
 	for _, ev := range events {

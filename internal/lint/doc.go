@@ -9,8 +9,8 @@
 //     the global math/rand source — the byte-identical-sweep and
 //     fingerprint-stability contracts, per commit instead of per seed.
 //   - lockscope: the serving-layer packages must not run
-//     compile/enumerate/synthesis entry points, disk I/O, or any dynamic
-//     (client-controlled) call while a sync mutex is held — the
+//     compile/enumerate/synthesis entry points, disk I/O, a log write or
+//     any dynamic (client-controlled) call while a sync mutex is held — the
 //     admission-pipeline invariant, statically.
 //   - spanpair: telemetry.StartSpan needs a matching End on every path,
 //     context.Context parameters come first, and contexts do not live in

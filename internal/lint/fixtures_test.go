@@ -24,7 +24,7 @@ import (
 // shared loader so the standard library is type-checked a single time
 // per test process.
 var fixturePackages = []string{
-	"determfix", "lockwork", "lockstore", "lockfix", "faketel", "spanfix", "dirfix",
+	"determfix", "lockwork", "lockstore", "lockfix", "locklog", "faketel", "spanfix", "dirfix",
 }
 
 var sharedLoader struct {

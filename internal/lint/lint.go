@@ -98,6 +98,7 @@ func DefaultConfig(modPath string) Config {
 			modPath + "/internal/cache.Store.GetCtx", //
 			modPath + "/internal/cache.Store.Put",    //
 			modPath + "/internal/cache.Store.PutCtx", //
+			"log/slog.*",                             // a log write can block on a full stderr pipe
 		},
 		TelemetryPackage: modPath + "/internal/telemetry",
 	}

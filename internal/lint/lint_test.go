@@ -62,6 +62,7 @@ func TestDefaultConfig(t *testing.T) {
 	mustContain(cfg.LockScopePackages, "m/internal/jobs")
 	mustContain(cfg.ForbiddenUnderLock, "m.*")
 	mustContain(cfg.ForbiddenUnderLock, "m/internal/cache.Store.Put")
+	mustContain(cfg.ForbiddenUnderLock, "log/slog.*")
 	if cfg.TelemetryPackage != "m/internal/telemetry" {
 		t.Errorf("TelemetryPackage = %q", cfg.TelemetryPackage)
 	}

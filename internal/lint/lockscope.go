@@ -2,10 +2,10 @@ package lint
 
 // The lockscope check: the admission-pipeline invariant, statically. In
 // the serving-layer packages no call that can reach compile/enumerate/
-// synthesis entry points or disk I/O (the ForbiddenUnderLock patterns),
-// and no dynamic call through a function value (client-controlled work:
-// hooks, callbacks, job funcs), may execute while a sync.Mutex or
-// sync.RWMutex is held.
+// synthesis entry points, disk I/O or a log write (the ForbiddenUnderLock
+// patterns), and no dynamic call through a function value
+// (client-controlled work: hooks, callbacks, job funcs), may execute
+// while a sync.Mutex or sync.RWMutex is held.
 //
 // The approximation, documented because every static lock checker is
 // one:

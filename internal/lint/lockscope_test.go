@@ -19,6 +19,16 @@ func TestLockScopeFixture(t *testing.T) {
 	matchWants(t, findings, filepath.Join("testdata", "src", "lockfix", "lockfix.go"))
 }
 
+// TestLockScopeLogFixture: under the repository's default patterns a
+// log/slog call while a mutex is held is a finding, direct or through a
+// helper, and logging after the release is not.
+func TestLockScopeLogFixture(t *testing.T) {
+	cfg := lockConfig("locklog")
+	cfg.ForbiddenUnderLock = DefaultConfig("m").ForbiddenUnderLock
+	findings := lintFixture(t, cfg, "locklog")
+	matchWants(t, findings, filepath.Join("testdata", "src", "locklog", "locklog.go"))
+}
+
 // TestLockScopeUnlockDeletionFires is the seeded mutation of the
 // acceptance criteria: removing the Unlock between the state copy and
 // the compile call stretches the critical section over the compiler,

@@ -79,8 +79,9 @@ type Config struct {
 	// and the shed, warm-start and routing tests count compiles through
 	// it.
 	CompileHook func(source string)
-	// Logger receives the structured access log and job lifecycle
-	// events; nil discards them.
+	// Logger receives the cluster proxy warnings and, at debug level,
+	// one access line per request; nil discards them. Jobs log nothing:
+	// a job's lifecycle is its event log.
 	Logger *slog.Logger
 }
 
@@ -164,7 +165,6 @@ func New(cfg Config) (*Server, error) {
 			Workers:    cfg.JobWorkers,
 			MaxPending: cfg.MaxPendingJobs,
 			TTL:        cfg.JobTTL,
-			Logger:     cfg.Logger,
 			Node:       nodeID,
 		}),
 		mux:    http.NewServeMux(),

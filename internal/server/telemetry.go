@@ -263,7 +263,7 @@ func (r *statusRecorder) Flush() {
 // root span per request (named by the matched route pattern, so the
 // histogram label space is bounded by the route table), returns the
 // trace id in X-Pmsynthd-Trace, observes the per-route latency
-// histogram, and writes one structured access-log line.
+// histogram, and writes one structured access-log line at debug level.
 //
 // Traces for /metrics, /healthz and /debug/* requests still exist (the
 // header and histograms work) but are not retained in the ring — a
@@ -293,11 +293,7 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		// histogram and the access log all read its duration.
 		elapsed := root.Duration()
 		s.metrics.httpLatency.With(route).Observe(elapsed.Seconds())
-		logger := s.log.Info
-		if route == "GET /metrics" || route == "GET /healthz" {
-			logger = s.log.Debug // scrapes and probes are noise at info
-		}
-		logger("http request",
+		s.log.Debug("http request",
 			"method", r.Method, "path", r.URL.Path, "route", route,
 			"code", rec.status, "elapsed", elapsed, "trace", tr.ID())
 	})

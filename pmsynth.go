@@ -42,10 +42,6 @@ const (
 // the default, OrderOutputsFirst.
 func ParseOrder(name string) (Order, error) { return core.ParseOrder(name) }
 
-// Weights is the paper's relative power cost table (MUX 1, COMP 4, +/- 3,
-// * 20).
-var Weights = power.Weights
-
 // Compile parses and elaborates a Silage-style source text.
 func Compile(src string) (*Design, error) { return silage.Compile(src) }
 

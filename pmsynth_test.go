@@ -133,7 +133,7 @@ func TestOptimalProducesCertifiedBaseline(t *testing.T) {
 	if !opt.Cert.Optimal {
 		t.Fatalf("cert = %+v, want optimal on absdiff", opt.Cert)
 	}
-	hp := syn.Activity.WeightedPower(syn.PM.Graph, Weights)
+	hp := syn.WeightedPower()
 	if opt.Power > hp {
 		t.Fatalf("optimal power %v above heuristic %v", opt.Power, hp)
 	}
@@ -225,12 +225,6 @@ func TestOrderOption(t *testing.T) {
 		if syn.PM.NumManaged() != 1 {
 			t.Errorf("%v: managed = %d", o, syn.PM.NumManaged())
 		}
-	}
-}
-
-func TestWeightsExported(t *testing.T) {
-	if Weights[cdfg.ClassMul] != 20 {
-		t.Error("weights not exported correctly")
 	}
 }
 
